@@ -132,6 +132,33 @@ Fingerprint fingerprint(const cluster::ClusterReport& r) {
   return fp;
 }
 
+Fingerprint fingerprint(const serve::ZooReport& r) {
+  Fingerprint fp;
+  fp.emplace_back("offered", fmt(r.offered));
+  fp.emplace_back("rejected", fmt(r.rejected));
+  fp.emplace_back("dropped", fmt(r.dropped));
+  fp.emplace_back("completed", fmt(r.completed));
+  fp.emplace_back("hits", fmt(r.hits));
+  fp.emplace_back("swaps", fmt(r.swaps));
+  fp.emplace_back("swap_stall_s", fmt(r.swap_stall_s));
+  fp.emplace_back("last_complete_s", fmt(r.last_complete_s));
+  fp.emplace_back("latency_sum_ms", fmt(r.latency_ms.sum()));
+  fp.emplace_back("p50_ms", fmt(r.p50_ms));
+  fp.emplace_back("p99_ms", fmt(r.p99_ms));
+  Digest tables;  // per-class and per-model rollups
+  for (const auto& c : r.classes) {
+    tables.mix(c.completed);
+    tables.mix(c.dropped);
+    tables.mix(c.p99_ms);
+  }
+  for (const auto& m : r.models) {
+    tables.mix(m.completed);
+    tables.mix(m.swaps_in);
+  }
+  fp.emplace_back("tables", tables.str());
+  return fp;
+}
+
 namespace {
 
 /// One tie group (>1 candidate) encountered during a perturbed run.
@@ -143,7 +170,7 @@ struct Decision {
 
 std::string describe_event(const serve::LoopEvent& ev) {
   std::string s = serve::loop_event_kind_name(ev.kind);
-  if (ev.node != 0) s += "@n" + std::to_string(ev.node);
+  if (ev.index != 0) s += "@" + std::to_string(ev.index);
   return s;
 }
 
@@ -194,17 +221,15 @@ PerturbedRun run_seeded(const Scenario& scenario, std::uint64_t seed) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   auto rng = std::make_shared<std::mt19937_64>(z ^ (z >> 31));
   auto log = std::make_shared<std::vector<Decision>>();
-  serve::TieBreak tb = [rng, log](double t,
-                                  const std::vector<serve::LoopEvent>& tied)
-      -> std::size_t {
-    if (tied.size() < 2) return 0;
-    const std::size_t pick =
-        std::uniform_int_distribution<std::size_t>(0, tied.size() - 1)(*rng);
-    log->push_back({t, tied, pick});
-    return pick;
-  };
+  const serve::ScopedTieBreak hook(
+      [rng, log](double t, const std::vector<serve::LoopEvent>& tied) {
+        const std::size_t pick = std::uniform_int_distribution<std::size_t>(
+            0, tied.size() - 1)(*rng);
+        log->push_back({t, tied, pick});
+        return pick;
+      });
   try {
-    run.fp = scenario(tb);
+    run.fp = scenario();
   } catch (const std::exception& e) {
     run.error = e.what();
   }
@@ -220,14 +245,12 @@ PerturbedRun run_seeded(const Scenario& scenario, std::uint64_t seed) {
 Fingerprint run_single_deviation(const Scenario& scenario, std::size_t index,
                                  std::size_t pick, std::string* error) {
   auto counter = std::make_shared<std::size_t>(0);
-  serve::TieBreak tb = [counter, index, pick](
-                           double, const std::vector<serve::LoopEvent>& tied)
-      -> std::size_t {
-    if (tied.size() < 2) return 0;
-    return (*counter)++ == index ? pick % tied.size() : 0;
-  };
+  const serve::ScopedTieBreak hook(
+      [counter, index, pick](double, const std::vector<serve::LoopEvent>&) {
+        return (*counter)++ == index ? pick : std::size_t{0};
+      });
   try {
-    return scenario(tb);
+    return scenario();
   } catch (const std::exception& e) {
     *error = e.what();
     return {};
@@ -253,7 +276,7 @@ std::string ScheduleDivergence::to_string() const {
 SchedFuzzReport fuzz_schedule(const Scenario& scenario,
                               const SchedFuzzConfig& config) {
   SchedFuzzReport report;
-  const Fingerprint baseline = scenario(serve::TieBreak{});
+  const Fingerprint baseline = scenario();
   for (int seed = 1; seed <= config.seeds; ++seed) {
     PerturbedRun run = run_seeded(scenario, static_cast<std::uint64_t>(seed));
     ++report.seeds_run;

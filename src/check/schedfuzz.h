@@ -12,8 +12,9 @@
 //
 // This harness checks commutativity directly: it re-runs a scenario
 // under seeded random permutations of each same-timestamp event group
-// (via the serve::TieBreak hook threaded through ServerConfig and
-// ClusterConfig) and asserts the final report fingerprint is invariant.
+// (a serve::ScopedTieBreak hook, which every serve::EventPicker on the
+// thread consults — the Server, Cluster and ZooServer loops alike) and
+// asserts the final report fingerprint is invariant.
 // On divergence it minimises to a single deviating tie decision — the
 // smallest schedule change that flips the result — and reports it.
 //
@@ -28,6 +29,7 @@
 
 #include "cluster/cluster.h"
 #include "serve/server.h"
+#include "serve/zoo_serve.h"
 
 namespace ncsw::check {
 
@@ -41,12 +43,13 @@ using Fingerprint = std::vector<std::pair<std::string, std::string>>;
 /// individual request's fate is caught even when the totals agree.
 Fingerprint fingerprint(const serve::ServeReport& r);
 Fingerprint fingerprint(const cluster::ClusterReport& r);
+Fingerprint fingerprint(const serve::ZooReport& r);
 
-/// One schedule-sensitive workload: runs to completion under the given
-/// tie-break hook (empty = the production fixed order) and returns the
-/// result fingerprint. Must be a pure function of the hook — fresh
-/// Server/Cluster, same trace, same fault plan on every call.
-using Scenario = std::function<Fingerprint(const serve::TieBreak&)>;
+/// One schedule-sensitive workload, run on the calling thread (inside the
+/// tie hook fuzz_schedule installs): returns the result fingerprint. Must
+/// be a pure function of that hook — fresh Server/Cluster/ZooServer,
+/// same trace, same fault plan on every call.
+using Scenario = std::function<Fingerprint()>;
 
 struct SchedFuzzConfig {
   /// Perturbed runs per scenario (seeds 1..N; seed 0 is the baseline).

@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -13,6 +12,7 @@
 #include <utility>
 
 #include "check/serve_check.h"
+#include "serve/arrivals.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -31,6 +31,8 @@ const char* request_state_name(RequestState s) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using Kind = serve::LoopEventKind;
 
 /// Cluster-side lifetime of one request id across all of its copies
 /// (the original, failover replays, and hedge duplicates).
@@ -111,13 +113,7 @@ Cluster::Cluster(std::vector<std::vector<core::Target*>> node_targets,
 }
 
 ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!std::isfinite(requests[i].arrival_s) ||
-        (i > 0 && requests[i].arrival_s < requests[i - 1].arrival_s)) {
-      throw std::invalid_argument(
-          "Cluster::run: arrivals must be finite and sorted");
-    }
-  }
+  serve::require_finite_sorted(requests, "Cluster::run");
 
   const int n_nodes = static_cast<int>(node_targets_.size());
   ClusterReport report;
@@ -299,14 +295,15 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // then the least expected wait (queued + in-flight work over the
   // node's clearing-rate estimate); ties keep ring preference order.
   // Capacity is judged per class: a node whose queue has room but whose
-  // class quota for this request is exhausted does not count.
+  // class quota for this request is exhausted does not count. `exclude`
+  // keeps a hedge off the node it is hedging.
   auto pick_node = [&](const std::vector<int>& prefs, bool need_capacity,
-                       serve::SloClass slo) {
+                       serve::SloClass slo, int exclude = -1) {
     int best = -1;
     bool best_unobs = false;
     double best_wait = kInf;
     for (const int n : prefs) {
-      if (!eligible(n)) continue;
+      if (n == exclude || !eligible(n)) continue;
       const NodeState& ns = nodes[static_cast<std::size_t>(n)];
       if (need_capacity && !ns.session->has_capacity_for(slo)) continue;
       const bool unobs = !ns.observed;
@@ -483,148 +480,51 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   std::size_t next_arrival = 0;
 
-  enum class Ev {
-    kNone,
-    kComplete,
-    kDrop,
-    kFault,
-    kProbe,
-    kReady,
-    kHedge,
-    kArrive,
-    kFlush
-  };
+  serve::EventPicker picker(kClusterEventOrder);
   for (;;) {
-    // Gather the next event time per class; within a class ties go to
-    // the lowest node index (strict <), and across classes the listed
-    // priority below — completions retire work before faults or drops
-    // reroute it, probes/rejoins restore capacity before hedges and
-    // arrivals claim it, flushes batch up whatever remains.
-    double t_complete = kInf, t_drop = kInf, t_fault = kInf, t_probe = kInf,
-           t_ready = kInf, t_flush = kInf;
-    int n_complete = -1, n_drop = -1, n_fault = -1, n_probe = -1,
-        n_ready = -1, n_flush = -1;
+    picker.clear();
     for (int i = 0; i < n_nodes; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      const NodeState& ns = nodes[ui];
-      const double tc = ns.session->next_complete_s();
-      if (tc < t_complete) { t_complete = tc; n_complete = i; }
-      const double td = ns.session->next_drop_s();
-      if (td < t_drop) { t_drop = td; n_drop = i; }
+      const NodeState& ns = nodes[static_cast<std::size_t>(i)];
+      picker.offer(Kind::kComplete, i, ns.session->next_complete_s());
+      picker.offer(Kind::kDrop, i, ns.session->next_drop_s());
       if (ns.fault_cursor < ns.fault_starts.size()) {
-        const double tf = ns.fault_starts[ns.fault_cursor].start;
-        if (tf < t_fault) { t_fault = tf; n_fault = i; }
+        picker.offer(Kind::kFault, i, ns.fault_starts[ns.fault_cursor].start);
       }
       if (ns.health->state() == core::HealthState::kQuarantined) {
-        const double tp = ns.health->next_probe_time();
-        if (tp < t_probe) { t_probe = tp; n_probe = i; }
+        picker.offer(Kind::kProbe, i, ns.health->next_probe_time());
       }
-      if (ns.rejoin_pending && ns.ready_s < t_ready) {
-        t_ready = ns.ready_s;
-        n_ready = i;
-      }
-      const double tl = ns.session->next_flush_s();
-      if (tl < t_flush) { t_flush = tl; n_flush = i; }
+      if (ns.rejoin_pending) picker.offer(Kind::kReady, i, ns.ready_s);
+      picker.offer(Kind::kFlush, i, ns.session->next_flush_s());
     }
-    const double t_hedge = hedges.empty() ? kInf : hedges.top().fire_s;
-    const double t_arrive = next_arrival < requests.size()
-                                ? requests[next_arrival].arrival_s
-                                : kInf;
-
-    Ev ev = Ev::kNone;
-    double t = kInf;
-    if (t_complete < t) { t = t_complete; ev = Ev::kComplete; }
-    if (t_drop < t) { t = t_drop; ev = Ev::kDrop; }
-    if (t_fault < t) { t = t_fault; ev = Ev::kFault; }
-    if (t_probe < t) { t = t_probe; ev = Ev::kProbe; }
-    if (t_ready < t) { t = t_ready; ev = Ev::kReady; }
-    if (t_hedge < t) { t = t_hedge; ev = Ev::kHedge; }
-    if (t_arrive < t) { t = t_arrive; ev = Ev::kArrive; }
-    if (t_flush < t) { t = t_flush; ev = Ev::kFlush; }
-    if (ev == Ev::kNone) break;
-    if (config_.tie_break) {
-      // Determinism fuzzing (check/schedfuzz.h): collect every
-      // (class, node) pair due at exactly t — including same-class ties
-      // on higher node indices the production scan above never
-      // surfaces — and let the hook pick one; the loop re-evaluates
-      // after each event. Index 0 reproduces the fixed order.
-      std::vector<serve::LoopEvent> tied;
-      auto tied_nodes = [&](serve::LoopEventKind kind, auto&& time_of) {
-        for (int i = 0; i < n_nodes; ++i) {
-          if (time_of(nodes[static_cast<std::size_t>(i)]) == t) {
-            tied.push_back({kind, i, t});
-          }
-        }
-      };
-      tied_nodes(serve::LoopEventKind::kComplete, [](const NodeState& ns) {
-        return ns.session->next_complete_s();
-      });
-      tied_nodes(serve::LoopEventKind::kDrop, [](const NodeState& ns) {
-        return ns.session->next_drop_s();
-      });
-      tied_nodes(serve::LoopEventKind::kFault, [](const NodeState& ns) {
-        return ns.fault_cursor < ns.fault_starts.size()
-                   ? ns.fault_starts[ns.fault_cursor].start
-                   : kInf;
-      });
-      tied_nodes(serve::LoopEventKind::kProbe, [](const NodeState& ns) {
-        return ns.health->state() == core::HealthState::kQuarantined
-                   ? ns.health->next_probe_time()
-                   : kInf;
-      });
-      tied_nodes(serve::LoopEventKind::kReady, [](const NodeState& ns) {
-        return ns.rejoin_pending ? ns.ready_s : kInf;
-      });
-      if (t_hedge == t) {
-        tied.push_back({serve::LoopEventKind::kHedge, hedges.top().node, t});
-      }
-      if (t_arrive == t) {
-        tied.push_back({serve::LoopEventKind::kArrive, -1, t});
-      }
-      tied_nodes(serve::LoopEventKind::kFlush, [](const NodeState& ns) {
-        return ns.session->next_flush_s();
-      });
-      const serve::LoopEvent pick =
-          tied[config_.tie_break(t, tied) % tied.size()];
-      switch (pick.kind) {
-        case serve::LoopEventKind::kComplete:
-          ev = Ev::kComplete; n_complete = pick.node; break;
-        case serve::LoopEventKind::kDrop:
-          ev = Ev::kDrop; n_drop = pick.node; break;
-        case serve::LoopEventKind::kFault:
-          ev = Ev::kFault; n_fault = pick.node; break;
-        case serve::LoopEventKind::kProbe:
-          ev = Ev::kProbe; n_probe = pick.node; break;
-        case serve::LoopEventKind::kReady:
-          ev = Ev::kReady; n_ready = pick.node; break;
-        case serve::LoopEventKind::kHedge:
-          ev = Ev::kHedge; break;
-        case serve::LoopEventKind::kArrive:
-          ev = Ev::kArrive; break;
-        case serve::LoopEventKind::kFlush:
-          ev = Ev::kFlush; n_flush = pick.node; break;
-      }
+    if (!hedges.empty()) {
+      picker.offer(Kind::kHedge, hedges.top().node, hedges.top().fire_s);
     }
-    now = std::max(now, t);
+    if (next_arrival < requests.size()) {
+      picker.offer(Kind::kArrive, 0, requests[next_arrival].arrival_s);
+    }
+    const auto ev = picker.pick();
+    if (!ev) break;
+    const int node = ev->index;
+    now = std::max(now, ev->t);
 
-    switch (ev) {
-      case Ev::kComplete: {
-        auto& ns = nodes[static_cast<std::size_t>(n_complete)];
+    switch (ev->kind) {
+      case Kind::kComplete: {
+        auto& ns = nodes[static_cast<std::size_t>(node)];
         try {
           ns.session->on_complete(now);
         } catch (...) {
-          node_failed(n_complete, now);
+          node_failed(node, now);
           break;
         }
         drain(now);
         break;
       }
-      case Ev::kDrop:
-        nodes[static_cast<std::size_t>(n_drop)].session->on_drop(now);
+      case Kind::kDrop:
+        nodes[static_cast<std::size_t>(node)].session->on_drop(now);
         drain(now);
         break;
-      case Ev::kFault: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_fault)];
+      case Kind::kFault: {
+        NodeState& ns = nodes[static_cast<std::size_t>(node)];
         const sim::FaultEvent fe = ns.fault_starts[ns.fault_cursor++];
         if (fe.kind == sim::FaultKind::kNodeCrash) {
           ns.up = false;
@@ -636,7 +536,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
           m_kills.add(1);
           g_up.set(static_cast<double>(nodes_up()));
           instant("kill", now);
-          evict_node(n_fault, now);
+          evict_node(node, now);
           drain(now);
         } else {  // kNodeWedge: state change is implicit — promised
                   // completions slip via the session's completion map,
@@ -647,8 +547,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         }
         break;
       }
-      case Ev::kProbe: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_probe)];
+      case Kind::kProbe: {
+        NodeState& ns = nodes[static_cast<std::size_t>(node)];
         const bool still_faulted =
             ns.timeline.active(sim::FaultKind::kNodeCrash, now) != nullptr ||
             ns.timeline.active(sim::FaultKind::kNodeWedge, now) != nullptr;
@@ -677,8 +577,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         }
         break;
       }
-      case Ev::kReady: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_ready)];
+      case Kind::kReady: {
+        NodeState& ns = nodes[static_cast<std::size_t>(node)];
         ns.rejoin_pending = false;
         ns.ready_s = kInf;
         ns.up = true;
@@ -690,7 +590,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         unpark_all(now);
         break;
       }
-      case Ev::kHedge: {
+      case Kind::kHedge: {
         const HedgeTimer h = hedges.top();
         hedges.pop();
         auto it = ledger.find(h.id);
@@ -720,26 +620,9 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         if (led.hedges < config_.max_hedges && now < deadline_s &&
             static_cast<int>(led.req.slo) <=
                 static_cast<int>(config_.hedge_max_class)) {
-          const auto& prefs = prefs_for(model_of(led.req));
-          int best = -1;
-          bool best_unobs = false;
-          double best_wait = kInf;
-          for (const int n : prefs) {
-            if (n == h.node || !eligible(n)) continue;
-            const NodeState& ns = nodes[static_cast<std::size_t>(n)];
-            if (!ns.session->has_capacity_for(led.req.slo)) continue;
-            const bool unobs = !ns.observed;
-            const double wait =
-                static_cast<double>(ns.session->queue_depth() +
-                                    ns.session->inflight()) /
-                ns.tput_est;
-            if (best < 0 || (unobs && !best_unobs) ||
-                (unobs == best_unobs && wait < best_wait)) {
-              best = n;
-              best_unobs = unobs;
-              best_wait = wait;
-            }
-          }
+          const int best = pick_node(prefs_for(model_of(led.req)),
+                                     /*need_capacity=*/true, led.req.slo,
+                                     h.node);
           if (best >= 0) {
             ++led.hedges;
             ++led.live;
@@ -757,7 +640,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         drain(now);
         break;
       }
-      case Ev::kArrive: {
+      case Kind::kArrive: {
         const serve::Request& req = requests[next_arrival++];
         ++report.offered;
         m_offered.add(1);
@@ -788,11 +671,9 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         drain(now);
         break;
       }
-      case Ev::kFlush:
-        nodes[static_cast<std::size_t>(n_flush)].session->on_flush(now);
+      case Kind::kFlush:
+        nodes[static_cast<std::size_t>(node)].session->on_flush(now);
         drain(now);
-        break;
-      case Ev::kNone:
         break;
     }
   }
@@ -817,8 +698,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     report.nodes.push_back(std::move(nr));
   }
   report.records.reserve(ledger.size());
-  std::vector<double> latencies;
-  std::array<std::vector<double>, serve::kSloClassCount> class_latencies;
+  serve::OutcomeRollup rollup;
   for (auto& [id, led] : ledger) {
     ClusterRecord rec;
     rec.id = id;
@@ -833,40 +713,21 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       rec.state = RequestState::kLost;
       ++report.requests_lost;
     }
-    auto& cs = report.classes[static_cast<std::size_t>(led.req.slo)];
-    ++cs.offered;
-    switch (rec.state) {
-      case RequestState::kCompleted:
-        ++cs.completed;
-        break;
-      case RequestState::kRejected:
-        ++cs.rejected;
-        break;
-      case RequestState::kDeadline:
-      case RequestState::kLost:
-        ++cs.dropped;
-        break;
-    }
-    if (rec.state == RequestState::kCompleted) {
-      const double ms = (rec.finish_s - rec.arrival_s) * 1e3;
-      latencies.push_back(ms);
-      class_latencies[static_cast<std::size_t>(led.req.slo)].push_back(ms);
-    }
+    // Deadline drops and lost requests both roll up as dropped.
+    const serve::Outcome outcome =
+        rec.state == RequestState::kCompleted  ? serve::Outcome::kCompleted
+        : rec.state == RequestState::kRejected ? serve::Outcome::kRejected
+                                               : serve::Outcome::kDropped;
+    rollup.add(led.req.slo, outcome, (rec.finish_s - rec.arrival_s) * 1e3);
     report.records.push_back(rec);
   }
-  for (std::size_t c = 0; c < serve::kSloClassCount; ++c) {
-    report.classes[c].p99_ms =
-        util::percentile(std::move(class_latencies[c]), 99.0);
-  }
+  rollup.finish(report);
   // Crash replays and hedge duplicates are copies of one ledger entry,
   // so the terminal states must still partition what was admitted.
   if (sv.enabled()) {
     sv.on_cluster_finish(report.offered, report.completed, report.rejected,
                          report.dropped_deadline, report.requests_lost, now);
   }
-  report.p50_ms = util::percentile(latencies, 50.0);
-  report.p95_ms = util::percentile(latencies, 95.0);
-  report.p99_ms = util::percentile(std::move(latencies), 99.0);
   if (!requests.empty()) {
     report.first_arrival_s = requests.front().arrival_s;
   }

@@ -34,9 +34,8 @@
 // are counted, never double-delivered.
 //
 // Everything runs on one discrete-event clock with a fixed event
-// tie-break (complete < drop < fault < probe < ready < hedge < arrive
-// < flush, then node index), so a given arrival trace + fault plan
-// always produces byte-identical reports and traces.
+// tie-break (kClusterEventOrder, then node index), so a given arrival
+// trace + fault plan always produces byte-identical reports and traces.
 #pragma once
 
 #include <array>
@@ -95,12 +94,6 @@ struct ClusterConfig {
   sim::FaultPlan faults;
   /// Emit per-request slot spans inside each node's session.
   bool trace_requests = true;
-  /// Same-timestamp event-order perturbation hook for the determinism
-  /// fuzzer (check/schedfuzz.h). Leave empty in production: the loop
-  /// then runs its fixed tie-break (complete < drop < fault < probe <
-  /// ready < hedge < arrive < flush, then node index) byte-identically.
-  /// Applies to the cluster loop itself, not `node.tie_break`.
-  serve::TieBreak tie_break;
 };
 
 /// How one request left the cluster.
@@ -138,10 +131,10 @@ struct NodeReport {
   int rejoins = 0;
 };
 
-/// Result of serving one arrival trace across the cluster.
-struct ClusterReport {
+/// Result of serving one arrival trace across the cluster. In `classes`,
+/// deadline drops and lost requests both count as dropped.
+struct ClusterReport : serve::RunSummary {
   std::int64_t offered = 0;
-  std::int64_t completed = 0;
   std::int64_t rejected = 0;
   std::int64_t dropped_deadline = 0;
   /// Requests that were accepted but never completed with no replica
@@ -155,32 +148,24 @@ struct ClusterReport {
   int node_wedges = 0;
   int node_rejoins = 0;
   int nodes_dead = 0;  ///< nodes that exhausted their probe budget
-  double first_arrival_s = 0.0;
-  double last_complete_s = 0.0;
-  util::RunningStats latency_ms;  ///< completed requests only
-  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
   /// Eviction-to-completion latency of replayed requests (failover
   /// visibility: how long a request stranded by a kill waited for its
   /// replica to serve it).
   util::RunningStats failover_ms;
-  /// Per-SLO-class rollup across the cluster (deadline drops and lost
-  /// requests both count as `dropped` here; `p99_ms` covers completed
-  /// requests of that class only).
-  std::array<serve::ClassStats, serve::kSloClassCount> classes{};
   std::vector<NodeReport> nodes;
   /// One entry per offered request, ordered by request id.
   std::vector<ClusterRecord> records;
-
-  double makespan_s() const noexcept {
-    return last_complete_s > first_arrival_s
-               ? last_complete_s - first_arrival_s
-               : 0.0;
-  }
-  double goodput() const noexcept {
-    const double m = makespan_s();
-    return m > 0.0 ? static_cast<double>(completed) / m : 0.0;
-  }
 };
+
+/// Cluster::run's tie order at equal timestamps (same-kind ties go to
+/// the lowest node index): completions retire work before faults or
+/// drops reroute it, probes and rejoins restore capacity before hedges
+/// and arrivals claim it, flushes batch up whatever remains.
+inline constexpr std::array<serve::LoopEventKind, 8> kClusterEventOrder = {
+    serve::LoopEventKind::kComplete, serve::LoopEventKind::kDrop,
+    serve::LoopEventKind::kFault,    serve::LoopEventKind::kProbe,
+    serve::LoopEventKind::kReady,    serve::LoopEventKind::kHedge,
+    serve::LoopEventKind::kArrive,   serve::LoopEventKind::kFlush};
 
 /// The cluster router. Owns its per-node sessions for the duration of
 /// one run; targets stay caller-owned (node i uses node_targets[i]).

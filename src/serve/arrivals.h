@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -56,5 +58,20 @@ class UniformArrivals {
   double interval_;
   double t_;
 };
+
+/// The boundary check of every serving loop's run(): throws
+/// std::invalid_argument unless each `arrival_s` is finite and the trace
+/// is sorted (non-decreasing).
+template <class Req>
+void require_finite_sorted(const std::vector<Req>& requests,
+                           const char* who) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (!std::isfinite(requests[i].arrival_s) ||
+        (i > 0 && requests[i].arrival_s < requests[i - 1].arrival_s)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": arrivals must be finite and sorted");
+    }
+  }
+}
 
 }  // namespace ncsw::serve

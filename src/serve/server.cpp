@@ -1,28 +1,14 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <stdexcept>
 
 #include "check/serve_check.h"
+#include "serve/arrivals.h"
 #include "util/trace.h"
 
 namespace ncsw::serve {
-
-const char* loop_event_kind_name(LoopEventKind kind) {
-  switch (kind) {
-    case LoopEventKind::kComplete: return "complete";
-    case LoopEventKind::kDrop:     return "drop";
-    case LoopEventKind::kFault:    return "fault";
-    case LoopEventKind::kProbe:    return "probe";
-    case LoopEventKind::kReady:    return "ready";
-    case LoopEventKind::kHedge:    return "hedge";
-    case LoopEventKind::kArrive:   return "arrive";
-    case LoopEventKind::kFlush:    return "flush";
-  }
-  return "?";
-}
 
 const char* slo_class_name(SloClass c) {
   switch (c) {
@@ -40,6 +26,32 @@ const char* outcome_name(Outcome o) {
     case Outcome::kDropped: return "dropped";
   }
   return "?";
+}
+
+void OutcomeRollup::add(SloClass slo, Outcome outcome, double latency_ms) {
+  const auto c = static_cast<std::size_t>(slo);
+  ClassStats& cs = classes_[c];
+  ++cs.offered;
+  switch (outcome) {
+    case Outcome::kCompleted:
+      ++cs.completed;
+      latencies_.push_back(latency_ms);
+      by_class_[c].push_back(latency_ms);
+      break;
+    case Outcome::kRejected: ++cs.rejected; break;
+    case Outcome::kDropped: ++cs.dropped; break;
+  }
+}
+
+void OutcomeRollup::finish(RunSummary& summary) {
+  summary.p50_ms = util::percentile(latencies_, 50.0);
+  summary.p95_ms = util::percentile(latencies_, 95.0);
+  summary.p99_ms = util::percentile(std::move(latencies_), 99.0);
+  for (std::size_t c = 0; c < kSloClassCount; ++c) {
+    summary.classes[c] = classes_[c];
+    summary.classes[c].p99_ms =
+        util::percentile(std::move(by_class_[c]), 99.0);
+  }
 }
 
 const char* drop_reason_name(DropReason r) {
@@ -664,37 +676,12 @@ ServeReport Session::finish() {
   auto& records = report_.records;
   if (!records.empty()) {
     report_.first_arrival_s = records.front().request.arrival_s;
-    std::vector<double> latencies;
-    latencies.reserve(static_cast<std::size_t>(report_.completed));
-    for (const auto& rec : records) {
-      if (rec.outcome == Outcome::kCompleted) {
-        latencies.push_back(rec.latency_s() * 1e3);
-      }
-    }
-    report_.p50_ms = util::percentile(latencies, 50.0);
-    report_.p95_ms = util::percentile(latencies, 95.0);
-    report_.p99_ms = util::percentile(std::move(latencies), 99.0);
-    // Per-SloClass rollups from the same records; each class partitions
-    // and the classes sum to the session totals by construction.
-    std::array<std::vector<double>, kSloClassCount> by_class;
-    for (const auto& rec : records) {
-      ClassStats& cs = report_.classes[static_cast<int>(rec.request.slo)];
-      ++cs.offered;
-      switch (rec.outcome) {
-        case Outcome::kCompleted:
-          ++cs.completed;
-          by_class[static_cast<int>(rec.request.slo)].push_back(
-              rec.latency_s() * 1e3);
-          break;
-        case Outcome::kRejected: ++cs.rejected; break;
-        case Outcome::kDropped: ++cs.dropped; break;
-      }
-    }
-    for (int c = 0; c < kSloClassCount; ++c) {
-      report_.classes[c].p99_ms =
-          util::percentile(std::move(by_class[c]), 99.0);
-    }
   }
+  OutcomeRollup rollup;
+  for (const auto& rec : records) {
+    rollup.add(rec.request.slo, rec.outcome, rec.latency_s() * 1e3);
+  }
+  rollup.finish(report_);
   report_.targets.reserve(states_.size());
   for (const auto& ts : states_) report_.targets.push_back(ts.stats);
   auto& tr = util::tracer();
@@ -769,69 +756,37 @@ ServeReport Server::run(core::Source& source,
 
 ServeReport Server::run(const std::vector<Request>& requests) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!std::isfinite(requests[i].arrival_s) ||
-        (i > 0 && requests[i].arrival_s < requests[i - 1].arrival_s)) {
-      throw std::invalid_argument(
-          "Server::run: arrivals must be finite and sorted");
-    }
-  }
+  require_finite_sorted(requests, "Server::run");
 
   Session session(targets_, config_);
   std::size_t next_arrival = 0;
   double now = 0.0;
-
-  enum class Ev { kNone, kComplete, kDrop, kArrive, kFlush };
+  EventPicker picker(kServerEventOrder);
   for (;;) {
-    const double t_complete = session.next_complete_s();
-    const double t_arrive =
-        next_arrival < requests.size() ? requests[next_arrival].arrival_s
-                                       : kInf;
-    const double t_drop = session.next_drop_s();
-    const double t_flush = session.next_flush_s();
+    picker.clear();
+    picker.offer(LoopEventKind::kComplete, 0, session.next_complete_s());
+    picker.offer(LoopEventKind::kDrop, 0, session.next_drop_s());
+    picker.offer(LoopEventKind::kArrive, 0,
+                 next_arrival < requests.size()
+                     ? requests[next_arrival].arrival_s
+                     : kInf);
+    picker.offer(LoopEventKind::kFlush, 0, session.next_flush_s());
+    const auto ev = picker.pick();
+    if (!ev) break;
+    now = std::max(now, ev->t);
 
-    // Fixed tie-break order keeps the replay deterministic: completions
-    // free capacity before drops fire, drops before new arrivals are
-    // admitted, arrivals before a flush batches them up.
-    Ev ev = Ev::kNone;
-    double t = kInf;
-    if (t_complete < t) { t = t_complete; ev = Ev::kComplete; }
-    if (t_drop < t) { t = t_drop; ev = Ev::kDrop; }
-    if (t_arrive < t) { t = t_arrive; ev = Ev::kArrive; }
-    if (t_flush < t) { t = t_flush; ev = Ev::kFlush; }
-    if (ev == Ev::kNone) break;
-    if (config_.tie_break) {
-      // Determinism fuzzing (check/schedfuzz.h): expose every event
-      // class due at exactly t and let the hook pick the one to process
-      // this iteration; index 0 is the fixed order above.
-      std::vector<LoopEvent> tied;
-      if (t_complete == t) tied.push_back({LoopEventKind::kComplete, 0, t});
-      if (t_drop == t) tied.push_back({LoopEventKind::kDrop, 0, t});
-      if (t_arrive == t) tied.push_back({LoopEventKind::kArrive, 0, t});
-      if (t_flush == t) tied.push_back({LoopEventKind::kFlush, 0, t});
-      switch (tied[config_.tie_break(t, tied) % tied.size()].kind) {
-        case LoopEventKind::kComplete: ev = Ev::kComplete; break;
-        case LoopEventKind::kDrop:     ev = Ev::kDrop; break;
-        case LoopEventKind::kArrive:   ev = Ev::kArrive; break;
-        default:                       ev = Ev::kFlush; break;
-      }
-    }
-    now = std::max(now, t);
-
-    switch (ev) {
-      case Ev::kComplete:
+    switch (ev->kind) {
+      case LoopEventKind::kComplete:
         session.on_complete(now);
         break;
-      case Ev::kDrop:
+      case LoopEventKind::kDrop:
         session.on_drop(now);
         break;
-      case Ev::kArrive:
+      case LoopEventKind::kArrive:
         session.offer(requests[next_arrival++], now);
         break;
-      case Ev::kFlush:
+      default:  // kFlush
         session.on_flush(now);
-        break;
-      case Ev::kNone:
         break;
     }
   }

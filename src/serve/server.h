@@ -17,12 +17,12 @@
 //
 // entirely on the simulated clock: the server is a single-threaded
 // discrete-event loop (arrival / ticket-completion / flush-timeout /
-// deadline-drop events processed in time order with a fixed tie-break),
-// so a given arrival trace always produces byte-identical results. The
-// feedback estimator replaces plan_partition's one-shot split: when a
-// batch returns slow — e.g. the health machinery quarantined a stick
-// mid-batch — the target's throughput estimate sinks and the dispatcher
-// rebalances the following batches toward the healthy engines.
+// deadline-drop events, ties broken by kServerEventOrder), so a given
+// arrival trace always produces byte-identical results. The feedback
+// estimator replaces plan_partition's one-shot split: when a batch
+// returns slow — e.g. the health machinery quarantined a stick mid-batch
+// — the target's throughput estimate sinks and the dispatcher rebalances
+// the following batches toward the healthy engines.
 //
 // The dispatcher pipelines over the async Target API
 // (docs/async-targets.md): each batch becomes a core::Ticket via
@@ -54,6 +54,7 @@
 
 #include "core/source.h"
 #include "core/target.h"
+#include "serve/event_picker.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 
@@ -105,41 +106,6 @@ enum class DropReason : int {
 /// Stable lowercase name ("none", "deadline", "inflight-lost", "failover").
 const char* drop_reason_name(DropReason r);
 
-/// The event classes the serving event loops arbitrate between. The
-/// Server loop uses the first two plus kArrive/kFlush; the cluster loop
-/// (src/cluster) uses all of them. Listed in each loop's fixed
-/// tie-break priority order.
-enum class LoopEventKind : int {
-  kComplete = 0,
-  kDrop,
-  kFault,
-  kProbe,
-  kReady,
-  kHedge,
-  kArrive,
-  kFlush,
-};
-
-/// Stable lowercase name ("complete", "drop", "fault", ...).
-const char* loop_event_kind_name(LoopEventKind kind);
-
-/// One candidate event at the time an event loop is about to process.
-/// `node` is the cluster node index (0 in the single-session Server).
-struct LoopEvent {
-  LoopEventKind kind = LoopEventKind::kComplete;
-  int node = 0;
-  double t = 0.0;
-};
-
-/// Schedule-perturbation hook (check/schedfuzz.h): when several events
-/// are due at exactly the same timestamp, the loop collects them all
-/// (in its fixed priority order) and asks the hook which to process
-/// next; the loop re-evaluates after each event. Index 0 reproduces the
-/// fixed order. An empty hook keeps the production single-pass scan —
-/// byte-identical behaviour and no per-iteration allocation.
-using TieBreak =
-    std::function<std::size_t(double t, const std::vector<LoopEvent>& tied)>;
-
 /// Per-request lifecycle log entry.
 struct RequestRecord {
   Request request;
@@ -190,11 +156,6 @@ struct ServerConfig {
   /// (targets default to 1, i.e. the classic one-batch-per-target
   /// dispatcher).
   int inflight_window = 0;
-  /// Same-timestamp event-order perturbation hook for the determinism
-  /// fuzzer (check/schedfuzz.h). Leave empty in production: the loop
-  /// then runs its fixed tie-break (complete < drop < arrive < flush)
-  /// byte-identically.
-  TieBreak tie_break;
 };
 
 /// Per-target serving statistics.
@@ -224,29 +185,18 @@ struct ClassStats {
   double p99_ms = 0.0;  ///< completed requests of this class only
 };
 
-/// Result of serving one arrival trace.
-struct ServeReport {
-  std::int64_t offered = 0;
-  std::int64_t accepted = 0;
-  std::int64_t rejected = 0;
-  std::int64_t dropped = 0;
+/// The summary every serving report (ServeReport, ZooReport,
+/// cluster::ClusterReport) carries.
+struct RunSummary {
   std::int64_t completed = 0;
-  /// `dropped` broken out by DropReason (sums to `dropped`).
-  std::int64_t dropped_deadline = 0;
-  std::int64_t dropped_inflight = 0;
-  std::int64_t dropped_failover = 0;
   double first_arrival_s = 0.0;
   double last_complete_s = 0.0;
   util::RunningStats latency_ms;  ///< completed requests only
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  std::size_t max_queue_depth = 0;
   /// Per-SloClass accounting, indexed by the enum. Each class partitions
   /// (offered == completed + rejected + dropped) and the classes sum to
-  /// the session totals.
+  /// the run's totals.
   std::array<ClassStats, kSloClassCount> classes{};
-  std::vector<TargetStats> targets;
-  /// Per-request log in arrival order (one entry per offered request).
-  std::vector<RequestRecord> records;
 
   /// Wall of the simulated run: first arrival to last completion.
   double makespan_s() const noexcept {
@@ -260,6 +210,38 @@ struct ServeReport {
     const double m = makespan_s();
     return m > 0.0 ? static_cast<double>(completed) / m : 0.0;
   }
+};
+
+/// Folds terminal request outcomes into a RunSummary's percentiles and
+/// per-class partition.
+class OutcomeRollup {
+ public:
+  /// `latency_ms` is read only for kCompleted outcomes.
+  void add(SloClass slo, Outcome outcome, double latency_ms);
+  /// Write p50/p95/p99_ms (completed requests) and `classes` into
+  /// `summary`, moving the kept latencies out.
+  void finish(RunSummary& summary);
+
+ private:
+  std::vector<double> latencies_;
+  std::array<std::vector<double>, kSloClassCount> by_class_;
+  std::array<ClassStats, kSloClassCount> classes_{};
+};
+
+/// Result of serving one arrival trace.
+struct ServeReport : RunSummary {
+  std::int64_t offered = 0;
+  std::int64_t accepted = 0;
+  std::int64_t rejected = 0;
+  std::int64_t dropped = 0;
+  /// `dropped` broken out by DropReason (sums to `dropped`).
+  std::int64_t dropped_deadline = 0;
+  std::int64_t dropped_inflight = 0;
+  std::int64_t dropped_failover = 0;
+  std::size_t max_queue_depth = 0;
+  std::vector<TargetStats> targets;
+  /// Per-request log in arrival order (one entry per offered request).
+  std::vector<RequestRecord> records;
 };
 
 /// A steppable serving session: the Server event loop's state machine
@@ -419,6 +401,13 @@ class Session {
   /// span — spans on a slot lane must stay disjoint.
   std::vector<double> slot_claim_s_;
 };
+
+/// Server::run's tie order at equal timestamps: completions free
+/// capacity before drops fire, drops before new arrivals are admitted,
+/// arrivals before a flush batches them up.
+inline constexpr std::array<LoopEventKind, 4> kServerEventOrder = {
+    LoopEventKind::kComplete, LoopEventKind::kDrop, LoopEventKind::kArrive,
+    LoopEventKind::kFlush};
 
 /// The serving frontend. Owns no targets — callers keep them alive for
 /// the server's lifetime. Not thread-safe (one run at a time).

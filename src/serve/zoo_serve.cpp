@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "check/serve_check.h"
+#include "serve/arrivals.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -13,12 +14,11 @@ namespace ncsw::serve {
 
 namespace {
 
-/// Terminal state of one zoo request.
-enum class ZooOutcome : int { kQueued = 0, kCompleted, kRejected, kDropped };
-
+/// One request's lifecycle; `outcome` is final once the request leaves
+/// its queue (dispatched requests become kCompleted at their ticket).
 struct Rec {
   ZooRequest req;
-  ZooOutcome outcome = ZooOutcome::kQueued;
+  Outcome outcome = Outcome::kCompleted;
   double dispatch_s = 0.0;
   double complete_s = 0.0;
 };
@@ -96,17 +96,12 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   ZooReport report;
   report.models.resize(static_cast<std::size_t>(M));
   for (int m = 0; m < M; ++m) report.models[m].name = fleet_.model_name(m);
-  const std::int64_t swaps0 = fleet_.swaps();
 
-  double last_arrival = -kInf;
+  require_finite_sorted(requests, "ZooServer");
   for (const auto& r : requests) {
-    if (r.arrival_s < last_arrival) {
-      throw std::invalid_argument("ZooServer: arrivals not sorted");
-    }
     if (r.model < 0 || r.model >= M) {
       throw std::invalid_argument("ZooServer: model index out of range");
     }
-    last_arrival = r.arrival_s;
   }
   report.first_arrival_s = requests.empty() ? 0.0 : requests[0].arrival_s;
 
@@ -210,52 +205,38 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   double end_s = report.first_arrival_s;
   double last_stall = -kInf;
 
+  const bool deadlines = std::isfinite(config_.queue_deadline_s);
+  EventPicker picker(kZooEventOrder);
   for (;;) {
-    // Next event of each kind; fixed tie order complete < ready < drop
-    // < arrive keeps the loop deterministic.
-    double t_complete = kInf;
-    int complete_stick = -1;
+    picker.clear();
     for (int d = 0; d < K; ++d) {
-      if (flights[d].active && flights[d].complete_s < t_complete) {
-        t_complete = flights[d].complete_s;
-        complete_stick = d;
+      if (flights[d].active) {
+        picker.offer(LoopEventKind::kComplete, d, flights[d].complete_s);
+      }
+      if (swap_pending[d]) {
+        picker.offer(LoopEventKind::kReady, d, busy_until[d]);
       }
     }
-    double t_ready = kInf;
-    int ready_stick = -1;
-    for (int d = 0; d < K; ++d) {
-      if (swap_pending[d] && busy_until[d] < t_ready) {
-        t_ready = busy_until[d];
-        ready_stick = d;
-      }
-    }
-    double t_drop = kInf;
-    int drop_model = -1, drop_class = -1;
-    if (queued_total > 0 && std::isfinite(config_.queue_deadline_s)) {
+    if (queued_total > 0 && deadlines) {
       for (int m = 0; m < M; ++m) {
-        for (int c = 0; c < static_cast<int>(kSloClassCount); ++c) {
+        for (int c = 0; c < kSloClassCount; ++c) {
           if (queues[m][c].empty()) continue;
-          const double due = recs[queues[m][c].front()].req.arrival_s +
-                             config_.queue_deadline_s;
-          if (due < t_drop) {
-            t_drop = due;
-            drop_model = m;
-            drop_class = c;
-          }
+          picker.offer(LoopEventKind::kDrop, m * kSloClassCount + c,
+                       recs[queues[m][c].front()].req.arrival_s +
+                           config_.queue_deadline_s);
         }
       }
     }
-    const double t_arrive = next_arrival < requests.size()
-                                ? requests[next_arrival].arrival_s
-                                : kInf;
-
-    double now = std::min(std::min(t_complete, t_ready),
-                          std::min(t_drop, t_arrive));
-    if (now == kInf) {
+    if (next_arrival < requests.size()) {
+      picker.offer(LoopEventKind::kArrive, 0,
+                   requests[next_arrival].arrival_s);
+    }
+    const auto ev = picker.pick();
+    if (!ev) {
       if (queued_total == 0) break;
       // All sticks idle, queued work not resident, every stick inside
       // its hysteresis window: advance to the earliest unlock.
-      now = std::max(end_s, rm.earliest_unlock_s());
+      const double now = std::max(end_s, rm.earliest_unlock_s());
       if (now == last_stall) {
         throw std::logic_error("ZooServer: scheduler stalled");
       }
@@ -263,14 +244,12 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       pass(now);
       continue;
     }
-
-    if (now == t_complete) {
-      Flight& f = flights[complete_stick];
-      fleet_.stick(complete_stick).wait(f.ticket);
-      for (const std::size_t i : f.recs) {
-        recs[i].outcome = ZooOutcome::kCompleted;
-        recs[i].complete_s = f.complete_s;
-      }
+    const double now = ev->t;
+    if (ev->kind == LoopEventKind::kComplete) {
+      const int stick = ev->index;
+      Flight& f = flights[stick];
+      fleet_.stick(stick).wait(f.ticket);
+      for (const std::size_t i : f.recs) recs[i].complete_s = f.complete_s;
       report.completed += static_cast<std::int64_t>(f.recs.size());
       report.models[f.model].completed +=
           static_cast<std::int64_t>(f.recs.size());
@@ -278,24 +257,24 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       report.last_complete_s = std::max(report.last_complete_s, f.complete_s);
       if (tr.enabled()) {
         tr.complete("zoo", "batch:" + fleet_.model_name(f.model),
-                    tr.lane("zoo " +
-                            fleet_.stick(complete_stick).short_name()),
+                    tr.lane("zoo " + fleet_.stick(stick).short_name()),
                     f.dispatch_s, f.complete_s,
                     {util::TraceArg::num(
                         "images", static_cast<std::int64_t>(f.recs.size()))});
       }
       f.active = false;
       f.recs.clear();
-    } else if (now == t_ready) {
-      swap_pending[ready_stick] = 0;
+    } else if (ev->kind == LoopEventKind::kReady) {
+      swap_pending[ev->index] = 0;
       end_s = std::max(end_s, now);
-    } else if (now == t_drop) {
-      auto& q = queues[drop_model][drop_class];
+    } else if (ev->kind == LoopEventKind::kDrop) {
+      const int drop_class = ev->index % kSloClassCount;
+      auto& q = queues[ev->index / kSloClassCount][drop_class];
       const std::size_t i = q.front();
       q.pop_front();
       --queued_total;
       --queued_by_class[drop_class];
-      recs[i].outcome = ZooOutcome::kDropped;
+      recs[i].outcome = Outcome::kDropped;
       recs[i].complete_s = now;
       report.dropped += 1;
       end_s = std::max(end_s, now);
@@ -306,9 +285,9 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       const int cls = static_cast<int>(req.slo);
       const bool admit = queued_total < config_.queue_capacity &&
                          queued_by_class[cls] < config_.class_quota[cls];
-      recs.push_back(Rec{req, ZooOutcome::kQueued, 0.0, 0.0});
+      recs.push_back(Rec{req, Outcome::kCompleted, 0.0, 0.0});
       if (!admit) {
-        recs.back().outcome = ZooOutcome::kRejected;
+        recs.back().outcome = Outcome::kRejected;
         recs.back().complete_s = req.arrival_s;
         report.rejected += 1;
       } else {
@@ -331,41 +310,16 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   }
 
   // ------------------------------------------------------------ finish
-  std::vector<double> lat_ms;
-  std::array<std::vector<double>, kSloClassCount> class_lat_ms;
-  lat_ms.reserve(recs.size());
+  OutcomeRollup rollup;
   for (const auto& r : recs) {
-    auto& cs = report.classes[static_cast<int>(r.req.slo)];
-    cs.offered += 1;
-    switch (r.outcome) {
-      case ZooOutcome::kCompleted: {
-        cs.completed += 1;
-        const double ms = (r.complete_s - r.req.arrival_s) * 1e3;
-        report.latency_ms.add(ms);
-        lat_ms.push_back(ms);
-        class_lat_ms[static_cast<int>(r.req.slo)].push_back(ms);
-        break;
-      }
-      case ZooOutcome::kRejected:
-        cs.rejected += 1;
-        break;
-      case ZooOutcome::kDropped:
-        cs.dropped += 1;
-        break;
-      case ZooOutcome::kQueued:
-        throw std::logic_error("ZooServer: request left queued at finish");
-    }
+    const double ms = (r.complete_s - r.req.arrival_s) * 1e3;
+    if (r.outcome == Outcome::kCompleted) report.latency_ms.add(ms);
+    rollup.add(r.req.slo, r.outcome, ms);
   }
-  report.p50_ms = util::percentile(lat_ms, 50.0);
-  report.p95_ms = util::percentile(lat_ms, 95.0);
-  report.p99_ms = util::percentile(lat_ms, 99.0);
-  for (int c = 0; c < static_cast<int>(kSloClassCount); ++c) {
-    report.classes[c].p99_ms = util::percentile(class_lat_ms[c], 99.0);
-  }
+  rollup.finish(report);
   report.installs = fleet_.installs();
   report.evicts = fleet_.evicts();
   report.resident = fleet_.resident_count();
-  (void)swaps0;  // fleet-level swap delta equals report.swaps by design
 
   auto& metrics = util::metrics();
   metrics.counter("serve.zoo.offered").add(report.offered);

@@ -13,8 +13,8 @@
 //            --> per-stick async tickets (core::Target submit/info/wait)
 //
 // entirely on the simulated clock, single-threaded, with a fixed event
-// tie-break (complete < ready < drop < arrive) so a given trace always
-// produces byte-identical reports. Swaps ride the drain -> deallocate
+// tie-break (kZooEventOrder) so a given trace always produces
+// byte-identical reports. Swaps ride the drain -> deallocate
 // -> allocate lifecycle under the NCAPI protocol verifier, and the
 // serve verifier's zoo hooks (swap-while-inflight, wrong-model-dispatch,
 // residency-conservation) shadow every decision.
@@ -67,12 +67,11 @@ struct ZooModelStats {
 };
 
 /// Result of serving one tenant-mix trace.
-struct ZooReport {
+struct ZooReport : RunSummary {
   std::int64_t offered = 0;
   std::int64_t accepted = 0;
   std::int64_t rejected = 0;
   std::int64_t dropped = 0;
-  std::int64_t completed = 0;
   /// Admission-time residency: the request's model was resident (hit)
   /// or needed a swap-in before it could run (miss). Counted over
   /// accepted requests only, so hits + misses == accepted.
@@ -84,27 +83,20 @@ struct ZooReport {
   std::int64_t installs = 0;
   std::int64_t evicts = 0;
   std::int64_t resident = 0;
-  double first_arrival_s = 0.0;
-  double last_complete_s = 0.0;
-  util::RunningStats latency_ms;  ///< completed requests only
-  double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
-  std::array<ClassStats, kSloClassCount> classes{};
   std::vector<ZooModelStats> models;
 
-  double makespan_s() const noexcept {
-    return last_complete_s > first_arrival_s
-               ? last_complete_s - first_arrival_s
-               : 0.0;
-  }
-  double goodput() const noexcept {
-    const double m = makespan_s();
-    return m > 0.0 ? static_cast<double>(completed) / m : 0.0;
-  }
   double hit_rate() const noexcept {
     const double n = static_cast<double>(hits + misses);
     return n > 0.0 ? static_cast<double>(hits) / n : 0.0;
   }
 };
+
+/// ZooServer::run's tie order at equal timestamps: completions and
+/// finished swaps free sticks before drops, then arrivals. Same-kind ties
+/// go to the lowest stick (drops: lowest model * kSloClassCount + class).
+inline constexpr std::array<LoopEventKind, 4> kZooEventOrder = {
+    LoopEventKind::kComplete, LoopEventKind::kReady, LoopEventKind::kDrop,
+    LoopEventKind::kArrive};
 
 /// The zoo frontend. The fleet stays caller-owned; the server installs
 /// residency state from the fleet's current placement at construction.
@@ -113,8 +105,8 @@ class ZooServer {
  public:
   ZooServer(core::StickFleet& fleet, ZooConfig config = {});
 
-  /// Serve a finite arrival trace (sorted by arrival_s; throws
-  /// std::invalid_argument otherwise) to completion.
+  /// Serve a finite arrival trace (finite sorted arrival_s, valid model
+  /// indices; throws std::invalid_argument otherwise) to completion.
   ZooReport run(const std::vector<ZooRequest>& requests);
 
   const ZooConfig& config() const noexcept { return config_; }

@@ -282,6 +282,15 @@ TEST(ZooServer, RejectsUnsortedTraces) {
   std::vector<serve::ZooRequest> oob(1);
   oob[0].model = 99;
   EXPECT_THROW(server2.run(oob), std::invalid_argument);
+  // Non-finite arrivals are rejected, not silently never offered.
+  for (const double t : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    serve::ZooServer server3(fleet);
+    std::vector<serve::ZooRequest> bad_time(2);
+    bad_time[0].arrival_s = 1.0;
+    bad_time[1].arrival_s = t;
+    EXPECT_THROW(server3.run(bad_time), std::invalid_argument) << t;
+  }
 }
 
 // ---- trace lint: zoo-accounting -------------------------------------------

@@ -3,14 +3,14 @@
 // The serving stack promises byte-identical replay because its event
 // loops break same-timestamp ties in a fixed order. This tool probes
 // the stronger property underneath: that the *results* do not depend
-// on that order. It re-runs loadgen-shaped serve and cluster scenarios
-// under seeded random permutations of every same-timestamp event group
+// on that order. It re-runs loadgen-shaped serve, cluster and zoo
+// scenarios under seeded random permutations of every same-timestamp event group
 // (check/schedfuzz.h) and fails if any permutation changes the final
 // report fingerprint, minimising a divergence to the single tie
 // decision that flips it.
 //
 //   ./build/tools/ncsw_schedfuzz --seeds 32
-//   ./build/tools/ncsw_schedfuzz --scenario cluster --requests 600
+//   ./build/tools/ncsw_schedfuzz --scenario zoo --quantize-ms 10
 //
 // Poisson arrivals and calibrated service times rarely collide on the
 // simulated clock, so loadgen-shaped ties are sparse; the --quantize-ms
@@ -25,9 +25,12 @@
 #include "cluster/cluster.h"
 #include "core/host_target.h"
 #include "core/model.h"
+#include "core/stick_fleet.h"
 #include "serve/arrivals.h"
 #include "serve/server.h"
+#include "serve/zoo_serve.h"
 #include "util/cli.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -67,7 +70,7 @@ struct ScenarioKnobs {
 /// One heterogeneous serve node (cpu + gpu) under open-loop load —
 /// the serve_loadgen "mixed" phase at small scale.
 check::Scenario serve_scenario(const ScenarioKnobs& k) {
-  return [k](const serve::TieBreak& tb) {
+  return [k] {
     auto bundle = core::ModelBundle::googlenet_reference();
     auto cpu = core::make_cpu_target(bundle);
     auto gpu = core::make_gpu_target(bundle);
@@ -78,7 +81,6 @@ check::Scenario serve_scenario(const ScenarioKnobs& k) {
     cfg.queue_deadline_s = 0.250;
     cfg.inflight_window = 2;
     cfg.trace_requests = false;
-    cfg.tie_break = tb;
     const double rate = k.rate > 0.0 ? k.rate : 120.0;
     serve::Server server({cpu.get(), gpu.get()}, cfg);
     return check::fingerprint(
@@ -90,7 +92,7 @@ check::Scenario serve_scenario(const ScenarioKnobs& k) {
 /// "n3-kill" phase at small scale (cpu+gpu nodes; no VPU group so the
 /// permuted re-runs stay cheap).
 check::Scenario cluster_scenario(const ScenarioKnobs& k) {
-  return [k](const serve::TieBreak& tb) {
+  return [k] {
     auto bundle = core::ModelBundle::googlenet_reference();
     auto cpu0 = core::make_cpu_target(bundle);
     auto gpu0 = core::make_gpu_target(bundle);
@@ -110,7 +112,6 @@ check::Scenario cluster_scenario(const ScenarioKnobs& k) {
     cfg.node.inflight_window = 2;
     cfg.trace_requests = false;
     cfg.node.trace_requests = false;
-    cfg.tie_break = tb;
     const double rate = k.rate > 0.0 ? k.rate : 220.0;
     const auto trace = make_trace(k.requests, rate, k.seed, k.quantize_s);
     const double span_s = trace.empty() ? 0.0 : trace.back().arrival_s;
@@ -121,14 +122,44 @@ check::Scenario cluster_scenario(const ScenarioKnobs& k) {
   };
 }
 
+/// A 2-stick fleet serving the four zoo networks under cost-aware
+/// residency with a queue deadline — the zoo_loadgen "cost-aware" phase
+/// at small scale (zipf-skewed tenants, mixed SLO classes).
+check::Scenario zoo_scenario(const ScenarioKnobs& k) {
+  return [k] {
+    std::vector<core::ZooModel> zoo;
+    for (const char* name : {"googlenet", "alexnet", "squeezenet", "tiny"}) {
+      zoo.push_back({name, core::ModelBundle::zoo_reference(name)});
+    }
+    core::StickFleetConfig fcfg;
+    fcfg.devices = 2;
+    core::StickFleet fleet(std::move(zoo), fcfg);
+    serve::ZooConfig cfg;
+    cfg.residency.placement = serve::Placement::kCostAware;
+    cfg.queue_capacity = 32;
+    cfg.queue_deadline_s = 0.500;
+    const double rate = k.rate > 0.0 ? k.rate : 40.0;
+    util::Xoshiro256 mix(k.seed ^ 0x9e3779b97f4a7c15ULL);
+    std::vector<serve::ZooRequest> trace;
+    for (const auto& r : make_trace(k.requests, rate, k.seed, k.quantize_s)) {
+      const double u = mix.uniform();
+      trace.push_back({r.id, r.arrival_s,
+                       u < 0.45 ? 0 : u < 0.90 ? 2 : u < 0.95 ? 1 : 3,
+                       static_cast<serve::SloClass>(r.id % 3)});
+    }
+    serve::ZooServer server(fleet, cfg);
+    return check::fingerprint(server.run(trace));
+  };
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace ncsw;
   util::Cli cli("ncsw_schedfuzz",
-                "re-run serve/cluster scenarios under seeded permutations "
-                "of same-timestamp event orderings and fail on any result "
-                "divergence");
+                "re-run serve/cluster/zoo scenarios under seeded "
+                "permutations of same-timestamp event orderings and fail "
+                "on any result divergence");
   cli.add_int("seeds", 32, "perturbed schedules per scenario");
   cli.add_int("requests", 300, "requests per run");
   cli.add_int("seed", 42, "arrival-process seed");
@@ -136,7 +167,8 @@ int main(int argc, char** argv) {
   cli.add_double("quantize-ms", 0.0,
                  "snap arrivals onto this grid to force same-timestamp "
                  "ties (0 = raw Poisson times)");
-  cli.add_string("scenario", "all", "which workload: all | serve | cluster");
+  cli.add_string("scenario", "all",
+                 "which workload: all | serve | cluster | zoo");
   cli.add_bool("no-minimize", false,
                "skip the single-deviation minimisation of divergences");
   try {
@@ -153,14 +185,21 @@ int main(int argc, char** argv) {
     cfg.minimize = !cli.get_bool("no-minimize");
 
     const std::string which = cli.get_string("scenario");
-    if (which != "all" && which != "serve" && which != "cluster") {
+    const std::pair<const char*, check::Scenario> scenarios[] = {
+        {"serve", serve_scenario(knobs)},
+        {"cluster", cluster_scenario(knobs)},
+        {"zoo", zoo_scenario(knobs)}};
+    bool known = which == "all";
+    for (const auto& s : scenarios) known = known || which == s.first;
+    if (!known) {
       std::cerr << "ncsw_schedfuzz: unknown --scenario \"" << which
-                << "\" (want all | serve | cluster)\n";
+                << "\" (want all | serve | cluster | zoo)\n";
       return 2;
     }
 
     int diverged = 0;
-    auto run = [&](const char* name, const check::Scenario& scenario) {
+    for (const auto& [name, scenario] : scenarios) {
+      if (which != "all" && which != name) continue;
       const check::SchedFuzzReport report =
           check::fuzz_schedule(scenario, cfg);
       std::printf(
@@ -173,12 +212,6 @@ int main(int argc, char** argv) {
         ++diverged;
         std::printf("%s\n", d.to_string().c_str());
       }
-    };
-    if (which == "all" || which == "serve") {
-      run("serve", serve_scenario(knobs));
-    }
-    if (which == "all" || which == "cluster") {
-      run("cluster", cluster_scenario(knobs));
     }
     return diverged == 0 ? 0 : 1;
   } catch (const std::exception& e) {
