@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_int("devices", 8, "NCS sticks");
   cli.add_double("slow-factor", 2.0, "clock division of the degraded stick");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   const int devices = static_cast<int>(cli.get_int("devices"));

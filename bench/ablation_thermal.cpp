@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   cli.add_int("inferences", 3000, "back-to-back inferences");
   cli.add_int("windows", 6, "reporting windows");
   ncsw::bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   ncsw::bench::setup(cli);
 
   const int n = static_cast<int>(cli.get_int("inferences"));

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   cli.add_int("images", 2000, "images per measurement");
   cli.add_int("devices", 8, "NCS sticks");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   const int devices = static_cast<int>(cli.get_int("devices"));

@@ -5,12 +5,16 @@
 // documented in docs/architecture.md.
 #pragma once
 
+#include <algorithm>
+#include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/protocol.h"
+#include "core/target.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -41,6 +45,33 @@ inline void add_common_flags(util::Cli& cli) {
   cli.add_string("check", "",
                  "NCAPI protocol verifier: off | log | strict (default: "
                  "$NCSW_CHECK, else off)");
+}
+
+/// The batch a bench measures a target's standalone throughput at: the
+/// paper's batch 8, or the target's largest batch when smaller (a VPU
+/// target with fewer than 8 sticks).
+inline int calibration_batch(const core::Target& t) {
+  return std::min(8, t.max_batch());
+}
+
+/// Print "<program>: <what>" to stderr and return the usage-error exit
+/// code (2), for `return bench::usage_error(cli, "...")`.
+inline int usage_error(const util::Cli& cli, const std::string& what) {
+  std::cerr << cli.program() << ": " << what << "\n";
+  return 2;
+}
+
+/// Parse argv. Returns the code main() should exit with right away — 0
+/// after --help, 2 on an unknown flag or malformed value — or nothing
+/// when the harness should run:
+///   if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
+inline std::optional<int> parse(util::Cli& cli, int argc, char** argv) {
+  try {
+    if (!cli.parse(argc, argv)) return 0;
+  } catch (const std::exception& e) {
+    return usage_error(cli, e.what());
+  }
+  return std::nullopt;
 }
 
 /// Arm the tracer according to --trace/--trace-layers. Call after

@@ -13,7 +13,6 @@
 //
 // Everything runs on the simulated clock from a scripted FaultPlan, so
 // the whole chaos suite is reproducible bit-for-bit.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -47,36 +46,31 @@ int main(int argc, char** argv) {
   cli.add_double("detach-at", 1.0, "detach start of the hot-replug case");
   cli.add_double("detach-for", 1.5, "detach duration of the hot-replug case");
   bench::add_common_flags(cli);
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "chaos_faults: %s\n", e.what());
-    return 2;
-  }
-  auto usage_error = [](const char* what) {
-    std::fprintf(stderr, "chaos_faults: %s\n", what);
-    return 2;
-  };
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("images") < 1) {
-    return usage_error("--images must be >= 1");
+    return bench::usage_error(cli, "--images must be >= 1");
   }
   if (cli.get_int("devices") < 1) {
-    return usage_error("--devices must be >= 1");
+    return bench::usage_error(cli, "--devices must be >= 1");
   }
   if (cli.get_int("seed") < 0) {
-    return usage_error("--seed must be >= 0");
+    return bench::usage_error(cli, "--seed must be >= 0");
   }
   if (!(cli.get_double("watchdog") > 0.0)) {
-    return usage_error("--watchdog must be > 0 (simulated seconds)");
+    return bench::usage_error(
+        cli, "--watchdog must be > 0 (simulated seconds)");
   }
   if (!(cli.get_double("mean-fault-s") > 0.0)) {
-    return usage_error("--mean-fault-s must be > 0 (simulated seconds)");
+    return bench::usage_error(
+        cli, "--mean-fault-s must be > 0 (simulated seconds)");
   }
   if (cli.get_double("detach-at") < 0.0) {
-    return usage_error("--detach-at must be >= 0 (simulated seconds)");
+    return bench::usage_error(
+        cli, "--detach-at must be >= 0 (simulated seconds)");
   }
   if (!(cli.get_double("detach-for") > 0.0)) {
-    return usage_error("--detach-for must be > 0 (simulated seconds)");
+    return bench::usage_error(
+        cli, "--detach-for must be > 0 (simulated seconds)");
   }
   bench::setup(cli);
 

@@ -15,62 +15,12 @@
 // Node 0 owns {cpu, gpu, vpu-group}; nodes 1..2 own {cpu, gpu} (the
 // simulated host allows one VPU fleet at a time). Every phase offers
 // the same arrival trace, so the table is an apples-to-apples sweep.
-#include <cstdio>
-
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "cluster/cluster.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
 #include "serve/arrivals.h"
-
-namespace {
-
-using namespace ncsw;
-
-std::vector<serve::Request> make_trace(std::int64_t n, double rate,
-                                       std::uint64_t seed) {
-  serve::PoissonArrivals arrivals(rate, seed);
-  std::vector<serve::Request> trace;
-  trace.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    serve::Request req;
-    req.id = i;
-    req.arrival_s = arrivals.next();
-    trace.push_back(std::move(req));
-  }
-  return trace;
-}
-
-/// Full-precision fingerprint of everything the replay must reproduce:
-/// cluster totals, tail latencies, and per-node serving rollups.
-std::string fingerprint(const cluster::ClusterReport& r) {
-  char buf[240];
-  std::string fp;
-  std::snprintf(
-      buf, sizeof(buf),
-      "%lld/%lld/%lld/%lld/%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g",
-      static_cast<long long>(r.completed),
-      static_cast<long long>(r.rejected),
-      static_cast<long long>(r.dropped_deadline),
-      static_cast<long long>(r.requests_lost),
-      static_cast<long long>(r.requests_replayed),
-      static_cast<long long>(r.requests_hedged),
-      static_cast<long long>(r.duplicate_completions), r.p50_ms, r.p95_ms,
-      r.p99_ms, r.last_complete_s);
-  fp = buf;
-  for (const auto& n : r.nodes) {
-    std::snprintf(buf, sizeof(buf), "|%s:%lld/%lld/%lld/%lld/%.17g",
-                  n.health.c_str(), static_cast<long long>(n.routed),
-                  static_cast<long long>(n.evicted),
-                  static_cast<long long>(n.serve.completed),
-                  static_cast<long long>(n.serve.dropped),
-                  n.serve.last_complete_s);
-    fp += buf;
-  }
-  return fp;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ncsw;
@@ -93,20 +43,19 @@ int main(int argc, char** argv) {
   cli.add_int("replication", 2, "replicas per model");
   cli.add_int("models", 8, "model catalogue size");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("window") < 1) {
-    std::fprintf(stderr,
-                 "cluster_loadgen: --window must be >= 1 (got %lld); the "
-                 "dispatcher needs at least one in-flight submission per "
-                 "target\n",
-                 static_cast<long long>(cli.get_int("window")));
-    return 2;
+    return bench::usage_error(
+        cli, "--window must be >= 1 (got " +
+                 std::to_string(cli.get_int("window")) +
+                 "); the dispatcher needs at least one in-flight "
+                 "submission per target");
   }
   if (cli.get_int("replication") < 1) {
-    std::fprintf(stderr,
-                 "cluster_loadgen: --replication must be >= 1 (got %lld)\n",
-                 static_cast<long long>(cli.get_int("replication")));
-    return 2;
+    return bench::usage_error(cli, "--replication must be >= 1 (got " +
+                                       std::to_string(
+                                           cli.get_int("replication")) +
+                                       ")");
   }
   bench::setup(cli);
 
@@ -127,9 +76,9 @@ int main(int argc, char** argv) {
   ccfg.replication = static_cast<int>(cli.get_int("replication"));
   ccfg.models = static_cast<int>(cli.get_int("models"));
 
-  // Calibrate each engine's standalone batch-8 throughput (fresh
-  // targets; every phase below re-creates its own so each starts from
-  // the same deterministic state).
+  // Calibrate each engine's standalone batch-8 throughput, or its largest
+  // batch when smaller (fresh targets; every phase below re-creates its
+  // own so each starts from the same deterministic state).
   double rate = cli.get_double("rate");
   double cpu_tput = 0.0, gpu_tput = 0.0, vpu_tput = 0.0;
   {
@@ -137,16 +86,19 @@ int main(int argc, char** argv) {
     auto cpu = core::make_cpu_target(bundle);
     auto gpu = core::make_gpu_target(bundle);
     core::VpuTarget vpu(bundle, vcfg);
-    cpu_tput = cpu->run_timed(800, 8).throughput();
-    gpu_tput = gpu->run_timed(800, 8).throughput();
-    vpu_tput = vpu.run_timed(800, 8).throughput();
+    auto calibrate = [](core::Target& t) {
+      return t.run_timed(800, bench::calibration_batch(t)).throughput();
+    };
+    cpu_tput = calibrate(*cpu);
+    gpu_tput = calibrate(*gpu);
+    vpu_tput = calibrate(vpu);
   }
   // Aggregate capacity of the 3-node cluster: one full node plus two
   // cpu+gpu nodes.
   const double cluster_sum = 3.0 * (cpu_tput + gpu_tput) + vpu_tput;
   if (rate <= 0.0) rate = 0.9 * cluster_sum;
 
-  const auto trace = make_trace(requests, rate, seed);
+  const auto trace = serve::poisson_trace(requests, rate, seed);
   const double span_s = trace.empty() ? 0.0 : trace.back().arrival_s;
   // The scripted chaos: node 1 drops off the cluster for the middle
   // quarter of the arrival window and rejoins through health probes.
@@ -158,7 +110,7 @@ int main(int argc, char** argv) {
     cluster::ClusterReport report;
   };
   std::vector<Phase> phases;
-  std::string kill_fp, replay_fp;
+  check::Fingerprint kill_fp, replay_fp;
 
   const std::vector<std::string> phase_names{"n1", "n2", "n3", "n3-kill",
                                              "replay"};
@@ -190,8 +142,8 @@ int main(int argc, char** argv) {
     }
     cluster::Cluster cl(std::move(node_targets), cfg);
     Phase phase{name, cl.run(trace)};
-    if (name == "n3-kill") kill_fp = fingerprint(phase.report);
-    if (name == "replay") replay_fp = fingerprint(phase.report);
+    if (name == "n3-kill") kill_fp = check::fingerprint(phase.report);
+    if (name == "replay") replay_fp = check::fingerprint(phase.report);
     phases.push_back(std::move(phase));
   }
   util::tracer().set_lane_prefix("");

@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   util::Cli cli("ext_dgemm_offload",
                 "E9 — CMX-tiled GEMM on the VPU: Gflops and Gflops/W");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   mdk::MdkContext ctx;

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_int("images", 10000, "images to partition");
   cli.add_int("devices", 8, "NCS sticks in the VPU group");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   const std::int64_t images = cli.get_int("images");
@@ -28,11 +28,13 @@ int main(int argc, char** argv) {
   vcfg.devices = static_cast<int>(cli.get_int("devices"));
   core::VpuTarget vpu(bundle, vcfg);
 
-  // Measure each target's standalone batch-8 throughput...
+  // Measure each target's standalone batch-8 throughput (or its largest
+  // batch when smaller)...
   std::vector<core::Target*> targets{cpu.get(), gpu.get(), &vpu};
   std::vector<double> tputs;
   for (auto* t : targets) {
-    tputs.push_back(t->run_timed(800, 8).throughput());
+    tputs.push_back(
+        t->run_timed(800, bench::calibration_batch(*t)).throughput());
   }
   // ...then split the subset so all three finish together.
   const auto shares = core::plan_partition(images, tputs);
@@ -43,15 +45,17 @@ int main(int argc, char** argv) {
                     "TDP (W)"});
   double makespan = 0.0, node_tdp = 0.0;
   for (std::size_t i = 0; i < targets.size(); ++i) {
+    const int batch = bench::calibration_batch(*targets[i]);
     double seconds = 0.0;
     if (shares[i] > 0) {
-      seconds = targets[i]->run_timed(shares[i], 8).seconds;
+      seconds = targets[i]->run_timed(shares[i], batch).seconds;
     }
+    const double tdp = targets[i]->tdp_w(batch);
     makespan = std::max(makespan, seconds);
-    node_tdp += targets[i]->tdp_w(8);
+    node_tdp += tdp;
     table.add_row({targets[i]->short_name(), util::Table::num(tputs[i], 1),
                    std::to_string(shares[i]), util::Table::num(seconds, 1),
-                   util::Table::num(targets[i]->tdp_w(8), 1)});
+                   util::Table::num(tdp, 1)});
   }
   bench::emit(table, cli);
 

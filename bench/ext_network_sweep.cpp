@@ -4,8 +4,6 @@
 // stick): latency, throughput, energy and img/W for every network in the
 // zoo on one simulated NCS, next to the CPU/GPU reference models scaled
 // by each network's MAC count.
-#include <cstdio>
-
 #include "bench_common.h"
 #include "devices/host_models.h"
 #include "graphc/compiler.h"
@@ -18,12 +16,7 @@ int main(int argc, char** argv) {
   util::Cli cli("ext_network_sweep",
                 "E8 — every zoo network on one stick vs CPU/GPU");
   bench::add_common_flags(cli);
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ext_network_sweep: %s\n", e.what());
-    return 2;
-  }
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   const auto cpu = devices::make_cpu_model();

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_int("images", 24, "images to average over");
   cli.add_int("classes", 30, "synthetic classes");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   dataset::DatasetConfig data_cfg;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   util::Cli cli("ext_sipp_pipeline",
                 "E10 — SIPP hardware filters vs SHAVE software");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   auto pipeline = sipp::make_vision_frontend();

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli.add_int("batch", 8, "batch size / active VPU chips");
   cli.add_int("devices", 8, "NCS sticks in the testbed");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   core::experiments::TimingSettings s;
@@ -23,6 +23,10 @@ int main(int argc, char** argv) {
   s.subsets = static_cast<int>(cli.get_int("subsets"));
   s.batch = static_cast<int>(cli.get_int("batch"));
   s.devices = static_cast<int>(cli.get_int("devices"));
+  if (s.batch < 1 || s.batch > s.devices) {
+    return bench::usage_error(cli, "--batch must be in [1, --devices] (got " +
+                                       std::to_string(s.batch) + ")");
+  }
 
   const auto rows = core::experiments::fig6a(s);
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli.add_int("subsets", 5, "number of subsets");
   cli.add_int("classes", 50, "synthetic classes");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   core::experiments::ErrorSettings s;

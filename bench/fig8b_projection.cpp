@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.add_int("images", 10000, "images per measurement");
   cli.add_int("devices", 8, "physically available sticks (beyond = dashed)");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   const auto rows = core::experiments::fig8b(

@@ -3,8 +3,6 @@
 // option the paper's Section II-B describes). Prints the slowest layers
 // and per-kind aggregates.
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <map>
 
 #include "bench_common.h"
@@ -19,17 +17,11 @@ int main(int argc, char** argv) {
                 "option");
   cli.add_int("top", 15, "how many of the slowest layers to list");
   bench::add_common_flags(cli);
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "layer_profile: %s\n", e.what());
-    return 2;
-  }
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("top") < 1) {
-    std::fprintf(stderr,
-                 "layer_profile: --top must be >= 1 (got %" PRId64 ")\n",
-                 cli.get_int("top"));
-    return 2;
+    return bench::usage_error(cli, "--top must be >= 1 (got " +
+                                       std::to_string(cli.get_int("top")) +
+                                       ")");
   }
   bench::setup(cli);
 

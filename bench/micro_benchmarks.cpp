@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
-// conversion, GEMM, convolution, the event engine, USB reservation, the
+// conversion, GEMM, convolution, USB reservation, the chip model, the
 // dataset generator and functional inference. These measure *this host's*
 // real performance (unlike the figure harnesses, which report simulated
 // device time).
@@ -13,7 +13,7 @@
 #include "nn/executor.h"
 #include "nn/googlenet.h"
 #include "mdk/mdk.h"
-#include "sim/engine.h"
+#include "sim/resource.h"
 #include "sipp/filters.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
@@ -112,22 +112,9 @@ void BM_TinyGoogLeNetForwardFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_TinyGoogLeNetForwardFp16);
 
-void BM_SimEngineEvents(benchmark::State& state) {
-  for (auto _ : state) {
-    ncsw::sim::Engine engine;
-    for (int i = 0; i < 10000; ++i) {
-      engine.schedule(static_cast<double>(i % 97) * 1e-6, [] {});
-    }
-    engine.run();
-    benchmark::DoNotOptimize(engine.events_executed());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_SimEngineEvents);
-
 void BM_IntervalReserve(benchmark::State& state) {
   for (auto _ : state) {
-    ncsw::sim::IntervalResource r("bench");
+    ncsw::sim::IntervalResource r;
     double t = 0;
     for (int i = 0; i < 10000; ++i) {
       t = r.reserve(t, 1e-4) + 5e-5;

@@ -16,8 +16,6 @@
 // ncsw_profile-style viewers show where the time went.
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <string>
 #include <thread>
 
@@ -134,18 +132,11 @@ int main(int argc, char** argv) {
               "thread count for the threaded cells (0 = auto: "
               "$NCSW_THREADS, else hardware concurrency)");
   bench::add_common_flags(cli);
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "perf_forward: %s\n", e.what());
-    return 2;
-  }
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("threads") < 0) {
-    std::fprintf(stderr,
-                 "perf_forward: --threads must be >= 0 (got %" PRId64
-                 "); 0 means auto\n",
-                 cli.get_int("threads"));
-    return 2;
+    return bench::usage_error(
+        cli, "--threads must be >= 0 (got " +
+                 std::to_string(cli.get_int("threads")) + "); 0 means auto");
   }
   bench::setup(cli);
 

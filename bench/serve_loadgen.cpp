@@ -9,52 +9,12 @@
 // so the table reads as "what does adding the VPU group to the node buy
 // an online service". The mixed phase is then replayed from the same
 // seed with fresh targets to demonstrate byte-determinism.
-#include <cstdio>
-
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
 #include "serve/arrivals.h"
 #include "serve/server.h"
-
-namespace {
-
-using namespace ncsw;
-
-std::vector<serve::Request> make_trace(std::int64_t n, double rate,
-                                       std::uint64_t seed) {
-  serve::PoissonArrivals arrivals(rate, seed);
-  std::vector<serve::Request> trace;
-  trace.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    serve::Request req;
-    req.id = i;
-    req.arrival_s = arrivals.next();
-    trace.push_back(std::move(req));
-  }
-  return trace;
-}
-
-/// Full-precision fingerprint of everything the replay must reproduce.
-std::string fingerprint(const serve::ServeReport& r) {
-  char buf[160];
-  std::string fp;
-  std::snprintf(buf, sizeof(buf), "%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g",
-                static_cast<long long>(r.completed),
-                static_cast<long long>(r.rejected),
-                static_cast<long long>(r.dropped), r.p50_ms, r.p95_ms,
-                r.p99_ms, r.last_complete_s);
-  fp = buf;
-  for (const auto& t : r.targets) {
-    std::snprintf(buf, sizeof(buf), "|%s:%lld/%lld/%.17g", t.label.c_str(),
-                  static_cast<long long>(t.batches),
-                  static_cast<long long>(t.images), t.busy_s);
-    fp += buf;
-  }
-  return fp;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ncsw;
@@ -76,14 +36,13 @@ int main(int argc, char** argv) {
               "in-flight submissions per target (the async pipeline depth; "
               "1 = the PR5 blocking dispatcher)");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("window") < 1) {
-    std::fprintf(stderr,
-                 "serve_loadgen: --window must be >= 1 (got %lld); the "
-                 "dispatcher needs at least one in-flight submission per "
-                 "target\n",
-                 static_cast<long long>(cli.get_int("window")));
-    return 2;
+    return bench::usage_error(
+        cli, "--window must be >= 1 (got " +
+                 std::to_string(cli.get_int("window")) +
+                 "); the dispatcher needs at least one in-flight "
+                 "submission per target");
   }
   bench::setup(cli);
 
@@ -102,9 +61,9 @@ int main(int argc, char** argv) {
   }
   scfg.inflight_window = static_cast<int>(cli.get_int("window"));
 
-  // Calibrate each engine's standalone batch-8 throughput (fresh targets;
-  // the phases below re-create their own so every phase starts from the
-  // same deterministic state).
+  // Calibrate each engine's standalone batch-8 throughput, or its largest
+  // batch when smaller (fresh targets; the phases below re-create their
+  // own so every phase starts from the same deterministic state).
   double rate = cli.get_double("rate");
   std::vector<double> calib;
   {
@@ -114,7 +73,8 @@ int main(int argc, char** argv) {
     core::VpuTarget vpu(bundle, vcfg);
     for (core::Target* t :
          std::vector<core::Target*>{cpu.get(), gpu.get(), &vpu}) {
-      calib.push_back(t->run_timed(800, 8).throughput());
+      calib.push_back(
+          t->run_timed(800, bench::calibration_batch(*t)).throughput());
     }
   }
   const double node_sum = calib[0] + calib[1] + calib[2];
@@ -127,7 +87,7 @@ int main(int argc, char** argv) {
     serve::ServeReport report;
   };
   std::vector<Phase> phases;
-  std::string mixed_fp, replay_fp;
+  check::Fingerprint mixed_fp, replay_fp;
   double mixed_goodput = 0.0, best_solo_goodput = 0.0;
   double mixed_p99 = 0.0, mixed_fast_p99 = 0.0;
 
@@ -154,14 +114,14 @@ int main(int argc, char** argv) {
       gpu->set_fast(true);
     }
     serve::Server server(targets, scfg);
-    const auto trace = make_trace(requests, rate, seed);
+    const auto trace = serve::poisson_trace(requests, rate, seed);
     Phase phase{name, server.run(trace)};
     if (name == "mixed") {
-      mixed_fp = fingerprint(phase.report);
+      mixed_fp = check::fingerprint(phase.report);
       mixed_goodput = phase.report.goodput();
       mixed_p99 = phase.report.p99_ms;
     } else if (name == "replay") {
-      replay_fp = fingerprint(phase.report);
+      replay_fp = check::fingerprint(phase.report);
     } else if (name == "mixed-fast") {
       mixed_fast_p99 = phase.report.p99_ms;
     } else {

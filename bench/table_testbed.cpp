@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   using namespace ncsw;
   util::Cli cli("table_testbed", "Section IV testbed characteristics");
   bench::add_common_flags(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   bench::setup(cli);
 
   auto bundle = core::ModelBundle::googlenet_reference();

@@ -22,9 +22,9 @@
 // swap count + stall time, and per-SLO-class tail latency.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "core/stick_fleet.h"
 #include "serve/arrivals.h"
 #include "serve/zoo_serve.h"
@@ -65,30 +65,6 @@ std::vector<serve::ZooRequest> make_trace(std::int64_t n, double rate,
   return trace;
 }
 
-/// Full-precision fingerprint of everything the replay must reproduce.
-std::string fingerprint(const serve::ZooReport& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%lld/%lld/%lld/%lld/%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g/"
-                "%.17g",
-                static_cast<long long>(r.completed),
-                static_cast<long long>(r.rejected),
-                static_cast<long long>(r.dropped),
-                static_cast<long long>(r.hits),
-                static_cast<long long>(r.misses),
-                static_cast<long long>(r.swaps),
-                static_cast<long long>(r.installs), r.swap_stall_s, r.p50_ms,
-                r.p95_ms, r.p99_ms, r.last_complete_s);
-  std::string fp = buf;
-  for (const auto& cs : r.classes) {
-    std::snprintf(buf, sizeof(buf), "|%lld/%lld/%.17g",
-                  static_cast<long long>(cs.offered),
-                  static_cast<long long>(cs.completed), cs.p99_ms);
-    fp += buf;
-  }
-  return fp;
-}
-
 std::vector<core::ZooModel> make_zoo() {
   std::vector<core::ZooModel> zoo;
   for (const auto& name : kZooNames) {
@@ -117,34 +93,23 @@ int main(int argc, char** argv) {
   cli.add_double("hysteresis-ms", 0.0,
                  "minimum residency before a graph may be evicted again");
   bench::add_common_flags(cli);
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "zoo_loadgen: %s\n", e.what());
-    return 2;
-  }
+  if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
   if (cli.get_int("devices") < 1) {
-    std::fprintf(stderr, "zoo_loadgen: --devices must be >= 1\n");
-    return 2;
+    return bench::usage_error(cli, "--devices must be >= 1");
   }
   if (cli.get_int("requests") < 1) {
-    std::fprintf(stderr, "zoo_loadgen: --requests must be >= 1\n");
-    return 2;
+    return bench::usage_error(cli, "--requests must be >= 1");
   }
   if (cli.get_int("queue") < 1) {
-    std::fprintf(stderr, "zoo_loadgen: --queue must be >= 1\n");
-    return 2;
+    return bench::usage_error(cli, "--queue must be >= 1");
   }
   if (cli.get_int("batch") < 1) {
-    std::fprintf(stderr, "zoo_loadgen: --batch must be >= 1\n");
-    return 2;
+    return bench::usage_error(cli, "--batch must be >= 1");
   }
   if (cli.get_double("rate") < 0.0 || cli.get_double("deadline-ms") < 0.0 ||
       cli.get_double("hysteresis-ms") < 0.0) {
-    std::fprintf(stderr,
-                 "zoo_loadgen: --rate, --deadline-ms and --hysteresis-ms "
-                 "must be >= 0\n");
-    return 2;
+    return bench::usage_error(
+        cli, "--rate, --deadline-ms and --hysteresis-ms must be >= 0");
   }
   bench::setup(cli);
 
@@ -189,7 +154,7 @@ int main(int argc, char** argv) {
       {"cost-aware", serve::Placement::kCostAware, {}},
       {"replay", serve::Placement::kCostAware, {}},
   };
-  std::string cost_fp, replay_fp;
+  check::Fingerprint cost_fp, replay_fp;
   for (auto& phase : phases) {
     util::tracer().set_lane_prefix(phase.name + " ");
     core::StickFleet fleet(zoo, fcfg);
@@ -198,8 +163,8 @@ int main(int argc, char** argv) {
     serve::ZooServer server(fleet, cfg);
     const auto trace = make_trace(requests, rate, seed);
     phase.report = server.run(trace);
-    if (phase.name == "cost-aware") cost_fp = fingerprint(phase.report);
-    if (phase.name == "replay") replay_fp = fingerprint(phase.report);
+    if (phase.name == "cost-aware") cost_fp = check::fingerprint(phase.report);
+    if (phase.name == "replay") replay_fp = check::fingerprint(phase.report);
   }
   util::tracer().set_lane_prefix("");
   const bool replay_identical = cost_fp == replay_fp;

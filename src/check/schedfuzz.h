@@ -40,7 +40,8 @@ using Fingerprint = std::vector<std::pair<std::string, std::string>>;
 
 /// Canonical fingerprints of the serving reports: every scalar counter
 /// plus a digest of the per-request record log, so a divergence in any
-/// individual request's fate is caught even when the totals agree.
+/// individual request's fate is caught even when the totals agree. The
+/// loadgens' replay checks compare these too.
 Fingerprint fingerprint(const serve::ServeReport& r);
 Fingerprint fingerprint(const cluster::ClusterReport& r);
 Fingerprint fingerprint(const serve::ZooReport& r);

@@ -60,6 +60,7 @@ ScalingResult fig6b(std::int64_t images, const std::vector<int>& batches,
   result.gpu_base_ms = per_image_ms(*rig.gpu, 1);
   result.vpu_base_ms = per_image_ms(*rig.vpu, 1);
   for (int b : batches) {
+    if (b > devices) continue;  // needs more sticks than are open
     ScalingRow row;
     row.batch = b;
     row.cpu = result.cpu_base_ms / per_image_ms(*rig.cpu, b);
@@ -110,6 +111,7 @@ std::vector<WattRow> fig8a(std::int64_t images, const std::vector<int>& batches,
   TimingRig rig(devices);
   std::vector<WattRow> rows;
   for (int b : batches) {
+    if (b > devices) continue;  // needs more sticks than are open
     WattRow row;
     row.batch = b;
     row.cpu = rig.cpu->run_timed(images, b).throughput() / rig.cpu->tdp_w(b);

@@ -32,7 +32,8 @@ struct SubsetThroughput {
 std::vector<SubsetThroughput> fig6a(const TimingSettings& s = {});
 
 /// Fig. 6b — normalised performance scaling per batch size (active VPU
-/// chips are coupled to the batch size).
+/// chips are coupled to the batch size, so batches above `devices` are
+/// skipped).
 struct ScalingRow {
   int batch = 1;
   double cpu = 1, gpu = 1, vpu = 1;  ///< speedup vs the batch-1 baseline
@@ -64,7 +65,8 @@ struct ErrorRow {
 };
 std::vector<ErrorRow> fig7(const ErrorSettings& s = {});
 
-/// Fig. 8a — throughput per Watt of TDP (Eq. 1) per batch size.
+/// Fig. 8a — throughput per Watt of TDP (Eq. 1) per batch size; batches
+/// above `devices` are skipped.
 struct WattRow {
   int batch = 1;
   double cpu = 0, gpu = 0, vpu = 0;  ///< img/s/W

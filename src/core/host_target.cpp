@@ -33,7 +33,7 @@ HostTarget::HostTarget(std::shared_ptr<const ModelBundle> bundle,
 }
 
 Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
-                                            double submit_s, bool /*aligned*/) {
+                                            double submit_s) {
   TimedRun run;
   run.images = images;
   std::int64_t remaining = images;
@@ -58,8 +58,7 @@ Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
     remaining -= n;
   }
   // The host engine is one serial queue: this submission starts once the
-  // previous one drains (aligned and pipelined paths agree, since the
-  // model carries no cross-batch state beyond the jitter stream).
+  // previous one drains.
   BatchExec exec;
   exec.run = std::move(run);
   exec.start_s = std::max(submit_s, next_free_s_);

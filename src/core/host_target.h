@@ -40,8 +40,8 @@ class HostTarget : public Target {
   /// One batch on the host engine. The engine is a single serial queue:
   /// a submission starts when the previous one finishes (never before
   /// its own submit time), so in-flight submissions pipeline FIFO.
-  BatchExec execute_batch(std::int64_t images, int batch, double submit_s,
-                          bool aligned) override;
+  BatchExec execute_batch(std::int64_t images, int batch,
+                          double submit_s) override;
 
  private:
   std::shared_ptr<const ModelBundle> bundle_;

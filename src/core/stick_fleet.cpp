@@ -30,9 +30,8 @@ double StickTarget::tdp_w(int batch) const {
 }
 
 Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
-                                             double submit_s, bool aligned) {
-  (void)batch;    // max_batch() == 1
-  (void)aligned;  // one stick: no cross-stick barrier to align
+                                             double submit_s) {
+  (void)batch;  // max_batch() == 1
   if (!graph_ || resident_ < 0) {
     throw std::logic_error("StickTarget: no resident graph");
   }

@@ -76,8 +76,8 @@ class StickTarget : public Target {
   int resident() const noexcept { return resident_; }
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int batch, double submit_s,
-                          bool aligned) override;
+  BatchExec execute_batch(std::int64_t images, int batch,
+                          double submit_s) override;
 
  private:
   friend class StickFleet;

@@ -22,11 +22,6 @@ void Target::set_inflight_window(int window) {
 }
 
 Ticket Target::submit(std::int64_t images, int batch, double submit_s) {
-  return submit_impl(images, batch, submit_s, /*aligned=*/false);
-}
-
-Ticket Target::submit_impl(std::int64_t images, int batch, double submit_s,
-                           bool aligned) {
   if (images < 1) throw std::invalid_argument("submit: images < 1");
   if (batch < 1 || batch > max_batch()) {
     throw std::invalid_argument("submit: bad batch for " + short_name());
@@ -41,12 +36,12 @@ Ticket Target::submit_impl(std::int64_t images, int batch, double submit_s,
   rec.info.images = images;
   rec.info.batch = batch;
   rec.info.submit_s = submit_s;
-  // Execution is eager on the simulated clock: the whole discrete-event
-  // stack is synchronous, so the submission's device-time cost is
+  // Execution is eager on the simulated clock: the whole device
+  // simulation is synchronous, so the submission's device-time cost is
   // committed here and the ticket merely carries its completion
   // timestamp forward to the caller's poll loop.
   try {
-    BatchExec exec = execute_batch(images, batch, submit_s, aligned);
+    BatchExec exec = execute_batch(images, batch, submit_s);
     rec.info.start_s = exec.start_s;
     rec.info.complete_s = exec.complete_s;
     rec.run = std::move(exec.run);
@@ -169,9 +164,9 @@ void Target::retire(std::uint64_t id, TicketState final_state) {
 }
 
 TimedRun Target::run_timed(std::int64_t images, int batch) {
-  // The synchronous call every bench and figure is built on: one aligned
+  // The synchronous call every bench and figure is built on: one
   // submission at the latest completion seen, retrieved immediately.
-  return wait(submit_impl(images, batch, horizon_s_, /*aligned=*/true));
+  return wait(submit(images, batch, horizon_s_));
 }
 
 }  // namespace ncsw::core

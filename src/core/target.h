@@ -9,8 +9,9 @@
 //    it to completion, so an outer scheduler (serve::Server) can keep
 //    several batches in flight per target and pipeline load / execute /
 //    retrieve across heterogeneous engines (docs/async-targets.md),
-//  * run_timed() — the synchronous compatibility shim (submit + wait of
-//    one aligned batch); how every performance figure is produced, and
+//  * run_timed() — the synchronous shim (submit one batch at the latest
+//    completion seen, then wait); how every performance figure is
+//    produced, and
 //  * classify() — functional inference on real tensors (how the
 //    error-rate figures are produced).
 #pragma once
@@ -156,11 +157,9 @@ class Target {
   /// Cancel every outstanding ticket (drain); returns how many.
   int cancel_outstanding();
 
-  /// Synchronous compatibility shim: submit one batch aligned the way
-  /// the pre-async runners aligned it (the multi-VPU target gates all
-  /// active sticks on a common start; see execute_batch) and wait for
-  /// it. Byte-identical to the historical synchronous call — the fig6
-  /// golden tests and tests/test_async_targets.cpp hold it to that.
+  /// Synchronous shim: submit() one batch at the latest completion seen
+  /// so far and wait() for it. The fig6 golden tests and
+  /// tests/test_async_targets.cpp hold its timing fixed.
   TimedRun run_timed(std::int64_t images, int batch);
 
   /// Functional inference on preprocessed FP32 inputs (each 1xCxHxW).
@@ -178,14 +177,11 @@ class Target {
     double complete_s = 0.0;
   };
 
-  /// Execute one batch submitted at `submit_s`. `aligned` selects the
-  /// historical synchronous-run semantics (the run_timed shim: the
-  /// multi-VPU target aligns all active sticks on a common staggered
-  /// start); the async path passes false and lets each engine pick the
+  /// Execute one batch submitted at `submit_s`; each engine picks the
   /// batch up as it frees. Implementations may throw; the base class
   /// converts throws into kFailed tickets (rethrown by wait()).
   virtual BatchExec execute_batch(std::int64_t images, int batch,
-                                  double submit_s, bool aligned) = 0;
+                                  double submit_s) = 0;
 
  private:
   struct TicketRec {
@@ -194,8 +190,6 @@ class Target {
     std::exception_ptr error;
   };
 
-  Ticket submit_impl(std::int64_t images, int batch, double submit_s,
-                     bool aligned);
   const TicketRec* find(Ticket t) const;
   void retire(std::uint64_t id, TicketState final_state);
 

@@ -116,18 +116,15 @@ double VpuTarget::tdp_w(int batch) const {
 }
 
 Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
-                                           double submit_s, bool aligned) {
+                                           double submit_s) {
   const int active = batch;  // the paper couples sticks to batch size
   const double gap = active > 1 ? config_.thread_gap_s : config_.single_gap_s;
 
   // Align all active sticks on a common start, staggered by thread
-  // spawn — the synchronous runner's barrier, preserved verbatim in
-  // aligned mode so the fig6 goldens stay byte-identical. Pipelined
-  // submissions keep the same barrier (letting sticks free-run
-  // desynchronises their transfers on the shared USB hub and costs
-  // throughput) but additionally floor it at the submission instant, so
-  // a ticket never starts before it was submitted.
-  double t0 = aligned ? 0.0 : submit_s;
+  // spawn (letting sticks free-run desynchronises their transfers on the
+  // shared USB hub and costs throughput), floored at the submission
+  // instant so a ticket never starts before it was submitted.
+  double t0 = submit_s;
   for (int d = 0; d < active; ++d) {
     t0 = std::max(t0, mvnc::host_time(graph_handles_[d]).value_or(0.0));
   }
@@ -413,11 +410,21 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
           .add(assigned[d]);
     }
   }
-  // The one-span-per-run "scheduler" lane only makes sense for aligned
-  // runs; pipelined submissions overlap, and the serve dispatcher draws
-  // their ticket spans on its own per-slot lanes instead.
-  if (aligned && tr.enabled()) {
-    tr.complete("core", "run_timed", tr.lane("scheduler"), t0, last_completion,
+  // One span per batch on a "scheduler" lane, from the common start to
+  // the last result. A smaller batch can start on sticks that freed
+  // before the previous batch's last result, so each span takes the first
+  // lane free at t0 ("scheduler", then "scheduler 2", ...) and spans on
+  // one lane never overlap.
+  if (tr.enabled()) {
+    std::size_t slot = 0;
+    while (slot < sched_lane_end_.size() && sched_lane_end_[slot] > t0) {
+      ++slot;
+    }
+    if (slot == sched_lane_end_.size()) sched_lane_end_.push_back(t0);
+    sched_lane_end_[slot] = last_completion;
+    const std::string lane =
+        slot == 0 ? "scheduler" : "scheduler " + std::to_string(slot + 1);
+    tr.complete("core", "run_timed", tr.lane(lane), t0, last_completion,
                 {util::TraceArg::num("images", images),
                  util::TraceArg::num("batch", static_cast<std::int64_t>(batch)),
                  util::TraceArg::str("policy",

@@ -91,17 +91,15 @@ class VpuTarget : public Target {
   const VpuTargetConfig& config() const noexcept { return config_; }
 
  protected:
-  /// One batch across `batch` sticks. Both modes gate the active sticks
-  /// on a common start t0 = max(stick cursors) staggered by thread
-  /// spawn; pipelined mode (submit) additionally floors t0 at the
-  /// submission instant. Aligned mode (the run_timed shim) is
-  /// byte-identical to the pre-async run_timed. Completion timestamps
-  /// are mapped onto the caller's clock through a serial engine queue
-  /// (start = max(submit, engine free), complete = start + span): the
-  /// mvnc cursors carry the device-simulation epoch (boot + graph
-  /// allocation), which must not leak into serving timelines.
-  BatchExec execute_batch(std::int64_t images, int batch, double submit_s,
-                          bool aligned) override;
+  /// One batch across `batch` sticks, gated on a common start
+  /// t0 = max(submission instant, stick cursors) staggered by thread
+  /// spawn. Completion timestamps are mapped onto the caller's clock
+  /// through a serial engine queue (start = max(submit, engine free),
+  /// complete = start + span): the mvnc cursors carry the
+  /// device-simulation epoch (boot + graph allocation), which must not
+  /// leak into serving timelines.
+  BatchExec execute_batch(std::int64_t images, int batch,
+                          double submit_s) override;
 
  private:
   void open_all();
@@ -113,6 +111,8 @@ class VpuTarget : public Target {
   std::vector<void*> graph_handles_;
   /// Caller-clock instant the engine frees (see execute_batch).
   double next_free_s_ = 0.0;
+  /// End of the last span on each "scheduler" trace lane (device clock).
+  std::vector<double> sched_lane_end_;
   /// mvnc host generation our handles belong to. A later host_reset (for
   /// example another VpuTarget's open_all) invalidates every handle, so
   /// close_all must not feed them back into the API.

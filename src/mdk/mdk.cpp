@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/engine.h"
+#include "sim/resource.h"
 #include "tensor/gemm.h"
 
 namespace ncsw::mdk {
@@ -62,8 +62,8 @@ GemmPlan MdkContext::plan_gemm(std::int64_t m, std::int64_t n,
 
 KernelStats MdkContext::simulate_gemm(const GemmPlan& plan) const {
   if (plan.tasks < 1) throw std::invalid_argument("simulate_gemm: bad plan");
-  sim::Resource shaves("shave-array", config_.num_shaves);
-  sim::Resource ddr("lpddr3", 1);
+  sim::Resource shaves(config_.num_shaves);
+  sim::Resource ddr;
 
   const double peak_per_shave =
       config_.clock_hz * (plan.precision == graphc::Precision::kFP16

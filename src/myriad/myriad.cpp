@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/resource.h"
 #include "util/metrics.h"
 
 namespace ncsw::myriad {
@@ -47,9 +48,8 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
   if (graph.layers.empty()) {
     throw std::invalid_argument("Myriad2::execute: empty graph");
   }
-  sim::Engine engine;
-  sim::Resource shaves("shave-array", config_.num_shaves);
-  sim::Resource ddr("lpddr3", 1);
+  sim::Resource shaves(config_.num_shaves);
+  sim::Resource ddr;
 
   const double peak = peak_macs_per_s(graph.precision) /
                       static_cast<double>(config_.num_shaves);
@@ -76,7 +76,7 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
     const double layer_start = cursor;
 
     // Compute: split the layer's MACs into its compiled tiles and
-    // schedule them on the SHAVE array via the event engine.
+    // reserve a SHAVE for each.
     double compute_end = layer_start;
     double busy_this_layer = 0.0;
     if (layer.macs > 0) {
@@ -87,9 +87,7 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
       tile_s += config_.tile_dispatch_s;
       for (std::int32_t t = 0; t < layer.tiles; ++t) {
         const double start = shaves.reserve(layer_start, tile_s);
-        const double end = start + tile_s;
-        engine.schedule_at(end, [] {});
-        compute_end = std::max(compute_end, end);
+        compute_end = std::max(compute_end, start + tile_s);
         busy_this_layer += tile_s;
       }
     }
@@ -108,12 +106,10 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
       const double ddr_dur = weight_s + (layer.fits_cmx ? 0.0 : act_s);
       const double start = ddr.reserve(layer_start, ddr_dur);
       dma_end = start + ddr_dur;
-      engine.schedule_at(dma_end, [] {});
     }
     const double cmx_end = layer_start + (layer.fits_cmx ? act_s : 0.0);
 
     const double layer_end = std::max({compute_end, dma_end, cmx_end});
-    engine.run_until(layer_end);
 
     LayerProfile lp;
     lp.name = layer.name;
@@ -132,7 +128,7 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
   }
 
   profile.total_s = cursor;
-  profile.sim_events = engine.events_executed();
+  profile.sim_events = shaves.reservations() + ddr.reservations();
 
   // Energy: active SHAVE islands while busy, idle power otherwise; the
   // DDR island while streaming; the base island for the whole run.

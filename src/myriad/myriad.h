@@ -4,11 +4,12 @@
 // processors at 600 MHz with native FP16 (128-bit VAU = 8 half lanes), the
 // 2 MB multi-ported CMX scratchpad, the 4 GB LPDDR3 global memory, the
 // LEON RISC runtime scheduler, and the 20 power islands. A compiled graph
-// (graphc::CompiledGraph) is executed layer by layer on a discrete-event
-// engine: the RISC core dispatches each layer, its tiles are scheduled
-// across the SHAVE array, and its activation/weight traffic occupies the
-// DDR interface; a layer completes when both its compute and its data
-// movement have drained. Energy is integrated from per-island busy time.
+// (graphc::CompiledGraph) is executed layer by layer as reservations on
+// two simulated resources: the RISC core dispatches each layer, its tiles
+// reserve servers of the SHAVE array, and its activation/weight traffic
+// reserves the DDR interface; a layer completes when both its compute and
+// its data movement have drained. Energy is integrated from per-island
+// busy time.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "graphc/compiler.h"
-#include "sim/engine.h"
 
 namespace ncsw::myriad {
 
@@ -72,6 +72,8 @@ struct InferenceProfile {
   double total_s = 0.0;        ///< end-to-end on-chip execution time
   double energy_j = 0.0;       ///< integrated over the power islands
   double avg_power_w = 0.0;    ///< energy / total
+  /// Resource reservations made: one per SHAVE tile plus one per DDR
+  /// stream.
   std::uint64_t sim_events = 0;
 };
 

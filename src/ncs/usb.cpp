@@ -10,7 +10,6 @@ UsbLinkParams usb2_link() noexcept { return UsbLinkParams{35e6, 250e-6}; }
 UsbChannel::UsbChannel(std::string name, const UsbLinkParams& params)
     : name_(std::move(name)),
       params_(params),
-      link_(name_),
       m_bytes_(util::metrics().counter("usb." + name_ + ".bytes")),
       m_transfers_(util::metrics().counter("usb." + name_ + ".transfers")) {
   if (params_.bandwidth <= 0 || params_.per_transfer_latency < 0) {

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.h"
+#include "sim/resource.h"
 #include "util/metrics.h"
 
 namespace ncsw::ncs {

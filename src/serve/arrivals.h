@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/server.h"
 #include "util/rng.h"
 
 namespace ncsw::serve {
@@ -58,6 +59,21 @@ class UniformArrivals {
   double interval_;
   double t_;
 };
+
+/// `n` requests with ids 0..n-1 whose arrivals follow
+/// PoissonArrivals(rate_per_s, seed): the open-loop trace the serve and
+/// cluster loadgens offer.
+inline std::vector<Request> poisson_trace(std::int64_t n, double rate_per_s,
+                                          std::uint64_t seed) {
+  if (n < 0) throw std::invalid_argument("poisson_trace: n < 0");
+  PoissonArrivals arrivals(rate_per_s, seed);
+  std::vector<Request> trace(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = static_cast<std::int64_t>(i);
+    trace[i].arrival_s = arrivals.next();
+  }
+  return trace;
+}
 
 /// The boundary check of every serving loop's run(): throws
 /// std::invalid_argument unless each `arrival_s` is finite and the trace

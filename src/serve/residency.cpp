@@ -1,5 +1,6 @@
 #include "serve/residency.h"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -27,8 +28,10 @@ ResidencyManager::ResidencyManager(int sticks, int models,
     : config_(config), models_(models) {
   if (sticks < 1) throw std::invalid_argument("ResidencyManager: sticks < 1");
   if (models < 1) throw std::invalid_argument("ResidencyManager: models < 1");
-  if (config_.min_residency_s < 0.0) {
-    throw std::invalid_argument("ResidencyManager: negative hysteresis");
+  if (!(config_.min_residency_s >= 0.0) ||
+      !std::isfinite(config_.min_residency_s)) {
+    throw std::invalid_argument(
+        "ResidencyManager: hysteresis must be finite and >= 0");
   }
   state_.resize(static_cast<std::size_t>(sticks));
   cost_s_.assign(static_cast<std::size_t>(models), 0.0);

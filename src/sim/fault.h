@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.h"
+#include "sim/resource.h"
 
 namespace ncsw::sim {
 

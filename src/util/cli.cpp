@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -52,14 +53,16 @@ void Cli::set_value(const std::string& name, const std::string& value) {
     }
     case Kind::kDouble: {
       std::size_t pos = 0;
+      double v = 0.0;
       try {
-        (void)std::stod(value, &pos);
+        v = std::stod(value, &pos);
       } catch (const std::exception&) {
         pos = std::string::npos;
       }
-      if (pos != value.size()) {
-        throw std::runtime_error("flag --" + name + " expects a number, got '" +
-                                 value + "'");
+      if (pos != value.size() || !std::isfinite(v)) {
+        throw std::runtime_error("flag --" + name +
+                                 " expects a finite number, got '" + value +
+                                 "'");
       }
       break;
     }

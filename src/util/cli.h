@@ -24,7 +24,8 @@ class Cli {
   void add_bool(const std::string& name, bool def, std::string help);
 
   /// Parse argv. Returns false (after printing help) if --help was given.
-  /// Throws std::runtime_error on unknown flags or malformed values.
+  /// Throws std::runtime_error on unknown flags or malformed values
+  /// (including NaN or infinite doubles).
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;

@@ -7,7 +7,7 @@
 // machine-readable output.
 //
 // Naming schema (documented in docs/architecture.md): dotted lowercase
-// `<subsystem>.<object>.<metric>`, e.g. "sim.engine.events",
+// `<subsystem>.<object>.<metric>`, e.g. "myriad.executions",
 // "usb.usb-ch0.bytes", "ncs.dev0.inferences", "core.sched.failover_retries".
 //
 // Lifetime: instruments are never erased — reset() zeroes values but

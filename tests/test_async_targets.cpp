@@ -5,8 +5,10 @@
 // kind. The goldens below were captured from the blocking run_timed
 // implementations immediately before the submit/poll refactor; the shim
 // must reproduce them to the last bit or every figure bench drifts.
+#include "check/tracelint.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
+#include "util/trace.h"
 
 #include <gtest/gtest.h>
 
@@ -82,6 +84,33 @@ TEST(AsyncShimGolden, VpuSequenceIsByteIdentical) {
   EXPECT_EQ(fingerprint(vpu.run_timed(30, 2)),
             "30 1.5510444638031604 100.32387803951147 "
             "0.33678290564659924 99.933276035590879 101.5425997054642 30");
+}
+
+// A smaller batch after a larger one starts on sticks that freed before
+// the larger batch's last result: its scheduler span overlaps the
+// previous one in time, and the trace must still lint clean.
+TEST(AsyncTrace, SmallerBatchAfterLargerIsLintClean) {
+  auto& tracer = ncsw::util::tracer();
+  tracer.reset();
+  tracer.set_enabled(true);
+  {
+    VpuTargetConfig cfg;
+    cfg.devices = 8;
+    VpuTarget vpu(reference(), cfg);
+    vpu.wait(vpu.submit(24, 3, 0.0));
+    vpu.wait(vpu.submit(15, 1, 0.0));
+  }
+  const std::string json = tracer.to_json();
+  tracer.set_enabled(false);
+  tracer.reset();
+
+  std::string error;
+  const auto lint = ncsw::check::lint_trace_text(json, {}, &error);
+  ASSERT_TRUE(lint.has_value()) << error;
+  EXPECT_TRUE(lint->ok()) << lint->to_string();
+  // The second batch began before the first one's last result, so it
+  // was drawn on the second scheduler lane.
+  EXPECT_NE(json.find("\"scheduler 2\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

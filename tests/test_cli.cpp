@@ -78,6 +78,19 @@ TEST(Cli, MalformedDoubleThrows) {
   EXPECT_THROW(cli.parse(2, argv), std::runtime_error);
 }
 
+TEST(Cli, NonFiniteDoubleThrows) {
+  for (const char* bad : {"--rate=nan", "--rate=NaN", "--rate=inf",
+                          "--rate=-inf", "--rate=infinity", "--rate=1e999"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", bad};
+    EXPECT_THROW(cli.parse(2, argv), std::runtime_error) << bad;
+  }
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--rate=-1e300"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_DOUBLE_EQ(cli.get_double("rate"), -1e300);
+}
+
 TEST(Cli, MissingValueThrows) {
   Cli cli = make_cli();
   const char* argv[] = {"prog", "--n"};

@@ -42,8 +42,8 @@ class FakeTarget : public core::Target {
   }
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int, double submit_s,
-                          bool) override {
+  BatchExec execute_batch(std::int64_t images, int,
+                          double submit_s) override {
     BatchExec exec;
     exec.run.images = images;
     exec.run.seconds = per_image_s_ * static_cast<double>(images);
@@ -69,17 +69,6 @@ struct FakeNode {
         b("n" + std::to_string(i) + "b", per_image_s, 8) {}
   std::vector<core::Target*> targets() { return {&a, &b}; }
 };
-
-std::vector<Request> poisson_trace(std::int64_t n, double rate,
-                                   std::uint64_t seed) {
-  serve::PoissonArrivals arrivals(rate, seed);
-  std::vector<Request> trace(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    trace[static_cast<std::size_t>(i)].id = i;
-    trace[static_cast<std::size_t>(i)].arrival_s = arrivals.next();
-  }
-  return trace;
-}
 
 std::int64_t accounted(const cluster::ClusterReport& r) {
   return r.completed + r.rejected + r.dropped_deadline + r.requests_lost;
@@ -137,13 +126,13 @@ TEST(Cluster, ValidatesConfigAndArrivals) {
   Cluster cl({n0.targets()}, wide);
   EXPECT_EQ(cl.config().replication, 1);
 
-  auto unsorted = poisson_trace(4, 100.0, 1);
+  auto unsorted = serve::poisson_trace(4, 100.0, 1);
   std::swap(unsorted[1], unsorted[2]);
   std::swap(unsorted[1].id, unsorted[2].id);
   FakeNode n1(1, 0.01);
   EXPECT_THROW(Cluster({n1.targets()}).run(unsorted), std::invalid_argument);
 
-  auto dup = poisson_trace(3, 100.0, 1);
+  auto dup = serve::poisson_trace(3, 100.0, 1);
   dup[2].id = dup[0].id;
   FakeNode n2(2, 0.01);
   EXPECT_THROW(Cluster({n2.targets()}).run(dup), std::invalid_argument);
@@ -155,7 +144,7 @@ TEST(Cluster, RoutesAcrossReplicasAndCompletesEverything) {
   cfg.models = 8;
   cfg.node.batch_timeout_s = 0.01;
   Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
-  const auto r = cl.run(poisson_trace(300, 300.0, 3));
+  const auto r = cl.run(serve::poisson_trace(300, 300.0, 3));
 
   EXPECT_EQ(r.offered, 300);
   EXPECT_EQ(r.completed, 300);
@@ -184,7 +173,7 @@ TEST(Cluster, NodeCrashReplaysEverythingWithZeroLoss) {
   cfg.node.batch_timeout_s = 0.01;
   cfg.faults.add(/*device=*/1, sim::FaultKind::kNodeCrash, 0.3, 0.5);
   Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
-  const auto r = cl.run(poisson_trace(400, 350.0, 5));
+  const auto r = cl.run(serve::poisson_trace(400, 350.0, 5));
 
   EXPECT_EQ(r.node_kills, 1);
   EXPECT_EQ(r.offered, 400);
@@ -214,7 +203,7 @@ TEST(Cluster, LoneNodeCrashIsAccountedAsLost) {
   cfg.node.batch_timeout_s = 0.01;
   cfg.faults.add(0, sim::FaultKind::kNodeCrash, 0.2, 1000.0);
   Cluster cl({n0.targets()}, cfg);
-  const auto r = cl.run(poisson_trace(100, 200.0, 7));
+  const auto r = cl.run(serve::poisson_trace(100, 200.0, 7));
 
   EXPECT_EQ(r.node_kills, 1);
   EXPECT_EQ(r.node_rejoins, 0);
@@ -240,7 +229,7 @@ TEST(Cluster, WedgeTriggersHedgesAndQuarantine) {
   cfg.hedge_slack_s = 0.02;
   cfg.faults.add(0, sim::FaultKind::kNodeWedge, 0.2, 0.6);
   Cluster cl({n0.targets(), n1.targets()}, cfg);
-  const auto r = cl.run(poisson_trace(200, 250.0, 9));
+  const auto r = cl.run(serve::poisson_trace(200, 250.0, 9));
 
   EXPECT_EQ(r.node_wedges, 1);
   EXPECT_EQ(r.nodes[0].wedges, 1);
@@ -265,7 +254,7 @@ TEST(Cluster, ClassRollupsPartitionTheClusterTotals) {
   cfg.models = 8;
   cfg.node.queue_capacity = 8;
   Cluster cl({n0.targets(), n1.targets()}, cfg);
-  auto trace = poisson_trace(200, 300.0, 13);
+  auto trace = serve::poisson_trace(200, 300.0, 13);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     trace[i].slo = static_cast<serve::SloClass>(i % serve::kSloClassCount);
   }
@@ -292,7 +281,7 @@ TEST(Cluster, BatchClassNeverHedgesUnderTheDefaultGate) {
   cfg.hedge_slack_s = 0.02;
   cfg.faults.add(0, sim::FaultKind::kNodeWedge, 0.2, 0.6);
   Cluster cl({n0.targets(), n1.targets()}, cfg);
-  auto trace = poisson_trace(200, 250.0, 9);
+  auto trace = serve::poisson_trace(200, 250.0, 9);
   for (auto& req : trace) req.slo = serve::SloClass::kBatch;
   const auto r = cl.run(trace);
   EXPECT_EQ(r.node_wedges, 1);
@@ -318,7 +307,7 @@ TEST(Cluster, ChaosReplayIsByteDeterministic) {
     cfg.faults.add(1, sim::FaultKind::kNodeCrash, 0.3, 0.4);
     cfg.faults.add(2, sim::FaultKind::kNodeWedge, 0.5, 0.9);
     Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
-    return cl.run(poisson_trace(300, 300.0, 11));
+    return cl.run(serve::poisson_trace(300, 300.0, 11));
   };
   const auto r1 = run_once(), r2 = run_once();
 
@@ -348,7 +337,7 @@ TEST(Cluster, SpillAbsorbsReplicaHotspots) {
     cfg.node.queue_capacity = 4;
     cfg.node.batch_timeout_s = 0.01;
     Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
-    return cl.run(poisson_trace(200, 400.0, 13));
+    return cl.run(serve::poisson_trace(200, 400.0, 13));
   };
   const auto without = run_with(false);
   const auto with = run_with(true);
@@ -373,7 +362,7 @@ TEST(Cluster, StrictTraceIsLintClean) {
     cfg.node.batch_timeout_s = 0.01;
     cfg.faults.add(1, sim::FaultKind::kNodeCrash, 0.3, 0.4);
     Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
-    const auto r = cl.run(poisson_trace(200, 300.0, 15));
+    const auto r = cl.run(serve::poisson_trace(200, 300.0, 15));
     EXPECT_EQ(r.requests_lost, 0);
   }
   const std::string json = tracer.to_json();

@@ -146,10 +146,18 @@ TEST(Myriad2, RejectsEmptyGraph) {
 }
 
 TEST(Myriad2, SimulationEventsWereExecuted) {
-  Myriad2 chip;
-  const auto profile = chip.execute(googlenet_fp16());
-  // One event per tile at minimum (~8k tiles for GoogLeNet).
-  EXPECT_GT(profile.sim_events, 5000u);
+  // One reservation per SHAVE tile of every layer with MACs, plus one
+  // DDR stream per layer that moves weights or misses CMX.
+  const auto graph = googlenet_fp16();
+  std::uint64_t tiles = 0, ddr_streams = 0;
+  for (const auto& layer : graph.layers) {
+    if (layer.kind == ncsw::nn::LayerKind::kInput) continue;
+    if (layer.macs > 0) tiles += static_cast<std::uint64_t>(layer.tiles);
+    if (layer.weight_bytes > 0 || !layer.fits_cmx) ++ddr_streams;
+  }
+  EXPECT_GT(tiles, 5000u);  // ~8k tiles for GoogLeNet
+  EXPECT_GT(ddr_streams, 50u);
+  EXPECT_EQ(Myriad2().execute(graph).sim_events, tiles + ddr_streams);
 }
 
 TEST(Myriad2, DeterministicProfile) {

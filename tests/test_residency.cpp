@@ -114,6 +114,15 @@ TEST(Residency, HysteresisBlocksFreshInstallsThenUnlocks) {
   EXPECT_LE(open.earliest_unlock_s(), 0.0);
 }
 
+TEST(Residency, RejectsNegativeOrNonFiniteHysteresis) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ResidencyConfig cfg;
+    cfg.min_residency_s = bad;
+    EXPECT_THROW(ResidencyManager(2, 4, cfg), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Residency, ResidencyQueriesReflectInstalls) {
   ResidencyManager rm(3, 4);
   rm.install(0, 2, 0.0);

@@ -43,8 +43,8 @@ class FakeTarget : public core::Target {
   int runs = 0;
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int, double submit_s,
-                          bool) override {
+  BatchExec execute_batch(std::int64_t images, int,
+                          double submit_s) override {
     ++runs;
     BatchExec exec;
     exec.run.images = images;
@@ -248,13 +248,7 @@ TEST(Server, ReplayIsByteDeterministic) {
     cfg.queue_capacity = 8;
     cfg.queue_deadline_s = 0.2;
     Server server({&a, &b}, cfg);
-    serve::PoissonArrivals arrivals(400.0, seed);
-    std::vector<Request> reqs(300);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      reqs[i].id = static_cast<std::int64_t>(i);
-      reqs[i].arrival_s = arrivals.next();
-    }
-    return server.run(reqs);
+    return server.run(serve::poisson_trace(300, 400.0, seed));
   };
   const auto r1 = serve_once(11), r2 = serve_once(11), r3 = serve_once(12);
   ASSERT_EQ(r1.records.size(), r2.records.size());

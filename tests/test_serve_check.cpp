@@ -43,8 +43,8 @@ class FakeTarget : public core::Target {
   }
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int, double submit_s,
-                          bool) override {
+  BatchExec execute_batch(std::int64_t images, int,
+                          double submit_s) override {
     BatchExec exec;
     exec.run.images = images;
     exec.run.seconds = per_image_s_ * static_cast<double>(images);

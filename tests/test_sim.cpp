@@ -1,4 +1,4 @@
-#include "sim/engine.h"
+#include "sim/resource.h"
 
 #include <gtest/gtest.h>
 
@@ -8,88 +8,11 @@
 
 namespace {
 
-using ncsw::sim::Engine;
 using ncsw::sim::IntervalResource;
 using ncsw::sim::Resource;
 
-TEST(Engine, RunsEventsInTimeOrder) {
-  Engine e;
-  std::vector<int> order;
-  e.schedule(3.0, [&] { order.push_back(3); });
-  e.schedule(1.0, [&] { order.push_back(1); });
-  e.schedule(2.0, [&] { order.push_back(2); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(e.now(), 3.0);
-  EXPECT_EQ(e.events_executed(), 3u);
-}
-
-TEST(Engine, SameTimeEventsFifo) {
-  Engine e;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    e.schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  e.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Engine, CallbacksCanScheduleMore) {
-  Engine e;
-  int fired = 0;
-  e.schedule(1.0, [&] {
-    ++fired;
-    e.schedule(1.0, [&] { ++fired; });
-  });
-  e.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(e.now(), 2.0);
-}
-
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine e;
-  int fired = 0;
-  e.schedule(1.0, [&] { ++fired; });
-  e.schedule(5.0, [&] { ++fired; });
-  e.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(e.now(), 2.0);
-  e.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, RunUntilIncludesEventsAtDeadline) {
-  Engine e;
-  int fired = 0;
-  e.schedule(2.0, [&] { ++fired; });
-  e.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(Engine, NegativeDelayThrows) {
-  Engine e;
-  EXPECT_THROW(e.schedule(-1.0, [] {}), std::invalid_argument);
-}
-
-TEST(Engine, PastAbsoluteTimeThrows) {
-  Engine e;
-  e.schedule(5.0, [] {});
-  e.run();
-  EXPECT_THROW(e.schedule_at(1.0, [] {}), std::invalid_argument);
-}
-
-TEST(Engine, ResetClearsState) {
-  Engine e;
-  e.schedule(1.0, [] {});
-  e.run();
-  e.reset();
-  EXPECT_DOUBLE_EQ(e.now(), 0.0);
-  EXPECT_TRUE(e.idle());
-  EXPECT_EQ(e.events_executed(), 0u);
-}
-
 TEST(Resource, SingleServerSerialises) {
-  Resource r("bus");
+  Resource r;
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 2.0), 0.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 3.0), 2.0);  // queued behind the first
   EXPECT_DOUBLE_EQ(r.reserve(10.0, 1.0), 10.0);
@@ -98,43 +21,28 @@ TEST(Resource, SingleServerSerialises) {
 }
 
 TEST(Resource, MultiServerParallelism) {
-  Resource r("shaves", 3);
+  Resource r(3);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 5.0), 0.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 5.0), 0.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 5.0), 0.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 5.0), 5.0);  // fourth waits
 }
 
-TEST(Resource, NextFreeReflectsLoad) {
-  Resource r("x");
-  r.reserve(0.0, 4.0);
-  EXPECT_DOUBLE_EQ(r.next_free(0.0), 4.0);
-  EXPECT_DOUBLE_EQ(r.next_free(10.0), 10.0);
-}
-
 TEST(Resource, RejectsBadArguments) {
-  EXPECT_THROW(Resource("x", 0), std::invalid_argument);
-  Resource r("x");
+  EXPECT_THROW(Resource(0), std::invalid_argument);
+  Resource r;
   EXPECT_THROW(r.reserve(0.0, -1.0), std::invalid_argument);
 }
 
-TEST(Resource, ResetClears) {
-  Resource r("x");
-  r.reserve(0.0, 7.0);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.reserve(0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(r.busy_time(), 1.0);
-}
-
 TEST(IntervalResource, BackToBackPlacement) {
-  IntervalResource r("usb");
+  IntervalResource r;
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 1.0), 2.0);
 }
 
 TEST(IntervalResource, FirstFitFillsEarlierGaps) {
-  IntervalResource r("usb");
+  IntervalResource r;
   r.reserve(5.0, 2.0);  // [5, 7)
   // A later request with an earlier earliest lands in the gap before 5.
   EXPECT_DOUBLE_EQ(r.reserve(0.0, 3.0), 0.0);
@@ -150,7 +58,7 @@ TEST(IntervalResource, MakespanOrderInvariantForEqualEarliest) {
   // the makespan equals the sum of durations regardless of issue order.
   const std::vector<double> durs{1.0, 2.0, 0.5, 3.0, 1.5};
   auto span_of = [&](std::vector<int> order) {
-    IntervalResource r("x");
+    IntervalResource r;
     double span = 0;
     for (int i : order) {
       span = std::max(span, r.reserve(0.0, durs[i]) + durs[i]);
@@ -164,29 +72,27 @@ TEST(IntervalResource, MakespanOrderInvariantForEqualEarliest) {
 }
 
 TEST(IntervalResource, EarliestInsideBusyIntervalPushesAfter) {
-  IntervalResource r("x");
+  IntervalResource r;
   r.reserve(0.0, 10.0);  // [0, 10)
   EXPECT_DOUBLE_EQ(r.reserve(4.0, 1.0), 10.0);
 }
 
 TEST(IntervalResource, NegativeEarliestClampsToZero) {
-  IntervalResource r("x");
+  IntervalResource r;
   EXPECT_DOUBLE_EQ(r.reserve(-5.0, 1.0), 0.0);
 }
 
 TEST(IntervalResource, BusyTimeAccumulates) {
-  IntervalResource r("x");
+  IntervalResource r;
   r.reserve(0.0, 2.0);
   r.reserve(10.0, 3.0);
   EXPECT_DOUBLE_EQ(r.busy_time(), 5.0);
   EXPECT_EQ(r.reservations(), 2u);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.busy_time(), 0.0);
 }
 
 TEST(IntervalResource, ManyRandomReservationsNeverOverlap) {
   ncsw::util::Xoshiro256 rng(77);
-  IntervalResource r("x");
+  IntervalResource r;
   std::vector<std::pair<double, double>> placed;
   for (int i = 0; i < 300; ++i) {
     const double earliest = rng.uniform(0.0, 50.0);
@@ -202,7 +108,7 @@ TEST(IntervalResource, ManyRandomReservationsNeverOverlap) {
 }
 
 TEST(IntervalResource, PrunesAncientGapsButStaysConsistent) {
-  IntervalResource r("x");
+  IntervalResource r;
   r.reserve(0.0, 1.0);  // [0, 1)
   // Jump far ahead: the early gap ages out of the prune window.
   r.reserve(100.0, 1.0);
@@ -222,19 +128,13 @@ TEST(IntervalResource, ManyReservationsStayFast) {
   // Regression guard for the benchmark-scale runs: 100k reservations on
   // one channel must not blow up quadratically (pruning keeps the
   // interval list bounded).
-  IntervalResource r("x");
+  IntervalResource r;
   double t = 0.0;
   for (int i = 0; i < 100'000; ++i) {
     t = r.reserve(t, 1e-4) + 1e-4;
   }
   EXPECT_EQ(r.reservations(), 100'000u);
   EXPECT_NEAR(r.busy_time(), 10.0, 1e-6);
-}
-
-TEST(Time, UnitHelpers) {
-  EXPECT_DOUBLE_EQ(ncsw::sim::from_ms(2.5), 0.0025);
-  EXPECT_DOUBLE_EQ(ncsw::sim::from_us(10.0), 1e-5);
-  EXPECT_DOUBLE_EQ(ncsw::sim::to_ms(0.1), 100.0);
 }
 
 }  // namespace
