@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
 // conversion, GEMM, convolution, USB reservation, the chip model, the
-// dataset generator and functional inference. These measure *this host's*
-// real performance (unlike the figure harnesses, which report simulated
-// device time).
+// dataset generator, functional inference and zoo graph swaps. These
+// measure *this host's* real performance (unlike the figure harnesses,
+// which report simulated device time).
 #include <benchmark/benchmark.h>
 
+#include "core/model.h"
+#include "core/stick_fleet.h"
 #include "dataset/synthetic.h"
 #include "half/half.h"
 #include "imgproc/ppm.h"
@@ -164,6 +166,27 @@ void BM_MvncTimedRoundTrip(benchmark::State& state) {
   ncsw::mvnc::mvncCloseDevice(dev);
 }
 BENCHMARK(BM_MvncTimedRoundTrip);
+
+// Host cost of one zoo residency swap: drain, deallocate, allocate. Two
+// models alternate on one stick, so every iteration is a real swap.
+void BM_StickFleetSwap(benchmark::State& state) {
+  std::vector<ncsw::core::ZooModel> zoo;
+  for (const char* name : {"googlenet", "squeezenet"}) {
+    zoo.push_back({name, ncsw::core::ModelBundle::zoo_reference(name)});
+  }
+  ncsw::core::StickFleetConfig cfg;
+  cfg.devices = 1;
+  ncsw::core::StickFleet fleet(std::move(zoo), cfg);
+  double now = 0.0;
+  int m = 0;
+  for (auto _ : state) {
+    m ^= 1;
+    now = fleet.swap_to(0, m, now);
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StickFleetSwap);
 
 void BM_DatasetSample(benchmark::State& state) {
   ncsw::dataset::DatasetConfig cfg;

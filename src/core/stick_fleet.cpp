@@ -35,9 +35,8 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   if (!graph_ || resident_ < 0) {
     throw std::logic_error("StickTarget: no resident graph");
   }
-  const auto& bundle = *fleet_->model(resident_).bundle;
-  std::vector<std::uint8_t> input(
-      static_cast<std::size_t>(bundle.compiled_f16.input_bytes()), 0);
+  const auto input_len = static_cast<unsigned int>(
+      fleet_->model(resident_).bundle->compiled_f16.input_bytes());
   mvnc::set_inter_op_gap(graph_, fleet_->config().single_gap_s);
 
   // Device-epoch span: the cursor carries boot + allocation history, so
@@ -48,9 +47,8 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   run.images = images;
   double last = t0;
   for (std::int64_t i = 0; i < images; ++i) {
-    if (mvnc::mvncLoadTensor(graph_, input.data(),
-                             static_cast<unsigned int>(input.size()),
-                             nullptr) != mvnc::MVNC_OK) {
+    if (mvnc::mvncLoadTensor(graph_, input_.data(), input_len, nullptr) !=
+        mvnc::MVNC_OK) {
       throw std::runtime_error("StickTarget: mvncLoadTensor failed");
     }
     void* out = nullptr;
@@ -126,6 +124,12 @@ StickFleet::StickFleet(std::vector<ZooModel> models, StickFleetConfig config)
 StickFleet::~StickFleet() { close_all(); }
 
 void StickFleet::open_all() {
+  std::int64_t max_input_bytes = 0;
+  for (const auto& m : models_) {
+    max_input_bytes =
+        std::max(max_input_bytes, m.bundle->compiled_f16.input_bytes());
+  }
+
   mvnc::HostConfig host;
   host.devices = config_.devices;
   host.topology = config_.topology;
@@ -147,6 +151,7 @@ void StickFleet::open_all() {
     stick->fleet_ = this;
     stick->id_ = d;
     stick->device_ = dev;
+    stick->input_.assign(static_cast<std::size_t>(max_input_bytes), 0);
     sticks_.push_back(std::move(stick));
   }
 

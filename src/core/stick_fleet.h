@@ -24,6 +24,12 @@
 // scoring (serve::ResidencyManager) prices alexnet's ~MiBs of FP16
 // weights differently from squeezenet's. Deterministic: allocation
 // chains on the device's ready cursor with no jitter.
+//
+// Every swap pays its full cost on the simulated clock, but little on
+// the host: the mvnc host parses each distinct blob once and each stick
+// simulates each graph once, so a swap back to a model the stick has
+// run before only does the simulated-clock bookkeeping (transfer, parse
+// time, trace span, verifier).
 #pragma once
 
 #include <cstdint>
@@ -88,6 +94,9 @@ class StickTarget : public Target {
   void* device_ = nullptr;
   void* graph_ = nullptr;
   int resident_ = -1;
+  /// Zeroed timing-run input, sized at open for the zoo's largest model;
+  /// each batch passes the resident model's length.
+  std::vector<std::uint8_t> input_;
   /// Caller-clock instant the engine frees (serial queue; swaps and
   /// batches both advance it).
   double next_free_s_ = 0.0;

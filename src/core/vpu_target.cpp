@@ -21,6 +21,8 @@ VpuTarget::VpuTarget(std::shared_ptr<const ModelBundle> bundle,
     : bundle_(std::move(bundle)), config_(config) {
   if (!bundle_) throw std::invalid_argument("VpuTarget: null bundle");
   if (config_.devices < 1) throw std::invalid_argument("VpuTarget: devices < 1");
+  input_.assign(static_cast<std::size_t>(bundle_->compiled_f16.input_bytes()),
+                0);
   open_all();
 }
 
@@ -128,8 +130,6 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   for (int d = 0; d < active; ++d) {
     t0 = std::max(t0, mvnc::host_time(graph_handles_[d]).value_or(0.0));
   }
-  std::vector<std::uint8_t> input(
-      static_cast<std::size_t>(bundle_->compiled_f16.input_bytes()), 0);
 
   TimedRun run;
   run.images = images;
@@ -273,8 +273,8 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   auto attempt_image = [&](std::size_t d) -> bool {
     for (;;) {  // LoadTensor with bounded retry
       const auto st = mvnc::mvncLoadTensor(
-          graph_handles_[d], input.data(),
-          static_cast<unsigned int>(input.size()), nullptr);
+          graph_handles_[d], input_.data(),
+          static_cast<unsigned int>(input_.size()), nullptr);
       if (st == mvnc::MVNC_OK) break;
       if (st == mvnc::MVNC_GONE) {
         on_gone(d);

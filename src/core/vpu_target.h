@@ -109,6 +109,8 @@ class VpuTarget : public Target {
   VpuTargetConfig config_;
   std::vector<void*> device_handles_;
   std::vector<void*> graph_handles_;
+  /// Zeroed input tensor of the timed runs (allocated once).
+  std::vector<std::uint8_t> input_;
   /// Caller-clock instant the engine frees (see execute_batch).
   double next_free_s_ = 0.0;
   /// End of the last span on each "scheduler" trace lane (device clock).

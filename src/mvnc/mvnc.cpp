@@ -32,12 +32,12 @@ struct GraphState {
   // Shared ownership keeps the stick alive for API calls that fetched
   // this graph before a concurrent host_reset tore the device down.
   std::shared_ptr<DeviceState> dev;
-  graphc::CompiledGraph compiled;
+  // The parsed graph file, shared with every handle allocated from the
+  // same bytes (HostState::packages). Its functional payload, when the
+  // file carried one, is what func_graph/func_weights point at.
+  std::shared_ptr<const graphc::GraphPackage> package;
   const nn::Graph* func_graph = nullptr;
   const nn::WeightsH* func_weights = nullptr;
-  // Functional payload embedded in a v2 graph file (owned by the handle).
-  std::optional<nn::Graph> owned_graph;
-  std::optional<nn::WeightsH> owned_weights;
 
   std::mutex mutex;
   bool dead = false;           // deallocated/closed; guarded by mutex
@@ -64,6 +64,15 @@ struct HostState {
   // missing map entry) instead of freed memory.
   std::unordered_map<void*, std::shared_ptr<DeviceState>> device_handles;
   std::unordered_map<void*, std::shared_ptr<GraphState>> graph_handles;
+  // Every graph file parsed since the last host_reset, keyed by its exact
+  // bytes: allocating the same file again (a zoo swap back, a replug
+  // re-allocation, one blob on N sticks) reuses the package instead of
+  // parsing it again. Failed parses are not recorded.
+  struct ParsedFile {
+    std::vector<std::uint8_t> bytes;
+    std::shared_ptr<const graphc::GraphPackage> package;
+  };
+  std::vector<ParsedFile> packages;
 };
 
 std::mutex g_mutex;
@@ -78,6 +87,24 @@ std::shared_ptr<DeviceState> as_device(void* handle) {
 std::shared_ptr<GraphState> as_graph(void* handle) {
   const auto it = g_host.graph_handles.find(handle);
   return it == g_host.graph_handles.end() ? nullptr : it->second;
+}
+
+// The parsed package of a graph file (caller holds g_mutex): the cached
+// one when these exact bytes were parsed before, else a fresh parse.
+// Throws on a malformed file, leaving the cache untouched.
+std::shared_ptr<const graphc::GraphPackage> parse_locked(
+    const std::uint8_t* bytes, std::size_t length) {
+  for (const auto& f : g_host.packages) {
+    if (f.bytes.size() == length &&
+        std::memcmp(f.bytes.data(), bytes, length) == 0) {
+      return f.package;
+    }
+  }
+  std::vector<std::uint8_t> file(bytes, bytes + length);
+  auto package = std::make_shared<const graphc::GraphPackage>(
+      graphc::deserialize_package(file));
+  g_host.packages.push_back({std::move(file), package});
+  return package;
 }
 
 void destroy_graph_locked(void* handle, const std::shared_ptr<GraphState>& g) {
@@ -111,6 +138,7 @@ void host_reset(const HostConfig& config) {
   g_host.graph_handles.clear();
   g_host.device_handles.clear();
   g_host.devices.clear();
+  g_host.packages.clear();
   g_host.topology.reset();
   if (config.devices <= 0) return;
 
@@ -170,7 +198,9 @@ bool set_functional_network(void* graphHandle, const nn::Graph* graph,
   if ((graph == nullptr) != (weights == nullptr)) return false;
   if (graph) {
     const auto in_shape = graph->layer(graph->input_id()).out_shape;
-    if (in_shape.numel() != g->compiled.input_shape.numel()) return false;
+    if (in_shape.numel() != g->package->compiled.input_shape.numel()) {
+      return false;
+    }
   }
   std::lock_guard glock(g->mutex);
   g->func_graph = graph;
@@ -324,15 +354,14 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
     return MVNC_INVALID_PARAMETERS;
   }
 
-  const auto* bytes = static_cast<const std::uint8_t*>(graphFile);
-  graphc::GraphPackage package;
+  std::shared_ptr<const graphc::GraphPackage> package;
   try {
-    package = graphc::deserialize_package(
-        std::vector<std::uint8_t>(bytes, bytes + graphFileLength));
+    package = parse_locked(static_cast<const std::uint8_t*>(graphFile),
+                           graphFileLength);
   } catch (const std::exception&) {
     return MVNC_UNSUPPORTED_GRAPH_FILE;
   }
-  if (package.compiled.precision != graphc::Precision::kFP16) {
+  if (package->compiled.precision != graphc::Precision::kFP16) {
     // The stick executes FP16 graphs only.
     return MVNC_UNSUPPORTED_GRAPH_FILE;
   }
@@ -340,22 +369,24 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
   auto g = std::make_shared<GraphState>();
   g->dev = d;
   try {
-    const double ready =
-        d->device->allocate_graph(package.compiled, host_time_s);
+    // The compiled graph aliases the package, so the device's per-graph
+    // profile cache sees the same object for every allocation of it.
+    const double ready = d->device->allocate_graph(
+        std::shared_ptr<const graphc::CompiledGraph>(package,
+                                                     &package->compiled),
+        host_time_s);
     g->host_clock = ready;
   } catch (const ncs::OutOfDeviceMemory&) {
     return MVNC_OUT_OF_MEMORY;
   } catch (const std::exception&) {
     return MVNC_ERROR;
   }
-  g->compiled = std::move(package.compiled);
-  if (package.functional) {
+  if (package->functional) {
     // The graph file shipped its network + weights: execute functionally.
-    g->owned_graph = std::move(package.net);
-    g->owned_weights = std::move(package.weights);
-    g->func_graph = &*g->owned_graph;
-    g->func_weights = &*g->owned_weights;
+    g->func_graph = &package->net;
+    g->func_weights = &package->weights;
   }
+  g->package = std::move(package);
   GraphState* raw = g.get();
   d->graphs.push_back(raw);
   g_host.graph_handles.emplace(raw, std::move(g));
@@ -411,7 +442,7 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
     return MVNC_INVALID_PARAMETERS;
   }
   const auto expected =
-      static_cast<unsigned int>(g->compiled.input_bytes());
+      static_cast<unsigned int>(g->package->compiled.input_bytes());
   if (inputTensorLength != expected) return MVNC_INVALID_PARAMETERS;
   if (g->dev->device->is_open() && !g->dev->device->has_graph()) {
     // The firmware rebooted (detach + hot replug) and lost the graph;
@@ -471,7 +502,7 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
                           result.output.data() + result.output.numel());
   } else {
     pending.output.assign(
-        static_cast<std::size_t>(g->compiled.num_outputs),
+        static_cast<std::size_t>(g->package->compiled.num_outputs),
         ncsw::fp16::half{});
   }
   g->pending.push_back(std::move(pending));
@@ -570,24 +601,25 @@ mvncStatus mvncGetGraphOption(void* graphHandle, int option, void* data,
       // Stale after a detach + replug: the firmware lost the graph (and
       // with it the layer profile) until the host re-allocates.
       if (!g->dev->device->has_graph()) return MVNC_INVALID_PARAMETERS;
-      const auto& profile = g->dev->device->profile();
+      const auto profile = g->dev->device->profile();
       const unsigned int needed = static_cast<unsigned int>(
-          profile.layers.size() * sizeof(float));
+          profile->layers.size() * sizeof(float));
       if (*dataLength < needed) return MVNC_INVALID_PARAMETERS;
       auto* out = static_cast<float*>(data);
-      for (std::size_t i = 0; i < profile.layers.size(); ++i) {
-        out[i] = static_cast<float>(profile.layers[i].time_s * 1e3);
+      for (std::size_t i = 0; i < profile->layers.size(); ++i) {
+        out[i] = static_cast<float>(profile->layers[i].time_s * 1e3);
       }
       *dataLength = needed;
       return MVNC_OK;
     }
     case MVNC_DEBUG_INFO: {
+      const auto& compiled = g->package->compiled;
       char buf[160];
       const int len = std::snprintf(
           buf, sizeof(buf), "net=%s layers=%zu macs=%lld exec_ms=%.3f",
-          g->compiled.net_name.c_str(), g->compiled.layers.size(),
-          static_cast<long long>(g->compiled.total_macs()),
-          g->dev->device->profile().total_s * 1e3);
+          compiled.net_name.c_str(), compiled.layers.size(),
+          static_cast<long long>(compiled.total_macs()),
+          g->dev->device->profile()->total_s * 1e3);
       if (len < 0 || *dataLength < static_cast<unsigned int>(len) + 1) {
         return MVNC_INVALID_PARAMETERS;
       }

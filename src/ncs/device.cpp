@@ -127,8 +127,10 @@ std::optional<sim::SimTime> NcsDevice::replug(sim::SimTime host_time) {
   return boot_locked(host_time, "replug");
 }
 
-sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
-                                       sim::SimTime host_time) {
+sim::SimTime NcsDevice::allocate_graph(
+    std::shared_ptr<const graphc::CompiledGraph> graph,
+    sim::SimTime host_time) {
+  if (!graph) throw std::invalid_argument("NcsDevice::allocate_graph: null");
   std::lock_guard lock(mutex_);
   if (!open_) throw std::logic_error("NcsDevice::allocate_graph: not open");
   if (!fifo_.empty()) {
@@ -136,8 +138,8 @@ sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
   }
   // LPDDR3 capacity check: weights + double-buffered activations + IO.
   const std::int64_t footprint =
-      graph.total_weight_bytes() + 2 * graph.total_activation_bytes() +
-      graph.input_bytes() + graph.output_bytes();
+      graph->total_weight_bytes() + 2 * graph->total_activation_bytes() +
+      graph->input_bytes() + graph->output_bytes();
   const std::int64_t available =
       config_.lpddr_bytes - config_.runtime_reserved_bytes;
   if (footprint > available) {
@@ -149,23 +151,33 @@ sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
   // Upload the graph file + weights, then let the RISC runtime parse and
   // place buffers.
   const std::int64_t blob_bytes =
-      graph.total_weight_bytes() + 64 * static_cast<std::int64_t>(graph.layers.size());
+      graph->total_weight_bytes() +
+      64 * static_cast<std::int64_t>(graph->layers.size());
   const auto window =
       channel_.transfer(std::max(host_time, ready_at_), blob_bytes);
   const double parse_s = config_.graph_alloc_per_mb_s *
                          (static_cast<double>(blob_bytes) / (1024.0 * 1024.0));
   ready_at_ = window.end + parse_s;
 
-  myriad::Myriad2 chip(config_.chip);
-  profile_ = chip.execute(graph);
-  graph_ = graph;
+  // Simulate the chip only for a graph this stick has not run before.
+  const auto seen = std::find_if(
+      simulated_.begin(), simulated_.end(),
+      [&](const SimulatedGraph& s) { return s.graph == graph; });
+  if (seen != simulated_.end()) {
+    profile_ = seen->profile;
+  } else {
+    profile_ = std::make_shared<const myriad::InferenceProfile>(
+        myriad::Myriad2(config_.chip).execute(*graph));
+    simulated_.push_back({graph, profile_});
+  }
+  graph_ = std::move(graph);
   shave_free_at_ = ready_at_;
   auto& t = util::tracer();
   if (t.enabled()) {
     t.complete("ncs", "allocate_graph",
                t.lane("dev" + std::to_string(id_) + " host"), window.start,
                ready_at_,
-               {util::TraceArg::str("net", graph.net_name),
+               {util::TraceArg::str("net", graph_->net_name),
                 util::TraceArg::num("blob_bytes", blob_bytes)});
   }
   return ready_at_;
@@ -173,7 +185,7 @@ sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
 
 bool NcsDevice::has_graph() const {
   std::lock_guard lock(mutex_);
-  return graph_.has_value();
+  return graph_ != nullptr;
 }
 
 const graphc::CompiledGraph& NcsDevice::graph() const {
@@ -182,7 +194,7 @@ const graphc::CompiledGraph& NcsDevice::graph() const {
   return *graph_;
 }
 
-const myriad::InferenceProfile& NcsDevice::profile() const {
+std::shared_ptr<const myriad::InferenceProfile> NcsDevice::profile() const {
   std::lock_guard lock(mutex_);
   if (!graph_) throw std::logic_error("NcsDevice::profile: none allocated");
   return profile_;
@@ -195,7 +207,7 @@ sim::SimTime NcsDevice::jittered_exec_time(std::uint64_t seq) const {
   const double u =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   const double factor = 1.0 + config_.exec_jitter_frac * (2.0 * u - 1.0);
-  return profile_.total_s * factor;
+  return profile_->total_s * factor;
 }
 
 std::optional<InferenceTicket> NcsDevice::load_tensor(sim::SimTime host_time,
@@ -274,7 +286,7 @@ std::optional<InferenceTicket> NcsDevice::load_tensor(sim::SimTime host_time,
   }
   if (config_.thermal_enabled) {
     thermal_.advance(exec_time,
-                     profile_.avg_power_w + config_.stick_overhead_w);
+                     profile_->avg_power_w + config_.stick_overhead_w);
     thermal_clock_ = t.exec_start + exec_time;
   }
   t.exec_end = t.exec_start + exec_time;
@@ -301,13 +313,13 @@ void NcsDevice::trace_inference(const InferenceTicket& t) const {
   if (config_.thermal_enabled) {
     tr.counter(dev + " temp_c", t.exec_start, thermal_.temperature_c());
   }
-  if (tr.layers_enabled() && profile_.total_s > 0.0) {
+  if (tr.layers_enabled() && profile_->total_s > 0.0) {
     // Project the chip profile's layer offsets onto this inference's
     // execution window (thermal throttling / jitter stretch it
     // uniformly, which is exactly how the firmware slows down).
-    const double scale = (t.exec_end - t.exec_start) / profile_.total_s;
+    const double scale = (t.exec_end - t.exec_start) / profile_->total_s;
     const int lane = tr.lane(dev + " layers");
-    for (const auto& lp : profile_.layers) {
+    for (const auto& lp : profile_->layers) {
       if (lp.time_s <= 0.0) continue;
       const double start = t.exec_start + lp.start_s * scale;
       tr.complete(
@@ -361,7 +373,7 @@ std::optional<InferenceTicket> NcsDevice::get_result(sim::SimTime host_time,
 
   ++completed_;
   last_completion_ = std::max(last_completion_, t.result_ready);
-  energy_j_ += profile_.energy_j +
+  energy_j_ += profile_->energy_j +
                (t.exec_end - t.exec_start) * config_.stick_overhead_w;
   m_inferences_.add(1);
   m_exec_ms_.record((t.exec_end - t.exec_start) * 1e3);
@@ -386,7 +398,8 @@ sim::SimTime NcsDevice::last_completion() const {
 
 double NcsDevice::active_power_w() const {
   std::lock_guard lock(mutex_);
-  return profile_.avg_power_w + config_.stick_overhead_w;
+  return (profile_ ? profile_->avg_power_w : 0.0) +
+         config_.stick_overhead_w;
 }
 
 double NcsDevice::energy_j() const {

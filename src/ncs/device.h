@@ -157,14 +157,22 @@ class NcsDevice {
 
   /// Upload and allocate a compiled graph. Replaces any previous graph.
   /// Returns the time the allocation finished. Throws when not open.
-  sim::SimTime allocate_graph(const graphc::CompiledGraph& graph,
-                              sim::SimTime host_time);
+  /// Every call pays the LPDDR footprint check, the blob transfer and
+  /// the parse time on the simulated clock. The chip profile is a pure
+  /// function of the graph and this stick's chip config, so the stick
+  /// simulates each graph object once and reuses the profile when the
+  /// same `graph` pointer is allocated again (a zoo swap back).
+  sim::SimTime allocate_graph(
+      std::shared_ptr<const graphc::CompiledGraph> graph,
+      sim::SimTime host_time);
   bool has_graph() const;
   /// The allocated graph (throws when absent).
   const graphc::CompiledGraph& graph() const;
 
   /// The chip-level profile of the allocated graph (layer times, energy).
-  const myriad::InferenceProfile& profile() const;
+  /// Shared, so it stays valid for the caller after a later allocation
+  /// replaces the device's graph. Throws when no graph is allocated.
+  std::shared_ptr<const myriad::InferenceProfile> profile() const;
 
   /// Queue one inference: transfers the input over USB and schedules
   /// execution behind whatever is already queued. Fails (returns nullopt)
@@ -247,8 +255,16 @@ class NcsDevice {
   std::size_t detach_cursor_ = 0;    ///< next unconsumed detach event
   std::uint64_t results_lost_ = 0;   ///< in-flight work killed by detaches
   sim::SimTime ready_at_ = 0.0;
-  std::optional<graphc::CompiledGraph> graph_;
-  myriad::InferenceProfile profile_;
+  std::shared_ptr<const graphc::CompiledGraph> graph_;
+  std::shared_ptr<const myriad::InferenceProfile> profile_;
+  /// Chip profiles of every graph allocated on this stick, keyed by
+  /// graph object (holding the graph keeps its address from being
+  /// reused by another graph).
+  struct SimulatedGraph {
+    std::shared_ptr<const graphc::CompiledGraph> graph;
+    std::shared_ptr<const myriad::InferenceProfile> profile;
+  };
+  std::vector<SimulatedGraph> simulated_;
   std::deque<InferenceTicket> fifo_;
   sim::SimTime shave_free_at_ = 0.0;  ///< when the SHAVE array frees up
   std::uint64_t next_seq_ = 0;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -146,9 +147,10 @@ TEST(FaultPlan, ScriptedStormIsDeterministic) {
 // Device-level fault windows
 // ---------------------------------------------------------------------------
 
-graphc::CompiledGraph tiny_graph() {
-  static const graphc::CompiledGraph g = graphc::compile(
-      nn::build_tiny_googlenet({32, 10}), graphc::Precision::kFP16);
+std::shared_ptr<const graphc::CompiledGraph> tiny_graph() {
+  static const auto g = std::make_shared<const graphc::CompiledGraph>(
+      graphc::compile(nn::build_tiny_googlenet({32, 10}),
+                      graphc::Precision::kFP16));
   return g;
 }
 
@@ -273,7 +275,7 @@ TEST(NcsDeviceFaults, DetachDropsInFlightInferences) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> tiny_blob() {
-  static const auto blob = graphc::serialize(tiny_graph());
+  static const auto blob = graphc::serialize(*tiny_graph());
   return blob;
 }
 

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "check/protocol.h"
 #include "nn/googlenet.h"
+#include "util/metrics.h"
 
 namespace {
 
@@ -59,6 +61,15 @@ class MvncTest : public ::testing::Test {
                                 static_cast<unsigned int>(blob.size())),
               MVNC_OK);
     return graph;
+  }
+
+  /// mvncAllocateGraph of `bytes`; the status, with the handle (or
+  /// nullptr) in `graph`.
+  mvncStatus allocate_file(void* dev, const std::vector<std::uint8_t>& bytes,
+                           void** graph) {
+    *graph = nullptr;
+    return mvncAllocateGraph(dev, graph, bytes.data(),
+                             static_cast<unsigned int>(bytes.size()));
   }
 
   std::vector<ncsw::fp16::half> input_tensor() {
@@ -385,6 +396,99 @@ TEST_F(MvncTest, HostResetInvalidatesEverything) {
   EXPECT_EQ(mvncCloseDevice(dev), MVNC_INVALID_PARAMETERS);
   EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_INVALID_PARAMETERS);
   EXPECT_EQ(host_device_count(), 1);
+}
+
+// ---- graph files: parsed once per host, simulated once per stick ---------
+
+std::uint64_t chip_simulations() {
+  return ncsw::util::metrics().counter("myriad.executions").value();
+}
+
+TEST_F(MvncTest, ReallocatingOneFileSimulatesOncePerStick) {
+  // Every allocate passes a fresh copy of the same bytes. The host finds
+  // the parsed package by content and each stick its profile of that
+  // package, so the chip model runs once per stick. Bypassing either
+  // cache makes it run on every allocation.
+  void* dev0 = open_first();
+  void* dev1 = nullptr;
+  ASSERT_EQ(mvncOpenDevice("/sim/ncs1", &dev1), MVNC_OK);
+  const std::uint64_t before = chip_simulations();
+  for (int i = 0; i < 5; ++i) {
+    for (void* dev : {dev0, dev1}) {
+      void* graph = allocate(dev);
+      ASSERT_NE(graph, nullptr);
+      EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_OK);
+    }
+  }
+  EXPECT_EQ(chip_simulations() - before, 2u);
+}
+
+TEST_F(MvncTest, FileOneByteApartIsParsedAndSimulatedAfresh) {
+  auto compiled =
+      compile(ncsw::nn::build_tiny_googlenet({32, 10}), Precision::kFP16);
+  const auto base = serialize(compiled);
+  // Flip the low bit of one multi-tile layer's tile count: a file of the
+  // same length that differs from `base` in exactly one byte.
+  const auto it = std::find_if(
+      compiled.layers.begin(), compiled.layers.end(),
+      [](const ncsw::graphc::LayerCost& l) { return l.tiles >= 2; });
+  ASSERT_NE(it, compiled.layers.end());
+  const auto layer = static_cast<std::size_t>(it - compiled.layers.begin());
+  it->tiles ^= 1;
+  const auto edited = serialize(compiled);
+  ASSERT_EQ(edited.size(), base.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    differing += base[i] != edited[i] ? 1 : 0;
+  }
+  ASSERT_EQ(differing, 1u);
+
+  void* dev = open_first();
+  void* graph = nullptr;
+  ASSERT_EQ(allocate_file(dev, base, &graph), MVNC_OK);
+  const auto base_profile = graph_device(graph)->profile();
+  EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_OK);
+  ASSERT_EQ(allocate_file(dev, edited, &graph), MVNC_OK);
+  const auto edited_profile = graph_device(graph)->profile();
+  EXPECT_NE(edited_profile, base_profile);
+  EXPECT_EQ(base_profile->layers[layer].tiles, it->tiles ^ 1);
+  EXPECT_EQ(edited_profile->layers[layer].tiles, it->tiles);
+}
+
+TEST_F(MvncTest, MalformedFileIsRejectedOnEveryAttempt) {
+  // A failed parse is never remembered, and a truncated file is not a
+  // hit on the intact file it is a prefix of.
+  const auto good = tiny_blob();
+  const std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
+  void* dev = open_first();
+  void* graph = nullptr;
+  EXPECT_EQ(allocate_file(dev, truncated, &graph),
+            MVNC_UNSUPPORTED_GRAPH_FILE);
+  EXPECT_EQ(allocate_file(dev, truncated, &graph),
+            MVNC_UNSUPPORTED_GRAPH_FILE);
+  ASSERT_EQ(allocate_file(dev, good, &graph), MVNC_OK);
+  EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_OK);
+  EXPECT_EQ(allocate_file(dev, truncated, &graph),
+            MVNC_UNSUPPORTED_GRAPH_FILE);
+  EXPECT_EQ(graph, nullptr);
+}
+
+TEST_F(MvncTest, DegradedStickSimulatesTheSameFileSlower) {
+  // Profiles are per stick: a stick with a slower chip config must not
+  // reuse the profile a normal stick computed from the same file.
+  HostConfig cfg;
+  cfg.devices = 2;
+  cfg.degraded_device = 1;
+  cfg.check = ncsw::check::CheckMode::kLog;
+  host_reset(cfg);
+  void* dev0 = open_first();
+  void* dev1 = nullptr;
+  ASSERT_EQ(mvncOpenDevice("/sim/ncs1", &dev1), MVNC_OK);
+  void* g0 = allocate(dev0);
+  void* g1 = allocate(dev1);
+  ASSERT_TRUE(g0 && g1);
+  EXPECT_GT(graph_device(g1)->profile()->total_s,
+            graph_device(g0)->profile()->total_s);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "myriad/myriad.h"
 #include "nn/googlenet.h"
 
 namespace {
@@ -10,11 +13,39 @@ using namespace ncsw::ncs;
 using ncsw::graphc::compile;
 using ncsw::graphc::CompiledGraph;
 using ncsw::graphc::Precision;
+using ncsw::myriad::InferenceProfile;
 
-CompiledGraph tiny_graph() {
-  static const CompiledGraph g =
-      compile(ncsw::nn::build_tiny_googlenet({32, 10}), Precision::kFP16);
+std::shared_ptr<const CompiledGraph> tiny_graph() {
+  static const auto g = std::make_shared<const CompiledGraph>(
+      compile(ncsw::nn::build_tiny_googlenet({32, 10}), Precision::kFP16));
   return g;
+}
+
+/// Same architecture with a wider classifier: a different chip profile.
+std::shared_ptr<const CompiledGraph> wide_graph() {
+  static const auto g = std::make_shared<const CompiledGraph>(
+      compile(ncsw::nn::build_tiny_googlenet({32, 20}), Precision::kFP16));
+  return g;
+}
+
+void expect_same_profile(const InferenceProfile& a, const InferenceProfile& b) {
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    const auto& x = a.layers[i];
+    const auto& y = b.layers[i];
+    EXPECT_EQ(x.name, y.name) << i;
+    EXPECT_EQ(x.kind, y.kind) << i;
+    EXPECT_EQ(x.start_s, y.start_s) << i;
+    EXPECT_EQ(x.time_s, y.time_s) << i;
+    EXPECT_EQ(x.compute_s, y.compute_s) << i;
+    EXPECT_EQ(x.dma_s, y.dma_s) << i;
+    EXPECT_EQ(x.tiles, y.tiles) << i;
+    EXPECT_EQ(x.shave_utilization, y.shave_utilization) << i;
+  }
+  EXPECT_EQ(a.total_s, b.total_s);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.avg_power_w, b.avg_power_w);
+  EXPECT_EQ(a.sim_events, b.sim_events);
 }
 
 struct Rig {
@@ -97,7 +128,7 @@ TEST(NcsDevice, JitterIsBoundedAndDeterministic) {
   Rig rig;
   rig.dev.open(0.0);
   const double t0 = rig.dev.allocate_graph(tiny_graph(), 0.0);
-  const double nominal = rig.dev.profile().total_s;
+  const double nominal = rig.dev.profile()->total_s;
   double cursor = t0;
   for (int i = 0; i < 20; ++i) {
     const auto load = rig.dev.load_tensor(cursor);
@@ -181,6 +212,34 @@ TEST(NcsDevice, LastCompletionTracksRetrievedResults) {
   rig.dev.load_tensor(t0);
   const auto r = rig.dev.get_result(t0);
   EXPECT_DOUBLE_EQ(rig.dev.last_completion(), r->result_ready);
+}
+
+TEST(NcsDevice, ReallocatedGraphReusesAnExactProfile) {
+  Rig rig;
+  rig.dev.open(0.0);
+  double t = rig.dev.allocate_graph(tiny_graph(), 0.0);
+  const auto first = rig.dev.profile();
+  t = rig.dev.allocate_graph(wide_graph(), t);
+  EXPECT_NE(rig.dev.profile(), first);
+  rig.dev.allocate_graph(tiny_graph(), t);
+  // A swap back is a cache hit: the stick hands out the profile it
+  // simulated first (a fresh simulation would be a new object) ...
+  EXPECT_EQ(rig.dev.profile(), first);
+  // ... and that profile is exactly what the chip model computes now.
+  const ncsw::myriad::Myriad2 chip(rig.cfg.chip);
+  expect_same_profile(*rig.dev.profile(), chip.execute(*tiny_graph()));
+}
+
+TEST(NcsDevice, FetchedProfileSurvivesTheNextAllocation) {
+  Rig rig;
+  rig.dev.open(0.0);
+  const double t = rig.dev.allocate_graph(tiny_graph(), 0.0);
+  const auto held = rig.dev.profile();
+  rig.dev.allocate_graph(wide_graph(), t);
+  // The holder still reads the old graph's profile, not the new one.
+  const ncsw::myriad::Myriad2 chip(rig.cfg.chip);
+  expect_same_profile(*held, chip.execute(*tiny_graph()));
+  EXPECT_NE(rig.dev.profile()->total_s, held->total_s);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "myriad/myriad.h"
 #include "nn/executor.h"
 #include "nn/googlenet.h"
+#include "util/metrics.h"
 
 namespace {
 
@@ -211,6 +212,32 @@ TEST(ZooTenants, InterleavedTenantsMatchSoloRunsByteForByte) {
   // Round 0's swap to tenant-a is a no-op (initially resident): 5 real
   // swaps across 3 rounds.
   EXPECT_EQ(fleet.swaps(), 5);
+}
+
+TEST(ZooFleet, SwapsSimulateEachFileOncePerStick) {
+  // Residency churn re-allocates the same few graph files over and over;
+  // the chip model runs at most once per (stick, file), open included.
+  // Without the parse and profile caches it runs on every allocation.
+  const std::uint64_t before =
+      ncsw::util::metrics().counter("myriad.executions").value();
+  std::vector<ncsw::core::ZooModel> zoo;
+  for (const auto& name : network_zoo_names()) {
+    zoo.push_back({name, ncsw::core::ModelBundle::zoo_reference(name)});
+  }
+  ncsw::core::StickFleetConfig cfg;
+  cfg.devices = 4;
+  ncsw::core::StickFleet fleet(zoo, cfg);
+  double now = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    const int d = i % fleet.devices();
+    now = fleet.swap_to(d, (fleet.resident_model(d) + 1) % fleet.models(),
+                        now);
+  }
+  EXPECT_EQ(fleet.swaps(), 1000);
+  const std::uint64_t simulations =
+      ncsw::util::metrics().counter("myriad.executions").value() - before;
+  EXPECT_LE(simulations, static_cast<std::uint64_t>(fleet.devices() *
+                                                    fleet.models()));
 }
 
 }  // namespace

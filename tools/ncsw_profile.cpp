@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
 
     const auto compiled = graphc::deserialize(blob);
     ncs::NcsDevice* device = mvnc::graph_device(graph);
-    const auto& profile = device->profile();
+    const auto profile = device->profile();
 
     // Run a few inferences so the trace shows real LoadTensor / exec /
     // GetResult lifecycles (and the per-layer timeline) on the simulated
@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
       double ms;
     };
     std::vector<Row> order;
-    for (std::size_t i = 0; i < profile.layers.size(); ++i) {
-      order.push_back({i, profile.layers[i].time_s * 1e3});
+    for (std::size_t i = 0; i < profile->layers.size(); ++i) {
+      order.push_back({i, profile->layers[i].time_s * 1e3});
     }
     const auto rows = cli.get_int("rows");
     if (rows > 0) {
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     table.set_header({"#", "layer", "kind", "ms", "MFLOPs", "MB/s",
                       "SHAVE util"});
     for (const auto& r : order) {
-      const auto& lp = profile.layers[r.i];
+      const auto& lp = profile->layers[r.i];
       const auto& lc = compiled.layers[r.i];
       const double mflops = static_cast<double>(lc.macs) * 2.0 / 1e6;
       const double bytes = static_cast<double>(lc.in_bytes + lc.out_bytes +
@@ -137,15 +137,15 @@ int main(int argc, char** argv) {
     std::cout << table.to_string();
 
     std::cout << "\ntotal inference time: "
-              << util::Table::num(profile.total_s * 1e3, 2) << " ms ("
-              << util::Table::num(1.0 / profile.total_s, 1)
+              << util::Table::num(profile->total_s * 1e3, 2) << " ms ("
+              << util::Table::num(1.0 / profile->total_s, 1)
               << " img/s on one stick)\n"
-              << "avg power " << util::Table::num(profile.avg_power_w, 2)
+              << "avg power " << util::Table::num(profile->avg_power_w, 2)
               << " W | energy/frame "
-              << util::Table::num(profile.energy_j * 1e3, 1) << " mJ | "
+              << util::Table::num(profile->energy_j * 1e3, 1) << " mJ | "
               << util::Table::num(
                      static_cast<double>(compiled.total_macs()) * 2.0 /
-                         profile.total_s / 1e9,
+                         profile->total_s / 1e9,
                      1)
               << " effective GFLOP/s\n";
 
