@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <iostream>
 #include <optional>
@@ -59,6 +60,19 @@ inline int calibration_batch(const core::Target& t) {
 inline int usage_error(const util::Cli& cli, const std::string& what) {
   std::cerr << cli.program() << ": " << what << "\n";
   return 2;
+}
+
+/// Usage error (exit 2) unless integer flag --`name` lies in [lo, hi];
+/// nothing when it does:
+///   if (auto rc = bench::require_range(cli, "images", 1, kMax)) return *rc;
+inline std::optional<int> require_range(const util::Cli& cli,
+                                        const std::string& name,
+                                        std::int64_t lo, std::int64_t hi) {
+  const std::int64_t v = cli.get_int(name);
+  if (v >= lo && v <= hi) return std::nullopt;
+  return usage_error(cli, "--" + name + " must be in [" + std::to_string(lo) +
+                              ", " + std::to_string(hi) + "] (got " +
+                              std::to_string(v) + ")");
 }
 
 /// Parse argv. Returns the code main() should exit with right away — 0

@@ -3,6 +3,7 @@
 // a function of network depth, averaged over images, plus the fraction of
 // top-1 flips. Shows divergence growing through the conv stack and being
 // squashed by softmax — why the paper sees only 0.4% confidence deltas.
+#include <limits>
 #include <map>
 
 #include "bench_common.h"
@@ -18,9 +19,18 @@ int main(int argc, char** argv) {
   cli.add_int("classes", 30, "synthetic classes");
   bench::add_common_flags(cli);
   if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
+  // The images are subset 0's first --images samples.
+  dataset::DatasetConfig data_cfg;
+  if (auto rc = bench::require_range(cli, "images", 1,
+                                     data_cfg.images_per_subset)) {
+    return *rc;
+  }
+  if (auto rc = bench::require_range(cli, "classes", 2,
+                                     std::numeric_limits<int>::max())) {
+    return *rc;
+  }
   bench::setup(cli);
 
-  dataset::DatasetConfig data_cfg;
   data_cfg.num_classes = static_cast<int>(cli.get_int("classes"));
   const dataset::SyntheticImageNet data(data_cfg);
   auto bundle = core::ModelBundle::tiny_functional(data, {32, 0});

@@ -3,6 +3,8 @@
 // filtering out the top-1 miss-predictions.
 //
 // Paper anchor: 0.44% mean absolute difference (sub-percent everywhere).
+#include <limits>
+
 #include "bench_common.h"
 #include "core/experiments.h"
 
@@ -16,6 +18,10 @@ int main(int argc, char** argv) {
   cli.add_int("classes", 50, "synthetic classes");
   bench::add_common_flags(cli);
   if (const auto rc = bench::parse(cli, argc, argv)) return *rc;
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  if (auto rc = bench::require_range(cli, "images", 1, kIntMax)) return *rc;
+  if (auto rc = bench::require_range(cli, "subsets", 1, kIntMax)) return *rc;
+  if (auto rc = bench::require_range(cli, "classes", 2, kIntMax)) return *rc;
   bench::setup(cli);
 
   core::experiments::ErrorSettings s;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -58,6 +59,29 @@ SyntheticImageNet::SyntheticImageNet(const DatasetConfig& config)
       config_.blend.noise_sigma < 0) {
     throw std::invalid_argument("SyntheticImageNet: bad blend");
   }
+  const int size = config_.image_size;
+  auto values = std::make_shared<std::vector<double>>(
+      static_cast<std::size_t>(config_.num_classes) * 3 * size * size);
+  double* dst = values->data();
+  for (int c = 0; c < config_.num_classes; ++c) {
+    for (int ch = 0; ch < 3; ++ch) {
+      Wave waves[kWaves];
+      class_waves(config_.seed, c, ch, waves);
+      for (int y = 0; y < size; ++y) {
+        for (int x = 0; x < size; ++x) {
+          const double u = static_cast<double>(x) / size;
+          const double v = static_cast<double>(y) / size;
+          *dst++ = wave_value(waves, u, v);
+        }
+      }
+    }
+  }
+  planes_ = std::move(values);
+}
+
+const double* SyntheticImageNet::planes(int c) const {
+  const auto size = static_cast<std::size_t>(config_.image_size);
+  return planes_->data() + static_cast<std::size_t>(c) * 3 * size * size;
 }
 
 imgproc::Image SyntheticImageNet::prototype(int c) const {
@@ -66,15 +90,11 @@ imgproc::Image SyntheticImageNet::prototype(int c) const {
   }
   const int size = config_.image_size;
   imgproc::Image img(size, size);
+  const double* wave = planes(c);
   for (int ch = 0; ch < 3; ++ch) {
-    Wave waves[kWaves];
-    class_waves(config_.seed, c, ch, waves);
     for (int y = 0; y < size; ++y) {
       for (int x = 0; x < size; ++x) {
-        const double u = static_cast<double>(x) / size;
-        const double v = static_cast<double>(y) / size;
-        img.at(x, y, ch) =
-            clamp_pixel(kMid + kAmplitude * wave_value(waves, u, v));
+        img.at(x, y, ch) = clamp_pixel(kMid + kAmplitude * *wave++);
       }
     }
   }
@@ -118,16 +138,13 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
   out.image = imgproc::Image(size, size);
 
   const BlendParams& bp = config_.blend;
+  const double* wl = planes(label);
+  const double* wd = planes(distractor);
   for (int ch = 0; ch < 3; ++ch) {
-    Wave wl[kWaves], wd[kWaves];
-    class_waves(config_.seed, label, ch, wl);
-    class_waves(config_.seed, distractor, ch, wd);
     for (int y = 0; y < size; ++y) {
       for (int x = 0; x < size; ++x) {
-        const double u = static_cast<double>(x) / size;
-        const double v = static_cast<double>(y) / size;
-        const double sig = kAmplitude * wave_value(wl, u, v);
-        const double dis = kAmplitude * wave_value(wd, u, v);
+        const double sig = kAmplitude * *wl++;
+        const double dis = kAmplitude * *wd++;
         const double noise = rng.normal(0.0, bp.noise_sigma);
         out.image.at(x, y, ch) = clamp_pixel(
             kMid + bp.signal * sig + bp.distractor * dis + noise);

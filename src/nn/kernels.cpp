@@ -561,7 +561,11 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
   const std::int64_t n_dim = oh * ow;
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
-  float* col = ws.col(k_dim * n_dim);
+  // A 1x1 stride-1 unpadded conv's im2col matrix is its input plane
+  // itself ([C x H*W], same values, same layout), so the GEMM reads the
+  // input directly: bit-identical, minus one copy per layer.
+  const bool direct_1x1 = p.kernel == 1 && p.stride == 1 && p.pad == 0;
+  float* col = direct_1x1 ? nullptr : ws.col(k_dim * n_dim);
 
   // Weights as FP32 (expanded once per call for FP16 — exact).
   const float* wf;
@@ -577,13 +581,17 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
 
   for (std::int64_t b = 0; b < is.n; ++b) {
     const float* src = batch_as_f32(in, b, ws, ctx);
-    parallel_chunks(ctx, is.c, [&](int, std::int64_t c0, std::int64_t c1) {
-      im2col_rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh, ow,
-                  col);
-    });
+    const float* bmat = src;
+    if (!direct_1x1) {
+      parallel_chunks(ctx, is.c, [&](int, std::int64_t c0, std::int64_t c1) {
+        im2col_rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh,
+                    ow, col);
+      });
+      bmat = col;
+    }
 
-    // out[b] = W[outC x k_dim] * col[k_dim x n_dim], split by column
-    // range: each chunk owns a disjoint panel of col and of the output.
+    // out[b] = W[outC x k_dim] * B[k_dim x n_dim], split by column
+    // range: each chunk owns a disjoint panel of B and of the output.
     float* cf;
     if constexpr (std::is_same_v<T, float>) {
       cf = out.batch_ptr(b);
@@ -592,7 +600,7 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
     }
     parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
       tensor::gemm_f32(p.out_channels, j1 - j0, k_dim, 1.0f, wf, k_dim,
-                       col + j0, n_dim, 0.0f, cf + j0, n_dim);
+                       bmat + j0, n_dim, 0.0f, cf + j0, n_dim);
     });
 
     // Bias add. FP16 keeps the pre-PR order: round the accumulator to

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <random>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -16,6 +23,130 @@ DatasetConfig small_config() {
   cfg.subsets = 3;
   cfg.images_per_subset = 50;
   return cfg;
+}
+
+// FNV-1a over the generator's output. The expected digests below were
+// recorded from the generator before its wave planes were cached, so any
+// change to a single pixel, label or distractor fails them.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  void word(int v) {
+    const auto u = static_cast<std::uint32_t>(v);
+    for (int s = 0; s < 32; s += 8) byte(static_cast<std::uint8_t>(u >> s));
+  }
+  void image(const ncsw::imgproc::Image& img) {
+    word(img.width());
+    word(img.height());
+    for (const std::uint8_t p : img.pixels()) byte(p);
+  }
+  void sample(const LabeledImage& s) {
+    word(s.label);
+    word(s.distractor);
+    image(s.image);
+  }
+};
+
+/// (subset, index) pairs spread over the default 5 x 10000 layout,
+/// including both ends of every subset.
+std::vector<std::pair<int, int>> spread_coords() {
+  std::vector<std::pair<int, int>> out;
+  for (int s = 0; s < 5; ++s) {
+    for (const int i : {0, 1, 2, 17, 400, 1234, 5000 + s, 9998, 9999}) {
+      out.emplace_back(s, i);
+    }
+  }
+  return out;
+}
+
+TEST(Dataset, SampleBytesMatchRecordedDigest) {
+  const SyntheticImageNet data;
+  Digest d;
+  for (const auto& [s, i] : spread_coords()) d.sample(data.sample(s, i));
+  EXPECT_EQ(d.h, 0xc27b18f86028e404ULL);
+}
+
+TEST(Dataset, PrototypeBytesMatchRecordedDigest) {
+  const SyntheticImageNet data;
+  Digest d;
+  for (int c = 0; c < data.num_classes(); ++c) d.image(data.prototype(c));
+  EXPECT_EQ(d.h, 0xe726fa6ead970f29ULL);
+}
+
+TEST(Dataset, NonDefaultLayoutMatchesRecordedDigest) {
+  // A plane cache indexed with the default 48-pixel / 50-class stride
+  // cannot reproduce these bytes.
+  DatasetConfig cfg;
+  cfg.image_size = 40;
+  cfg.num_classes = 7;
+  cfg.subsets = 2;
+  cfg.images_per_subset = 64;
+  const SyntheticImageNet data(cfg);
+  Digest d;
+  for (int c = 0; c < cfg.num_classes; ++c) d.image(data.prototype(c));
+  for (int s = 0; s < cfg.subsets; ++s) {
+    for (int i = 0; i < cfg.images_per_subset; i += 3) {
+      d.sample(data.sample(s, i));
+    }
+  }
+  EXPECT_EQ(d.h, 0x3ff6bc6fb31defe6ULL);
+}
+
+TEST(Dataset, ConcurrentSamplesMatchSerial) {
+  // Eight threads share one generator and its wave-plane cache, each
+  // walking the images in a different order; every image must still
+  // equal the serial run's bytes.
+  constexpr std::size_t kThreads = 8;
+  constexpr int kImages = 48;
+  DatasetConfig cfg;
+  cfg.num_classes = 12;
+  cfg.subsets = 1;
+  cfg.images_per_subset = kImages;
+  std::vector<std::vector<std::uint8_t>> serial;
+  {
+    const SyntheticImageNet data(cfg);
+    for (int i = 0; i < kImages; ++i) {
+      serial.push_back(data.sample(0, i).image.pixels());
+    }
+  }
+  const SyntheticImageNet shared(cfg);
+  std::vector<std::vector<std::vector<std::uint8_t>>> got(
+      kThreads, std::vector<std::vector<std::uint8_t>>(kImages));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<int> order(kImages);
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(),
+                   std::mt19937(static_cast<std::uint32_t>(t) + 1));
+      for (const int i : order) {
+        got[t][static_cast<std::size_t>(i)] =
+            shared.sample(0, i).image.pixels();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], serial) << "thread " << t;
+  }
+}
+
+TEST(Dataset, CopiesOutliveTheOriginal) {
+  auto original = std::make_unique<SyntheticImageNet>(small_config());
+  const auto sample = original->sample(2, 9).image.pixels();
+  const auto proto = original->prototype(4).pixels();
+  SyntheticImageNet copy = *original;
+  DatasetConfig other = small_config();
+  other.seed = 7;
+  SyntheticImageNet assigned(other);
+  assigned = copy;
+  original.reset();
+  EXPECT_EQ(copy.sample(2, 9).image.pixels(), sample);
+  EXPECT_EQ(assigned.sample(2, 9).image.pixels(), sample);
+  EXPECT_EQ(assigned.prototype(4).pixels(), proto);
 }
 
 TEST(Dataset, RejectsBadConfigs) {

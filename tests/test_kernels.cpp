@@ -378,19 +378,32 @@ void expect_all_configs_bitwise_equal(const Op& op, const char* what) {
 }
 
 template <typename T>
-void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed) {
+struct ConvFixture {
+  Tensor<T> in;
+  LayerParams<T> p;
+  ConvParams cp;
+};
+
+template <typename T>
+ConvFixture<T> make_conv(const ConvCase& c, std::uint64_t seed) {
   const TensorF in_f = random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, seed);
   LayerParams<float> pf;
   pf.w = random_tensor(Shape{c.out_c, c.in_c, c.kernel, c.kernel}, seed + 1);
   pf.b = random_tensor(Shape{1, c.out_c, 1, 1}, seed + 2);
-  const Tensor<T> in = ncsw::tensor::tensor_cast<T>(in_f);
-  LayerParams<T> p;
-  p.w = ncsw::tensor::tensor_cast<T>(pf.w);
-  p.b = ncsw::tensor::tensor_cast<T>(pf.b);
-  const ConvParams cp{c.out_c, c.kernel, c.stride, c.pad};
+  ConvFixture<T> f;
+  f.in = ncsw::tensor::tensor_cast<T>(in_f);
+  f.p.w = ncsw::tensor::tensor_cast<T>(pf.w);
+  f.p.b = ncsw::tensor::tensor_cast<T>(pf.b);
+  f.cp = ConvParams{c.out_c, c.kernel, c.stride, c.pad};
+  return f;
+}
+
+template <typename T>
+void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed) {
+  const ConvFixture<T> f = make_conv<T>(c, seed);
   expect_all_configs_bitwise_equal<T>(
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
-        kernels::conv2d(in, p, cp, out, ctx);
+        kernels::conv2d(f.in, f.p, f.cp, out, ctx);
       },
       "conv2d");
 }
@@ -406,6 +419,56 @@ TEST(KernelBitIdentity, Conv2dAllConfigsBothPrecisions) {
     conv_bit_identity_case<half>(c, seed);
     seed += 10;
   }
+}
+
+// The exact tier feeds a 1x1 stride-1 unpadded conv's input straight to
+// the GEMM; strided or padded 1x1s and larger kernels go through im2col.
+// Run a sequence of both through one workspace, so a conv after the
+// direct path sees an im2col panel it never grew, and compare each
+// result with the reference kernel byte for byte.
+template <typename T>
+void pointwise_sequence_case(int batch, int threads) {
+  const ConvCase seq[] = {
+      {6, 7, 9, 5, 1, 1, 0, batch},  // direct
+      {5, 7, 9, 4, 3, 1, 1, batch},  // 3x3 right after the direct 1x1
+      {6, 7, 9, 5, 1, 2, 0, batch},  // strided 1x1: im2col
+      {6, 7, 9, 5, 1, 1, 1, batch},  // padded 1x1: im2col
+      {8, 5, 6, 3, 1, 1, 0, batch},  // direct again, over a grown panel
+  };
+  kernels::Workspace ws;
+  std::uint64_t seed = 7000;
+  for (const auto& c : seq) {
+    const ConvFixture<T> f = make_conv<T>(c, seed += 10);
+    Tensor<T> ref, got;
+    kernels::conv2d(f.in, f.p, f.cp, ref, reference_ctx());
+    kernels::conv2d(f.in, f.p, f.cp, got, threaded_ctx(ws, threads));
+    SCOPED_TRACE(::testing::Message()
+                 << "k" << c.kernel << " s" << c.stride << " p" << c.pad
+                 << " batch " << batch << " threads " << threads);
+    expect_bytes_equal(got, ref, "conv2d");
+  }
+}
+
+TEST(KernelBitIdentity, Conv2dPointwiseDirectAndIm2colPaths) {
+  for (const int batch : {1, 3}) {
+    for (const int threads : {1, 4}) {
+      pointwise_sequence_case<float>(batch, threads);
+      pointwise_sequence_case<half>(batch, threads);
+    }
+  }
+}
+
+TEST(Conv, PointwiseConvSkipsTheIm2colPanel) {
+  // An FP32 1x1/s1/p0 conv reads its input in place, so it leaves every
+  // workspace arena empty; the same conv at stride 2 needs the panel.
+  const ConvFixture<float> f = make_conv<float>({6, 7, 9, 5, 1, 1, 0, 2}, 9000);
+  kernels::Workspace ws;
+  TensorF out;
+  kernels::conv2d(f.in, f.p, f.cp, out, threaded_ctx(ws, 1));
+  EXPECT_EQ(ws.capacity_bytes(), 0u);
+  kernels::conv2d(f.in, f.p, ConvParams{5, 1, 2, 0}, out,
+                  threaded_ctx(ws, 1));
+  EXPECT_GT(ws.capacity_bytes(), 0u);
 }
 
 template <typename T>
