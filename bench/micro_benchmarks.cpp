@@ -5,6 +5,8 @@
 // which report simulated device time).
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "core/model.h"
 #include "core/stick_fleet.h"
 #include "dataset/synthetic.h"
@@ -51,27 +53,75 @@ void BM_HalfToFloat(benchmark::State& state) {
 }
 BENCHMARK(BM_HalfToFloat);
 
-void BM_GemmF32(benchmark::State& state) {
-  const auto n = state.range(0);
-  std::vector<float> a(n * n, 0.5f), b(n * n, 0.25f), c(n * n);
-  for (auto _ : state) {
-    ncsw::tensor::gemm_f32(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
-    benchmark::DoNotOptimize(c.data());
+// The exact GEMM at TinyGoogLeNet's conv shapes: M = output channels,
+// N = output pixels, K = input channels x kernel area (the stem's 7x7
+// over 3 channels, an inception 3x3, a 1x1 reduce and a late 3x3).
+// A and B carry the weights' and activations' spread of values, with
+// some exact zeros in A so the zero-skip branch is exercised as in a
+// real layer.
+void gemm_shape_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"M", "N", "K"});
+  for (const auto& s : {std::array<std::int64_t, 3>{16, 256, 147},
+                        std::array<std::int64_t, 3>{32, 64, 144},
+                        std::array<std::int64_t, 3>{16, 64, 16},
+                        std::array<std::int64_t, 3>{32, 16, 216}}) {
+    b->Args({s[0], s[1], s[2]});
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_GemmF32)->Arg(64)->Arg(128)->Arg(256);
+
+std::vector<float> gemm_operand(std::int64_t elems, std::uint64_t seed,
+                                double zero_frac) {
+  ncsw::util::Xoshiro256 rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(elems));
+  for (auto& x : v) {
+    x = rng.uniform(0.0, 1.0) < zero_frac
+            ? 0.0f
+            : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+void set_gemm_counters(benchmark::State& state, std::int64_t m,
+                       std::int64_t n, std::int64_t k) {
+  const double flops = static_cast<double>(2 * m * n * k);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_GemmF32(benchmark::State& state) {
+  const auto m = state.range(0), n = state.range(1), k = state.range(2);
+  const auto a = gemm_operand(m * k, 1, 0.05);
+  const auto b = gemm_operand(k * n, 2, 0.0);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    ncsw::tensor::gemm_f32(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, m, n, k);
+}
+BENCHMARK(BM_GemmF32)->Apply(gemm_shape_args);
 
 void BM_GemmF16(benchmark::State& state) {
-  const auto n = state.range(0);
-  std::vector<half> a(n * n, half(0.5f)), b(n * n, half(0.25f)), c(n * n);
+  const auto m = state.range(0), n = state.range(1), k = state.range(2);
+  std::vector<half> a(static_cast<std::size_t>(m * k));
+  std::vector<half> b(static_cast<std::size_t>(k * n));
+  std::vector<half> c(static_cast<std::size_t>(m * n));
+  const auto af = gemm_operand(m * k, 1, 0.05);
+  const auto bf = gemm_operand(k * n, 2, 0.0);
+  ncsw::fp16::float_to_half_span(af.data(), a.data(), a.size());
+  ncsw::fp16::float_to_half_span(bf.data(), b.data(), b.size());
+  ncsw::tensor::GemmScratch scratch;
   for (auto _ : state) {
-    ncsw::tensor::gemm_f16(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
+    ncsw::tensor::gemm_f16(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data(),
+                           &scratch);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  set_gemm_counters(state, m, n, k);
 }
-BENCHMARK(BM_GemmF16)->Arg(64)->Arg(128);
+BENCHMARK(BM_GemmF16)->Apply(gemm_shape_args);
 
 void BM_Conv3x3(benchmark::State& state) {
   using namespace ncsw::nn;

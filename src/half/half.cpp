@@ -4,7 +4,7 @@
 
 #include "util/multiversion.h"
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#ifdef NCSW_TARGET_F16C
 #include <immintrin.h>
 #endif
 
@@ -92,11 +92,6 @@ const float* half_to_float_table() noexcept {
   return table;
 }
 
-void half_to_float_span(const half* src, float* dst, std::size_t n) noexcept {
-  const float* table = half_to_float_table();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = table[src[i].bits()];
-}
-
 namespace {
 
 // Branch-reduced RTNE float -> half encode (the Giesen "fast3" scheme):
@@ -134,36 +129,46 @@ inline std::uint16_t encode_half_rtne(std::uint32_t f) noexcept {
   return static_cast<std::uint16_t>(o | (sign >> 16));
 }
 
-}  // namespace
+void h2f_span_table(const half* src, float* dst, std::size_t n) noexcept {
+  const float* table = half_to_float_table();
+  for (std::size_t i = 0; i < n; ++i) dst[i] = table[src[i].bits()];
+}
 
-void float_to_half_span(const float* src, half* dst, std::size_t n) noexcept {
+void f2h_span_encoder(const float* src, half* dst, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     dst[i] = half::from_bits(encode_half_rtne(float_bits(src[i])));
   }
 }
 
-// --- fast-tier span converters --------------------------------------------
-// F16C hardware conversion (vcvtph2ps / vcvtps2ph with round-to-nearest-
-// even) behind the same runtime ISA dispatch as the fast kernels. The
-// instructions implement the identical IEEE conversion as the scalar
-// encoders for all numeric values; only NaN payloads differ (hardware
-// truncates the payload, the scalar encoder canonicalises), which is why
-// these are fast-tier-only entry points.
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-
-namespace {
+// F16C hardware conversion, 8 lanes at a time: vcvtph2ps is exact and
+// vcvtps2ph with an explicit round-to-nearest-even immediate is the same
+// IEEE conversion as the software encoder, so every number, zero and
+// infinity gets the software path's bits. NaNs are the one difference:
+// the hardware keeps (and quietens) the payload, while the software
+// paths keep a half NaN's payload bit for bit on decode and collapse a
+// float NaN to the canonical quiet NaN on encode. Any 8-lane block that
+// holds a NaN therefore goes through the software path instead; the
+// tail (n % 8) always does.
+#ifdef NCSW_TARGET_F16C
 
 NCSW_TARGET_F16C void h2f_span_f16c(const half* src, float* dst,
                                     std::size_t n) noexcept {
+  const __m128i abs_mask = _mm_set1_epi16(0x7fff);
+  const __m128i inf_bits = _mm_set1_epi16(0x7c00);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m128i h =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+    // |h| > 0x7c00 (a signed compare is fine: |h| <= 0x7fff) is a NaN.
+    const __m128i nan =
+        _mm_cmpgt_epi16(_mm_and_si128(h, abs_mask), inf_bits);
+    if (_mm_movemask_epi8(nan) != 0) {
+      h2f_span_table(src + i, dst + i, 8);
+    } else {
+      _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+    }
   }
-  const float* table = half_to_float_table();
-  for (; i < n; ++i) dst[i] = table[src[i].bits()];
+  h2f_span_table(src + i, dst + i, n - i);
 }
 
 NCSW_TARGET_F16C void f2h_span_f16c(const float* src, half* dst,
@@ -171,48 +176,41 @@ NCSW_TARGET_F16C void f2h_span_f16c(const float* src, half* dst,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 v = _mm256_loadu_ps(src + i);
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(dst + i),
-        _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+    if (_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0) {
+      f2h_span_encoder(src + i, dst + i, 8);
+    } else {
+      _mm_storeu_si128(
+          reinterpret_cast<__m128i*>(dst + i),
+          _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+    }
   }
-  for (; i < n; ++i) {
-    dst[i] = half::from_bits(encode_half_rtne(float_bits(src[i])));
-  }
-}
-
-}  // namespace
-
-void half_to_float_span_fast(const half* src, float* dst,
-                             std::size_t n) noexcept {
-  if (util::isa_level() != util::IsaLevel::kBase) {
-    h2f_span_f16c(src, dst, n);
-  } else {
-    half_to_float_span(src, dst, n);
-  }
-}
-
-void float_to_half_span_fast(const float* src, half* dst,
-                             std::size_t n) noexcept {
-  if (util::isa_level() != util::IsaLevel::kBase) {
-    f2h_span_f16c(src, dst, n);
-  } else {
-    float_to_half_span(src, dst, n);
-  }
-}
-
-#else
-
-void half_to_float_span_fast(const half* src, float* dst,
-                             std::size_t n) noexcept {
-  half_to_float_span(src, dst, n);
-}
-
-void float_to_half_span_fast(const float* src, half* dst,
-                             std::size_t n) noexcept {
-  float_to_half_span(src, dst, n);
+  f2h_span_encoder(src + i, dst + i, n - i);
 }
 
 #endif
+
+}  // namespace
+
+// Every ISA level above the baseline includes F16C.
+void half_to_float_span(const half* src, float* dst, std::size_t n) noexcept {
+#ifdef NCSW_TARGET_F16C
+  if (util::isa_level() != util::IsaLevel::kBase) {
+    h2f_span_f16c(src, dst, n);
+    return;
+  }
+#endif
+  h2f_span_table(src, dst, n);
+}
+
+void float_to_half_span(const float* src, half* dst, std::size_t n) noexcept {
+#ifdef NCSW_TARGET_F16C
+  if (util::isa_level() != util::IsaLevel::kBase) {
+    f2h_span_f16c(src, dst, n);
+    return;
+  }
+#endif
+  f2h_span_encoder(src, dst, n);
+}
 
 float half_bits_to_float(std::uint16_t bits) noexcept {
   const std::uint32_t sign = static_cast<std::uint32_t>(bits & 0x8000u) << 16;

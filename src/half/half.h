@@ -29,29 +29,18 @@ class half;
 const float* half_to_float_table() noexcept;
 
 /// Bulk binary16 -> binary32 decode, bit-identical to calling
-/// half_bits_to_float per element (table-driven; src/dst may not overlap).
+/// half_bits_to_float per element, NaN payloads included (src/dst may not
+/// overlap). Runs 8 lanes at a time through F16C when the machine has
+/// it; an 8-lane block holding a NaN, and the n % 8 tail, take the table.
 void half_to_float_span(const half* src, float* dst, std::size_t n) noexcept;
 
 /// Bulk binary32 -> binary16 encode with round-to-nearest-even,
-/// bit-identical to calling float_to_half_bits per element (branch-reduced
-/// bit twiddling; src/dst may not overlap).
+/// bit-identical to calling float_to_half_bits per element, NaNs
+/// collapsing to the canonical quiet NaN (src/dst may not overlap). Runs
+/// 8 lanes at a time through F16C when the machine has it; an 8-lane
+/// block holding a NaN, and the n % 8 tail, take the branch-reduced
+/// software encoder.
 void float_to_half_span(const float* src, half* dst, std::size_t n) noexcept;
-
-// Fast-tier span converters (docs/performance.md): identical values to
-// the bit-exact spans above for every number, zero and infinity, but
-// routed through the F16C conversion instructions when the machine has
-// them, which also means NaNs keep their hardware payload instead of
-// collapsing to the canonical quiet NaN. Only the opt-in fast tier may
-// call these; the default tier's golden digests are recorded against
-// the table/bit-twiddling spans.
-
-/// Fast-tier bulk binary16 -> binary32 decode (F16C when available).
-void half_to_float_span_fast(const half* src, float* dst,
-                             std::size_t n) noexcept;
-
-/// Fast-tier bulk binary32 -> binary16 RTNE encode (F16C when available).
-void float_to_half_span_fast(const float* src, half* dst,
-                             std::size_t n) noexcept;
 
 /// IEEE binary16 value type. Storage is the raw 16-bit pattern;
 /// arithmetic widens to float and rounds back, matching host-side

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "nn/direct_conv.h"
 #include "tensor/gemm.h"
 
 namespace ncsw::nn::kernels {
@@ -258,176 +259,10 @@ const float* batch_as_f32(const Tensor<T>& in, std::int64_t b, Workspace& ws,
     float* buf = ws.acts(chw);
     const half* src = in.batch_ptr(b);
     parallel_chunks(ctx, chw, [&](int, std::int64_t e0, std::int64_t e1) {
-      if (ctx.fast) {
-        ncsw::fp16::half_to_float_span_fast(
-            src + e0, buf + e0, static_cast<std::size_t>(e1 - e0));
-      } else {
-        ncsw::fp16::half_to_float_span(src + e0, buf + e0,
-                                       static_cast<std::size_t>(e1 - e0));
-      }
+      ncsw::fp16::half_to_float_span(src + e0, buf + e0,
+                                     static_cast<std::size_t>(e1 - e0));
     });
     return buf;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fast-tier direct 3x3 convolution: no im2col patch matrix. The interior
-// of each output row is computed in NR x 8 register tiles (NR output
-// channels by 8 output columns — the same microkernel shape as the
-// blocked GEMM) reading the input planes in place; columns whose taps
-// can fall outside the image take a guarded scalar path. Bias and the
-// fused ReLU are applied at store, so the direct path writes each output
-// element exactly once. Every element is accumulated in the same fixed
-// (c, ky, kx) order on both paths, so results do not depend on tile
-// boundaries or chunking.
-template <int NR>
-NCSW_FAST_INLINE void direct3x3_rows_impl(
-    const float* src, std::int64_t channels, std::int64_t h, std::int64_t w,
-    int stride, int pad, std::int64_t oh, std::int64_t ow, const float* wgt,
-    const float* bias, bool fuse_relu, float* dst) noexcept {
-  const std::int64_t n_dim = oh * ow;
-  // Interior ox range: all three taps ox*stride - pad + {0,1,2} in bounds.
-  const std::int64_t x_lo = std::min<std::int64_t>(
-      ow, (static_cast<std::int64_t>(pad) + stride - 1) / stride);
-  const std::int64_t x_hi = std::max(
-      x_lo, std::min<std::int64_t>(
-                ow, w - 3 + pad >= 0 ? (w - 3 + pad) / stride + 1 : 0));
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    const std::int64_t iy0 = oy * stride - pad;
-    float* out_row = dst + oy * ow;
-    // Guarded scalar columns: the padded edges and the interior tail
-    // that does not fill a tile.
-    const auto scalar_cols = [&](std::int64_t c0, std::int64_t c1) {
-      for (std::int64_t ox = c0; ox < c1; ++ox) {
-        const std::int64_t base = ox * stride - pad;
-        float acc[NR];
-        for (int r = 0; r < NR; ++r) acc[r] = bias[r];
-        for (std::int64_t c = 0; c < channels; ++c) {
-          const float* plane = src + c * h * w;
-          for (int ky = 0; ky < 3; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= h) continue;
-            const float* srow = plane + iy * w;
-            for (int kx = 0; kx < 3; ++kx) {
-              const std::int64_t ix = base + kx;
-              if (ix < 0 || ix >= w) continue;
-              const float v = srow[ix];
-              for (int r = 0; r < NR; ++r) {
-                acc[r] += wgt[(r * channels + c) * 9 + ky * 3 + kx] * v;
-              }
-            }
-          }
-        }
-        for (int r = 0; r < NR; ++r) {
-          out_row[r * n_dim + ox] =
-              fuse_relu && acc[r] < 0.0f ? 0.0f : acc[r];
-        }
-      }
-    };
-    scalar_cols(0, x_lo);
-    // Interior tiles, NCSW_V8F per 8 output columns (see
-    // util/multiversion.h for why the vector type is explicit). The
-    // unaligned tap loads srow[kx..kx+7] require stride == 1, which the
-    // direct-path heuristic in conv2d_fast guarantees.
-    std::int64_t ox0 = x_lo;
-    for (; ox0 + 8 <= x_hi; ox0 += 8) {
-      NCSW_V8F acc[NR];
-      for (int r = 0; r < NR; ++r) acc[r] = bias[r] + NCSW_V8F{};
-      const std::int64_t base = ox0 * stride - pad;
-      for (std::int64_t c = 0; c < channels; ++c) {
-        const float* plane = src + c * h * w;
-        for (int ky = 0; ky < 3; ++ky) {
-          const std::int64_t iy = iy0 + ky;
-          if (iy < 0 || iy >= h) continue;
-          const float* srow = plane + iy * w + base;
-          for (int kx = 0; kx < 3; ++kx) {
-            const NCSW_V8F v = *reinterpret_cast<const NCSW_V8F*>(srow + kx);
-            for (int r = 0; r < NR; ++r) {
-              acc[r] += wgt[(r * channels + c) * 9 + ky * 3 + kx] * v;
-            }
-          }
-        }
-      }
-      for (int r = 0; r < NR; ++r) {
-        for (int j = 0; j < 8; ++j) {
-          const float x = acc[r][j];
-          out_row[r * n_dim + ox0 + j] = fuse_relu && x < 0.0f ? 0.0f : x;
-        }
-      }
-    }
-    scalar_cols(ox0, ow);
-  }
-}
-
-// Per-ISA variants and dispatchers (util/multiversion.h); templates
-// cannot carry the target attribute, so the two instantiations get plain
-// multiversioned wrappers.
-NCSW_TARGET_V3 void direct3x3_rows4_v3(
-    const float* src, std::int64_t channels, std::int64_t h, std::int64_t w,
-    int stride, int pad, std::int64_t oh, std::int64_t ow, const float* wgt,
-    const float* bias, bool fuse_relu, float* dst) noexcept {
-  direct3x3_rows_impl<4>(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-}
-NCSW_TARGET_V4 void direct3x3_rows4_v4(
-    const float* src, std::int64_t channels, std::int64_t h, std::int64_t w,
-    int stride, int pad, std::int64_t oh, std::int64_t ow, const float* wgt,
-    const float* bias, bool fuse_relu, float* dst) noexcept {
-  direct3x3_rows_impl<4>(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-}
-NCSW_TARGET_V3 void direct3x3_rows1_v3(
-    const float* src, std::int64_t channels, std::int64_t h, std::int64_t w,
-    int stride, int pad, std::int64_t oh, std::int64_t ow, const float* wgt,
-    const float* bias, bool fuse_relu, float* dst) noexcept {
-  direct3x3_rows_impl<1>(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-}
-NCSW_TARGET_V4 void direct3x3_rows1_v4(
-    const float* src, std::int64_t channels, std::int64_t h, std::int64_t w,
-    int stride, int pad, std::int64_t oh, std::int64_t ow, const float* wgt,
-    const float* bias, bool fuse_relu, float* dst) noexcept {
-  direct3x3_rows_impl<1>(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-}
-
-void direct3x3_rows4(const float* src, std::int64_t channels, std::int64_t h,
-                     std::int64_t w, int stride, int pad, std::int64_t oh,
-                     std::int64_t ow, const float* wgt, const float* bias,
-                     bool fuse_relu, float* dst) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      direct3x3_rows4_v4(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-      break;
-    case util::IsaLevel::kV3:
-      direct3x3_rows4_v3(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-      break;
-    default:
-      direct3x3_rows_impl<4>(src, channels, h, w, stride, pad, oh, ow, wgt,
-                             bias, fuse_relu, dst);
-      break;
-  }
-}
-
-void direct3x3_rows1(const float* src, std::int64_t channels, std::int64_t h,
-                     std::int64_t w, int stride, int pad, std::int64_t oh,
-                     std::int64_t ow, const float* wgt, const float* bias,
-                     bool fuse_relu, float* dst) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      direct3x3_rows1_v4(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-      break;
-    case util::IsaLevel::kV3:
-      direct3x3_rows1_v3(src, channels, h, w, stride, pad, oh, ow, wgt, bias,
-                         fuse_relu, dst);
-      break;
-    default:
-      direct3x3_rows_impl<1>(src, channels, h, w, stride, pad, oh, ow, wgt,
-                             bias, fuse_relu, dst);
-      break;
   }
 }
 
@@ -614,18 +449,15 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
               for (std::int64_t i = 0; i < n_dim; ++i) dst[i] += bias;
             }
           } else {
-            const float* table = ncsw::fp16::half_to_float_table();
+            const auto len = static_cast<std::size_t>(n_dim);
             for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = table[params.b[oc].bits()];
+              const float bias = static_cast<float>(params.b[oc]);
               float* row = cf + oc * n_dim;
               half* dst = out.batch_ptr(b) + oc * n_dim;
-              ncsw::fp16::float_to_half_span(
-                  row, dst, static_cast<std::size_t>(n_dim));
-              for (std::int64_t i = 0; i < n_dim; ++i) {
-                row[i] = table[dst[i].bits()] + bias;
-              }
-              ncsw::fp16::float_to_half_span(
-                  row, dst, static_cast<std::size_t>(n_dim));
+              ncsw::fp16::float_to_half_span(row, dst, len);
+              ncsw::fp16::half_to_float_span(dst, row, len);
+              for (std::int64_t i = 0; i < n_dim; ++i) row[i] += bias;
+              ncsw::fp16::float_to_half_span(row, dst, len);
             }
           }
         });
@@ -647,11 +479,15 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
       }
     });
   } else {
+    // A half is < 0 exactly when its sign is set and its magnitude is
+    // non-zero and at most infinity (0x7c00): bits in [0x8001, 0xfc00].
+    // -0 and NaNs stay as they are, as in the float comparison.
     half* data = x.data();
-    const float* table = ncsw::fp16::half_to_float_table();
     parallel_chunks(ctx, n, [&](int, std::int64_t e0, std::int64_t e1) {
       for (std::int64_t i = e0; i < e1; ++i) {
-        if (table[data[i].bits()] < 0.0f) data[i] = half{};
+        const std::uint16_t bits = data[i].bits();
+        const bool negative = bits > 0x8000u && bits <= 0xfc00u;
+        data[i] = half::from_bits(negative ? std::uint16_t{0} : bits);
       }
     });
   }
@@ -712,15 +548,9 @@ void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
                  if constexpr (std::is_same_v<T, float>) {
                    sf = src;
                  } else {
-                   float* buf = base;
-                   if (ctx.fast) {
-                     ncsw::fp16::half_to_float_span_fast(
-                         src, buf, static_cast<std::size_t>(is.hw()));
-                   } else {
-                     ncsw::fp16::half_to_float_span(
-                         src, buf, static_cast<std::size_t>(is.hw()));
-                   }
-                   sf = buf;
+                   ncsw::fp16::half_to_float_span(
+                       src, base, static_cast<std::size_t>(is.hw()));
+                   sf = base;
                  }
                  if (fast3) {
                    float* outf;
@@ -732,7 +562,7 @@ void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
                    max_pool3_plane(sf, is.h, is.w, stride, pad, oh, ow, vbuf,
                                    outf);
                    if constexpr (!std::is_same_v<T, float>) {
-                     ncsw::fp16::float_to_half_span_fast(
+                     ncsw::fp16::float_to_half_span(
                          outf, dst, static_cast<std::size_t>(oh * ow));
                    }
                    continue;
@@ -791,13 +621,8 @@ void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
             sf = src;
           } else {
             float* buf = scratch + t * is.hw();
-            if (ctx.fast) {
-              ncsw::fp16::half_to_float_span_fast(
-                  src, buf, static_cast<std::size_t>(is.hw()));
-            } else {
-              ncsw::fp16::half_to_float_span(
-                  src, buf, static_cast<std::size_t>(is.hw()));
-            }
+            ncsw::fp16::half_to_float_span(src, buf,
+                                           static_cast<std::size_t>(is.hw()));
             sf = buf;
           }
           for (std::int64_t oy = 0; oy < oh; ++oy) {
@@ -911,15 +736,9 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
                   res[i] = vc[i] / std::pow(scale, p.beta);
                 }
               }
-              if (ctx.fast) {
-                ncsw::fp16::float_to_half_span_fast(
-                    res, out.data() + (b * is.c + c) * hw,
-                    static_cast<std::size_t>(hw));
-              } else {
-                ncsw::fp16::float_to_half_span(
-                    res, out.data() + (b * is.c + c) * hw,
-                    static_cast<std::size_t>(hw));
-              }
+              ncsw::fp16::float_to_half_span(
+                  res, out.data() + (b * is.c + c) * hw,
+                  static_cast<std::size_t>(hw));
             }
           }
         });
@@ -1047,11 +866,11 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
       auto& wpanel = ws.gemm().a;
       const auto wcount = static_cast<std::size_t>(p.out_channels * k_dim);
       if (wpanel.size() < wcount) wpanel.resize(wcount);
-      ncsw::fp16::half_to_float_span_fast(params.w.data(), wpanel.data(),
-                                          wcount);
+      ncsw::fp16::half_to_float_span(params.w.data(), wpanel.data(),
+                                     wcount);
       wf = wpanel.data();
       float* bpanel = ws.bias(p.out_channels);
-      ncsw::fp16::half_to_float_span_fast(
+      ncsw::fp16::half_to_float_span(
           params.b.data(), bpanel, static_cast<std::size_t>(p.out_channels));
       bf = bpanel;
     }
@@ -1100,14 +919,15 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
                   std::min<std::int64_t>(4, p.out_channels - oc0);
               float* dst = cf + oc0 * n_dim;
               if (nr == 4) {
-                direct3x3_rows4(src, is.c, is.h, is.w, p.stride, p.pad, oh,
-                                ow, wf + oc0 * k_dim, bf + oc0, fuse_relu,
-                                dst);
+                detail::direct3x3_rows4(src, is.c, is.h, is.w, p.stride,
+                                        p.pad, oh, ow, wf + oc0 * k_dim,
+                                        bf + oc0, fuse_relu, dst);
               } else {
                 for (std::int64_t r = 0; r < nr; ++r) {
-                  direct3x3_rows1(src, is.c, is.h, is.w, p.stride, p.pad, oh,
-                                  ow, wf + (oc0 + r) * k_dim, bf + oc0 + r,
-                                  fuse_relu, dst + r * n_dim);
+                  detail::direct3x3_rows1(
+                      src, is.c, is.h, is.w, p.stride, p.pad, oh, ow,
+                      wf + (oc0 + r) * k_dim, bf + oc0 + r, fuse_relu,
+                      dst + r * n_dim);
                 }
               }
             }
@@ -1116,7 +936,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
         parallel_chunks(
             ctx, p.out_channels,
             [&](int, std::int64_t oc0, std::int64_t oc1) {
-              ncsw::fp16::float_to_half_span_fast(
+              ncsw::fp16::float_to_half_span(
                   cf + oc0 * n_dim, out.batch_ptr(b) + oc0 * n_dim,
                   static_cast<std::size_t>((oc1 - oc0) * n_dim));
             });
@@ -1157,7 +977,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
                 for (std::int64_t i = 0; i < n_dim; ++i) row[i] += bias;
               }
               if constexpr (!std::is_same_v<T, float>) {
-                ncsw::fp16::float_to_half_span_fast(
+                ncsw::fp16::float_to_half_span(
                     row, out.batch_ptr(b) + oc * n_dim,
                     static_cast<std::size_t>(n_dim));
               }

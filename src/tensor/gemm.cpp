@@ -3,7 +3,14 @@
 #include <algorithm>
 #include <vector>
 
+#include "tensor/gemm_detail.h"
 #include "util/multiversion.h"
+
+// The exact kernels below must produce the reference kernels' bits on
+// every ISA, so this TU is built with -ffp-contract=off
+// (src/CMakeLists.txt): the x86-64-v3 instantiation of the register tile
+// multiplies and adds in two roundings, exactly like the baseline one.
+// The fast-tier kernels, which may fuse, live in gemm_fast.cpp.
 
 namespace ncsw::tensor {
 
@@ -14,72 +21,124 @@ constexpr std::int64_t kBlockM = 64;
 constexpr std::int64_t kBlockN = 128;
 constexpr std::int64_t kBlockK = 256;
 
-// Register micro-tile. Every output element still accumulates its k terms
-// in ascending order with the same per-term arithmetic as the reference
-// kernel (av = alpha * a[i,kk], skipped when zero), so results are
-// bit-identical: the accumulators are loaded from C before the k-slice
-// and stored after it, which is the same value chain as accumulating in
-// memory.
-constexpr std::int64_t kTileM = 4;
-constexpr std::int64_t kTileN = 8;
-
-// Full 4x8 tile: a points at the tile's first row, b at the tile's first
-// column, c at the tile's top-left element; kk runs over [k0, k1).
-inline void tile_4x8(std::int64_t k0, std::int64_t k1, float alpha,
-                     const float* a, std::int64_t lda, const float* b,
-                     std::int64_t ldb, float* c, std::int64_t ldc) noexcept {
-  float acc[kTileM][kTileN];
-  for (std::int64_t r = 0; r < kTileM; ++r) {
-    for (std::int64_t j = 0; j < kTileN; ++j) acc[r][j] = c[r * ldc + j];
+// Register micro-tile: R rows x V*8 columns of C held in NCSW_V8F
+// accumulators (4x16 = 8 accumulators for full tiles). Every output
+// element still accumulates its k terms in ascending order with the same
+// per-term arithmetic as the reference kernel (av = alpha * a[i,kk],
+// the term skipped when av is zero, which also leaves a -0 accumulator
+// alone), so results are bit-identical: the accumulators are loaded from
+// C before the k-slice and stored after it, which is the same value
+// chain as accumulating in memory, and a lane of `av * b` is the scalar
+// product of that lane. The vector type rather than scalar loops keeps
+// the tile in registers at full width (see util/multiversion.h).
+//
+// The row panel computes the tile rows' av values for the k-slice once
+// (`av[kk * R + r]`) together with a per-kk flag for "some row's av is
+// zero", so the common all-non-zero step runs without per-row branches.
+// b points at the tile's first column, c at its top-left element.
+template <int R, int V>
+NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
+                           const bool* any_zero, const float* b,
+                           std::int64_t ldb, float* c,
+                           std::int64_t ldc) noexcept {
+  NCSW_V8F acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = *reinterpret_cast<const NCSW_V8F*>(c + r * ldc + v * 8);
+    }
   }
-  for (std::int64_t kk = k0; kk < k1; ++kk) {
+  for (std::int64_t kk = 0; kk < kn; ++kk) {
     const float* brow = b + kk * ldb;
-    const float av0 = alpha * a[0 * lda + kk];
-    const float av1 = alpha * a[1 * lda + kk];
-    const float av2 = alpha * a[2 * lda + kk];
-    const float av3 = alpha * a[3 * lda + kk];
-    if (av0 != 0.0f) {
-      for (std::int64_t j = 0; j < kTileN; ++j) acc[0][j] += av0 * brow[j];
+    NCSW_V8F bv[V];
+    for (int v = 0; v < V; ++v) {
+      bv[v] = *reinterpret_cast<const NCSW_V8F*>(brow + v * 8);
     }
-    if (av1 != 0.0f) {
-      for (std::int64_t j = 0; j < kTileN; ++j) acc[1][j] += av1 * brow[j];
-    }
-    if (av2 != 0.0f) {
-      for (std::int64_t j = 0; j < kTileN; ++j) acc[2][j] += av2 * brow[j];
-    }
-    if (av3 != 0.0f) {
-      for (std::int64_t j = 0; j < kTileN; ++j) acc[3][j] += av3 * brow[j];
+    const float* avk = av + kk * R;
+    if (!any_zero[kk]) {
+      for (int r = 0; r < R; ++r) {
+        for (int v = 0; v < V; ++v) acc[r][v] += avk[r] * bv[v];
+      }
+    } else {
+      for (int r = 0; r < R; ++r) {
+        if (avk[r] == 0.0f) continue;
+        for (int v = 0; v < V; ++v) acc[r][v] += avk[r] * bv[v];
+      }
     }
   }
-  for (std::int64_t r = 0; r < kTileM; ++r) {
-    for (std::int64_t j = 0; j < kTileN; ++j) c[r * ldc + j] = acc[r][j];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      *reinterpret_cast<NCSW_V8F*>(c + r * ldc + v * 8) = acc[r][v];
+    }
   }
 }
 
-// Ragged edge (rows < kTileM and/or cols < kTileN): plain memory
-// accumulation, same term order.
-inline void tile_edge(std::int64_t rows, std::int64_t cols, std::int64_t k0,
-                      std::int64_t k1, float alpha, const float* a,
-                      std::int64_t lda, const float* b, std::int64_t ldb,
-                      float* c, std::int64_t ldc) noexcept {
-  for (std::int64_t r = 0; r < rows; ++r) {
+// Ragged column edge (cols < 8): plain memory accumulation, same term
+// order.
+template <int R>
+NCSW_FAST_INLINE void tile_edge(std::int64_t cols, std::int64_t kn,
+                                const float* av, const float* b,
+                                std::int64_t ldb, float* c,
+                                std::int64_t ldc) noexcept {
+  for (int r = 0; r < R; ++r) {
     float* crow = c + r * ldc;
-    const float* arow = a + r * lda;
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      const float av = alpha * arow[kk];
-      if (av == 0.0f) continue;
+    for (std::int64_t kk = 0; kk < kn; ++kk) {
+      const float avr = av[kk * R + r];
+      if (avr == 0.0f) continue;
       const float* brow = b + kk * ldb;
-      for (std::int64_t j = 0; j < cols; ++j) crow[j] += av * brow[j];
+      for (std::int64_t j = 0; j < cols; ++j) crow[j] += avr * brow[j];
     }
   }
 }
 
-// C (+)= alpha * A*B over pre-initialised C (the beta prologue has
-// already run). Strided row-major panels.
-void accumulate_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
-                        float alpha, const float* a, std::int64_t lda,
-                        const float* b, std::int64_t ldb, float* c,
-                        std::int64_t ldc) noexcept {
+// R rows of C over columns [j0, j1) and the k-slice [k0, k1): 16-wide
+// tiles, then one 8-wide tile, then the scalar edge. a points at the
+// panel's first row, b at B's first row, c at the panel's first row.
+template <int R>
+NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
+                                std::int64_t k0, std::int64_t k1, float alpha,
+                                const float* a, std::int64_t lda,
+                                const float* b, std::int64_t ldb, float* c,
+                                std::int64_t ldc) noexcept {
+  const std::int64_t kn = k1 - k0;
+  float av[kBlockK * R] = {};
+  bool any_zero[kBlockK] = {};
+  for (std::int64_t kk = 0; kk < kn; ++kk) {
+    bool zero = false;
+    for (int r = 0; r < R; ++r) {
+      const float x = alpha * a[r * lda + k0 + kk];
+      av[kk * R + r] = x;
+      zero = zero || x == 0.0f;
+    }
+    any_zero[kk] = zero;
+  }
+  const float* bk = b + k0 * ldb;
+  std::int64_t j = j0;
+  for (; j + 16 <= j1; j += 16) {
+    tile<R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+  }
+  if (j + 8 <= j1) {
+    tile<R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    j += 8;
+  }
+  if (j < j1) tile_edge<R>(j1 - j, kn, av, bk + j, ldb, c + j, ldc);
+}
+
+// C = alpha * A*B + beta * C over strided row-major panels: scale/clear
+// C first so the blocked accumulation can always add.
+NCSW_FAST_INLINE void gemm_f32_body(std::int64_t m, std::int64_t n,
+                                    std::int64_t k, float alpha,
+                                    const float* a, std::int64_t lda,
+                                    const float* b, std::int64_t ldb,
+                                    float beta, float* c,
+                                    std::int64_t ldc) noexcept {
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    if (beta == 0.0f) {
+      std::fill(crow, crow + n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
+  }
   for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
     const std::int64_t i1 = std::min(i0 + kBlockM, m);
     for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
@@ -87,20 +146,13 @@ void accumulate_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
         const std::int64_t j1 = std::min(j0 + kBlockN, n);
         std::int64_t i = i0;
-        for (; i + kTileM <= i1; i += kTileM) {
-          std::int64_t j = j0;
-          for (; j + kTileN <= j1; j += kTileN) {
-            tile_4x8(k0, k1, alpha, a + i * lda, lda, b + j, ldb,
-                     c + i * ldc + j, ldc);
-          }
-          if (j < j1) {
-            tile_edge(kTileM, j1 - j, k0, k1, alpha, a + i * lda, lda, b + j,
-                      ldb, c + i * ldc + j, ldc);
-          }
+        for (; i + 4 <= i1; i += 4) {
+          row_panel<4>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
+                       c + i * ldc, ldc);
         }
-        if (i < i1) {
-          tile_edge(i1 - i, j1 - j0, k0, k1, alpha, a + i * lda, lda, b + j0,
-                    ldb, c + i * ldc + j0, ldc);
+        for (; i < i1; ++i) {
+          row_panel<1>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
+                       c + i * ldc, ldc);
         }
       }
     }
@@ -116,6 +168,25 @@ inline float* panel(std::vector<float>& v, std::int64_t count) {
 }
 }  // namespace
 
+namespace detail {
+
+void gemm_f32_base(std::int64_t m, std::int64_t n, std::int64_t k,
+                   float alpha, const float* a, std::int64_t lda,
+                   const float* b, std::int64_t ldb, float beta, float* c,
+                   std::int64_t ldc) noexcept {
+  gemm_f32_body(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+NCSW_TARGET_V3 void gemm_f32_v3(std::int64_t m, std::int64_t n,
+                                std::int64_t k, float alpha, const float* a,
+                                std::int64_t lda, const float* b,
+                                std::int64_t ldb, float beta, float* c,
+                                std::int64_t ldc) noexcept {
+  gemm_f32_body(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+}  // namespace detail
+
 void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c) noexcept {
   gemm_f32(m, n, k, alpha, a, k, b, n, beta, c, n);
@@ -125,16 +196,13 @@ void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, std::int64_t lda, const float* b,
               std::int64_t ldb, float beta, float* c,
               std::int64_t ldc) noexcept {
-  // Scale / clear C first so the blocked accumulation below can always add.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
+  // x86-64-v4 hosts run the v3 variant too: the tile is 8-lane, so an
+  // AVX-512 build of it would issue the same ymm operations.
+  if (util::isa_level() != util::IsaLevel::kBase) {
+    detail::gemm_f32_v3(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  } else {
+    detail::gemm_f32_base(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
   }
-  accumulate_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -152,15 +220,10 @@ void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   float* cf = panel(s.c, m * n);
   ncsw::fp16::half_to_float_span(a, af, static_cast<std::size_t>(m * k));
   ncsw::fp16::half_to_float_span(b, bf, static_cast<std::size_t>(k * n));
-  if (beta == 0.0f) {
-    std::fill(cf, cf + m * n, 0.0f);
-  } else {
+  if (beta != 0.0f) {
     ncsw::fp16::half_to_float_span(c, cf, static_cast<std::size_t>(m * n));
-    if (beta != 1.0f) {
-      for (std::int64_t i = 0; i < m * n; ++i) cf[i] *= beta;
-    }
   }
-  accumulate_blocked(m, n, k, alpha, af, k, bf, n, cf, n);
+  gemm_f32(m, n, k, alpha, af, k, bf, n, beta, cf, n);
   ncsw::fp16::float_to_half_span(cf, c, static_cast<std::size_t>(m * n));
 }
 
@@ -199,225 +262,6 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
       acc += av * xf[kk];
     }
     y[i] = ncsw::fp16::half(acc);
-  }
-}
-
-namespace {
-
-// Register micro-tile of the fast-tier GEMM: NR rows x 16 columns,
-// accumulated over the full k extent in registers and stored once
-// (no C round-trips). 6x16 fills the AVX2 register file (12 ymm
-// accumulators + broadcast + B row).
-//
-// Written with NCSW_V8F explicitly rather than scalar loops: GCC 12's
-// loop/SLP vectorizer only produces wide code for this kernel when the
-// strides are compile-time constants (e.g. in a .constprop clone); the
-// general runtime-stride version degrades to spilled 16-byte code,
-// ~15x slower. The generic-vector form lowers directly to the widest
-// ISA of the enclosing variant with no cost-model involvement, and the
-// scalar * vector products broadcast without insert chains.
-template <int NR>
-NCSW_FAST_INLINE void tile_fast_nx16(std::int64_t k, const float* a,
-                                     std::int64_t lda, const float* b,
-                                     std::int64_t ldb, float* c,
-                                     std::int64_t ldc) noexcept {
-  NCSW_V8F acc[NR][2]{};
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * ldb;
-    const NCSW_V8F b0 = *reinterpret_cast<const NCSW_V8F*>(brow);
-    const NCSW_V8F b1 = *reinterpret_cast<const NCSW_V8F*>(brow + 8);
-    for (int r = 0; r < NR; ++r) {
-      const float av = a[r * lda + kk];
-      acc[r][0] += av * b0;
-      acc[r][1] += av * b1;
-    }
-  }
-  for (int r = 0; r < NR; ++r) {
-    *reinterpret_cast<NCSW_V8F*>(c + r * ldc) = acc[r][0];
-    *reinterpret_cast<NCSW_V8F*>(c + r * ldc + 8) = acc[r][1];
-  }
-}
-
-// Scalar edge of the fast GEMM (row/column tails); same ascending-k
-// accumulation order per element as the tiles.
-NCSW_FAST_INLINE void edge_fast(std::int64_t rows, std::int64_t cols,
-                                std::int64_t k, const float* a,
-                                std::int64_t lda, const float* b,
-                                std::int64_t ldb, float* c,
-                                std::int64_t ldc) noexcept {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * lda;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * ldb + j];
-      c[r * ldc + j] = acc;
-    }
-  }
-}
-
-NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
-                                         std::int64_t k, const float* a,
-                                         std::int64_t lda, const float* b,
-                                         std::int64_t ldb, float* c,
-                                         std::int64_t ldc) noexcept {
-  std::int64_t i = 0;
-  for (; i + 6 <= m; i += 6) {
-    std::int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      tile_fast_nx16<6>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc);
-    }
-    if (j < n) edge_fast(6, n - j, k, a + i * lda, lda, b + j, ldb,
-                         c + i * ldc + j, ldc);
-  }
-  if (i < m) {
-    std::int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      switch (m - i) {
-        case 1:
-          tile_fast_nx16<1>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 2:
-          tile_fast_nx16<2>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 3:
-          tile_fast_nx16<3>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 4:
-          tile_fast_nx16<4>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        default:
-          tile_fast_nx16<5>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-      }
-    }
-    if (j < n) edge_fast(m - i, n - j, k, a + i * lda, lda, b + j, ldb,
-                         c + i * ldc + j, ldc);
-  }
-}
-
-NCSW_FAST_INLINE void gemm_s8_body(std::int64_t m, std::int64_t n,
-                                   std::int64_t k, const std::int8_t* a,
-                                   const std::int8_t* b,
-                                   std::int32_t* c) noexcept {
-  // i/kk/j order: the inner j loop reads one dense row of B and streams
-  // one dense row of C, which vectorises (widen to i16/i32, multiply,
-  // add) without any transposition.
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int32_t* crow = c + i * n;
-    std::fill(crow, crow + n, 0);
-    const std::int8_t* arow = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const std::int32_t av = arow[kk];
-      if (av == 0) continue;
-      const std::int8_t* brow = b + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] += av * static_cast<std::int32_t>(brow[j]);
-      }
-    }
-  }
-}
-
-NCSW_FAST_INLINE void gemv_s8_body(std::int64_t m, std::int64_t k,
-                                   const std::int8_t* a, const std::int8_t* x,
-                                   std::int32_t* y) noexcept {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    std::int32_t acc = 0;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      acc += static_cast<std::int32_t>(arow[kk]) *
-             static_cast<std::int32_t>(x[kk]);
-    }
-    y[i] = acc;
-  }
-}
-
-// Per-ISA variants of the fast-tier bodies (util/multiversion.h).
-NCSW_TARGET_V3 void gemm_f32_fast_v3(std::int64_t m, std::int64_t n,
-                                     std::int64_t k, const float* a,
-                                     std::int64_t lda, const float* b,
-                                     std::int64_t ldb, float* c,
-                                     std::int64_t ldc) noexcept {
-  gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
-}
-NCSW_TARGET_V4 void gemm_f32_fast_v4(std::int64_t m, std::int64_t n,
-                                     std::int64_t k, const float* a,
-                                     std::int64_t lda, const float* b,
-                                     std::int64_t ldb, float* c,
-                                     std::int64_t ldc) noexcept {
-  gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
-}
-NCSW_TARGET_V3 void gemm_s8_v3(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* b,
-                               std::int32_t* c) noexcept {
-  gemm_s8_body(m, n, k, a, b, c);
-}
-NCSW_TARGET_V4 void gemm_s8_v4(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* b,
-                               std::int32_t* c) noexcept {
-  gemm_s8_body(m, n, k, a, b, c);
-}
-NCSW_TARGET_V3 void gemv_s8_v3(std::int64_t m, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* x,
-                               std::int32_t* y) noexcept {
-  gemv_s8_body(m, k, a, x, y);
-}
-NCSW_TARGET_V4 void gemv_s8_v4(std::int64_t m, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* x,
-                               std::int32_t* y) noexcept {
-  gemv_s8_body(m, k, a, x, y);
-}
-
-}  // namespace
-
-void gemm_f32_fast(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float* a, std::int64_t lda, const float* b,
-                   std::int64_t ldb, float* c, std::int64_t ldc) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      gemm_f32_fast_v4(m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-    case util::IsaLevel::kV3:
-      gemm_f32_fast_v3(m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-    default:
-      gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
-      break;
-  }
-}
-
-void gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      gemm_s8_v4(m, n, k, a, b, c);
-      break;
-    case util::IsaLevel::kV3:
-      gemm_s8_v3(m, n, k, a, b, c);
-      break;
-    default:
-      gemm_s8_body(m, n, k, a, b, c);
-      break;
-  }
-}
-
-void gemv_s8(std::int64_t m, std::int64_t k, const std::int8_t* a,
-             const std::int8_t* x, std::int32_t* y) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      gemv_s8_v4(m, k, a, x, y);
-      break;
-    case util::IsaLevel::kV3:
-      gemv_s8_v3(m, k, a, x, y);
-      break;
-    default:
-      gemv_s8_body(m, k, a, x, y);
-      break;
   }
 }
 

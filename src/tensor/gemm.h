@@ -6,12 +6,15 @@
 // practical FP16 GEMM behaves); the result is rounded to FP16 per element.
 //
 // Implementation notes (docs/performance.md): the FP32 kernel is
-// cache-blocked with a 4x8 register-accumulator micro-tile; the FP16
-// kernel expands the half operands to FP32 panels once and reuses the
-// FP32 kernel. Both are bit-identical to the pre-PR scalar kernels,
-// which are kept as gemm_*_ref for A/B benching and the golden tests:
-// every output element accumulates its k terms in the same ascending
-// order with the same per-term arithmetic, so no rounding changes.
+// cache-blocked with a 4x16 vector register-accumulator micro-tile,
+// instantiated at baseline and x86-64-v3 (AVX2) and dispatched at run
+// time; its TU is built with FP contraction off, so the AVX2 variant
+// never fuses a multiply-add. The FP16 kernel expands the half operands
+// to FP32 panels once and reuses the FP32 kernel. Both are bit-identical
+// to the pre-PR scalar kernels on every ISA, which are kept as
+// gemm_*_ref for A/B benching and the golden tests: every output element
+// accumulates its k terms in the same ascending order with the same
+// per-term arithmetic, so no rounding changes.
 #pragma once
 
 #include <cstdint>

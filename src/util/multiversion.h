@@ -1,11 +1,13 @@
-// Manual function multiversioning for the fast-tier kernels
-// (docs/performance.md). A hot kernel is written once as a force-inlined
-// body, instantiated into per-ISA variants (baseline, x86-64-v3 =
-// AVX2+FMA, x86-64-v4 = AVX-512) with NCSW_TARGET_V3/V4, and dispatched
-// once at first call via isa_level(). This keeps the rest of the tree —
-// in particular every bit-identical kernel, whose results must not
-// depend on the ISA the compiler targets — on the portable baseline
-// codegen, while the opt-in fast tier gets wide vectors and FMA.
+// Manual function multiversioning (docs/performance.md). A hot kernel
+// is written once as a force-inlined body, instantiated into per-ISA
+// variants (baseline, x86-64-v3 = AVX2+FMA, x86-64-v4 = AVX-512) with
+// NCSW_TARGET_V3/V4, and dispatched once at first call via isa_level().
+// The fast tier's kernels get wide vectors and FMA this way; the exact
+// tier's GEMM and span converters get wide vectors only, because
+// src/CMakeLists.txt compiles every library TU with -ffp-contract=off
+// and only the fast-tier TUs opt back in. Bit-identity therefore
+// follows from the contraction flag, not from the ISA the compiler
+// happens to target.
 //
 // GCC's target_clones attribute is deliberately NOT used: as of GCC 12
 // it pessimises the cloned bodies (accumulator arrays spill to the
@@ -15,7 +17,7 @@
 //
 // On toolchains/architectures without the target attribute the macros
 // expand to nothing, every variant compiles as baseline code, and the
-// fast tier simply runs at baseline speed.
+// kernels simply run at baseline speed.
 #pragma once
 
 namespace ncsw::util {
@@ -26,8 +28,18 @@ enum class IsaLevel { kBase, kV3, kV4 };
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 // GCC only: clang spells the target attribute differently ("arch=" takes
 // CPU names, not feature levels) and falls back to baseline codegen.
-#define NCSW_TARGET_V3 __attribute__((target("arch=x86-64-v3")))
-#define NCSW_TARGET_V4 __attribute__((target("arch=x86-64-v4")))
+// The levels are spelled as features added to the baseline flags, not
+// as "arch=x86-64-v3": a variant must enable a superset of the
+// baseline's features for the always_inline body to inline into it, and
+// an "arch=" level drops whatever the baseline has beyond it (AVX-512
+// under -march=native, AES under -march=haswell). On a baseline that
+// already covers a level the attribute adds nothing and the variant is
+// the body at baseline codegen.
+#define NCSW_TARGET_V3 \
+  __attribute__((target("avx2,fma,f16c,bmi,bmi2,lzcnt,movbe,popcnt")))
+#define NCSW_TARGET_V4                                                   \
+  __attribute__((target("avx2,fma,f16c,bmi,bmi2,lzcnt,movbe,popcnt,"   \
+                        "avx512f,avx512bw,avx512cd,avx512dq,avx512vl")))
 // For the F16C span converters: AVX + the conversion instructions only,
 // so they also run on pre-AVX2 machines that still have F16C.
 #define NCSW_TARGET_F16C __attribute__((target("avx,f16c")))
@@ -61,8 +73,9 @@ inline IsaLevel isa_level() noexcept { return IsaLevel::kBase; }
 #define NCSW_FAST_INLINE inline __attribute__((always_inline))
 
 // 8-lane FP32 vector in GCC's generic vector extension, 4-byte aligned
-// so it loads/stores from arbitrary float*. Fast-tier kernels write
-// their hot loops against this type instead of scalar arrays because
+// so it loads/stores from arbitrary float*. The fast-tier kernels and
+// the exact GEMM tile write their hot loops against this type instead
+// of scalar arrays because
 // GCC 12's auto-vectorizer only emits wide code for those loops when
 // the panel strides are compile-time constants; the generic-vector
 // form lowers unconditionally to the widest ISA the enclosing function

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <tuple>
 #include <vector>
 
+#include "tensor/gemm_detail.h"
+#include "util/multiversion.h"
 #include "util/rng.h"
 
 namespace {
@@ -305,6 +309,111 @@ TEST(GemmScratchReuse, ResultsUnaffectedAndCapacityMonotonic) {
     last_cap = scratch.capacity_bytes();
   }
   EXPECT_GT(last_cap, 0u);
+}
+
+// --- the exact GEMM's per-ISA instantiations ------------------------------
+// gemm_f32 dispatches to a baseline or an x86-64-v3 build of one body.
+// Each is pinned here directly against the reference kernel, so a host
+// that dispatches to one still checks the other (the v3 one wherever the
+// machine can run it).
+
+using ExactGemm = void (*)(std::int64_t, std::int64_t, std::int64_t, float,
+                           const float*, std::int64_t, const float*,
+                           std::int64_t, float, float*, std::int64_t) noexcept;
+
+struct Instantiation {
+  const char* name;
+  ExactGemm fn;
+  bool runnable;
+};
+
+std::vector<Instantiation> exact_instantiations() {
+  return {{"base", ncsw::tensor::detail::gemm_f32_base, true},
+          {"v3", ncsw::tensor::detail::gemm_f32_v3,
+           ncsw::util::isa_level() != ncsw::util::IsaLevel::kBase}};
+}
+
+// A with exact zeros and -0 entries (skipped terms), C seeded with -0 in
+// places (an all-skipped element must keep it), B with -0 too.
+std::vector<float> signed_zero_mix(std::int64_t elems, std::uint64_t seed) {
+  auto v = random_matrix_with_zeros(elems, seed);
+  for (std::size_t i = 0; i < v.size(); i += 5) v[i] = -0.0f;
+  return v;
+}
+
+TEST(GemmExactIsa, EachInstantiationMatchesReferenceBitwise) {
+  // Ragged shapes around the 4x16 tile and the 256-deep k block: m % 4,
+  // n % 16 and n % 8 all non-zero somewhere, k crossing kBlockK.
+  const std::tuple<int, int, int> shapes[] = {
+      {4, 16, 16}, {5, 17, 300}, {7, 23, 257}, {3, 9, 513},
+      {16, 256, 147}, {32, 64, 144}, {13, 40, 600}, {1, 7, 5}};
+  for (const auto& inst : exact_instantiations()) {
+    if (!inst.runnable) continue;
+    for (const auto& [m, n, k] : shapes) {
+      const auto a = signed_zero_mix(m * k, 300 + m);
+      const auto b = signed_zero_mix(k * n, 400 + n);
+      for (float alpha : {1.0f, 0.75f, -1.5f}) {
+        for (float beta : {0.0f, 1.0f, 0.5f}) {
+          auto c_ref = signed_zero_mix(m * n, 500 + k);
+          auto c_opt = c_ref;
+          inst.fn(m, n, k, alpha, a.data(), k, b.data(), n, beta,
+                  c_opt.data(), n);
+          ncsw::tensor::gemm_f32_ref(m, n, k, alpha, a.data(), b.data(), beta,
+                                     c_ref.data());
+          ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
+                                   c_opt.size() * sizeof(float)))
+              << inst.name << " m=" << m << " n=" << n << " k=" << k
+              << " alpha=" << alpha << " beta=" << beta;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmExactIsa, AllZeroRowKeepsNegativeZeroAccumulator) {
+  // A zero row of A skips every term, so beta = 1 leaves C exactly as it
+  // was, -0 included (adding +0 products would turn -0 into +0).
+  const std::int64_t m = 5, n = 19, k = 260;
+  std::vector<float> a(static_cast<std::size_t>(m * k), 0.0f);
+  std::fill(a.begin(), a.begin() + k, -0.0f);  // row 0 is -0, the rest +0
+  const auto b = random_matrix(k * n, 7);
+  for (const auto& inst : exact_instantiations()) {
+    if (!inst.runnable) continue;
+    std::vector<float> c(static_cast<std::size_t>(m * n), -0.0f);
+    inst.fn(m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, c.data(), n);
+    for (const float v : c) {
+      ASSERT_TRUE(v == 0.0f && std::signbit(v)) << inst.name;
+    }
+  }
+}
+
+TEST(GemmExactIsa, NeverFusesMultiplyAdd) {
+  // Negative control for FP contraction. With a = b = 1 + 2^-12 and
+  // C = -1, the product rounds to 1 + 2^-11 (the 2^-24 term is a tie,
+  // rounded to even), so mul-then-add gives 2^-11 while a fused
+  // multiply-add keeps the 2^-24 term. Every element of a full 4x16 tile
+  // and of the ragged edge takes exactly that one term.
+  const float x = 1.0f + 0x1.0p-12f;
+  const float fused = std::fma(x, x, -1.0f);
+  const std::int64_t m = 5, n = 21, k = 1;
+  const std::vector<float> a(static_cast<std::size_t>(m * k), x);
+  const std::vector<float> b(static_cast<std::size_t>(k * n), x);
+  std::vector<float> c_ref(static_cast<std::size_t>(m * n), -1.0f);
+  ncsw::tensor::gemm_f32_ref(m, n, k, 1.0f, a.data(), b.data(), 1.0f,
+                             c_ref.data());
+  ASSERT_NE(fused, c_ref[0]) << "operands do not separate fma from mul+add";
+  EXPECT_EQ(0x1.0p-11f, c_ref[0]);
+  std::vector<float> c(static_cast<std::size_t>(m * n), -1.0f);
+  gemm_f32(m, n, k, 1.0f, a.data(), b.data(), 1.0f, c.data());
+  EXPECT_EQ(0, std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)));
+  for (const auto& inst : exact_instantiations()) {
+    if (!inst.runnable) continue;
+    std::vector<float> ci(static_cast<std::size_t>(m * n), -1.0f);
+    inst.fn(m, n, k, 1.0f, a.data(), k, b.data(), n, 1.0f, ci.data(), n);
+    EXPECT_EQ(0, std::memcmp(ci.data(), c_ref.data(),
+                             ci.size() * sizeof(float)))
+        << inst.name;
+  }
 }
 
 }  // namespace

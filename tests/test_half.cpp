@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace {
 
@@ -313,6 +318,174 @@ TEST(HalfSpan, RoundTripThroughSpansIsIdentityForFinite) {
     }
     ASSERT_EQ(src[b].bits(), back[b].bits()) << "half bits=" << b;
   }
+}
+
+// --- F16C blocks and their NaN fallback ----------------------------------
+// On machines with F16C the spans convert 8 lanes at a time in hardware
+// and send any 8-lane block holding a NaN, and the n % 8 tail, through
+// the software path. These tests place NaNs in every lane position and
+// convert from several start offsets, so blocks straddle different
+// elements and the tail length varies.
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+float float_of(std::uint32_t u) {
+  float f = 0.0f;
+  std::memcpy(&f, &u, sizeof(f));
+  return f;
+}
+
+// Decode `src` through the span from several start offsets (so 8-lane
+// blocks straddle different elements and the tail length varies) and
+// require the scalar decoder's bits for every element.
+void expect_decode_matches(const std::vector<half>& src) {
+  std::vector<float> dst(src.size());
+  for (std::size_t start : {0, 1, 3, 7}) {
+    const std::size_t n = src.size() - start;
+    ncsw::fp16::half_to_float_span(src.data() + start, dst.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint16_t b = src[start + i].bits();
+      ASSERT_EQ(bits_of(half_bits_to_float(b)), bits_of(dst[i]))
+          << "start=" << start << " i=" << i << " half bits=0x" << std::hex
+          << b;
+    }
+  }
+}
+
+// The encode counterpart: every element must get float_to_half_bits.
+void expect_encode_matches_at_offsets(const std::vector<float>& src) {
+  std::vector<half> dst(src.size());
+  for (std::size_t start : {0, 1, 3, 7}) {
+    const std::size_t n = src.size() - start;
+    ncsw::fp16::float_to_half_span(src.data() + start, dst.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(float_to_half_bits(src[start + i]), dst[i].bits())
+          << "start=" << start << " i=" << i << " float bits=0x" << std::hex
+          << bits_of(src[start + i]);
+    }
+  }
+}
+
+constexpr std::uint16_t kHalfNaNs[] = {0x7c01, 0x7d55, 0x7dff, 0x7e00,
+                                       0x7e01, 0x7fff, 0xfc01, 0xfdff,
+                                       0xfe00, 0xffff};
+constexpr std::uint32_t kFloatNaNs[] = {0x7f800001u, 0x7f8aaaaau, 0x7fbfffffu,
+                                        0x7fc00000u, 0x7fc00001u, 0x7fffffffu,
+                                        0xff800001u, 0xffc00000u, 0xffffffffu};
+
+TEST(HalfSpan, DecodeMatchesTableOnEveryPatternIncludingNaN) {
+  // All 65536 patterns through the span against the table: numbers take
+  // the hardware conversion, and blocks holding signalling or quiet NaNs
+  // keep their payload bit for bit.
+  std::vector<half> src(65536);
+  for (std::uint32_t b = 0; b < 65536; ++b) {
+    src[b] = half::from_bits(static_cast<std::uint16_t>(b));
+  }
+  std::vector<float> spanned(65536);
+  ncsw::fp16::half_to_float_span(src.data(), spanned.data(), src.size());
+  const float* table = ncsw::fp16::half_to_float_table();
+  for (std::uint32_t b = 0; b < 65536; ++b) {
+    ASSERT_EQ(bits_of(table[b]), bits_of(spanned[b]))
+        << "half bits 0x" << std::hex << b;
+  }
+}
+
+TEST(HalfSpan, DecodeMatchesScalarWithNaNsMixedIntoEveryBlock) {
+  // All 65536 patterns in an order that scatters the 2046 NaNs across
+  // blocks of numbers (40503 is odd, so i * 40503 mod 2^16 is a
+  // permutation).
+  std::vector<half> src(65536);
+  for (std::uint32_t i = 0; i < 65536; ++i) {
+    src[i] = half::from_bits(static_cast<std::uint16_t>(i * 40503u));
+  }
+  expect_decode_matches(src);
+  // One NaN at each lane position of an otherwise numeric block.
+  for (const std::uint16_t nan : kHalfNaNs) {
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      std::vector<half> v;
+      for (std::uint16_t b = 0x3c00; v.size() < 29; b += 97) {
+        v.push_back(half::from_bits(b));
+      }
+      v[8 + lane] = half::from_bits(nan);
+      expect_decode_matches(v);
+    }
+  }
+}
+
+TEST(HalfSpan, EncodeMatchesScalarWithNaNsMixedIntoEveryBlock) {
+  for (const std::uint32_t nan : kFloatNaNs) {
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      std::vector<float> v;
+      for (int i = 0; i < 29; ++i) v.push_back(0.37f * static_cast<float>(i));
+      v[8 + lane] = float_of(nan);
+      expect_encode_matches_at_offsets(v);
+    }
+  }
+}
+
+TEST(HalfSpan, EncodeMatchesScalarOnRandomNumerics) {
+  // Round-to-nearest-even boundaries, subnormals, overflow, zeros and
+  // infinities over a random spread of magnitudes.
+  std::vector<float> src;
+  ncsw::util::Xoshiro256 rng(91);
+  for (int i = 0; i < 4096; ++i) {
+    src.push_back(static_cast<float>(rng.uniform(-70000.0, 70000.0)));
+    src.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)) * 1e-6f);
+  }
+  for (const float s : {0.0f, -0.0f, 65504.0f, 65520.0f, -65520.0f, 5.96e-8f,
+                        6.1e-5f, 1.0009765f,
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    src.push_back(s);
+  }
+  expect_encode_matches_at_offsets(src);
+}
+
+// Every one of the 2^32 float bit patterns through float_to_half_span
+// against float_to_half_bits, split across threads. Each thread encodes
+// its range in spans of 4093 (odd, so the 8-lane blocks drift against
+// the bit patterns and every span ends in a tail); the NaN ranges start
+// and end mid-block. A few seconds of work, so it carries the ctest
+// label `exhaustive` (tests/CMakeLists.txt) for runs that skip it.
+TEST(HalfSpanExhaustive, EncodeMatchesScalarOnAllFloats) {
+  constexpr std::uint64_t kTotal = std::uint64_t{1} << 32;
+  constexpr std::size_t kSpan = 4093;
+  const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
+  std::atomic<std::uint64_t> mismatches{0};
+  std::atomic<std::uint64_t> first_bad{kTotal};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      std::vector<float> src(kSpan);
+      std::vector<half> dst(kSpan);
+      const std::uint64_t lo = kTotal * t / threads;
+      const std::uint64_t hi = kTotal * (t + 1) / threads;
+      for (std::uint64_t base = lo; base < hi; base += kSpan) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kSpan, hi - base));
+        for (std::size_t i = 0; i < n; ++i) {
+          src[i] = float_of(static_cast<std::uint32_t>(base + i));
+        }
+        ncsw::fp16::float_to_half_span(src.data(), dst.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (dst[i].bits() == float_to_half_bits(src[i])) continue;
+          ++mismatches;
+          std::uint64_t seen = first_bad.load();
+          while (base + i < seen &&
+                 !first_bad.compare_exchange_weak(seen, base + i)) {
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(0u, mismatches.load())
+      << "first mismatching float bits 0x" << std::hex << first_bad.load();
 }
 
 }  // namespace

@@ -489,6 +489,20 @@ TEST(KernelBitIdentity, ReluAllConfigsBothPrecisions) {
   relu_bit_identity_case<half>();
 }
 
+TEST(KernelBitIdentity, HalfReluMatchesReferenceOnEveryBitPattern) {
+  // The FP16 ReLU tests bits instead of comparing the widened float;
+  // every pattern (±0, subnormals, ±inf, NaNs of both signs) must come
+  // out as the reference's float comparison leaves it.
+  Tensor<half> ref(Shape{1, 1, 256, 256});
+  for (std::uint32_t b = 0; b < 65536; ++b) {
+    ref.data()[b] = half::from_bits(static_cast<std::uint16_t>(b));
+  }
+  Tensor<half> opt = ref;
+  kernels::relu(ref, reference_ctx());
+  kernels::relu(opt, kernels::ExecCtx{});
+  expect_bytes_equal(opt, ref, "relu");
+}
+
 template <typename T>
 void pool_bit_identity_case(const PoolParams& pp, const Shape& shape,
                             std::uint64_t seed) {
