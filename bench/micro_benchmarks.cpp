@@ -1,14 +1,20 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
 // conversion, GEMM, convolution, USB reservation, the chip model, the
-// dataset generator, functional inference and zoo graph swaps. These
+// dataset generator, functional inference, zoo graph swaps and the
+// cluster's serving loop. These
 // measure *this host's* real performance (unlike the figure harnesses,
 // which report simulated device time).
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
+#include <string>
 
+#include "cluster/cluster.h"
+#include "core/host_target.h"
 #include "core/model.h"
 #include "core/stick_fleet.h"
+#include "core/vpu_target.h"
 #include "dataset/synthetic.h"
 #include "half/half.h"
 #include "imgproc/ppm.h"
@@ -17,6 +23,7 @@
 #include "nn/executor.h"
 #include "nn/googlenet.h"
 #include "mdk/mdk.h"
+#include "serve/arrivals.h"
 #include "sim/resource.h"
 #include "sipp/filters.h"
 #include "tensor/gemm.h"
@@ -237,6 +244,73 @@ void BM_StickFleetSwap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StickFleetSwap);
+
+// Host cost of the cluster's own loop per request, on perfbench's
+// cluster-ladder shape: 8 nodes (CPU + GPU each, plus an 8-stick VPU on
+// node 0), 16 models, replication 2, node 1 crashed for the middle
+// quarter, and 10k Poisson requests at 0.8x the calibrated capacity.
+// Only Cluster::run is timed; each iteration gets fresh targets.
+void BM_ClusterRun(benchmark::State& state) {
+  constexpr int kNodes = 8, kModels = 16;
+  constexpr std::int64_t kRequests = 10000;
+  const auto bundle = ncsw::core::ModelBundle::googlenet_reference();
+  ncsw::core::VpuTargetConfig vcfg;
+  vcfg.devices = 8;
+  const double capacity =
+      kNodes * (ncsw::core::make_cpu_target(bundle)->run_timed(1000, 8)
+                    .throughput() +
+                ncsw::core::make_gpu_target(bundle)->run_timed(1000, 8)
+                    .throughput()) +
+      ncsw::core::VpuTarget(bundle, vcfg).run_timed(1000, 8).throughput();
+
+  ncsw::serve::PoissonArrivals arrivals(0.8 * capacity, 1);
+  ncsw::util::Xoshiro256 mix(2);
+  std::vector<ncsw::serve::Request> trace(kRequests);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = static_cast<std::int64_t>(i);
+    trace[i].arrival_s = arrivals.next();
+    const double c = mix.uniform();
+    trace[i].slo = c < 0.20   ? ncsw::serve::SloClass::kInteractive
+                   : c < 0.80 ? ncsw::serve::SloClass::kStandard
+                              : ncsw::serve::SloClass::kBatch;
+    trace[i].tag = "m" + std::to_string(mix.uniform_int(0, kModels - 1));
+  }
+  const double span_s = trace.back().arrival_s;
+
+  ncsw::cluster::ClusterConfig cfg;
+  cfg.node.queue_capacity = 32;
+  cfg.node.max_batch = 8;
+  cfg.node.inflight_window = 2;
+  cfg.trace_requests = false;
+  cfg.models = kModels;
+  cfg.faults.add(/*device=*/1, ncsw::sim::FaultKind::kNodeCrash,
+                 0.375 * span_s, 0.25 * span_s);
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<std::unique_ptr<ncsw::core::HostTarget>> hosts;
+    std::vector<std::vector<ncsw::core::Target*>> nodes(kNodes);
+    for (auto& node : nodes) {
+      hosts.push_back(ncsw::core::make_cpu_target(bundle));
+      node.push_back(hosts.back().get());
+      hosts.push_back(ncsw::core::make_gpu_target(bundle));
+      node.push_back(hosts.back().get());
+    }
+    ncsw::core::VpuTarget vpu(bundle, vcfg);
+    nodes[0].push_back(&vpu);
+    ncsw::cluster::Cluster cl(std::move(nodes), cfg);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cl.run(trace).completed);
+    state.PauseTiming();  // keep the teardown untimed
+    hosts.clear();
+    state.ResumeTiming();
+  }
+  // Seconds per request (printed with an SI prefix, e.g. "1.9us").
+  state.counters["per_req"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kRequests,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ClusterRun)->Unit(benchmark::kMillisecond);
 
 void BM_DatasetSample(benchmark::State& state) {
   ncsw::dataset::DatasetConfig cfg;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <map>
 #include <memory>
+#include <numeric>
 #include <queue>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -35,9 +34,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using Kind = serve::LoopEventKind;
 
 /// Cluster-side lifetime of one request id across all of its copies
-/// (the original, failover replays, and hedge duplicates).
+/// (the original, failover replays, and hedge duplicates). Ledgers, like
+/// the events below, are indexed by the request's position in the
+/// trace, which also holds the payload replays and hedges re-offer.
 struct Ledger {
-  serve::Request req;        ///< payload for replays / hedges
+  int model = 0;             ///< interned model index
   int live = 0;              ///< copies currently queued or in flight
   int replays = 0;
   int hedges = 0;
@@ -54,7 +55,7 @@ struct Ledger {
 /// processing after the session call returns (observer callbacks must
 /// not re-enter the session).
 struct FinEvent {
-  serve::Request req;
+  std::size_t pos = 0;
   serve::Outcome outcome = serve::Outcome::kCompleted;
   serve::DropReason reason = serve::DropReason::kNone;
   double at_s = 0.0;
@@ -67,7 +68,7 @@ struct FinEvent {
 struct HedgeTimer {
   double fire_s = 0.0;
   std::int64_t seq = 0;
-  std::int64_t id = 0;
+  std::size_t pos = 0;
   int node = -1;  ///< node the armed copy was dispatched on
 
   bool operator>(const HedgeTimer& o) const noexcept {
@@ -79,7 +80,7 @@ struct HedgeTimer {
 /// A request awaiting failover replay; `evicted_s` feeds the failover
 /// latency rollup when the replayed copy completes.
 struct ReplayItem {
-  serve::Request req;
+  std::size_t pos = 0;
   double evicted_s = 0.0;
 };
 
@@ -119,6 +120,33 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   ClusterReport report;
   HashRing ring(n_nodes, config_.vnodes, config_.ring_seed);
 
+  // ---- ingestion: request id -> trace position, model key -> index ----
+  // A request's model key is its tag, or "m<id % models>" when the tag
+  // is empty; the default catalogue "m0".."m<models-1>" takes indices
+  // 0..models-1. Every later lookup is by position and index.
+  std::unordered_map<std::int64_t, std::size_t> pos_of;
+  pos_of.reserve(requests.size());
+  std::vector<Ledger> ledger(requests.size());
+  std::unordered_map<std::string, int> model_index;
+  std::vector<std::uint64_t> model_hash;  // ring key of each model
+  auto intern = [&](const std::string& key) {
+    auto [it, fresh] =
+        model_index.try_emplace(key, static_cast<int>(model_hash.size()));
+    if (fresh) model_hash.push_back(HashRing::hash_key(key));
+    return it->second;
+  };
+  for (int m = 0; m < config_.models; ++m) intern("m" + std::to_string(m));
+  const auto models = static_cast<std::int64_t>(config_.models);
+  for (std::size_t p = 0; p < requests.size(); ++p) {
+    const serve::Request& req = requests[p];
+    if (!pos_of.emplace(req.id, p).second) {
+      throw std::invalid_argument("Cluster::run: duplicate request id");
+    }
+    ledger[p].model = intern(
+        req.tag.empty() ? "m" + std::to_string(req.id % models) : req.tag);
+  }
+  const int n_models = static_cast<int>(model_hash.size());
+
   // The serving verifier (check/serve_check.h) shadows the ledger:
   // first-completion-wins delivery, live-copy counts, and end-of-run
   // conservation. Every hook is a no-op in kOff mode.
@@ -152,7 +180,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   // ---- shared event state (filled by observers, drained between
   // session calls; observers never re-enter a session) ----
-  std::map<std::int64_t, Ledger> ledger;
   std::deque<FinEvent> fins;
   std::deque<ReplayItem> replays;
   std::deque<ReplayItem> parked;
@@ -184,7 +211,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     std::deque<FinEvent>* fins = nullptr;
     std::priority_queue<HedgeTimer, std::vector<HedgeTimer>,
                         std::greater<HedgeTimer>>* hedges = nullptr;
-    std::map<std::int64_t, Ledger>* ledger = nullptr;
+    std::vector<Ledger>* ledger = nullptr;
+    const std::unordered_map<std::int64_t, std::size_t>* pos_of = nullptr;
     std::int64_t* hedge_seq = nullptr;
     double hedge_slack_s = 0.0;
     int max_hedges = 0;
@@ -192,14 +220,15 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
     void on_dispatched(const serve::Request& req, double /*dispatch_s*/,
                        double promised_complete_s) override {
-      Ledger& led = (*ledger)[req.id];
+      const std::size_t pos = pos_of->at(req.id);
+      Ledger& led = (*ledger)[pos];
       led.last_node = node;
       // Arm a hedge against the *promised* completion: if the node
       // wedges, the observed completion slips past this timer and the
       // duplicate fires; if the promise holds, the timer is a no-op.
       if (hedge_slack_s > 0.0 && led.hedges < max_hedges) {
         hedges->push({promised_complete_s + hedge_slack_s, (*hedge_seq)++,
-                      req.id, node});
+                      pos, node});
       }
     }
     void on_batch_completed(int /*target*/, double dispatch_s,
@@ -222,7 +251,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     }
     void on_finished(const serve::Request& req, serve::Outcome outcome,
                      serve::DropReason reason, double at_s) override {
-      fins->push_back({req, outcome, reason, at_s, node});
+      fins->push_back({pos_of->at(req.id), outcome, reason, at_s, node});
     }
   };
   std::vector<NodeObserver> observers(static_cast<std::size_t>(n_nodes));
@@ -236,6 +265,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     ob.fins = &fins;
     ob.hedges = &hedges;
     ob.ledger = &ledger;
+    ob.pos_of = &pos_of;
     ob.hedge_seq = &hedge_seq;
     ob.hedge_slack_s = config_.hedge_slack_s;
     ob.max_hedges = config_.max_hedges;
@@ -261,31 +291,25 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   }
   g_up.set(static_cast<double>(n_nodes));
 
-  // ---- model catalogue -> replica preference lists ----
-  std::unordered_map<std::string, std::vector<int>> prefs_of;
-  auto prefs_for = [&](const std::string& model) -> const std::vector<int>& {
-    auto it = prefs_of.find(model);
-    if (it == prefs_of.end()) {
-      auto prefs =
-          ring.preference(HashRing::hash_key(model), config_.replication);
+  // ---- model index -> replica preference lists ----
+  // Placed on a model's first use: a model outside the default
+  // catalogue becomes resident on its replicas (and lengthens their
+  // rejoin) only from its first arrival on.
+  std::vector<std::vector<int>> prefs_of(static_cast<std::size_t>(n_models));
+  auto prefs_for = [&](int model) -> const std::vector<int>& {
+    auto& prefs = prefs_of[static_cast<std::size_t>(model)];
+    if (prefs.empty()) {
+      prefs = ring.preference(model_hash[static_cast<std::size_t>(model)],
+                              config_.replication);
       for (const int n : prefs) {
         ++nodes[static_cast<std::size_t>(n)].resident_models;
       }
-      it = prefs_of.emplace(model, std::move(prefs)).first;
     }
-    return it->second;
-  };
-  auto model_of = [&](const serve::Request& req) {
-    return req.tag.empty()
-               ? "m" + std::to_string(req.id % static_cast<std::int64_t>(
-                                                   config_.models))
-               : req.tag;
+    return prefs;
   };
   // Pre-warm the default catalogue so rejoin residency costs are known
   // up front and independent of arrival order.
-  for (int m = 0; m < config_.models; ++m) {
-    prefs_for("m" + std::to_string(m));
-  }
+  for (int m = 0; m < config_.models; ++m) prefs_for(m);
 
   auto eligible = [&](int n) {
     const NodeState& ns = nodes[static_cast<std::size_t>(n)];
@@ -326,13 +350,20 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // as resident from then on (it pays the graph re-load on rejoin).
   std::vector<int> all_nodes(static_cast<std::size_t>(n_nodes));
   for (int i = 0; i < n_nodes; ++i) all_nodes[static_cast<std::size_t>(i)] = i;
-  std::set<std::pair<int, std::string>> spill_resident;
-  auto pick_spill = [&](const std::string& model, bool need_capacity,
-                        serve::SloClass slo, double t) {
+  // spill_resident[node * n_models + model]: spilled there at least once.
+  std::vector<unsigned char> spill_resident(
+      static_cast<std::size_t>(n_nodes) * static_cast<std::size_t>(n_models));
+  auto pick_spill = [&](int model, bool need_capacity, serve::SloClass slo,
+                        double t) {
     if (!config_.spill) return -1;
     const int n = pick_node(all_nodes, need_capacity, slo);
     if (n < 0) return -1;
-    if (spill_resident.emplace(n, model).second) {
+    unsigned char& resident =
+        spill_resident[static_cast<std::size_t>(n) *
+                           static_cast<std::size_t>(n_models) +
+                       static_cast<std::size_t>(model)];
+    if (!resident) {
+      resident = 1;
       ++nodes[static_cast<std::size_t>(n)].resident_models;
     }
     ++report.requests_spilled;
@@ -350,13 +381,14 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     NodeState& ns = nodes[static_cast<std::size_t>(n)];
     auto evicted = ns.session->evict_all(t);
     ns.stats.evicted += static_cast<std::int64_t>(evicted.size());
-    for (auto& req : evicted) {
-      Ledger& led = ledger[req.id];
+    for (const auto& req : evicted) {
+      const std::size_t pos = pos_of.at(req.id);
+      Ledger& led = ledger[pos];
       --led.live;
       if (sv.enabled()) sv.on_ledger_live(req.id, led.live, t);
       if (!led.completed && !led.terminal) {
         led.evicted_s = t;
-        replays.push_back({std::move(req), t});
+        replays.push_back({pos, t});
       }
     }
   };
@@ -367,16 +399,17 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   auto drain = [&](double t) {
     while (!fins.empty() || !replays.empty()) {
       while (!fins.empty()) {
-        FinEvent ev = std::move(fins.front());
+        const FinEvent ev = fins.front();
         fins.pop_front();
-        Ledger& led = ledger[ev.req.id];
+        const serve::Request& req = requests[ev.pos];
+        Ledger& led = ledger[ev.pos];
         --led.live;
-        if (sv.enabled()) sv.on_ledger_live(ev.req.id, led.live, t);
+        if (sv.enabled()) sv.on_ledger_live(req.id, led.live, t);
         switch (ev.outcome) {
           case serve::Outcome::kCompleted:
             if (!led.completed) {
               if (sv.enabled()) {
-                sv.on_ledger_deliver(ev.req.id, ev.node, ev.at_s);
+                sv.on_ledger_deliver(req.id, ev.node, ev.at_s);
               }
               led.completed = true;
               led.state = RequestState::kCompleted;
@@ -384,7 +417,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
               led.node = ev.node;
               ++report.completed;
               m_completed.add(1);
-              const double ms = (ev.at_s - ev.req.arrival_s) * 1e3;
+              const double ms = (ev.at_s - req.arrival_s) * 1e3;
               report.latency_ms.add(ms);
               if (led.evicted_s >= 0.0) {
                 report.failover_ms.add((ev.at_s - led.evicted_s) * 1e3);
@@ -414,24 +447,24 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
               // Lost in flight or abandoned by a failing target:
               // replay it like an eviction.
               led.evicted_s = ev.at_s;
-              replays.push_back({ev.req, ev.at_s});
+              replays.push_back({ev.pos, ev.at_s});
             }
             break;
         }
       }
       while (!replays.empty()) {
-        ReplayItem item = std::move(replays.front());
+        const ReplayItem item = replays.front();
         replays.pop_front();
-        Ledger& led = ledger[item.req.id];
+        const serve::Request& req = requests[item.pos];
+        Ledger& led = ledger[item.pos];
         if (led.completed || led.terminal || led.live > 0) continue;
-        const std::string model = model_of(item.req);
-        int n = pick_node(prefs_for(model), /*need_capacity=*/false,
-                          item.req.slo);
+        int n = pick_node(prefs_for(led.model), /*need_capacity=*/false,
+                          req.slo);
         if (n < 0) {
-          n = pick_spill(model, /*need_capacity=*/false, item.req.slo, t);
+          n = pick_spill(led.model, /*need_capacity=*/false, req.slo, t);
         }
         if (n < 0) {
-          parked.push_back(std::move(item));
+          parked.push_back(item);
           m_parked.add(1);
           instant("park", t);
           continue;
@@ -441,7 +474,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         ++report.requests_replayed;
         m_replays.add(1);
         instant("replay", t);
-        nodes[static_cast<std::size_t>(n)].session->offer(item.req, t,
+        nodes[static_cast<std::size_t>(n)].session->offer(req, t,
                                                           /*force=*/true);
       }
     }
@@ -449,7 +482,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   auto unpark_all = [&](double t) {
     while (!parked.empty()) {
-      replays.push_back(std::move(parked.front()));
+      replays.push_back(parked.front());
       parked.pop_front();
     }
     drain(t);
@@ -593,9 +626,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       case Kind::kHedge: {
         const HedgeTimer h = hedges.top();
         hedges.pop();
-        auto it = ledger.find(h.id);
-        if (it == ledger.end()) break;
-        Ledger& led = it->second;
+        const serve::Request& req = requests[h.pos];
+        Ledger& led = ledger[h.pos];
         // Stale timers: the copy completed, moved nodes, or was
         // evicted — nothing slipped on this node after all.
         if (led.completed || led.terminal || led.live <= 0 ||
@@ -616,21 +648,19 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         // for classes up to hedge_max_class — batch work never pays
         // for speculative duplicates.
         const double deadline_s =
-            led.req.arrival_s + config_.node.queue_deadline_s;
+            req.arrival_s + config_.node.queue_deadline_s;
         if (led.hedges < config_.max_hedges && now < deadline_s &&
-            static_cast<int>(led.req.slo) <=
+            static_cast<int>(req.slo) <=
                 static_cast<int>(config_.hedge_max_class)) {
-          const int best = pick_node(prefs_for(model_of(led.req)),
-                                     /*need_capacity=*/true, led.req.slo,
-                                     h.node);
+          const int best = pick_node(prefs_for(led.model),
+                                     /*need_capacity=*/true, req.slo, h.node);
           if (best >= 0) {
             ++led.hedges;
             ++led.live;
             ++report.requests_hedged;
             m_hedges.add(1);
             instant("hedge", now);
-            nodes[static_cast<std::size_t>(best)].session->offer(led.req,
-                                                                 now);
+            nodes[static_cast<std::size_t>(best)].session->offer(req, now);
           }
         }
         if (quarantined) {
@@ -641,19 +671,14 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         break;
       }
       case Kind::kArrive: {
-        const serve::Request& req = requests[next_arrival++];
+        const serve::Request& req = requests[next_arrival];
+        Ledger& led = ledger[next_arrival++];
         ++report.offered;
         m_offered.add(1);
-        auto [it, inserted] = ledger.try_emplace(req.id);
-        if (!inserted) {
-          throw std::invalid_argument("Cluster::run: duplicate request id");
-        }
-        Ledger& led = it->second;
-        led.req = req;
-        const std::string model = model_of(req);
-        int n = pick_node(prefs_for(model), /*need_capacity=*/true, req.slo);
+        int n = pick_node(prefs_for(led.model), /*need_capacity=*/true,
+                          req.slo);
         if (n < 0) {
-          n = pick_spill(model, /*need_capacity=*/true, req.slo, now);
+          n = pick_spill(led.model, /*need_capacity=*/true, req.slo, now);
         }
         if (n < 0) {
           // Admission control at cluster granularity: every live
@@ -679,8 +704,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   }
 
   // Whatever is still parked has no replica left to run on.
-  for (auto& item : parked) {
-    Ledger& led = ledger[item.req.id];
+  for (const auto& item : parked) {
+    Ledger& led = ledger[item.pos];
     if (!led.completed && !led.terminal) {
       led.state = RequestState::kLost;
       led.finish_s = now;
@@ -697,13 +722,21 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     nr.tput_est = ns.tput_est;
     report.nodes.push_back(std::move(nr));
   }
-  report.records.reserve(ledger.size());
+  // Records come out in id order: one sort of trace positions by id.
+  std::vector<std::size_t> by_id(requests.size());
+  std::iota(by_id.begin(), by_id.end(), std::size_t{0});
+  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+    return requests[a].id < requests[b].id;
+  });
+  report.records.reserve(requests.size());
   serve::OutcomeRollup rollup;
-  for (auto& [id, led] : ledger) {
+  for (const std::size_t pos : by_id) {
+    const serve::Request& req = requests[pos];
+    const Ledger& led = ledger[pos];
     ClusterRecord rec;
-    rec.id = id;
+    rec.id = req.id;
     rec.state = led.completed ? RequestState::kCompleted : led.state;
-    rec.arrival_s = led.req.arrival_s;
+    rec.arrival_s = req.arrival_s;
     rec.finish_s = led.finish_s;
     rec.node = led.node;
     rec.replays = led.replays;
@@ -718,7 +751,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         rec.state == RequestState::kCompleted  ? serve::Outcome::kCompleted
         : rec.state == RequestState::kRejected ? serve::Outcome::kRejected
                                                : serve::Outcome::kDropped;
-    rollup.add(led.req.slo, outcome, (rec.finish_s - rec.arrival_s) * 1e3);
+    rollup.add(req.slo, outcome, (rec.finish_s - rec.arrival_s) * 1e3);
     report.records.push_back(rec);
   }
   rollup.finish(report);

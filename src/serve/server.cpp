@@ -44,9 +44,10 @@ void OutcomeRollup::add(SloClass slo, Outcome outcome, double latency_ms) {
 }
 
 void OutcomeRollup::finish(RunSummary& summary) {
-  summary.p50_ms = util::percentile(latencies_, 50.0);
-  summary.p95_ms = util::percentile(latencies_, 95.0);
-  summary.p99_ms = util::percentile(std::move(latencies_), 99.0);
+  std::sort(latencies_.begin(), latencies_.end());
+  summary.p50_ms = util::percentile_sorted(latencies_, 50.0);
+  summary.p95_ms = util::percentile_sorted(latencies_, 95.0);
+  summary.p99_ms = util::percentile_sorted(latencies_, 99.0);
   for (std::size_t c = 0; c < kSloClassCount; ++c) {
     summary.classes[c] = classes_[c];
     summary.classes[c].p99_ms =
@@ -90,6 +91,10 @@ struct Session::TargetState {
   std::priority_queue<int, std::vector<int>, std::greater<>> free_wlanes;
   int next_wlane = 0;
   TargetStats stats;
+  /// Registry handles, looked up on first use so a metrics snapshot
+  /// names only the instruments a run actually touched.
+  util::Gauge* inflight_gauge = nullptr;
+  util::Counter* images = nullptr;
 
   bool has_slot() const {
     return !disabled && static_cast<int>(flights.size()) < window;
@@ -191,7 +196,21 @@ void Session::bind_observability() {
 
 util::Gauge& Session::inflight_gauge(std::size_t i) {
   // Per-target window occupancy (how deep the pipeline actually ran).
-  return util::metrics().gauge(mname("inflight.target" + std::to_string(i)));
+  TargetState& ts = states_[i];
+  if (!ts.inflight_gauge) {
+    ts.inflight_gauge =
+        &util::metrics().gauge(mname("inflight.target" + std::to_string(i)));
+  }
+  return *ts.inflight_gauge;
+}
+
+util::Counter& Session::images_counter(std::size_t i) {
+  TargetState& ts = states_[i];
+  if (!ts.images) {
+    ts.images = &util::metrics().counter(
+        mname("target" + std::to_string(i) + ".images"));
+  }
+  return *ts.images;
 }
 
 // Per-request trace lanes: a request occupies the lowest free "serve
@@ -481,8 +500,7 @@ void Session::complete_flight(int which, std::size_t fidx) {
   }
   report_.last_complete_s = std::max(report_.last_complete_s, now_);
   m_completed_->add(static_cast<std::uint64_t>(ok));
-  util::metrics()
-      .counter(mname("target" + std::to_string(which) + ".images"))
+  images_counter(static_cast<std::size_t>(which))
       .add(static_cast<std::uint64_t>(ok));
 
   // Feedback: fold the observed clearing rate into the estimate. A
@@ -528,6 +546,7 @@ void Session::complete_flight(int which, std::size_t fidx) {
 }
 
 bool Session::offer(const Request& req, double now, bool force) {
+  times_stale_ = true;
   now_ = std::max(now_, now);
   const std::size_t idx = report_.records.size();
   RequestRecord rec;
@@ -565,37 +584,50 @@ bool Session::offer(const Request& req, double now, bool force) {
   return true;
 }
 
-double Session::next_complete_s() const noexcept {
+void Session::refresh_event_times() const noexcept {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   // Earliest ticket completion across every in-flight submission.
   // Flights on one target can retire out of dispatch order (a narrow
   // batch on few sticks can finish before an earlier wide one), so
   // scan them all.
-  double t = std::numeric_limits<double>::infinity();
+  double complete = kInf;
+  bool idle_target = false;
   for (const auto& ts : states_) {
-    for (const auto& fl : ts.flights) t = std::min(t, fl.complete_s);
+    for (const auto& fl : ts.flights) {
+      complete = std::min(complete, fl.complete_s);
+    }
+    idle_target = idle_target || (!ts.disabled && ts.flights.empty());
   }
-  return t;
+  next_complete_ = complete;
+  next_drop_ = next_flush_ = kInf;
+  if (!pending_.empty()) {
+    const double head = head_arrival();
+    next_drop_ = head + config_.queue_deadline_s;
+    // A flush pushes a partial batch to an idle engine, so it only
+    // schedules when one exists; otherwise the next completion
+    // re-evaluates dispatch anyway.
+    if (idle_target) next_flush_ = head + config_.batch_timeout_s;
+  }
+  times_stale_ = false;
+}
+
+double Session::next_complete_s() const noexcept {
+  if (times_stale_) refresh_event_times();
+  return next_complete_;
 }
 
 double Session::next_drop_s() const noexcept {
-  if (pending_.empty()) return std::numeric_limits<double>::infinity();
-  return head_arrival() + config_.queue_deadline_s;
+  if (times_stale_) refresh_event_times();
+  return next_drop_;
 }
 
 double Session::next_flush_s() const noexcept {
-  // A flush pushes a partial batch to an idle engine, so it only
-  // schedules when one exists; otherwise the next completion
-  // re-evaluates dispatch anyway.
-  if (pending_.empty()) return std::numeric_limits<double>::infinity();
-  for (const auto& ts : states_) {
-    if (!ts.disabled && ts.flights.empty()) {
-      return head_arrival() + config_.batch_timeout_s;
-    }
-  }
-  return std::numeric_limits<double>::infinity();
+  if (times_stale_) refresh_event_times();
+  return next_flush_;
 }
 
 void Session::on_complete(double now) {
+  times_stale_ = true;
   now_ = std::max(now_, now);
   // Ties resolve to the lowest target index, then the earliest-
   // dispatched flight — deterministic replay again.
@@ -618,16 +650,19 @@ void Session::on_complete(double now) {
 }
 
 void Session::on_drop(double now) {
+  times_stale_ = true;
   now_ = std::max(now_, now);
   try_dispatch(false);  // expired-head sweep runs first
 }
 
 void Session::on_flush(double now) {
+  times_stale_ = true;
   now_ = std::max(now_, now);
   try_dispatch(true);
 }
 
 std::vector<Request> Session::evict_all(double now) {
+  times_stale_ = true;
   now_ = std::max(now_, now);
   auto& tr = util::tracer();
   std::vector<Request> evicted;

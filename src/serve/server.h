@@ -219,7 +219,8 @@ class OutcomeRollup {
   /// `latency_ms` is read only for kCompleted outcomes.
   void add(SloClass slo, Outcome outcome, double latency_ms);
   /// Write p50/p95/p99_ms (completed requests) and `classes` into
-  /// `summary`, moving the kept latencies out.
+  /// `summary`. Call once: it sorts each kept latency vector in place
+  /// and reads every percentile of it from that one sort.
   void finish(RunSummary& summary);
 
  private:
@@ -351,6 +352,8 @@ class Session {
   void bind_observability();
   std::string mname(const std::string& suffix) const;
   util::Gauge& inflight_gauge(std::size_t i);
+  util::Counter& images_counter(std::size_t i);
+  void refresh_event_times() const noexcept;
   void alloc_slot(std::size_t idx);
   void emit_request_spans(std::size_t idx, double end_s);
   void sample_depth();
@@ -375,6 +378,13 @@ class Session {
   /// Queued requests per SloClass (class_quota admission bookkeeping).
   std::array<std::size_t, kSloClassCount> queued_by_class_{};
   double now_ = 0.0;
+  /// next_*_s() memo: the three times are recomputed together on the
+  /// first read after a public mutator (each marks them stale on entry,
+  /// before anything can throw).
+  mutable bool times_stale_ = true;
+  mutable double next_complete_ = 0.0;
+  mutable double next_drop_ = 0.0;
+  mutable double next_flush_ = 0.0;
 
   util::Counter* m_offered_ = nullptr;
   util::Counter* m_accepted_ = nullptr;

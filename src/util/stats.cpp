@@ -57,14 +57,18 @@ Summary summarize(const std::vector<double>& xs) noexcept {
 }
 
 double percentile(std::vector<double> xs, double p) noexcept {
-  if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
+  return percentile_sorted(xs, p);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) noexcept {
+  if (sorted.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + (xs[hi] - xs[lo]) * frac;
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 std::string format_mean_stddev(const RunningStats& s, int precision) {

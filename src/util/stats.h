@@ -62,6 +62,10 @@ Summary summarize(const std::vector<double>& xs) noexcept;
 /// `p` in [0,100]. Returns 0 for an empty sample.
 double percentile(std::vector<double> xs, double p) noexcept;
 
+/// percentile() of a sample already sorted ascending: read several
+/// percentiles of one sample with a single sort.
+double percentile_sorted(const std::vector<double>& sorted, double p) noexcept;
+
 /// Format "mean ± stddev" with the given precision, e.g. "77.20 ± 0.31".
 std::string format_mean_stddev(const RunningStats& s, int precision = 2);
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
 #include "check/tracelint.h"
@@ -324,6 +325,151 @@ TEST(Cluster, ChaosReplayIsByteDeterministic) {
   EXPECT_DOUBLE_EQ(r1.p99_ms, r2.p99_ms);
   EXPECT_DOUBLE_EQ(r1.last_complete_s, r2.last_complete_s);
   EXPECT_EQ(r1.duplicate_completions, r2.duplicate_completions);
+}
+
+// FNV-1a over a ClusterReport: doubles by bit pattern, so any change to
+// a finish time or percentile, however small, moves the digest.
+struct ReportDigest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void u64(std::uint64_t v) {
+    for (int s = 0; s < 64; s += 8) {
+      h ^= (v >> s) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void summary(const serve::RunSummary& s) {
+    i64(s.completed);
+    f64(s.first_arrival_s);
+    f64(s.last_complete_s);
+    i64(static_cast<std::int64_t>(s.latency_ms.count()));
+    f64(s.latency_ms.mean());
+    f64(s.p50_ms);
+    f64(s.p95_ms);
+    f64(s.p99_ms);
+    for (const auto& c : s.classes) {
+      i64(c.offered);
+      i64(c.completed);
+      i64(c.rejected);
+      i64(c.dropped);
+      f64(c.p99_ms);
+    }
+  }
+  void report(const cluster::ClusterReport& r) {
+    summary(r);
+    for (const std::int64_t v :
+         {r.offered, r.rejected, r.dropped_deadline, r.requests_lost,
+          r.requests_replayed, r.requests_hedged, r.requests_spilled,
+          r.duplicate_completions}) {
+      i64(v);
+    }
+    for (const int v :
+         {r.node_kills, r.node_wedges, r.node_rejoins, r.nodes_dead}) {
+      i64(v);
+    }
+    i64(static_cast<std::int64_t>(r.failover_ms.count()));
+    f64(r.failover_ms.mean());
+    for (const auto& nr : r.nodes) {
+      summary(nr.serve);
+      i64(nr.serve.offered);
+      i64(nr.serve.dropped);
+      f64(nr.tput_est);
+      i64(nr.routed);
+      i64(nr.evicted);
+      i64(nr.crashes);
+      i64(nr.wedges);
+      i64(nr.rejoins);
+    }
+    for (const auto& rec : r.records) {
+      i64(rec.id);
+      i64(static_cast<int>(rec.state));
+      f64(rec.arrival_s);
+      f64(rec.finish_s);
+      i64(rec.node);
+      i64(rec.replays);
+      i64(rec.hedges);
+      f64(rec.evicted_s);
+    }
+  }
+};
+
+// Every ledger path at once, frozen: the digest below was recorded from
+// the map-keyed ledger and string-keyed replica lists that the dense
+// ledger and interned model index replaced, so the report must match it
+// bit for bit. Ids are scrambled against arrival order (records come
+// out in id order), some tags are empty (model "m<id % models>"), and
+// one tag outside the default catalogue has the crashed node among its
+// replicas but first arrives after that node's rejoin delay was set:
+// placed eagerly, it would lengthen that rejoin and move the digest.
+TEST(Cluster, ChaosReportMatchesFrozenDigest) {
+  constexpr int kNodes = 4, kCrashed = 1;
+  ClusterConfig cfg;
+  cfg.models = 4;
+  cfg.node.queue_capacity = 6;
+  cfg.node.queue_deadline_s = 0.08;
+  cfg.node.batch_timeout_s = 0.01;
+  cfg.hedge_slack_s = 0.02;
+  cfg.node_health.max_retries = 8;  // let the wedge hedge a while first
+  cfg.faults.add(kCrashed, sim::FaultKind::kNodeCrash, 0.1, 0.15);
+  cfg.faults.add(2, sim::FaultKind::kNodeWedge, 0.35, 0.2);
+
+  const HashRing ring(kNodes, cfg.vnodes, cfg.ring_seed);
+  std::string extra;
+  for (int k = 0; extra.empty(); ++k) {
+    const std::string tag = "extra" + std::to_string(k);
+    const auto prefs = ring.preference(HashRing::hash_key(tag), 2);
+    if (prefs[0] == kCrashed || prefs[1] == kCrashed) extra = tag;
+  }
+
+  auto trace = serve::poisson_trace(1200, 1000.0, 25);
+  const auto n = static_cast<std::int64_t>(trace.size());
+  std::int64_t empty_tags = 0, extra_tags = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    auto& req = trace[static_cast<std::size_t>(i)];
+    req.id = 5000 - (i * 37) % n;  // 37 is coprime to 1200: a permutation
+    req.slo = static_cast<serve::SloClass>(i % serve::kSloClassCount);
+    if (i % 5 == 0) {
+      ++empty_tags;
+    } else if (i % 13 == 4 && req.arrival_s > 0.5) {
+      req.tag = extra;  // first used after node 1's rejoin delay is set
+      ++extra_tags;
+    } else {
+      req.tag = "m" + std::to_string(i % 3);
+    }
+  }
+  ASSERT_GT(empty_tags, 0);
+  ASSERT_GT(extra_tags, 0);
+
+  std::vector<FakeNode> fakes;
+  fakes.reserve(kNodes);
+  std::vector<std::vector<core::Target*>> targets;
+  for (int i = 0; i < kNodes; ++i) {
+    fakes.emplace_back(i, 0.004 + 0.001 * (i % 3));
+    targets.push_back(fakes.back().targets());
+  }
+  const auto r = Cluster(targets, cfg).run(trace);
+
+  EXPECT_EQ(r.node_kills, 1);
+  EXPECT_GT(r.node_rejoins, 0);
+  EXPECT_GT(r.requests_replayed, 0);
+  EXPECT_EQ(r.node_wedges, 1);
+  EXPECT_GT(r.requests_hedged, 0);
+  EXPECT_GT(r.dropped_deadline, 0);
+  EXPECT_GT(r.requests_spilled, 0);
+  EXPECT_EQ(accounted(r), r.offered);
+  ASSERT_EQ(r.records.size(), trace.size());
+  for (std::size_t i = 1; i < r.records.size(); ++i) {
+    EXPECT_LT(r.records[i - 1].id, r.records[i].id);
+  }
+
+  ReportDigest d;
+  d.report(r);
+  EXPECT_EQ(d.h, 0x9064e039a355d0b3ULL);
 }
 
 // Spill-over routing: when every replica of a model is saturated the

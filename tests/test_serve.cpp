@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "check/tracelint.h"
@@ -260,6 +261,88 @@ TEST(Server, ReplayIsByteDeterministic) {
   EXPECT_DOUBLE_EQ(r1.p99_ms, r2.p99_ms);
   // Different seed, different trace (sanity that the comparison bites).
   EXPECT_NE(r1.last_complete_s, r3.last_complete_s);
+}
+
+// The session memoises next_complete_s/next_drop_s/next_flush_s and
+// recomputes them only after a public mutator ran. Step one session
+// through each of the five mutators and check the exact times after
+// every call: a mutator that forgot to invalidate leaves a stale value.
+TEST(Session, NextEventTimesTrackEveryMutation) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  FakeTarget a("A", 0.01, 4), b("B", 0.02, 4);
+  ServerConfig cfg;
+  cfg.max_batch = 4;
+  cfg.batch_timeout_s = 0.02;   // flush before the deadline...
+  cfg.queue_deadline_s = 0.03;  // ...unless no engine is idle
+  serve::Session s({&a, &b}, cfg);
+  auto expect_times = [&](double complete, double drop, double flush) {
+    EXPECT_EQ(s.next_complete_s(), complete);
+    EXPECT_EQ(s.next_drop_s(), drop);
+    EXPECT_EQ(s.next_flush_s(), flush);
+  };
+  std::int64_t id = 0;
+  auto offer = [&](double t) {
+    Request req;
+    req.id = id++;
+    req.arrival_s = t;
+    return s.offer(req, t);
+  };
+
+  {
+    SCOPED_TRACE("fresh");
+    expect_times(kInf, kInf, kInf);
+  }
+  {
+    SCOPED_TRACE("offer: one queued request, both engines idle");
+    ASSERT_TRUE(offer(0.0));
+    expect_times(kInf, 0.0 + 0.03, 0.0 + 0.02);
+  }
+  {
+    SCOPED_TRACE("on_flush: the partial batch goes to A");
+    s.on_flush(0.02);
+    expect_times(0.02 + 0.01 * 1.0, kInf, kInf);
+  }
+  {
+    SCOPED_TRACE("offer: a full batch fills B's window");
+    ASSERT_TRUE(offer(0.025));
+    expect_times(0.02 + 0.01 * 1.0, 0.025 + 0.03, 0.025 + 0.02);
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(offer(0.025));
+    expect_times(0.02 + 0.01 * 1.0, kInf, kInf);
+  }
+  {
+    SCOPED_TRACE("offer: queued behind two busy engines, no flush");
+    ASSERT_TRUE(offer(0.026));
+    expect_times(0.02 + 0.01 * 1.0, 0.026 + 0.03, kInf);
+  }
+  {
+    SCOPED_TRACE("on_complete: A frees up, so the flush reappears");
+    s.on_complete(0.03);
+    expect_times(0.025 + 0.02 * 4.0, 0.026 + 0.03, 0.026 + 0.02);
+  }
+  {
+    SCOPED_TRACE("offer: a second full batch takes A again");
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(offer(0.031));
+    expect_times(0.031 + 0.01 * 4.0, kInf, kInf);
+    ASSERT_TRUE(offer(0.032));
+    expect_times(0.031 + 0.01 * 4.0, 0.032 + 0.03, kInf);
+  }
+  {
+    SCOPED_TRACE("on_drop: the stranded head ages out");
+    s.on_drop(0.032 + 0.03);
+    expect_times(0.031 + 0.01 * 4.0, kInf, kInf);
+  }
+  {
+    SCOPED_TRACE("evict_all: both flights and the queue leave");
+    ASSERT_TRUE(offer(0.064));
+    expect_times(0.031 + 0.01 * 4.0, 0.064 + 0.03, kInf);
+    EXPECT_EQ(s.evict_all(0.065).size(), 9u);
+    expect_times(kInf, kInf, kInf);
+  }
+  {
+    SCOPED_TRACE("offer after eviction: both engines idle again");
+    ASSERT_TRUE(offer(0.07));
+    expect_times(kInf, 0.07 + 0.03, 0.07 + 0.02);
+  }
 }
 
 TEST(Server, AccountingIdentityHoldsUnderOverload) {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "serve/server.h"
 #include "util/rng.h"
 
 namespace {
 
 using ncsw::util::percentile;
+using ncsw::util::percentile_sorted;
 using ncsw::util::RunningStats;
 using ncsw::util::summarize;
 
@@ -133,6 +137,71 @@ TEST(Format, MeanStddevString) {
   s.add(1.0);
   s.add(3.0);
   EXPECT_EQ(ncsw::util::format_mean_stddev(s, 2), "2.00 ± 1.41");
+}
+
+/// Same bits, not just the same value (EXPECT_EQ would equate 0 and -0).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Random latencies drawn from few distinct values, so ties are common.
+std::vector<double> tied_sample(ncsw::util::Xoshiro256& rng, std::size_t n) {
+  std::vector<double> xs(n);
+  for (auto& x : xs) x = 0.25 * static_cast<double>(rng.uniform_int(0, 12));
+  return xs;
+}
+
+TEST(Percentile, SortedMatchesUnsortedBitForBit) {
+  ncsw::util::Xoshiro256 rng(17);
+  for (const std::size_t n : {0, 1, 2, 3, 7, 100, 1001}) {
+    const auto xs = tied_sample(rng, n);
+    auto sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0}) {
+      EXPECT_TRUE(same_bits(percentile_sorted(sorted, p), percentile(xs, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(Percentile, OutcomeRollupMatchesPercentileBitForBit) {
+  using ncsw::serve::Outcome;
+  using ncsw::serve::SloClass;
+  ncsw::util::Xoshiro256 rng(23);
+  for (const std::size_t n : {0, 1, 2, 3, 10, 257, 2000}) {
+    const auto lat = tied_sample(rng, n);
+    ncsw::serve::OutcomeRollup rollup;
+    std::vector<double> completed;
+    std::array<std::vector<double>, ncsw::serve::kSloClassCount> by_class;
+    for (const double ms : lat) {
+      const auto c = static_cast<std::size_t>(
+          rng.uniform_int(0, ncsw::serve::kSloClassCount - 1));
+      // In the larger samples every fifth request is rejected or
+      // dropped, and only completed latencies may reach the percentiles;
+      // the small ones complete in full, so 0, 1 and 2 values reach them.
+      const Outcome o = n < 10 || rng.uniform_int(0, 4) > 0
+                            ? Outcome::kCompleted
+                        : rng.uniform_int(0, 1) ? Outcome::kRejected
+                                                : Outcome::kDropped;
+      rollup.add(static_cast<SloClass>(c), o, ms);
+      if (o == Outcome::kCompleted) {
+        completed.push_back(ms);
+        by_class[c].push_back(ms);
+      }
+    }
+    ncsw::serve::RunSummary sum;
+    rollup.finish(sum);
+    EXPECT_TRUE(same_bits(sum.p50_ms, percentile(completed, 50.0))) << n;
+    EXPECT_TRUE(same_bits(sum.p95_ms, percentile(completed, 95.0))) << n;
+    EXPECT_TRUE(same_bits(sum.p99_ms, percentile(completed, 99.0))) << n;
+    for (std::size_t c = 0; c < by_class.size(); ++c) {
+      EXPECT_TRUE(
+          same_bits(sum.classes[c].p99_ms, percentile(by_class[c], 99.0)))
+          << "n=" << n << " class=" << c;
+      EXPECT_EQ(sum.classes[c].completed,
+                static_cast<std::int64_t>(by_class[c].size()));
+    }
+  }
 }
 
 class PercentileMonotoneParam : public ::testing::TestWithParam<int> {};
