@@ -1,7 +1,8 @@
 // Wall-clock performance of the host inference engine (not a paper
 // figure): images/s of the functional TinyGoogLeNet forward pass for
-// FP32 and FP16, on the pre-PR reference kernels (the recorded
-// baseline), on the cache-tuned kernels at 1 and N threads, and on the
+// FP32 and FP16, on the pre-rewrite scalar kernels (the recorded
+// baseline, timed through the test-only oracle::run_forward), on the
+// cache-tuned kernels at 1 and N threads, and on the
 // opt-in fast tier (fused conv+bias+ReLU, direct 3x3/1x1 convolution,
 // int8 FC, affinity-pinned chunking; docs/performance.md). The
 // reference/optimised cells are bit-identical and differ only in time;
@@ -24,6 +25,7 @@
 #include "dataset/synthetic.h"
 #include "nn/executor.h"
 #include "nn/quant.h"
+#include "oracle/oracle.h"
 
 namespace {
 
@@ -50,19 +52,19 @@ ncsw::tensor::Tensor<T> make_input(const ncsw::nn::Graph& graph,
   return ncsw::tensor::tensor_cast<T>(in);
 }
 
-template <typename T>
-Cell time_cell(const std::string& name, const ncsw::nn::Graph& graph,
-               const ncsw::nn::Weights<T>& weights,
-               const ncsw::tensor::Tensor<T>& input,
-               const ncsw::nn::ExecOptions& opts, std::int64_t images) {
+// Times `forward()`, one pass of `batch` images, until `images` images
+// have run.
+template <typename Forward>
+Cell time_forward(const std::string& name, const Forward& forward,
+                  std::int64_t batch, std::int64_t images) {
   // Warmup: grows the workspaces and faults in the weights.
-  (void)ncsw::nn::run_forward(graph, weights, input, opts);
+  forward();
   Cell cell;
   cell.name = name;
   const auto t0 = Clock::now();
   while (cell.images < images) {
-    (void)ncsw::nn::run_forward(graph, weights, input, opts);
-    cell.images += input.shape().n;
+    forward();
+    cell.images += batch;
   }
   cell.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   cell.img_per_s =
@@ -70,8 +72,30 @@ Cell time_cell(const std::string& name, const ncsw::nn::Graph& graph,
   return cell;
 }
 
-// Fast-vs-reference digest tolerance (the fig7 methodology): top-1
-// agreement fraction and mean |confidence delta| at the reference
+template <typename T>
+Cell time_cell(const std::string& name, const ncsw::nn::Graph& graph,
+               const ncsw::nn::Weights<T>& weights,
+               const ncsw::tensor::Tensor<T>& input,
+               const ncsw::nn::ExecOptions& opts, std::int64_t images) {
+  return time_forward(
+      name,
+      [&] { (void)ncsw::nn::run_forward(graph, weights, input, opts); },
+      input.shape().n, images);
+}
+
+// The recorded baseline: the oracle's serial, unfused forward pass.
+template <typename T>
+Cell time_oracle_cell(const std::string& name, const ncsw::nn::Graph& graph,
+                      const ncsw::nn::Weights<T>& weights,
+                      const ncsw::tensor::Tensor<T>& input,
+                      std::int64_t images) {
+  return time_forward(
+      name, [&] { (void)ncsw::oracle::run_forward(graph, weights, input); },
+      input.shape().n, images);
+}
+
+// Fast-vs-exact digest tolerance (the fig7 methodology): top-1
+// agreement fraction and mean |confidence delta| at the exact tier's
 // prediction, over a deterministic image set.
 struct Agreement {
   double top1 = 0;
@@ -159,8 +183,6 @@ int main(int argc, char** argv) {
   const auto quant_f32 = nn::quantize_weights(bundle->graph, bundle->weights_f32);
   const auto quant_f16 = nn::quantize_weights(bundle->graph, bundle->weights_f16);
 
-  nn::ExecOptions ref_opts;
-  ref_opts.reference_kernels = true;
   nn::ExecOptions opt_t1;
   opt_t1.threads = 1;
   nn::ExecOptions opt_tn;
@@ -179,18 +201,18 @@ int main(int argc, char** argv) {
   fast16_tn.quant = &quant_f16;
 
   std::vector<Cell> cells;
-  cells.push_back(time_cell<float>("fp32 ref t1", bundle->graph,
-                                   bundle->weights_f32, in_f32, ref_opts,
-                                   images));
+  cells.push_back(time_oracle_cell<float>("fp32 ref t1", bundle->graph,
+                                          bundle->weights_f32, in_f32,
+                                          images));
   cells.push_back(time_cell<float>("fp32 opt t1", bundle->graph,
                                    bundle->weights_f32, in_f32, opt_t1,
                                    images));
   cells.push_back(time_cell<float>("fp32 opt tN", bundle->graph,
                                    bundle->weights_f32, in_f32, opt_tn,
                                    images));
-  cells.push_back(time_cell<fp16::half>("fp16 ref t1", bundle->graph,
-                                        bundle->weights_f16, in_f16, ref_opts,
-                                        images));
+  cells.push_back(time_oracle_cell<fp16::half>("fp16 ref t1", bundle->graph,
+                                               bundle->weights_f16, in_f16,
+                                               images));
   cells.push_back(time_cell<fp16::half>("fp16 opt t1", bundle->graph,
                                         bundle->weights_f16, in_f16, opt_t1,
                                         images));
@@ -275,7 +297,7 @@ int main(int argc, char** argv) {
   report.value("fp16.speedup_total_x",
                fp16_base > 0 ? cells[5].img_per_s / fp16_base : 0);
   // Fast tier: speedups are measured against the *optimised* tier (the
-  // bit-identical path users get by default), not the pre-PR reference.
+  // bit-identical path users get by default), not the oracle baseline.
   const double opt32_t1 = cells[1].img_per_s;
   const double opt16_t1 = cells[4].img_per_s;
   report.value("fp32.fast.speedup_vs_opt_t1_x",

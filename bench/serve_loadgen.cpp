@@ -7,8 +7,10 @@
 // work admission control sheds. Each solo target is driven with the same
 // arrival trace as the heterogeneous CPU + GPU + multi-VPU dispatcher,
 // so the table reads as "what does adding the VPU group to the node buy
-// an online service". The mixed phase is then replayed from the same
-// seed with fresh targets to demonstrate byte-determinism.
+// an online service". The calibration also reports the node's aggregate
+// closed-loop throughput and total TDP (extension E12, the paper's
+// Section III heterogeneous node). The mixed phase is then replayed from
+// the same seed with fresh targets to demonstrate byte-determinism.
 #include "bench_common.h"
 #include "check/schedfuzz.h"
 #include "core/host_target.h"
@@ -62,10 +64,12 @@ int main(int argc, char** argv) {
   scfg.inflight_window = static_cast<int>(cli.get_int("window"));
 
   // Calibrate each engine's standalone batch-8 throughput, or its largest
-  // batch when smaller (fresh targets; the phases below re-create their
-  // own so every phase starts from the same deterministic state).
+  // batch when smaller, and its TDP at that batch (fresh targets; the
+  // phases below re-create their own so every phase starts from the same
+  // deterministic state).
   double rate = cli.get_double("rate");
   std::vector<double> calib;
+  double node_tdp_w = 0.0;
   {
     util::tracer().set_lane_prefix("calib ");
     auto cpu = core::make_cpu_target(bundle);
@@ -73,8 +77,9 @@ int main(int argc, char** argv) {
     core::VpuTarget vpu(bundle, vcfg);
     for (core::Target* t :
          std::vector<core::Target*>{cpu.get(), gpu.get(), &vpu}) {
-      calib.push_back(
-          t->run_timed(800, bench::calibration_batch(*t)).throughput());
+      const int batch = bench::calibration_batch(*t);
+      calib.push_back(t->run_timed(800, batch).throughput());
+      node_tdp_w += t->tdp_w(batch);
     }
   }
   const double node_sum = calib[0] + calib[1] + calib[2];
@@ -157,7 +162,12 @@ int main(int argc, char** argv) {
             << " bit-identical; the fast host tier cuts p99 by "
             << util::Table::num(fast_p99_cut_ms, 1) << " ms ("
             << util::Table::num(mixed_p99, 1) << " -> "
-            << util::Table::num(mixed_fast_p99, 1) << ").\n";
+            << util::Table::num(mixed_fast_p99, 1) << ").\n"
+            << "node aggregate (closed loop): " << util::Table::num(node_sum, 1)
+            << " img/s at " << util::Table::num(node_tdp_w, 0)
+            << " W total TDP (" << util::Table::num(node_sum / node_tdp_w, 2)
+            << " img/W), " << util::Table::num(node_sum / best_single_tput, 2)
+            << "x the best single target.\n";
 
   bench::BenchReport report("serve_loadgen");
   report.config("requests", requests);
@@ -175,6 +185,7 @@ int main(int argc, char** argv) {
                     : 0.0);
   report.value("node_aggregate_tput", node_sum);
   report.value("best_single_tput", best_single_tput);
+  report.value("node_tdp_w", node_tdp_w);
   for (const auto& [name, r] : phases) {
     report.value(name + ".offered", static_cast<double>(r.offered));
     report.value(name + ".completed", static_cast<double>(r.completed));

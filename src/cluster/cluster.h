@@ -180,7 +180,6 @@ class Cluster {
   ClusterReport run(const std::vector<serve::Request>& requests);
 
   const ClusterConfig& config() const noexcept { return config_; }
-  std::size_t node_count() const noexcept { return node_targets_.size(); }
 
  private:
   ClusterConfig config_;

@@ -1,6 +1,5 @@
 #include "core/application.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -76,44 +75,6 @@ double confidence_difference(const ClassificationJob& a,
     ++n;
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-std::vector<std::int64_t> plan_partition(
-    std::int64_t images, const std::vector<double>& throughputs) {
-  if (images < 0 || throughputs.empty()) {
-    throw std::invalid_argument("plan_partition: bad arguments");
-  }
-  double total = 0.0;
-  for (double t : throughputs) {
-    if (!(t >= 0.0) || !std::isfinite(t)) {
-      throw std::invalid_argument("plan_partition: bad throughput");
-    }
-    total += t;
-  }
-  std::vector<std::int64_t> shares(throughputs.size(), 0);
-  if (total <= 0.0 || images == 0) {
-    // Degenerate: dump everything on target 0.
-    if (!shares.empty()) shares[0] = images;
-    return shares;
-  }
-  // Largest-remainder apportionment: proportional floors, leftovers to
-  // the largest fractional parts.
-  std::int64_t assigned = 0;
-  std::vector<std::pair<double, std::size_t>> fractions;
-  for (std::size_t i = 0; i < throughputs.size(); ++i) {
-    const double exact =
-        static_cast<double>(images) * throughputs[i] / total;
-    shares[i] = static_cast<std::int64_t>(exact);
-    assigned += shares[i];
-    fractions.emplace_back(exact - static_cast<double>(shares[i]), i);
-  }
-  std::sort(fractions.begin(), fractions.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::int64_t left = images - assigned; left > 0; --left) {
-    ++shares[fractions[static_cast<std::size_t>(images - assigned - left)]
-                 .second];
-  }
-  return shares;
 }
 
 std::size_t Application::add_target(std::shared_ptr<Target> target) {

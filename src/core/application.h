@@ -47,15 +47,6 @@ struct ClassificationJob {
 double confidence_difference(const ClassificationJob& a,
                              const ClassificationJob& b);
 
-/// Split `images` across targets proportionally to their throughputs so
-/// that all finish together — the heterogeneous-node mode the paper's
-/// Section III closes with ("run a specific subset of inputs on a GPU,
-/// and at the same time another subset on ... several VPUs"). Shares sum
-/// exactly to `images`; zero-throughput targets get zero. Throws on empty
-/// input or non-finite throughputs.
-std::vector<std::int64_t> plan_partition(std::int64_t images,
-                                         const std::vector<double>& throughputs);
-
 /// The application object: owns groups of sources and targets.
 class Application {
  public:

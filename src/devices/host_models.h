@@ -38,11 +38,6 @@ class HostDeviceModel {
   /// Throughput (img/s) at batch `b` for the reference network.
   double throughput(int batch) const { return 1.0 / per_image_s(batch); }
 
-  /// Paper Eq. (1): images per second per Watt of TDP.
-  double throughput_per_watt(int batch) const {
-    return throughput(batch) / tdp_w_;
-  }
-
  private:
   std::string name_;
   double t_inf_ms_;

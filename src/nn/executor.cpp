@@ -64,9 +64,8 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
   thread_local kernels::Workspace workspace;
   kernels::ExecCtx ctx;
   ctx.ws = &workspace;
-  ctx.reference = options.reference_kernels;
-  ctx.threads = options.reference_kernels ? 1 : resolve_threads(options.threads);
-  ctx.fast = !options.reference_kernels && resolve_fast(options.fast);
+  ctx.threads = resolve_threads(options.threads);
+  ctx.fast = resolve_fast(options.fast);
   ctx.quant = ctx.fast ? options.quant : nullptr;
   ctx.pool = ctx.threads > 1
                  ? (ctx.fast ? &kernels::fast_pool() : &kernels::compute_pool())

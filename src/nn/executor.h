@@ -3,9 +3,11 @@
 // (optionally) retaining all intermediate activations for inspection —
 // which is how the tests diff FP32 against FP16 layer by layer.
 //
-// The kernels behind it are threaded but deterministic: outputs are
-// bit-identical for any `threads` value (docs/performance.md), so the
-// knob is purely a wall-clock choice.
+// Two tiers run behind it. The default exact tier is threaded but
+// deterministic: outputs are bit-identical for any `threads` value and
+// to the test-only oracle kernels (docs/performance.md), so the knob is
+// purely a wall-clock choice. The opt-in fast tier trades bit-identity
+// for speed.
 #pragma once
 
 #include <vector>
@@ -26,9 +28,6 @@ struct ExecOptions {
   /// resolve_threads() ($NCSW_THREADS, else hardware concurrency);
   /// 1 runs serial; n > 1 splits each kernel into n chunks.
   int threads = 0;
-  /// Route every layer through the pre-PR scalar kernels — the recorded
-  /// perf baseline (forces serial execution).
-  bool reference_kernels = false;
   /// Record wall-clock seconds per layer in ExecResult::layer_seconds
   /// and, when the global tracer is enabled, emit one "host" span per
   /// layer. Off by default so simulated-clock traces stay clean.
@@ -37,9 +36,8 @@ struct ExecOptions {
   /// direct 3x3/1x1 convolution, int8 fully-connected layers (when
   /// `quant` is set) and affinity-pinned chunk placement. Also enabled
   /// by $NCSW_FAST=1; default off, keeping the bit-identical contract
-  /// (and every golden digest) untouched. Ignored with
-  /// reference_kernels. Fusion is skipped under keep_all_activations so
-  /// per-layer diffs keep their meaning.
+  /// (and every golden digest) untouched. Fusion is skipped under
+  /// keep_all_activations so per-layer diffs keep their meaning.
   bool fast = false;
   /// Graph-load-time fast-tier weights from nn::quantize_weights();
   /// nullptr keeps the fully-connected layers in FP32 and makes the fast

@@ -78,137 +78,10 @@ void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-PR reference kernels, kept verbatim (serial, per-layer allocation,
-// per-MAC half<->float conversion). ExecCtx::reference routes here; the
-// golden tests assert the optimised kernels below match them byte for
-// byte, and bench/perf_forward records speedup against them.
-
-namespace ref {
-
-inline void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const float* a, const float* b, float beta,
-                 float* c) noexcept {
-  tensor::gemm_f32_ref(m, n, k, alpha, a, b, beta, c);
-}
-inline void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const half* a, const half* b, float beta, half* c) noexcept {
-  tensor::gemm_f16_ref(m, n, k, alpha, a, b, beta, c);
-}
-
-// im2col: expand the input patch matrix so convolution becomes a GEMM.
-// Column layout: rows = inC*k*k, cols = outH*outW (one batch item).
-template <typename T>
-void im2col(const T* in, std::int64_t channels, std::int64_t height,
-            std::int64_t width, int kernel, int stride, int pad,
-            std::int64_t out_h, std::int64_t out_w, T* col) noexcept {
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        T* dst = col + ((c * kernel + ky) * kernel + kx) * out_h * out_w;
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * stride - pad + ky;
-          if (iy < 0 || iy >= height) {
-            std::fill(dst + oy * out_w, dst + (oy + 1) * out_w, T{});
-            continue;
-          }
-          const T* src_row = in + (c * height + iy) * width;
-          for (std::int64_t ox = 0; ox < out_w; ++ox) {
-            const std::int64_t ix = ox * stride - pad + kx;
-            dst[oy * out_w + ox] =
-                (ix >= 0 && ix < width) ? src_row[ix] : T{};
-          }
-        }
-      }
-    }
-  }
-}
-
-template <typename T>
-void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
-            const ConvParams& p, Tensor<T>& out) {
-  const tensor::Shape& is = in.shape();
-  const std::int64_t oh = conv_extent(is.h, p.kernel, p.stride, p.pad);
-  const std::int64_t ow = conv_extent(is.w, p.kernel, p.stride, p.pad);
-  out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
-
-  const std::int64_t k_dim = is.c * p.kernel * p.kernel;
-  const std::int64_t n_dim = oh * ow;
-  std::vector<T> col(static_cast<std::size_t>(k_dim * n_dim));
-
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    im2col(in.batch_ptr(b), is.c, is.h, is.w, p.kernel, p.stride, p.pad, oh,
-           ow, col.data());
-    // out[b] = W[outC x k_dim] * col[k_dim x n_dim]
-    gemm(p.out_channels, n_dim, k_dim, 1.0f, params.w.data(), col.data(),
-         0.0f, out.batch_ptr(b));
-    // Bias add (rounded per element in FP16 by operator+).
-    for (std::int64_t oc = 0; oc < p.out_channels; ++oc) {
-      const T bias = params.b[oc];
-      T* dst = out.batch_ptr(b) + oc * n_dim;
-      for (std::int64_t i = 0; i < n_dim; ++i) dst[i] += bias;
-    }
-  }
-}
-
-template <typename T>
-void relu(Tensor<T>& x) {
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (static_cast<float>(x[i]) < 0.0f) x[i] = T{};
-  }
-}
-
-template <typename T>
-void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out) {
-  const tensor::Shape& is = in.shape();
-  out.resize(is);
-  const int half_win = p.local_size / 2;
-  const float alpha_over_n = p.alpha / static_cast<float>(p.local_size);
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    for (std::int64_t y = 0; y < is.h; ++y) {
-      for (std::int64_t x = 0; x < is.w; ++x) {
-        for (std::int64_t c = 0; c < is.c; ++c) {
-          const std::int64_t c0 = std::max<std::int64_t>(c - half_win, 0);
-          const std::int64_t c1 =
-              std::min<std::int64_t>(c + half_win, is.c - 1);
-          float sumsq = 0.0f;
-          for (std::int64_t cc = c0; cc <= c1; ++cc) {
-            const float v = static_cast<float>(in.at(b, cc, y, x));
-            sumsq += v * v;
-          }
-          const float scale = p.k + alpha_over_n * sumsq;
-          const float v = static_cast<float>(in.at(b, c, y, x)) /
-                          std::pow(scale, p.beta);
-          out.at(b, c, y, x) = tensor::scalar_cast<T>(v);
-        }
-      }
-    }
-  }
-}
-
-template <typename T>
-void fully_connected(const Tensor<T>& in, const LayerParams<T>& params,
-                     const FCParams& p, Tensor<T>& out) {
-  const tensor::Shape& is = in.shape();
-  const std::int64_t in_dim = is.chw();
-  out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    gemm(p.out_features, 1, in_dim, 1.0f, params.w.data(), in.batch_ptr(b),
-         0.0f, out.batch_ptr(b));
-    T* dst = out.batch_ptr(b);
-    for (std::int64_t f = 0; f < p.out_features; ++f) {
-      dst[f] += params.b[f];
-    }
-  }
-}
-
-}  // namespace ref
-
-// ---------------------------------------------------------------------------
 // Optimised kernels.
 
 // im2col over channels [c0, c1) from an FP32 source plane; the column
-// matrix layout matches ref::im2col exactly.
+// matrix layout matches the oracle's im2col exactly.
 void im2col_rows(const float* in, std::int64_t c0, std::int64_t c1,
                  std::int64_t height, std::int64_t width, int kernel,
                  int stride, int pad, std::int64_t out_h, std::int64_t out_w,
@@ -386,10 +259,6 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
     throw std::invalid_argument("conv2d: weight shape mismatch: " +
                                 params.w.shape().to_string());
   }
-  if (ctx.reference) {
-    ref::conv2d(in, params, p, out);
-    return;
-  }
   out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
 
   const std::int64_t k_dim = is.c * p.kernel * p.kernel;
@@ -438,7 +307,7 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
                        bmat + j0, n_dim, 0.0f, cf + j0, n_dim);
     });
 
-    // Bias add. FP16 keeps the pre-PR order: round the accumulator to
+    // Bias add. FP16 keeps the oracle's order: round the accumulator to
     // half first, then add the half bias with per-element rounding.
     parallel_chunks(
         ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
@@ -466,10 +335,6 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
 
 template <typename T>
 void relu(Tensor<T>& x, const ExecCtx& ctx) {
-  if (ctx.reference) {
-    ref::relu(x);
-    return;
-  }
   const std::int64_t n = x.numel();
   if constexpr (std::is_same_v<T, float>) {
     float* data = x.data();
@@ -666,10 +531,6 @@ void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
 template <typename T>
 void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
          const ExecCtx& ctx) {
-  if (ctx.reference) {
-    ref::lrn(in, p, out);
-    return;
-  }
   const tensor::Shape& is = in.shape();
   out.resize(is);
   const int half_win = p.local_size / 2;
@@ -697,7 +558,7 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
                 std::min<std::int64_t>(c + half_win, is.c - 1);
             std::fill(sumsq, sumsq + hw, 0.0f);
             // Ascending-channel accumulation: the same term order as the
-            // reference's per-element window loop.
+            // oracle's per-element window loop.
             for (std::int64_t cc = w0; cc <= w1; ++cc) {
               const float* v = inf + cc * hw;
               for (std::int64_t i = 0; i < hw; ++i) sumsq[i] += v[i] * v[i];
@@ -778,10 +639,6 @@ void fully_connected(const Tensor<T>& in, const LayerParams<T>& params,
   if (params.w.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
     throw std::invalid_argument("fully_connected: weight shape mismatch: " +
                                 params.w.shape().to_string());
-  }
-  if (ctx.reference) {
-    ref::fully_connected(in, params, p, out);
-    return;
   }
   out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
   Workspace local;

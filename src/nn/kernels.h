@@ -8,9 +8,8 @@
 // the pools / LRN / ReLU split by (batch, channel) slabs, and every
 // split writes a disjoint output region with the same per-element
 // arithmetic as the serial path — so results are bit-identical across
-// thread counts, and identical to the pre-PR scalar kernels (kept
-// reachable through ExecCtx::reference for A/B benching and the golden
-// tests).
+// thread counts, and identical to the pre-rewrite scalar kernels, which
+// the memcmp tests keep as a test-only oracle (tests/oracle/).
 #pragma once
 
 #include <cstddef>
@@ -105,13 +104,10 @@ struct ExecCtx {
   util::ThreadPool* pool = nullptr;
   /// Number of slabs the parallel kernels split their work into.
   int threads = 1;
-  /// Route GEMMs and element loops through the pre-PR scalar kernels
-  /// (serial, per-layer allocation) — the recorded perf baseline.
-  bool reference = false;
   /// Opt-in fast tier (docs/performance.md): fused conv+bias+ReLU,
   /// direct 3x3/1x1 convolution, int8 fully-connected layers, sqrt-based
   /// LRN and affinity-aware chunk placement. Forfeits bit-identity with
-  /// the reference path (still deterministic across thread counts);
+  /// the exact tier (still deterministic across thread counts);
   /// validated by the digest-tolerance tests. Off by default.
   bool fast = false;
   /// Graph-load-time fast-tier weights (FP32 panels + per-channel int8);

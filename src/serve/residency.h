@@ -65,7 +65,6 @@ class ResidencyManager {
 
   /// Price of bringing model `m` onto a stick (kCostAware scoring).
   void set_swap_cost(int model, double cost_s);
-  double swap_cost(int model) const { return cost_s_.at(model); }
 
   /// Record that `stick` now holds `model` (initial residency, or after
   /// the fleet completed a swap).

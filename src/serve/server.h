@@ -3,8 +3,7 @@
 //
 // The paper's Section III closes with applications that "run a specific
 // subset of inputs on a GPU, and at the same time another subset on ...
-// several VPUs"; ext_mixed_targets plans that split *offline* with
-// core::plan_partition. This layer is the online generalisation: an
+// several VPUs". This layer serves that heterogeneous node online: an
 // open-loop stream of requests flows through
 //
 //   arrivals --> [admission queue] --> [batcher] --> [dispatcher] --> Targets
@@ -18,11 +17,11 @@
 // entirely on the simulated clock: the server is a single-threaded
 // discrete-event loop (arrival / ticket-completion / flush-timeout /
 // deadline-drop events, ties broken by kServerEventOrder), so a given
-// arrival trace always produces byte-identical results. The feedback
-// estimator replaces plan_partition's one-shot split: when a batch
-// returns slow — e.g. the health machinery quarantined a stick mid-batch
-// — the target's throughput estimate sinks and the dispatcher rebalances
-// the following batches toward the healthy engines.
+// arrival trace always produces byte-identical results. The split
+// across targets follows a feedback estimator, not a one-shot plan: when
+// a batch returns slow — e.g. the health machinery quarantined a stick
+// mid-batch — the target's throughput estimate sinks and the dispatcher
+// rebalances the following batches toward the healthy engines.
 //
 // The dispatcher pipelines over the async Target API
 // (docs/async-targets.md): each batch becomes a core::Ticket via

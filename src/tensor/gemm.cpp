@@ -6,8 +6,8 @@
 #include "tensor/gemm_detail.h"
 #include "util/multiversion.h"
 
-// The exact kernels below must produce the reference kernels' bits on
-// every ISA, so this TU is built with -ffp-contract=off
+// The exact kernels below must produce the oracle kernels' bits
+// (tests/oracle/) on every ISA, so this TU is built with -ffp-contract=off
 // (src/CMakeLists.txt): the x86-64-v3 instantiation of the register tile
 // multiplies and adds in two roundings, exactly like the baseline one.
 // The fast-tier kernels, which may fuse, live in gemm_fast.cpp.
@@ -24,7 +24,7 @@ constexpr std::int64_t kBlockK = 256;
 // Register micro-tile: R rows x V*8 columns of C held in NCSW_V8F
 // accumulators (4x16 = 8 accumulators for full tiles). Every output
 // element still accumulates its k terms in ascending order with the same
-// per-term arithmetic as the reference kernel (av = alpha * a[i,kk],
+// per-term arithmetic as the oracle kernel (av = alpha * a[i,kk],
 // the term skipped when av is zero, which also leaves a -0 accumulator
 // alone), so results are bit-identical: the accumulators are loaded from
 // C before the k-slice and stored after it, which is the same value
@@ -212,7 +212,7 @@ void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   // value-preserving) instead of converting per multiply-accumulate, then
   // accumulate in FP32 and round once per element — the numerically honest
   // model of an FP16 MAC pipeline with a wide accumulator, bit-identical
-  // to the pre-PR per-element kernel.
+  // to the oracle's per-element kernel.
   GemmScratch local;
   GemmScratch& s = scratch ? *scratch : local;
   float* af = panel(s.a, m * k);
@@ -262,67 +262,6 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
       acc += av * xf[kk];
     }
     y[i] = ncsw::fp16::half(acc);
-  }
-}
-
-// --- pre-PR reference kernels (kept verbatim) ------------------------------
-
-void gemm_f32_ref(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                  const float* a, const float* b, float beta,
-                  float* c) noexcept {
-  if (beta == 0.0f) {
-    std::fill(c, c + m * n, 0.0f);
-  } else if (beta != 1.0f) {
-    for (std::int64_t i = 0; i < m * n; ++i) c[i] *= beta;
-  }
-  for (std::int64_t i0 = 0; i0 < m; i0 += kBlockM) {
-    const std::int64_t i1 = std::min(i0 + kBlockM, m);
-    for (std::int64_t k0 = 0; k0 < k; k0 += kBlockK) {
-      const std::int64_t k1 = std::min(k0 + kBlockK, k);
-      for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const std::int64_t j1 = std::min(j0 + kBlockN, n);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          float* crow = c + i * n;
-          const float* arow = a + i * k;
-          for (std::int64_t kk = k0; kk < k1; ++kk) {
-            const float av = alpha * arow[kk];
-            if (av == 0.0f) continue;
-            const float* brow = b + kk * n;
-            for (std::int64_t j = j0; j < j1; ++j) {
-              crow[j] += av * brow[j];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void gemm_f16_ref(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                  const ncsw::fp16::half* a, const ncsw::fp16::half* b,
-                  float beta, ncsw::fp16::half* c) noexcept {
-  std::vector<float> acc(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (beta == 0.0f) {
-      std::fill(acc.begin(), acc.end(), 0.0f);
-    } else {
-      for (std::int64_t j = 0; j < n; ++j) {
-        acc[static_cast<std::size_t>(j)] =
-            beta * static_cast<float>(c[i * n + j]);
-      }
-    }
-    const ncsw::fp16::half* arow = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = alpha * static_cast<float>(arow[kk]);
-      if (av == 0.0f) continue;
-      const ncsw::fp16::half* brow = b + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * static_cast<float>(brow[j]);
-      }
-    }
-    for (std::int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = ncsw::fp16::half(acc[static_cast<std::size_t>(j)]);
-    }
   }
 }
 

@@ -11,10 +11,10 @@
 // time; its TU is built with FP contraction off, so the AVX2 variant
 // never fuses a multiply-add. The FP16 kernel expands the half operands
 // to FP32 panels once and reuses the FP32 kernel. Both are bit-identical
-// to the pre-PR scalar kernels on every ISA, which are kept as
-// gemm_*_ref for A/B benching and the golden tests: every output element
-// accumulates its k terms in the same ascending order with the same
-// per-term arithmetic, so no rounding changes.
+// on every ISA to the pre-rewrite scalar kernels, which live on as the
+// test-only oracle (tests/oracle/): every output element accumulates its
+// k terms in the same ascending order with the same per-term arithmetic,
+// so no rounding changes.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,7 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
 
 /// Fast-tier FP32 GEMM: C = A*B over strided row-major panels
 /// (lda >= k, ldb/ldc >= n; C is overwritten). Unlike gemm_f32 this
-/// kernel is NOT bit-identical to the reference path: it drops the
+/// kernel is NOT bit-identical to the exact tier: it drops the
 /// zero-skip branches, permits FMA contraction, and is compiled per ISA
 /// level (x86-64-v3/v4 function multiversioning) so the baseline build
 /// stays generic. It is still deterministic for a given machine and
@@ -101,21 +101,5 @@ void gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
 /// to gemm_s8 with n = 1.
 void gemv_s8(std::int64_t m, std::int64_t k, const std::int8_t* a,
              const std::int8_t* x, std::int32_t* y) noexcept;
-
-// --- pre-PR reference kernels ---------------------------------------------
-// The scalar kernels this tree shipped before the blocked/threaded
-// rewrite, kept verbatim: the golden tests assert the optimised kernels
-// match them byte for byte, and bench/perf_forward measures speedup
-// against them as the recorded baseline.
-
-/// Reference (pre-PR) FP32 GEMM; bit-identical to gemm_f32.
-void gemm_f32_ref(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                  const float* a, const float* b, float beta,
-                  float* c) noexcept;
-
-/// Reference (pre-PR) FP16 GEMM; bit-identical to gemm_f16.
-void gemm_f16_ref(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                  const ncsw::fp16::half* a, const ncsw::fp16::half* b,
-                  float beta, ncsw::fp16::half* c) noexcept;
 
 }  // namespace ncsw::tensor

@@ -1,6 +1,6 @@
 // Per-ISA instantiations of the exact FP32 GEMM behind gemm_f32's
 // runtime dispatch (tensor/gemm.h). Both compile the same body; they are
-// exposed so tests can pin each one against gemm_f32_ref on any host
+// exposed so tests can pin each one against the oracle GEMM on any host
 // that can run it. Production code calls gemm_f32.
 #pragma once
 

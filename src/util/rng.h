@@ -78,9 +78,6 @@ class Xoshiro256 {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Uniform float in [0, 1).
-  float uniform_float() noexcept { return static_cast<float>(uniform()); }
-
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire's unbiased
   /// multiply-shift rejection method.
   std::uint64_t uniform_u64(std::uint64_t n) noexcept;

@@ -1,7 +1,7 @@
 // Digest-tolerance tests for the opt-in fast host tier
 // (docs/performance.md): the fast kernels forfeit bit-identity with the
 // default path, so these tests pin down what the tier still guarantees —
-// bounded per-element drift against the reference kernels, exact
+// bounded per-element drift against the exact-tier kernels, exact
 // equality where the math is order-independent (3x3 max pool), byte
 // determinism across thread counts, and a default-off switch that leaves
 // the bit-identical path untouched.

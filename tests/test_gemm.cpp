@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "oracle/oracle.h"
 #include "tensor/gemm_detail.h"
 #include "util/multiversion.h"
 #include "util/rng.h"
@@ -164,7 +165,7 @@ TEST(GemvF32, BetaRetainsPrevious) {
   EXPECT_FLOAT_EQ(y[0], 105.0f);
 }
 
-// --- bit-identity of the blocked/tiled kernels vs the pre-PR kernels ------
+// --- bit-identity of the blocked/tiled kernels vs the oracle kernels -----
 // The perf rewrite must not move a single bit: every figure error rate
 // was calibrated against the original kernels. These tests compare raw
 // bit patterns, not values-within-tolerance.
@@ -200,7 +201,7 @@ TEST_P(GemmBitIdentity, F32MatchesReferenceBitwise) {
     auto c_opt = random_matrix(m * n, 33 + k);
     auto c_ref = c_opt;
     gemm_f32(m, n, k, 0.75f, a.data(), b.data(), beta, c_opt.data());
-    ncsw::tensor::gemm_f32_ref(m, n, k, 0.75f, a.data(), b.data(), beta,
+    ncsw::oracle::gemm_f32_ref(m, n, k, 0.75f, a.data(), b.data(), beta,
                                c_ref.data());
     ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
                              c_opt.size() * sizeof(float)))
@@ -218,7 +219,7 @@ TEST_P(GemmBitIdentity, F16MatchesReferenceBitwise) {
     auto c_ref = c_opt;
     gemm_f16(m, n, k, 0.75f, ah.data(), bh.data(), beta, c_opt.data(),
              &scratch);
-    ncsw::tensor::gemm_f16_ref(m, n, k, 0.75f, ah.data(), bh.data(), beta,
+    ncsw::oracle::gemm_f16_ref(m, n, k, 0.75f, ah.data(), bh.data(), beta,
                                c_ref.data());
     ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
                              c_opt.size() * sizeof(half)))
@@ -265,7 +266,7 @@ TEST(GemvBitIdentity, F32MatchesGemmColumnCaseBitwise) {
   std::vector<float> y_gemv(static_cast<std::size_t>(m), 0.0f);
   std::vector<float> y_gemm(static_cast<std::size_t>(m), 0.0f);
   gemv_f32(m, k, a.data(), x.data(), 0.0f, y_gemv.data());
-  ncsw::tensor::gemm_f32_ref(m, 1, k, 1.0f, a.data(), x.data(), 0.0f,
+  ncsw::oracle::gemm_f32_ref(m, 1, k, 1.0f, a.data(), x.data(), 0.0f,
                              y_gemm.data());
   ASSERT_EQ(0, std::memcmp(y_gemv.data(), y_gemm.data(),
                            y_gemv.size() * sizeof(float)));
@@ -280,7 +281,7 @@ TEST(GemvBitIdentity, F16MatchesGemmColumnCaseBitwise) {
   ncsw::tensor::GemmScratch scratch;
   ncsw::tensor::gemv_f16(m, k, ah.data(), xh.data(), 0.0f, y_gemv.data(),
                          &scratch);
-  ncsw::tensor::gemm_f16_ref(m, 1, k, 1.0f, ah.data(), xh.data(), 0.0f,
+  ncsw::oracle::gemm_f16_ref(m, 1, k, 1.0f, ah.data(), xh.data(), 0.0f,
                              y_gemm.data());
   ASSERT_EQ(0, std::memcmp(y_gemv.data(), y_gemm.data(),
                            y_gemv.size() * sizeof(half)));
@@ -313,7 +314,7 @@ TEST(GemmScratchReuse, ResultsUnaffectedAndCapacityMonotonic) {
 
 // --- the exact GEMM's per-ISA instantiations ------------------------------
 // gemm_f32 dispatches to a baseline or an x86-64-v3 build of one body.
-// Each is pinned here directly against the reference kernel, so a host
+// Each is pinned here directly against the oracle kernel, so a host
 // that dispatches to one still checks the other (the v3 one wherever the
 // machine can run it).
 
@@ -358,7 +359,7 @@ TEST(GemmExactIsa, EachInstantiationMatchesReferenceBitwise) {
           auto c_opt = c_ref;
           inst.fn(m, n, k, alpha, a.data(), k, b.data(), n, beta,
                   c_opt.data(), n);
-          ncsw::tensor::gemm_f32_ref(m, n, k, alpha, a.data(), b.data(), beta,
+          ncsw::oracle::gemm_f32_ref(m, n, k, alpha, a.data(), b.data(), beta,
                                      c_ref.data());
           ASSERT_EQ(0, std::memcmp(c_opt.data(), c_ref.data(),
                                    c_opt.size() * sizeof(float)))
@@ -399,7 +400,7 @@ TEST(GemmExactIsa, NeverFusesMultiplyAdd) {
   const std::vector<float> a(static_cast<std::size_t>(m * k), x);
   const std::vector<float> b(static_cast<std::size_t>(k * n), x);
   std::vector<float> c_ref(static_cast<std::size_t>(m * n), -1.0f);
-  ncsw::tensor::gemm_f32_ref(m, n, k, 1.0f, a.data(), b.data(), 1.0f,
+  ncsw::oracle::gemm_f32_ref(m, n, k, 1.0f, a.data(), b.data(), 1.0f,
                              c_ref.data());
   ASSERT_NE(fused, c_ref[0]) << "operands do not separate fma from mul+add";
   EXPECT_EQ(0x1.0p-11f, c_ref[0]);

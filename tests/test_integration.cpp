@@ -3,8 +3,6 @@
 // invariants that tie the subsystems together.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "core/application.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
@@ -15,58 +13,6 @@ namespace {
 
 using namespace ncsw;
 using namespace ncsw::core;
-
-TEST(PlanPartition, ProportionalAndExact) {
-  const auto shares = plan_partition(100, {1.0, 1.0, 2.0});
-  ASSERT_EQ(shares.size(), 3u);
-  EXPECT_EQ(shares[0] + shares[1] + shares[2], 100);
-  EXPECT_EQ(shares[0], 25);
-  EXPECT_EQ(shares[1], 25);
-  EXPECT_EQ(shares[2], 50);
-}
-
-TEST(PlanPartition, LargestRemainderDistributesLeftovers) {
-  // 10 images over throughputs 1:1:1 -> 4,3,3 in some order, sum exact.
-  const auto shares = plan_partition(10, {1.0, 1.0, 1.0});
-  EXPECT_EQ(shares[0] + shares[1] + shares[2], 10);
-  for (auto s : shares) {
-    EXPECT_GE(s, 3);
-    EXPECT_LE(s, 4);
-  }
-}
-
-TEST(PlanPartition, ZeroThroughputGetsNothing) {
-  const auto shares = plan_partition(50, {0.0, 5.0});
-  EXPECT_EQ(shares[0], 0);
-  EXPECT_EQ(shares[1], 50);
-}
-
-TEST(PlanPartition, DegenerateAllZeroFallsBackToFirst) {
-  const auto shares = plan_partition(7, {0.0, 0.0});
-  EXPECT_EQ(shares[0], 7);
-  EXPECT_EQ(shares[1], 0);
-}
-
-TEST(PlanPartition, Validation) {
-  EXPECT_THROW(plan_partition(-1, {1.0}), std::invalid_argument);
-  EXPECT_THROW(plan_partition(10, {}), std::invalid_argument);
-  EXPECT_THROW(plan_partition(10, {-1.0}), std::invalid_argument);
-  EXPECT_THROW(plan_partition(10, {std::nan("")}), std::invalid_argument);
-}
-
-TEST(PlanPartition, BalancedFinishTimes) {
-  // The point of the partition: per-target finish times are within one
-  // image of each other.
-  const std::vector<double> tputs{44.0, 74.2, 77.2};
-  const auto shares = plan_partition(10000, tputs);
-  std::vector<double> finish;
-  for (std::size_t i = 0; i < tputs.size(); ++i) {
-    finish.push_back(static_cast<double>(shares[i]) / tputs[i]);
-  }
-  const double lo = *std::min_element(finish.begin(), finish.end());
-  const double hi = *std::max_element(finish.begin(), finish.end());
-  EXPECT_LT(hi - lo, 0.05);  // seconds
-}
 
 TEST(Integration, CpuAndVpuAgreeOnMostPredictions) {
   // The same preprocessed inputs through the FP32 CPU engine and the FP16

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "oracle/oracle.h"
 #include "util/rng.h"
 
 namespace {
@@ -336,10 +337,11 @@ TEST(Softmax, Fp16OutputStillNormalised) {
   EXPECT_NEAR(sum, 1.0, 5e-3);  // FP16 rounding tolerance
 }
 
-// --- bit-identity: reference vs optimised vs threaded ---------------------
+// --- bit-identity: oracle vs optimised vs threaded ------------------------
 // The cache-tuned / threaded kernels claim byte-equal outputs with the
-// pre-PR scalar kernels for any thread count. Each case runs the three
-// configurations on the same input and compares raw bytes.
+// pre-rewrite scalar kernels (the test-only oracle) for any thread count.
+// Each case runs the oracle and two configurations of the production
+// kernel on the same input and compares raw bytes.
 
 template <typename T>
 void expect_bytes_equal(const Tensor<T>& a, const Tensor<T>& b,
@@ -350,12 +352,6 @@ void expect_bytes_equal(const Tensor<T>& a, const Tensor<T>& b,
       << what;
 }
 
-kernels::ExecCtx reference_ctx() {
-  kernels::ExecCtx ctx;
-  ctx.reference = true;
-  return ctx;
-}
-
 kernels::ExecCtx threaded_ctx(kernels::Workspace& ws, int threads) {
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
@@ -364,13 +360,14 @@ kernels::ExecCtx threaded_ctx(kernels::Workspace& ws, int threads) {
   return ctx;
 }
 
-// Run `op(out, ctx)` under the three configurations and require
-// byte-equal outputs.
-template <typename T, typename Op>
-void expect_all_configs_bitwise_equal(const Op& op, const char* what) {
+// Run `oracle(out)`, then `op(out, ctx)` serial and threaded, and
+// require byte-equal outputs.
+template <typename T, typename Oracle, typename Op>
+void expect_all_configs_bitwise_equal(const Oracle& oracle, const Op& op,
+                                      const char* what) {
   Tensor<T> out_ref, out_opt, out_thr;
   kernels::Workspace ws;
-  op(out_ref, reference_ctx());
+  oracle(out_ref);
   op(out_opt, kernels::ExecCtx{});
   op(out_thr, threaded_ctx(ws, 4));
   expect_bytes_equal(out_opt, out_ref, what);
@@ -402,6 +399,7 @@ template <typename T>
 void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed) {
   const ConvFixture<T> f = make_conv<T>(c, seed);
   expect_all_configs_bitwise_equal<T>(
+      [&](Tensor<T>& out) { ncsw::oracle::conv2d(f.in, f.p, f.cp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::conv2d(f.in, f.p, f.cp, out, ctx);
       },
@@ -425,7 +423,7 @@ TEST(KernelBitIdentity, Conv2dAllConfigsBothPrecisions) {
 // the GEMM; strided or padded 1x1s and larger kernels go through im2col.
 // Run a sequence of both through one workspace, so a conv after the
 // direct path sees an im2col panel it never grew, and compare each
-// result with the reference kernel byte for byte.
+// result with the oracle kernel byte for byte.
 template <typename T>
 void pointwise_sequence_case(int batch, int threads) {
   const ConvCase seq[] = {
@@ -440,7 +438,7 @@ void pointwise_sequence_case(int batch, int threads) {
   for (const auto& c : seq) {
     const ConvFixture<T> f = make_conv<T>(c, seed += 10);
     Tensor<T> ref, got;
-    kernels::conv2d(f.in, f.p, f.cp, ref, reference_ctx());
+    ncsw::oracle::conv2d(f.in, f.p, f.cp, ref);
     kernels::conv2d(f.in, f.p, f.cp, got, threaded_ctx(ws, threads));
     SCOPED_TRACE(::testing::Message()
                  << "k" << c.kernel << " s" << c.stride << " p" << c.pad
@@ -477,7 +475,7 @@ void relu_bit_identity_case() {
   const Tensor<T> src = ncsw::tensor::tensor_cast<T>(src_f);
   Tensor<T> ref = src, opt = src, thr = src;
   kernels::Workspace ws;
-  kernels::relu(ref, reference_ctx());
+  ncsw::oracle::relu(ref);
   kernels::relu(opt, kernels::ExecCtx{});
   kernels::relu(thr, threaded_ctx(ws, 4));
   expect_bytes_equal(opt, ref, "relu");
@@ -492,28 +490,33 @@ TEST(KernelBitIdentity, ReluAllConfigsBothPrecisions) {
 TEST(KernelBitIdentity, HalfReluMatchesReferenceOnEveryBitPattern) {
   // The FP16 ReLU tests bits instead of comparing the widened float;
   // every pattern (±0, subnormals, ±inf, NaNs of both signs) must come
-  // out as the reference's float comparison leaves it.
+  // out as the oracle's float comparison leaves it.
   Tensor<half> ref(Shape{1, 1, 256, 256});
   for (std::uint32_t b = 0; b < 65536; ++b) {
     ref.data()[b] = half::from_bits(static_cast<std::uint16_t>(b));
   }
   Tensor<half> opt = ref;
-  kernels::relu(ref, reference_ctx());
+  ncsw::oracle::relu(ref);
   kernels::relu(opt, kernels::ExecCtx{});
   expect_bytes_equal(opt, ref, "relu");
 }
 
+// The pools have no oracle kernel of their own: the serial production
+// kernel with a call-local workspace is the spec (oracle::run_forward
+// runs it too), and the threaded configurations must match it.
 template <typename T>
 void pool_bit_identity_case(const PoolParams& pp, const Shape& shape,
                             std::uint64_t seed) {
   const Tensor<T> in =
       ncsw::tensor::tensor_cast<T>(random_tensor(shape, seed));
   expect_all_configs_bitwise_equal<T>(
+      [&](Tensor<T>& out) { kernels::max_pool(in, pp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::max_pool(in, pp, out, ctx);
       },
       "max_pool");
   expect_all_configs_bitwise_equal<T>(
+      [&](Tensor<T>& out) { kernels::avg_pool(in, pp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::avg_pool(in, pp, out, ctx);
       },
@@ -539,6 +542,7 @@ void lrn_bit_identity_case(std::uint64_t seed) {
       ncsw::tensor::tensor_cast<T>(random_tensor(Shape{2, 7, 5, 3}, seed));
   const LRNParams p{5, 1e-4f, 0.75f, 2.0f};
   expect_all_configs_bitwise_equal<T>(
+      [&](Tensor<T>& out) { ncsw::oracle::lrn(in, p, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::lrn(in, p, out, ctx);
       },
@@ -560,6 +564,9 @@ void fc_bit_identity_case(std::uint64_t seed) {
   p.b =
       ncsw::tensor::tensor_cast<T>(random_tensor(Shape{1, 11, 1, 1}, seed + 2));
   expect_all_configs_bitwise_equal<T>(
+      [&](Tensor<T>& out) {
+        ncsw::oracle::fully_connected(in, p, FCParams{11}, out);
+      },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::fully_connected(in, p, FCParams{11}, out, ctx);
       },

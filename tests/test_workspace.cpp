@@ -1,13 +1,17 @@
 // Workspace reuse, thread-count resolution and the executor-level golden
-// guarantee: run_forward output is byte-identical across reference /
-// optimised / threaded execution in both precisions.
+// guarantee: every layer's run_forward activation is byte-identical to
+// the oracle's (tests/oracle/), serial and threaded, in both precisions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
+#include "core/model.h"
 #include "nn/executor.h"
 #include "nn/kernels.h"
+#include "oracle/oracle.h"
 #include "util/rng.h"
 
 namespace {
@@ -166,9 +170,6 @@ TEST(ResolveThreads, BadEnvFallsBackToHardware) {
 template <typename T>
 void golden_run_forward_case(const Graph& g, const Weights<T>& w,
                              const Tensor<T>& in) {
-  ExecOptions ref;
-  ref.reference_kernels = true;
-  ref.keep_all_activations = true;
   ExecOptions serial;
   serial.threads = 1;
   serial.keep_all_activations = true;
@@ -176,20 +177,45 @@ void golden_run_forward_case(const Graph& g, const Weights<T>& w,
   threaded.threads = 4;
   threaded.keep_all_activations = true;
 
-  const auto r_ref = run_forward(g, w, in, ref);
+  const auto oracle = ncsw::oracle::run_forward(g, w, in);
   const auto r_serial = run_forward(g, w, in, serial);
   const auto r_threaded = run_forward(g, w, in, threaded);
 
-  ASSERT_EQ(r_ref.activations.size(), r_serial.activations.size());
-  ASSERT_EQ(r_ref.activations.size(), r_threaded.activations.size());
-  for (std::size_t i = 0; i < r_ref.activations.size(); ++i) {
-    const std::string what = "layer '" + g.layer(static_cast<int>(i)).name +
-                             "' (id " + std::to_string(i) + ")";
-    expect_bytes_equal(r_serial.activations[i], r_ref.activations[i],
-                       what.c_str());
-    expect_bytes_equal(r_threaded.activations[i], r_ref.activations[i],
-                       what.c_str());
+  ASSERT_EQ(oracle.size(), r_serial.activations.size());
+  ASSERT_EQ(oracle.size(), r_threaded.activations.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    const std::string what = g.name() + " layer '" +
+                             g.layer(static_cast<int>(i)).name + "' (id " +
+                             std::to_string(i) + ")";
+    expect_bytes_equal(r_serial.activations[i], oracle[i], what.c_str());
+    expect_bytes_equal(r_threaded.activations[i], oracle[i], what.c_str());
   }
+}
+
+// The Fig. 7 classifier (TinyGoogLeNet fitted to the default dataset, as
+// fig7a/fig7b and the fig7-classify workload build it) and a batch of two
+// preprocessed dataset images.
+struct Fig7Case {
+  std::shared_ptr<const ncsw::core::ModelBundle> bundle;
+  TensorF batch;
+};
+
+const Fig7Case& fig7_case() {
+  static const Fig7Case c = [] {
+    const ncsw::dataset::SyntheticImageNet data{
+        ncsw::dataset::DatasetConfig{}};
+    Fig7Case f{ncsw::core::ModelBundle::tiny_functional(data), {}};
+    const Graph& g = f.bundle->graph;
+    const Shape shape = g.layer(g.input_id()).out_shape.with_batch(2);
+    f.batch = TensorF(shape);
+    for (std::int64_t b = 0; b < shape.n; ++b) {
+      const auto img = data.preprocess(
+          data.sample(0, static_cast<int>(b)).image, static_cast<int>(shape.h));
+      std::copy(img.data(), img.data() + img.numel(), f.batch.batch_ptr(b));
+    }
+    return f;
+  }();
+  return c;
 }
 
 TEST(GoldenForward, Fp32BitIdenticalAcrossConfigs) {
@@ -197,6 +223,21 @@ TEST(GoldenForward, Fp32BitIdenticalAcrossConfigs) {
   const WeightsF w = init_msra(g, 42);
   const TensorF in = random_tensor(Shape{3, 3, 16, 16}, 7);
   golden_run_forward_case<float>(g, w, in);
+
+  // 13 of the Fig. 7 classifier's 21 convs take the direct 1x1 path.
+  const Fig7Case& fig7 = fig7_case();
+  int convs = 0, pointwise = 0;
+  for (const Layer& l : fig7.bundle->graph.layers()) {
+    if (l.kind != LayerKind::kConv) continue;
+    ++convs;
+    if (l.conv.kernel == 1 && l.conv.stride == 1 && l.conv.pad == 0) {
+      ++pointwise;
+    }
+  }
+  EXPECT_EQ(convs, 21);
+  EXPECT_EQ(pointwise, 13);
+  golden_run_forward_case<float>(fig7.bundle->graph, fig7.bundle->weights_f32,
+                                 fig7.batch);
 }
 
 TEST(GoldenForward, Fp16BitIdenticalAcrossConfigs) {
@@ -205,6 +246,10 @@ TEST(GoldenForward, Fp16BitIdenticalAcrossConfigs) {
   const auto in = ncsw::tensor::tensor_cast<half>(
       random_tensor(Shape{3, 3, 16, 16}, 7));
   golden_run_forward_case<half>(g, w, in);
+
+  const Fig7Case& fig7 = fig7_case();
+  golden_run_forward_case<half>(fig7.bundle->graph, fig7.bundle->weights_f16,
+                                ncsw::tensor::tensor_cast<half>(fig7.batch));
 }
 
 TEST(GoldenForward, ThreadsKnobDoesNotChangeOutput) {
