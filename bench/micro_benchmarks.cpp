@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
-// conversion, GEMM, convolution, USB reservation, the chip model, the
-// dataset generator, functional inference, zoo graph swaps and the
-// cluster's serving loop. These
-// measure *this host's* real performance (unlike the figure harnesses,
-// which report simulated device time).
+// conversion, GEMM, convolution, max pooling, USB reservation, the chip
+// model, the dataset generator, functional inference, zoo graph swaps
+// and the cluster's serving loop. These measure *this host's* real
+// performance (unlike the figure harnesses, which report simulated
+// device time).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -22,6 +22,7 @@
 #include "mvnc/sim_host.h"
 #include "nn/executor.h"
 #include "nn/googlenet.h"
+#include "nn/kernels.h"
 #include "mdk/mdk.h"
 #include "serve/arrivals.h"
 #include "sim/resource.h"
@@ -143,6 +144,113 @@ void BM_Conv3x3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv3x3);
+
+// The exact conv (im2col + GEMM + bias, one thread) at TinyGoogLeNet's
+// spatial convs: the 7x7/s2 stem, conv2's 3x3 and the inception 3x3 and
+// 5x5 towers on the 8x8 and 4x4 maps (a 5x5/p2 window is wider than a
+// 4x4 map). Args: input channels, map size, output channels, kernel,
+// stride, pad, FP16 (0/1). GFLOP/s counts the GEMM's multiply-adds.
+void conv_shape_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"C", "H", "M", "k", "s", "p", "fp16"});
+  for (const int fp16 : {0, 1}) {
+    for (const auto& s : {std::array<std::int64_t, 6>{3, 32, 16, 7, 2, 3},
+                          std::array<std::int64_t, 6>{16, 8, 32, 3, 1, 1},
+                          std::array<std::int64_t, 6>{12, 8, 16, 3, 1, 1},
+                          std::array<std::int64_t, 6>{4, 8, 8, 5, 1, 2},
+                          std::array<std::int64_t, 6>{24, 4, 32, 3, 1, 1},
+                          std::array<std::int64_t, 6>{8, 4, 16, 5, 1, 2}}) {
+      b->Args({s[0], s[1], s[2], s[3], s[4], s[5], fp16});
+    }
+  }
+}
+
+// gemm_operand() values as a tensor of precision T. Activations get 30%
+// exact zeros, as a ReLU leaves them.
+template <typename T>
+ncsw::tensor::Tensor<T> operand_tensor(const ncsw::tensor::Shape& shape,
+                                       std::uint64_t seed, double zero_frac) {
+  const auto v = gemm_operand(shape.numel(), seed, zero_frac);
+  ncsw::tensor::TensorF t(shape);
+  std::copy(v.begin(), v.end(), t.data());
+  return ncsw::tensor::tensor_cast<T>(t);
+}
+
+template <typename T>
+void run_conv2d_exact(benchmark::State& state) {
+  using namespace ncsw::nn;
+  const auto c = state.range(0), h = state.range(1), m = state.range(2);
+  const int k = static_cast<int>(state.range(3));
+  const ConvParams cp{static_cast<int>(m), k, static_cast<int>(state.range(4)),
+                      static_cast<int>(state.range(5))};
+  const auto in = operand_tensor<T>(Shape{1, c, h, h}, 3, 0.3);
+  LayerParams<T> p;
+  p.w = operand_tensor<T>(Shape{m, c, k, k}, 4, 0.05);
+  p.b = operand_tensor<T>(Shape{1, m, 1, 1}, 5, 0.0);
+  ncsw::tensor::Tensor<T> out;
+  kernels::Workspace ws;
+  kernels::ExecCtx ctx;
+  ctx.ws = &ws;
+  for (auto _ : state) {
+    kernels::conv2d(in, p, cp, out, ctx);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const std::int64_t oh = conv_extent(h, k, cp.stride, cp.pad);
+  set_gemm_counters(state, m, oh * oh, c * k * k);
+}
+
+void BM_Conv2dExact(benchmark::State& state) {
+  if (state.range(6) != 0) {
+    run_conv2d_exact<half>(state);
+  } else {
+    run_conv2d_exact<float>(state);
+  }
+}
+BENCHMARK(BM_Conv2dExact)->Apply(conv_shape_args);
+
+// Max pool (one thread) at TinyGoogLeNet's five pool layers: pool1 and
+// pool3 (3x3/s2, ceil) and the inception pool branches (3x3/s1/p1) on
+// the 8x8 and 4x4 maps. Args: channels, map size, stride, pad, FP16.
+void pool_shape_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"C", "H", "s", "p", "fp16"});
+  for (const int fp16 : {0, 1}) {
+    for (const auto& s : {std::array<std::int64_t, 4>{16, 16, 2, 0},
+                          std::array<std::int64_t, 4>{32, 8, 1, 1},
+                          std::array<std::int64_t, 4>{40, 8, 1, 1},
+                          std::array<std::int64_t, 4>{56, 8, 2, 0},
+                          std::array<std::int64_t, 4>{56, 4, 1, 1}}) {
+      b->Args({s[0], s[1], s[2], s[3], fp16});
+    }
+  }
+}
+
+template <typename T>
+void run_max_pool(benchmark::State& state) {
+  using namespace ncsw::nn;
+  const auto c = state.range(0), h = state.range(1);
+  const PoolParams pp{3, static_cast<int>(state.range(2)),
+                      static_cast<int>(state.range(3)), true, false};
+  const auto in = operand_tensor<T>(Shape{1, c, h, h}, 6, 0.3);
+  ncsw::tensor::Tensor<T> out;
+  kernels::Workspace ws;
+  kernels::ExecCtx ctx;
+  ctx.ws = &ws;
+  for (auto _ : state) {
+    kernels::max_pool(in, pp, out, ctx);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * c);
+}
+
+void BM_MaxPool(benchmark::State& state) {
+  if (state.range(4) != 0) {
+    run_max_pool<half>(state);
+  } else {
+    run_max_pool<float>(state);
+  }
+}
+BENCHMARK(BM_MaxPool)->Apply(pool_shape_args);
 
 void BM_TinyGoogLeNetForward(benchmark::State& state) {
   using namespace ncsw::nn;

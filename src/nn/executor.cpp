@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "util/trace.h"
 
@@ -99,6 +100,20 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
     }
   }
 
+  // A ReLU or Dropout that is the last consumer of its input takes the
+  // input's buffer instead of copying it (the graph output and, under
+  // keep_all_activations, every activation must survive the layer). A
+  // fused-away ReLU always qualifies: fusion requires the same.
+  auto take_or_copy = [&](int src_id, tensor::Tensor<T>& dst) {
+    auto& src = acts[static_cast<std::size_t>(src_id)];
+    if (!options.keep_all_activations && src_id != graph.output_id() &&
+        remaining[static_cast<std::size_t>(src_id)] == 1) {
+      dst = std::exchange(src, tensor::Tensor<T>{});
+    } else {
+      dst = src;
+    }
+  };
+
   auto release = [&](int id) {
     if (options.keep_all_activations) return;
     auto& r = remaining[static_cast<std::size_t>(id)];
@@ -135,13 +150,9 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
         }
         break;
       case LayerKind::kReLU:
-        if (fused_away[static_cast<std::size_t>(id)]) {
-          // Already applied in the producing layer's epilogue.
-          dst = std::move(acts[static_cast<std::size_t>(l.inputs[0])]);
-        } else {
-          dst = src;
-          kernels::relu(dst, ctx);
-        }
+        take_or_copy(l.inputs[0], dst);
+        // A fused ReLU already ran in the producing layer's epilogue.
+        if (!fused_away[static_cast<std::size_t>(id)]) kernels::relu(dst, ctx);
         break;
       case LayerKind::kMaxPool:
         kernels::max_pool(src, l.pool, dst, ctx);
@@ -175,7 +186,7 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
         kernels::softmax(src, dst);
         break;
       case LayerKind::kDropout:
-        dst = src;  // inference-time dropout is the identity
+        take_or_copy(l.inputs[0], dst);  // inference-time identity
         break;
     }
     if (profile) {

@@ -1,7 +1,5 @@
 #include "nn/kernels.h"
 
-#include "util/multiversion.h"
-
 #include <algorithm>
 #include <cmath>
 #include <exception>
@@ -81,41 +79,57 @@ void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
 // Optimised kernels.
 
 // im2col over channels [c0, c1) from an FP32 source plane; the column
-// matrix layout matches the oracle's im2col exactly.
+// matrix layout matches the oracle's im2col exactly. Each channel is
+// first copied into `plane`, a (height + 2*pad) x (width + 2*pad)
+// scratch whose border the caller zero-filled: that +0.0f border is
+// exactly what the oracle's bounds checks write, so every column row is
+// a plain copy (contiguous at stride 1). S is the stride at compile time
+// (0: at run time), so the stride-2 gather vectorises too.
+template <int S>
 void im2col_rows(const float* in, std::int64_t c0, std::int64_t c1,
                  std::int64_t height, std::int64_t width, int kernel,
-                 int stride, int pad, std::int64_t out_h, std::int64_t out_w,
-                 float* col) noexcept {
+                 int stride_rt, int pad, std::int64_t out_h,
+                 std::int64_t out_w, float* plane, float* col) noexcept {
+  const int stride = S != 0 ? S : stride_rt;
+  const std::int64_t pw = width + 2 * pad;
   for (std::int64_t c = c0; c < c1; ++c) {
+    const float* src = in + c * height * width;
+    for (std::int64_t y = 0; y < height; ++y) {
+      std::copy(src + y * width, src + (y + 1) * width,
+                plane + (y + pad) * pw + pad);
+    }
     for (int ky = 0; ky < kernel; ++ky) {
       for (int kx = 0; kx < kernel; ++kx) {
         float* dst = col + ((c * kernel + ky) * kernel + kx) * out_h * out_w;
         for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const std::int64_t iy = oy * stride - pad + ky;
-          if (iy < 0 || iy >= height) {
-            std::fill(dst + oy * out_w, dst + (oy + 1) * out_w, 0.0f);
-            continue;
-          }
-          const float* src_row = in + (c * height + iy) * width;
-          // The interior run [x_lo, x_hi) needs no bounds checks.
-          const std::int64_t x_lo = std::max<std::int64_t>(
-              0, (pad - kx + stride - 1) / stride);
-          const std::int64_t x_hi = std::min<std::int64_t>(
-              out_w, (width - 1 - kx + pad) / stride + 1);
+          const float* srow = plane + (oy * stride + ky) * pw + kx;
           float* drow = dst + oy * out_w;
-          for (std::int64_t ox = 0; ox < std::min(x_lo, out_w); ++ox) {
-            drow[ox] = 0.0f;
-          }
-          for (std::int64_t ox = x_lo; ox < x_hi; ++ox) {
-            drow[ox] = src_row[ox * stride - pad + kx];
-          }
-          for (std::int64_t ox = std::max(x_hi, x_lo); ox < out_w; ++ox) {
-            drow[ox] = 0.0f;
+          for (std::int64_t ox = 0; ox < out_w; ++ox) {
+            drow[ox] = srow[ox * stride];
           }
         }
       }
     }
   }
+}
+
+// The [C*k*k x out_h*out_w] column matrix of one batch item, fanned out
+// by channel; each chunk pads its channels in its own workspace slab.
+void im2col(const float* src, const tensor::Shape& is, const ConvParams& p,
+            std::int64_t oh, std::int64_t ow, float* col, Workspace& ws,
+            const ExecCtx& ctx) {
+  const auto rows = p.stride == 1   ? im2col_rows<1>
+                    : p.stride == 2 ? im2col_rows<2>
+                                    : im2col_rows<0>;
+  const std::int64_t plane_len = (is.h + 2 * p.pad) * (is.w + 2 * p.pad);
+  const int chunks = plan_chunks(ctx, is.c);
+  float* planes = ws.slabs(chunks, plane_len);
+  run_chunks(ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
+    float* plane = planes + t * plane_len;
+    std::fill(plane, plane + plane_len, 0.0f);
+    rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh, ow, plane,
+         col);
+  });
 }
 
 // The batch item as FP32: the tensor's own storage for float, a
@@ -139,94 +153,55 @@ const float* batch_as_f32(const Tensor<T>& in, std::int64_t b, Workspace& ws,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fast-tier separable 3x3 max pool over one plane. Phase 1 takes the
-// vertical max of the (clamped) 3-row window into a row buffer whose
-// 8-float slack borders hold -inf, phase 2 the horizontal 3-tap max of
-// that buffer; the -inf borders stand in for the window clamping of the
-// scalar kernel, so every output equals the scalar max exactly (max is
-// order-independent — this path changes no values, only speed).
-// `vbuf` points at the w-element interior of a (w + 16)-float buffer
-// whose borders the caller pre-filled with -inf.
-NCSW_FAST_INLINE void max_pool3_plane_impl(const float* sf, std::int64_t h,
-                                           std::int64_t w, int stride, int pad,
-                                           std::int64_t oh, std::int64_t ow,
-                                           float* vbuf, float* outf) noexcept {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    const std::int64_t y0 = std::max<std::int64_t>(oy * stride - pad, 0);
-    const std::int64_t y1 =
-        std::min<std::int64_t>(oy * stride - pad + 3, h);
-    // Phase 1: vertical max of rows [y0, y1) into vbuf[0..w).
-    std::int64_t x = 0;
-    for (; x + 8 <= w; x += 8) {
-      NCSW_V8F m = *reinterpret_cast<const NCSW_V8F*>(sf + y0 * w + x);
-      for (std::int64_t y = y0 + 1; y < y1; ++y) {
-        const NCSW_V8F r = *reinterpret_cast<const NCSW_V8F*>(sf + y * w + x);
-        m = m > r ? m : r;
-      }
-      *reinterpret_cast<NCSW_V8F*>(vbuf + x) = m;
-    }
-    for (; x < w; ++x) {
-      float m = sf[y0 * w + x];
-      for (std::int64_t y = y0 + 1; y < y1; ++y) {
-        m = std::max(m, sf[y * w + x]);
-      }
-      vbuf[x] = m;
-    }
-    // Phase 2: horizontal 3-tap max. The unaligned loads reach at most
-    // vbuf[ow - 1 - pad + 9], inside the slack border for pad <= 2 and
-    // ow <= w (stride 1).
-    float* orow = outf + oy * ow;
-    if (stride == 1) {
-      std::int64_t ox = 0;
-      for (; ox + 8 <= ow; ox += 8) {
-        const float* base = vbuf + ox - pad;
-        NCSW_V8F m = *reinterpret_cast<const NCSW_V8F*>(base);
-        const NCSW_V8F t1 = *reinterpret_cast<const NCSW_V8F*>(base + 1);
-        m = m > t1 ? m : t1;
-        const NCSW_V8F t2 = *reinterpret_cast<const NCSW_V8F*>(base + 2);
-        m = m > t2 ? m : t2;
-        *reinterpret_cast<NCSW_V8F*>(orow + ox) = m;
-      }
-      for (; ox < ow; ++ox) {
-        const float* base = vbuf + ox - pad;
-        orow[ox] = std::max(std::max(base[0], base[1]), base[2]);
-      }
-    } else {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        const float* base = vbuf + ox * stride - pad;
-        orow[ox] = std::max(std::max(base[0], base[1]), base[2]);
-      }
-    }
+// Max pool of one FP32 plane, row first: every padded row's horizontal
+// window maxima once, then each output row's vertical fold of the rows
+// its windows cover. Both folds start at -inf and take
+// `m = m < v ? v : m`, std::max's operand order, so every output is the
+// first row-major window element holding the maximum, NaNs skipped: the
+// scalar window loop's result bit for bit, +-0 ties included. (A
+// column-first fold would keep the first tie of the first *column*.)
+//
+// The plane is copied into `padded` (g.rows x g.row_len, row_len a
+// multiple of the stride) whose border the caller filled with -inf:
+// -inf never wins a fold, so it stands in for the window clamping, and
+// the horizontal pass is one flat loop over every padded row at once
+// (`hmax`, g.rows x row_len / stride). K and S are the kernel and stride
+// at compile time (0: at run time), so the common 3x3 windows unroll
+// into one select chain per element.
+struct PoolGeom {
+  std::int64_t h, w, oh, ow, rows, row_len;
+  int kernel, stride, pad;
+};
+
+template <int K, int S>
+void max_pool_plane(const float* sf, const PoolGeom& g, float* padded,
+                    float* hmax, float* out) noexcept {
+  const int kernel = K != 0 ? K : g.kernel;
+  const int stride = S != 0 ? S : g.stride;
+  for (std::int64_t y = 0; y < g.h; ++y) {
+    const float* src = sf + y * g.w;
+    float* dst = padded + (y + g.pad) * g.row_len + g.pad;
+    for (std::int64_t x = 0; x < g.w; ++x) dst[x] = src[x];
   }
-}
-
-NCSW_TARGET_V3 void max_pool3_plane_v3(const float* sf, std::int64_t h,
-                                       std::int64_t w, int stride, int pad,
-                                       std::int64_t oh, std::int64_t ow,
-                                       float* vbuf, float* outf) noexcept {
-  max_pool3_plane_impl(sf, h, w, stride, pad, oh, ow, vbuf, outf);
-}
-NCSW_TARGET_V4 void max_pool3_plane_v4(const float* sf, std::int64_t h,
-                                       std::int64_t w, int stride, int pad,
-                                       std::int64_t oh, std::int64_t ow,
-                                       float* vbuf, float* outf) noexcept {
-  max_pool3_plane_impl(sf, h, w, stride, pad, oh, ow, vbuf, outf);
-}
-
-void max_pool3_plane(const float* sf, std::int64_t h, std::int64_t w,
-                     int stride, int pad, std::int64_t oh, std::int64_t ow,
-                     float* vbuf, float* outf) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      max_pool3_plane_v4(sf, h, w, stride, pad, oh, ow, vbuf, outf);
-      break;
-    case util::IsaLevel::kV3:
-      max_pool3_plane_v3(sf, h, w, stride, pad, oh, ow, vbuf, outf);
-      break;
-    default:
-      max_pool3_plane_impl(sf, h, w, stride, pad, oh, ow, vbuf, outf);
-      break;
+  const std::int64_t hlen = g.row_len / stride;  // a row of hmax
+  const std::int64_t n = (g.rows - 1) * hlen + g.ow;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* r = padded + i * stride;
+    float m = -std::numeric_limits<float>::infinity();
+    for (int kx = 0; kx < kernel; ++kx) m = m < r[kx] ? r[kx] : m;
+    hmax[i] = m;
+  }
+  for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+    const float* hr = hmax + oy * stride * hlen;
+    float* orow = out + oy * g.ow;
+    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+      float m = -std::numeric_limits<float>::infinity();
+      for (int ky = 0; ky < kernel; ++ky) {
+        const float v = hr[ky * hlen + ox];
+        m = m < v ? v : m;
+      }
+      orow[ox] = m;
+    }
   }
 }
 
@@ -287,10 +262,7 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
     const float* src = batch_as_f32(in, b, ws, ctx);
     const float* bmat = src;
     if (!direct_1x1) {
-      parallel_chunks(ctx, is.c, [&](int, std::int64_t c0, std::int64_t c1) {
-        im2col_rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh,
-                    ow, col);
-      });
+      im2col(src, is, p, oh, ow, col, ws, ctx);
       bmat = col;
     }
 
@@ -339,8 +311,10 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
   if constexpr (std::is_same_v<T, float>) {
     float* data = x.data();
     parallel_chunks(ctx, n, [&](int, std::int64_t e0, std::int64_t e1) {
+      // Unconditional select, not a conditional store: the loop
+      // vectorises and never mispredicts. -0 and NaN pass through.
       for (std::int64_t i = e0; i < e1; ++i) {
-        if (data[i] < 0.0f) data[i] = 0.0f;
+        data[i] = data[i] < 0.0f ? 0.0f : data[i];
       }
     });
   } else {
@@ -372,87 +346,55 @@ void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
       p.global ? 1 : pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
   out.resize(tensor::Shape{is.n, is.c, oh, ow});
 
+  // Per-chunk scratch: the padded plane and its horizontal maxima.
+  PoolGeom g{is.h, is.w, oh, ow, 0, 0, kernel, stride, pad};
+  g.rows = std::max<std::int64_t>((oh - 1) * stride + kernel, pad + is.h);
+  const std::int64_t width =
+      std::max<std::int64_t>((ow - 1) * stride + kernel, pad + is.w);
+  g.row_len = (width + stride - 1) / stride * stride;
+  const std::int64_t padded_len = g.rows * g.row_len;
+  const std::int64_t slab_len = padded_len + padded_len / stride;
+  auto pool_plane = max_pool_plane<0, 0>;
+  if (kernel == 3 && stride == 1) pool_plane = max_pool_plane<3, 1>;
+  if (kernel == 3 && stride == 2) pool_plane = max_pool_plane<3, 2>;
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const std::int64_t planes = is.n * is.c;
+  const std::int64_t out_hw = oh * ow;
   const int chunks = plan_chunks(ctx, planes);
-  // Fast tier: separable vectorized 3x3 path (max_pool3_plane). Values
-  // are exactly the scalar kernel's — max has no accumulation order —
-  // but the path is gated on ctx.fast anyway so the default tier runs
-  // only the code the golden digests were recorded against.
-  const bool fast3 = ctx.fast && !p.global && kernel == 3 && pad <= 2;
-  const std::int64_t scratch_len =
-      std::is_same_v<T, float> ? 0 : is.hw();
-  const std::int64_t fast_len =
-      fast3 ? is.w + 16 + (std::is_same_v<T, float> ? 0 : oh * ow) : 0;
-  const std::int64_t slab_len = scratch_len + fast_len;
-  float* slab = slab_len != 0 ? ws.slabs(chunks, slab_len) : nullptr;
-  run_chunks(ctx, chunks, planes,
-             [&](int t, std::int64_t s0, std::int64_t s1) {
-               float* base = slab != nullptr ? slab + t * slab_len : nullptr;
-               float* vbuf = nullptr;
-               float* fast_out = nullptr;
-               if (fast3) {
-                 // -inf slack borders around the w-element row buffer;
-                 // phase 1 never writes them, so one fill serves every
-                 // plane of the chunk.
-                 float* vb0 = base + scratch_len;
-                 std::fill(vb0, vb0 + 8,
-                           -std::numeric_limits<float>::infinity());
-                 std::fill(vb0 + 8 + is.w, vb0 + 16 + is.w,
-                           -std::numeric_limits<float>::infinity());
-                 vbuf = vb0 + 8;
-                 if constexpr (!std::is_same_v<T, float>) {
-                   fast_out = vb0 + 16 + is.w;
-                 }
-               }
-               for (std::int64_t s = s0; s < s1; ++s) {
-                 const T* src = in.data() + s * is.hw();
-                 T* dst = out.data() + s * oh * ow;
-                 const float* sf;
-                 if constexpr (std::is_same_v<T, float>) {
-                   sf = src;
-                 } else {
-                   ncsw::fp16::half_to_float_span(
-                       src, base, static_cast<std::size_t>(is.hw()));
-                   sf = base;
-                 }
-                 if (fast3) {
-                   float* outf;
-                   if constexpr (std::is_same_v<T, float>) {
-                     outf = dst;
-                   } else {
-                     outf = fast_out;
-                   }
-                   max_pool3_plane(sf, is.h, is.w, stride, pad, oh, ow, vbuf,
-                                   outf);
-                   if constexpr (!std::is_same_v<T, float>) {
-                     ncsw::fp16::float_to_half_span(
-                         outf, dst, static_cast<std::size_t>(oh * ow));
-                   }
-                   continue;
-                 }
-                 for (std::int64_t oy = 0; oy < oh; ++oy) {
-                   for (std::int64_t ox = 0; ox < ow; ++ox) {
-                     const std::int64_t y0 =
-                         std::max<std::int64_t>(oy * stride - pad, 0);
-                     const std::int64_t x0 =
-                         std::max<std::int64_t>(ox * stride - pad, 0);
-                     const std::int64_t y1 = std::min<std::int64_t>(
-                         oy * stride - pad + kernel, is.h);
-                     const std::int64_t x1 = std::min<std::int64_t>(
-                         ox * stride - pad + kernel, is.w);
-                     float best = -std::numeric_limits<float>::infinity();
-                     for (std::int64_t y = y0; y < y1; ++y) {
-                       for (std::int64_t x = x0; x < x1; ++x) {
-                         best = std::max(best, sf[y * is.w + x]);
-                       }
-                     }
-                     dst[oy * ow + ox] = tensor::scalar_cast<T>(best);
-                   }
-                 }
-               }
-             });
+  float* slab = ws.slabs(chunks, slab_len);
+  // FP16 pools FP32 images of the tensors: each chunk widens its planes
+  // in one span and rounds its outputs in one span. Every max is a
+  // widened half (or -inf), so the rounding is exact.
+  constexpr bool is_half = !std::is_same_v<T, float>;
+  float* in_f = is_half ? ws.acts(planes * is.hw()) : nullptr;
+  float* out_f = is_half ? ws.out(planes * out_hw) : nullptr;
+  run_chunks(ctx, chunks, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
+    float* padded = slab + t * slab_len;
+    float* hmax = padded + padded_len;
+    // The -inf border; the planes of this chunk only write the inside.
+    std::fill(padded, hmax, -std::numeric_limits<float>::infinity());
+    const float* src;
+    float* dst;
+    if constexpr (is_half) {
+      ncsw::fp16::half_to_float_span(
+          in.data() + s0 * is.hw(), in_f + s0 * is.hw(),
+          static_cast<std::size_t>((s1 - s0) * is.hw()));
+      src = in_f;
+      dst = out_f;
+    } else {
+      src = in.data();
+      dst = out.data();
+    }
+    for (std::int64_t s = s0; s < s1; ++s) {
+      pool_plane(src + s * is.hw(), g, padded, hmax, dst + s * out_hw);
+    }
+    if constexpr (is_half) {
+      ncsw::fp16::float_to_half_span(
+          out_f + s0 * out_hw, out.data() + s0 * out_hw,
+          static_cast<std::size_t>((s1 - s0) * out_hw));
+    }
+  });
 }
 
 template <typename T>
@@ -806,11 +748,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
         bmat = src;
       } else {
         float* col = ws.col(k_dim * n_dim);
-        parallel_chunks(ctx, is.c,
-                        [&](int, std::int64_t c0, std::int64_t c1) {
-                          im2col_rows(src, c0, c1, is.h, is.w, p.kernel,
-                                      p.stride, p.pad, oh, ow, col);
-                        });
+        im2col(src, is, p, oh, ow, col, ws, ctx);
         bmat = col;
       }
       parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {

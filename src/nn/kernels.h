@@ -137,6 +137,9 @@ template <typename T>
 void relu(Tensor<T>& x, const ExecCtx& ctx = {});
 
 /// Max pooling (Caffe semantics: padded cells never win; ceil_mode sizes).
+/// One kernel for both tiers, bit-identical to the oracle's row-major
+/// window loop: each output is the first window element holding the
+/// maximum, NaNs skipped.
 template <typename T>
 void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
               const ExecCtx& ctx = {});

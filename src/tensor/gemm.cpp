@@ -100,8 +100,10 @@ NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
                                 const float* b, std::int64_t ldb, float* c,
                                 std::int64_t ldc) noexcept {
   const std::int64_t kn = k1 - k0;
-  float av[kBlockK * R] = {};
-  bool any_zero[kBlockK] = {};
+  // Entries [0, kn) are written below before any tile reads them, so the
+  // 4 KB of stack is not cleared per panel.
+  float av[kBlockK * R];
+  bool any_zero[kBlockK];
   for (std::int64_t kk = 0; kk < kn; ++kk) {
     bool zero = false;
     for (int r = 0; r < R; ++r) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nn/kernels.h"
 
@@ -157,6 +159,50 @@ void relu(Tensor<T>& x) {
 }
 
 template <typename T>
+void max_pool(const Tensor<T>& in, const nn::PoolParams& p, Tensor<T>& out) {
+  const tensor::Shape& is = in.shape();
+  const int kernel =
+      p.global ? static_cast<int>(std::max(is.h, is.w)) : p.kernel;
+  const int stride = p.global ? 1 : p.stride;
+  const int pad = p.global ? 0 : p.pad;
+  const std::int64_t oh =
+      p.global ? 1 : nn::pooled_extent(is.h, kernel, stride, pad, p.ceil_mode);
+  const std::int64_t ow =
+      p.global ? 1 : nn::pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
+  out.resize(tensor::Shape{is.n, is.c, oh, ow});
+  std::vector<float> scratch(static_cast<std::size_t>(is.hw()));
+  for (std::int64_t s = 0; s < is.n * is.c; ++s) {
+    const T* src = in.data() + s * is.hw();
+    T* dst = out.data() + s * oh * ow;
+    const float* sf;
+    if constexpr (std::is_same_v<T, float>) {
+      sf = src;
+    } else {
+      ncsw::fp16::half_to_float_span(src, scratch.data(),
+                                     static_cast<std::size_t>(is.hw()));
+      sf = scratch.data();
+    }
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        const std::int64_t y0 = std::max<std::int64_t>(oy * stride - pad, 0);
+        const std::int64_t x0 = std::max<std::int64_t>(ox * stride - pad, 0);
+        const std::int64_t y1 =
+            std::min<std::int64_t>(oy * stride - pad + kernel, is.h);
+        const std::int64_t x1 =
+            std::min<std::int64_t>(ox * stride - pad + kernel, is.w);
+        float best = -std::numeric_limits<float>::infinity();
+        for (std::int64_t y = y0; y < y1; ++y) {
+          for (std::int64_t x = x0; x < x1; ++x) {
+            best = std::max(best, sf[y * is.w + x]);
+          }
+        }
+        dst[oy * ow + ox] = tensor::scalar_cast<T>(best);
+      }
+    }
+  }
+}
+
+template <typename T>
 void lrn(const Tensor<T>& in, const nn::LRNParams& p, Tensor<T>& out) {
   const tensor::Shape& is = in.shape();
   out.resize(is);
@@ -228,7 +274,7 @@ std::vector<Tensor<T>> run_forward(const nn::Graph& graph,
         relu(dst);
         break;
       case nn::LayerKind::kMaxPool:
-        nn::kernels::max_pool(src, l.pool, dst);
+        max_pool(src, l.pool, dst);
         break;
       case nn::LayerKind::kAvgPool:
         nn::kernels::avg_pool(src, l.pool, dst);
@@ -263,6 +309,8 @@ std::vector<Tensor<T>> run_forward(const nn::Graph& graph,
   template void conv2d<T>(const Tensor<T>&, const nn::LayerParams<T>&,        \
                           const nn::ConvParams&, Tensor<T>&);                 \
   template void relu<T>(Tensor<T>&);                                          \
+  template void max_pool<T>(const Tensor<T>&, const nn::PoolParams&,         \
+                            Tensor<T>&);                                      \
   template void lrn<T>(const Tensor<T>&, const nn::LRNParams&, Tensor<T>&);   \
   template void fully_connected<T>(const Tensor<T>&,                          \
                                    const nn::LayerParams<T>&,                 \

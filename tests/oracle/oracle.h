@@ -39,6 +39,13 @@ void conv2d(const tensor::Tensor<T>& in, const nn::LayerParams<T>& params,
 template <typename T>
 void relu(tensor::Tensor<T>& x);
 
+/// Max pooling, one clamped window at a time: each output is
+/// std::max folded from -inf over its window in row-major order (FP16
+/// planes widened first). Caffe semantics: padded cells never win.
+template <typename T>
+void max_pool(const tensor::Tensor<T>& in, const nn::PoolParams& p,
+              tensor::Tensor<T>& out);
+
 /// Across-channel LRN, one element at a time through Tensor::at().
 template <typename T>
 void lrn(const tensor::Tensor<T>& in, const nn::LRNParams& p,
@@ -50,10 +57,10 @@ void fully_connected(const tensor::Tensor<T>& in,
                      const nn::LayerParams<T>& params, const nn::FCParams& p,
                      tensor::Tensor<T>& out);
 
-/// Serial, unfused forward pass: the oracle conv/ReLU/LRN/FC above and
-/// the production pool, concat and softmax kernels (serial, call-local
-/// workspace). Returns every layer's activation, indexed by layer id
-/// (slot 0 holds the input).
+/// Serial, unfused forward pass: the oracle conv/ReLU/max pool/LRN/FC
+/// above and the production average pool, concat and softmax kernels
+/// (serial, call-local workspace). Returns every layer's activation,
+/// indexed by layer id (slot 0 holds the input).
 template <typename T>
 std::vector<tensor::Tensor<T>> run_forward(const nn::Graph& graph,
                                            const nn::Weights<T>& weights,

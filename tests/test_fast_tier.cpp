@@ -2,7 +2,7 @@
 // (docs/performance.md): the fast kernels forfeit bit-identity with the
 // default path, so these tests pin down what the tier still guarantees —
 // bounded per-element drift against the exact-tier kernels, exact
-// equality where the math is order-independent (3x3 max pool), byte
+// equality where both tiers share a kernel (max pool), byte
 // determinism across thread counts, and a default-off switch that leaves
 // the bit-identical path untouched.
 #include <gtest/gtest.h>
@@ -127,8 +127,11 @@ TEST(FastConv, PreparedPanelMatchesPerCallExpansion) {
 }
 
 TEST(FastMaxPool3, ExactlyMatchesScalarPath) {
-  // Max is order-independent, so the separable fast pool must agree with
-  // the scalar kernel to the bit, padding included.
+  // Both tiers run the same row-first max pool, so the fast tier must
+  // agree with the exact one to the bit, padding included. The fold
+  // order is what makes that hold: +-0 ties (and NaNs) make max
+  // order-dependent, and a column-first fold keeps a different tie
+  // (KernelBitIdentity.MaxPoolTiesNanAndInfBothTiersBothPrecisions).
   for (const int pad : {0, 1}) {
     for (const int stride : {1, 2}) {
       const TensorF in = random_tensor(Shape{2, 3, 13, 11}, 201);

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "oracle/oracle.h"
 #include "util/rng.h"
@@ -396,8 +400,15 @@ ConvFixture<T> make_conv(const ConvCase& c, std::uint64_t seed) {
 }
 
 template <typename T>
-void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed) {
-  const ConvFixture<T> f = make_conv<T>(c, seed);
+void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed,
+                            bool signed_zeros = false) {
+  ConvFixture<T> f = make_conv<T>(c, seed);
+  if (signed_zeros) {
+    // Exact +0 and -0 inside the map, next to the +0 padding border.
+    for (std::int64_t i = 0; i < f.in.numel(); i += 3) {
+      f.in[i] = ncsw::tensor::scalar_cast<T>(i % 2 == 0 ? 0.0f : -0.0f);
+    }
+  }
   expect_all_configs_bitwise_equal<T>(
       [&](Tensor<T>& out) { ncsw::oracle::conv2d(f.in, f.p, f.cp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
@@ -410,11 +421,22 @@ TEST(KernelBitIdentity, Conv2dAllConfigsBothPrecisions) {
   const ConvCase cases[] = {{3, 11, 9, 5, 3, 2, 1, 2},
                             {4, 6, 6, 8, 1, 1, 0, 1},
                             {2, 9, 7, 5, 5, 2, 2, 3},
-                            {1, 5, 5, 1, 3, 1, 0, 1}};
+                            {1, 5, 5, 1, 3, 1, 0, 1},
+                            {3, 10, 11, 4, 4, 3, 1, 2}};
   std::uint64_t seed = 1000;
   for (const auto& c : cases) {
     conv_bit_identity_case<float>(c, seed);
     conv_bit_identity_case<half>(c, seed);
+    seed += 10;
+  }
+  // TinyGoogLeNet's padded spatial convs: the 7x7/s2 stem, a 5x5/p2
+  // window wider than its 4x4 map, and a 3x3/p1 on 4x4.
+  const ConvCase tiny_googlenet[] = {{3, 32, 32, 16, 7, 2, 3, 1},
+                                     {8, 4, 4, 16, 5, 1, 2, 2},
+                                     {24, 4, 4, 32, 3, 1, 1, 1}};
+  for (const auto& c : tiny_googlenet) {
+    conv_bit_identity_case<float>(c, seed, true);
+    conv_bit_identity_case<half>(c, seed, true);
     seed += 10;
   }
 }
@@ -471,7 +493,16 @@ TEST(Conv, PointwiseConvSkipsTheIm2colPanel) {
 
 template <typename T>
 void relu_bit_identity_case() {
-  const TensorF src_f = random_tensor(Shape{2, 3, 7, 5}, 2000);
+  TensorF src_f = random_tensor(Shape{2, 3, 7, 5}, 2000);
+  // -0 and NaN pass through unchanged; -inf becomes +0.
+  const float specials[] = {-0.0f, 0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    src_f[static_cast<std::int64_t>(i * 17)] = specials[i];
+  }
   const Tensor<T> src = ncsw::tensor::tensor_cast<T>(src_f);
   Tensor<T> ref = src, opt = src, thr = src;
   kernels::Workspace ws;
@@ -501,16 +532,17 @@ TEST(KernelBitIdentity, HalfReluMatchesReferenceOnEveryBitPattern) {
   expect_bytes_equal(opt, ref, "relu");
 }
 
-// The pools have no oracle kernel of their own: the serial production
-// kernel with a call-local workspace is the spec (oracle::run_forward
-// runs it too), and the threaded configurations must match it.
+// Max pool is specified by the oracle's scalar window loop. Average
+// pool has no oracle kernel of its own: the serial production kernel
+// with a call-local workspace is the spec (oracle::run_forward runs it
+// too), and the threaded configurations must match it.
 template <typename T>
 void pool_bit_identity_case(const PoolParams& pp, const Shape& shape,
                             std::uint64_t seed) {
   const Tensor<T> in =
       ncsw::tensor::tensor_cast<T>(random_tensor(shape, seed));
   expect_all_configs_bitwise_equal<T>(
-      [&](Tensor<T>& out) { kernels::max_pool(in, pp, out); },
+      [&](Tensor<T>& out) { ncsw::oracle::max_pool(in, pp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
         kernels::max_pool(in, pp, out, ctx);
       },
@@ -534,6 +566,112 @@ TEST(KernelBitIdentity, PoolsAllConfigsBothPrecisions) {
   pool_bit_identity_case<half>(padded, Shape{2, 5, 9, 7}, 3000);
   pool_bit_identity_case<float>(global, Shape{3, 4, 5, 6}, 3100);
   pool_bit_identity_case<half>(global, Shape{3, 4, 5, 6}, 3100);
+}
+
+// Planes built to expose a wrong fold order: values drawn from
+// {+0, -0, NaN, +inf, -inf, 1, -1} with the zeros most likely, so most
+// windows hold a +-0 tie and many hold NaNs or infinities. Plane 0 is
+// all NaN (every window's max is the -inf seed). Plane 1 is a checker of
+// -1 and zeros whose sign follows the row: in a window whose corner is
+// -1, the first zero in row-major order (top row) and the first in
+// column-major order (left column, one row down) differ in sign.
+TensorF adversarial_planes(const Shape& s, std::uint64_t seed) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float alphabet[] = {0.0f, -0.0f, 0.0f, -0.0f, nan, inf, -inf,
+                            1.0f, -1.0f};
+  ncsw::util::Xoshiro256 rng(seed);
+  TensorF t(s);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = alphabet[rng.next() % std::size(alphabet)];
+  }
+  for (std::int64_t i = 0; i < s.hw(); ++i) {
+    t[i] = nan;
+    const std::int64_t y = i / s.w, x = i % s.w;
+    t[s.hw() + i] = (y + x) % 2 == 0 ? -1.0f : (y % 2 == 0 ? 0.0f : -0.0f);
+  }
+  return t;
+}
+
+// Both tiers, serial and threaded (the fast tier on its pinned pool).
+std::vector<kernels::ExecCtx> exact_and_fast_ctxs(kernels::Workspace& ws) {
+  std::vector<kernels::ExecCtx> ctxs;
+  for (const bool fast : {false, true}) {
+    for (const int threads : {1, 3}) {
+      kernels::ExecCtx ctx = threaded_ctx(ws, threads);
+      ctx.fast = fast;
+      if (fast && threads > 1) ctx.pool = &kernels::fast_pool();
+      ctxs.push_back(ctx);
+    }
+  }
+  return ctxs;
+}
+
+std::vector<std::pair<const char*, PoolParams>> adversarial_pool_configs() {
+  PoolParams global;
+  global.global = true;
+  return {{"3/s1/p1", PoolParams{3, 1, 1, true, false}},
+          {"3/s2/p0 ceil", PoolParams{3, 2, 0, true, false}},
+          {"3/s2/p1 floor", PoolParams{3, 2, 1, false, false}},
+          {"2/s2/p0 ceil", PoolParams{2, 2, 0, true, false}},
+          {"global", global}};
+}
+
+template <typename T>
+void adversarial_pool_case(const Shape& shape, std::uint64_t seed) {
+  const Tensor<T> in =
+      ncsw::tensor::tensor_cast<T>(adversarial_planes(shape, seed));
+  kernels::Workspace ws;
+  for (const auto& [name, pp] : adversarial_pool_configs()) {
+    Tensor<T> ref;
+    ncsw::oracle::max_pool(in, pp, ref);
+    for (const kernels::ExecCtx& ctx : exact_and_fast_ctxs(ws)) {
+      SCOPED_TRACE(::testing::Message()
+                   << name << " fast " << ctx.fast << " threads "
+                   << ctx.threads << " shape " << shape.to_string());
+      Tensor<T> got;
+      kernels::max_pool(in, pp, got, ctx);
+      expect_bytes_equal(got, ref, "max_pool");
+    }
+  }
+}
+
+TEST(KernelBitIdentity, MaxPoolTiesNanAndInfBothTiersBothPrecisions) {
+  for (const Shape& shape : {Shape{2, 4, 9, 7}, Shape{1, 3, 8, 8},
+                             Shape{1, 2, 4, 4}, Shape{1, 2, 16, 16}}) {
+    adversarial_pool_case<float>(shape, 3500);
+    adversarial_pool_case<half>(shape, 3500);
+  }
+}
+
+// Negative control for the test above: a column-first fold (vertical
+// maxima first, then horizontal, each `m < v ? v : m` from -inf) keeps
+// the first tie of the first *column*, so on the signed-zero checker it
+// must disagree with the row-major oracle.
+TEST(KernelBitIdentity, ColumnFirstMaxPoolFailsTheSignedZeroPlanes) {
+  const TensorF in = adversarial_planes(Shape{1, 2, 8, 8}, 3500);
+  const PoolParams pp{3, 1, 1, true, false};
+  TensorF ref;
+  ncsw::oracle::max_pool(in, pp, ref);
+  TensorF col_first(ref.shape());
+  const float* plane = in.data() + in.shape().hw();  // the checker
+  for (std::int64_t oy = 0; oy < 8; ++oy) {
+    for (std::int64_t ox = 0; ox < 8; ++ox) {
+      float m = -std::numeric_limits<float>::infinity();
+      for (std::int64_t x = std::max<std::int64_t>(ox - 1, 0);
+           x < std::min<std::int64_t>(ox + 2, 8); ++x) {
+        float c = -std::numeric_limits<float>::infinity();
+        for (std::int64_t y = std::max<std::int64_t>(oy - 1, 0);
+             y < std::min<std::int64_t>(oy + 2, 8); ++y) {
+          c = c < plane[y * 8 + x] ? plane[y * 8 + x] : c;
+        }
+        m = m < c ? c : m;
+      }
+      col_first[64 + oy * 8 + ox] = m;
+    }
+  }
+  EXPECT_NE(0, std::memcmp(col_first.data() + 64, ref.data() + 64,
+                           64 * sizeof(float)));
 }
 
 template <typename T>

@@ -252,6 +252,56 @@ TEST(GoldenForward, Fp16BitIdenticalAcrossConfigs) {
                                 ncsw::tensor::tensor_cast<half>(fig7.batch));
 }
 
+// A ReLU or Dropout takes its input's buffer when it is that input's
+// last consumer, and copies it otherwise. "shared": conv1 feeds relu1
+// and then the concat, so relu1 must copy (moving would leave the concat
+// an empty conv1). "chain": every ReLU and the Dropout is its input's
+// last consumer, so each one moves. Without keep_all_activations the
+// output must still match the oracle byte for byte.
+Graph relu_shared_net() {
+  Graph g("shared");
+  const int in = g.add_input("data", 3, 8, 8);
+  const int c1 = g.add_conv("conv1", in, ConvParams{4, 3, 1, 1});
+  const int r1 = g.add_relu("relu1", c1);
+  g.add_concat("concat", {c1, r1});
+  return g;
+}
+
+Graph relu_chain_net() {
+  Graph g("chain");
+  const int in = g.add_input("data", 3, 8, 8);
+  const int c1 = g.add_conv("conv1", in, ConvParams{4, 3, 1, 1});
+  const int r1 = g.add_relu("relu1", c1);
+  const int d1 = g.add_dropout("drop1", r1);
+  const int c2 = g.add_conv("conv2", d1, ConvParams{5, 1, 1, 0});
+  g.add_relu("relu2", c2);
+  return g;
+}
+
+template <typename T>
+void moved_output_case(const Graph& g, const Weights<T>& w,
+                       const Tensor<T>& in) {
+  const auto oracle = ncsw::oracle::run_forward(g, w, in);
+  for (const int threads : {1, 4}) {
+    ExecOptions o;
+    o.threads = threads;
+    const auto r = run_forward(g, w, in, o);
+    const std::string what =
+        g.name() + " output, threads " + std::to_string(threads);
+    expect_bytes_equal(r.output, oracle.back(), what.c_str());
+  }
+}
+
+TEST(GoldenForward, ReluAndDropoutMoveOnlyFromTheirLastConsumer) {
+  const TensorF in = random_tensor(Shape{2, 3, 8, 8}, 21);
+  for (const Graph& g : {relu_shared_net(), relu_chain_net()}) {
+    const WeightsF w = init_msra(g, 22);
+    moved_output_case<float>(g, w, in);
+    moved_output_case<half>(g, to_fp16(w),
+                            ncsw::tensor::tensor_cast<half>(in));
+  }
+}
+
 TEST(GoldenForward, ThreadsKnobDoesNotChangeOutput) {
   const Graph g = tiny_net();
   const WeightsF w = init_msra(g, 9);
