@@ -28,6 +28,8 @@
 #include "sim/resource.h"
 #include "sipp/filters.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_detail.h"
+#include "util/multiversion.h"
 #include "util/rng.h"
 
 namespace {
@@ -62,19 +64,21 @@ void BM_HalfToFloat(benchmark::State& state) {
 BENCHMARK(BM_HalfToFloat);
 
 // The exact GEMM at TinyGoogLeNet's conv shapes: M = output channels,
-// N = output pixels, K = input channels x kernel area (the stem's 7x7
-// over 3 channels, an inception 3x3, a 1x1 reduce and a late 3x3).
-// A and B carry the weights' and activations' spread of values, with
-// some exact zeros in A so the zero-skip branch is exercised as in a
-// real layer.
+// N = output pixels, K = input channels x kernel area. These are the 17
+// distinct shapes of its 21 convs (four pairs repeat), from the 7x7/s2
+// stem at N = 256 to the 4x4 inception towers at N = 16. A and B carry
+// the weights' and activations' spread of values, with some exact zeros
+// in A so the zero-skip branch is exercised as in a real layer.
+constexpr std::array<std::array<std::int64_t, 3>, 17> kTinyConvGemms{{
+    {16, 256, 147}, {16, 64, 16},  {32, 64, 144}, {8, 64, 32},
+    {12, 64, 32},   {16, 64, 108}, {4, 64, 32},   {8, 64, 100},
+    {16, 64, 40},   {24, 64, 144}, {4, 64, 40},   {8, 64, 40},
+    {24, 16, 56},   {32, 16, 216}, {8, 16, 56},   {16, 16, 200},
+    {16, 16, 56}}};
+
 void gemm_shape_args(benchmark::internal::Benchmark* b) {
   b->ArgNames({"M", "N", "K"});
-  for (const auto& s : {std::array<std::int64_t, 3>{16, 256, 147},
-                        std::array<std::int64_t, 3>{32, 64, 144},
-                        std::array<std::int64_t, 3>{16, 64, 16},
-                        std::array<std::int64_t, 3>{32, 16, 216}}) {
-    b->Args({s[0], s[1], s[2]});
-  }
+  for (const auto& s : kTinyConvGemms) b->Args({s[0], s[1], s[2]});
 }
 
 std::vector<float> gemm_operand(std::int64_t elems, std::uint64_t seed,
@@ -110,6 +114,41 @@ void BM_GemmF32(benchmark::State& state) {
   set_gemm_counters(state, m, n, k);
 }
 BENCHMARK(BM_GemmF32)->Apply(gemm_shape_args);
+
+// Each instantiation of the exact GEMM (isa: 0 base, 1 x86-64-v3,
+// 2 x86-64-v4) at the same shapes, so the per-variant gain is measured
+// on one host; variants the host cannot run report an error instead.
+void exact_variant_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"isa", "M", "N", "K"});
+  for (const std::int64_t isa : {0, 1, 2}) {
+    for (const auto& s : kTinyConvGemms) b->Args({isa, s[0], s[1], s[2]});
+  }
+}
+
+void BM_GemmF32Exact(benchmark::State& state) {
+  using ncsw::util::IsaLevel;
+  const auto isa = state.range(0);
+  const auto m = state.range(1), n = state.range(2), k = state.range(3);
+  const IsaLevel host = ncsw::util::isa_level();
+  if ((isa == 1 && host == IsaLevel::kBase) ||
+      (isa == 2 && host != IsaLevel::kV4)) {
+    state.SkipWithError("host isa_level cannot run this variant");
+    return;
+  }
+  const auto fn = isa == 0   ? ncsw::tensor::detail::gemm_f32_base
+                  : isa == 1 ? ncsw::tensor::detail::gemm_f32_v3
+                             : ncsw::tensor::detail::gemm_f32_v4;
+  const auto a = gemm_operand(m * k, 1, 0.05);
+  const auto b = gemm_operand(k * n, 2, 0.0);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    fn(m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gemm_counters(state, m, n, k);
+}
+BENCHMARK(BM_GemmF32Exact)->Apply(exact_variant_args);
 
 void BM_GemmF16(benchmark::State& state) {
   const auto m = state.range(0), n = state.range(1), k = state.range(2);
@@ -186,12 +225,14 @@ void run_conv2d_exact(benchmark::State& state) {
   LayerParams<T> p;
   p.w = operand_tensor<T>(Shape{m, c, k, k}, 4, 0.05);
   p.b = operand_tensor<T>(Shape{1, m, 1, 1}, 5, 0.0);
+  // FP32 views or the FP16 widening, prepared once as a plan does.
+  const kernels::LayerWeights lw(p);
   ncsw::tensor::Tensor<T> out;
   kernels::Workspace ws;
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
   for (auto _ : state) {
-    kernels::conv2d(in, p, cp, out, ctx);
+    kernels::conv2d(in, lw, cp, out, ctx);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

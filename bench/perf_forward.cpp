@@ -4,7 +4,7 @@
 // baseline, timed through the test-only oracle::run_forward), on the
 // cache-tuned kernels at 1 and N threads, and on the
 // opt-in fast tier (fused conv+bias+ReLU, direct 3x3/1x1 convolution,
-// int8 FC, affinity-pinned chunking; docs/performance.md). The
+// affinity-pinned chunking; docs/performance.md). The
 // reference/optimised cells are bit-identical and differ only in time;
 // the fast cells forfeit bit-identity, so the report also records their
 // top-1 agreement and mean confidence delta against the bit-identical
@@ -24,8 +24,8 @@
 #include "core/model.h"
 #include "dataset/synthetic.h"
 #include "nn/executor.h"
-#include "nn/quant.h"
 #include "oracle/oracle.h"
+#include "util/multiversion.h"
 
 namespace {
 
@@ -72,15 +72,18 @@ Cell time_forward(const std::string& name, const Forward& forward,
   return cell;
 }
 
+// The engine's cells: the plan is built once, before the timing loop,
+// as a target builds it at graph-load time.
 template <typename T>
 Cell time_cell(const std::string& name, const ncsw::nn::Graph& graph,
                const ncsw::nn::Weights<T>& weights,
                const ncsw::tensor::Tensor<T>& input,
                const ncsw::nn::ExecOptions& opts, std::int64_t images) {
+  const ncsw::nn::Plan<T> plan(graph, weights,
+                               ncsw::nn::resolve_fast(opts.fast));
+  ncsw::nn::ExecResult<T> result;
   return time_forward(
-      name,
-      [&] { (void)ncsw::nn::run_forward(graph, weights, input, opts); },
-      input.shape().n, images);
+      name, [&] { plan.run(input, result, opts); }, input.shape().n, images);
 }
 
 // The recorded baseline: the oracle's serial, unfused forward pass.
@@ -178,27 +181,14 @@ int main(int argc, char** argv) {
   const auto in_f32 = make_input<float>(bundle->graph, batch);
   const auto in_f16 = make_input<fp16::half>(bundle->graph, batch);
 
-  // Fast-tier weights: the graph-load-time quantization pass, run once
-  // outside the timed loops (as HostTarget::set_fast does).
-  const auto quant_f32 = nn::quantize_weights(bundle->graph, bundle->weights_f32);
-  const auto quant_f16 = nn::quantize_weights(bundle->graph, bundle->weights_f16);
-
   nn::ExecOptions opt_t1;
   opt_t1.threads = 1;
   nn::ExecOptions opt_tn;
   opt_tn.threads = threads;
-  nn::ExecOptions fast32_t1 = opt_t1;
-  fast32_t1.fast = true;
-  fast32_t1.quant = &quant_f32;
-  nn::ExecOptions fast32_tn = opt_tn;
-  fast32_tn.fast = true;
-  fast32_tn.quant = &quant_f32;
-  nn::ExecOptions fast16_t1 = opt_t1;
-  fast16_t1.fast = true;
-  fast16_t1.quant = &quant_f16;
-  nn::ExecOptions fast16_tn = opt_tn;
-  fast16_tn.fast = true;
-  fast16_tn.quant = &quant_f16;
+  nn::ExecOptions fast_t1 = opt_t1;
+  fast_t1.fast = true;
+  nn::ExecOptions fast_tn = opt_tn;
+  fast_tn.fast = true;
 
   std::vector<Cell> cells;
   cells.push_back(time_oracle_cell<float>("fp32 ref t1", bundle->graph,
@@ -220,16 +210,16 @@ int main(int argc, char** argv) {
                                         bundle->weights_f16, in_f16, opt_tn,
                                         images));
   cells.push_back(time_cell<float>("fp32 fast t1", bundle->graph,
-                                   bundle->weights_f32, in_f32, fast32_t1,
+                                   bundle->weights_f32, in_f32, fast_t1,
                                    images));
   cells.push_back(time_cell<float>("fp32 fast tN", bundle->graph,
-                                   bundle->weights_f32, in_f32, fast32_tn,
+                                   bundle->weights_f32, in_f32, fast_tn,
                                    images));
   cells.push_back(time_cell<fp16::half>("fp16 fast t1", bundle->graph,
-                                        bundle->weights_f16, in_f16, fast16_t1,
+                                        bundle->weights_f16, in_f16, fast_t1,
                                         images));
   cells.push_back(time_cell<fp16::half>("fp16 fast tN", bundle->graph,
-                                        bundle->weights_f16, in_f16, fast16_tn,
+                                        bundle->weights_f16, in_f16, fast_tn,
                                         images));
 
   const double fp32_base = cells[0].img_per_s;
@@ -251,9 +241,9 @@ int main(int argc, char** argv) {
 
   // Digest tolerance of the fast tier vs the bit-identical path.
   const auto agree_f32 = measure_agreement<float>(
-      bundle->graph, bundle->weights_f32, data, opt_t1, fast32_t1, 64);
+      bundle->graph, bundle->weights_f32, data, opt_t1, fast_t1, 64);
   const auto agree_f16 = measure_agreement<fp16::half>(
-      bundle->graph, bundle->weights_f16, data, opt_t1, fast16_t1, 64);
+      bundle->graph, bundle->weights_f16, data, opt_t1, fast_t1, 64);
 
   // Profiled pass (per-layer wall milliseconds) on the optimised
   // threaded configuration; with --trace this also emits "host" spans.
@@ -273,13 +263,14 @@ int main(int argc, char** argv) {
                 static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   // Machine/fast-tier context so perf trajectories across machines stay
   // interpretable: core count, worker->CPU pinning of the fast pool, and
-  // the quantization configuration the fast cells ran with.
+  // the ISA level the exact GEMM dispatched to.
   report.config("cores",
                 static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   report.config("pinning", nn::kernels::fast_pool().affinity_layout());
-  report.config("quant",
-                "int8 symmetric per-channel (fc), fp32 conv panels; " +
-                    std::to_string(quant_f32.size()) + " layers");
+  const util::IsaLevel isa = util::isa_level();
+  report.config("isa_level", isa == util::IsaLevel::kV4   ? "v4"
+                             : isa == util::IsaLevel::kV3 ? "v3"
+                                                          : "base");
   const char* keys[] = {"fp32.ref.t1.img_per_s",  "fp32.opt.t1.img_per_s",
                         "fp32.opt.tN.img_per_s",  "fp16.ref.t1.img_per_s",
                         "fp16.opt.t1.img_per_s",  "fp16.opt.tN.img_per_s",

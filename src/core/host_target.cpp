@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "devices/calibration.h"
-#include "nn/executor.h"
 #include "util/rng.h"
 
 namespace ncsw::core {
@@ -30,6 +29,10 @@ HostTarget::HostTarget(std::shared_ptr<const ModelBundle> bundle,
       jitter_seed_(jitter_seed) {
   if (!bundle_) throw std::invalid_argument("HostTarget: null bundle");
   if (max_batch_ < 1) throw std::invalid_argument("HostTarget: max_batch < 1");
+  if (bundle_->functional()) {
+    plan_ = std::make_unique<const nn::Plan<float>>(
+        bundle_->graph, bundle_->weights_f32, nn::resolve_fast(false));
+  }
 }
 
 Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
@@ -69,19 +72,18 @@ Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
 
 void HostTarget::set_fast(bool fast) {
   fast_ = fast;
-  // Quantization is a graph-load-time pass: run it once per target, not
-  // per classify() call (timing-only bundles carry no weights to
-  // prepare).
-  if (fast_ && bundle_->functional() && quant_.size() == 0) {
-    quant_ = nn::quantize_weights(bundle_->graph, bundle_->weights_f32);
+  if (fast_ && plan_ && !fast_plan_) {
+    fast_plan_ = std::make_unique<const nn::Plan<float>>(
+        bundle_->graph, bundle_->weights_f32, /*fast=*/true);
   }
 }
 
 std::vector<Prediction> HostTarget::classify(
     const std::vector<tensor::TensorF>& inputs) {
-  if (!bundle_->functional()) {
+  if (!plan_) {
     throw std::logic_error("HostTarget::classify: timing-only bundle");
   }
+  const nn::Plan<float>& plan = fast_ ? *fast_plan_ : *plan_;
   // Caffe-style batch processing: the input blob is resized to the batch
   // and the whole batch runs through the network in one pass (paper
   // Section III: "the traditional Caffe batched execution ... resizes the
@@ -106,13 +108,7 @@ std::vector<Prediction> HostTarget::classify(
       std::copy(input.data(), input.data() + input.numel(),
                 blob.batch_ptr(b));
     }
-    nn::ExecOptions opts;
-    if (fast_) {
-      opts.fast = true;
-      opts.quant = &quant_;
-    }
-    auto probs =
-        nn::run_probabilities(bundle_->graph, bundle_->weights_f32, blob, opts);
+    auto probs = nn::run_probabilities(plan, blob);
     for (auto& row : probs) out.push_back(make_prediction(std::move(row)));
   }
   return out;

@@ -4,7 +4,7 @@
 
 #include "core/target.h"
 #include "devices/host_models.h"
-#include "nn/quant.h"
+#include "nn/executor.h"
 
 namespace ncsw::core {
 
@@ -27,10 +27,10 @@ class HostTarget : public Target {
   const devices::HostDeviceModel& model() const noexcept { return model_; }
 
   /// Opt this target into the fast host tier (docs/performance.md):
-  /// classify() runs the fused/quantized kernels (weights prepared once,
-  /// here) and the analytic batch timings are divided by the calibrated
-  /// calibration::kHostFastSpeedupX. Off by default; the default path is
-  /// untouched.
+  /// classify() runs the fused kernels through a fast-tier plan (built
+  /// once, here) and the analytic batch timings are divided by the
+  /// calibrated calibration::kHostFastSpeedupX. Off by default; the
+  /// default path is untouched.
   void set_fast(bool fast);
 
   /// Whether the fast tier is enabled.
@@ -52,7 +52,9 @@ class HostTarget : public Target {
   std::uint64_t batches_run_ = 0;  // advances the jitter stream
   double next_free_s_ = 0.0;      // when the serial engine queue drains
   bool fast_ = false;             // fast host tier enabled
-  nn::QuantizedWeights quant_;    // fast-tier weights (set_fast, once)
+  // Functional bundles only: the default plan (construction) and the
+  // fast-tier plan (set_fast, once).
+  std::unique_ptr<const nn::Plan<float>> plan_, fast_plan_;
 };
 
 /// The paper's CPU target (Caffe-MKL, FP32).

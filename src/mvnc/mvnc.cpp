@@ -33,11 +33,11 @@ struct GraphState {
   // this graph before a concurrent host_reset tore the device down.
   std::shared_ptr<DeviceState> dev;
   // The parsed graph file, shared with every handle allocated from the
-  // same bytes (HostState::packages). Its functional payload, when the
-  // file carried one, is what func_graph/func_weights point at.
+  // same bytes (HostState::packages), and the FP16 plan LoadTensor runs:
+  // the package's own for a functional file (shared the same way), one
+  // built by set_functional_network, or null for timing-only graphs.
   std::shared_ptr<const graphc::GraphPackage> package;
-  const nn::Graph* func_graph = nullptr;
-  const nn::WeightsH* func_weights = nullptr;
+  std::shared_ptr<const nn::Plan<ncsw::fp16::half>> plan;
 
   std::mutex mutex;
   bool dead = false;           // deallocated/closed; guarded by mutex
@@ -51,6 +51,8 @@ struct GraphState {
     void* user = nullptr;
   };
   std::deque<Pending> pending;              // parallel to the device FIFO
+  tensor::TensorH input;                    // LoadTensor's reused payload
+  nn::ExecResult<ncsw::fp16::half> result;  // and forward-pass result
   std::vector<ncsw::fp16::half> last_output;
   std::optional<ncs::InferenceTicket> last_ticket;
 };
@@ -66,11 +68,13 @@ struct HostState {
   std::unordered_map<void*, std::shared_ptr<GraphState>> graph_handles;
   // Every graph file parsed since the last host_reset, keyed by its exact
   // bytes: allocating the same file again (a zoo swap back, a replug
-  // re-allocation, one blob on N sticks) reuses the package instead of
-  // parsing it again. Failed parses are not recorded.
+  // re-allocation, one blob on N sticks) reuses the package, and a
+  // functional package's FP16 plan, instead of building them again.
+  // Failed parses are not recorded; timing-only files build no plan.
   struct ParsedFile {
     std::vector<std::uint8_t> bytes;
     std::shared_ptr<const graphc::GraphPackage> package;
+    std::shared_ptr<const nn::Plan<ncsw::fp16::half>> plan;
   };
   std::vector<ParsedFile> packages;
 };
@@ -89,22 +93,28 @@ std::shared_ptr<GraphState> as_graph(void* handle) {
   return it == g_host.graph_handles.end() ? nullptr : it->second;
 }
 
-// The parsed package of a graph file (caller holds g_mutex): the cached
-// one when these exact bytes were parsed before, else a fresh parse.
-// Throws on a malformed file, leaving the cache untouched.
-std::shared_ptr<const graphc::GraphPackage> parse_locked(
-    const std::uint8_t* bytes, std::size_t length) {
+// The parsed package of a graph file and its plan (caller holds
+// g_mutex): the cached ones when these exact bytes were parsed before,
+// else a fresh parse. Throws on a malformed file, leaving the cache
+// untouched.
+HostState::ParsedFile parse_locked(const std::uint8_t* bytes,
+                                   std::size_t length) {
   for (const auto& f : g_host.packages) {
     if (f.bytes.size() == length &&
         std::memcmp(f.bytes.data(), bytes, length) == 0) {
-      return f.package;
+      return {{}, f.package, f.plan};
     }
   }
   std::vector<std::uint8_t> file(bytes, bytes + length);
   auto package = std::make_shared<const graphc::GraphPackage>(
       graphc::deserialize_package(file));
-  g_host.packages.push_back({std::move(file), package});
-  return package;
+  std::shared_ptr<const nn::Plan<ncsw::fp16::half>> plan;
+  if (package->functional) {
+    plan = std::make_shared<const nn::Plan<ncsw::fp16::half>>(
+        package->net, package->weights, nn::resolve_fast(false));
+  }
+  g_host.packages.push_back({std::move(file), package, plan});
+  return {{}, std::move(package), std::move(plan)};
 }
 
 void destroy_graph_locked(void* handle, const std::shared_ptr<GraphState>& g) {
@@ -196,15 +206,21 @@ bool set_functional_network(void* graphHandle, const nn::Graph* graph,
   const std::shared_ptr<GraphState> g = as_graph(graphHandle);
   if (!g) return false;
   if ((graph == nullptr) != (weights == nullptr)) return false;
+  std::shared_ptr<const nn::Plan<ncsw::fp16::half>> plan;
   if (graph) {
     const auto in_shape = graph->layer(graph->input_id()).out_shape;
     if (in_shape.numel() != g->package->compiled.input_shape.numel()) {
       return false;
     }
+    try {
+      plan = std::make_shared<const nn::Plan<ncsw::fp16::half>>(
+          *graph, *weights, nn::resolve_fast(false));
+    } catch (const std::exception&) {
+      return false;  // invalid graph or weights
+    }
   }
   std::lock_guard glock(g->mutex);
-  g->func_graph = graph;
-  g->func_weights = weights;
+  g->plan = std::move(plan);
   return true;
 }
 
@@ -354,13 +370,14 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
     return MVNC_INVALID_PARAMETERS;
   }
 
-  std::shared_ptr<const graphc::GraphPackage> package;
+  HostState::ParsedFile parsed;
   try {
-    package = parse_locked(static_cast<const std::uint8_t*>(graphFile),
-                           graphFileLength);
+    parsed = parse_locked(static_cast<const std::uint8_t*>(graphFile),
+                          graphFileLength);
   } catch (const std::exception&) {
     return MVNC_UNSUPPORTED_GRAPH_FILE;
   }
+  std::shared_ptr<const graphc::GraphPackage>& package = parsed.package;
   if (package->compiled.precision != graphc::Precision::kFP16) {
     // The stick executes FP16 graphs only.
     return MVNC_UNSUPPORTED_GRAPH_FILE;
@@ -381,11 +398,9 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
   } catch (const std::exception&) {
     return MVNC_ERROR;
   }
-  if (package->functional) {
-    // The graph file shipped its network + weights: execute functionally.
-    g->func_graph = &package->net;
-    g->func_weights = &package->weights;
-  }
+  // A graph file that shipped its network + weights executes
+  // functionally.
+  g->plan = std::move(parsed.plan);
   g->package = std::move(package);
   GraphState* raw = g.get();
   d->graphs.push_back(raw);
@@ -491,15 +506,14 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
 
   GraphState::Pending pending;
   pending.user = userParam;
-  if (g->func_graph && g->func_weights) {
+  if (g->plan) {
     // Execute the functional FP16 network on the payload.
-    const auto in_shape =
-        g->func_graph->layer(g->func_graph->input_id()).out_shape;
-    tensor::TensorH input(in_shape);
-    std::memcpy(input.data(), inputTensor, inputTensorLength);
-    auto result = nn::run_forward(*g->func_graph, *g->func_weights, input);
-    pending.output.assign(result.output.data(),
-                          result.output.data() + result.output.numel());
+    const nn::Graph& net = g->plan->graph();
+    g->input.resize(net.layer(net.input_id()).out_shape);
+    std::memcpy(g->input.data(), inputTensor, inputTensorLength);
+    g->plan->run(g->input, g->result);
+    const auto& out = g->result.output;
+    pending.output.assign(out.data(), out.data() + out.numel());
   } else {
     pending.output.assign(
         static_cast<std::size_t>(g->package->compiled.num_outputs),

@@ -6,26 +6,10 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
-#include <utility>
 
 #include "util/trace.h"
 
 namespace ncsw::nn {
-
-namespace {
-
-// Number of consumers per layer, to free activations eagerly.
-std::vector<int> consumer_counts(const Graph& graph) {
-  std::vector<int> counts(static_cast<std::size_t>(graph.size()), 0);
-  for (const Layer& l : graph.layers()) {
-    for (int in : l.inputs) ++counts[static_cast<std::size_t>(in)];
-  }
-  // The final layer's activation is always "consumed" by the caller.
-  counts[static_cast<std::size_t>(graph.output_id())] += 1;
-  return counts;
-}
-
-}  // namespace
 
 int resolve_threads(int requested) noexcept {
   if (requested > 0) return requested;
@@ -47,112 +31,154 @@ bool resolve_fast(bool requested) noexcept {
 }
 
 template <typename T>
-ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
-                          const tensor::Tensor<T>& input,
-                          const ExecOptions& options) {
+Plan<T>::Plan(const Graph& graph, const Weights<T>& weights, bool fast)
+    : graph_(&graph), fast_(fast) {
   graph.validate();
   check_weights(graph, weights);
-  const Layer& in_layer = graph.layer(graph.input_id());
-  const Shape expected = in_layer.out_shape.with_batch(input.shape().n);
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
+  const int n = graph.size();
+  const int in_id = graph.input_id();
+  // Consumers and the last consumer of every activation; the caller
+  // consumes the output after the last layer.
+  std::vector<int> consumers(at(n), 0), last_use(at(n), 0);
+  for (int id = 0; id < n; ++id) {
+    for (const int in : graph.layer(id).inputs) {
+      ++consumers[at(in)];
+      last_use[at(in)] = id;
+    }
+  }
+  ++consumers[at(graph.output_id())];
+  last_use[at(graph.output_id())] = n;
+
+  steps_.resize(at(n));
+  std::vector<int> free_slots;
+  for (int id = 0; id < n; ++id) {
+    const Layer& l = graph.layer(id);
+    Step& s = steps_[at(id)];
+    if (id == in_id) continue;  // the caller's tensor, never a slot
+    if (Graph::has_weights(l.kind)) {
+      s.weights = static_cast<int>(weights_.size());
+      weights_.emplace_back(weights.at(l.name));
+    }
+    const int src = l.inputs[0];
+    // A ReLU or Dropout that is the last consumer of its input runs in
+    // the input's slot instead of copying it (the caller's input and the
+    // graph output must survive the layer).
+    s.take = (l.kind == LayerKind::kReLU || l.kind == LayerKind::kDropout) &&
+             src != in_id && last_use[at(src)] == id;
+    // Fast tier: a ReLU that is its Conv's only consumer runs in the
+    // conv's epilogue and becomes a no-op here.
+    if (fast_ && l.kind == LayerKind::kReLU &&
+        graph.layer(src).kind == LayerKind::kConv && consumers[at(src)] == 1) {
+      steps_[at(src)].fuse_relu = true;
+      s.fused_away = true;
+    }
+    if (s.take) {
+      s.slot = steps_[at(src)].slot;
+      continue;
+    }
+    if (free_slots.empty()) {
+      s.slot = slots_++;
+    } else {
+      s.slot = free_slots.back();
+      free_slots.pop_back();
+    }
+    // Inputs whose last consumer this is release their slots, each once.
+    for (auto it = l.inputs.begin(); it != l.inputs.end(); ++it) {
+      if (*it != in_id && last_use[at(*it)] == id &&
+          std::find(l.inputs.begin(), it, *it) == it) {
+        free_slots.push_back(steps_[at(*it)].slot);
+      }
+    }
+  }
+}
+
+template <typename T>
+const kernels::LayerWeights* Plan<T>::layer_weights(int id) const noexcept {
+  if (id < 0 || id >= graph_->size()) return nullptr;
+  const int w = steps_[static_cast<std::size_t>(id)].weights;
+  return w < 0 ? nullptr : &weights_[static_cast<std::size_t>(w)];
+}
+
+template <typename T>
+void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
+                  const ExecOptions& options) const {
+  const Graph& graph = *graph_;
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
+  const int in_id = graph.input_id();
+  const Shape expected =
+      graph.layer(in_id).out_shape.with_batch(input.shape().n);
   if (input.shape() != expected) {
-    throw std::invalid_argument("run_forward: input shape " +
+    throw std::invalid_argument("nn::Plan::run: input shape " +
                                 input.shape().to_string() + ", expected " +
                                 expected.to_string());
   }
 
-  // One workspace per executing thread: the scratch arenas grow to the
-  // largest layer on first use and are reused by every later pass.
+  // One workspace per executing thread: the scratch arenas and the
+  // activation slots grow to the largest pass on first use and are
+  // reused by every later pass.
   thread_local kernels::Workspace workspace;
   kernels::ExecCtx ctx;
   ctx.ws = &workspace;
   ctx.threads = resolve_threads(options.threads);
-  ctx.fast = resolve_fast(options.fast);
-  ctx.quant = ctx.fast ? options.quant : nullptr;
+  ctx.fast = fast_;
   ctx.pool = ctx.threads > 1
                  ? (ctx.fast ? &kernels::fast_pool() : &kernels::compute_pool())
                  : nullptr;
 
-  std::vector<tensor::Tensor<T>> acts(static_cast<std::size_t>(graph.size()));
-  std::vector<int> remaining = consumer_counts(graph);
-  acts[0] = input;
-
-  // Fast-tier fusion plan: a ReLU whose sole consumer relationship is
-  // with a preceding Conv (or int8-quantized FC) executes inside that
-  // layer's epilogue; the ReLU layer itself becomes a move. Skipped
-  // under keep_all_activations, where per-layer activations must keep
-  // their unfused meaning.
-  std::vector<std::uint8_t> fuse_relu_out(static_cast<std::size_t>(graph.size()), 0);
-  std::vector<std::uint8_t> fused_away(static_cast<std::size_t>(graph.size()), 0);
-  if (ctx.fast && !options.keep_all_activations) {
-    for (int id = 1; id < graph.size(); ++id) {
-      const Layer& l = graph.layer(id);
-      if (l.kind != LayerKind::kReLU) continue;
-      const int src_id = l.inputs[0];
-      const Layer& sl = graph.layer(src_id);
-      const bool fusable_src =
-          sl.kind == LayerKind::kConv ||
-          (sl.kind == LayerKind::kFC && ctx.quant &&
-           ctx.quant->find(sl.name) != nullptr);
-      if (fusable_src && remaining[static_cast<std::size_t>(src_id)] == 1) {
-        fuse_relu_out[static_cast<std::size_t>(src_id)] = 1;
-        fused_away[static_cast<std::size_t>(id)] = 1;
-      }
-    }
+  // keep_all_activations gives every layer its own tensor in the result
+  // and turns off fusion and the in-place layers, so each activation
+  // keeps its unfused meaning.
+  const bool keep_all = options.keep_all_activations;
+  auto& slots = workspace.slots<T>();
+  if (keep_all) {
+    result.activations.resize(at(graph.size()));
+    result.activations[at(in_id)] = input;
+  } else {
+    result.activations.clear();
+    if (slots.tensors.size() < at(slots_)) slots.tensors.resize(at(slots_));
   }
-
-  // A ReLU or Dropout that is the last consumer of its input takes the
-  // input's buffer instead of copying it (the graph output and, under
-  // keep_all_activations, every activation must survive the layer). A
-  // fused-away ReLU always qualifies: fusion requires the same.
-  auto take_or_copy = [&](int src_id, tensor::Tensor<T>& dst) {
-    auto& src = acts[static_cast<std::size_t>(src_id)];
-    if (!options.keep_all_activations && src_id != graph.output_id() &&
-        remaining[static_cast<std::size_t>(src_id)] == 1) {
-      dst = std::exchange(src, tensor::Tensor<T>{});
-    } else {
-      dst = src;
-    }
+  const auto act = [&](int id) -> tensor::Tensor<T>& {
+    return keep_all ? result.activations[at(id)]
+                    : slots.tensors[at(steps_[at(id)].slot)];
+  };
+  const auto src_of = [&](int id) -> const tensor::Tensor<T>& {
+    return !keep_all && id == in_id ? input : act(id);
   };
 
-  auto release = [&](int id) {
-    if (options.keep_all_activations) return;
-    auto& r = remaining[static_cast<std::size_t>(id)];
-    if (--r == 0 && id != graph.output_id()) {
-      acts[static_cast<std::size_t>(id)] = tensor::Tensor<T>{};
-    }
-  };
-
-  ExecResult<T> result;
   using Clock = std::chrono::steady_clock;
   const bool profile = options.profile_layers;
   Clock::time_point pass_start{};
   if (profile) {
-    result.layer_seconds.assign(static_cast<std::size_t>(graph.size()), 0.0);
+    result.layer_seconds.assign(at(graph.size()), 0.0);
     pass_start = Clock::now();
+  } else {
+    result.layer_seconds.clear();
   }
 
-  for (int id = 1; id < graph.size(); ++id) {
+  for (int id = 0; id < graph.size(); ++id) {
+    if (id == in_id) continue;
     const Layer& l = graph.layer(id);
-    const tensor::Tensor<T>& src = acts[static_cast<std::size_t>(l.inputs[0])];
-    tensor::Tensor<T>& dst = acts[static_cast<std::size_t>(id)];
+    const Step& s = steps_[at(id)];
+    const tensor::Tensor<T>& src = src_of(l.inputs[0]);
+    tensor::Tensor<T>& dst = act(id);
+    const bool in_place = s.take && !keep_all;
     const Clock::time_point t0 = profile ? Clock::now() : Clock::time_point{};
     switch (l.kind) {
       case LayerKind::kInput:
-        throw std::logic_error("run_forward: unexpected input layer");
+        throw std::logic_error("nn::Plan::run: unexpected input layer");
       case LayerKind::kConv:
-        if (ctx.fast) {
-          kernels::conv2d_fast(
-              src, weights.at(l.name),
-              ctx.quant ? ctx.quant->find(l.name) : nullptr, l.conv,
-              fuse_relu_out[static_cast<std::size_t>(id)] != 0, dst, ctx);
+        if (fast_) {
+          kernels::conv2d_fast(src, weights_[at(s.weights)], l.conv,
+                               s.fuse_relu && !keep_all, dst, ctx);
         } else {
-          kernels::conv2d(src, weights.at(l.name), l.conv, dst, ctx);
+          kernels::conv2d(src, weights_[at(s.weights)], l.conv, dst, ctx);
         }
         break;
       case LayerKind::kReLU:
-        take_or_copy(l.inputs[0], dst);
+        if (!in_place) dst = src;
         // A fused ReLU already ran in the producing layer's epilogue.
-        if (!fused_away[static_cast<std::size_t>(id)]) kernels::relu(dst, ctx);
+        if (!s.fused_away || keep_all) kernels::relu(dst, ctx);
         break;
       case LayerKind::kMaxPool:
         kernels::max_pool(src, l.pool, dst, ctx);
@@ -163,36 +189,25 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
       case LayerKind::kLRN:
         kernels::lrn(src, l.lrn, dst, ctx);
         break;
-      case LayerKind::kConcat: {
-        std::vector<const tensor::Tensor<T>*> ins;
-        ins.reserve(l.inputs.size());
-        for (int in : l.inputs) {
-          ins.push_back(&acts[static_cast<std::size_t>(in)]);
-        }
-        kernels::concat(ins, dst);
+      case LayerKind::kConcat:
+        slots.ins.clear();
+        for (const int in : l.inputs) slots.ins.push_back(&src_of(in));
+        kernels::concat(slots.ins, dst);
         break;
-      }
       case LayerKind::kFC:
-        if (ctx.fast) {
-          kernels::fully_connected_fast(
-              src, weights.at(l.name),
-              ctx.quant ? ctx.quant->find(l.name) : nullptr, l.fc,
-              fuse_relu_out[static_cast<std::size_t>(id)] != 0, dst, ctx);
-        } else {
-          kernels::fully_connected(src, weights.at(l.name), l.fc, dst, ctx);
-        }
+        kernels::fully_connected(src, weights_[at(s.weights)], l.fc, dst, ctx);
         break;
       case LayerKind::kSoftmax:
-        kernels::softmax(src, dst);
+        kernels::softmax(src, dst, ctx);
         break;
       case LayerKind::kDropout:
-        take_or_copy(l.inputs[0], dst);  // inference-time identity
+        if (!in_place) dst = src;  // inference-time identity
         break;
     }
     if (profile) {
       const Clock::time_point t1 = Clock::now();
       const double dt = std::chrono::duration<double>(t1 - t0).count();
-      result.layer_seconds[static_cast<std::size_t>(id)] = dt;
+      result.layer_seconds[at(id)] = dt;
       // Wall-clock spans live in their own "host" category/lane so they
       // never mix with the simulated-clock device timelines.
       util::Tracer& tr = util::tracer();
@@ -207,28 +222,35 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
     // Sanity: computed shape must match the inferred one.
     const Shape want = l.out_shape.with_batch(input.shape().n);
     if (dst.shape() != want) {
-      throw std::logic_error("run_forward: layer '" + l.name +
+      throw std::logic_error("nn::Plan::run: layer '" + l.name +
                              "' produced " + dst.shape().to_string() +
                              ", inferred " + want.to_string());
     }
-    for (int in : l.inputs) release(in);
   }
+  result.output = src_of(graph.output_id());
+}
 
-  result.output = std::move(acts[static_cast<std::size_t>(graph.output_id())]);
-  if (options.keep_all_activations) {
-    result.activations = std::move(acts);
-    // Restore the moved-out output slot for consistency.
-    result.activations[static_cast<std::size_t>(graph.output_id())] =
-        result.output;
-  }
+template <typename T>
+ExecResult<T> Plan<T>::run(const tensor::Tensor<T>& input,
+                           const ExecOptions& options) const {
+  ExecResult<T> result;
+  run(input, result, options);
   return result;
 }
 
 template <typename T>
+ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
+                          const tensor::Tensor<T>& input,
+                          const ExecOptions& options) {
+  return Plan<T>(graph, weights, resolve_fast(options.fast))
+      .run(input, options);
+}
+
+template <typename T>
 std::vector<std::vector<float>> run_probabilities(
-    const Graph& graph, const Weights<T>& weights,
-    const tensor::Tensor<T>& input, const ExecOptions& options) {
-  auto result = run_forward(graph, weights, input, options);
+    const Plan<T>& plan, const tensor::Tensor<T>& input,
+    const ExecOptions& options) {
+  const auto result = plan.run(input, options);
   const auto& out = result.output;
   const std::int64_t batch = out.shape().n;
   const std::int64_t dim = out.shape().chw();
@@ -245,6 +267,14 @@ std::vector<std::vector<float>> run_probabilities(
     }
   }
   return probs;
+}
+
+template <typename T>
+std::vector<std::vector<float>> run_probabilities(
+    const Graph& graph, const Weights<T>& weights,
+    const tensor::Tensor<T>& input, const ExecOptions& options) {
+  return run_probabilities(
+      Plan<T>(graph, weights, resolve_fast(options.fast)), input, options);
 }
 
 std::vector<int> argmax_per_item(
@@ -275,6 +305,8 @@ std::vector<std::pair<int, float>> top_k(const std::vector<float>& probs,
   return items;
 }
 
+template class Plan<float>;
+template class Plan<ncsw::fp16::half>;
 template ExecResult<float> run_forward<float>(const Graph&,
                                               const Weights<float>&,
                                               const tensor::Tensor<float>&,
@@ -282,6 +314,11 @@ template ExecResult<float> run_forward<float>(const Graph&,
 template ExecResult<ncsw::fp16::half> run_forward<ncsw::fp16::half>(
     const Graph&, const Weights<ncsw::fp16::half>&,
     const tensor::Tensor<ncsw::fp16::half>&, const ExecOptions&);
+template std::vector<std::vector<float>> run_probabilities<float>(
+    const Plan<float>&, const tensor::Tensor<float>&, const ExecOptions&);
+template std::vector<std::vector<float>> run_probabilities<ncsw::fp16::half>(
+    const Plan<ncsw::fp16::half>&, const tensor::Tensor<ncsw::fp16::half>&,
+    const ExecOptions&);
 template std::vector<std::vector<float>> run_probabilities<float>(
     const Graph&, const Weights<float>&, const tensor::Tensor<float>&,
     const ExecOptions&);

@@ -1,7 +1,10 @@
-// Functional graph executor. Runs a validated Graph over a batched input
-// tensor in either precision, producing the output activation and
-// (optionally) retaining all intermediate activations for inspection —
-// which is how the tests diff FP32 against FP16 layer by layer.
+// Functional graph executor. A Plan compiles a Graph and its weights
+// once (validation, per-layer parameters resolved by layer id, FP16
+// weights widened to FP32, fusion and activation-slot decisions) and then
+// runs it over batched inputs in either precision, producing the output
+// activation and (optionally) retaining all intermediate activations for
+// inspection — which is how the tests diff FP32 against FP16 layer by
+// layer. run_forward() is the one-shot form: a temporary plan, one run.
 //
 // Two tiers run behind it. The default exact tier is threaded but
 // deterministic: outputs are bit-identical for any `threads` value and
@@ -33,17 +36,13 @@ struct ExecOptions {
   /// layer. Off by default so simulated-clock traces stay clean.
   bool profile_layers = false;
   /// Opt into the fast tier (docs/performance.md): fused conv+bias+ReLU,
-  /// direct 3x3/1x1 convolution, int8 fully-connected layers (when
-  /// `quant` is set) and affinity-pinned chunk placement. Also enabled
-  /// by $NCSW_FAST=1; default off, keeping the bit-identical contract
-  /// (and every golden digest) untouched. Fusion is skipped under
-  /// keep_all_activations so per-layer diffs keep their meaning.
+  /// direct 3x3/1x1 convolution, sqrt-based LRN and affinity-pinned
+  /// chunk placement. Also enabled by $NCSW_FAST=1; default off, keeping
+  /// the bit-identical contract (and every golden digest) untouched.
+  /// Fusion is skipped under keep_all_activations so per-layer diffs keep
+  /// their meaning. The tier is part of what a Plan compiles: run_forward
+  /// reads this field, Plan::run ignores it.
   bool fast = false;
-  /// Graph-load-time fast-tier weights from nn::quantize_weights();
-  /// nullptr keeps the fully-connected layers in FP32 and makes the fast
-  /// conv kernels expand weights per call. Only read when fast resolves
-  /// on.
-  const QuantizedWeights* quant = nullptr;
 };
 
 /// Thread count an ExecOptions::threads value resolves to: the value
@@ -66,8 +65,59 @@ struct ExecResult {
   std::vector<double> layer_seconds;
 };
 
+/// A graph compiled for repeated forward passes ("compile once, run
+/// many"), built once per (graph, weights, tier). Construction validates
+/// the graph and the weights (throwing as run_forward does), resolves
+/// every Conv/FC layer's parameters by layer id, widens FP16 weights and
+/// biases to FP32 (exact), and fixes the consumer counts, the fast
+/// tier's ReLU fusion, the in-place ReLU/Dropout decisions and a
+/// liveness-planned slot for every activation.
+///
+/// run() is const: the slot tensors live in the calling thread's
+/// kernels::Workspace, so one plan serves concurrent callers. At
+/// threads = 1 a steady-state run into a reused ExecResult makes no heap
+/// allocation. The graph and (for FP32, whose weights are not copied)
+/// the weights must outlive the plan.
+template <typename T>
+class Plan {
+ public:
+  Plan(const Graph& graph, const Weights<T>& weights, bool fast = false);
+
+  /// Run on `input` (shape must match the graph's input layer, any batch
+  /// size; std::invalid_argument otherwise) into `result`, reusing its
+  /// storage. options.fast is ignored: the tier was fixed at build.
+  void run(const tensor::Tensor<T>& input, ExecResult<T>& result,
+           const ExecOptions& options = {}) const;
+
+  /// Run into a fresh result.
+  ExecResult<T> run(const tensor::Tensor<T>& input,
+                    const ExecOptions& options = {}) const;
+
+  const Graph& graph() const noexcept { return *graph_; }
+  /// Prepared FP32 weights of Conv/FC layer `id` (nullptr for others).
+  const kernels::LayerWeights* layer_weights(int id) const noexcept;
+  /// Activation slots a pass without keep_all_activations uses.
+  int slot_count() const noexcept { return slots_; }
+
+ private:
+  struct Step {
+    int weights = -1;         // index into weights_, -1 for none
+    int slot = -1;            // activation slot (-1: the caller's input)
+    bool take = false;        // ReLU/Dropout runs in its input's slot
+    bool fuse_relu = false;   // fast conv applies the next ReLU itself
+    bool fused_away = false;  // this ReLU already ran in its producer
+  };
+
+  const Graph* graph_;
+  bool fast_;
+  std::vector<kernels::LayerWeights> weights_;
+  std::vector<Step> steps_;  // indexed by layer id
+  int slots_ = 0;
+};
+
 /// Run `graph` forward on `input` (shape must match the graph's input
-/// layer, any batch size). Throws on shape or weight mismatches.
+/// layer, any batch size) through a temporary Plan. Throws on shape or
+/// weight mismatches.
 template <typename T>
 ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
                           const tensor::Tensor<T>& input,
@@ -75,6 +125,12 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
 
 /// Convenience: run and return softmax class probabilities as FP32,
 /// one vector of size C per batch item.
+template <typename T>
+std::vector<std::vector<float>> run_probabilities(
+    const Plan<T>& plan, const tensor::Tensor<T>& input,
+    const ExecOptions& options = {});
+
+/// The same through a temporary plan.
 template <typename T>
 std::vector<std::vector<float>> run_probabilities(
     const Graph& graph, const Weights<T>& weights,

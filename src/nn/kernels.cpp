@@ -221,7 +221,25 @@ util::ThreadPool& fast_pool() {
 }
 
 template <typename T>
-void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
+LayerWeights::LayerWeights(const LayerParams<T>& params)
+    : shape_(params.w.shape()) {
+  if constexpr (std::is_same_v<T, float>) {
+    w_ = params.w.data();
+    b_ = params.b.data();
+  } else {
+    // Exact: every half is a float.
+    const auto wn = static_cast<std::size_t>(params.w.numel());
+    wide_.resize(wn + static_cast<std::size_t>(params.b.numel()));
+    ncsw::fp16::half_to_float_span(params.w.data(), wide_.data(), wn);
+    ncsw::fp16::half_to_float_span(params.b.data(), wide_.data() + wn,
+                                   wide_.size() - wn);
+    w_ = wide_.data();
+    b_ = wide_.data() + wn;
+  }
+}
+
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx) {
   const tensor::Shape& is = in.shape();
   const std::int64_t oh = conv_extent(is.h, p.kernel, p.stride, p.pad);
@@ -229,10 +247,10 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("conv2d: kernel does not fit");
   }
-  if (params.w.shape() !=
+  if (weights.shape() !=
       tensor::Shape{p.out_channels, is.c, p.kernel, p.kernel}) {
     throw std::invalid_argument("conv2d: weight shape mismatch: " +
-                                params.w.shape().to_string());
+                                weights.shape().to_string());
   }
   out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
 
@@ -240,23 +258,12 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
   const std::int64_t n_dim = oh * ow;
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const float* wf = weights.w();
   // A 1x1 stride-1 unpadded conv's im2col matrix is its input plane
   // itself ([C x H*W], same values, same layout), so the GEMM reads the
   // input directly: bit-identical, minus one copy per layer.
   const bool direct_1x1 = p.kernel == 1 && p.stride == 1 && p.pad == 0;
   float* col = direct_1x1 ? nullptr : ws.col(k_dim * n_dim);
-
-  // Weights as FP32 (expanded once per call for FP16 — exact).
-  const float* wf;
-  if constexpr (std::is_same_v<T, float>) {
-    wf = params.w.data();
-  } else {
-    auto& wpanel = ws.gemm().a;
-    const auto wcount = static_cast<std::size_t>(p.out_channels * k_dim);
-    if (wpanel.size() < wcount) wpanel.resize(wcount);
-    ncsw::fp16::half_to_float_span(params.w.data(), wpanel.data(), wcount);
-    wf = wpanel.data();
-  }
 
   for (std::int64_t b = 0; b < is.n; ++b) {
     const float* src = batch_as_f32(in, b, ws, ctx);
@@ -280,19 +287,20 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
     });
 
     // Bias add. FP16 keeps the oracle's order: round the accumulator to
-    // half first, then add the half bias with per-element rounding.
+    // half first, then add the (widened) half bias with per-element
+    // rounding.
     parallel_chunks(
         ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
           if constexpr (std::is_same_v<T, float>) {
             for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = params.b[oc];
+              const float bias = weights.b()[oc];
               float* dst = out.batch_ptr(b) + oc * n_dim;
               for (std::int64_t i = 0; i < n_dim; ++i) dst[i] += bias;
             }
           } else {
             const auto len = static_cast<std::size_t>(n_dim);
             for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = static_cast<float>(params.b[oc]);
+              const float bias = weights.b()[oc];
               float* row = cf + oc * n_dim;
               half* dst = out.batch_ptr(b) + oc * n_dim;
               ncsw::fp16::float_to_half_span(row, dst, len);
@@ -574,39 +582,52 @@ void concat(const std::vector<const Tensor<T>*>& ins, Tensor<T>& out) {
 }
 
 template <typename T>
-void fully_connected(const Tensor<T>& in, const LayerParams<T>& params,
+void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
                      const FCParams& p, Tensor<T>& out, const ExecCtx& ctx) {
   const tensor::Shape& is = in.shape();
   const std::int64_t in_dim = is.chw();
-  if (params.w.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
+  if (weights.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
     throw std::invalid_argument("fully_connected: weight shape mismatch: " +
-                                params.w.shape().to_string());
+                                weights.shape().to_string());
   }
   out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   // out[b] = W[outF x in_dim] * in[b]: a GEMV per batch item,
   // bit-identical to the degenerate n = 1 GEMM it replaced.
+  const float* bias = weights.b();
   for (std::int64_t b = 0; b < is.n; ++b) {
-    if constexpr (std::is_same_v<T, float>) {
-      tensor::gemv_f32(p.out_features, in_dim, params.w.data(),
-                       in.batch_ptr(b), 0.0f, out.batch_ptr(b));
-    } else {
-      tensor::gemv_f16(p.out_features, in_dim, params.w.data(),
-                       in.batch_ptr(b), 0.0f, out.batch_ptr(b), &ws.gemm());
-    }
     T* dst = out.batch_ptr(b);
-    for (std::int64_t f = 0; f < p.out_features; ++f) {
-      dst[f] += params.b[f];
+    if constexpr (std::is_same_v<T, float>) {
+      tensor::gemv_f32(p.out_features, in_dim, weights.w(), in.batch_ptr(b),
+                       0.0f, dst);
+      for (std::int64_t f = 0; f < p.out_features; ++f) dst[f] += bias[f];
+    } else {
+      // The oracle's order, one span pass each: accumulate the widened
+      // activation in FP32, round, widen, add the bias, round again.
+      // Serial: an FC input is too short to repay a fan-out.
+      float* x = ws.acts(in_dim);
+      ncsw::fp16::half_to_float_span(in.batch_ptr(b), x,
+                                     static_cast<std::size_t>(in_dim));
+      float* y = ws.out(p.out_features);
+      tensor::gemv_f32(p.out_features, in_dim, weights.w(), x, 0.0f, y);
+      const auto len = static_cast<std::size_t>(p.out_features);
+      ncsw::fp16::float_to_half_span(y, dst, len);
+      ncsw::fp16::half_to_float_span(dst, y, len);
+      for (std::int64_t f = 0; f < p.out_features; ++f) y[f] += bias[f];
+      ncsw::fp16::float_to_half_span(y, dst, len);
     }
   }
 }
 
 template <typename T>
-void softmax(const Tensor<T>& in, Tensor<T>& out) {
+void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx) {
   const tensor::Shape& is = in.shape();
   out.resize(is);
   const std::int64_t dim = is.chw();
+  Workspace local;
+  Workspace& ws = ctx.ws ? *ctx.ws : local;
+  float* e = ws.out(dim);
   for (std::int64_t b = 0; b < is.n; ++b) {
     const T* src = in.batch_ptr(b);
     T* dst = out.batch_ptr(b);
@@ -615,33 +636,31 @@ void softmax(const Tensor<T>& in, Tensor<T>& out) {
       max_v = std::max(max_v, static_cast<float>(src[i]));
     }
     double sum = 0.0;
-    std::vector<float> e(static_cast<std::size_t>(dim));
     for (std::int64_t i = 0; i < dim; ++i) {
-      e[static_cast<std::size_t>(i)] =
-          std::exp(static_cast<float>(src[i]) - max_v);
-      sum += e[static_cast<std::size_t>(i)];
+      e[i] = std::exp(static_cast<float>(src[i]) - max_v);
+      sum += e[i];
     }
     const float inv = static_cast<float>(1.0 / sum);
     for (std::int64_t i = 0; i < dim; ++i) {
-      dst[i] = tensor::scalar_cast<T>(e[static_cast<std::size_t>(i)] * inv);
+      dst[i] = tensor::scalar_cast<T>(e[i] * inv);
     }
   }
 }
 
 template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
-                 const FastLayer* fl, const ConvParams& p, bool fuse_relu,
-                 Tensor<T>& out, const ExecCtx& ctx) {
+void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
+                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
+                 const ExecCtx& ctx) {
   const tensor::Shape& is = in.shape();
   const std::int64_t oh = conv_extent(is.h, p.kernel, p.stride, p.pad);
   const std::int64_t ow = conv_extent(is.w, p.kernel, p.stride, p.pad);
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("conv2d: kernel does not fit");
   }
-  if (params.w.shape() !=
+  if (weights.shape() !=
       tensor::Shape{p.out_channels, is.c, p.kernel, p.kernel}) {
     throw std::invalid_argument("conv2d: weight shape mismatch: " +
-                                params.w.shape().to_string());
+                                weights.shape().to_string());
   }
   out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
 
@@ -649,31 +668,8 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
   const std::int64_t n_dim = oh * ow;
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
-
-  // FP32 weights/bias: the graph-load-time panels when available, a
-  // per-call expansion otherwise.
-  const float* wf = nullptr;
-  const float* bf = nullptr;
-  if (fl && fl->rows == p.out_channels && fl->cols == k_dim) {
-    wf = fl->w_f32.data();
-    bf = fl->b_f32.data();
-  } else {
-    if constexpr (std::is_same_v<T, float>) {
-      wf = params.w.data();
-      bf = params.b.data();
-    } else {
-      auto& wpanel = ws.gemm().a;
-      const auto wcount = static_cast<std::size_t>(p.out_channels * k_dim);
-      if (wpanel.size() < wcount) wpanel.resize(wcount);
-      ncsw::fp16::half_to_float_span(params.w.data(), wpanel.data(),
-                                     wcount);
-      wf = wpanel.data();
-      float* bpanel = ws.bias(p.out_channels);
-      ncsw::fp16::half_to_float_span(
-          params.b.data(), bpanel, static_cast<std::size_t>(p.out_channels));
-      bf = bpanel;
-    }
-  }
+  const float* wf = weights.w();
+  const float* bf = weights.b();
 
   const bool direct_1x1 = p.kernel == 1 && p.stride == 1 && p.pad == 0;
   // Direct 3x3 pays off when output rows are wide enough to fill its
@@ -751,10 +747,16 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
         im2col(src, is, p, oh, ow, col, ws, ctx);
         bmat = col;
       }
-      parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
-        tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
-                              bmat + j0, n_dim, cf + j0, n_dim);
-      });
+      // Column chunks start on 16-column panel boundaries, so a column
+      // lands in the same vector tile or scalar edge at any chunk count
+      // (the two need not round alike once contraction is on).
+      parallel_chunks(
+          ctx, (n_dim + 15) / 16, [&](int, std::int64_t p0, std::int64_t p1) {
+            const std::int64_t j0 = p0 * 16;
+            const std::int64_t j1 = std::min(p1 * 16, n_dim);
+            tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
+                                  bmat + j0, n_dim, cf + j0, n_dim);
+          });
       // Fused epilogue: bias and ReLU in one FP32 pass, then (FP16 only)
       // one round per element — the conv -> round -> relu -> round
       // round-trip of the unfused path collapses to a single write-back.
@@ -782,50 +784,10 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
   }
 }
 
-template <typename T>
-void fully_connected_fast(const Tensor<T>& in, const LayerParams<T>& params,
-                          const FastLayer* fl, const FCParams& p,
-                          bool fuse_relu, Tensor<T>& out, const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  const std::int64_t in_dim = is.chw();
-  if (params.w.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
-    throw std::invalid_argument("fully_connected: weight shape mismatch: " +
-                                params.w.shape().to_string());
-  }
-  if (!fl || fl->rows != p.out_features || fl->cols != in_dim) {
-    fully_connected(in, params, p, out, ctx);
-    if (fuse_relu) relu(out, ctx);
-    return;
-  }
-  out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const std::int8_t* wq = fl->w_q.data();
-  const float* wscale = fl->scale.data();
-  const float* bias = fl->b_f32.data();
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    // Dynamic per-tensor activation quantization; an all-zero input gets
-    // scale 1 and a zero accumulator, so the output is exactly the bias.
-    const float* xf = batch_as_f32(in, b, ws, ctx);
-    std::int8_t* xq = ws.qbuf(in_dim);
-    const float sx = quantize_symmetric(xf, in_dim, xq);
-    std::int32_t* acc = ws.ibuf(p.out_features);
-    T* dst = out.batch_ptr(b);
-    parallel_chunks(
-        ctx, p.out_features, [&](int, std::int64_t f0, std::int64_t f1) {
-          tensor::gemv_s8(f1 - f0, in_dim, wq + f0 * in_dim, xq, acc + f0);
-          for (std::int64_t f = f0; f < f1; ++f) {
-            float v = sx * wscale[f] * static_cast<float>(acc[f]) + bias[f];
-            if (fuse_relu && v < 0.0f) v = 0.0f;
-            dst[f] = tensor::scalar_cast<T>(v);
-          }
-        });
-  }
-}
-
 // Explicit instantiations for the two supported precisions.
 #define NCSW_INSTANTIATE_KERNELS(T)                                          \
-  template void conv2d<T>(const Tensor<T>&, const LayerParams<T>&,           \
+  template LayerWeights::LayerWeights(const LayerParams<T>&);                \
+  template void conv2d<T>(const Tensor<T>&, const LayerWeights&,             \
                           const ConvParams&, Tensor<T>&, const ExecCtx&);    \
   template void relu<T>(Tensor<T>&, const ExecCtx&);                         \
   template void max_pool<T>(const Tensor<T>&, const PoolParams&, Tensor<T>&, \
@@ -835,16 +797,13 @@ void fully_connected_fast(const Tensor<T>& in, const LayerParams<T>& params,
   template void lrn<T>(const Tensor<T>&, const LRNParams&, Tensor<T>&,       \
                        const ExecCtx&);                                      \
   template void concat<T>(const std::vector<const Tensor<T>*>&, Tensor<T>&); \
-  template void fully_connected<T>(const Tensor<T>&, const LayerParams<T>&,  \
+  template void fully_connected<T>(const Tensor<T>&, const LayerWeights&,    \
                                    const FCParams&, Tensor<T>&,              \
                                    const ExecCtx&);                          \
-  template void softmax<T>(const Tensor<T>&, Tensor<T>&);                    \
-  template void conv2d_fast<T>(const Tensor<T>&, const LayerParams<T>&,      \
-                               const FastLayer*, const ConvParams&, bool,    \
-                               Tensor<T>&, const ExecCtx&);                  \
-  template void fully_connected_fast<T>(                                     \
-      const Tensor<T>&, const LayerParams<T>&, const FastLayer*,             \
-      const FCParams&, bool, Tensor<T>&, const ExecCtx&);
+  template void softmax<T>(const Tensor<T>&, Tensor<T>&, const ExecCtx&);    \
+  template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
+                               const ConvParams&, bool, Tensor<T>&,          \
+                               const ExecCtx&);
 
 NCSW_INSTANTIATE_KERNELS(float)
 NCSW_INSTANTIATE_KERNELS(ncsw::fp16::half)

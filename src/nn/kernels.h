@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "nn/graph.h"
-#include "nn/quant.h"
 #include "nn/weights.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
@@ -52,33 +51,28 @@ class Workspace {
     return grow(slabs_, static_cast<std::int64_t>(count) * per_task);
   }
 
-  /// FP32 bias panel (fast tier: FP16 biases expanded once per call).
-  float* bias(std::int64_t count) { return grow(bias_, count); }
-
-  /// int8 buffer for the fast tier's dynamic activation quantization.
-  std::int8_t* qbuf(std::int64_t count) {
-    const auto need = static_cast<std::size_t>(count);
-    if (q_.size() < need) q_.resize(need);
-    return q_.data();
+  /// nn::Plan's activation slots and the input list a concat layer
+  /// reads through, one set per precision. They grow to the plan's
+  /// high-water mark and are reused by every later pass on this thread.
+  template <typename T>
+  struct Slots {
+    std::vector<Tensor<T>> tensors;
+    std::vector<const Tensor<T>*> ins;
+  };
+  template <typename T>
+  Slots<T>& slots() noexcept {
+    if constexpr (std::is_same_v<T, float>) {
+      return slots_f32_;
+    } else {
+      return slots_f16_;
+    }
   }
-
-  /// int32 accumulator buffer for the int8 GEMV output.
-  std::int32_t* ibuf(std::int64_t count) {
-    const auto need = static_cast<std::size_t>(count);
-    if (i_.size() < need) i_.resize(need);
-    return i_.data();
-  }
-
-  /// FP32 expansion panels for the FP16 GEMM/GEMV.
-  tensor::GemmScratch& gemm() noexcept { return gemm_; }
 
   /// Bytes reserved across all arenas (monotonically non-decreasing).
   std::size_t capacity_bytes() const noexcept {
     return (col_.capacity() + acts_.capacity() + out_.capacity() +
-            slabs_.capacity() + bias_.capacity()) *
-               sizeof(float) +
-           q_.capacity() * sizeof(std::int8_t) +
-           i_.capacity() * sizeof(std::int32_t) + gemm_.capacity_bytes();
+            slabs_.capacity()) *
+           sizeof(float);
   }
 
  private:
@@ -88,10 +82,34 @@ class Workspace {
     return v.data();
   }
 
-  std::vector<float> col_, acts_, out_, slabs_, bias_;
-  std::vector<std::int8_t> q_;
-  std::vector<std::int32_t> i_;
-  tensor::GemmScratch gemm_;
+  std::vector<float> col_, acts_, out_, slabs_;
+  Slots<float> slots_f32_;
+  Slots<ncsw::fp16::half> slots_f16_;
+};
+
+/// A Conv/FC layer's weights [rows x cols] and bias [rows] as the
+/// kernels read them, in FP32: views of the tensors for FP32, an exact
+/// widening (owned here) for FP16. nn::Plan prepares one per layer at
+/// graph-load time; the implicit conversion lets a one-off kernel call
+/// pass LayerParams directly, widening FP16 per call. Move-only: the
+/// views point into the owned buffer, which a move carries along.
+class LayerWeights {
+ public:
+  template <typename T>
+  LayerWeights(const LayerParams<T>& params);  // implicit by design
+  LayerWeights(LayerWeights&&) noexcept = default;
+  LayerWeights& operator=(LayerWeights&&) noexcept = default;
+
+  /// Shape of the weight tensor the views were taken from.
+  const tensor::Shape& shape() const noexcept { return shape_; }
+  const float* w() const noexcept { return w_; }
+  const float* b() const noexcept { return b_; }
+
+ private:
+  tensor::Shape shape_;
+  std::vector<float> wide_;  // FP16: the widened weights, then the bias
+  const float* w_ = nullptr;
+  const float* b_ = nullptr;
 };
 
 /// Per-call execution context the executor threads through the kernels.
@@ -105,15 +123,11 @@ struct ExecCtx {
   /// Number of slabs the parallel kernels split their work into.
   int threads = 1;
   /// Opt-in fast tier (docs/performance.md): fused conv+bias+ReLU,
-  /// direct 3x3/1x1 convolution, int8 fully-connected layers, sqrt-based
-  /// LRN and affinity-aware chunk placement. Forfeits bit-identity with
-  /// the exact tier (still deterministic across thread counts);
-  /// validated by the digest-tolerance tests. Off by default.
+  /// direct 3x3/1x1 convolution, sqrt-based LRN and affinity-aware chunk
+  /// placement. Forfeits bit-identity with the exact tier (still
+  /// deterministic across thread counts); validated by the
+  /// digest-tolerance tests. Off by default.
   bool fast = false;
-  /// Graph-load-time fast-tier weights (FP32 panels + per-channel int8);
-  /// nullptr makes the fast kernels expand weights per call and keep the
-  /// fully-connected layers in FP32.
-  const QuantizedWeights* quant = nullptr;
 };
 
 /// The process-wide pool the kernels fan out on, created on first use
@@ -129,7 +143,7 @@ util::ThreadPool& fast_pool();
 /// 2-D convolution via im2col + GEMM. `out` is resized to the batched
 /// output shape.
 template <typename T>
-void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx = {});
 
 /// In-place ReLU.
@@ -163,36 +177,25 @@ void concat(const std::vector<const Tensor<T>*>& ins, Tensor<T>& out);
 /// Runs as a GEMV per batch item (bit-identical to the n = 1 GEMM it
 /// replaced).
 template <typename T>
-void fully_connected(const Tensor<T>& in, const LayerParams<T>& params,
+void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
                      const FCParams& p, Tensor<T>& out,
                      const ExecCtx& ctx = {});
 
 /// Channel-wise softmax (numerically stabilised; always computed in FP32).
 template <typename T>
-void softmax(const Tensor<T>& in, Tensor<T>& out);
+void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx = {});
 
 // --- fast tier -------------------------------------------------------------
 
 /// Fast-tier convolution: direct (im2col-free) specialisations for 3x3
 /// and stride-1 1x1 kernels, im2col+GEMM otherwise; FP32 accumulation
 /// with bias (and, when `fuse_relu`, the ReLU) applied before the single
-/// round to T — no intermediate activation round-trip. `fl` supplies the
-/// graph-load-time FP32 weight panel (nullptr expands per call). Not
-/// bit-identical to conv2d; deterministic across thread counts.
+/// round to T — no intermediate activation round-trip. Not bit-identical
+/// to conv2d; deterministic across thread counts. (Fully-connected
+/// layers run the exact kernel in both tiers.)
 template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
-                 const FastLayer* fl, const ConvParams& p, bool fuse_relu,
-                 Tensor<T>& out, const ExecCtx& ctx = {});
-
-/// Fast-tier fully connected on per-channel int8 weights: the activation
-/// is quantized dynamically (per-tensor symmetric scale), the GEMV
-/// accumulates in int32, and y[f] = scale_x*scale_w[f]*acc + b[f] (+
-/// optional fused ReLU) rounds once to T. Falls back to the FP32
-/// fully_connected when `fl` is nullptr.
-template <typename T>
-void fully_connected_fast(const Tensor<T>& in, const LayerParams<T>& params,
-                          const FastLayer* fl, const FCParams& p,
-                          bool fuse_relu, Tensor<T>& out,
-                          const ExecCtx& ctx = {});
+void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
+                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
+                 const ExecCtx& ctx = {});
 
 }  // namespace ncsw::nn::kernels

@@ -8,8 +8,9 @@
 
 // The exact kernels below must produce the oracle kernels' bits
 // (tests/oracle/) on every ISA, so this TU is built with -ffp-contract=off
-// (src/CMakeLists.txt): the x86-64-v3 instantiation of the register tile
-// multiplies and adds in two roundings, exactly like the baseline one.
+// (src/CMakeLists.txt): the x86-64-v3 and -v4 instantiations of the
+// register tile multiply and add in two roundings, exactly like the
+// baseline one.
 // The fast-tier kernels, which may fuse, live in gemm_fast.cpp.
 
 namespace ncsw::tensor {
@@ -21,37 +22,46 @@ constexpr std::int64_t kBlockM = 64;
 constexpr std::int64_t kBlockN = 128;
 constexpr std::int64_t kBlockK = 256;
 
-// Register micro-tile: R rows x V*8 columns of C held in NCSW_V8F
-// accumulators (4x16 = 8 accumulators for full tiles). Every output
-// element still accumulates its k terms in ascending order with the same
-// per-term arithmetic as the oracle kernel (av = alpha * a[i,kk],
-// the term skipped when av is zero, which also leaves a -0 accumulator
-// alone), so results are bit-identical: the accumulators are loaded from
-// C before the k-slice and stored after it, which is the same value
-// chain as accumulating in memory, and a lane of `av * b` is the scalar
-// product of that lane. The vector type rather than scalar loops keeps
-// the tile in registers at full width (see util/multiversion.h).
+// Register micro-tile: R rows x V vectors of W lanes of C held in
+// accumulators (4 rows x 2 vectors = 8 accumulators for full tiles).
+// Every output element still accumulates its k terms in ascending order
+// with the same per-term arithmetic as the oracle kernel (av = alpha *
+// a[i,kk], the term skipped when av is zero, which also leaves a -0
+// accumulator alone), so results are bit-identical at any vector width:
+// the accumulators are loaded from C before the k-slice and stored after
+// it, which is the same value chain as accumulating in memory, and a lane
+// of `av * b` is the scalar product of that lane. The vector type rather
+// than scalar loops keeps the tile in registers at full width (see
+// util/multiversion.h).
+//
+// The vector type is declared here from the lane count, 4-byte aligned.
+// A vector typedef passed in as a template argument would lose its
+// aligned(4) attribute (GCC 12), and the dereferences below would then
+// compile to aligned moves that fault on rows that are not
+// vector-aligned.
 //
 // The row panel computes the tile rows' av values for the k-slice once
 // (`av[kk * R + r]`) together with a per-kk flag for "some row's av is
 // zero", so the common all-non-zero step runs without per-row branches.
 // b points at the tile's first column, c at its top-left element.
-template <int R, int V>
+template <int W, int R, int V>
 NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
                            const bool* any_zero, const float* b,
                            std::int64_t ldb, float* c,
                            std::int64_t ldc) noexcept {
-  NCSW_V8F acc[R][V];
+  typedef float Vec
+      __attribute__((vector_size(W * sizeof(float)), aligned(4)));
+  Vec acc[R][V];
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < V; ++v) {
-      acc[r][v] = *reinterpret_cast<const NCSW_V8F*>(c + r * ldc + v * 8);
+      acc[r][v] = *reinterpret_cast<const Vec*>(c + r * ldc + v * W);
     }
   }
   for (std::int64_t kk = 0; kk < kn; ++kk) {
     const float* brow = b + kk * ldb;
-    NCSW_V8F bv[V];
+    Vec bv[V];
     for (int v = 0; v < V; ++v) {
-      bv[v] = *reinterpret_cast<const NCSW_V8F*>(brow + v * 8);
+      bv[v] = *reinterpret_cast<const Vec*>(brow + v * W);
     }
     const float* avk = av + kk * R;
     if (!any_zero[kk]) {
@@ -67,7 +77,7 @@ NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
   }
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < V; ++v) {
-      *reinterpret_cast<NCSW_V8F*>(c + r * ldc + v * 8) = acc[r][v];
+      *reinterpret_cast<Vec*>(c + r * ldc + v * W) = acc[r][v];
     }
   }
 }
@@ -90,10 +100,12 @@ NCSW_FAST_INLINE void tile_edge(std::int64_t cols, std::int64_t kn,
   }
 }
 
-// R rows of C over columns [j0, j1) and the k-slice [k0, k1): 16-wide
-// tiles, then one 8-wide tile, then the scalar edge. a points at the
-// panel's first row, b at B's first row, c at the panel's first row.
-template <int R>
+// R rows of C over columns [j0, j1) and the k-slice [k0, k1). The v4
+// variant (kWide) walks 32-wide tiles of two 16-lane vectors, then one
+// 16-wide tile; every variant then takes 16-wide tiles of two 8-lane
+// vectors, one 8-wide tile and the scalar edge. a points at the panel's
+// first row, b at B's first row, c at the panel's first row.
+template <int R, bool kWide>
 NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
                                 std::int64_t k0, std::int64_t k1, float alpha,
                                 const float* a, std::int64_t lda,
@@ -115,11 +127,20 @@ NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
   }
   const float* bk = b + k0 * ldb;
   std::int64_t j = j0;
+  if constexpr (kWide) {
+    for (; j + 32 <= j1; j += 32) {
+      tile<16, R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    }
+    if (j + 16 <= j1) {
+      tile<16, R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+      j += 16;
+    }
+  }
   for (; j + 16 <= j1; j += 16) {
-    tile<R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    tile<8, R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
   }
   if (j + 8 <= j1) {
-    tile<R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    tile<8, R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
     j += 8;
   }
   if (j < j1) tile_edge<R>(j1 - j, kn, av, bk + j, ldb, c + j, ldc);
@@ -127,6 +148,7 @@ NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
 
 // C = alpha * A*B + beta * C over strided row-major panels: scale/clear
 // C first so the blocked accumulation can always add.
+template <bool kWide>
 NCSW_FAST_INLINE void gemm_f32_body(std::int64_t m, std::int64_t n,
                                     std::int64_t k, float alpha,
                                     const float* a, std::int64_t lda,
@@ -149,16 +171,36 @@ NCSW_FAST_INLINE void gemm_f32_body(std::int64_t m, std::int64_t n,
         const std::int64_t j1 = std::min(j0 + kBlockN, n);
         std::int64_t i = i0;
         for (; i + 4 <= i1; i += 4) {
-          row_panel<4>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
+          row_panel<4, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
                        c + i * ldc, ldc);
         }
         for (; i < i1; ++i) {
-          row_panel<1>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
+          row_panel<1, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
                        c + i * ldc, ldc);
         }
       }
     }
   }
+}
+
+// R rows of y = A * x (+ beta * y). The R add chains are independent,
+// so the core overlaps them instead of waiting on one chain per row;
+// each row still adds its terms in ascending k with zero terms skipped,
+// as the GEMM kernels do, so a row's bits are those of the n = 1 GEMM.
+template <int R>
+NCSW_FAST_INLINE void gemv_rows(std::int64_t k, const float* a,
+                                const float* x, float beta,
+                                float* y) noexcept {
+  float acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = beta == 0.0f ? 0.0f : beta * y[r];
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float xv = x[kk];
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * k + kk];
+      if (av != 0.0f) acc[r] += av * xv;
+    }
+  }
+  for (int r = 0; r < R; ++r) y[r] = acc[r];
 }
 
 // Grow-only resize keeping existing contents irrelevant (panels are
@@ -176,7 +218,7 @@ void gemm_f32_base(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, std::int64_t lda,
                    const float* b, std::int64_t ldb, float beta, float* c,
                    std::int64_t ldc) noexcept {
-  gemm_f32_body(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  gemm_f32_body<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 NCSW_TARGET_V3 void gemm_f32_v3(std::int64_t m, std::int64_t n,
@@ -184,7 +226,15 @@ NCSW_TARGET_V3 void gemm_f32_v3(std::int64_t m, std::int64_t n,
                                 std::int64_t lda, const float* b,
                                 std::int64_t ldb, float beta, float* c,
                                 std::int64_t ldc) noexcept {
-  gemm_f32_body(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  gemm_f32_body<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+NCSW_TARGET_V4 void gemm_f32_v4(std::int64_t m, std::int64_t n,
+                                std::int64_t k, float alpha, const float* a,
+                                std::int64_t lda, const float* b,
+                                std::int64_t ldb, float beta, float* c,
+                                std::int64_t ldc) noexcept {
+  gemm_f32_body<true>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 }  // namespace detail
@@ -198,12 +248,16 @@ void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, std::int64_t lda, const float* b,
               std::int64_t ldb, float beta, float* c,
               std::int64_t ldc) noexcept {
-  // x86-64-v4 hosts run the v3 variant too: the tile is 8-lane, so an
-  // AVX-512 build of it would issue the same ymm operations.
-  if (util::isa_level() != util::IsaLevel::kBase) {
-    detail::gemm_f32_v3(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-  } else {
-    detail::gemm_f32_base(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  switch (util::isa_level()) {
+    case util::IsaLevel::kV4:
+      detail::gemm_f32_v4(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+      break;
+    case util::IsaLevel::kV3:
+      detail::gemm_f32_v3(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+      break;
+    case util::IsaLevel::kBase:
+      detail::gemm_f32_base(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+      break;
   }
 }
 
@@ -231,18 +285,9 @@ void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 void gemv_f32(std::int64_t m, std::int64_t k, const float* a, const float* x,
               float beta, float* y) noexcept {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float acc = beta == 0.0f ? 0.0f : beta * y[i];
-    const float* arow = a + i * k;
-    // Zero terms are skipped, matching the GEMM kernels (so the n = 1
-    // fully-connected path is bit-identical to the GEMM it replaced).
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      acc += av * x[kk];
-    }
-    y[i] = acc;
-  }
+  std::int64_t i = 0;
+  for (; i + 8 <= m; i += 8) gemv_rows<8>(k, a + i * k, x, beta, y + i);
+  for (; i < m; ++i) gemv_rows<1>(k, a + i * k, x, beta, y + i);
 }
 
 void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
@@ -252,19 +297,14 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
   GemmScratch& s = scratch ? *scratch : local;
   float* af = panel(s.a, m * k);
   float* xf = panel(s.b, k);
+  float* yf = panel(s.c, m);
   ncsw::fp16::half_to_float_span(a, af, static_cast<std::size_t>(m * k));
   ncsw::fp16::half_to_float_span(x, xf, static_cast<std::size_t>(k));
-  for (std::int64_t i = 0; i < m; ++i) {
-    float acc =
-        beta == 0.0f ? 0.0f : beta * static_cast<float>(y[i]);
-    const float* arow = af + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      acc += av * xf[kk];
-    }
-    y[i] = ncsw::fp16::half(acc);
+  if (beta != 0.0f) {
+    ncsw::fp16::half_to_float_span(y, yf, static_cast<std::size_t>(m));
   }
+  gemv_f32(m, k, af, xf, beta, yf);
+  ncsw::fp16::float_to_half_span(yf, y, static_cast<std::size_t>(m));
 }
 
 }  // namespace ncsw::tensor

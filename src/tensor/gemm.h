@@ -6,15 +6,16 @@
 // practical FP16 GEMM behaves); the result is rounded to FP16 per element.
 //
 // Implementation notes (docs/performance.md): the FP32 kernel is
-// cache-blocked with a 4x16 vector register-accumulator micro-tile,
-// instantiated at baseline and x86-64-v3 (AVX2) and dispatched at run
-// time; its TU is built with FP contraction off, so the AVX2 variant
-// never fuses a multiply-add. The FP16 kernel expands the half operands
-// to FP32 panels once and reuses the FP32 kernel. Both are bit-identical
-// on every ISA to the pre-rewrite scalar kernels, which live on as the
-// test-only oracle (tests/oracle/): every output element accumulates its
-// k terms in the same ascending order with the same per-term arithmetic,
-// so no rounding changes.
+// cache-blocked with a 4-row vector register-accumulator micro-tile,
+// instantiated at baseline, x86-64-v3 (AVX2, 4x16 tiles of 8-lane
+// vectors) and x86-64-v4 (AVX-512, 4x32 tiles of 16-lane vectors first)
+// and dispatched at run time; its TU is built with FP contraction off,
+// so no variant ever fuses a multiply-add. The FP16 kernel expands the
+// half operands to FP32 panels once and reuses the FP32 kernel. Both are
+// bit-identical on every ISA to the pre-rewrite scalar kernels, which
+// live on as the test-only oracle (tests/oracle/): every output element
+// accumulates its k terms in the same ascending order with the same
+// per-term arithmetic, so no rounding changes.
 #pragma once
 
 #include <cstdint>
@@ -79,27 +80,11 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
 /// level (x86-64-v3/v4 function multiversioning) so the baseline build
 /// stays generic. It is still deterministic for a given machine and
 /// inputs — every output element accumulates its k terms in ascending
-/// order, independent of how callers split C by column range.
+/// order — provided callers split C by column range at multiples of 16:
+/// full 16-column tiles and the scalar column edge need not round alike
+/// once multiply-adds fuse.
 void gemm_f32_fast(std::int64_t m, std::int64_t n, std::int64_t k,
                    const float* a, std::int64_t lda, const float* b,
                    std::int64_t ldb, float* c, std::int64_t ldc) noexcept;
-
-// --- int8 fast-tier kernels -----------------------------------------------
-// Quantized arithmetic for the opt-in fast host tier (docs/
-// performance.md): operands are symmetric int8 (no zero point),
-// accumulation is int32 — exact, since |a*b| <= 127^2 and k < 2^24 for
-// every layer in the zoo. Callers apply the per-channel scales on the
-// way out; the kernels themselves are integer-only.
-
-/// int8 GEMM with int32 accumulation: c[m x n] = a[m x k] * b[k x n].
-/// Row-major, dense; c is overwritten.
-void gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c) noexcept;
-
-/// int8 GEMV with int32 accumulation: y[m] = a[m x k] * x[k] — identical
-/// to gemm_s8 with n = 1.
-void gemv_s8(std::int64_t m, std::int64_t k, const std::int8_t* a,
-             const std::int8_t* x, std::int32_t* y) noexcept;
 
 }  // namespace ncsw::tensor

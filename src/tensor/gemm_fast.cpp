@@ -1,8 +1,7 @@
-// Fast-tier GEMM kernels (tensor/gemm.h): the FP32 fast GEMM and the
-// int8 GEMM/GEMV. This TU is the one place in tensor/ built with FP
-// contraction allowed (src/tensor/CMakeLists.txt), so the x86-64-v3/v4
-// variants of the FP32 tile fuse multiply and add into FMA. The exact
-// kernels live in gemm.cpp, built with contraction off.
+// The fast-tier FP32 GEMM (tensor/gemm.h). This TU is the one place in
+// tensor/ built with FP contraction allowed (src/tensor/CMakeLists.txt),
+// so the x86-64-v3/v4 variants of the tile fuse multiply and add into
+// FMA. The exact kernels live in gemm.cpp, built with contraction off.
 #include "tensor/gemm.h"
 
 #include <algorithm>
@@ -13,28 +12,34 @@ namespace ncsw::tensor {
 
 namespace {
 
-// Register micro-tile of the fast-tier GEMM: NR rows x 16 columns,
-// accumulated over the full k extent in registers and stored once
-// (no C round-trips). 6x16 fills the AVX2 register file (12 ymm
-// accumulators + broadcast + B row).
+// Register micro-tile of the fast-tier GEMM: NR rows x 2 vectors of W
+// lanes, accumulated over the full k extent in registers and stored
+// once (no C round-trips). 6x16 fills the AVX2 register file (12 ymm
+// accumulators + broadcast + B row); the x86-64-v4 variant also runs
+// 6x32 tiles of zmm vectors. A lane's FMA chain is the same at either
+// width, so only the scalar edge rounds differently.
 //
-// Written with NCSW_V8F explicitly rather than scalar loops: GCC 12's
+// Written with generic vectors rather than scalar loops: GCC 12's
 // loop/SLP vectorizer only produces wide code for this kernel when the
 // strides are compile-time constants (e.g. in a .constprop clone); the
 // general runtime-stride version degrades to spilled 16-byte code,
 // ~15x slower. The generic-vector form lowers directly to the widest
 // ISA of the enclosing variant with no cost-model involvement, and the
-// scalar * vector products broadcast without insert chains.
-template <int NR>
-NCSW_FAST_INLINE void tile_fast_nx16(std::int64_t k, const float* a,
-                                     std::int64_t lda, const float* b,
-                                     std::int64_t ldb, float* c,
-                                     std::int64_t ldc) noexcept {
-  NCSW_V8F acc[NR][2]{};
+// scalar * vector products broadcast without insert chains. The vector
+// type is declared here, 4-byte aligned, not passed in as a template
+// argument (util/multiversion.h).
+template <int W, int NR>
+NCSW_FAST_INLINE void tile_fast(std::int64_t k, const float* a,
+                                std::int64_t lda, const float* b,
+                                std::int64_t ldb, float* c,
+                                std::int64_t ldc) noexcept {
+  typedef float Vec
+      __attribute__((vector_size(W * sizeof(float)), aligned(4)));
+  Vec acc[NR][2]{};
   for (std::int64_t kk = 0; kk < k; ++kk) {
     const float* brow = b + kk * ldb;
-    const NCSW_V8F b0 = *reinterpret_cast<const NCSW_V8F*>(brow);
-    const NCSW_V8F b1 = *reinterpret_cast<const NCSW_V8F*>(brow + 8);
+    const Vec b0 = *reinterpret_cast<const Vec*>(brow);
+    const Vec b1 = *reinterpret_cast<const Vec*>(brow + W);
     for (int r = 0; r < NR; ++r) {
       const float av = a[r * lda + kk];
       acc[r][0] += av * b0;
@@ -42,8 +47,8 @@ NCSW_FAST_INLINE void tile_fast_nx16(std::int64_t k, const float* a,
     }
   }
   for (int r = 0; r < NR; ++r) {
-    *reinterpret_cast<NCSW_V8F*>(c + r * ldc) = acc[r][0];
-    *reinterpret_cast<NCSW_V8F*>(c + r * ldc + 8) = acc[r][1];
+    *reinterpret_cast<Vec*>(c + r * ldc) = acc[r][0];
+    *reinterpret_cast<Vec*>(c + r * ldc + W) = acc[r][1];
   }
 }
 
@@ -64,6 +69,25 @@ NCSW_FAST_INLINE void edge_fast(std::int64_t rows, std::int64_t cols,
   }
 }
 
+// NR rows of C: 32-wide tiles (kWide), 16-wide tiles, the scalar edge.
+template <int NR, bool kWide>
+NCSW_FAST_INLINE void rows_fast(std::int64_t n, std::int64_t k,
+                                const float* a, std::int64_t lda,
+                                const float* b, std::int64_t ldb, float* c,
+                                std::int64_t ldc) noexcept {
+  std::int64_t j = 0;
+  if constexpr (kWide) {
+    for (; j + 32 <= n; j += 32) {
+      tile_fast<16, NR>(k, a, lda, b + j, ldb, c + j, ldc);
+    }
+  }
+  for (; j + 16 <= n; j += 16) {
+    tile_fast<8, NR>(k, a, lda, b + j, ldb, c + j, ldc);
+  }
+  if (j < n) edge_fast(NR, n - j, k, a, lda, b + j, ldb, c + j, ldc);
+}
+
+template <bool kWide>
 NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
                                          std::int64_t k, const float* a,
                                          std::int64_t lda, const float* b,
@@ -71,77 +95,28 @@ NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
                                          std::int64_t ldc) noexcept {
   std::int64_t i = 0;
   for (; i + 6 <= m; i += 6) {
-    std::int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      tile_fast_nx16<6>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc);
-    }
-    if (j < n) edge_fast(6, n - j, k, a + i * lda, lda, b + j, ldb,
-                         c + i * ldc + j, ldc);
+    rows_fast<6, kWide>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
-  if (i < m) {
-    std::int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      switch (m - i) {
-        case 1:
-          tile_fast_nx16<1>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 2:
-          tile_fast_nx16<2>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 3:
-          tile_fast_nx16<3>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        case 4:
-          tile_fast_nx16<4>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-        default:
-          tile_fast_nx16<5>(k, a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc);
-          break;
-      }
-    }
-    if (j < n) edge_fast(m - i, n - j, k, a + i * lda, lda, b + j, ldb,
-                         c + i * ldc + j, ldc);
-  }
-}
-
-NCSW_FAST_INLINE void gemm_s8_body(std::int64_t m, std::int64_t n,
-                                   std::int64_t k, const std::int8_t* a,
-                                   const std::int8_t* b,
-                                   std::int32_t* c) noexcept {
-  // i/kk/j order: the inner j loop reads one dense row of B and streams
-  // one dense row of C, which vectorises (widen to i16/i32, multiply,
-  // add) without any transposition.
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int32_t* crow = c + i * n;
-    std::fill(crow, crow + n, 0);
-    const std::int8_t* arow = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const std::int32_t av = arow[kk];
-      if (av == 0) continue;
-      const std::int8_t* brow = b + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] += av * static_cast<std::int32_t>(brow[j]);
-      }
-    }
-  }
-}
-
-NCSW_FAST_INLINE void gemv_s8_body(std::int64_t m, std::int64_t k,
-                                   const std::int8_t* a, const std::int8_t* x,
-                                   std::int32_t* y) noexcept {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    std::int32_t acc = 0;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      acc += static_cast<std::int32_t>(arow[kk]) *
-             static_cast<std::int32_t>(x[kk]);
-    }
-    y[i] = acc;
+  a += i * lda;
+  c += i * ldc;
+  switch (m - i) {
+    case 0:
+      break;
+    case 1:
+      rows_fast<1, kWide>(n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case 2:
+      rows_fast<2, kWide>(n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case 3:
+      rows_fast<3, kWide>(n, k, a, lda, b, ldb, c, ldc);
+      break;
+    case 4:
+      rows_fast<4, kWide>(n, k, a, lda, b, ldb, c, ldc);
+      break;
+    default:
+      rows_fast<5, kWide>(n, k, a, lda, b, ldb, c, ldc);
+      break;
   }
 }
 
@@ -151,34 +126,14 @@ NCSW_TARGET_V3 void gemm_f32_fast_v3(std::int64_t m, std::int64_t n,
                                      std::int64_t lda, const float* b,
                                      std::int64_t ldb, float* c,
                                      std::int64_t ldc) noexcept {
-  gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_f32_fast_body<false>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 NCSW_TARGET_V4 void gemm_f32_fast_v4(std::int64_t m, std::int64_t n,
                                      std::int64_t k, const float* a,
                                      std::int64_t lda, const float* b,
                                      std::int64_t ldb, float* c,
                                      std::int64_t ldc) noexcept {
-  gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
-}
-NCSW_TARGET_V3 void gemm_s8_v3(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* b,
-                               std::int32_t* c) noexcept {
-  gemm_s8_body(m, n, k, a, b, c);
-}
-NCSW_TARGET_V4 void gemm_s8_v4(std::int64_t m, std::int64_t n, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* b,
-                               std::int32_t* c) noexcept {
-  gemm_s8_body(m, n, k, a, b, c);
-}
-NCSW_TARGET_V3 void gemv_s8_v3(std::int64_t m, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* x,
-                               std::int32_t* y) noexcept {
-  gemv_s8_body(m, k, a, x, y);
-}
-NCSW_TARGET_V4 void gemv_s8_v4(std::int64_t m, std::int64_t k,
-                               const std::int8_t* a, const std::int8_t* x,
-                               std::int32_t* y) noexcept {
-  gemv_s8_body(m, k, a, x, y);
+  gemm_f32_fast_body<true>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace
@@ -194,41 +149,9 @@ void gemm_f32_fast(std::int64_t m, std::int64_t n, std::int64_t k,
       gemm_f32_fast_v3(m, n, k, a, lda, b, ldb, c, ldc);
       break;
     default:
-      gemm_f32_fast_body(m, n, k, a, lda, b, ldb, c, ldc);
+      gemm_f32_fast_body<false>(m, n, k, a, lda, b, ldb, c, ldc);
       break;
   }
 }
-
-void gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, const std::int8_t* b,
-             std::int32_t* c) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      gemm_s8_v4(m, n, k, a, b, c);
-      break;
-    case util::IsaLevel::kV3:
-      gemm_s8_v3(m, n, k, a, b, c);
-      break;
-    default:
-      gemm_s8_body(m, n, k, a, b, c);
-      break;
-  }
-}
-
-void gemv_s8(std::int64_t m, std::int64_t k, const std::int8_t* a,
-             const std::int8_t* x, std::int32_t* y) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      gemv_s8_v4(m, k, a, x, y);
-      break;
-    case util::IsaLevel::kV3:
-      gemv_s8_v3(m, k, a, x, y);
-      break;
-    default:
-      gemv_s8_body(m, k, a, x, y);
-      break;
-  }
-}
-
 
 }  // namespace ncsw::tensor

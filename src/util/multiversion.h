@@ -3,7 +3,8 @@
 // variants (baseline, x86-64-v3 = AVX2+FMA, x86-64-v4 = AVX-512) with
 // NCSW_TARGET_V3/V4, and dispatched once at first call via isa_level().
 // The fast tier's kernels get wide vectors and FMA this way; the exact
-// tier's GEMM and span converters get wide vectors only, because
+// tier's GEMM (8 lanes at v3, 16 at v4) and span converters get wide
+// vectors only, because
 // src/CMakeLists.txt compiles every library TU with -ffp-contract=off
 // and only the fast-tier TUs opt back in. Bit-identity therefore
 // follows from the contraction flag, not from the ISA the compiler
@@ -74,16 +75,20 @@ inline IsaLevel isa_level() noexcept { return IsaLevel::kBase; }
 
 // 8-lane FP32 vector in GCC's generic vector extension, 4-byte aligned
 // so it loads/stores from arbitrary float*. The fast-tier kernels and
-// the exact GEMM tile write their hot loops against this type instead
-// of scalar arrays because
-// GCC 12's auto-vectorizer only emits wide code for those loops when
-// the panel strides are compile-time constants; the generic-vector
-// form lowers unconditionally to the widest ISA the enclosing function
-// targets (2 x 16-byte ops on the baseline build, ymm under
-// NCSW_TARGET_V3/V4), and a scalar * NCSW_V8F product broadcasts the
-// scalar. Keep vectors out of function parameters/returns — locals and
+// the exact GEMM tile write their hot loops against such vectors instead
+// of scalar arrays because GCC 12's auto-vectorizer only emits wide code
+// for those loops when the panel strides are compile-time constants; the
+// generic-vector form lowers unconditionally to the widest ISA the
+// enclosing function targets (2 x 16-byte ops on the baseline build, ymm
+// under NCSW_TARGET_V3/V4; a 16-lane vector is one zmm under
+// NCSW_TARGET_V4), and a scalar * vector product broadcasts the scalar.
+// Keep vectors out of function parameters/returns — locals and
 // always_inline bodies only — so the baseline instantiation does not
-// trip -Wpsabi ABI notes.
+// trip -Wpsabi ABI notes. Do not pass such a typedef as a template
+// argument: GCC 12 drops its aligned(4) attribute there, and a
+// dereference becomes an aligned move that faults on unaligned rows.
+// Templated code declares its vector type inside the body instead (the
+// exact GEMM tile in tensor/gemm.cpp).
 // Both GCC and clang implement the extension; this tree does not
 // target other compilers (CMakeLists assumes a GNU-compatible driver).
 typedef float NCSW_V8F __attribute__((vector_size(32), aligned(4)));

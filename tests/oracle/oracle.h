@@ -1,10 +1,10 @@
 // The bit-identity oracle: the scalar kernels this engine shipped before
 // its blocked/threaded rewrite, kept verbatim (serial, per-layer
 // allocation, per-MAC half<->float conversion in the FP16 GEMM). The
-// exact tier is specified as byte-equal to them: test_gemm, test_kernels
-// and test_workspace compare against these functions with memcmp, and
-// bench/perf_forward times its `ref` cells on them as the recorded
-// baseline. Test-only: no ncsw_* library links this code.
+// exact tier is specified as byte-equal to them: test_gemm, test_kernels,
+// test_workspace and test_executor compare against these functions with
+// memcmp, and bench/perf_forward times its `ref` cells on them as the
+// recorded baseline. Test-only: no ncsw_* library links this code.
 #pragma once
 
 #include <cstdint>

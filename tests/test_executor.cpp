@@ -2,13 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <thread>
+
+#include "core/model.h"
+#include "oracle/oracle.h"
 #include "util/rng.h"
+
+// Heap allocations made by the calling thread, for the plan's
+// zero-allocation test: every operator new in this binary goes through
+// here. Not inlined, so the compiler never pairs the malloc/free inside
+// with a new/delete expression at a call site.
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
 using namespace ncsw::nn;
 using ncsw::fp16::half;
 using ncsw::tensor::Shape;
+using ncsw::tensor::Tensor;
 using ncsw::tensor::TensorF;
 
 Graph small_graph() {
@@ -229,6 +260,223 @@ TEST(Weights, ParamShapesForConvAndFc) {
   EXPECT_EQ(fw, (Shape{7, 5 * 8 * 8, 1, 1}));
   EXPECT_EQ(fb, (Shape{1, 7, 1, 1}));
   EXPECT_THROW(param_shapes(g, 0), std::logic_error);
+}
+
+// --- Plan: compile once, run many ----------------------------------------
+
+template <typename T>
+void expect_bytes_equal(const Tensor<T>& a, const Tensor<T>& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           static_cast<std::size_t>(a.numel()) * sizeof(T)))
+      << what;
+}
+
+// The Fig. 7 classifier and eight preprocessed dataset images.
+struct Fig7 {
+  std::shared_ptr<const ncsw::core::ModelBundle> bundle;
+  TensorF batch;
+};
+
+const Fig7& fig7() {
+  static const Fig7 f = [] {
+    const ncsw::dataset::SyntheticImageNet data{
+        ncsw::dataset::DatasetConfig{}};
+    Fig7 c{ncsw::core::ModelBundle::tiny_functional(data), {}};
+    const Graph& g = c.bundle->graph;
+    const Shape shape = g.layer(g.input_id()).out_shape.with_batch(8);
+    c.batch = TensorF(shape);
+    for (std::int64_t b = 0; b < shape.n; ++b) {
+      const auto img = data.preprocess(
+          data.sample(static_cast<int>(b % 2), static_cast<int>(b)).image,
+          static_cast<int>(shape.h));
+      std::copy(img.data(), img.data() + img.numel(), c.batch.batch_ptr(b));
+    }
+    return c;
+  }();
+  return f;
+}
+
+// The first `n` images of `t`.
+template <typename T>
+Tensor<T> first_items(const Tensor<T>& t, std::int64_t n) {
+  Tensor<T> out(t.shape().with_batch(n));
+  std::copy(t.data(), t.data() + out.numel(), out.data());
+  return out;
+}
+
+template <typename T>
+void plan_matches_oracle(const Graph& g, const Weights<T>& w,
+                         const Tensor<T>& in) {
+  const auto oracle = ncsw::oracle::run_forward(g, w, in);
+  const Plan<T> plan(g, w);
+  ExecResult<T> r;
+  ExecOptions serial;
+  serial.threads = 1;
+  plan.run(in, r, serial);
+  const std::string what = g.name() + " batch " +
+                           std::to_string(in.shape().n);
+  expect_bytes_equal(r.output, oracle.back(), what + " output");
+  ExecOptions keep = serial;
+  keep.keep_all_activations = true;
+  plan.run(in, r, keep);
+  ASSERT_EQ(r.activations.size(), oracle.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    expect_bytes_equal(r.activations[i], oracle[i],
+                       what + " layer " + g.layer(static_cast<int>(i)).name);
+  }
+  expect_bytes_equal(r.output, oracle.back(), what + " kept output");
+}
+
+TEST(Plan, MatchesOracleOnTinyGoogLeNetBothPrecisionsBatch1And8) {
+  const Fig7& f = fig7();
+  for (const std::int64_t n : {1, 8}) {
+    const TensorF in = first_items(f.batch, n);
+    plan_matches_oracle<float>(f.bundle->graph, f.bundle->weights_f32, in);
+    plan_matches_oracle<half>(f.bundle->graph, f.bundle->weights_f16,
+                              ncsw::tensor::tensor_cast<half>(in));
+  }
+}
+
+TEST(Plan, MatchesOracleOnReluMoveGraphs) {
+  // "shared": relu1 is not conv1's last consumer, so it must copy.
+  // "chain": every ReLU and the Dropout runs in its input's slot.
+  Graph shared("shared");
+  {
+    const int in = shared.add_input("data", 3, 8, 8);
+    const int c1 = shared.add_conv("conv1", in, ConvParams{4, 3, 1, 1});
+    const int r1 = shared.add_relu("relu1", c1);
+    shared.add_concat("concat", {c1, r1});
+  }
+  Graph chain("chain");
+  {
+    const int in = chain.add_input("data", 3, 8, 8);
+    const int c1 = chain.add_conv("conv1", in, ConvParams{4, 3, 1, 1});
+    const int r1 = chain.add_relu("relu1", c1);
+    const int d1 = chain.add_dropout("drop1", r1);
+    const int c2 = chain.add_conv("conv2", d1, ConvParams{5, 1, 1, 0});
+    chain.add_relu("relu2", c2);
+  }
+  const TensorF in = random_input(Shape{2, 3, 8, 8}, 21);
+  for (const Graph* g : {&shared, &chain}) {
+    const WeightsF w = init_msra(*g, 22);
+    plan_matches_oracle<float>(*g, w, in);
+    plan_matches_oracle<half>(*g, to_fp16(w),
+                              ncsw::tensor::tensor_cast<half>(in));
+  }
+  // chain's five non-input layers need two slots; shared's three, three.
+  EXPECT_EQ(Plan<float>(chain, init_msra(chain, 22)).slot_count(), 2);
+  EXPECT_EQ(Plan<float>(shared, init_msra(shared, 22)).slot_count(), 3);
+}
+
+TEST(Plan, RunningTwiceGivesIdenticalBytes) {
+  const Fig7& f = fig7();
+  const Plan<half> plan(f.bundle->graph, f.bundle->weights_f16);
+  const auto in = ncsw::tensor::tensor_cast<half>(f.batch);
+  ExecResult<half> r;
+  plan.run(in, r);
+  const Tensor<half> first = r.output;
+  plan.run(first_items(in, 3), r);  // a different batch size in between
+  plan.run(in, r);
+  expect_bytes_equal(r.output, first, "second run");
+}
+
+TEST(Plan, BadWeightShapeThrowsAtBuildWrongInputShapeAtRun) {
+  const Graph g = small_graph();
+  WeightsF bad = init_msra(g, 1);
+  bad["conv1"].w = TensorF(Shape{4, 3, 5, 5});
+  EXPECT_THROW(Plan<float>(g, bad), std::logic_error);
+  const WeightsF w = init_msra(g, 1);
+  const Plan<float> plan(g, w);
+  EXPECT_THROW(plan.run(TensorF(Shape{1, 3, 9, 8})), std::invalid_argument);
+  EXPECT_THROW(plan.run(TensorF(Shape{1, 4, 8, 8})), std::invalid_argument);
+}
+
+TEST(Plan, SteadyStateRunMakesNoHeapAllocation) {
+  const Fig7& f = fig7();
+  const auto in16 = ncsw::tensor::tensor_cast<half>(f.batch);
+  ExecOptions serial;
+  serial.threads = 1;
+  const Plan<float> plan32(f.bundle->graph, f.bundle->weights_f32);
+  const Plan<half> plan16(f.bundle->graph, f.bundle->weights_f16);
+  ExecResult<float> r32;
+  ExecResult<half> r16;
+  plan32.run(f.batch, r32, serial);  // warm-up grows the workspace
+  plan16.run(in16, r16, serial);
+  std::size_t before = t_allocations;
+  plan32.run(f.batch, r32, serial);
+  EXPECT_EQ(t_allocations - before, 0u) << "FP32";
+  before = t_allocations;
+  plan16.run(in16, r16, serial);
+  EXPECT_EQ(t_allocations - before, 0u) << "FP16";
+  // Negative control: the one-shot wrapper builds a plan (and a result)
+  // per call, and the counter sees it.
+  before = t_allocations;
+  (void)run_forward(f.bundle->graph, f.bundle->weights_f16, in16, serial);
+  EXPECT_GT(t_allocations - before, 0u);
+}
+
+TEST(Plan, OnePlanServesTwoThreadsAtOnce) {
+  const Fig7& f = fig7();
+  const Plan<half> plan(f.bundle->graph, f.bundle->weights_f16);
+  const auto in = ncsw::tensor::tensor_cast<half>(f.batch);
+  ExecOptions serial;
+  serial.threads = 1;
+  const Tensor<half> want = plan.run(in, serial).output;
+  std::vector<Tensor<half>> got(2);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      threads.emplace_back([&, t] {
+        ExecResult<half> r;
+        for (int pass = 0; pass < 3; ++pass) plan.run(in, r, serial);
+        got[t] = r.output;
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (const auto& g : got) expect_bytes_equal(g, want, "concurrent run");
+}
+
+TEST(Plan, PreparedWeightsPerLayer) {
+  // Conv/FC layers resolve by id to FP32 views of their own tensors (no
+  // copy); other layers have none.
+  const Graph g = small_graph();
+  const WeightsF w = init_msra(g, 7);
+  const Plan<float> plan(g, w);
+  for (int id = 0; id < g.size(); ++id) {
+    const Layer& l = g.layer(id);
+    const kernels::LayerWeights* lw = plan.layer_weights(id);
+    if (!Graph::has_weights(l.kind)) {
+      EXPECT_EQ(lw, nullptr) << l.name;
+      continue;
+    }
+    ASSERT_NE(lw, nullptr) << l.name;
+    EXPECT_EQ(lw->shape(), w.at(l.name).w.shape()) << l.name;
+    EXPECT_EQ(lw->w(), w.at(l.name).w.data()) << l.name;
+    EXPECT_EQ(lw->b(), w.at(l.name).b.data()) << l.name;
+  }
+  EXPECT_EQ(plan.layer_weights(g.size()), nullptr);
+}
+
+TEST(Plan, Fp16WeightsWidenExactly) {
+  const Graph g = small_graph();
+  const WeightsH wh = to_fp16(init_msra(g, 8));
+  const Plan<half> plan(g, wh);
+  for (int id = 0; id < g.size(); ++id) {
+    const Layer& l = g.layer(id);
+    if (!Graph::has_weights(l.kind)) continue;
+    const kernels::LayerWeights* lw = plan.layer_weights(id);
+    ASSERT_NE(lw, nullptr) << l.name;
+    const auto& p = wh.at(l.name);
+    for (std::int64_t i = 0; i < p.w.numel(); ++i) {
+      ASSERT_EQ(lw->w()[i], p.w[i].to_float()) << l.name << " w" << i;
+    }
+    for (std::int64_t i = 0; i < p.b.numel(); ++i) {
+      ASSERT_EQ(lw->b()[i], p.b[i].to_float()) << l.name << " b" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -10,10 +10,11 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "core/host_target.h"
+#include "core/model.h"
 #include "half/half.h"
 #include "nn/executor.h"
 #include "nn/kernels.h"
-#include "nn/quant.h"
 #include "util/rng.h"
 
 namespace {
@@ -72,7 +73,7 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
   kernels::conv2d(in, p, cp, ref);
   kernels::relu(ref);
   TensorF out;
-  kernels::conv2d_fast(in, p, nullptr, cp, /*fuse_relu=*/true, out, fast_ctx);
+  kernels::conv2d_fast(in, p, cp, /*fuse_relu=*/true, out, fast_ctx);
   ASSERT_EQ(out.shape(), ref.shape()) << c.what;
   EXPECT_LT(max_abs_diff_t(out, ref), 1e-4) << c.what;
 
@@ -85,7 +86,7 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
   kernels::conv2d(hin, hp, cp, href);
   kernels::relu(href);
   Tensor<half> hout;
-  kernels::conv2d_fast(hin, hp, nullptr, cp, true, hout, fast_ctx);
+  kernels::conv2d_fast(hin, hp, cp, true, hout, fast_ctx);
   ASSERT_EQ(hout.shape(), href.shape()) << c.what;
   EXPECT_LT(max_abs_diff_t(hout, href), 0.05) << c.what;
 }
@@ -105,25 +106,32 @@ INSTANTIATE_TEST_SUITE_P(
         FastConvCase{2, 12, 12, 6, 5, 1, 2, "5x5"},
         FastConvCase{3, 23, 23, 8, 7, 2, 3, "7x7 stride 2"}));
 
+template <typename T>
+void prepared_panel_case(const Graph& g, const Weights<T>& w,
+                         const Tensor<T>& in) {
+  const Plan<T> plan(g, w, /*fast=*/true);
+  const kernels::LayerWeights* lw = plan.layer_weights(1);
+  ASSERT_NE(lw, nullptr);
+  const ConvParams cp{8, 3, 1, 1};
+  kernels::ExecCtx fast_ctx;
+  fast_ctx.fast = true;
+  Tensor<T> a, b;
+  kernels::conv2d_fast(in, w.at("conv"), cp, true, a, fast_ctx);
+  kernels::conv2d_fast(in, *lw, cp, true, b, fast_ctx);
+  EXPECT_EQ(max_abs_diff_t(a, b), 0.0);
+}
+
 TEST(FastConv, PreparedPanelMatchesPerCallExpansion) {
-  // The graph-load-time FP32 panel (quantize_weights) must reproduce the
-  // nullptr path exactly: same layout, no re-rounding.
+  // The plan's graph-load-time FP32 panel must reproduce the per-call
+  // conversion of the layer's own parameters exactly: same layout, no
+  // re-rounding.
   Graph g("one-conv");
   const int in_id = g.add_input("data", 3, 12, 12);
   g.add_conv("conv", in_id, ConvParams{8, 3, 1, 1});
   const WeightsF w = init_msra(g, 42);
-  const QuantizedWeights qw = quantize_weights(g, w);
-  const FastLayer* fl = qw.find("conv");
-  ASSERT_NE(fl, nullptr);
-
   const TensorF in = random_tensor(Shape{1, 3, 12, 12}, 43);
-  const ConvParams cp{8, 3, 1, 1};
-  kernels::ExecCtx fast_ctx;
-  fast_ctx.fast = true;
-  TensorF a, b;
-  kernels::conv2d_fast(in, w.at("conv"), nullptr, cp, true, a, fast_ctx);
-  kernels::conv2d_fast(in, w.at("conv"), fl, cp, true, b, fast_ctx);
-  EXPECT_EQ(max_abs_diff_t(a, b), 0.0);
+  prepared_panel_case<float>(g, w, in);
+  prepared_panel_case<half>(g, to_fp16(w), to_half(in));
 }
 
 TEST(FastMaxPool3, ExactlyMatchesScalarPath) {
@@ -155,35 +163,6 @@ TEST(FastMaxPool3, ExactlyMatchesScalarPath) {
   }
 }
 
-TEST(FastFc, Int8PerChannelCloseToFp32) {
-  Graph g("one-fc");
-  const int in_id = g.add_input("data", 32, 1, 1);
-  g.add_fc("fc", in_id, FCParams{10});
-  const WeightsF w = init_msra(g, 51);
-  const QuantizedWeights qw = quantize_weights(g, w);
-  const FastLayer* fl = qw.find("fc");
-  ASSERT_NE(fl, nullptr);
-
-  const TensorF in = random_tensor(Shape{3, 32, 1, 1}, 52);
-  const FCParams fp{10};
-  TensorF ref, out;
-  kernels::fully_connected(in, w.at("fc"), fp, ref);
-  kernels::ExecCtx fast_ctx;
-  fast_ctx.fast = true;
-  kernels::fully_connected_fast(in, w.at("fc"), fl, fp, /*fuse_relu=*/false,
-                                out, fast_ctx);
-  ASSERT_EQ(out.shape(), ref.shape());
-  // Weight and activation quantization each contribute <= half a step per
-  // term; with k = 32 unit-range terms the drift stays well under 0.1.
-  EXPECT_LT(max_abs_diff_t(out, ref), 0.1);
-
-  // nullptr FastLayer falls back to FP32 — tight bound.
-  TensorF fb;
-  kernels::fully_connected_fast(in, w.at("fc"), nullptr, fp, false, fb,
-                                fast_ctx);
-  EXPECT_LT(max_abs_diff_t(fb, ref), 1e-5);
-}
-
 Graph small_graph() {
   Graph g("small");
   const int in = g.add_input("data", 3, 16, 16);
@@ -203,21 +182,18 @@ Graph small_graph() {
 TEST(FastTier, ExecutorDigestToleranceVsDefaultPath) {
   const Graph g = small_graph();
   const WeightsF w = init_msra(g, 61);
-  const QuantizedWeights qw = quantize_weights(g, w);
   const TensorF in = random_tensor(Shape{4, 3, 16, 16}, 62);
 
   ExecOptions base;
   base.threads = 1;
   ExecOptions fast = base;
   fast.fast = true;
-  fast.quant = &qw;
 
   const auto pb = run_probabilities(g, w, in, base);
   const auto pf = run_probabilities(g, w, in, fast);
   ASSERT_EQ(pb.size(), pf.size());
   // Same top-1 on every item and bounded confidence drift — the fig7
-  // acceptance style, applied per item on a model small enough that the
-  // int8 FC cannot flip a prediction.
+  // acceptance style, applied per item.
   for (std::size_t b = 0; b < pb.size(); ++b) {
     EXPECT_EQ(top_k(pb[b], 1)[0].first, top_k(pf[b], 1)[0].first)
         << "item " << b;
@@ -233,13 +209,11 @@ TEST(FastTier, ExecutorDigestToleranceVsDefaultPath) {
 TEST(FastTier, DeterministicAcrossThreadCounts) {
   const Graph g = small_graph();
   const WeightsF w = init_msra(g, 71);
-  const QuantizedWeights qw = quantize_weights(g, w);
   const TensorF in = random_tensor(Shape{4, 3, 16, 16}, 72);
 
   ExecOptions t1;
   t1.threads = 1;
   t1.fast = true;
-  t1.quant = &qw;
   ExecOptions t3 = t1;
   t3.threads = 3;
 
@@ -258,6 +232,36 @@ TEST(FastTier, OffByDefaultIsBitIdenticalToDefaultPath) {
   const auto a = run_forward(g, w, in, ExecOptions{});
   const auto b = run_forward(g, w, in, opts);
   EXPECT_EQ(max_abs_diff_t(a.output, b.output), 0.0);
+}
+
+TEST(FastTier, HostTargetSetFastClassifiesThroughAFastPlan) {
+  // set_fast builds the target's fast plan once; classify() then returns
+  // exactly that plan's probabilities, and set_fast(false) goes back to
+  // the exact plan's.
+  ncsw::dataset::DatasetConfig dc;
+  dc.images_per_subset = 4;
+  const ncsw::dataset::SyntheticImageNet data(dc);
+  const auto bundle = ncsw::core::ModelBundle::tiny_functional(data);
+  const Graph& g = bundle->graph;
+  const Shape item = g.layer(g.input_id()).out_shape;
+  std::vector<TensorF> inputs;
+  TensorF batch(item.with_batch(3));
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(random_tensor(item, 90 + static_cast<std::uint64_t>(i)));
+    std::copy(inputs.back().data(), inputs.back().data() + item.numel(),
+              batch.batch_ptr(i));
+  }
+  auto cpu = ncsw::core::make_cpu_target(bundle);
+  for (const bool fast : {true, false}) {
+    cpu->set_fast(fast);
+    const auto got = cpu->classify(inputs);
+    const auto want = run_probabilities(
+        Plan<float>(g, bundle->weights_f32, fast), batch);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].probs, want[i]) << "fast " << fast << " item " << i;
+    }
+  }
 }
 
 TEST(ResolveFast, ExplicitRequestAlwaysWins) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -313,10 +314,9 @@ TEST(GemmScratchReuse, ResultsUnaffectedAndCapacityMonotonic) {
 }
 
 // --- the exact GEMM's per-ISA instantiations ------------------------------
-// gemm_f32 dispatches to a baseline or an x86-64-v3 build of one body.
-// Each is pinned here directly against the oracle kernel, so a host
-// that dispatches to one still checks the other (the v3 one wherever the
-// machine can run it).
+// gemm_f32 dispatches to a baseline, an x86-64-v3 or an x86-64-v4 build
+// of one body. Each is pinned here directly against the oracle kernel,
+// so a host that dispatches to one still checks the others it can run.
 
 using ExactGemm = void (*)(std::int64_t, std::int64_t, std::int64_t, float,
                            const float*, std::int64_t, const float*,
@@ -329,9 +329,12 @@ struct Instantiation {
 };
 
 std::vector<Instantiation> exact_instantiations() {
+  const auto isa = ncsw::util::isa_level();
   return {{"base", ncsw::tensor::detail::gemm_f32_base, true},
           {"v3", ncsw::tensor::detail::gemm_f32_v3,
-           ncsw::util::isa_level() != ncsw::util::IsaLevel::kBase}};
+           isa != ncsw::util::IsaLevel::kBase},
+          {"v4", ncsw::tensor::detail::gemm_f32_v4,
+           isa == ncsw::util::IsaLevel::kV4}};
 }
 
 // A with exact zeros and -0 entries (skipped terms), C seeded with -0 in
@@ -415,6 +418,119 @@ TEST(GemmExactIsa, NeverFusesMultiplyAdd) {
                              ci.size() * sizeof(float)))
         << inst.name;
   }
+}
+
+// Every tile width and edge of every variant: n covers the scalar edge
+// alone, the 8-, 16- and 32-wide tiles and their mixes, k crosses
+// kBlockK, m leaves ragged rows. A holds exact zeros (the any_zero
+// branch), -0, NaN and +-inf; inf * 0 terms make NaNs of their own.
+//
+// Every non-NaN result must match bit for bit. A NaN need only be a
+// NaN: when an add meets two NaNs, x86 returns its first operand's, and
+// which operand of a commutative add comes first is the compiler's
+// choice, in the oracle as in the tile, so the sign and payload of a
+// NaN are not part of the contract.
+bool same_bits_or_both_nan(const float* x, const float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(x + i, y + i, sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// A's rows 0, 3, 6, ... carry a NaN, +inf and -inf every 37 entries;
+// every row carries -0 there too. The other rows stay finite, so most
+// outputs are compared bit for bit.
+std::vector<float> special_values(std::int64_t rows, std::int64_t cols,
+                                  std::uint64_t seed) {
+  auto v = random_matrix_with_zeros(rows * cols, seed);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = r % 5; j < cols; j += 37) {
+      v[static_cast<std::size_t>(r * cols + j)] =
+          r % 3 == 0 ? specials[(j / 37) % 3] : -0.0f;
+    }
+  }
+  return v;
+}
+
+void check_every_tile_width(const Instantiation& inst) {
+  std::int64_t outputs = 0, finite = 0;
+  for (const int n : {1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 64, 256}) {
+    for (const int k : {1, 255, 256, 257, 600}) {
+      for (const int m : {1, 3, 6}) {
+        const auto a = special_values(m, k, 600 + k);
+        const auto b = random_matrix_with_zeros(k * n, 700 + n);
+        auto c_ref = random_matrix(m * n, 800 + m);
+        auto c_opt = c_ref;
+        inst.fn(m, n, k, 0.75f, a.data(), k, b.data(), n, 1.0f,
+                c_opt.data(), n);
+        ncsw::oracle::gemm_f32_ref(m, n, k, 0.75f, a.data(), b.data(), 1.0f,
+                                   c_ref.data());
+        ASSERT_TRUE(same_bits_or_both_nan(c_opt.data(), c_ref.data(), m * n))
+            << inst.name << " m=" << m << " n=" << n << " k=" << k;
+        outputs += m * n;
+        finite += std::count_if(c_ref.begin(), c_ref.end(),
+                                [](float x) { return std::isfinite(x); });
+      }
+    }
+  }
+  // The NaN allowance must not make the check vacuous.
+  EXPECT_GT(finite, outputs / 2) << inst.name;
+}
+
+// B and C one float past a 64-byte boundary with odd ldb/ldc, so no
+// vector row is aligned: a tile that assumed alignment faults here.
+void check_unaligned_odd_strides(const Instantiation& inst) {
+  const std::int64_t m = 7, n = 53, k = 300, ldb = 61, ldc = 57;
+  const auto a = special_values(m, k, 900);
+  const auto b_dense = random_matrix_with_zeros(k * n, 901);
+  const auto c_dense = random_matrix(m * n, 902);
+  struct alignas(64) Line {
+    float f[16];
+  };
+  std::vector<Line> b_store(static_cast<std::size_t>((k * ldb + 32) / 16));
+  std::vector<Line> c_store(static_cast<std::size_t>((m * ldc + 32) / 16));
+  float* b = b_store.data()->f + 1;
+  float* c = c_store.data()->f + 1;
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    std::copy_n(b_dense.data() + kk * n, n, b + kk * ldb);
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::copy_n(c_dense.data() + i * n, n, c + i * ldc);
+  }
+  auto c_ref = c_dense;
+  inst.fn(m, n, k, 1.0f, a.data(), k, b, ldb, 1.0f, c, ldc);
+  ncsw::oracle::gemm_f32_ref(m, n, k, 1.0f, a.data(), b_dense.data(), 1.0f,
+                             c_ref.data());
+  for (std::int64_t i = 0; i < m; ++i) {
+    ASSERT_TRUE(same_bits_or_both_nan(c + i * ldc, c_ref.data() + i * n, n))
+        << inst.name << " row " << i;
+  }
+}
+
+void check_variant(std::size_t index) {
+  const Instantiation inst = exact_instantiations()[index];
+  if (!inst.runnable) {
+    GTEST_SKIP() << "this host's isa_level cannot run the " << inst.name
+                 << " variant";
+  }
+  check_every_tile_width(inst);
+  check_unaligned_odd_strides(inst);
+}
+
+TEST(GemmExactIsa, BaseEveryTileWidthSpecialValuesUnalignedRows) {
+  check_variant(0);
+}
+
+TEST(GemmExactIsa, V3EveryTileWidthSpecialValuesUnalignedRows) {
+  check_variant(1);
+}
+
+TEST(GemmExactIsa, V4EveryTileWidthSpecialValuesUnalignedRows) {
+  check_variant(2);
 }
 
 }  // namespace
