@@ -11,6 +11,7 @@
 #include <string>
 
 #include "cluster/cluster.h"
+#include "core/application.h"
 #include "core/host_target.h"
 #include "core/model.h"
 #include "core/stick_fleet.h"
@@ -293,6 +294,43 @@ void BM_MaxPool(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool)->Apply(pool_shape_args);
 
+// Exact LRN (one thread) at TinyGoogLeNet's two norms: pool1/norm1 on
+// 16 x 8 x 8 and conv2/norm2 on 32 x 8 x 8. The inputs are post-ReLU,
+// with 40% exact zeros. Args: channels, map size, FP16.
+void lrn_shape_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"C", "H", "fp16"});
+  for (const int fp16 : {0, 1}) {
+    for (const std::int64_t c : {16, 32}) b->Args({c, 8, fp16});
+  }
+}
+
+template <typename T>
+void run_lrn(benchmark::State& state) {
+  using namespace ncsw::nn;
+  const auto c = state.range(0), h = state.range(1);
+  const auto in = operand_tensor<T>(Shape{1, c, h, h}, 7, 0.4);
+  const LRNParams lp{5, 1e-4f, 0.75f, 1.0f};
+  ncsw::tensor::Tensor<T> out;
+  kernels::Workspace ws;
+  kernels::ExecCtx ctx;
+  ctx.ws = &ws;
+  for (auto _ : state) {
+    kernels::lrn(in, lp, out, ctx);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * c * h * h);
+}
+
+void BM_Lrn(benchmark::State& state) {
+  if (state.range(2) != 0) {
+    run_lrn<half>(state);
+  } else {
+    run_lrn<float>(state);
+  }
+}
+BENCHMARK(BM_Lrn)->Apply(lrn_shape_args);
+
 void BM_TinyGoogLeNetForward(benchmark::State& state) {
   using namespace ncsw::nn;
   const Graph g = build_tiny_googlenet({32, 50});
@@ -474,6 +512,22 @@ void BM_DatasetSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DatasetSample);
+
+// Fig. 7's host preprocessing of one generated 48 x 48 image for the
+// 32 x 32 network input: bilinear resize, CHW layout, means subtracted.
+void BM_Preprocess(benchmark::State& state) {
+  const ncsw::dataset::SyntheticImageNet data;
+  const auto img = data.sample(0, 0).image;
+  ncsw::core::Preprocessor prep;
+  prep.input_size = 32;
+  prep.means = data.means();
+  for (auto _ : state) {
+    auto t = prep(img);
+    benchmark::DoNotOptimize(t.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Preprocess);
 
 void BM_PpmRoundTrip(benchmark::State& state) {
   ncsw::dataset::SyntheticImageNet data;

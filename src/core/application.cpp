@@ -9,9 +9,7 @@
 namespace ncsw::core {
 
 tensor::TensorF Preprocessor::operator()(const imgproc::Image& image) const {
-  const imgproc::Image resized =
-      imgproc::resize_bilinear(image, input_size, input_size);
-  return imgproc::to_tensor_f32(resized, means);
+  return imgproc::resize_to_tensor_f32(image, input_size, input_size, means);
 }
 
 double ClassificationJob::top1_error() const {

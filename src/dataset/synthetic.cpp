@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -71,7 +72,7 @@ SyntheticImageNet::SyntheticImageNet(const DatasetConfig& config)
         for (int x = 0; x < size; ++x) {
           const double u = static_cast<double>(x) / size;
           const double v = static_cast<double>(y) / size;
-          *dst++ = wave_value(waves, u, v);
+          *dst++ = kAmplitude * wave_value(waves, u, v);
         }
       }
     }
@@ -94,7 +95,7 @@ imgproc::Image SyntheticImageNet::prototype(int c) const {
   for (int ch = 0; ch < 3; ++ch) {
     for (int y = 0; y < size; ++y) {
       for (int x = 0; x < size; ++x) {
-        img.at(x, y, ch) = clamp_pixel(kMid + kAmplitude * *wave++);
+        img.at(x, y, ch) = clamp_pixel(kMid + *wave++);
       }
     }
   }
@@ -137,18 +138,57 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
   out.index = index;
   out.image = imgproc::Image(size, size);
 
-  const BlendParams& bp = config_.blend;
+  // Noise: one normal variate per channel value, in [channel][y][x]
+  // order, drawn exactly as util::Xoshiro256::normal() would draw them
+  // one at a time (Marsaglia's polar method, each accepted pair used u
+  // first, then v). Three passes over this thread's scratch instead of
+  // one call per pixel, so no pass waits on the reject branch.
+  const auto plane = static_cast<std::size_t>(size) * size;
+  const std::size_t n = 3 * plane;
+  const std::size_t pairs = (n + 1) / 2;
+  thread_local std::vector<double> scratch;
+  // uv: the accepted pairs, interleaved; s and log_s: one per pair.
+  scratch.resize(4 * pairs);
+  double* uv = scratch.data();
+  double* s = uv + 2 * pairs;
+  double* log_s = s + pairs;
+
+  // (a) Draw. Every candidate is stored; the write index only advances
+  // past an accepted one (0 < s < 1), so the rejects are overwritten.
+  for (std::size_t w = 0; w < pairs;) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double sq = u * u + v * v;
+    uv[2 * w] = u;
+    uv[2 * w + 1] = v;
+    s[w] = sq;
+    w += static_cast<std::size_t>(sq < 1.0) &
+         static_cast<std::size_t>(sq != 0.0);
+  }
+  // (b) Factors: libm's scalar log on its own (a vector log would not
+  // return libm's bits), then sqrt(-2 log(s) / s) scales the pair.
+  for (std::size_t k = 0; k < pairs; ++k) log_s[k] = std::log(s[k]);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
+    uv[2 * k] *= factor;
+    uv[2 * k + 1] *= factor;
+  }
+
+  // (c) Pixels: the blend in normal()'s term order (mean 0.0 plus sigma
+  // times the variate), quantised and interleaved into RGB. The blend
+  // weights are locals: the byte stores could alias config_.
+  const double signal = config_.blend.signal;
+  const double distractor_w = config_.blend.distractor;
+  const double sigma = config_.blend.noise_sigma;
   const double* wl = planes(label);
   const double* wd = planes(distractor);
-  for (int ch = 0; ch < 3; ++ch) {
-    for (int y = 0; y < size; ++y) {
-      for (int x = 0; x < size; ++x) {
-        const double sig = kAmplitude * *wl++;
-        const double dis = kAmplitude * *wd++;
-        const double noise = rng.normal(0.0, bp.noise_sigma);
-        out.image.at(x, y, ch) = clamp_pixel(
-            kMid + bp.signal * sig + bp.distractor * dis + noise);
-      }
+  std::uint8_t* px = out.image.pixels().data();
+  for (std::size_t i = 0; i < plane; ++i) {
+    for (std::size_t ch = 0; ch < 3; ++ch) {
+      const std::size_t j = ch * plane + i;
+      const double noise = 0.0 + sigma * uv[j];
+      px[3 * i + ch] = clamp_pixel(kMid + signal * wl[j] +
+                                   distractor_w * wd[j] + noise);
     }
   }
   return out;
@@ -156,9 +196,8 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
 
 tensor::TensorF SyntheticImageNet::preprocess(const imgproc::Image& image,
                                               int input_size) const {
-  const imgproc::Image resized =
-      imgproc::resize_bilinear(image, input_size, input_size);
-  return imgproc::to_tensor_f32(resized, means());
+  return imgproc::resize_to_tensor_f32(image, input_size, input_size,
+                                       means());
 }
 
 std::vector<tensor::TensorF> SyntheticImageNet::prototype_tensors(

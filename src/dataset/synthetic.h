@@ -17,12 +17,13 @@
 //
 // The prototype waves depend only on (seed, class, channel, x, y), so
 // each class's wave values are computed once and cached as three planes
-// of doubles (the exact values the per-pixel sinusoid sum returns); only
-// the Gaussian noise is drawn per pixel. The constructor builds every
-// class's planes once; at the default 50 classes and 48x48 edge they take
-// 50 x 3 x 48 x 48 doubles = 2.8 MB. Every classifier fit reads all
-// class prototypes during setup anyway, so building them up front costs
-// nothing extra.
+// of doubles (the per-pixel sinusoid sum times the prototype amplitude,
+// the exact product the blend uses); only the Gaussian noise is drawn
+// per image, in three passes (docs/performance.md, "The host image
+// path"). The constructor builds every class's planes once; at the
+// default 50 classes and 48x48 edge they take 50 x 3 x 48 x 48 doubles
+// = 2.8 MB. Every classifier fit reads all class prototypes during setup
+// anyway, so building them up front costs nothing extra.
 #pragma once
 
 #include <cstdint>

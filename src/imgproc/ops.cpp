@@ -3,45 +3,135 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace ncsw::imgproc {
 
-Image resize_bilinear(const Image& src, int out_w, int out_h) {
+namespace {
+
+// One output coordinate's two source taps and their weights on one axis.
+struct Tap {
+  int i0, i1;
+  float w, w0;  // w0 = 1 - w
+};
+
+// Half-pixel-centre mapping (matches OpenCV INTER_LINEAR), one tap per
+// output column or row.
+std::vector<Tap> axis_taps(int src_len, int out_len) {
+  const float scale = static_cast<float>(src_len) / static_cast<float>(out_len);
+  std::vector<Tap> taps(static_cast<std::size_t>(out_len));
+  for (int o = 0; o < out_len; ++o) {
+    const float f = (static_cast<float>(o) + 0.5f) * scale - 0.5f;
+    Tap& t = taps[static_cast<std::size_t>(o)];
+    t.i0 = std::clamp(static_cast<int>(std::floor(f)), 0, src_len - 1);
+    t.i1 = std::min(t.i0 + 1, src_len - 1);
+    t.w = std::clamp(f - static_cast<float>(t.i0), 0.0f, 1.0f);
+    t.w0 = 1 - t.w;
+  }
+  return taps;
+}
+
+void check_resize(const Image& src, int out_w, int out_h) {
   if (src.empty()) throw std::invalid_argument("resize_bilinear: empty image");
   if (out_w <= 0 || out_h <= 0) {
     throw std::invalid_argument("resize_bilinear: non-positive output size");
   }
-  if (out_w == src.width() && out_h == src.height()) return src;
+}
 
-  Image dst(out_w, out_h);
-  // Half-pixel-centre mapping (matches OpenCV INTER_LINEAR).
-  const float sx = static_cast<float>(src.width()) / static_cast<float>(out_w);
-  const float sy =
-      static_cast<float>(src.height()) / static_cast<float>(out_h);
+// uint8(clamp(v + 0.5f, 0, 255)), with the clamp done on the truncated
+// integer: both truncate toward zero, so every h = v + 0.5f in int range
+// maps to the same byte (a blend of bytes keeps h within about
+// [0.5, 255.5]). The integer form has no branch, so the row loops below
+// vectorise; GCC leaves the float clamp's selects unvectorised.
+inline int quantise(float v) {
+  const int q = static_cast<int>(v + 0.5f);
+  const int lo = q < 0 ? 0 : q;
+  return lo > 255 ? 255 : lo;
+}
+
+// Bilinear resize of `src` to (out_w, out_h): calls store(x, y, c, q)
+// with every output pixel's quantised channel value (0..255), row by
+// row. The horizontal blend of a source row (`top` and `bot` below,
+// [c][x]) is computed once and reused by every output row it feeds;
+// each value is the same float expression per pixel as a
+// one-pixel-at-a-time resize.
+template <typename Store>
+void bilinear(const Image& src, int out_w, int out_h, const Store& store) {
+  const std::vector<Tap> xs = axis_taps(src.width(), out_w);
+  const std::vector<Tap> ys = axis_taps(src.height(), out_h);
+  const std::uint8_t* px = src.pixels().data();
+  const auto stride = static_cast<std::size_t>(src.width()) * 3;
+  const auto w = static_cast<std::size_t>(out_w);
+  const auto blend_row = [&](int r, float* dst) {
+    const std::uint8_t* row = px + static_cast<std::size_t>(r) * stride;
+    for (std::size_t x = 0; x < w; ++x) {
+      const Tap& tx = xs[x];
+      const std::uint8_t* p0 = row + static_cast<std::size_t>(tx.i0) * 3;
+      const std::uint8_t* p1 = row + static_cast<std::size_t>(tx.i1) * 3;
+      for (std::size_t c = 0; c < 3; ++c) {
+        dst[c * w + x] = static_cast<float>(p0[c]) * tx.w0 +
+                         static_cast<float>(p1[c]) * tx.w;
+      }
+    }
+  };
+  std::vector<float> rows(6 * w);
+  float* top = rows.data();
+  float* bot = top + 3 * w;
+  int top_row = -1, bot_row = -1;
   for (int y = 0; y < out_h; ++y) {
-    const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-    const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0,
-                              src.height() - 1);
-    const int y1 = std::min(y0 + 1, src.height() - 1);
-    const float wy = std::clamp(fy - static_cast<float>(y0), 0.0f, 1.0f);
-    for (int x = 0; x < out_w; ++x) {
-      const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-      const int x0 =
-          std::clamp(static_cast<int>(std::floor(fx)), 0, src.width() - 1);
-      const int x1 = std::min(x0 + 1, src.width() - 1);
-      const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
-      for (int c = 0; c < 3; ++c) {
-        const float top = static_cast<float>(src.at(x0, y0, c)) * (1 - wx) +
-                          static_cast<float>(src.at(x1, y0, c)) * wx;
-        const float bot = static_cast<float>(src.at(x0, y1, c)) * (1 - wx) +
-                          static_cast<float>(src.at(x1, y1, c)) * wx;
-        const float v = top * (1 - wy) + bot * wy;
-        dst.at(x, y, c) =
-            static_cast<std::uint8_t>(std::clamp(v + 0.5f, 0.0f, 255.0f));
+    const Tap& ty = ys[static_cast<std::size_t>(y)];
+    if (ty.i0 != top_row) {
+      if (ty.i0 == bot_row) {
+        std::swap(top, bot);
+        std::swap(top_row, bot_row);
+      } else {
+        blend_row(ty.i0, top);
+        top_row = ty.i0;
+      }
+    }
+    if (ty.i1 != bot_row) {
+      blend_row(ty.i1, bot);
+      bot_row = ty.i1;
+    }
+    for (int c = 0; c < 3; ++c) {
+      const float* t = top + static_cast<std::size_t>(c) * w;
+      const float* b = bot + static_cast<std::size_t>(c) * w;
+      for (int x = 0; x < out_w; ++x) {
+        store(x, y, c, quantise(t[x] * ty.w0 + b[x] * ty.w));
       }
     }
   }
+}
+
+}  // namespace
+
+Image resize_bilinear(const Image& src, int out_w, int out_h) {
+  check_resize(src, out_w, out_h);
+  if (out_w == src.width() && out_h == src.height()) return src;
+  Image dst(out_w, out_h);
+  bilinear(src, out_w, out_h, [&](int x, int y, int c, int q) {
+    dst.at(x, y, c) = static_cast<std::uint8_t>(q);
+  });
   return dst;
+}
+
+tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
+                                     const ChannelMeans& means) {
+  check_resize(src, out_w, out_h);
+  if (out_w == src.width() && out_h == src.height()) {
+    return to_tensor_f32(src, means);
+  }
+  tensor::TensorF t(tensor::Shape{1, 3, out_h, out_w});
+  const float mean[3] = {means.r, means.g, means.b};
+  float* dst = t.data();
+  const auto plane = static_cast<std::size_t>(out_w) * out_h;
+  bilinear(src, out_w, out_h, [&](int x, int y, int c, int q) {
+    dst[static_cast<std::size_t>(c) * plane +
+        static_cast<std::size_t>(y) * out_w + x] =
+        static_cast<float>(q) - mean[c];
+  });
+  return t;
 }
 
 Image center_crop(const Image& src, int crop_w, int crop_h) {

@@ -27,6 +27,12 @@ struct ChannelMeans {
 tensor::TensorF to_tensor_f32(const Image& image,
                               const ChannelMeans& means = {});
 
+/// resize_bilinear to (out_w, out_h), then to_tensor_f32, in one pass:
+/// the same bytes, without the intermediate image. The taps and weights
+/// are computed once per output column and row.
+tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
+                                     const ChannelMeans& means = {});
+
 /// Same pipeline but the result is rounded to FP16 (the NCS input format).
 tensor::TensorH to_tensor_f16(const Image& image,
                               const ChannelMeans& means = {});

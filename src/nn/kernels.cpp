@@ -494,11 +494,17 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
   // result plane rounded in one span per channel.
   const std::int64_t per_task = std::is_same_v<T, float> ? hw : 2 * hw;
   float* scratch = ws.slabs(chunks, per_task);
+  // Every channel's squares, computed once per batch item instead of
+  // once per window that covers the channel.
+  float* squares = ws.out(is.chw());
 
   for (std::int64_t b = 0; b < is.n; ++b) {
     // The whole batch item as FP32 planes: channel runs are contiguous,
-    // so the window sum slides over dense rows instead of strided at().
+    // so the window sum adds dense planes instead of strided at().
     const float* inf = batch_as_f32(in, b, ws, ctx);
+    parallel_chunks(ctx, is.chw(), [&](int, std::int64_t e0, std::int64_t e1) {
+      for (std::int64_t i = e0; i < e1; ++i) squares[i] = inf[i] * inf[i];
+    });
     run_chunks(
         ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
           float* sumsq = scratch + t * per_task;
@@ -506,12 +512,15 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
             const std::int64_t w0 = std::max<std::int64_t>(c - half_win, 0);
             const std::int64_t w1 =
                 std::min<std::int64_t>(c + half_win, is.c - 1);
-            std::fill(sumsq, sumsq + hw, 0.0f);
             // Ascending-channel accumulation: the same term order as the
-            // oracle's per-element window loop.
-            for (std::int64_t cc = w0; cc <= w1; ++cc) {
-              const float* v = inf + cc * hw;
-              for (std::int64_t i = 0; i < hw; ++i) sumsq[i] += v[i] * v[i];
+            // oracle's per-element window loop (whose 0 + v*v start is
+            // v*v exactly). Not a sliding sum: that would round
+            // differently.
+            const float* first = squares + w0 * hw;
+            std::copy(first, first + hw, sumsq);
+            for (std::int64_t cc = w0 + 1; cc <= w1; ++cc) {
+              const float* sq = squares + cc * hw;
+              for (std::int64_t i = 0; i < hw; ++i) sumsq[i] += sq[i];
             }
             const float* vc = inf + c * hw;
             // Fast tier, beta = 0.75 (every zoo LRN): scale^0.75 =

@@ -38,7 +38,8 @@ class Workspace {
   /// FP32 expansion of an FP16 activation tensor (conv/LRN inputs).
   float* acts(std::int64_t count) { return grow(acts_, count); }
 
-  /// FP32 accumulator image of an FP16 output before rounding.
+  /// FP32 accumulator image of an FP16 output before rounding (and
+  /// LRN's per-channel squares).
   float* out(std::int64_t count) { return grow(out_, count); }
 
   /// Base of `count` disjoint per-task slices of `per_task` floats each;

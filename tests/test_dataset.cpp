@@ -95,6 +95,25 @@ TEST(Dataset, NonDefaultLayoutMatchesRecordedDigest) {
   EXPECT_EQ(d.h, 0x3ff6bc6fb31defe6ULL);
 }
 
+TEST(Dataset, OddPixelCountMatchesRecordedDigest) {
+  // 25 x 25 x 3 = 1875 noise values per image: the last polar pair's
+  // second variate is drawn but never used. A generator that skips that
+  // draw, or sums the blend terms in another order, changes these bytes.
+  DatasetConfig cfg;
+  cfg.image_size = 25;
+  cfg.num_classes = 9;
+  cfg.subsets = 2;
+  cfg.images_per_subset = 40;
+  const SyntheticImageNet data(cfg);
+  Digest d;
+  for (int s = 0; s < cfg.subsets; ++s) {
+    for (int i = 0; i < cfg.images_per_subset; ++i) {
+      d.sample(data.sample(s, i));
+    }
+  }
+  EXPECT_EQ(d.h, 0xebea5be338220dbfULL);
+}
+
 TEST(Dataset, ConcurrentSamplesMatchSerial) {
   // Eight threads share one generator and its wave-plane cache, each
   // walking the images in a different order; every image must still
