@@ -1,14 +1,16 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
-// conversion, GEMM, convolution, max pooling, USB reservation, the chip
-// model, the dataset generator, functional inference, zoo graph swaps
-// and the cluster's serving loop. These measure *this host's* real
-// performance (unlike the figure harnesses, which report simulated
-// device time).
+// conversion, GEMM, convolution, max pooling, LRN, the libm spans, USB
+// reservation, the chip model, the dataset generator, functional
+// inference, zoo graph swaps and the cluster's serving loop. These
+// measure *this host's* real performance (unlike the figure harnesses,
+// which report simulated device time).
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "core/application.h"
@@ -30,6 +32,7 @@
 #include "sipp/filters.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_detail.h"
+#include "util/libm_span.h"
 #include "util/multiversion.h"
 #include "util/rng.h"
 
@@ -512,6 +515,57 @@ void BM_DatasetSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DatasetSample);
+
+// The libm calls of Fig. 7's host path, as a plain libm loop (port:0)
+// and through util::libm_span (port:1, the vector port on x86-64-v4
+// hosts, the same loop elsewhere). BM_PowSpan: one exact LRN pass's
+// scales over TinyGoogLeNet's two norms (16 + 32 channels of 8 x 8), at
+// LRN-like values just above k = 1. BM_LogSpan: one 48 x 48 sample's
+// polar-method pairs (3456), s drawn as the generator draws it.
+void BM_PowSpan(benchmark::State& state) {
+  ncsw::util::Xoshiro256 rng(3);
+  std::vector<float> x(3072), out(x.size());
+  for (auto& v : x) v = 1.0f + static_cast<float>(rng.uniform(0.0, 1e-3));
+  const bool port = state.range(0) != 0;
+  for (auto _ : state) {
+    if (port) {
+      ncsw::util::pow_span(x.data(), 0.75f, out.data(), x.size());
+    } else {
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        out[i] = std::pow(x[i], 0.75f);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_PowSpan)->ArgName("port")->Arg(0)->Arg(1);
+
+void BM_LogSpan(benchmark::State& state) {
+  ncsw::util::Xoshiro256 rng(4);
+  std::vector<double> s(3456), out(s.size());
+  for (std::size_t w = 0; w < s.size();) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double sq = u * u + v * v;
+    if (sq < 1.0 && sq != 0.0) s[w++] = sq;
+  }
+  const bool port = state.range(0) != 0;
+  for (auto _ : state) {
+    if (port) {
+      ncsw::util::log_span(s.data(), out.data(), s.size());
+    } else {
+      for (std::size_t i = 0; i < s.size(); ++i) out[i] = std::log(s[i]);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(s.size()));
+}
+BENCHMARK(BM_LogSpan)->ArgName("port")->Arg(0)->Arg(1);
 
 // Fig. 7's host preprocessing of one generated 48 x 48 image for the
 // 32 x 32 network input: bilinear resize, CHW layout, means subtracted.

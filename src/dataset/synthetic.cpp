@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/libm_span.h"
 #include "util/rng.h"
 
 namespace ncsw::dataset {
@@ -165,9 +166,10 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
     w += static_cast<std::size_t>(sq < 1.0) &
          static_cast<std::size_t>(sq != 0.0);
   }
-  // (b) Factors: libm's scalar log on its own (a vector log would not
-  // return libm's bits), then sqrt(-2 log(s) / s) scales the pair.
-  for (std::size_t k = 0; k < pairs; ++k) log_s[k] = std::log(s[k]);
+  // (b) Factors: libm's log bits in one span (util/libm_span.h: glibc's
+  // own algorithm at vector width where the host has it), then
+  // sqrt(-2 log(s) / s) scales the pair.
+  util::log_span(s, log_s, pairs);
   for (std::size_t k = 0; k < pairs; ++k) {
     const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
     uv[2 * k] *= factor;

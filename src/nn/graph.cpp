@@ -167,6 +167,10 @@ int Graph::add_lrn(const std::string& name, int input, const LRNParams& p) {
   if (p.local_size <= 0 || p.local_size % 2 == 0) {
     throw std::logic_error("add_lrn: local_size must be odd and positive");
   }
+  if (!std::isfinite(p.alpha) || !std::isfinite(p.beta) ||
+      !std::isfinite(p.k)) {
+    throw std::logic_error("add_lrn: alpha, beta and k must be finite");
+  }
   Layer layer;
   layer.kind = LayerKind::kLRN;
   layer.name = name;

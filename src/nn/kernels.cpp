@@ -10,6 +10,7 @@
 
 #include "nn/direct_conv.h"
 #include "tensor/gemm.h"
+#include "util/libm_span.h"
 
 namespace ncsw::nn::kernels {
 
@@ -490,13 +491,18 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const int chunks = plan_chunks(ctx, is.c);
-  // Per-task scratch: a sum-of-squares plane plus (FP16 only) an FP32
-  // result plane rounded in one span per channel.
-  const std::int64_t per_task = std::is_same_v<T, float> ? hw : 2 * hw;
+  // Per-task scratch: one plane per channel of the largest chunk, holding
+  // the window sums, then the scales, then (exact tier) their powers and
+  // the FP32 results.
+  const std::int64_t per_task = (is.c + chunks - 1) / chunks * hw;
   float* scratch = ws.slabs(chunks, per_task);
   // Every channel's squares, computed once per batch item instead of
   // once per window that covers the channel.
   float* squares = ws.out(is.chw());
+  // Fast tier, beta = 0.75 (every zoo LRN): scale^0.75 =
+  // sqrt(scale)*sqrt(sqrt(scale)) — two sqrts instead of a powf per
+  // element. Slightly different rounding, hence fast-only.
+  const bool fast_beta = ctx.fast && p.beta == 0.75f;
 
   for (std::int64_t b = 0; b < is.n; ++b) {
     // The whole batch item as FP32 planes: channel runs are contiguous,
@@ -507,7 +513,8 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
     });
     run_chunks(
         ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
-          float* sumsq = scratch + t * per_task;
+          float* scale = scratch + t * per_task;
+          const std::int64_t count = (c1 - c0) * hw;
           for (std::int64_t c = c0; c < c1; ++c) {
             const std::int64_t w0 = std::max<std::int64_t>(c - half_win, 0);
             const std::int64_t w1 =
@@ -516,50 +523,40 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
             // oracle's per-element window loop (whose 0 + v*v start is
             // v*v exactly). Not a sliding sum: that would round
             // differently.
+            float* sc = scale + (c - c0) * hw;
             const float* first = squares + w0 * hw;
-            std::copy(first, first + hw, sumsq);
+            std::copy(first, first + hw, sc);
             for (std::int64_t cc = w0 + 1; cc <= w1; ++cc) {
               const float* sq = squares + cc * hw;
-              for (std::int64_t i = 0; i < hw; ++i) sumsq[i] += sq[i];
+              for (std::int64_t i = 0; i < hw; ++i) sc[i] += sq[i];
             }
-            const float* vc = inf + c * hw;
-            // Fast tier, beta = 0.75 (every zoo LRN): scale^0.75 =
-            // sqrt(scale)*sqrt(sqrt(scale)) — two sqrts instead of a
-            // powf per element. Slightly different rounding, hence
-            // fast-only.
-            const bool fast_beta = ctx.fast && p.beta == 0.75f;
-            if constexpr (std::is_same_v<T, float>) {
-              float* dst = out.data() + (b * is.c + c) * hw;
-              if (fast_beta) {
-                for (std::int64_t i = 0; i < hw; ++i) {
-                  const float scale = p.k + alpha_over_n * sumsq[i];
-                  const float r = std::sqrt(scale);
-                  dst[i] = vc[i] / (r * std::sqrt(r));
-                }
-              } else {
-                for (std::int64_t i = 0; i < hw; ++i) {
-                  const float scale = p.k + alpha_over_n * sumsq[i];
-                  dst[i] = vc[i] / std::pow(scale, p.beta);
-                }
-              }
-            } else {
-              float* res = sumsq + hw;
-              if (fast_beta) {
-                for (std::int64_t i = 0; i < hw; ++i) {
-                  const float scale = p.k + alpha_over_n * sumsq[i];
-                  const float r = std::sqrt(scale);
-                  res[i] = vc[i] / (r * std::sqrt(r));
-                }
-              } else {
-                for (std::int64_t i = 0; i < hw; ++i) {
-                  const float scale = p.k + alpha_over_n * sumsq[i];
-                  res[i] = vc[i] / std::pow(scale, p.beta);
-                }
-              }
-              ncsw::fp16::float_to_half_span(
-                  res, out.data() + (b * is.c + c) * hw,
-                  static_cast<std::size_t>(hw));
+            for (std::int64_t i = 0; i < hw; ++i) {
+              sc[i] = p.k + alpha_over_n * sc[i];
             }
+          }
+          const float* vc = inf + c0 * hw;
+          float* res = scale;
+          if constexpr (std::is_same_v<T, float>) {
+            res = out.data() + (b * is.c + c0) * hw;
+          }
+          if (fast_beta) {
+            for (std::int64_t i = 0; i < count; ++i) {
+              const float r = std::sqrt(scale[i]);
+              res[i] = vc[i] / (r * std::sqrt(r));
+            }
+          } else {
+            // Exact tier: libm's powf bits for the whole chunk in one
+            // span (util/libm_span.h), then one divide loop.
+            util::pow_span(scale, p.beta, scale,
+                           static_cast<std::size_t>(count));
+            for (std::int64_t i = 0; i < count; ++i) {
+              res[i] = vc[i] / scale[i];
+            }
+          }
+          if constexpr (!std::is_same_v<T, float>) {
+            ncsw::fp16::float_to_half_span(
+                res, out.data() + (b * is.c + c0) * hw,
+                static_cast<std::size_t>(count));
           }
         });
   }

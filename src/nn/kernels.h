@@ -165,7 +165,8 @@ template <typename T>
 void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
               const ExecCtx& ctx = {});
 
-/// Across-channel LRN. Accumulation in FP32 for both precisions.
+/// Across-channel LRN. Accumulation in FP32 for both precisions; the
+/// exact tier takes scale^beta as libm's powf bits (util::pow_span).
 template <typename T>
 void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
          const ExecCtx& ctx = {});

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "graphc/compiler.h"
 #include "mvnc/mvnc.h"
 #include "mvnc/sim_host.h"
@@ -78,6 +83,37 @@ TEST(GraphSerialization, CorruptedInputRejected) {
   auto trailing = bytes;
   trailing.push_back(0);
   EXPECT_THROW(deserialize_graph(trailing), std::runtime_error);
+}
+
+// A package whose LRN carries a non-finite alpha, beta or k: the parser
+// rejects it as a structural error instead of handing the kernels a NaN
+// power. The crafted bytes are a valid package with one float replaced.
+TEST(GraphSerialization, NonFiniteLrnParameterRejected) {
+  Graph g("lrn");
+  const int in = g.add_input("data", 4, 6, 6);
+  g.add_lrn("norm", in, LRNParams{5, 0x1.5p-13f, 0x1.7p-1f, 0x1.9p+1f});
+  const auto bytes = serialize_graph(g);
+  EXPECT_NO_THROW(deserialize_graph(bytes));
+  for (const float original : {0x1.5p-13f, 0x1.7p-1f, 0x1.9p+1f}) {
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      auto crafted = bytes;
+      const auto* pattern = reinterpret_cast<const std::uint8_t*>(&original);
+      const auto at = std::search(crafted.begin(), crafted.end(), pattern,
+                                  pattern + sizeof(float));
+      ASSERT_NE(at, crafted.end()) << original;
+      std::memcpy(&*at, &bad, sizeof(float));
+      try {
+        deserialize_graph(crafted);
+        ADD_FAILURE() << "accepted " << bad << " in place of " << original;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("graph: invalid structure"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(WeightsSerialization, Fp16RoundTripBitExact) {
