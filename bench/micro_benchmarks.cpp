@@ -188,20 +188,25 @@ void BM_Conv3x3(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv3x3);
 
-// The exact conv (im2col + GEMM + bias, one thread) at TinyGoogLeNet's
-// spatial convs: the 7x7/s2 stem, conv2's 3x3 and the inception 3x3 and
-// 5x5 towers on the 8x8 and 4x4 maps (a 5x5/p2 window is wider than a
-// 4x4 map). Args: input channels, map size, output channels, kernel,
-// stride, pad, FP16 (0/1). GFLOP/s counts the GEMM's multiply-adds.
+// The exact conv (shifted planes + row-table GEMM + epilogue, one
+// thread) at TinyGoogLeNet's 8 spatial convs: the 7x7/s2 stem, conv2's
+// 3x3, inception_3a's and 3b's 3x3 and 5x5 towers on the 8x8 map and
+// 4a's on the 4x4 map (a 5x5/p2 window is wider than a 4x4 map; 3a's
+// and 3b's 5x5 share a shape), plus a padded 1x1, which builds planes
+// where an unpadded one reads its input. Args: input channels, map size,
+// output channels, kernel, stride, pad, FP16 (0/1). GFLOP/s counts the
+// GEMM's multiply-adds.
 void conv_shape_args(benchmark::internal::Benchmark* b) {
   b->ArgNames({"C", "H", "M", "k", "s", "p", "fp16"});
   for (const int fp16 : {0, 1}) {
     for (const auto& s : {std::array<std::int64_t, 6>{3, 32, 16, 7, 2, 3},
                           std::array<std::int64_t, 6>{16, 8, 32, 3, 1, 1},
                           std::array<std::int64_t, 6>{12, 8, 16, 3, 1, 1},
+                          std::array<std::int64_t, 6>{16, 8, 24, 3, 1, 1},
                           std::array<std::int64_t, 6>{4, 8, 8, 5, 1, 2},
                           std::array<std::int64_t, 6>{24, 4, 32, 3, 1, 1},
-                          std::array<std::int64_t, 6>{8, 4, 16, 5, 1, 2}}) {
+                          std::array<std::int64_t, 6>{8, 4, 16, 5, 1, 2},
+                          std::array<std::int64_t, 6>{40, 8, 8, 1, 1, 1}}) {
       b->Args({s[0], s[1], s[2], s[3], s[4], s[5], fp16});
     }
   }
@@ -229,14 +234,16 @@ void run_conv2d_exact(benchmark::State& state) {
   LayerParams<T> p;
   p.w = operand_tensor<T>(Shape{m, c, k, k}, 4, 0.05);
   p.b = operand_tensor<T>(Shape{1, m, 1, 1}, 5, 0.0);
-  // FP32 views or the FP16 widening, prepared once as a plan does.
+  // FP32 views or the FP16 widening, and the operand's row table,
+  // prepared once as a plan does.
   const kernels::LayerWeights lw(p);
+  const kernels::ConvOperand op(in.shape(), cp);
   ncsw::tensor::Tensor<T> out;
   kernels::Workspace ws;
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
   for (auto _ : state) {
-    kernels::conv2d(in, lw, cp, out, ctx);
+    kernels::conv2d(in, lw, op, /*fuse_relu=*/false, out, ctx);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

@@ -3,8 +3,8 @@
 // FP32 and FP16, on the pre-rewrite scalar kernels (the recorded
 // baseline, timed through the test-only oracle::run_forward), on the
 // cache-tuned kernels at 1 and N threads, and on the
-// opt-in fast tier (fused conv+bias+ReLU, direct 3x3/1x1 convolution,
-// affinity-pinned chunking; docs/performance.md). The
+// opt-in fast tier (single-rounding conv epilogue, FMA GEMM, direct 3x3
+// convolution, affinity-pinned chunking; docs/performance.md). The
 // reference/optimised cells are bit-identical and differ only in time;
 // the fast cells forfeit bit-identity, so the report also records their
 // top-1 agreement and mean confidence delta against the bit-identical

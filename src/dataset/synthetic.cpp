@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/libm_span.h"
@@ -46,6 +47,52 @@ double wave_value(const Wave w[kWaves], double u, double v) {
 
 std::uint8_t clamp_pixel(double v) {
   return static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
+}
+
+// A sample's label and distractor, the first draws of its stream.
+std::pair<int, int> draw_classes(util::Xoshiro256& rng, int num_classes) {
+  const int label = static_cast<int>(rng.uniform_u64(num_classes));
+  int distractor = static_cast<int>(rng.uniform_u64(num_classes - 1));
+  if (distractor >= label) ++distractor;
+  return {label, distractor};
+}
+
+// n standard normal variates, drawn exactly as util::Xoshiro256::normal()
+// would draw them one at a time (Marsaglia's polar method, each accepted
+// pair used u first, then v), in three passes over this thread's scratch
+// instead of one call per value, so no pass waits on the reject branch.
+// Returns the scratch, valid until the thread's next call.
+const double* draw_normals(util::Xoshiro256& rng, std::size_t n) {
+  const std::size_t pairs = (n + 1) / 2;
+  thread_local std::vector<double> scratch;
+  // uv: the accepted pairs, interleaved; s and log_s: one per pair.
+  scratch.resize(4 * pairs);
+  double* uv = scratch.data();
+  double* s = uv + 2 * pairs;
+  double* log_s = s + pairs;
+
+  // (a) Draw. Every candidate is stored; the write index only advances
+  // past an accepted one (0 < s < 1), so the rejects are overwritten.
+  for (std::size_t w = 0; w < pairs;) {
+    const double u = rng.uniform(-1.0, 1.0);
+    const double v = rng.uniform(-1.0, 1.0);
+    const double sq = u * u + v * v;
+    uv[2 * w] = u;
+    uv[2 * w + 1] = v;
+    s[w] = sq;
+    w += static_cast<std::size_t>(sq < 1.0) &
+         static_cast<std::size_t>(sq != 0.0);
+  }
+  // (b) Factors: libm's log bits in one span (util/libm_span.h: glibc's
+  // own algorithm at vector width where the host has it), then
+  // sqrt(-2 log(s) / s) scales the pair.
+  util::log_span(s, log_s, pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
+    uv[2 * k] *= factor;
+    uv[2 * k + 1] *= factor;
+  }
+  return uv;
 }
 }  // namespace
 
@@ -126,10 +173,7 @@ int SyntheticImageNet::label_of(int subset, int index) const {
 LabeledImage SyntheticImageNet::sample(int subset, int index) const {
   check_coords(subset, index);
   util::Xoshiro256 rng(sample_key(subset, index));
-  const int label = static_cast<int>(rng.uniform_u64(config_.num_classes));
-  int distractor =
-      static_cast<int>(rng.uniform_u64(config_.num_classes - 1));
-  if (distractor >= label) ++distractor;
+  const auto [label, distractor] = draw_classes(rng, config_.num_classes);
 
   const int size = config_.image_size;
   LabeledImage out;
@@ -140,43 +184,11 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
   out.image = imgproc::Image(size, size);
 
   // Noise: one normal variate per channel value, in [channel][y][x]
-  // order, drawn exactly as util::Xoshiro256::normal() would draw them
-  // one at a time (Marsaglia's polar method, each accepted pair used u
-  // first, then v). Three passes over this thread's scratch instead of
-  // one call per pixel, so no pass waits on the reject branch.
+  // order.
   const auto plane = static_cast<std::size_t>(size) * size;
-  const std::size_t n = 3 * plane;
-  const std::size_t pairs = (n + 1) / 2;
-  thread_local std::vector<double> scratch;
-  // uv: the accepted pairs, interleaved; s and log_s: one per pair.
-  scratch.resize(4 * pairs);
-  double* uv = scratch.data();
-  double* s = uv + 2 * pairs;
-  double* log_s = s + pairs;
+  const double* uv = draw_normals(rng, 3 * plane);
 
-  // (a) Draw. Every candidate is stored; the write index only advances
-  // past an accepted one (0 < s < 1), so the rejects are overwritten.
-  for (std::size_t w = 0; w < pairs;) {
-    const double u = rng.uniform(-1.0, 1.0);
-    const double v = rng.uniform(-1.0, 1.0);
-    const double sq = u * u + v * v;
-    uv[2 * w] = u;
-    uv[2 * w + 1] = v;
-    s[w] = sq;
-    w += static_cast<std::size_t>(sq < 1.0) &
-         static_cast<std::size_t>(sq != 0.0);
-  }
-  // (b) Factors: libm's log bits in one span (util/libm_span.h: glibc's
-  // own algorithm at vector width where the host has it), then
-  // sqrt(-2 log(s) / s) scales the pair.
-  util::log_span(s, log_s, pairs);
-  for (std::size_t k = 0; k < pairs; ++k) {
-    const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
-    uv[2 * k] *= factor;
-    uv[2 * k + 1] *= factor;
-  }
-
-  // (c) Pixels: the blend in normal()'s term order (mean 0.0 plus sigma
+  // Pixels: the blend in normal()'s term order (mean 0.0 plus sigma
   // times the variate), quantised and interleaved into RGB. The blend
   // weights are locals: the byte stores could alias config_.
   const double signal = config_.blend.signal;
@@ -194,6 +206,17 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
     }
   }
   return out;
+}
+
+std::vector<double> SyntheticImageNet::noise_variates(int subset,
+                                                      int index) const {
+  check_coords(subset, index);
+  util::Xoshiro256 rng(sample_key(subset, index));
+  draw_classes(rng, config_.num_classes);
+  const auto n = 3 * static_cast<std::size_t>(config_.image_size) *
+                 static_cast<std::size_t>(config_.image_size);
+  const double* uv = draw_normals(rng, n);
+  return std::vector<double>(uv, uv + n);
 }
 
 tensor::TensorF SyntheticImageNet::preprocess(const imgproc::Image& image,

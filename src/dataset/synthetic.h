@@ -93,6 +93,12 @@ class SyntheticImageNet {
   /// Generate sample (subset, index).
   LabeledImage sample(int subset, int index) const;
 
+  /// The standard normal variates sample(subset, index) blends in
+  /// (scaled by noise_sigma), [channel][y][x], before quantisation. A
+  /// test seam: the 8-bit pixels hide a one-ulp slip in the draw or its
+  /// log, these doubles do not.
+  std::vector<double> noise_variates(int subset, int index) const;
+
   /// Preprocess an image for a network with square input `input_size`:
   /// bilinear resize + CHW float tensor with dataset means subtracted.
   tensor::TensorF preprocess(const imgproc::Image& image,

@@ -140,6 +140,16 @@ void f2h_span_encoder(const float* src, half* dst, std::size_t n) noexcept {
   }
 }
 
+void round_bias_round_scalar(const float* acc, float bias, half* dst,
+                             std::size_t n, bool relu) noexcept {
+  const float* table = half_to_float_table();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float sum = table[encode_half_rtne(float_bits(acc[i]))] + bias;
+    const half h = half::from_bits(encode_half_rtne(float_bits(sum)));
+    dst[i] = relu ? ncsw::fp16::relu(h) : h;
+  }
+}
+
 // F16C hardware conversion, 8 lanes at a time: vcvtph2ps is exact and
 // vcvtps2ph with an explicit round-to-nearest-even immediate is the same
 // IEEE conversion as the software encoder, so every number, zero and
@@ -187,9 +197,54 @@ NCSW_TARGET_F16C void f2h_span_f16c(const float* src, half* dst,
   f2h_span_encoder(src + i, dst + i, n - i);
 }
 
+// The epilogue on the same footing: both roundings are the hardware's
+// RTNE conversion and the widening is exact, so any block without a NaN
+// (in the accumulator or the biased sum) has the scalar bits. The ReLU
+// is the scalar bit test as two signed 16-bit compares: as int16,
+// [0x8001, 0xfc00] is [-32767, -1024].
+NCSW_TARGET_F16C void round_bias_round_f16c(const float* acc, float bias,
+                                            half* dst, std::size_t n,
+                                            bool relu) noexcept {
+  const __m256 bv = _mm256_set1_ps(bias);
+  const __m128i lo = _mm_set1_epi16(static_cast<short>(0x8000));
+  const __m128i hi = _mm_set1_epi16(static_cast<short>(0xfc01));
+  constexpr int kRound = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(acc + i);
+    const __m256 sum =
+        _mm256_add_ps(_mm256_cvtph_ps(_mm256_cvtps_ph(v, kRound)), bv);
+    const __m256 nan = _mm256_or_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q),
+                                    _mm256_cmp_ps(sum, sum, _CMP_UNORD_Q));
+    if (_mm256_movemask_ps(nan) != 0) {
+      round_bias_round_scalar(acc + i, bias, dst + i, 8, relu);
+      continue;
+    }
+    __m128i h = _mm256_cvtps_ph(sum, kRound);
+    if (relu) {
+      const __m128i negative =
+          _mm_and_si128(_mm_cmpgt_epi16(h, lo), _mm_cmplt_epi16(h, hi));
+      h = _mm_andnot_si128(negative, h);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h);
+  }
+  round_bias_round_scalar(acc + i, bias, dst + i, n - i, relu);
+}
+
 #endif
 
 }  // namespace
+
+void round_bias_round_span(const float* acc, float bias, half* dst,
+                           std::size_t n, bool relu) noexcept {
+#ifdef NCSW_TARGET_F16C
+  if (util::isa_level() != util::IsaLevel::kBase) {
+    round_bias_round_f16c(acc, bias, dst, n, relu);
+    return;
+  }
+#endif
+  round_bias_round_scalar(acc, bias, dst, n, relu);
+}
 
 // Every ISA level above the baseline includes F16C.
 void half_to_float_span(const half* src, float* dst, std::size_t n) noexcept {

@@ -42,6 +42,19 @@ void half_to_float_span(const half* src, float* dst, std::size_t n) noexcept;
 /// software encoder.
 void float_to_half_span(const float* src, half* dst, std::size_t n) noexcept;
 
+/// The exact tier's FP16 layer epilogue over one output row:
+/// dst[i] = half(float(half(acc[i])) + bias), the FP32 accumulator
+/// rounded, widened, biased and rounded again, as FP16 storage between
+/// the MAC pipeline and the bias add makes it. With `relu`, a negative
+/// result (bits in [0x8001, 0xfc00]) then becomes +0: the test reads the
+/// final half, so a sum that rounds to -0 stays -0, and NaNs pass.
+/// Bit-identical to the scalar conversions per element. Runs 8 lanes at
+/// a time through F16C when the machine has it; an 8-lane block with a
+/// NaN in acc or in the biased sum, and the n % 8 tail, take the
+/// software converters. acc and dst may not overlap.
+void round_bias_round_span(const float* acc, float bias, half* dst,
+                           std::size_t n, bool relu) noexcept;
+
 /// IEEE binary16 value type. Storage is the raw 16-bit pattern;
 /// arithmetic widens to float and rounds back, matching host-side
 /// conversion libraries (and the per-element rounding the VPU's VAU
@@ -129,6 +142,14 @@ class half {
 };
 
 static_assert(sizeof(half) == 2, "half must be 2 bytes");
+
+/// ReLU on a half's bits: a half is < 0 exactly when its sign is set and
+/// its magnitude is non-zero and at most infinity, bits in
+/// [0x8001, 0xfc00], which become +0. -0 and NaNs stay as they are, as
+/// the float comparison x < 0 leaves them.
+constexpr half relu(half h) noexcept {
+  return h.bits() > 0x8000u && h.bits() <= 0xfc00u ? half() : h;
+}
 
 /// Round-trip helper: the float value after an FP32 -> FP16 -> FP32 trip.
 inline float round_to_half(float value) noexcept {

@@ -61,14 +61,18 @@ Plan<T>::Plan(const Graph& graph, const Weights<T>& weights, bool fast)
       weights_.emplace_back(weights.at(l.name));
     }
     const int src = l.inputs[0];
+    if (l.kind == LayerKind::kConv) {
+      s.conv = static_cast<int>(convs_.size());
+      convs_.emplace_back(graph.layer(src).out_shape, l.conv);
+    }
     // A ReLU or Dropout that is the last consumer of its input runs in
     // the input's slot instead of copying it (the caller's input and the
     // graph output must survive the layer).
     s.take = (l.kind == LayerKind::kReLU || l.kind == LayerKind::kDropout) &&
              src != in_id && last_use[at(src)] == id;
-    // Fast tier: a ReLU that is its Conv's only consumer runs in the
-    // conv's epilogue and becomes a no-op here.
-    if (fast_ && l.kind == LayerKind::kReLU &&
+    // A ReLU that is its Conv's only consumer runs in the conv's
+    // epilogue and becomes a no-op here.
+    if (l.kind == LayerKind::kReLU &&
         graph.layer(src).kind == LayerKind::kConv && consumers[at(src)] == 1) {
       steps_[at(src)].fuse_relu = true;
       s.fused_away = true;
@@ -169,10 +173,12 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
         throw std::logic_error("nn::Plan::run: unexpected input layer");
       case LayerKind::kConv:
         if (fast_) {
-          kernels::conv2d_fast(src, weights_[at(s.weights)], l.conv,
-                               s.fuse_relu && !keep_all, dst, ctx);
+          kernels::conv2d_fast(src, weights_[at(s.weights)],
+                               convs_[at(s.conv)], s.fuse_relu && !keep_all,
+                               dst, ctx);
         } else {
-          kernels::conv2d(src, weights_[at(s.weights)], l.conv, dst, ctx);
+          kernels::conv2d(src, weights_[at(s.weights)], convs_[at(s.conv)],
+                          s.fuse_relu && !keep_all, dst, ctx);
         }
         break;
       case LayerKind::kReLU:

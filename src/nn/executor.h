@@ -35,13 +35,14 @@ struct ExecOptions {
   /// and, when the global tracer is enabled, emit one "host" span per
   /// layer. Off by default so simulated-clock traces stay clean.
   bool profile_layers = false;
-  /// Opt into the fast tier (docs/performance.md): fused conv+bias+ReLU,
-  /// direct 3x3/1x1 convolution, sqrt-based LRN and affinity-pinned
-  /// chunk placement. Also enabled by $NCSW_FAST=1; default off, keeping
-  /// the bit-identical contract (and every golden digest) untouched.
-  /// Fusion is skipped under keep_all_activations so per-layer diffs keep
-  /// their meaning. The tier is part of what a Plan compiles: run_forward
-  /// reads this field, Plan::run ignores it.
+  /// Opt into the fast tier (docs/performance.md): a single-rounding
+  /// conv epilogue, direct 3x3 convolution, FMA GEMM, sqrt-based LRN and
+  /// affinity-pinned chunk placement. Also enabled by $NCSW_FAST=1;
+  /// default off, keeping the bit-identical contract (and every golden
+  /// digest) untouched. Both tiers fuse a conv's sole-consumer ReLU into
+  /// its epilogue except under keep_all_activations, so per-layer diffs
+  /// keep their meaning. The tier is part of what a Plan compiles:
+  /// run_forward reads this field, Plan::run ignores it.
   bool fast = false;
 };
 
@@ -69,9 +70,11 @@ struct ExecResult {
 /// many"), built once per (graph, weights, tier). Construction validates
 /// the graph and the weights (throwing as run_forward does), resolves
 /// every Conv/FC layer's parameters by layer id, widens FP16 weights and
-/// biases to FP32 (exact), and fixes the consumer counts, the fast
-/// tier's ReLU fusion, the in-place ReLU/Dropout decisions and a
-/// liveness-planned slot for every activation.
+/// biases to FP32 (exact), computes each conv's operand geometry and row
+/// table (kernels::ConvOperand), and fixes the consumer counts, the
+/// conv+ReLU fusion (both tiers; off under keep_all_activations), the
+/// in-place ReLU/Dropout decisions and a liveness-planned slot for every
+/// activation.
 ///
 /// run() is const: the slot tensors live in the calling thread's
 /// kernels::Workspace, so one plan serves concurrent callers. At
@@ -98,19 +101,27 @@ class Plan {
   const kernels::LayerWeights* layer_weights(int id) const noexcept;
   /// Activation slots a pass without keep_all_activations uses.
   int slot_count() const noexcept { return slots_; }
+  /// Whether layer `id` is a conv that applies its ReLU consumer in its
+  /// epilogue (unless the run keeps all activations).
+  bool fuses_relu(int id) const noexcept {
+    return id >= 0 && id < graph_->size() &&
+           steps_[static_cast<std::size_t>(id)].fuse_relu;
+  }
 
  private:
   struct Step {
     int weights = -1;         // index into weights_, -1 for none
+    int conv = -1;            // index into convs_, -1 for none
     int slot = -1;            // activation slot (-1: the caller's input)
     bool take = false;        // ReLU/Dropout runs in its input's slot
-    bool fuse_relu = false;   // fast conv applies the next ReLU itself
+    bool fuse_relu = false;   // the conv applies the next ReLU itself
     bool fused_away = false;  // this ReLU already ran in its producer
   };
 
   const Graph* graph_;
   bool fast_;
   std::vector<kernels::LayerWeights> weights_;
+  std::vector<kernels::ConvOperand> convs_;
   std::vector<Step> steps_;  // indexed by layer id
   int slots_ = 0;
 };

@@ -79,58 +79,36 @@ void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
 // ---------------------------------------------------------------------------
 // Optimised kernels.
 
-// im2col over channels [c0, c1) from an FP32 source plane; the column
-// matrix layout matches the oracle's im2col exactly. Each channel is
-// first copied into `plane`, a (height + 2*pad) x (width + 2*pad)
-// scratch whose border the caller zero-filled: that +0.0f border is
-// exactly what the oracle's bounds checks write, so every column row is
-// a plain copy (contiguous at stride 1). S is the stride at compile time
-// (0: at run time), so the stride-2 gather vectorises too.
-template <int S>
-void im2col_rows(const float* in, std::int64_t c0, std::int64_t c1,
-                 std::int64_t height, std::int64_t width, int kernel,
-                 int stride_rt, int pad, std::int64_t out_h,
-                 std::int64_t out_w, float* plane, float* col) noexcept {
-  const int stride = S != 0 ? S : stride_rt;
-  const std::int64_t pw = width + 2 * pad;
-  for (std::int64_t c = c0; c < c1; ++c) {
-    const float* src = in + c * height * width;
-    for (std::int64_t y = 0; y < height; ++y) {
-      std::copy(src + y * width, src + (y + 1) * width,
-                plane + (y + pad) * pw + pad);
-    }
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        float* dst = col + ((c * kernel + ky) * kernel + kx) * out_h * out_w;
-        for (std::int64_t oy = 0; oy < out_h; ++oy) {
-          const float* srow = plane + (oy * stride + ky) * pw + kx;
-          float* drow = dst + oy * out_w;
-          for (std::int64_t ox = 0; ox < out_w; ++ox) {
-            drow[ox] = srow[ox * stride];
-          }
-        }
-      }
-    }
+// One shifted plane (ConvOperand): `rows` rows of `ow` values, row y
+// gathering every s-th value of the source row y*s rows down. S and OW
+// are the stride and width at compile time (0: at run time), so the
+// common rows are a few fixed-width moves instead of a short loop with
+// its alias checks each.
+template <int S, int OW>
+void gather_plane(const float* __restrict src, std::int64_t ld, int stride_rt,
+                  std::int64_t ow_rt, std::int64_t rows,
+                  float* __restrict dst) noexcept {
+  const int s = S != 0 ? S : stride_rt;
+  const std::int64_t ow = OW != 0 ? OW : ow_rt;
+  for (std::int64_t y = 0; y < rows; ++y) {
+    const float* srow = src + y * s * ld;
+    float* drow = dst + y * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox) drow[ox] = srow[ox * s];
   }
 }
 
-// The [C*k*k x out_h*out_w] column matrix of one batch item, fanned out
-// by channel; each chunk pads its channels in its own workspace slab.
-void im2col(const float* src, const tensor::Shape& is, const ConvParams& p,
-            std::int64_t oh, std::int64_t ow, float* col, Workspace& ws,
-            const ExecCtx& ctx) {
-  const auto rows = p.stride == 1   ? im2col_rows<1>
-                    : p.stride == 2 ? im2col_rows<2>
-                                    : im2col_rows<0>;
-  const std::int64_t plane_len = (is.h + 2 * p.pad) * (is.w + 2 * p.pad);
-  const int chunks = plan_chunks(ctx, is.c);
-  float* planes = ws.slabs(chunks, plane_len);
-  run_chunks(ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
-    float* plane = planes + t * plane_len;
-    std::fill(plane, plane + plane_len, 0.0f);
-    rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh, ow, plane,
-         col);
-  });
+using GatherFn = void (*)(const float*, std::int64_t, int, std::int64_t,
+                          std::int64_t, float*) noexcept;
+
+// Compile-time widths for TinyGoogLeNet's maps: the stem's 16 outputs
+// at stride 2, the 8x8 and 4x4 maps at stride 1.
+GatherFn pick_gather(int stride, std::int64_t ow) noexcept {
+  if (stride == 1 && ow == 8) return gather_plane<1, 8>;
+  if (stride == 1 && ow == 4) return gather_plane<1, 4>;
+  if (stride == 2 && ow == 16) return gather_plane<2, 16>;
+  if (stride == 1) return gather_plane<1, 0>;
+  if (stride == 2) return gather_plane<2, 0>;
+  return gather_plane<0, 0>;
 }
 
 // The batch item as FP32: the tensor's own storage for float, a
@@ -239,79 +217,209 @@ LayerWeights::LayerWeights(const LayerParams<T>& params)
   }
 }
 
-template <typename T>
-void conv2d(const Tensor<T>& in, const LayerWeights& weights,
-            const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  const std::int64_t oh = conv_extent(is.h, p.kernel, p.stride, p.pad);
-  const std::int64_t ow = conv_extent(is.w, p.kernel, p.stride, p.pad);
-  if (oh <= 0 || ow <= 0) {
+ConvOperand::ConvOperand(const tensor::Shape& in, const ConvParams& p)
+    : in_(tensor::Shape{1, in.c, in.h, in.w}), p_(p) {
+  if (p.kernel < 1 || p.stride < 1 || p.pad < 0) {
+    throw std::invalid_argument("conv2d: invalid kernel, stride or pad");
+  }
+  oh_ = conv_extent(in.h, p.kernel, p.stride, p.pad);
+  ow_ = conv_extent(in.w, p.kernel, p.stride, p.pad);
+  if (oh_ <= 0 || ow_ <= 0) {
     throw std::invalid_argument("conv2d: kernel does not fit");
   }
+  const int k = p.kernel, s = p.stride;
+  rows_.resize(static_cast<std::size_t>(k_dim()));
+  if (k == 1 && s == 1 && p.pad == 0) {
+    // Direct: row c is input channel c, already [C x oh*ow].
+    for (std::int64_t c = 0; c < in.c; ++c) {
+      rows_[static_cast<std::size_t>(c)] = c * in.h * in.w;
+    }
+    return;
+  }
+  // Channel layout: phase f outermost, then kx, each plane
+  // plane_rows(f) x ow (build() walks the same order).
+  std::vector<std::int64_t> phase_off;
+  for (int f = 0; f < std::min(s, k); ++f) {
+    phase_off.push_back(plane_len_);
+    plane_len_ += k * plane_rows(f) * ow_;
+  }
+  std::size_t r = 0;
+  for (std::int64_t c = 0; c < in.c; ++c) {
+    for (int ky = 0; ky < k; ++ky) {
+      const int f = ky % s;
+      for (int kx = 0; kx < k; ++kx) {
+        rows_[r++] = c * plane_len_ + phase_off[static_cast<std::size_t>(f)] +
+                     (kx * plane_rows(f) + ky / s) * ow_;
+      }
+    }
+  }
+}
+
+std::int64_t ConvOperand::plane_rows(int f) const noexcept {
+  // Rows ky/s .. ky/s + oh - 1 for every ky = f (mod s); the last one
+  // reads padded row s*(oh - 1) + k - 1, inside the padded plane.
+  return oh_ + (p_.kernel - 1 - f) / p_.stride;
+}
+
+void ConvOperand::check_input(const tensor::Shape& in) const {
+  if (in.c != in_.c || in.h != in_.h || in.w != in_.w) {
+    throw std::invalid_argument("conv2d: input " + in.to_string() +
+                                " does not match the operand's " +
+                                in_.to_string());
+  }
+}
+
+void ConvOperand::build(const float* src, std::int64_t c0, std::int64_t c1,
+                        float* padded, float* planes) const noexcept {
+  const int k = p_.kernel, s = p_.stride, pad = p_.pad;
+  const std::int64_t h = in_.h, w = in_.w;
+  const std::int64_t pw = w + 2 * pad;
+  const GatherFn gather = pick_gather(s, ow_);
+  for (std::int64_t c = c0; c < c1; ++c) {
+    const float* plane = src + c * h * w;
+    std::int64_t ld = w;
+    if (pad > 0) {
+      for (std::int64_t y = 0; y < h; ++y) {
+        std::copy(plane + y * w, plane + (y + 1) * w,
+                  padded + (y + pad) * pw + pad);
+      }
+      plane = padded;
+      ld = pw;
+    }
+    float* dst = planes + c * plane_len_;
+    for (int f = 0; f < std::min(s, k); ++f) {
+      const std::int64_t rows = plane_rows(f);
+      for (int kx = 0; kx < k; ++kx) {
+        gather(plane + f * ld + kx, ld, s, ow_, rows, dst);
+        dst += rows * ow_;
+      }
+    }
+  }
+}
+
+namespace {
+
+// The conv's B for batch item b, as an FP32 base its row table indexes:
+// the input planes themselves (direct), or the shifted planes, built by
+// channel chunk. FP16 widens each chunk's channels as it builds them.
+template <typename T>
+const float* conv_operand_b(const Tensor<T>& in, std::int64_t b,
+                            const ConvOperand& op, Workspace& ws,
+                            const ExecCtx& ctx) {
+  if (op.direct()) return batch_as_f32(in, b, ws, ctx);
+  const tensor::Shape& is = in.shape();
+  const int pad = op.params().pad;
+  const std::int64_t hw = is.hw();
+  const std::int64_t padded_len =
+      pad > 0 ? (is.h + 2 * pad) * (is.w + 2 * pad) : 0;
+  float* planes = ws.planes(is.c * op.plane_len());
+  const int chunks = plan_chunks(ctx, is.c);
+  float* padded = ws.slabs(chunks, padded_len);
+  float* wide = std::is_same_v<T, float> ? nullptr : ws.acts(is.chw());
+  run_chunks(ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
+    float* scratch = padded + t * padded_len;
+    // The +0 border; each channel overwrites only the inside.
+    std::fill(scratch, scratch + padded_len, 0.0f);
+    const float* src;
+    if constexpr (std::is_same_v<T, float>) {
+      src = in.batch_ptr(b);
+    } else {
+      ncsw::fp16::half_to_float_span(in.batch_ptr(b) + c0 * hw,
+                                     wide + c0 * hw,
+                                     static_cast<std::size_t>((c1 - c0) * hw));
+      src = wide;
+    }
+    op.build(src, c0, c1, scratch, planes);
+  });
+  return planes;
+}
+
+// A conv's epilogue over output columns [j0, j1) of all m channels, in
+// one pass. FP32 adds the bias to the accumulator in place and a fused
+// ReLU clamps the sum. The exact FP16 epilogue rounds, widens, adds the
+// bias and rounds into `out`, its ReLU reading the final half
+// (half/half.h); the fast tier's FP16 takes the FP32 path and rounds
+// once.
+template <typename T>
+void conv_epilogue(float* acc, T* out, const float* bias, std::int64_t m,
+                   std::int64_t n, std::int64_t j0, std::int64_t j1,
+                   bool relu, bool fast) noexcept {
+  const auto len = static_cast<std::size_t>(j1 - j0);
+  for (std::int64_t oc = 0; oc < m; ++oc) {
+    float* row = acc + oc * n + j0;
+    const float bv = bias[oc];
+    if constexpr (!std::is_same_v<T, float>) {
+      if (!fast) {
+        ncsw::fp16::round_bias_round_span(row, bv, out + oc * n + j0, len,
+                                          relu);
+        continue;
+      }
+    }
+    if (relu) {
+      for (std::size_t i = 0; i < len; ++i) {
+        const float v = row[i] + bv;
+        row[i] = v < 0.0f ? 0.0f : v;
+      }
+    } else {
+      for (std::size_t i = 0; i < len; ++i) row[i] += bv;
+    }
+    if constexpr (!std::is_same_v<T, float>) {
+      ncsw::fp16::float_to_half_span(row, out + oc * n + j0, len);
+    } else {
+      (void)out;
+    }
+  }
+}
+
+void check_conv_weights(const LayerWeights& weights, const ConvOperand& op,
+                        std::int64_t in_c) {
+  const ConvParams& p = op.params();
   if (weights.shape() !=
-      tensor::Shape{p.out_channels, is.c, p.kernel, p.kernel}) {
+      tensor::Shape{p.out_channels, in_c, p.kernel, p.kernel}) {
     throw std::invalid_argument("conv2d: weight shape mismatch: " +
                                 weights.shape().to_string());
   }
-  out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
+}
 
-  const std::int64_t k_dim = is.c * p.kernel * p.kernel;
-  const std::int64_t n_dim = oh * ow;
+}  // namespace
+
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
+            const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
+            const ExecCtx& ctx) {
+  const tensor::Shape& is = in.shape();
+  op.check_input(is);
+  check_conv_weights(weights, op, is.c);
+  const std::int64_t m = op.params().out_channels;
+  const std::int64_t n_dim = op.out_h() * op.out_w();
+  const std::int64_t k_dim = op.k_dim();
+  out.resize(tensor::Shape{is.n, m, op.out_h(), op.out_w()});
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const float* wf = weights.w();
-  // A 1x1 stride-1 unpadded conv's im2col matrix is its input plane
-  // itself ([C x H*W], same values, same layout), so the GEMM reads the
-  // input directly: bit-identical, minus one copy per layer.
-  const bool direct_1x1 = p.kernel == 1 && p.stride == 1 && p.pad == 0;
-  float* col = direct_1x1 ? nullptr : ws.col(k_dim * n_dim);
-
   for (std::int64_t b = 0; b < is.n; ++b) {
-    const float* src = batch_as_f32(in, b, ws, ctx);
-    const float* bmat = src;
-    if (!direct_1x1) {
-      im2col(src, is, p, oh, ow, col, ws, ctx);
-      bmat = col;
-    }
-
-    // out[b] = W[outC x k_dim] * B[k_dim x n_dim], split by column
-    // range: each chunk owns a disjoint panel of B and of the output.
+    const float* bmat = conv_operand_b(in, b, op, ws, ctx);
+    T* dst = out.batch_ptr(b);
     float* cf;
     if constexpr (std::is_same_v<T, float>) {
-      cf = out.batch_ptr(b);
+      cf = dst;
     } else {
-      cf = ws.out(p.out_channels * n_dim);
+      cf = ws.out(m * n_dim);
     }
+    // out[b] = W[m x k_dim] * B[k_dim x n_dim] and its epilogue, split by
+    // column range: each chunk owns a disjoint panel of B and the output.
     parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
-      tensor::gemm_f32(p.out_channels, j1 - j0, k_dim, 1.0f, wf, k_dim,
-                       bmat + j0, n_dim, 0.0f, cf + j0, n_dim);
+      tensor::gemm_f32(m, j1 - j0, k_dim, 1.0f, weights.w(), k_dim, bmat + j0,
+                       op.rows(), 0.0f, cf + j0, n_dim);
+      conv_epilogue(cf, dst, weights.b(), m, n_dim, j0, j1, fuse_relu,
+                    false);
     });
-
-    // Bias add. FP16 keeps the oracle's order: round the accumulator to
-    // half first, then add the (widened) half bias with per-element
-    // rounding.
-    parallel_chunks(
-        ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
-          if constexpr (std::is_same_v<T, float>) {
-            for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = weights.b()[oc];
-              float* dst = out.batch_ptr(b) + oc * n_dim;
-              for (std::int64_t i = 0; i < n_dim; ++i) dst[i] += bias;
-            }
-          } else {
-            const auto len = static_cast<std::size_t>(n_dim);
-            for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = weights.b()[oc];
-              float* row = cf + oc * n_dim;
-              half* dst = out.batch_ptr(b) + oc * n_dim;
-              ncsw::fp16::float_to_half_span(row, dst, len);
-              ncsw::fp16::half_to_float_span(dst, row, len);
-              for (std::int64_t i = 0; i < n_dim; ++i) row[i] += bias;
-              ncsw::fp16::float_to_half_span(row, dst, len);
-            }
-          }
-        });
   }
+}
+
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
+            const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx) {
+  conv2d(in, weights, ConvOperand(in.shape(), p), false, out, ctx);
 }
 
 template <typename T>
@@ -327,15 +435,11 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
       }
     });
   } else {
-    // A half is < 0 exactly when its sign is set and its magnitude is
-    // non-zero and at most infinity (0x7c00): bits in [0x8001, 0xfc00].
-    // -0 and NaNs stay as they are, as in the float comparison.
+    // The bit test of fp16::relu, not a float comparison.
     half* data = x.data();
     parallel_chunks(ctx, n, [&](int, std::int64_t e0, std::int64_t e1) {
       for (std::int64_t i = e0; i < e1; ++i) {
-        const std::uint16_t bits = data[i].bits();
-        const bool negative = bits > 0x8000u && bits <= 0xfc00u;
-        data[i] = half::from_bits(negative ? std::uint16_t{0} : bits);
+        data[i] = ncsw::fp16::relu(data[i]);
       }
     });
   }
@@ -655,33 +759,27 @@ void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx) {
 
 template <typename T>
 void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
-                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
+                 const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
                  const ExecCtx& ctx) {
   const tensor::Shape& is = in.shape();
-  const std::int64_t oh = conv_extent(is.h, p.kernel, p.stride, p.pad);
-  const std::int64_t ow = conv_extent(is.w, p.kernel, p.stride, p.pad);
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("conv2d: kernel does not fit");
-  }
-  if (weights.shape() !=
-      tensor::Shape{p.out_channels, is.c, p.kernel, p.kernel}) {
-    throw std::invalid_argument("conv2d: weight shape mismatch: " +
-                                weights.shape().to_string());
-  }
+  op.check_input(is);
+  check_conv_weights(weights, op, is.c);
+  const ConvParams& p = op.params();
+  const std::int64_t oh = op.out_h();
+  const std::int64_t ow = op.out_w();
   out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
 
-  const std::int64_t k_dim = is.c * p.kernel * p.kernel;
+  const std::int64_t k_dim = op.k_dim();
   const std::int64_t n_dim = oh * ow;
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const float* wf = weights.w();
   const float* bf = weights.b();
 
-  const bool direct_1x1 = p.kernel == 1 && p.stride == 1 && p.pad == 0;
   // Direct 3x3 pays off when output rows are wide enough to fill its
   // 8-column register tiles; on narrow maps (the tiny nets' inception
-  // towers) the im2col panel is small, stays in cache, and the blocked
-  // GEMM wins, so those shapes keep the GEMM path.
+  // towers) the planes are small, stay in cache, and the blocked GEMM
+  // wins, so those shapes keep the GEMM path.
   const std::int64_t x_lo_3 = std::min<std::int64_t>(
       ow, (static_cast<std::int64_t>(p.pad) + p.stride - 1) / p.stride);
   const std::int64_t x_hi_3 = std::max(
@@ -689,13 +787,12 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
       std::min<std::int64_t>(
           ow, is.w - 3 + p.pad >= 0 ? (is.w - 3 + p.pad) / p.stride + 1 : 0));
   // stride == 1 keeps the interior tap loads contiguous (the vector
-  // kernel loads srow[kx..kx+7] directly); strided 3x3 shapes go
-  // through im2col + GEMM like everything else.
+  // kernel loads srow[kx..kx+7] directly); strided 3x3 shapes take the
+  // GEMM like everything else.
   const bool direct_3x3 =
       p.kernel == 3 && p.stride == 1 && x_hi_3 - x_lo_3 >= 8;
 
   for (std::int64_t b = 0; b < is.n; ++b) {
-    const float* src = batch_as_f32(in, b, ws, ctx);
     // FP32 result panel [outC x n_dim]: the output itself for float, a
     // workspace accumulator rounded once per element for half.
     float* cf;
@@ -706,6 +803,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
     }
 
     if (direct_3x3) {
+      const float* src = batch_as_f32(in, b, ws, ctx);
       // Direct convolution, chunked by 4-channel output blocks. Each
       // output element is accumulated entirely inside one block with a
       // fixed (c, ky, kx) order, so results do not depend on the chunk
@@ -743,56 +841,39 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
             });
       }
     } else {
-      // GEMM path. Stride-1 unpadded 1x1 needs no patch matrix at all:
-      // the input planes already are [k_dim x n_dim].
-      const float* bmat;
-      if (direct_1x1) {
-        bmat = src;
-      } else {
-        float* col = ws.col(k_dim * n_dim);
-        im2col(src, is, p, oh, ow, col, ws, ctx);
-        bmat = col;
-      }
+      const float* bmat = conv_operand_b(in, b, op, ws, ctx);
       // Column chunks start on 16-column panel boundaries, so a column
       // lands in the same vector tile or scalar edge at any chunk count
-      // (the two need not round alike once contraction is on).
+      // (the two need not round alike once contraction is on). Each
+      // chunk finishes its columns in the fused epilogue: bias and ReLU
+      // in FP32, then (FP16 only) one round per element — the conv ->
+      // round -> relu -> round round-trip collapses to one write-back.
       parallel_chunks(
           ctx, (n_dim + 15) / 16, [&](int, std::int64_t p0, std::int64_t p1) {
             const std::int64_t j0 = p0 * 16;
             const std::int64_t j1 = std::min(p1 * 16, n_dim);
             tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
-                                  bmat + j0, n_dim, cf + j0, n_dim);
-          });
-      // Fused epilogue: bias and ReLU in one FP32 pass, then (FP16 only)
-      // one round per element — the conv -> round -> relu -> round
-      // round-trip of the unfused path collapses to a single write-back.
-      parallel_chunks(
-          ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
-            for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-              const float bias = bf[oc];
-              float* row = cf + oc * n_dim;
-              if (fuse_relu) {
-                for (std::int64_t i = 0; i < n_dim; ++i) {
-                  const float v = row[i] + bias;
-                  row[i] = v < 0.0f ? 0.0f : v;
-                }
-              } else {
-                for (std::int64_t i = 0; i < n_dim; ++i) row[i] += bias;
-              }
-              if constexpr (!std::is_same_v<T, float>) {
-                ncsw::fp16::float_to_half_span(
-                    row, out.batch_ptr(b) + oc * n_dim,
-                    static_cast<std::size_t>(n_dim));
-              }
-            }
+                                  bmat + j0, op.rows(), cf + j0, n_dim);
+            conv_epilogue(cf, out.batch_ptr(b), bf, p.out_channels, n_dim, j0,
+                          j1, fuse_relu, true);
           });
     }
   }
 }
 
+template <typename T>
+void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
+                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
+                 const ExecCtx& ctx) {
+  conv2d_fast(in, weights, ConvOperand(in.shape(), p), fuse_relu, out, ctx);
+}
+
 // Explicit instantiations for the two supported precisions.
 #define NCSW_INSTANTIATE_KERNELS(T)                                          \
   template LayerWeights::LayerWeights(const LayerParams<T>&);                \
+  template void conv2d<T>(const Tensor<T>&, const LayerWeights&,             \
+                          const ConvOperand&, bool, Tensor<T>&,              \
+                          const ExecCtx&);                                   \
   template void conv2d<T>(const Tensor<T>&, const LayerWeights&,             \
                           const ConvParams&, Tensor<T>&, const ExecCtx&);    \
   template void relu<T>(Tensor<T>&, const ExecCtx&);                         \
@@ -807,6 +888,9 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
                                    const FCParams&, Tensor<T>&,              \
                                    const ExecCtx&);                          \
   template void softmax<T>(const Tensor<T>&, Tensor<T>&, const ExecCtx&);    \
+  template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
+                               const ConvOperand&, bool, Tensor<T>&,         \
+                               const ExecCtx&);                              \
   template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
                                const ConvParams&, bool, Tensor<T>&,          \
                                const ExecCtx&);

@@ -4,8 +4,10 @@
 // would keep a wide accumulator, per-element rounding on write-back).
 //
 // The kernels are cache-tuned and optionally threaded (docs/
-// performance.md): convolution splits its GEMM by output column range,
-// the pools / LRN / ReLU split by (batch, channel) slabs, and every
+// performance.md): convolution builds its shifted input planes by
+// channel and splits its GEMM (with the bias/rounding/ReLU epilogue) by
+// output column range, the pools / LRN / ReLU split by (batch, channel)
+// slabs, and every
 // split writes a disjoint output region with the same per-element
 // arithmetic as the serial path — so results are bit-identical across
 // thread counts, and identical to the pre-rewrite scalar kernels, which
@@ -32,8 +34,8 @@ using tensor::Tensor;
 /// (slabs() hands disjoint slices to the pool workers of a single call).
 class Workspace {
  public:
-  /// FP32 im2col panel of `count` elements.
-  float* col(std::int64_t count) { return grow(col_, count); }
+  /// A conv's shifted input planes (ConvOperand), `count` floats.
+  float* planes(std::int64_t count) { return grow(planes_, count); }
 
   /// FP32 expansion of an FP16 activation tensor (conv/LRN inputs).
   float* acts(std::int64_t count) { return grow(acts_, count); }
@@ -71,7 +73,7 @@ class Workspace {
 
   /// Bytes reserved across all arenas (monotonically non-decreasing).
   std::size_t capacity_bytes() const noexcept {
-    return (col_.capacity() + acts_.capacity() + out_.capacity() +
+    return (planes_.capacity() + acts_.capacity() + out_.capacity() +
             slabs_.capacity()) *
            sizeof(float);
   }
@@ -83,7 +85,7 @@ class Workspace {
     return v.data();
   }
 
-  std::vector<float> col_, acts_, out_, slabs_;
+  std::vector<float> planes_, acts_, out_, slabs_;
   Slots<float> slots_f32_;
   Slots<ncsw::fp16::half> slots_f16_;
 };
@@ -123,11 +125,11 @@ struct ExecCtx {
   util::ThreadPool* pool = nullptr;
   /// Number of slabs the parallel kernels split their work into.
   int threads = 1;
-  /// Opt-in fast tier (docs/performance.md): fused conv+bias+ReLU,
-  /// direct 3x3/1x1 convolution, sqrt-based LRN and affinity-aware chunk
-  /// placement. Forfeits bit-identity with the exact tier (still
-  /// deterministic across thread counts); validated by the
-  /// digest-tolerance tests. Off by default.
+  /// Opt-in fast tier (docs/performance.md): FP32 conv epilogue with a
+  /// single rounding, direct 3x3 convolution, FMA GEMM, sqrt-based LRN
+  /// and affinity-aware chunk placement. Forfeits bit-identity with the
+  /// exact tier (still deterministic across thread counts); validated by
+  /// the digest-tolerance tests. Off by default.
   bool fast = false;
 };
 
@@ -141,8 +143,72 @@ util::ThreadPool& compute_pool();
 /// same core.
 util::ThreadPool& fast_pool();
 
-/// 2-D convolution via im2col + GEMM. `out` is resized to the batched
-/// output shape.
+/// A conv layer's GEMM operand B without the [C*k*k x oh*ow] column
+/// matrix (docs/performance.md, "The conv operand and epilogue"). Per
+/// input channel c, kernel column kx and stride phase f < min(s, k), the
+/// conv builds the compact plane S[c,kx,f][y][ox] =
+/// P_c[(s*y + f)*pw + s*ox + kx] of the channel's zero-bordered padded
+/// plane P_c (row width pw). GEMM row (c, ky, kx) is then the contiguous
+/// oh*ow span at S[c,kx,ky%s] + (ky/s)*ow, which holds im2col's row
+/// value for value; rows() lists those spans' offsets. A 1x1/s1/p0 conv
+/// builds no planes (direct()): its table points at the input planes,
+/// which already are its B. nn::Plan
+/// builds one per conv layer at graph-load time; the ConvParams
+/// overloads of conv2d build one per call.
+class ConvOperand {
+ public:
+  /// Geometry for inputs of in.c x in.h x in.w (in.n is ignored).
+  /// Throws std::invalid_argument when the kernel does not fit.
+  ConvOperand(const tensor::Shape& in, const ConvParams& p);
+
+  const ConvParams& params() const noexcept { return p_; }
+  std::int64_t out_h() const noexcept { return oh_; }
+  std::int64_t out_w() const noexcept { return ow_; }
+  /// The GEMM's inner dimension, C*k*k.
+  std::int64_t k_dim() const noexcept {
+    return in_.c * p_.kernel * p_.kernel;
+  }
+  /// True for a 1x1/s1/p0 conv, whose B is the input itself.
+  bool direct() const noexcept { return plane_len_ == 0; }
+  /// Offset of each GEMM row's span (k_dim entries): into the plane
+  /// arena, or for direct(), into the FP32 input item (row c at c*h*w).
+  const std::int64_t* rows() const noexcept { return rows_.data(); }
+  /// Floats of shifted planes per input channel (0 when direct()).
+  std::int64_t plane_len() const noexcept { return plane_len_; }
+
+  /// Throws std::invalid_argument unless `in` has this operand's c, h, w.
+  void check_input(const tensor::Shape& in) const;
+
+  /// Build channels [c0, c1) of the planes into `planes` (the arena base)
+  /// from the FP32 channel planes at `src` (channel c at src + c*h*w).
+  /// `padded` is (h + 2*pad) x (w + 2*pad) scratch whose border the
+  /// caller zero-filled; unused when pad is 0.
+  void build(const float* src, std::int64_t c0, std::int64_t c1,
+             float* padded, float* planes) const noexcept;
+
+ private:
+  /// Rows of each plane of stride phase f.
+  std::int64_t plane_rows(int f) const noexcept;
+
+  tensor::Shape in_;
+  ConvParams p_;
+  std::int64_t oh_ = 0, ow_ = 0, plane_len_ = 0;
+  std::vector<std::int64_t> rows_;
+};
+
+/// 2-D convolution: a GEMM of the weights with the ConvOperand's planes,
+/// finished by one epilogue pass per output element: FP32 adds the bias,
+/// FP16 rounds the accumulator, widens, adds the bias and rounds again,
+/// and with `fuse_relu` a ReLU then clamps the final value (for FP16,
+/// the final half: a sum that rounds to -0 stays -0). Bit-identical to
+/// the oracle's im2col conv (followed by its ReLU). `out` is resized to
+/// the batched output shape.
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
+            const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
+            const ExecCtx& ctx = {});
+
+/// The same, unfused, with the operand built for this call.
 template <typename T>
 void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx = {});
@@ -189,12 +255,19 @@ void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx = {});
 
 // --- fast tier -------------------------------------------------------------
 
-/// Fast-tier convolution: direct (im2col-free) specialisations for 3x3
-/// and stride-1 1x1 kernels, im2col+GEMM otherwise; FP32 accumulation
-/// with bias (and, when `fuse_relu`, the ReLU) applied before the single
-/// round to T — no intermediate activation round-trip. Not bit-identical
-/// to conv2d; deterministic across thread counts. (Fully-connected
-/// layers run the exact kernel in both tiers.)
+/// Fast-tier convolution: a direct 3x3 kernel on maps wide enough for
+/// its register tiles, the fast GEMM over the ConvOperand's planes
+/// otherwise; FP32 accumulation with bias (and, when `fuse_relu`, the
+/// ReLU) applied before the single round to T — no intermediate
+/// activation round-trip. Not bit-identical to conv2d; deterministic
+/// across thread counts. (Fully-connected layers run the exact kernel in
+/// both tiers.)
+template <typename T>
+void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
+                 const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
+                 const ExecCtx& ctx = {});
+
+/// The same with the operand built for this call.
 template <typename T>
 void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
                  const ConvParams& p, bool fuse_relu, Tensor<T>& out,

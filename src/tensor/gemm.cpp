@@ -43,12 +43,12 @@ constexpr std::int64_t kBlockK = 256;
 // The row panel computes the tile rows' av values for the k-slice once
 // (`av[kk * R + r]`) together with a per-kk flag for "some row's av is
 // zero", so the common all-non-zero step runs without per-row branches.
-// b points at the tile's first column, c at its top-left element.
-template <int W, int R, int V>
-NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
-                           const bool* any_zero, const float* b,
-                           std::int64_t ldb, float* c,
-                           std::int64_t ldc) noexcept {
+// b points at the tile's first column, whose row k0 + kk starts at
+// b + rows[k0 + kk]; c points at the tile's top-left element.
+template <int W, int R, int V, typename Rows>
+NCSW_FAST_INLINE void tile(std::int64_t k0, std::int64_t kn, const float* av,
+                           const bool* any_zero, const float* b, Rows rows,
+                           float* c, std::int64_t ldc) noexcept {
   typedef float Vec
       __attribute__((vector_size(W * sizeof(float)), aligned(4)));
   Vec acc[R][V];
@@ -58,7 +58,7 @@ NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
     }
   }
   for (std::int64_t kk = 0; kk < kn; ++kk) {
-    const float* brow = b + kk * ldb;
+    const float* brow = b + rows[k0 + kk];
     Vec bv[V];
     for (int v = 0; v < V; ++v) {
       bv[v] = *reinterpret_cast<const Vec*>(brow + v * W);
@@ -84,17 +84,17 @@ NCSW_FAST_INLINE void tile(std::int64_t kn, const float* av,
 
 // Ragged column edge (cols < 8): plain memory accumulation, same term
 // order.
-template <int R>
-NCSW_FAST_INLINE void tile_edge(std::int64_t cols, std::int64_t kn,
-                                const float* av, const float* b,
-                                std::int64_t ldb, float* c,
+template <int R, typename Rows>
+NCSW_FAST_INLINE void tile_edge(std::int64_t cols, std::int64_t k0,
+                                std::int64_t kn, const float* av,
+                                const float* b, Rows rows, float* c,
                                 std::int64_t ldc) noexcept {
   for (int r = 0; r < R; ++r) {
     float* crow = c + r * ldc;
     for (std::int64_t kk = 0; kk < kn; ++kk) {
       const float avr = av[kk * R + r];
       if (avr == 0.0f) continue;
-      const float* brow = b + kk * ldb;
+      const float* brow = b + rows[k0 + kk];
       for (std::int64_t j = 0; j < cols; ++j) crow[j] += avr * brow[j];
     }
   }
@@ -104,12 +104,13 @@ NCSW_FAST_INLINE void tile_edge(std::int64_t cols, std::int64_t kn,
 // variant (kWide) walks 32-wide tiles of two 16-lane vectors, then one
 // 16-wide tile; every variant then takes 16-wide tiles of two 8-lane
 // vectors, one 8-wide tile and the scalar edge. a points at the panel's
-// first row, b at B's first row, c at the panel's first row.
-template <int R, bool kWide>
+// first row, b at B's first column (row kk at b + rows[kk]), c at the
+// panel's first row.
+template <int R, bool kWide, typename Rows>
 NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
                                 std::int64_t k0, std::int64_t k1, float alpha,
                                 const float* a, std::int64_t lda,
-                                const float* b, std::int64_t ldb, float* c,
+                                const float* b, Rows rows, float* c,
                                 std::int64_t ldc) noexcept {
   const std::int64_t kn = k1 - k0;
   // Entries [0, kn) are written below before any tile reads them, so the
@@ -125,36 +126,35 @@ NCSW_FAST_INLINE void row_panel(std::int64_t j0, std::int64_t j1,
     }
     any_zero[kk] = zero;
   }
-  const float* bk = b + k0 * ldb;
   std::int64_t j = j0;
   if constexpr (kWide) {
     for (; j + 32 <= j1; j += 32) {
-      tile<16, R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+      tile<16, R, 2>(k0, kn, av, any_zero, b + j, rows, c + j, ldc);
     }
     if (j + 16 <= j1) {
-      tile<16, R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+      tile<16, R, 1>(k0, kn, av, any_zero, b + j, rows, c + j, ldc);
       j += 16;
     }
   }
   for (; j + 16 <= j1; j += 16) {
-    tile<8, R, 2>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    tile<8, R, 2>(k0, kn, av, any_zero, b + j, rows, c + j, ldc);
   }
   if (j + 8 <= j1) {
-    tile<8, R, 1>(kn, av, any_zero, bk + j, ldb, c + j, ldc);
+    tile<8, R, 1>(k0, kn, av, any_zero, b + j, rows, c + j, ldc);
     j += 8;
   }
-  if (j < j1) tile_edge<R>(j1 - j, kn, av, bk + j, ldb, c + j, ldc);
+  if (j < j1) tile_edge<R>(j1 - j, k0, kn, av, b + j, rows, c + j, ldc);
 }
 
-// C = alpha * A*B + beta * C over strided row-major panels: scale/clear
-// C first so the blocked accumulation can always add.
-template <bool kWide>
+// C = alpha * A*B + beta * C over row-major panels: scale/clear C first
+// so the blocked accumulation can always add. B's rows are addressed
+// through `rows` (gemm_detail.h).
+template <bool kWide, typename Rows>
 NCSW_FAST_INLINE void gemm_f32_body(std::int64_t m, std::int64_t n,
                                     std::int64_t k, float alpha,
                                     const float* a, std::int64_t lda,
-                                    const float* b, std::int64_t ldb,
-                                    float beta, float* c,
-                                    std::int64_t ldc) noexcept {
+                                    const float* b, Rows rows, float beta,
+                                    float* c, std::int64_t ldc) noexcept {
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     if (beta == 0.0f) {
@@ -171,15 +171,69 @@ NCSW_FAST_INLINE void gemm_f32_body(std::int64_t m, std::int64_t n,
         const std::int64_t j1 = std::min(j0 + kBlockN, n);
         std::int64_t i = i0;
         for (; i + 4 <= i1; i += 4) {
-          row_panel<4, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
-                       c + i * ldc, ldc);
+          row_panel<4, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b,
+                              rows, c + i * ldc, ldc);
         }
         for (; i < i1; ++i) {
-          row_panel<1, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b, ldb,
-                       c + i * ldc, ldc);
+          row_panel<1, kWide>(j0, j1, k0, k1, alpha, a + i * lda, lda, b,
+                              rows, c + i * ldc, ldc);
         }
       }
     }
+  }
+}
+
+// Each ISA variant instantiates the body for both addressing policies;
+// `b_rows` null selects the strided one.
+template <bool kWide>
+NCSW_FAST_INLINE void gemm_f32_rows_body(
+    std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+    const std::int64_t* b_rows, float beta, float* c,
+    std::int64_t ldc) noexcept {
+  if (b_rows != nullptr) {
+    gemm_f32_body<kWide>(m, n, k, alpha, a, lda, b, detail::TableRows{b_rows},
+                         beta, c, ldc);
+  } else {
+    gemm_f32_body<kWide>(m, n, k, alpha, a, lda, b, detail::StridedRows{ldb},
+                         beta, c, ldc);
+  }
+}
+
+NCSW_TARGET_V3 void gemm_f32_rows_v3(
+    std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+    const std::int64_t* b_rows, float beta, float* c,
+    std::int64_t ldc) noexcept {
+  gemm_f32_rows_body<false>(m, n, k, alpha, a, lda, b, ldb, b_rows, beta, c,
+                            ldc);
+}
+
+NCSW_TARGET_V4 void gemm_f32_rows_v4(
+    std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+    const std::int64_t* b_rows, float beta, float* c,
+    std::int64_t ldc) noexcept {
+  gemm_f32_rows_body<true>(m, n, k, alpha, a, lda, b, ldb, b_rows, beta, c,
+                           ldc);
+}
+
+void gemm_f32_rows(std::int64_t m, std::int64_t n, std::int64_t k,
+                   float alpha, const float* a, std::int64_t lda,
+                   const float* b, std::int64_t ldb,
+                   const std::int64_t* b_rows, float beta, float* c,
+                   std::int64_t ldc) noexcept {
+  switch (util::isa_level()) {
+    case util::IsaLevel::kV4:
+      gemm_f32_rows_v4(m, n, k, alpha, a, lda, b, ldb, b_rows, beta, c, ldc);
+      break;
+    case util::IsaLevel::kV3:
+      gemm_f32_rows_v3(m, n, k, alpha, a, lda, b, ldb, b_rows, beta, c, ldc);
+      break;
+    case util::IsaLevel::kBase:
+      gemm_f32_rows_body<false>(m, n, k, alpha, a, lda, b, ldb, b_rows, beta,
+                                c, ldc);
+      break;
   }
 }
 
@@ -218,23 +272,22 @@ void gemm_f32_base(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, std::int64_t lda,
                    const float* b, std::int64_t ldb, float beta, float* c,
                    std::int64_t ldc) noexcept {
-  gemm_f32_body<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  gemm_f32_rows_body<false>(m, n, k, alpha, a, lda, b, ldb, nullptr, beta, c,
+                            ldc);
 }
 
-NCSW_TARGET_V3 void gemm_f32_v3(std::int64_t m, std::int64_t n,
-                                std::int64_t k, float alpha, const float* a,
-                                std::int64_t lda, const float* b,
-                                std::int64_t ldb, float beta, float* c,
-                                std::int64_t ldc) noexcept {
-  gemm_f32_body<false>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+void gemm_f32_v3(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                 const float* a, std::int64_t lda, const float* b,
+                 std::int64_t ldb, float beta, float* c,
+                 std::int64_t ldc) noexcept {
+  gemm_f32_rows_v3(m, n, k, alpha, a, lda, b, ldb, nullptr, beta, c, ldc);
 }
 
-NCSW_TARGET_V4 void gemm_f32_v4(std::int64_t m, std::int64_t n,
-                                std::int64_t k, float alpha, const float* a,
-                                std::int64_t lda, const float* b,
-                                std::int64_t ldb, float beta, float* c,
-                                std::int64_t ldc) noexcept {
-  gemm_f32_body<true>(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+void gemm_f32_v4(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                 const float* a, std::int64_t lda, const float* b,
+                 std::int64_t ldb, float beta, float* c,
+                 std::int64_t ldc) noexcept {
+  gemm_f32_rows_v4(m, n, k, alpha, a, lda, b, ldb, nullptr, beta, c, ldc);
 }
 
 }  // namespace detail
@@ -248,17 +301,14 @@ void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, std::int64_t lda, const float* b,
               std::int64_t ldb, float beta, float* c,
               std::int64_t ldc) noexcept {
-  switch (util::isa_level()) {
-    case util::IsaLevel::kV4:
-      detail::gemm_f32_v4(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
-    case util::IsaLevel::kV3:
-      detail::gemm_f32_v3(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
-    case util::IsaLevel::kBase:
-      detail::gemm_f32_base(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-      break;
-  }
+  gemm_f32_rows(m, n, k, alpha, a, lda, b, ldb, nullptr, beta, c, ldc);
+}
+
+void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+              const float* a, std::int64_t lda, const float* b,
+              const std::int64_t* b_rows, float beta, float* c,
+              std::int64_t ldc) noexcept {
+  gemm_f32_rows(m, n, k, alpha, a, lda, b, 0, b_rows, beta, c, ldc);
 }
 
 void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,

@@ -1,5 +1,7 @@
-// Small blocked GEMM used by the im2col convolution and fully-connected
-// layers. Row-major: C[M x N] = A[M x K] * B[K x N] (+ C when beta = 1).
+// Small blocked GEMM used by the convolution and fully-connected layers.
+// Row-major: C[M x N] = A[M x K] * B[K x N] (+ C when beta = 1). B is
+// either a dense strided panel or a set of rows read through a row table
+// (the convolution's shifted input planes; no column matrix is built).
 //
 // The FP16 variant stores operands in binary16 but accumulates in FP32,
 // which is how the SHAVE VAU executes FP16 dot products (and how every
@@ -52,6 +54,16 @@ void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               std::int64_t ldb, float beta, float* c,
               std::int64_t ldc) noexcept;
 
+/// FP32 GEMM with B read through a row table: row kk of B is the n
+/// contiguous floats at b + b_rows[kk]. Per-element arithmetic, term
+/// order and zero-skip are those of the strided overload, so C's bits
+/// equal a strided GEMM over the gathered rows. Split C by column range
+/// by offsetting b (and c) by the first column.
+void gemm_f32(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+              const float* a, std::int64_t lda, const float* b,
+              const std::int64_t* b_rows, float beta, float* c,
+              std::int64_t ldc) noexcept;
+
 /// FP16 GEMM with FP32 accumulation; output rounded to FP16. The half
 /// operands are expanded to FP32 scratch panels once (exact) instead of
 /// per multiply-accumulate; pass `scratch` to reuse the panels across
@@ -86,5 +98,12 @@ void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
 void gemm_f32_fast(std::int64_t m, std::int64_t n, std::int64_t k,
                    const float* a, std::int64_t lda, const float* b,
                    std::int64_t ldb, float* c, std::int64_t ldc) noexcept;
+
+/// The fast-tier GEMM with B read through a row table (row kk at
+/// b + b_rows[kk], as in the exact row-table gemm_f32).
+void gemm_f32_fast(std::int64_t m, std::int64_t n, std::int64_t k,
+                   const float* a, std::int64_t lda, const float* b,
+                   const std::int64_t* b_rows, float* c,
+                   std::int64_t ldc) noexcept;
 
 }  // namespace ncsw::tensor

@@ -8,6 +8,24 @@
 
 namespace ncsw::tensor::detail {
 
+// How the GEMM bodies (exact and fast) address B: row kk starts at
+// b + rows[kk] and holds the columns contiguously. The strided entry
+// points are the trivial table; a convolution passes its row table into
+// shifted input planes (nn::kernels::ConvOperand). A compile-time
+// policy, so each body is one source instantiated twice and the strided
+// instantiation keeps plain kk * ld addressing.
+struct StridedRows {
+  std::int64_t ld;
+  std::int64_t operator[](std::int64_t kk) const noexcept { return kk * ld; }
+};
+
+struct TableRows {
+  const std::int64_t* offsets;
+  std::int64_t operator[](std::int64_t kk) const noexcept {
+    return offsets[kk];
+  }
+};
+
 /// The exact GEMM at baseline codegen; same contract as the strided
 /// gemm_f32 overload.
 void gemm_f32_base(std::int64_t m, std::int64_t n, std::int64_t k,

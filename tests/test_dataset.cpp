@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -67,6 +68,55 @@ TEST(Dataset, SampleBytesMatchRecordedDigest) {
   Digest d;
   for (const auto& [s, i] : spread_coords()) d.sample(data.sample(s, i));
   EXPECT_EQ(d.h, 0xc27b18f86028e404ULL);
+}
+
+TEST(Dataset, NoiseVariatesMatchRecordedDigest) {
+  // The pre-quantisation noise doubles, bit for bit. The digest was
+  // recorded by drawing the same samples' values one at a time with
+  // util::Xoshiro256::normal() (libm's log); the quantised pixels above
+  // hide a one-ulp slip in the generator's log or its draw, this does
+  // not. The last three samples each hold a draw whose log changes when
+  // the fma of glibc's `lo + r2 * A[0]` is split in two, a slip that
+  // moves about one log in 10^7.
+  const SyntheticImageNet data;
+  auto coords = spread_coords();
+  coords.insert(coords.end(), {{0, 1091}, {1, 1351}, {2, 4621}});
+  Digest d;
+  for (const auto& [s, i] : coords) {
+    const std::vector<double> noise = data.noise_variates(s, i);
+    ASSERT_EQ(noise.size(), 3u * 48 * 48);
+    for (const double x : noise) {
+      std::uint64_t u;
+      std::memcpy(&u, &x, sizeof(u));
+      for (int b = 0; b < 64; b += 8) d.byte(static_cast<std::uint8_t>(u >> b));
+    }
+  }
+  EXPECT_EQ(d.h, 0x7d1361bbbf3ed636ULL);
+}
+
+TEST(Dataset, NoiseVariatesAreWhatSampleBlends) {
+  // The seam returns the values sample() quantises: with no signal and
+  // no distractor, each pixel is mid-grey plus sigma times its variate.
+  DatasetConfig cfg = small_config();
+  cfg.blend.signal = 0.0;
+  cfg.blend.distractor = 0.0;
+  const SyntheticImageNet data(cfg);
+  const auto plane = static_cast<std::size_t>(cfg.image_size) *
+                     static_cast<std::size_t>(cfg.image_size);
+  for (const int i : {0, 7, 49}) {
+    const LabeledImage img = data.sample(2, i);
+    const std::vector<double> noise = data.noise_variates(2, i);
+    ASSERT_EQ(noise.size(), 3 * plane);
+    const std::uint8_t* px = img.image.pixels().data();
+    for (std::size_t p = 0; p < plane; ++p) {
+      for (std::size_t ch = 0; ch < 3; ++ch) {
+        const double v = 127.5 + cfg.blend.noise_sigma * noise[ch * plane + p];
+        const auto want = static_cast<std::uint8_t>(
+            std::clamp(v + 0.5, 0.0, 255.0));
+        ASSERT_EQ(px[3 * p + ch], want) << "image " << i << " pixel " << p;
+      }
+    }
+  }
 }
 
 TEST(Dataset, PrototypeBytesMatchRecordedDigest) {

@@ -370,6 +370,104 @@ TEST(Plan, MatchesOracleOnReluMoveGraphs) {
   EXPECT_EQ(Plan<float>(shared, init_msra(shared, 22)).slot_count(), 3);
 }
 
+// --- conv + ReLU fusion (both tiers) -------------------------------------
+
+// A fused run (serial and threaded) against the oracle and against a
+// keep_all_activations run of the same plan, which runs every ReLU on
+// its own.
+template <typename T>
+void fused_run_matches(const Plan<T>& plan, const Weights<T>& w,
+                       const Tensor<T>& in, const std::string& what) {
+  const auto oracle = ncsw::oracle::run_forward(plan.graph(), w, in);
+  ExecOptions keep;
+  keep.threads = 1;
+  keep.keep_all_activations = true;
+  ExecResult<T> kept;
+  plan.run(in, kept, keep);
+  expect_bytes_equal(kept.output, oracle.back(), what + " keep_all");
+  for (const int threads : {1, 4}) {
+    ExecOptions opts;
+    opts.threads = threads;
+    ExecResult<T> r;
+    plan.run(in, r, opts);
+    const std::string at = what + " threads " + std::to_string(threads);
+    expect_bytes_equal(r.output, oracle.back(), at + " vs oracle");
+    expect_bytes_equal(r.output, kept.output, at + " vs keep_all");
+  }
+}
+
+TEST(Plan, FusedReluMatchesOracleAndKeepAllOnTinyGoogLeNet) {
+  const Fig7& f = fig7();
+  const Graph& g = f.bundle->graph;
+  const Plan<float> plan32(g, f.bundle->weights_f32);
+  const Plan<half> plan16(g, f.bundle->weights_f16);
+  // Every conv of the network feeds exactly one ReLU, so all fuse.
+  int convs = 0;
+  for (int id = 0; id < g.size(); ++id) {
+    if (g.layer(id).kind != LayerKind::kConv) continue;
+    ++convs;
+    EXPECT_TRUE(plan32.fuses_relu(id)) << g.layer(id).name;
+    EXPECT_TRUE(plan16.fuses_relu(id)) << g.layer(id).name;
+  }
+  EXPECT_GT(convs, 10);
+  fused_run_matches(plan32, f.bundle->weights_f32, f.batch, "tiny fp32");
+  fused_run_matches(plan16, f.bundle->weights_f16,
+                    ncsw::tensor::tensor_cast<half>(f.batch), "tiny fp16");
+}
+
+TEST(Plan, ConvWithTwoConsumersStaysUnfused) {
+  // conv1 feeds relu1 and conv2: a fused ReLU would hand conv2 clamped
+  // inputs. conv2's only consumer is relu2, which fuses.
+  Graph g("forked");
+  const int in = g.add_input("data", 3, 7, 6);
+  const int c1 = g.add_conv("conv1", in, ConvParams{4, 3, 1, 1});
+  const int r1 = g.add_relu("relu1", c1);
+  const int c2 = g.add_conv("conv2", c1, ConvParams{5, 3, 2, 1});
+  const int r2 = g.add_relu("relu2", c2);
+  const int p1 = g.add_max_pool("pool1", r1, PoolParams{2, 2, 0, true, false});
+  g.add_concat("concat", {p1, r2});
+  const WeightsF w = init_msra(g, 31);
+  const TensorF x = random_input(Shape{2, 3, 7, 6}, 32);
+  const Plan<float> plan32(g, w);
+  const WeightsH wh = to_fp16(w);
+  const Plan<half> plan16(g, wh);
+  EXPECT_FALSE(plan32.fuses_relu(c1));
+  EXPECT_TRUE(plan32.fuses_relu(c2));
+  EXPECT_FALSE(plan16.fuses_relu(c1));
+  EXPECT_TRUE(plan16.fuses_relu(c2));
+  fused_run_matches(plan32, w, x, "forked fp32");
+  fused_run_matches(plan16, wh, ncsw::tensor::tensor_cast<half>(x),
+                    "forked fp16");
+}
+
+TEST(Plan, FusedFp16ReluKeepsABiasedSumThatRoundsToMinusZero) {
+  // Inputs 2^-14, weights -2^-18 and a -0 bias: each accumulator is
+  // -(taps * 2^-32), which rounds to the half -0; -0 + -0 is -0, and the
+  // ReLU, applied after the final rounding, keeps it. A ReLU on the FP32
+  // accumulator would give +0 + -0 = +0 instead.
+  Graph g("minus_zero");
+  const int in = g.add_input("data", 2, 5, 4);
+  const int c = g.add_conv("conv", in, ConvParams{3, 3, 1, 1});
+  g.add_relu("relu", c);
+  WeightsH w = to_fp16(init_msra(g, 41));
+  auto& p = w["conv"];
+  for (std::int64_t i = 0; i < p.w.numel(); ++i) {
+    p.w[i] = half(-0x1p-18f);
+  }
+  for (std::int64_t i = 0; i < p.b.numel(); ++i) p.b[i] = half(-0.0f);
+  Tensor<half> x(Shape{2, 2, 5, 4});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = half(0x1p-14f);
+  const Plan<half> plan(g, w);
+  ASSERT_TRUE(plan.fuses_relu(c));
+  fused_run_matches(plan, w, x, "minus zero");
+  ExecOptions serial;
+  serial.threads = 1;
+  const Tensor<half> out = plan.run(x, serial).output;
+  for (std::int64_t i = 0; i < out.numel(); ++i) {
+    ASSERT_EQ(out[i].bits(), 0x8000u) << "element " << i;
+  }
+}
+
 TEST(Plan, RunningTwiceGivesIdenticalBytes) {
   const Fig7& f = fig7();
   const Plan<half> plan(f.bundle->graph, f.bundle->weights_f16);

@@ -445,6 +445,70 @@ TEST(HalfSpan, EncodeMatchesScalarOnRandomNumerics) {
   expect_encode_matches_at_offsets(src);
 }
 
+// The exact FP16 layer epilogue, element by element through the scalar
+// converters: round, widen, add the bias, round, then (relu) the half
+// bit test on the final value.
+std::uint16_t round_bias_round_ref(float acc, float bias, bool relu) {
+  const float sum = half_bits_to_float(float_to_half_bits(acc)) + bias;
+  const std::uint16_t h = float_to_half_bits(sum);
+  return relu && h > 0x8000u && h <= 0xfc00u ? std::uint16_t{0} : h;
+}
+
+TEST(HalfSpan, RoundBiasRoundMatchesScalar) {
+  // Accumulators: random magnitudes, every half value widened (so the
+  // first rounding is exact), ties, +-0, +-inf and NaNs in every lane of
+  // some blocks. Biases include -0, a value that cancels to -0 and +0,
+  // +-inf (inf - inf is a NaN born in the sum) and NaN. Odd starts and
+  // lengths put every element in a vector block and in a tail.
+  std::vector<float> acc;
+  ncsw::util::Xoshiro256 rng(97);
+  for (int i = 0; i < 2048; ++i) {
+    acc.push_back(static_cast<float>(rng.uniform(-70000.0, 70000.0)));
+    acc.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)) * 1e-7f);
+  }
+  for (std::uint32_t b = 0; b < 65536; b += 7) {
+    acc.push_back(half_bits_to_float(static_cast<std::uint16_t>(b)));
+  }
+  for (const float s : {0.0f, -0.0f, -0x1p-28f, 0x1p-28f, 65520.0f,
+                        -65520.0f, std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()}) {
+    acc.push_back(s);
+  }
+  for (std::size_t i = 0; i < 40; i += 3) {
+    acc[100 + i * 9] = float_of(kFloatNaNs[i % std::size(kFloatNaNs)]);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float biases[] = {0.0f, -0.0f, 0.5f, -1.25f, 6.1e-5f, inf, -inf, nan};
+  std::vector<half> got(acc.size());
+  for (const float bias : biases) {
+    for (const bool relu : {false, true}) {
+      for (const std::size_t start : {std::size_t{0}, std::size_t{3}}) {
+        const std::size_t n = acc.size() - start - 5;
+        ncsw::fp16::round_bias_round_span(acc.data() + start, bias,
+                                          got.data(), n, relu);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float a = acc[start + i];
+          if (std::isnan(a) && std::isnan(bias)) {
+            // Which of two NaNs an add returns depends on the operand
+            // order the compiler picked; only NaN-ness is specified.
+            ASSERT_TRUE(got[i].is_nan()) << "at " << start + i;
+            continue;
+          }
+          ASSERT_EQ(got[i].bits(), round_bias_round_ref(a, bias, relu))
+              << "acc " << a << " bias " << bias << " relu " << relu
+              << " at " << start + i;
+        }
+      }
+    }
+  }
+  // A sum that rounds to -0 keeps its sign through the ReLU.
+  const float tiny = -0x1p-28f;
+  half out;
+  ncsw::fp16::round_bias_round_span(&tiny, -0.0f, &out, 1, true);
+  EXPECT_EQ(out.bits(), 0x8000u);
+}
+
 // Every one of the 2^32 float bit patterns through float_to_half_span
 // against float_to_half_bits, split across threads. Each thread encodes
 // its range in spans of 4093 (odd, so the 8-lane blocks drift against

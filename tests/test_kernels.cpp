@@ -442,18 +442,18 @@ TEST(KernelBitIdentity, Conv2dAllConfigsBothPrecisions) {
 }
 
 // The exact tier feeds a 1x1 stride-1 unpadded conv's input straight to
-// the GEMM; strided or padded 1x1s and larger kernels go through im2col.
-// Run a sequence of both through one workspace, so a conv after the
-// direct path sees an im2col panel it never grew, and compare each
+// the GEMM; strided or padded 1x1s and larger kernels build shifted
+// planes. Run a sequence of both through one workspace, so a conv after
+// the direct path sees a plane arena it never grew, and compare each
 // result with the oracle kernel byte for byte.
 template <typename T>
 void pointwise_sequence_case(int batch, int threads) {
   const ConvCase seq[] = {
       {6, 7, 9, 5, 1, 1, 0, batch},  // direct
       {5, 7, 9, 4, 3, 1, 1, batch},  // 3x3 right after the direct 1x1
-      {6, 7, 9, 5, 1, 2, 0, batch},  // strided 1x1: im2col
-      {6, 7, 9, 5, 1, 1, 1, batch},  // padded 1x1: im2col
-      {8, 5, 6, 3, 1, 1, 0, batch},  // direct again, over a grown panel
+      {6, 7, 9, 5, 1, 2, 0, batch},  // strided 1x1: planes
+      {6, 7, 9, 5, 1, 1, 1, batch},  // padded 1x1: planes
+      {8, 5, 6, 3, 1, 1, 0, batch},  // direct again, over grown planes
   };
   kernels::Workspace ws;
   std::uint64_t seed = 7000;
@@ -478,9 +478,114 @@ TEST(KernelBitIdentity, Conv2dPointwiseDirectAndIm2colPaths) {
   }
 }
 
-TEST(Conv, PointwiseConvSkipsTheIm2colPanel) {
+// --- conv geometry sweep ---------------------------------------------------
+// The shifted planes and their row table (kernels::ConvOperand) against
+// the oracle's im2col conv, byte for byte: kernels 1..5 and 7, strides
+// 1..3 (so 1, 2 or 3 stride phases, and more phases than kernel columns
+// for small kernels), every pad below the kernel, on odd, non-square,
+// narrow (ow < 4) and wide (ow = 19) maps and a 5x5/p2 window on a 4x4
+// map. Each geometry runs unfused and with a fused ReLU, in both
+// precisions, at 1, 3 and 4 threads and batch 1 and 3, all through one
+// workspace, so a plane or padding border left by an earlier geometry
+// would show.
+
+// make_conv() plus special values. Input channel 0 holds NaNs, +-inf
+// (`with_inf`) and +-0 at every third position; the even output channels
+// have exact-zero weights on channel 0 (one of them -0), so their outputs
+// stay finite only if the GEMM still skips those terms (0 * inf and
+// 0 * NaN are NaN). Every seventh value of the other channels is +-0.
+//
+// Each fixture holds one NaN pattern: `nan` itself, and with infinities
+// only x86's default NaN (-qNaN), the one inf - inf produces. When two
+// NaNs of different sign meet in one sum, which one survives depends on
+// the operand order the compiler gave each add, and the oracle's scalar
+// loop and the GEMM's vector tiles do not agree on it (CHANGES.md).
+template <typename T>
+ConvFixture<T> special_conv(const ConvCase& c, std::uint64_t seed, float nan,
+                            bool with_inf) {
+  ConvFixture<T> f = make_conv<T>(c, seed);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, with_inf ? inf : nan, 0.0f,
+                            nan, with_inf ? -inf : nan, -0.0f};
+  const std::int64_t hw = static_cast<std::int64_t>(c.h) * c.w;
+  for (std::int64_t b = 0; b < c.batch; ++b) {
+    T* item = f.in.batch_ptr(b);
+    for (std::int64_t i = 0; i < hw; i += 3) {
+      item[i] = ncsw::tensor::scalar_cast<T>(specials[(i / 3 + b) % 6]);
+    }
+    for (std::int64_t i = hw; i < c.in_c * hw; i += 7) {
+      item[i] = ncsw::tensor::scalar_cast<T>(i % 2 == 0 ? 0.0f : -0.0f);
+    }
+  }
+  const std::int64_t kk = static_cast<std::int64_t>(c.kernel) * c.kernel;
+  for (std::int64_t oc = 0; oc < c.out_c; oc += 2) {
+    T* w = f.p.w.data() + oc * c.in_c * kk;
+    for (std::int64_t i = 0; i < kk; ++i) {
+      w[i] = ncsw::tensor::scalar_cast<T>(i == 1 ? -0.0f : 0.0f);
+    }
+  }
+  return f;
+}
+
+template <typename T>
+void conv_sweep_case(const ConvFixture<T>& f, kernels::Workspace& ws) {
+  Tensor<T> ref, ref_relu;
+  ncsw::oracle::conv2d(f.in, f.p, f.cp, ref);
+  ref_relu = ref;
+  ncsw::oracle::relu(ref_relu);
+  const kernels::LayerWeights lw(f.p);
+  const kernels::ConvOperand op(f.in.shape(), f.cp);
+  for (const int threads : {1, 3, 4}) {
+    for (const bool fuse : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (std::is_same_v<T, float> ? "fp32" : "fp16")
+                   << " threads " << threads << " relu " << fuse);
+      Tensor<T> got;
+      kernels::conv2d(f.in, lw, op, fuse, got, threaded_ctx(ws, threads));
+      expect_bytes_equal(got, fuse ? ref_relu : ref, "conv2d");
+    }
+  }
+}
+
+TEST(KernelBitIdentity, Conv2dGeometrySweep) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  struct Map {
+    int h, w;
+  };
+  // Odd, non-square, narrow and wide maps, and TinyGoogLeNet's 4x4.
+  const Map maps[] = {{9, 7}, {5, 11}, {4, 4}, {3, 2}, {6, 19}};
+  kernels::Workspace ws;
+  std::uint64_t seed = 11000;
+  int geometries = 0;
+  for (const int k : {1, 2, 3, 4, 5, 7}) {
+    for (const int s : {1, 2, 3}) {
+      for (int pad = 0; pad < k; ++pad) {
+        for (const Map& m : maps) {
+          if (m.h + 2 * pad < k || m.w + 2 * pad < k) continue;
+          ++geometries;
+          for (const int batch : {1, 3}) {
+            const ConvCase c{3, m.h, m.w, 5, k, s, pad, batch};
+            SCOPED_TRACE(::testing::Message()
+                         << m.h << "x" << m.w << " k" << k << " s" << s
+                         << " p" << pad << " batch " << batch);
+            for (const bool with_inf : {true, false}) {
+              const float nan = with_inf ? -kNaN : kNaN;
+              conv_sweep_case(special_conv<float>(c, seed, nan, with_inf), ws);
+              conv_sweep_case(special_conv<half>(c, seed, nan, with_inf), ws);
+            }
+            seed += 10;
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(geometries, 250);
+}
+
+TEST(Conv, PointwiseConvSkipsThePlaneArena) {
   // An FP32 1x1/s1/p0 conv reads its input in place, so it leaves every
-  // workspace arena empty; the same conv at stride 2 needs the panel.
+  // workspace arena empty; the same conv at stride 2 builds planes.
   const ConvFixture<float> f = make_conv<float>({6, 7, 9, 5, 1, 1, 0, 2}, 9000);
   kernels::Workspace ws;
   TensorF out;

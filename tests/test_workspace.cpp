@@ -68,11 +68,11 @@ void expect_bytes_equal(const Tensor<T>& a, const Tensor<T>& b,
 TEST(Workspace, CapacityGrowsMonotonicallyAcrossHeterogeneousLayers) {
   kernels::Workspace ws;
   EXPECT_EQ(ws.capacity_bytes(), 0u);
-  ws.col(1000);
+  ws.planes(1000);
   const std::size_t after_big = ws.capacity_bytes();
   EXPECT_GE(after_big, 1000 * sizeof(float));
   // A smaller request must not shrink anything.
-  ws.col(10);
+  ws.planes(10);
   EXPECT_EQ(ws.capacity_bytes(), after_big);
   ws.acts(500);
   ws.out(200);
