@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "core/application.h"
 #include "core/host_target.h"
 #include "core/model.h"
 #include "core/stick_fleet.h"
 #include "core/vpu_target.h"
 #include "dataset/synthetic.h"
 #include "half/half.h"
+#include "imgproc/ops.h"
 #include "imgproc/ppm.h"
 #include "mvnc/mvnc.h"
 #include "mvnc/sim_host.h"
@@ -105,6 +105,20 @@ void set_gemm_counters(benchmark::State& state, std::int64_t m,
       benchmark::Counter::kIsRate);
 }
 
+// The variant a benchmark's `isa` argument names (0 base, 1 x86-64-v3,
+// 2 x86-64-v4), or false (the benchmark skipped with an error) when the
+// host cannot run it.
+bool pinned_isa(benchmark::State& state, std::int64_t arg,
+                ncsw::util::IsaLevel& isa) {
+  using ncsw::util::IsaLevel;
+  isa = arg == 0 ? IsaLevel::kBase : arg == 1 ? IsaLevel::kV3 : IsaLevel::kV4;
+  if (isa > ncsw::util::isa_level()) {
+    state.SkipWithError("host isa_level cannot run this variant");
+    return false;
+  }
+  return true;
+}
+
 void BM_GemmF32(benchmark::State& state) {
   const auto m = state.range(0), n = state.range(1), k = state.range(2);
   const auto a = gemm_operand(m * k, 1, 0.05);
@@ -131,17 +145,12 @@ void exact_variant_args(benchmark::internal::Benchmark* b) {
 
 void BM_GemmF32Exact(benchmark::State& state) {
   using ncsw::util::IsaLevel;
-  const auto isa = state.range(0);
+  IsaLevel isa;
+  if (!pinned_isa(state, state.range(0), isa)) return;
   const auto m = state.range(1), n = state.range(2), k = state.range(3);
-  const IsaLevel host = ncsw::util::isa_level();
-  if ((isa == 1 && host == IsaLevel::kBase) ||
-      (isa == 2 && host != IsaLevel::kV4)) {
-    state.SkipWithError("host isa_level cannot run this variant");
-    return;
-  }
-  const auto fn = isa == 0   ? ncsw::tensor::detail::gemm_f32_base
-                  : isa == 1 ? ncsw::tensor::detail::gemm_f32_v3
-                             : ncsw::tensor::detail::gemm_f32_v4;
+  const auto fn = isa == IsaLevel::kBase ? ncsw::tensor::detail::gemm_f32_base
+                  : isa == IsaLevel::kV3 ? ncsw::tensor::detail::gemm_f32_v3
+                                         : ncsw::tensor::detail::gemm_f32_v4;
   const auto a = gemm_operand(m * k, 1, 0.05);
   const auto b = gemm_operand(k * n, 2, 0.0);
   std::vector<float> c(static_cast<std::size_t>(m * n));
@@ -262,16 +271,15 @@ BENCHMARK(BM_Conv2dExact)->Apply(conv_shape_args);
 
 // Max pool (one thread) at TinyGoogLeNet's five pool layers: pool1 and
 // pool3 (3x3/s2, ceil) and the inception pool branches (3x3/s1/p1) on
-// the 8x8 and 4x4 maps. Args: channels, map size, stride, pad, FP16.
+// the 8x8 and 4x4 maps, per variant (isa, as BM_GemmF32Exact). Args:
+// isa, channels, map size, stride, pad, FP16.
 void pool_shape_args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"C", "H", "s", "p", "fp16"});
-  for (const int fp16 : {0, 1}) {
-    for (const auto& s : {std::array<std::int64_t, 4>{16, 16, 2, 0},
-                          std::array<std::int64_t, 4>{32, 8, 1, 1},
-                          std::array<std::int64_t, 4>{40, 8, 1, 1},
-                          std::array<std::int64_t, 4>{56, 8, 2, 0},
-                          std::array<std::int64_t, 4>{56, 4, 1, 1}}) {
-      b->Args({s[0], s[1], s[2], s[3], fp16});
+  b->ArgNames({"isa", "C", "H", "s", "p", "fp16"});
+  const std::array<std::int64_t, 4> shapes[] = {
+      {16, 16, 2, 0}, {32, 8, 1, 1}, {40, 8, 1, 1}, {56, 8, 2, 0}, {56, 4, 1, 1}};
+  for (const std::int64_t isa : {0, 1, 2}) {
+    for (const int fp16 : {0, 1}) {
+      for (const auto& s : shapes) b->Args({isa, s[0], s[1], s[2], s[3], fp16});
     }
   }
 }
@@ -279,16 +287,18 @@ void pool_shape_args(benchmark::internal::Benchmark* b) {
 template <typename T>
 void run_max_pool(benchmark::State& state) {
   using namespace ncsw::nn;
-  const auto c = state.range(0), h = state.range(1);
-  const PoolParams pp{3, static_cast<int>(state.range(2)),
-                      static_cast<int>(state.range(3)), true, false};
+  ncsw::util::IsaLevel isa;
+  if (!pinned_isa(state, state.range(0), isa)) return;
+  const auto c = state.range(1), h = state.range(2);
+  const PoolParams pp{3, static_cast<int>(state.range(3)),
+                      static_cast<int>(state.range(4)), true, false};
   const auto in = operand_tensor<T>(Shape{1, c, h, h}, 6, 0.3);
   ncsw::tensor::Tensor<T> out;
   kernels::Workspace ws;
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
   for (auto _ : state) {
-    kernels::max_pool(in, pp, out, ctx);
+    kernels::detail::max_pool(in, pp, out, ctx, isa);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -296,7 +306,7 @@ void run_max_pool(benchmark::State& state) {
 }
 
 void BM_MaxPool(benchmark::State& state) {
-  if (state.range(4) != 0) {
+  if (state.range(5) != 0) {
     run_max_pool<half>(state);
   } else {
     run_max_pool<float>(state);
@@ -305,19 +315,23 @@ void BM_MaxPool(benchmark::State& state) {
 BENCHMARK(BM_MaxPool)->Apply(pool_shape_args);
 
 // Exact LRN (one thread) at TinyGoogLeNet's two norms: pool1/norm1 on
-// 16 x 8 x 8 and conv2/norm2 on 32 x 8 x 8. The inputs are post-ReLU,
-// with 40% exact zeros. Args: channels, map size, FP16.
+// 16 x 8 x 8 and conv2/norm2 on 32 x 8 x 8, per variant. The inputs are
+// post-ReLU, with 40% exact zeros. Args: isa, channels, map size, FP16.
 void lrn_shape_args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"C", "H", "fp16"});
-  for (const int fp16 : {0, 1}) {
-    for (const std::int64_t c : {16, 32}) b->Args({c, 8, fp16});
+  b->ArgNames({"isa", "C", "H", "fp16"});
+  for (const std::int64_t isa : {0, 1, 2}) {
+    for (const int fp16 : {0, 1}) {
+      for (const std::int64_t c : {16, 32}) b->Args({isa, c, 8, fp16});
+    }
   }
 }
 
 template <typename T>
 void run_lrn(benchmark::State& state) {
   using namespace ncsw::nn;
-  const auto c = state.range(0), h = state.range(1);
+  ncsw::util::IsaLevel isa;
+  if (!pinned_isa(state, state.range(0), isa)) return;
+  const auto c = state.range(1), h = state.range(2);
   const auto in = operand_tensor<T>(Shape{1, c, h, h}, 7, 0.4);
   const LRNParams lp{5, 1e-4f, 0.75f, 1.0f};
   ncsw::tensor::Tensor<T> out;
@@ -325,7 +339,7 @@ void run_lrn(benchmark::State& state) {
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
   for (auto _ : state) {
-    kernels::lrn(in, lp, out, ctx);
+    kernels::detail::lrn(in, lp, out, ctx, isa);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -333,7 +347,7 @@ void run_lrn(benchmark::State& state) {
 }
 
 void BM_Lrn(benchmark::State& state) {
-  if (state.range(2) != 0) {
+  if (state.range(3) != 0) {
     run_lrn<half>(state);
   } else {
     run_lrn<float>(state);
@@ -509,19 +523,23 @@ void BM_ClusterRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterRun)->Unit(benchmark::kMillisecond);
 
+// One generated 48 x 48 sample, per variant of its factor and pixel
+// passes (isa, as BM_GemmF32Exact).
 void BM_DatasetSample(benchmark::State& state) {
+  ncsw::util::IsaLevel isa;
+  if (!pinned_isa(state, state.range(0), isa)) return;
   ncsw::dataset::DatasetConfig cfg;
   cfg.num_classes = 50;
   cfg.image_size = 48;
   const ncsw::dataset::SyntheticImageNet data(cfg);
   int i = 0;
   for (auto _ : state) {
-    auto s = data.sample(0, i++ % cfg.images_per_subset);
+    auto s = data.sample(0, i++ % cfg.images_per_subset, isa);
     benchmark::DoNotOptimize(s.image.pixels().data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DatasetSample);
+BENCHMARK(BM_DatasetSample)->ArgName("isa")->Arg(0)->Arg(1)->Arg(2);
 
 // The libm calls of Fig. 7's host path, as a plain libm loop (port:0)
 // and through util::libm_span (port:1, the vector port on x86-64-v4
@@ -575,20 +593,21 @@ void BM_LogSpan(benchmark::State& state) {
 BENCHMARK(BM_LogSpan)->ArgName("port")->Arg(0)->Arg(1);
 
 // Fig. 7's host preprocessing of one generated 48 x 48 image for the
-// 32 x 32 network input: bilinear resize, CHW layout, means subtracted.
+// 32 x 32 network input (core::Preprocessor's fused resize): bilinear
+// resize, CHW layout, means subtracted, per variant (isa).
 void BM_Preprocess(benchmark::State& state) {
+  ncsw::util::IsaLevel isa;
+  if (!pinned_isa(state, state.range(0), isa)) return;
   const ncsw::dataset::SyntheticImageNet data;
   const auto img = data.sample(0, 0).image;
-  ncsw::core::Preprocessor prep;
-  prep.input_size = 32;
-  prep.means = data.means();
   for (auto _ : state) {
-    auto t = prep(img);
+    auto t = ncsw::imgproc::detail::resize_to_tensor_f32(img, 32, 32,
+                                                         data.means(), isa);
     benchmark::DoNotOptimize(t.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Preprocess);
+BENCHMARK(BM_Preprocess)->ArgName("isa")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PpmRoundTrip(benchmark::State& state) {
   ncsw::dataset::SyntheticImageNet data;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/libm_span.h"
+#include "util/multiversion.h"
 #include "util/rng.h"
 
 namespace ncsw::dataset {
@@ -45,7 +46,7 @@ double wave_value(const Wave w[kWaves], double u, double v) {
   return s / norm;  // in [-1, 1]
 }
 
-std::uint8_t clamp_pixel(double v) {
+NCSW_FAST_INLINE std::uint8_t clamp_pixel(double v) {
   return static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
 }
 
@@ -57,12 +58,34 @@ std::pair<int, int> draw_classes(util::Xoshiro256& rng, int num_classes) {
   return {label, distractor};
 }
 
+// The polar pairs' factors sqrt(-2 log(s) / s), each scaling its pair
+// (uv interleaved, one s and log s per pair).
+struct ScalePairsArgs {
+  double* uv;
+  const double* s;
+  const double* log_s;
+  std::size_t pairs;
+};
+
+struct ScalePairs {
+  using Args = ScalePairsArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::size_t k = 0; k < a.pairs; ++k) {
+      const double factor = std::sqrt(-2.0 * a.log_s[k] / a.s[k]);
+      a.uv[2 * k] *= factor;
+      a.uv[2 * k + 1] *= factor;
+    }
+  }
+};
+
 // n standard normal variates, drawn exactly as util::Xoshiro256::normal()
 // would draw them one at a time (Marsaglia's polar method, each accepted
 // pair used u first, then v), in three passes over this thread's scratch
 // instead of one call per value, so no pass waits on the reject branch.
-// Returns the scratch, valid until the thread's next call.
-const double* draw_normals(util::Xoshiro256& rng, std::size_t n) {
+// The factor pass runs at `isa`. Returns the scratch, valid until the
+// thread's next call.
+const double* draw_normals(util::Xoshiro256& rng, std::size_t n,
+                           util::IsaLevel isa) {
   const std::size_t pairs = (n + 1) / 2;
   thread_local std::vector<double> scratch;
   // uv: the accepted pairs, interleaved; s and log_s: one per pair.
@@ -87,13 +110,35 @@ const double* draw_normals(util::Xoshiro256& rng, std::size_t n) {
   // own algorithm at vector width where the host has it), then
   // sqrt(-2 log(s) / s) scales the pair.
   util::log_span(s, log_s, pairs);
-  for (std::size_t k = 0; k < pairs; ++k) {
-    const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
-    uv[2 * k] *= factor;
-    uv[2 * k + 1] *= factor;
-  }
+  util::isa_variant<ScalePairs>(isa)(ScalePairsArgs{uv, s, log_s, pairs});
   return uv;
 }
+
+// The pixels: the blend in normal()'s term order (mean 0.0 plus sigma
+// times the variate), quantised and interleaved into RGB. The noise and
+// both wave planes are [channel][y][x].
+struct BlendPixelsArgs {
+  std::uint8_t* px;
+  const double* noise;
+  const double* wl;  // the label's wave planes
+  const double* wd;  // the distractor's
+  std::size_t plane;
+  double signal, distractor, sigma;
+};
+
+struct BlendPixels {
+  using Args = BlendPixelsArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::size_t i = 0; i < a.plane; ++i) {
+      for (std::size_t ch = 0; ch < 3; ++ch) {
+        const std::size_t j = ch * a.plane + i;
+        const double noise = 0.0 + a.sigma * a.noise[j];
+        a.px[3 * i + ch] = clamp_pixel(kMid + a.signal * a.wl[j] +
+                                       a.distractor * a.wd[j] + noise);
+      }
+    }
+  }
+};
 }  // namespace
 
 BlendParams default_blend() noexcept { return BlendParams{}; }
@@ -171,6 +216,11 @@ int SyntheticImageNet::label_of(int subset, int index) const {
 }
 
 LabeledImage SyntheticImageNet::sample(int subset, int index) const {
+  return sample(subset, index, util::isa_level());
+}
+
+LabeledImage SyntheticImageNet::sample(int subset, int index,
+                                       util::IsaLevel isa) const {
   check_coords(subset, index);
   util::Xoshiro256 rng(sample_key(subset, index));
   const auto [label, distractor] = draw_classes(rng, config_.num_classes);
@@ -186,36 +236,27 @@ LabeledImage SyntheticImageNet::sample(int subset, int index) const {
   // Noise: one normal variate per channel value, in [channel][y][x]
   // order.
   const auto plane = static_cast<std::size_t>(size) * size;
-  const double* uv = draw_normals(rng, 3 * plane);
-
-  // Pixels: the blend in normal()'s term order (mean 0.0 plus sigma
-  // times the variate), quantised and interleaved into RGB. The blend
-  // weights are locals: the byte stores could alias config_.
-  const double signal = config_.blend.signal;
-  const double distractor_w = config_.blend.distractor;
-  const double sigma = config_.blend.noise_sigma;
-  const double* wl = planes(label);
-  const double* wd = planes(distractor);
-  std::uint8_t* px = out.image.pixels().data();
-  for (std::size_t i = 0; i < plane; ++i) {
-    for (std::size_t ch = 0; ch < 3; ++ch) {
-      const std::size_t j = ch * plane + i;
-      const double noise = 0.0 + sigma * uv[j];
-      px[3 * i + ch] = clamp_pixel(kMid + signal * wl[j] +
-                                   distractor_w * wd[j] + noise);
-    }
-  }
+  const double* uv = draw_normals(rng, 3 * plane, isa);
+  util::isa_variant<BlendPixels>(isa)(BlendPixelsArgs{
+      out.image.pixels().data(), uv, planes(label), planes(distractor), plane,
+      config_.blend.signal, config_.blend.distractor,
+      config_.blend.noise_sigma});
   return out;
 }
 
 std::vector<double> SyntheticImageNet::noise_variates(int subset,
                                                       int index) const {
+  return noise_variates(subset, index, util::isa_level());
+}
+
+std::vector<double> SyntheticImageNet::noise_variates(
+    int subset, int index, util::IsaLevel isa) const {
   check_coords(subset, index);
   util::Xoshiro256 rng(sample_key(subset, index));
   draw_classes(rng, config_.num_classes);
   const auto n = 3 * static_cast<std::size_t>(config_.image_size) *
                  static_cast<std::size_t>(config_.image_size);
-  const double* uv = draw_normals(rng, n);
+  const double* uv = draw_normals(rng, n, isa);
   return std::vector<double>(uv, uv + n);
 }
 

@@ -34,6 +34,7 @@
 #include "imgproc/image.h"
 #include "imgproc/ops.h"
 #include "tensor/tensor.h"
+#include "util/multiversion.h"
 
 namespace ncsw::dataset {
 
@@ -93,11 +94,21 @@ class SyntheticImageNet {
   /// Generate sample (subset, index).
   LabeledImage sample(int subset, int index) const;
 
+  /// The same sample with the generator's factor and pixel passes
+  /// compiled for `isa` (at most util::isa_level(); the same bytes at
+  /// every level). sample(subset, index) passes util::isa_level(); tests
+  /// and micro benchmarks pin each level with this.
+  LabeledImage sample(int subset, int index, util::IsaLevel isa) const;
+
   /// The standard normal variates sample(subset, index) blends in
   /// (scaled by noise_sigma), [channel][y][x], before quantisation. A
   /// test seam: the 8-bit pixels hide a one-ulp slip in the draw or its
   /// log, these doubles do not.
   std::vector<double> noise_variates(int subset, int index) const;
+
+  /// noise_variates with the factor pass compiled for `isa`, as above.
+  std::vector<double> noise_variates(int subset, int index,
+                                     util::IsaLevel isa) const;
 
   /// Preprocess an image for a network with square input `input_size`:
   /// bilinear resize + CHW float tensor with dataset means subtracted.

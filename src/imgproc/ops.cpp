@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/multiversion.h"
+
 namespace ncsw::imgproc {
 
 namespace {
@@ -44,65 +46,120 @@ void check_resize(const Image& src, int out_w, int out_h) {
 // maps to the same byte (a blend of bytes keeps h within about
 // [0.5, 255.5]). The integer form has no branch, so the row loops below
 // vectorise; GCC leaves the float clamp's selects unvectorised.
-inline int quantise(float v) {
+NCSW_FAST_INLINE int quantise(float v) {
   const int q = static_cast<int>(v + 0.5f);
   const int lo = q < 0 ? 0 : q;
   return lo > 255 ? 255 : lo;
 }
 
-// Bilinear resize of `src` to (out_w, out_h): calls store(x, y, c, q)
-// with every output pixel's quantised channel value (0..255), row by
-// row. The horizontal blend of a source row (`top` and `bot` below,
-// [c][x]) is computed once and reused by every output row it feeds;
-// each value is the same float expression per pixel as a
+// One source row's horizontal blend at every output column, [c][x].
+NCSW_FAST_INLINE void blend_row(const std::uint8_t* row, const Tap* xs,
+                                std::size_t w, float* dst) {
+  for (std::size_t x = 0; x < w; ++x) {
+    const Tap& tx = xs[x];
+    const std::uint8_t* p0 = row + static_cast<std::size_t>(tx.i0) * 3;
+    const std::uint8_t* p1 = row + static_cast<std::size_t>(tx.i1) * 3;
+    for (std::size_t c = 0; c < 3; ++c) {
+      dst[c * w + x] = static_cast<float>(p0[c]) * tx.w0 +
+                       static_cast<float>(p1[c]) * tx.w;
+    }
+  }
+}
+
+// A bilinear resize of src (RGB, `stride` bytes a row) to out_w x out_h,
+// given both axes' taps and 6 * out_w floats of scratch.
+struct BilinearArgs {
+  const std::uint8_t* px;
+  std::size_t stride;
+  const Tap* xs;
+  const Tap* ys;
+  int out_w, out_h;
+  float* rows;
+};
+
+// Calls store(x, y, c, q) with every output pixel's quantised channel
+// value (0..255), row by row. The horizontal blend of a source row
+// (`top` and `bot` below) is computed once and reused by every output
+// row it feeds; each value is the same float expression per pixel as a
 // one-pixel-at-a-time resize.
 template <typename Store>
-void bilinear(const Image& src, int out_w, int out_h, const Store& store) {
-  const std::vector<Tap> xs = axis_taps(src.width(), out_w);
-  const std::vector<Tap> ys = axis_taps(src.height(), out_h);
-  const std::uint8_t* px = src.pixels().data();
-  const auto stride = static_cast<std::size_t>(src.width()) * 3;
-  const auto w = static_cast<std::size_t>(out_w);
-  const auto blend_row = [&](int r, float* dst) {
-    const std::uint8_t* row = px + static_cast<std::size_t>(r) * stride;
-    for (std::size_t x = 0; x < w; ++x) {
-      const Tap& tx = xs[x];
-      const std::uint8_t* p0 = row + static_cast<std::size_t>(tx.i0) * 3;
-      const std::uint8_t* p1 = row + static_cast<std::size_t>(tx.i1) * 3;
-      for (std::size_t c = 0; c < 3; ++c) {
-        dst[c * w + x] = static_cast<float>(p0[c]) * tx.w0 +
-                         static_cast<float>(p1[c]) * tx.w;
-      }
-    }
-  };
-  std::vector<float> rows(6 * w);
-  float* top = rows.data();
+NCSW_FAST_INLINE void bilinear(const BilinearArgs& a, const Store& store) {
+  const auto w = static_cast<std::size_t>(a.out_w);
+  float* top = a.rows;
   float* bot = top + 3 * w;
   int top_row = -1, bot_row = -1;
-  for (int y = 0; y < out_h; ++y) {
-    const Tap& ty = ys[static_cast<std::size_t>(y)];
+  for (int y = 0; y < a.out_h; ++y) {
+    const Tap& ty = a.ys[y];
     if (ty.i0 != top_row) {
       if (ty.i0 == bot_row) {
         std::swap(top, bot);
         std::swap(top_row, bot_row);
       } else {
-        blend_row(ty.i0, top);
+        blend_row(a.px + static_cast<std::size_t>(ty.i0) * a.stride, a.xs, w,
+                  top);
         top_row = ty.i0;
       }
     }
     if (ty.i1 != bot_row) {
-      blend_row(ty.i1, bot);
+      blend_row(a.px + static_cast<std::size_t>(ty.i1) * a.stride, a.xs, w,
+                bot);
       bot_row = ty.i1;
     }
     for (int c = 0; c < 3; ++c) {
       const float* t = top + static_cast<std::size_t>(c) * w;
       const float* b = bot + static_cast<std::size_t>(c) * w;
-      for (int x = 0; x < out_w; ++x) {
+      for (int x = 0; x < a.out_w; ++x) {
         store(x, y, c, quantise(t[x] * ty.w0 + b[x] * ty.w));
       }
     }
   }
 }
+
+// The taps and scratch of a resize of src to (out_w, out_h).
+struct Resize {
+  std::vector<Tap> xs, ys;
+  std::vector<float> rows;
+  Resize(const Image& src, int out_w, int out_h)
+      : xs(axis_taps(src.width(), out_w)),
+        ys(axis_taps(src.height(), out_h)),
+        rows(6 * static_cast<std::size_t>(out_w)) {}
+  BilinearArgs args(const Image& src, int out_w, int out_h) {
+    return BilinearArgs{src.pixels().data(),
+                        static_cast<std::size_t>(src.width()) * 3,
+                        xs.data(),
+                        ys.data(),
+                        out_w,
+                        out_h,
+                        rows.data()};
+  }
+};
+
+// resize_to_tensor_f32's resize, writing q - mean[c] into the CHW tensor.
+struct ResizeToTensorArgs {
+  BilinearArgs resize;
+  float* dst;
+  float mean[3];
+};
+
+struct ResizeToTensor {
+  using Args = ResizeToTensorArgs;
+  struct Store {
+    float* dst;
+    const float* mean;
+    std::size_t plane, out_w;
+    NCSW_FAST_INLINE void operator()(int x, int y, int c, int q) const {
+      dst[static_cast<std::size_t>(c) * plane +
+          static_cast<std::size_t>(y) * out_w + static_cast<std::size_t>(x)] =
+          static_cast<float>(q) - mean[c];
+    }
+  };
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    const auto out_w = static_cast<std::size_t>(a.resize.out_w);
+    bilinear(a.resize, Store{a.dst, a.mean,
+                             out_w * static_cast<std::size_t>(a.resize.out_h),
+                             out_w});
+  }
+};
 
 }  // namespace
 
@@ -110,7 +167,8 @@ Image resize_bilinear(const Image& src, int out_w, int out_h) {
   check_resize(src, out_w, out_h);
   if (out_w == src.width() && out_h == src.height()) return src;
   Image dst(out_w, out_h);
-  bilinear(src, out_w, out_h, [&](int x, int y, int c, int q) {
+  Resize r(src, out_w, out_h);
+  bilinear(r.args(src, out_w, out_h), [&](int x, int y, int c, int q) {
     dst.at(x, y, c) = static_cast<std::uint8_t>(q);
   });
   return dst;
@@ -118,21 +176,27 @@ Image resize_bilinear(const Image& src, int out_w, int out_h) {
 
 tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
                                      const ChannelMeans& means) {
+  return detail::resize_to_tensor_f32(src, out_w, out_h, means,
+                                      util::isa_level());
+}
+
+namespace detail {
+
+tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
+                                     const ChannelMeans& means,
+                                     util::IsaLevel isa) {
   check_resize(src, out_w, out_h);
   if (out_w == src.width() && out_h == src.height()) {
     return to_tensor_f32(src, means);
   }
   tensor::TensorF t(tensor::Shape{1, 3, out_h, out_w});
-  const float mean[3] = {means.r, means.g, means.b};
-  float* dst = t.data();
-  const auto plane = static_cast<std::size_t>(out_w) * out_h;
-  bilinear(src, out_w, out_h, [&](int x, int y, int c, int q) {
-    dst[static_cast<std::size_t>(c) * plane +
-        static_cast<std::size_t>(y) * out_w + x] =
-        static_cast<float>(q) - mean[c];
-  });
+  Resize r(src, out_w, out_h);
+  util::isa_variant<ResizeToTensor>(isa)(ResizeToTensorArgs{
+      r.args(src, out_w, out_h), t.data(), {means.r, means.g, means.b}});
   return t;
 }
+
+}  // namespace detail
 
 Image center_crop(const Image& src, int crop_w, int crop_h) {
   if (crop_w <= 0 || crop_h <= 0 || crop_w > src.width() ||

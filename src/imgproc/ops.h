@@ -5,6 +5,7 @@
 
 #include "imgproc/image.h"
 #include "tensor/tensor.h"
+#include "util/multiversion.h"
 
 namespace ncsw::imgproc {
 
@@ -32,6 +33,16 @@ tensor::TensorF to_tensor_f32(const Image& image,
 /// are computed once per output column and row.
 tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
                                      const ChannelMeans& means = {});
+
+namespace detail {
+/// resize_to_tensor_f32 with its blend loops compiled for `isa` (at most
+/// util::isa_level(); the same bytes at every level).
+/// resize_to_tensor_f32 passes util::isa_level(); tests and micro
+/// benchmarks pin each level with this.
+tensor::TensorF resize_to_tensor_f32(const Image& src, int out_w, int out_h,
+                                     const ChannelMeans& means,
+                                     util::IsaLevel isa);
+}  // namespace detail
 
 /// Same pipeline but the result is rounded to FP16 (the NCS input format).
 tensor::TensorH to_tensor_f16(const Image& image,

@@ -10,7 +10,9 @@
 
 #include "nn/direct_conv.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_detail.h"
 #include "util/libm_span.h"
+#include "util/multiversion.h"
 
 namespace ncsw::nn::kernels {
 
@@ -77,7 +79,13 @@ void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimised kernels.
+// Optimised kernels. The loops of each kernel are multiversioned bodies
+// (util/multiversion.h): a kernel picks their variants for its `isa` once
+// per call and its chunks call them. Every variant is the same source,
+// so each output element keeps its arithmetic and its order.
+
+using util::IsaLevel;
+using util::isa_variant;
 
 // One shifted plane (ConvOperand): `rows` rows of `ow` values, row y
 // gathering every s-th value of the source row y*s rows down. S and OW
@@ -85,9 +93,10 @@ void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
 // common rows are a few fixed-width moves instead of a short loop with
 // its alias checks each.
 template <int S, int OW>
-void gather_plane(const float* __restrict src, std::int64_t ld, int stride_rt,
-                  std::int64_t ow_rt, std::int64_t rows,
-                  float* __restrict dst) noexcept {
+NCSW_FAST_INLINE void gather_plane(const float* __restrict src,
+                                   std::int64_t ld, int stride_rt,
+                                   std::int64_t ow_rt, std::int64_t rows,
+                                   float* __restrict dst) noexcept {
   const int s = S != 0 ? S : stride_rt;
   const std::int64_t ow = OW != 0 ? OW : ow_rt;
   for (std::int64_t y = 0; y < rows; ++y) {
@@ -97,18 +106,73 @@ void gather_plane(const float* __restrict src, std::int64_t ld, int stride_rt,
   }
 }
 
-using GatherFn = void (*)(const float*, std::int64_t, int, std::int64_t,
-                          std::int64_t, float*) noexcept;
+// Rows of a ConvOperand's planes of stride phase f: rows ky/s ..
+// ky/s + oh - 1 for every ky = f (mod s); the last one reads padded row
+// s*(oh - 1) + k - 1, inside the padded plane.
+std::int64_t shifted_plane_rows(std::int64_t oh, int k, int s,
+                                int f) noexcept {
+  return oh + (k - 1 - f) / s;
+}
 
-// Compile-time widths for TinyGoogLeNet's maps: the stem's 16 outputs
-// at stride 2, the 8x8 and 4x4 maps at stride 1.
-GatherFn pick_gather(int stride, std::int64_t ow) noexcept {
-  if (stride == 1 && ow == 8) return gather_plane<1, 8>;
-  if (stride == 1 && ow == 4) return gather_plane<1, 4>;
-  if (stride == 2 && ow == 16) return gather_plane<2, 16>;
-  if (stride == 1) return gather_plane<1, 0>;
-  if (stride == 2) return gather_plane<2, 0>;
-  return gather_plane<0, 0>;
+// Channels [c0, c1) of a ConvOperand's planes (ConvOperand::build).
+struct ConvBuildArgs {
+  const float* src;
+  float* padded;
+  float* planes;
+  std::int64_t c0, c1, h, w, oh, ow, plane_len;
+  int kernel, stride, pad;
+};
+
+// S and OW: the stride and output width at compile time (0: at run
+// time); with OW set the input width is S * OW (pick_conv_build checks),
+// so the padding copy's rows are fixed-width too.
+template <int S, int OW>
+struct ConvBuild {
+  using Args = ConvBuildArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    const int k = a.kernel, s = a.stride, pad = a.pad;
+    const std::int64_t w = OW != 0 ? S * OW : a.w;
+    const std::int64_t pw = w + 2 * pad;
+    for (std::int64_t c = a.c0; c < a.c1; ++c) {
+      const float* plane = a.src + c * a.h * w;
+      std::int64_t ld = w;
+      if (pad > 0) {
+        for (std::int64_t y = 0; y < a.h; ++y) {
+          const float* srow = plane + y * w;
+          float* drow = a.padded + (y + pad) * pw + pad;
+          for (std::int64_t x = 0; x < w; ++x) drow[x] = srow[x];
+        }
+        plane = a.padded;
+        ld = pw;
+      }
+      float* dst = a.planes + c * a.plane_len;
+      for (int f = 0; f < std::min(s, k); ++f) {
+        const std::int64_t rows = shifted_plane_rows(a.oh, k, s, f);
+        for (int kx = 0; kx < k; ++kx) {
+          gather_plane<S, OW>(plane + f * ld + kx, ld, s, a.ow, rows, dst);
+          dst += rows * a.ow;
+        }
+      }
+    }
+  }
+};
+
+// Compile-time widths for TinyGoogLeNet's same-size 8x8 and 4x4 maps at
+// stride 1. Not for the stem's 32 -> 16 at stride 2: there GCC builds
+// each fixed 16-wide strided row from single-float inserts, slower at v3
+// and v4 than the run-time loop.
+util::IsaFn<ConvBuild<0, 0>> pick_conv_build(int stride, std::int64_t w,
+                                             std::int64_t ow,
+                                             IsaLevel isa) noexcept {
+  if (stride == 1 && ow == 8 && w == 8) {
+    return isa_variant<ConvBuild<1, 8>>(isa);
+  }
+  if (stride == 1 && ow == 4 && w == 4) {
+    return isa_variant<ConvBuild<1, 4>>(isa);
+  }
+  if (stride == 1) return isa_variant<ConvBuild<1, 0>>(isa);
+  if (stride == 2) return isa_variant<ConvBuild<2, 0>>(isa);
+  return isa_variant<ConvBuild<0, 0>>(isa);
 }
 
 // The batch item as FP32: the tensor's own storage for float, a
@@ -139,6 +203,8 @@ const float* batch_as_f32(const Tensor<T>& in, std::int64_t b, Workspace& ws,
 // first row-major window element holding the maximum, NaNs skipped: the
 // scalar window loop's result bit for bit, +-0 ties included. (A
 // column-first fold would keep the first tie of the first *column*.)
+// Vectorised, the select is MAXPS(v, m), which returns its second
+// operand m on a NaN v and on a +-0 tie; MAXPS(m, v) would not.
 //
 // The plane is copied into `padded` (g.rows x g.row_len, row_len a
 // multiple of the stride) whose border the caller filled with -inf:
@@ -146,24 +212,30 @@ const float* batch_as_f32(const Tensor<T>& in, std::int64_t b, Workspace& ws,
 // the horizontal pass is one flat loop over every padded row at once
 // (`hmax`, g.rows x row_len / stride). K and S are the kernel and stride
 // at compile time (0: at run time), so the common 3x3 windows unroll
-// into one select chain per element.
+// into one select chain per element; W and OW, the input and output
+// widths, likewise, so each row of TinyGoogLeNet's 8x8 and 4x4 maps is
+// one vector of its own width, not the tail of a loop built for 16
+// lanes.
 struct PoolGeom {
   std::int64_t h, w, oh, ow, rows, row_len;
   int kernel, stride, pad;
 };
 
-template <int K, int S>
-void max_pool_plane(const float* sf, const PoolGeom& g, float* padded,
-                    float* hmax, float* out) noexcept {
+template <int K, int S, int OW, int W>
+NCSW_FAST_INLINE void max_pool_plane(const float* sf, const PoolGeom& g,
+                                     float* padded, float* hmax,
+                                     float* out) noexcept {
   const int kernel = K != 0 ? K : g.kernel;
   const int stride = S != 0 ? S : g.stride;
+  const std::int64_t ow = OW != 0 ? OW : g.ow;
+  const std::int64_t w = W != 0 ? W : g.w;
   for (std::int64_t y = 0; y < g.h; ++y) {
-    const float* src = sf + y * g.w;
+    const float* src = sf + y * w;
     float* dst = padded + (y + g.pad) * g.row_len + g.pad;
-    for (std::int64_t x = 0; x < g.w; ++x) dst[x] = src[x];
+    for (std::int64_t x = 0; x < w; ++x) dst[x] = src[x];
   }
   const std::int64_t hlen = g.row_len / stride;  // a row of hmax
-  const std::int64_t n = (g.rows - 1) * hlen + g.ow;
+  const std::int64_t n = (g.rows - 1) * hlen + ow;
   for (std::int64_t i = 0; i < n; ++i) {
     const float* r = padded + i * stride;
     float m = -std::numeric_limits<float>::infinity();
@@ -172,8 +244,8 @@ void max_pool_plane(const float* sf, const PoolGeom& g, float* padded,
   }
   for (std::int64_t oy = 0; oy < g.oh; ++oy) {
     const float* hr = hmax + oy * stride * hlen;
-    float* orow = out + oy * g.ow;
-    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+    float* orow = out + oy * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
       float m = -std::numeric_limits<float>::infinity();
       for (int ky = 0; ky < kernel; ++ky) {
         const float v = hr[ky * hlen + ox];
@@ -183,6 +255,213 @@ void max_pool_plane(const float* sf, const PoolGeom& g, float* padded,
     }
   }
 }
+
+// Planes [s0, s1) of a pool: FP32 planes of in_hw values in, of out_hw
+// values out.
+struct PoolArgs {
+  const float* src;
+  float* out;
+  std::int64_t s0, s1, in_hw, out_hw;
+  PoolGeom g;
+  float* padded;  // max pool: the chunk's -inf-bordered plane
+  float* hmax;    // max pool: its horizontal maxima
+};
+
+template <int K, int S, int OW, int W>
+struct MaxPoolPlanes {
+  using Args = PoolArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::int64_t s = a.s0; s < a.s1; ++s) {
+      max_pool_plane<K, S, OW, W>(a.src + s * a.in_hw, a.g, a.padded, a.hmax,
+                                  a.out + s * a.out_hw);
+    }
+  }
+};
+
+// TinyGoogLeNet's pools at compile time: the 3x3/s1/p1 inception pools
+// on 8x8 and 4x4 maps, pool1 (16x16 -> 8x8) and pool3 (8x8 -> 4x4) at
+// stride 2.
+util::IsaFn<MaxPoolPlanes<0, 0, 0, 0>> pick_max_pool(const PoolGeom& g,
+                                                     IsaLevel isa) noexcept {
+  if (g.kernel == 3 && g.stride == 1) {
+    if (g.w == 8 && g.ow == 8) {
+      return isa_variant<MaxPoolPlanes<3, 1, 8, 8>>(isa);
+    }
+    if (g.w == 4 && g.ow == 4) {
+      return isa_variant<MaxPoolPlanes<3, 1, 4, 4>>(isa);
+    }
+    return isa_variant<MaxPoolPlanes<3, 1, 0, 0>>(isa);
+  }
+  if (g.kernel == 3 && g.stride == 2) {
+    if (g.w == 16 && g.ow == 8) {
+      return isa_variant<MaxPoolPlanes<3, 2, 8, 16>>(isa);
+    }
+    if (g.w == 8 && g.ow == 4) {
+      return isa_variant<MaxPoolPlanes<3, 2, 4, 8>>(isa);
+    }
+    return isa_variant<MaxPoolPlanes<3, 2, 0, 0>>(isa);
+  }
+  return isa_variant<MaxPoolPlanes<0, 0, 0, 0>>(isa);
+}
+
+// Average pool planes. Each output sums its window in double, rows then
+// columns ascending, and divides by the padded window size (Caffe AVE
+// pooling counts pad cells); g.kernel 0 is the global pool. The global
+// pool sums 8 planes at a time in 8 independent chains, each in its
+// plane's own order, instead of waiting on one chain per plane.
+struct AvgPoolPlanes {
+  using Args = PoolArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    const PoolGeom& g = a.g;
+    if (g.kernel == 0) {
+      const auto divisor = static_cast<double>(a.in_hw);
+      std::int64_t s = a.s0;
+      for (; s + 8 <= a.s1; s += 8) {
+        const float* src = a.src + s * a.in_hw;
+        double sum[8] = {};
+        for (std::int64_t i = 0; i < a.in_hw; ++i) {
+          for (int l = 0; l < 8; ++l) sum[l] += src[l * a.in_hw + i];
+        }
+        for (int l = 0; l < 8; ++l) {
+          a.out[s + l] = static_cast<float>(sum[l] / divisor);
+        }
+      }
+      for (; s < a.s1; ++s) {
+        const float* src = a.src + s * a.in_hw;
+        double sum = 0.0;
+        for (std::int64_t i = 0; i < a.in_hw; ++i) sum += src[i];
+        a.out[s] = static_cast<float>(sum / divisor);
+      }
+      return;
+    }
+    const std::int64_t stride = g.stride, pad = g.pad, kernel = g.kernel;
+    for (std::int64_t s = a.s0; s < a.s1; ++s) {
+      const float* sf = a.src + s * a.in_hw;
+      float* dst = a.out + s * a.out_hw;
+      for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+        for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+          const std::int64_t py0 = oy * stride - pad;
+          const std::int64_t px0 = ox * stride - pad;
+          const std::int64_t y0 = std::max<std::int64_t>(py0, 0);
+          const std::int64_t x0 = std::max<std::int64_t>(px0, 0);
+          const std::int64_t y1 = std::min(py0 + kernel, g.h);
+          const std::int64_t x1 = std::min(px0 + kernel, g.w);
+          const std::int64_t py1 = std::min(py0 + kernel, g.h + pad);
+          const std::int64_t px1 = std::min(px0 + kernel, g.w + pad);
+          const auto divisor = static_cast<double>((py1 - py0) * (px1 - px0));
+          double sum = 0.0;
+          for (std::int64_t y = y0; y < y1; ++y) {
+            for (std::int64_t x = x0; x < x1; ++x) sum += sf[y * g.w + x];
+          }
+          dst[oy * g.ow + ox] = static_cast<float>(sum / divisor);
+        }
+      }
+    }
+  }
+};
+
+// x[i] = x[i] * x[i] over [e0, e1): LRN's squares.
+struct SpanArgs {
+  float* x;
+  const float* y;
+  std::int64_t e0, e1;
+};
+
+struct SquareSpan {
+  using Args = SpanArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::int64_t i = a.e0; i < a.e1; ++i) a.x[i] = a.y[i] * a.y[i];
+  }
+};
+
+// x[i] += y[i] over [e0, e1): the FC bias.
+struct AddSpan {
+  using Args = SpanArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::int64_t i = a.e0; i < a.e1; ++i) a.x[i] += a.y[i];
+  }
+};
+
+// LRN over channels [c0, c1) of one batch item: each channel's window
+// sum of squares (ascending channels from a copy of the first: the
+// oracle's per-element window loop, whose 0 + v*v start is v*v exactly;
+// a sliding sum would round differently), its scale k + alpha/n * sum,
+// then scale^beta and the divide.
+struct LrnArgs {
+  const float* squares;  // the item's squares, channel c at c * hw
+  const float* in;       // the item's FP32 input, likewise
+  float* scale;          // (c1 - c0) * hw scratch
+  float* res;            // (c1 - c0) * hw results, may alias scale
+  std::int64_t c0, c1, channels, hw;
+  int half_win;
+  float k, alpha_over_n, beta;
+  bool fast_beta;
+};
+
+struct LrnChannels {
+  using Args = LrnArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    const std::int64_t hw = a.hw;
+    for (std::int64_t c = a.c0; c < a.c1; ++c) {
+      const std::int64_t w0 = std::max<std::int64_t>(c - a.half_win, 0);
+      const std::int64_t w1 =
+          std::min<std::int64_t>(c + a.half_win, a.channels - 1);
+      float* sc = a.scale + (c - a.c0) * hw;
+      const float* first = a.squares + w0 * hw;
+      for (std::int64_t i = 0; i < hw; ++i) sc[i] = first[i];
+      for (std::int64_t cc = w0 + 1; cc <= w1; ++cc) {
+        const float* sq = a.squares + cc * hw;
+        for (std::int64_t i = 0; i < hw; ++i) sc[i] += sq[i];
+      }
+      for (std::int64_t i = 0; i < hw; ++i) {
+        sc[i] = a.k + a.alpha_over_n * sc[i];
+      }
+    }
+    const std::int64_t count = (a.c1 - a.c0) * hw;
+    const float* vc = a.in + a.c0 * hw;
+    if (a.fast_beta) {
+      // Fast tier, beta = 0.75: scale^0.75 = sqrt(scale)*sqrt(sqrt(scale)),
+      // two sqrts instead of a powf. Slightly different rounding.
+      for (std::int64_t i = 0; i < count; ++i) {
+        const float r = std::sqrt(a.scale[i]);
+        a.res[i] = vc[i] / (r * std::sqrt(r));
+      }
+    } else {
+      // Exact tier: libm's powf bits in one span (util/libm_span.h).
+      util::pow_span(a.scale, a.beta, a.scale,
+                     static_cast<std::size_t>(count));
+      for (std::int64_t i = 0; i < count; ++i) a.res[i] = vc[i] / a.scale[i];
+    }
+  }
+};
+
+// A conv's FP32 epilogue over output columns [j0, j1) of all m rows of
+// the accumulator: the row's bias added in place, clamped by a fused
+// ReLU (a select: -0 and NaN pass).
+struct BiasReluArgs {
+  float* acc;
+  const float* bias;
+  std::int64_t m, n, j0, j1;
+  bool relu;
+};
+
+struct BiasRelu {
+  using Args = BiasReluArgs;
+  NCSW_FAST_INLINE void operator()(const Args& a) const noexcept {
+    for (std::int64_t oc = 0; oc < a.m; ++oc) {
+      float* row = a.acc + oc * a.n;
+      const float bv = a.bias[oc];
+      if (a.relu) {
+        for (std::int64_t j = a.j0; j < a.j1; ++j) {
+          const float v = row[j] + bv;
+          row[j] = v < 0.0f ? 0.0f : v;
+        }
+      } else {
+        for (std::int64_t j = a.j0; j < a.j1; ++j) row[j] += bv;
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -256,9 +535,7 @@ ConvOperand::ConvOperand(const tensor::Shape& in, const ConvParams& p)
 }
 
 std::int64_t ConvOperand::plane_rows(int f) const noexcept {
-  // Rows ky/s .. ky/s + oh - 1 for every ky = f (mod s); the last one
-  // reads padded row s*(oh - 1) + k - 1, inside the padded plane.
-  return oh_ + (p_.kernel - 1 - f) / p_.stride;
+  return shifted_plane_rows(oh_, p_.kernel, p_.stride, f);
 }
 
 void ConvOperand::check_input(const tensor::Shape& in) const {
@@ -270,31 +547,11 @@ void ConvOperand::check_input(const tensor::Shape& in) const {
 }
 
 void ConvOperand::build(const float* src, std::int64_t c0, std::int64_t c1,
-                        float* padded, float* planes) const noexcept {
-  const int k = p_.kernel, s = p_.stride, pad = p_.pad;
-  const std::int64_t h = in_.h, w = in_.w;
-  const std::int64_t pw = w + 2 * pad;
-  const GatherFn gather = pick_gather(s, ow_);
-  for (std::int64_t c = c0; c < c1; ++c) {
-    const float* plane = src + c * h * w;
-    std::int64_t ld = w;
-    if (pad > 0) {
-      for (std::int64_t y = 0; y < h; ++y) {
-        std::copy(plane + y * w, plane + (y + 1) * w,
-                  padded + (y + pad) * pw + pad);
-      }
-      plane = padded;
-      ld = pw;
-    }
-    float* dst = planes + c * plane_len_;
-    for (int f = 0; f < std::min(s, k); ++f) {
-      const std::int64_t rows = plane_rows(f);
-      for (int kx = 0; kx < k; ++kx) {
-        gather(plane + f * ld + kx, ld, s, ow_, rows, dst);
-        dst += rows * ow_;
-      }
-    }
-  }
+                        float* padded, float* planes,
+                        util::IsaLevel isa) const noexcept {
+  pick_conv_build(p_.stride, in_.w, ow_, isa)(ConvBuildArgs{
+      src, padded, planes, c0, c1, in_.h, in_.w, oh_, ow_, plane_len_,
+      p_.kernel, p_.stride, p_.pad});
 }
 
 namespace {
@@ -305,7 +562,7 @@ namespace {
 template <typename T>
 const float* conv_operand_b(const Tensor<T>& in, std::int64_t b,
                             const ConvOperand& op, Workspace& ws,
-                            const ExecCtx& ctx) {
+                            const ExecCtx& ctx, IsaLevel isa) {
   if (op.direct()) return batch_as_f32(in, b, ws, ctx);
   const tensor::Shape& is = in.shape();
   const int pad = op.params().pad;
@@ -329,45 +586,40 @@ const float* conv_operand_b(const Tensor<T>& in, std::int64_t b,
                                      static_cast<std::size_t>((c1 - c0) * hw));
       src = wide;
     }
-    op.build(src, c0, c1, scratch, planes);
+    op.build(src, c0, c1, scratch, planes, isa);
   });
   return planes;
 }
 
 // A conv's epilogue over output columns [j0, j1) of all m channels, in
 // one pass. FP32 adds the bias to the accumulator in place and a fused
-// ReLU clamps the sum. The exact FP16 epilogue rounds, widens, adds the
-// bias and rounds into `out`, its ReLU reading the final half
-// (half/half.h); the fast tier's FP16 takes the FP32 path and rounds
-// once.
+// ReLU clamps the sum (`bias_relu`, the BiasRelu variant). The exact
+// FP16 epilogue rounds, widens, adds the bias and rounds into `out`, its
+// ReLU reading the final half (half/half.h); the fast tier's FP16 takes
+// the FP32 path and rounds once.
 template <typename T>
-void conv_epilogue(float* acc, T* out, const float* bias, std::int64_t m,
-                   std::int64_t n, std::int64_t j0, std::int64_t j1,
-                   bool relu, bool fast) noexcept {
+void conv_epilogue(util::IsaFn<BiasRelu> bias_relu, float* acc, T* out,
+                   const float* bias, std::int64_t m, std::int64_t n,
+                   std::int64_t j0, std::int64_t j1, bool relu,
+                   bool fast) noexcept {
   const auto len = static_cast<std::size_t>(j1 - j0);
-  for (std::int64_t oc = 0; oc < m; ++oc) {
-    float* row = acc + oc * n + j0;
-    const float bv = bias[oc];
-    if constexpr (!std::is_same_v<T, float>) {
-      if (!fast) {
-        ncsw::fp16::round_bias_round_span(row, bv, out + oc * n + j0, len,
-                                          relu);
-        continue;
+  if constexpr (!std::is_same_v<T, float>) {
+    if (!fast) {
+      for (std::int64_t oc = 0; oc < m; ++oc) {
+        ncsw::fp16::round_bias_round_span(acc + oc * n + j0, bias[oc],
+                                          out + oc * n + j0, len, relu);
       }
+      return;
     }
-    if (relu) {
-      for (std::size_t i = 0; i < len; ++i) {
-        const float v = row[i] + bv;
-        row[i] = v < 0.0f ? 0.0f : v;
-      }
-    } else {
-      for (std::size_t i = 0; i < len; ++i) row[i] += bv;
+  }
+  bias_relu(BiasReluArgs{acc, bias, m, n, j0, j1, relu});
+  if constexpr (!std::is_same_v<T, float>) {
+    for (std::int64_t oc = 0; oc < m; ++oc) {
+      ncsw::fp16::float_to_half_span(acc + oc * n + j0, out + oc * n + j0,
+                                     len);
     }
-    if constexpr (!std::is_same_v<T, float>) {
-      ncsw::fp16::float_to_half_span(row, out + oc * n + j0, len);
-    } else {
-      (void)out;
-    }
+  } else {
+    (void)out;
   }
 }
 
@@ -383,10 +635,12 @@ void check_conv_weights(const LayerWeights& weights, const ConvOperand& op,
 
 }  // namespace
 
+namespace detail {
+
 template <typename T>
 void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
-            const ExecCtx& ctx) {
+            const ExecCtx& ctx, IsaLevel isa) {
   const tensor::Shape& is = in.shape();
   op.check_input(is);
   check_conv_weights(weights, op, is.c);
@@ -396,8 +650,9 @@ void conv2d(const Tensor<T>& in, const LayerWeights& weights,
   out.resize(tensor::Shape{is.n, m, op.out_h(), op.out_w()});
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const auto bias_relu = isa_variant<BiasRelu>(isa);
   for (std::int64_t b = 0; b < is.n; ++b) {
-    const float* bmat = conv_operand_b(in, b, op, ws, ctx);
+    const float* bmat = conv_operand_b(in, b, op, ws, ctx, isa);
     T* dst = out.batch_ptr(b);
     float* cf;
     if constexpr (std::is_same_v<T, float>) {
@@ -410,10 +665,214 @@ void conv2d(const Tensor<T>& in, const LayerWeights& weights,
     parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
       tensor::gemm_f32(m, j1 - j0, k_dim, 1.0f, weights.w(), k_dim, bmat + j0,
                        op.rows(), 0.0f, cf + j0, n_dim);
-      conv_epilogue(cf, dst, weights.b(), m, n_dim, j0, j1, fuse_relu,
-                    false);
+      conv_epilogue(bias_relu, cf, dst, weights.b(), m, n_dim, j0, j1,
+                    fuse_relu, false);
     });
   }
+}
+
+template <typename T>
+void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
+              const ExecCtx& ctx, IsaLevel isa) {
+  const tensor::Shape& is = in.shape();
+  const int kernel =
+      p.global ? static_cast<int>(std::max(is.h, is.w)) : p.kernel;
+  const int stride = p.global ? 1 : p.stride;
+  const int pad = p.global ? 0 : p.pad;
+  const std::int64_t oh =
+      p.global ? 1 : pooled_extent(is.h, kernel, stride, pad, p.ceil_mode);
+  const std::int64_t ow =
+      p.global ? 1 : pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
+  out.resize(tensor::Shape{is.n, is.c, oh, ow});
+
+  // Per-chunk scratch: the padded plane and its horizontal maxima.
+  PoolGeom g{is.h, is.w, oh, ow, 0, 0, kernel, stride, pad};
+  g.rows = std::max<std::int64_t>((oh - 1) * stride + kernel, pad + is.h);
+  const std::int64_t width =
+      std::max<std::int64_t>((ow - 1) * stride + kernel, pad + is.w);
+  g.row_len = (width + stride - 1) / stride * stride;
+  const std::int64_t padded_len = g.rows * g.row_len;
+  const std::int64_t slab_len = padded_len + padded_len / stride;
+  const auto pool_planes = pick_max_pool(g, isa);
+  Workspace local;
+  Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const std::int64_t planes = is.n * is.c;
+  const std::int64_t out_hw = oh * ow;
+  const int chunks = plan_chunks(ctx, planes);
+  float* slab = ws.slabs(chunks, slab_len);
+  // FP16 pools FP32 images of the tensors: each chunk widens its planes
+  // in one span and rounds its outputs in one span. Every max is a
+  // widened half (or -inf), so the rounding is exact.
+  constexpr bool is_half = !std::is_same_v<T, float>;
+  float* in_f = is_half ? ws.acts(planes * is.hw()) : nullptr;
+  float* out_f = is_half ? ws.out(planes * out_hw) : nullptr;
+  run_chunks(ctx, chunks, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
+    float* padded = slab + t * slab_len;
+    float* hmax = padded + padded_len;
+    // The -inf border; the planes of this chunk only write the inside.
+    std::fill(padded, hmax, -std::numeric_limits<float>::infinity());
+    const float* src;
+    float* dst;
+    if constexpr (is_half) {
+      ncsw::fp16::half_to_float_span(
+          in.data() + s0 * is.hw(), in_f + s0 * is.hw(),
+          static_cast<std::size_t>((s1 - s0) * is.hw()));
+      src = in_f;
+      dst = out_f;
+    } else {
+      src = in.data();
+      dst = out.data();
+    }
+    pool_planes(PoolArgs{src, dst, s0, s1, is.hw(), out_hw, g, padded, hmax});
+    if constexpr (is_half) {
+      ncsw::fp16::float_to_half_span(
+          out_f + s0 * out_hw, out.data() + s0 * out_hw,
+          static_cast<std::size_t>((s1 - s0) * out_hw));
+    }
+  });
+}
+
+template <typename T>
+void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
+              const ExecCtx& ctx, IsaLevel isa) {
+  const tensor::Shape& is = in.shape();
+  const bool global = p.global;
+  const int kernel = global ? 0 : p.kernel;
+  const int stride = global ? 1 : p.stride;
+  const int pad = global ? 0 : p.pad;
+  const std::int64_t oh =
+      global ? 1 : pooled_extent(is.h, kernel, stride, pad, p.ceil_mode);
+  const std::int64_t ow =
+      global ? 1 : pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
+  out.resize(tensor::Shape{is.n, is.c, oh, ow});
+
+  Workspace local;
+  Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const std::int64_t planes = is.n * is.c;
+  const std::int64_t out_hw = oh * ow;
+  const PoolGeom g{is.h, is.w, oh, ow, 0, 0, kernel, stride, pad};
+  const auto pool_planes = isa_variant<AvgPoolPlanes>(isa);
+  // FP16, as in max_pool: each chunk widens its planes in one span and
+  // rounds its outputs in one span (the same bits as a scalar
+  // half(float) per output: both round to nearest even).
+  constexpr bool is_half = !std::is_same_v<T, float>;
+  float* in_f = is_half ? ws.acts(planes * is.hw()) : nullptr;
+  float* out_f = is_half ? ws.out(planes * out_hw) : nullptr;
+  parallel_chunks(ctx, planes, [&](int, std::int64_t s0, std::int64_t s1) {
+    if constexpr (is_half) {
+      ncsw::fp16::half_to_float_span(
+          in.data() + s0 * is.hw(), in_f + s0 * is.hw(),
+          static_cast<std::size_t>((s1 - s0) * is.hw()));
+      pool_planes(
+          PoolArgs{in_f, out_f, s0, s1, is.hw(), out_hw, g, nullptr, nullptr});
+      ncsw::fp16::float_to_half_span(
+          out_f + s0 * out_hw, out.data() + s0 * out_hw,
+          static_cast<std::size_t>((s1 - s0) * out_hw));
+    } else {
+      pool_planes(PoolArgs{in.data(), out.data(), s0, s1, is.hw(), out_hw, g,
+                           nullptr, nullptr});
+    }
+  });
+}
+
+template <typename T>
+void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
+         const ExecCtx& ctx, IsaLevel isa) {
+  const tensor::Shape& is = in.shape();
+  out.resize(is);
+  const std::int64_t hw = is.hw();
+
+  Workspace local;
+  Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const int chunks = plan_chunks(ctx, is.c);
+  // Per-task scratch: one plane per channel of the largest chunk, holding
+  // the window sums, then the scales, then (exact tier) their powers and
+  // the FP32 results.
+  const std::int64_t per_task = (is.c + chunks - 1) / chunks * hw;
+  float* scratch = ws.slabs(chunks, per_task);
+  // Every channel's squares, computed once per batch item instead of
+  // once per window that covers the channel.
+  float* squares = ws.out(is.chw());
+  const auto square = isa_variant<SquareSpan>(isa);
+  const auto channels = isa_variant<LrnChannels>(isa);
+
+  for (std::int64_t b = 0; b < is.n; ++b) {
+    // The whole batch item as FP32 planes: channel runs are contiguous,
+    // so the window sum adds dense planes instead of strided at().
+    const float* inf = batch_as_f32(in, b, ws, ctx);
+    parallel_chunks(ctx, is.chw(), [&](int, std::int64_t e0, std::int64_t e1) {
+      square(SpanArgs{squares, inf, e0, e1});
+    });
+    run_chunks(
+        ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
+          float* scale = scratch + t * per_task;
+          float* res = scale;
+          if constexpr (std::is_same_v<T, float>) {
+            res = out.data() + (b * is.c + c0) * hw;
+          }
+          channels(LrnArgs{squares, inf, scale, res, c0, c1, is.c, hw,
+                           p.local_size / 2,
+                           p.k, p.alpha / static_cast<float>(p.local_size),
+                           p.beta, ctx.fast && p.beta == 0.75f});
+          if constexpr (!std::is_same_v<T, float>) {
+            ncsw::fp16::float_to_half_span(
+                res, out.data() + (b * is.c + c0) * hw,
+                static_cast<std::size_t>((c1 - c0) * hw));
+          }
+        });
+  }
+}
+
+template <typename T>
+void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
+                     const FCParams& p, Tensor<T>& out, const ExecCtx& ctx,
+                     IsaLevel isa) {
+  const tensor::Shape& is = in.shape();
+  const std::int64_t in_dim = is.chw();
+  if (weights.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
+    throw std::invalid_argument("fully_connected: weight shape mismatch: " +
+                                weights.shape().to_string());
+  }
+  out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
+  Workspace local;
+  Workspace& ws = ctx.ws ? *ctx.ws : local;
+  const auto gemv = isa == IsaLevel::kV4   ? tensor::detail::gemv_f32_v4
+                    : isa == IsaLevel::kV3 ? tensor::detail::gemv_f32_v3
+                                           : tensor::detail::gemv_f32_base;
+  const auto add_bias = isa_variant<AddSpan>(isa);
+  // out[b] = W[outF x in_dim] * in[b]: a GEMV per batch item,
+  // bit-identical to the degenerate n = 1 GEMM it replaced.
+  const float* bias = weights.b();
+  for (std::int64_t b = 0; b < is.n; ++b) {
+    T* dst = out.batch_ptr(b);
+    if constexpr (std::is_same_v<T, float>) {
+      gemv(p.out_features, in_dim, weights.w(), in.batch_ptr(b), 0.0f, dst);
+      add_bias(SpanArgs{dst, bias, 0, p.out_features});
+    } else {
+      // The oracle's order, one span pass each: accumulate the widened
+      // activation in FP32, round, widen, add the bias, round again.
+      // Serial: an FC input is too short to repay a fan-out.
+      float* x = ws.acts(in_dim);
+      ncsw::fp16::half_to_float_span(in.batch_ptr(b), x,
+                                     static_cast<std::size_t>(in_dim));
+      float* y = ws.out(p.out_features);
+      gemv(p.out_features, in_dim, weights.w(), x, 0.0f, y);
+      const auto len = static_cast<std::size_t>(p.out_features);
+      ncsw::fp16::float_to_half_span(y, dst, len);
+      ncsw::fp16::half_to_float_span(dst, y, len);
+      add_bias(SpanArgs{y, bias, 0, p.out_features});
+      ncsw::fp16::float_to_half_span(y, dst, len);
+    }
+  }
+}
+
+}  // namespace detail
+
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
+            const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
+            const ExecCtx& ctx) {
+  detail::conv2d(in, weights, op, fuse_relu, out, ctx, util::isa_level());
 }
 
 template <typename T>
@@ -448,222 +907,19 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
 template <typename T>
 void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
               const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  const int kernel =
-      p.global ? static_cast<int>(std::max(is.h, is.w)) : p.kernel;
-  const int stride = p.global ? 1 : p.stride;
-  const int pad = p.global ? 0 : p.pad;
-  const std::int64_t oh =
-      p.global ? 1 : pooled_extent(is.h, kernel, stride, pad, p.ceil_mode);
-  const std::int64_t ow =
-      p.global ? 1 : pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
-  out.resize(tensor::Shape{is.n, is.c, oh, ow});
-
-  // Per-chunk scratch: the padded plane and its horizontal maxima.
-  PoolGeom g{is.h, is.w, oh, ow, 0, 0, kernel, stride, pad};
-  g.rows = std::max<std::int64_t>((oh - 1) * stride + kernel, pad + is.h);
-  const std::int64_t width =
-      std::max<std::int64_t>((ow - 1) * stride + kernel, pad + is.w);
-  g.row_len = (width + stride - 1) / stride * stride;
-  const std::int64_t padded_len = g.rows * g.row_len;
-  const std::int64_t slab_len = padded_len + padded_len / stride;
-  auto pool_plane = max_pool_plane<0, 0>;
-  if (kernel == 3 && stride == 1) pool_plane = max_pool_plane<3, 1>;
-  if (kernel == 3 && stride == 2) pool_plane = max_pool_plane<3, 2>;
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const std::int64_t planes = is.n * is.c;
-  const std::int64_t out_hw = oh * ow;
-  const int chunks = plan_chunks(ctx, planes);
-  float* slab = ws.slabs(chunks, slab_len);
-  // FP16 pools FP32 images of the tensors: each chunk widens its planes
-  // in one span and rounds its outputs in one span. Every max is a
-  // widened half (or -inf), so the rounding is exact.
-  constexpr bool is_half = !std::is_same_v<T, float>;
-  float* in_f = is_half ? ws.acts(planes * is.hw()) : nullptr;
-  float* out_f = is_half ? ws.out(planes * out_hw) : nullptr;
-  run_chunks(ctx, chunks, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
-    float* padded = slab + t * slab_len;
-    float* hmax = padded + padded_len;
-    // The -inf border; the planes of this chunk only write the inside.
-    std::fill(padded, hmax, -std::numeric_limits<float>::infinity());
-    const float* src;
-    float* dst;
-    if constexpr (is_half) {
-      ncsw::fp16::half_to_float_span(
-          in.data() + s0 * is.hw(), in_f + s0 * is.hw(),
-          static_cast<std::size_t>((s1 - s0) * is.hw()));
-      src = in_f;
-      dst = out_f;
-    } else {
-      src = in.data();
-      dst = out.data();
-    }
-    for (std::int64_t s = s0; s < s1; ++s) {
-      pool_plane(src + s * is.hw(), g, padded, hmax, dst + s * out_hw);
-    }
-    if constexpr (is_half) {
-      ncsw::fp16::float_to_half_span(
-          out_f + s0 * out_hw, out.data() + s0 * out_hw,
-          static_cast<std::size_t>((s1 - s0) * out_hw));
-    }
-  });
+  detail::max_pool(in, p, out, ctx, util::isa_level());
 }
 
 template <typename T>
 void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
               const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  const bool global = p.global;
-  const int kernel = global ? 0 : p.kernel;
-  const int stride = global ? 1 : p.stride;
-  const int pad = global ? 0 : p.pad;
-  const std::int64_t oh =
-      global ? 1 : pooled_extent(is.h, kernel, stride, pad, p.ceil_mode);
-  const std::int64_t ow =
-      global ? 1 : pooled_extent(is.w, kernel, stride, pad, p.ceil_mode);
-  out.resize(tensor::Shape{is.n, is.c, oh, ow});
-
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const std::int64_t planes = is.n * is.c;
-  const int chunks = plan_chunks(ctx, planes);
-  float* scratch = std::is_same_v<T, float>
-                       ? nullptr
-                       : ws.slabs(chunks, is.hw());
-  run_chunks(
-      ctx, chunks, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
-        for (std::int64_t s = s0; s < s1; ++s) {
-          const T* src = in.data() + s * is.hw();
-          T* dst = out.data() + s * oh * ow;
-          const float* sf;
-          if constexpr (std::is_same_v<T, float>) {
-            sf = src;
-          } else {
-            float* buf = scratch + t * is.hw();
-            ncsw::fp16::half_to_float_span(src, buf,
-                                           static_cast<std::size_t>(is.hw()));
-            sf = buf;
-          }
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) {
-              std::int64_t y0, x0, y1, x1;
-              double divisor;
-              if (global) {
-                y0 = 0;
-                x0 = 0;
-                y1 = is.h;
-                x1 = is.w;
-                divisor = static_cast<double>(is.hw());
-              } else {
-                y0 = std::max<std::int64_t>(oy * stride - pad, 0);
-                x0 = std::max<std::int64_t>(ox * stride - pad, 0);
-                y1 = std::min<std::int64_t>(oy * stride - pad + kernel, is.h);
-                x1 = std::min<std::int64_t>(ox * stride - pad + kernel, is.w);
-                // Caffe AVE pooling divides by the padded window size.
-                const std::int64_t py1 = std::min<std::int64_t>(
-                    oy * stride - pad + kernel, is.h + pad);
-                const std::int64_t px1 = std::min<std::int64_t>(
-                    ox * stride - pad + kernel, is.w + pad);
-                const std::int64_t py0 = oy * stride - pad;
-                const std::int64_t px0 = ox * stride - pad;
-                divisor = static_cast<double>((py1 - py0) * (px1 - px0));
-              }
-              double sum = 0.0;
-              for (std::int64_t y = y0; y < y1; ++y) {
-                for (std::int64_t x = x0; x < x1; ++x) {
-                  sum += sf[y * is.w + x];
-                }
-              }
-              dst[oy * ow + ox] =
-                  tensor::scalar_cast<T>(static_cast<float>(sum / divisor));
-            }
-          }
-        }
-      });
+  detail::avg_pool(in, p, out, ctx, util::isa_level());
 }
 
 template <typename T>
 void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
          const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  out.resize(is);
-  const int half_win = p.local_size / 2;
-  const float alpha_over_n = p.alpha / static_cast<float>(p.local_size);
-  const std::int64_t hw = is.hw();
-
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const int chunks = plan_chunks(ctx, is.c);
-  // Per-task scratch: one plane per channel of the largest chunk, holding
-  // the window sums, then the scales, then (exact tier) their powers and
-  // the FP32 results.
-  const std::int64_t per_task = (is.c + chunks - 1) / chunks * hw;
-  float* scratch = ws.slabs(chunks, per_task);
-  // Every channel's squares, computed once per batch item instead of
-  // once per window that covers the channel.
-  float* squares = ws.out(is.chw());
-  // Fast tier, beta = 0.75 (every zoo LRN): scale^0.75 =
-  // sqrt(scale)*sqrt(sqrt(scale)) — two sqrts instead of a powf per
-  // element. Slightly different rounding, hence fast-only.
-  const bool fast_beta = ctx.fast && p.beta == 0.75f;
-
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    // The whole batch item as FP32 planes: channel runs are contiguous,
-    // so the window sum adds dense planes instead of strided at().
-    const float* inf = batch_as_f32(in, b, ws, ctx);
-    parallel_chunks(ctx, is.chw(), [&](int, std::int64_t e0, std::int64_t e1) {
-      for (std::int64_t i = e0; i < e1; ++i) squares[i] = inf[i] * inf[i];
-    });
-    run_chunks(
-        ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
-          float* scale = scratch + t * per_task;
-          const std::int64_t count = (c1 - c0) * hw;
-          for (std::int64_t c = c0; c < c1; ++c) {
-            const std::int64_t w0 = std::max<std::int64_t>(c - half_win, 0);
-            const std::int64_t w1 =
-                std::min<std::int64_t>(c + half_win, is.c - 1);
-            // Ascending-channel accumulation: the same term order as the
-            // oracle's per-element window loop (whose 0 + v*v start is
-            // v*v exactly). Not a sliding sum: that would round
-            // differently.
-            float* sc = scale + (c - c0) * hw;
-            const float* first = squares + w0 * hw;
-            std::copy(first, first + hw, sc);
-            for (std::int64_t cc = w0 + 1; cc <= w1; ++cc) {
-              const float* sq = squares + cc * hw;
-              for (std::int64_t i = 0; i < hw; ++i) sc[i] += sq[i];
-            }
-            for (std::int64_t i = 0; i < hw; ++i) {
-              sc[i] = p.k + alpha_over_n * sc[i];
-            }
-          }
-          const float* vc = inf + c0 * hw;
-          float* res = scale;
-          if constexpr (std::is_same_v<T, float>) {
-            res = out.data() + (b * is.c + c0) * hw;
-          }
-          if (fast_beta) {
-            for (std::int64_t i = 0; i < count; ++i) {
-              const float r = std::sqrt(scale[i]);
-              res[i] = vc[i] / (r * std::sqrt(r));
-            }
-          } else {
-            // Exact tier: libm's powf bits for the whole chunk in one
-            // span (util/libm_span.h), then one divide loop.
-            util::pow_span(scale, p.beta, scale,
-                           static_cast<std::size_t>(count));
-            for (std::int64_t i = 0; i < count; ++i) {
-              res[i] = vc[i] / scale[i];
-            }
-          }
-          if constexpr (!std::is_same_v<T, float>) {
-            ncsw::fp16::float_to_half_span(
-                res, out.data() + (b * is.c + c0) * hw,
-                static_cast<std::size_t>(count));
-          }
-        });
-  }
+  detail::lrn(in, p, out, ctx, util::isa_level());
 }
 
 template <typename T>
@@ -694,40 +950,7 @@ void concat(const std::vector<const Tensor<T>*>& ins, Tensor<T>& out) {
 template <typename T>
 void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
                      const FCParams& p, Tensor<T>& out, const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  const std::int64_t in_dim = is.chw();
-  if (weights.shape() != tensor::Shape{p.out_features, in_dim, 1, 1}) {
-    throw std::invalid_argument("fully_connected: weight shape mismatch: " +
-                                weights.shape().to_string());
-  }
-  out.resize(tensor::Shape{is.n, p.out_features, 1, 1});
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  // out[b] = W[outF x in_dim] * in[b]: a GEMV per batch item,
-  // bit-identical to the degenerate n = 1 GEMM it replaced.
-  const float* bias = weights.b();
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    T* dst = out.batch_ptr(b);
-    if constexpr (std::is_same_v<T, float>) {
-      tensor::gemv_f32(p.out_features, in_dim, weights.w(), in.batch_ptr(b),
-                       0.0f, dst);
-      for (std::int64_t f = 0; f < p.out_features; ++f) dst[f] += bias[f];
-    } else {
-      // The oracle's order, one span pass each: accumulate the widened
-      // activation in FP32, round, widen, add the bias, round again.
-      // Serial: an FC input is too short to repay a fan-out.
-      float* x = ws.acts(in_dim);
-      ncsw::fp16::half_to_float_span(in.batch_ptr(b), x,
-                                     static_cast<std::size_t>(in_dim));
-      float* y = ws.out(p.out_features);
-      tensor::gemv_f32(p.out_features, in_dim, weights.w(), x, 0.0f, y);
-      const auto len = static_cast<std::size_t>(p.out_features);
-      ncsw::fp16::float_to_half_span(y, dst, len);
-      ncsw::fp16::half_to_float_span(dst, y, len);
-      for (std::int64_t f = 0; f < p.out_features; ++f) y[f] += bias[f];
-      ncsw::fp16::float_to_half_span(y, dst, len);
-    }
-  }
+  detail::fully_connected(in, weights, p, out, ctx, util::isa_level());
 }
 
 template <typename T>
@@ -738,21 +961,34 @@ void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx) {
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   float* e = ws.out(dim);
+  // FP16 widens each item in one span and rounds its outputs in one
+  // span (the bits of the scalar conversions: both are exact or round to
+  // nearest even).
+  float* x = std::is_same_v<T, float> ? nullptr : ws.acts(dim);
   for (std::int64_t b = 0; b < is.n; ++b) {
-    const T* src = in.batch_ptr(b);
-    T* dst = out.batch_ptr(b);
-    float max_v = -std::numeric_limits<float>::infinity();
-    for (std::int64_t i = 0; i < dim; ++i) {
-      max_v = std::max(max_v, static_cast<float>(src[i]));
+    const float* src;
+    if constexpr (std::is_same_v<T, float>) {
+      src = in.batch_ptr(b);
+    } else {
+      ncsw::fp16::half_to_float_span(in.batch_ptr(b), x,
+                                     static_cast<std::size_t>(dim));
+      src = x;
     }
+    float max_v = -std::numeric_limits<float>::infinity();
+    for (std::int64_t i = 0; i < dim; ++i) max_v = std::max(max_v, src[i]);
     double sum = 0.0;
     for (std::int64_t i = 0; i < dim; ++i) {
-      e[i] = std::exp(static_cast<float>(src[i]) - max_v);
+      e[i] = std::exp(src[i] - max_v);
       sum += e[i];
     }
     const float inv = static_cast<float>(1.0 / sum);
-    for (std::int64_t i = 0; i < dim; ++i) {
-      dst[i] = tensor::scalar_cast<T>(e[i] * inv);
+    if constexpr (std::is_same_v<T, float>) {
+      float* dst = out.batch_ptr(b);
+      for (std::int64_t i = 0; i < dim; ++i) dst[i] = e[i] * inv;
+    } else {
+      for (std::int64_t i = 0; i < dim; ++i) e[i] *= inv;
+      ncsw::fp16::float_to_half_span(e, out.batch_ptr(b),
+                                     static_cast<std::size_t>(dim));
     }
   }
 }
@@ -775,6 +1011,8 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const float* wf = weights.w();
   const float* bf = weights.b();
+  const IsaLevel isa = util::isa_level();
+  const auto bias_relu = isa_variant<BiasRelu>(isa);
 
   // Direct 3x3 pays off when output rows are wide enough to fill its
   // 8-column register tiles; on narrow maps (the tiny nets' inception
@@ -841,7 +1079,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
             });
       }
     } else {
-      const float* bmat = conv_operand_b(in, b, op, ws, ctx);
+      const float* bmat = conv_operand_b(in, b, op, ws, ctx, isa);
       // Column chunks start on 16-column panel boundaries, so a column
       // lands in the same vector tile or scalar edge at any chunk count
       // (the two need not round alike once contraction is on). Each
@@ -854,8 +1092,8 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
             const std::int64_t j1 = std::min(p1 * 16, n_dim);
             tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
                                   bmat + j0, op.rows(), cf + j0, n_dim);
-            conv_epilogue(cf, out.batch_ptr(b), bf, p.out_channels, n_dim, j0,
-                          j1, fuse_relu, true);
+            conv_epilogue(bias_relu, cf, out.batch_ptr(b), bf, p.out_channels,
+                          n_dim, j0, j1, fuse_relu, true);
           });
     }
   }
@@ -893,7 +1131,20 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
                                const ExecCtx&);                              \
   template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
                                const ConvParams&, bool, Tensor<T>&,          \
-                               const ExecCtx&);
+                               const ExecCtx&);                              \
+  template void detail::conv2d<T>(const Tensor<T>&, const LayerWeights&,     \
+                                  const ConvOperand&, bool, Tensor<T>&,      \
+                                  const ExecCtx&, IsaLevel);                 \
+  template void detail::max_pool<T>(const Tensor<T>&, const PoolParams&,     \
+                                    Tensor<T>&, const ExecCtx&, IsaLevel);   \
+  template void detail::avg_pool<T>(const Tensor<T>&, const PoolParams&,     \
+                                    Tensor<T>&, const ExecCtx&, IsaLevel);   \
+  template void detail::lrn<T>(const Tensor<T>&, const LRNParams&,           \
+                               Tensor<T>&, const ExecCtx&, IsaLevel);        \
+  template void detail::fully_connected<T>(const Tensor<T>&,                 \
+                                           const LayerWeights&,              \
+                                           const FCParams&, Tensor<T>&,      \
+                                           const ExecCtx&, IsaLevel);
 
 NCSW_INSTANTIATE_KERNELS(float)
 NCSW_INSTANTIATE_KERNELS(ncsw::fp16::half)

@@ -21,6 +21,7 @@
 #include "nn/weights.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
+#include "util/multiversion.h"
 #include "util/thread_pool.h"
 
 namespace ncsw::nn::kernels {
@@ -180,11 +181,13 @@ class ConvOperand {
   void check_input(const tensor::Shape& in) const;
 
   /// Build channels [c0, c1) of the planes into `planes` (the arena base)
-  /// from the FP32 channel planes at `src` (channel c at src + c*h*w).
+  /// from the FP32 channel planes at `src` (channel c at src + c*h*w),
+  /// with the copy and gather loops compiled for `isa` (at most
+  /// util::isa_level(); the same values at every level).
   /// `padded` is (h + 2*pad) x (w + 2*pad) scratch whose border the
   /// caller zero-filled; unused when pad is 0.
   void build(const float* src, std::int64_t c0, std::int64_t c1,
-             float* padded, float* planes) const noexcept;
+             float* padded, float* planes, util::IsaLevel isa) const noexcept;
 
  private:
   /// Rows of each plane of stride phase f.
@@ -252,6 +255,38 @@ void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
 /// Channel-wise softmax (numerically stabilised; always computed in FP32).
 template <typename T>
 void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx = {});
+
+namespace detail {
+
+// The exact kernels above with their loops (pool planes, LRN, the conv's
+// plane build and FP32 epilogue, the FC's GEMV and bias) compiled for
+// `isa`, which must not exceed util::isa_level() (util/multiversion.h).
+// The kernels above pass util::isa_level(); tests and micro benchmarks
+// pin each level with these. Every level gives the same bits.
+
+template <typename T>
+void conv2d(const Tensor<T>& in, const LayerWeights& weights,
+            const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
+            const ExecCtx& ctx, util::IsaLevel isa);
+
+template <typename T>
+void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
+              const ExecCtx& ctx, util::IsaLevel isa);
+
+template <typename T>
+void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
+              const ExecCtx& ctx, util::IsaLevel isa);
+
+template <typename T>
+void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
+         const ExecCtx& ctx, util::IsaLevel isa);
+
+template <typename T>
+void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
+                     const FCParams& p, Tensor<T>& out, const ExecCtx& ctx,
+                     util::IsaLevel isa);
+
+}  // namespace detail
 
 // --- fast tier -------------------------------------------------------------
 

@@ -257,6 +257,14 @@ NCSW_FAST_INLINE void gemv_rows(std::int64_t k, const float* a,
   for (int r = 0; r < R; ++r) y[r] = acc[r];
 }
 
+NCSW_FAST_INLINE void gemv_body(std::int64_t m, std::int64_t k,
+                                const float* a, const float* x, float beta,
+                                float* y) noexcept {
+  std::int64_t i = 0;
+  for (; i + 8 <= m; i += 8) gemv_rows<8>(k, a + i * k, x, beta, y + i);
+  for (; i < m; ++i) gemv_rows<1>(k, a + i * k, x, beta, y + i);
+}
+
 // Grow-only resize keeping existing contents irrelevant (panels are
 // overwritten in full before use).
 inline float* panel(std::vector<float>& v, std::int64_t count) {
@@ -288,6 +296,23 @@ void gemm_f32_v4(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  std::int64_t ldb, float beta, float* c,
                  std::int64_t ldc) noexcept {
   gemm_f32_rows_v4(m, n, k, alpha, a, lda, b, ldb, nullptr, beta, c, ldc);
+}
+
+void gemv_f32_base(std::int64_t m, std::int64_t k, const float* a,
+                   const float* x, float beta, float* y) noexcept {
+  gemv_body(m, k, a, x, beta, y);
+}
+
+NCSW_TARGET_V3 void gemv_f32_v3(std::int64_t m, std::int64_t k,
+                                const float* a, const float* x, float beta,
+                                float* y) noexcept {
+  gemv_body(m, k, a, x, beta, y);
+}
+
+NCSW_TARGET_V4 void gemv_f32_v4(std::int64_t m, std::int64_t k,
+                                const float* a, const float* x, float beta,
+                                float* y) noexcept {
+  gemv_body(m, k, a, x, beta, y);
 }
 
 }  // namespace detail
@@ -335,9 +360,17 @@ void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 void gemv_f32(std::int64_t m, std::int64_t k, const float* a, const float* x,
               float beta, float* y) noexcept {
-  std::int64_t i = 0;
-  for (; i + 8 <= m; i += 8) gemv_rows<8>(k, a + i * k, x, beta, y + i);
-  for (; i < m; ++i) gemv_rows<1>(k, a + i * k, x, beta, y + i);
+  switch (util::isa_level()) {
+    case util::IsaLevel::kV4:
+      detail::gemv_f32_v4(m, k, a, x, beta, y);
+      break;
+    case util::IsaLevel::kV3:
+      detail::gemv_f32_v3(m, k, a, x, beta, y);
+      break;
+    case util::IsaLevel::kBase:
+      detail::gemv_f32_base(m, k, a, x, beta, y);
+      break;
+  }
 }
 
 void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,

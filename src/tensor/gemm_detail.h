@@ -1,7 +1,8 @@
-// Per-ISA instantiations of the exact FP32 GEMM behind gemm_f32's
-// runtime dispatch (tensor/gemm.h). All compile the same body; they are
-// exposed so tests can pin each one against the oracle GEMM on any host
-// that can run it. Production code calls gemm_f32.
+// Per-ISA instantiations of the exact FP32 GEMM and GEMV behind
+// gemm_f32's and gemv_f32's runtime dispatch (tensor/gemm.h). All
+// compile the same body; they are exposed so tests can pin each one
+// against the oracle on any host that can run it. Production code calls
+// gemm_f32 and gemv_f32.
 #pragma once
 
 #include <cstdint>
@@ -47,5 +48,15 @@ void gemm_f32_v4(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  const float* a, std::int64_t lda, const float* b,
                  std::int64_t ldb, float beta, float* c,
                  std::int64_t ldc) noexcept;
+
+/// gemv_f32 at baseline codegen, and compiled for x86-64-v3 and -v4
+/// (contraction off; call only at or below util::isa_level()). Same
+/// contract and bits as gemv_f32, which dispatches among them.
+void gemv_f32_base(std::int64_t m, std::int64_t k, const float* a,
+                   const float* x, float beta, float* y) noexcept;
+void gemv_f32_v3(std::int64_t m, std::int64_t k, const float* a,
+                 const float* x, float beta, float* y) noexcept;
+void gemv_f32_v4(std::int64_t m, std::int64_t k, const float* a,
+                 const float* x, float beta, float* y) noexcept;
 
 }  // namespace ncsw::tensor::detail

@@ -67,8 +67,8 @@ class Tensor {
         std::int64_t w) noexcept {
     return data_[static_cast<std::size_t>(shape_.offset(n, c, h, w))];
   }
-  T at(std::int64_t n, std::int64_t c, std::int64_t h,
-       std::int64_t w) const noexcept {
+  const T& at(std::int64_t n, std::int64_t c, std::int64_t h,
+              std::int64_t w) const noexcept {
     return data_[static_cast<std::size_t>(shape_.offset(n, c, h, w))];
   }
 
@@ -76,7 +76,7 @@ class Tensor {
   T& operator[](std::int64_t i) noexcept {
     return data_[static_cast<std::size_t>(i)];
   }
-  T operator[](std::int64_t i) const noexcept {
+  const T& operator[](std::int64_t i) const noexcept {
     return data_[static_cast<std::size_t>(i)];
   }
 

@@ -3,8 +3,8 @@
 // variants (baseline, x86-64-v3 = AVX2+FMA, x86-64-v4 = AVX-512) with
 // NCSW_TARGET_V3/V4, and dispatched once at first call via isa_level().
 // The fast tier's kernels get wide vectors and FMA this way; the exact
-// tier's GEMM (8 lanes at v3, 16 at v4) and span converters get wide
-// vectors only, because
+// tier's GEMM (8 lanes at v3, 16 at v4), span converters and the loops
+// around them (isa_variant below) get wide vectors only, because
 // src/CMakeLists.txt compiles every library TU with -ffp-contract=off
 // and only the fast-tier TUs opt back in. Bit-identity therefore
 // follows from the contraction flag, not from the ISA the compiler
@@ -67,11 +67,52 @@ inline IsaLevel isa_level() noexcept {
 inline IsaLevel isa_level() noexcept { return IsaLevel::kBase; }
 #endif
 
-}  // namespace ncsw::util
-
 // Forces a kernel body into its per-ISA variants so each variant
 // recompiles the loops at its own vector width.
 #define NCSW_FAST_INLINE inline __attribute__((always_inline))
+
+// A loop body multiversioned without writing its variants out: `Body` is
+// a struct with a `using Args = ...;` and an NCSW_FAST_INLINE
+// `operator()(const Args&) const noexcept`, and isa_variant<Body>(level)
+// returns Body's instantiation at `level`. A kernel picks its variants
+// once per call (never per plane or row) and hands the pointer to its
+// chunks. The level comes from isa_level(), or from a test or benchmark
+// pinning one variant; it must not exceed isa_level(). Every variant
+// compiles the same source under -ffp-contract=off, so the exact tier's
+// bits do not depend on the level. Args travel by value: a local copy
+// that no store through its pointers can alias (a byte or float store
+// could alias a caller's struct), so its scalars stay in registers and
+// the loops vectorise.
+template <typename Body>
+using IsaFn = void (*)(typename Body::Args) noexcept;
+
+template <typename Body>
+void isa_base(typename Body::Args args) noexcept {
+  Body{}(args);
+}
+template <typename Body>
+NCSW_TARGET_V3 void isa_v3(typename Body::Args args) noexcept {
+  Body{}(args);
+}
+template <typename Body>
+NCSW_TARGET_V4 void isa_v4(typename Body::Args args) noexcept {
+  Body{}(args);
+}
+
+template <typename Body>
+IsaFn<Body> isa_variant(IsaLevel level) noexcept {
+  switch (level) {
+    case IsaLevel::kV4:
+      return isa_v4<Body>;
+    case IsaLevel::kV3:
+      return isa_v3<Body>;
+    case IsaLevel::kBase:
+      break;
+  }
+  return isa_base<Body>;
+}
+
+}  // namespace ncsw::util
 
 // 8-lane FP32 vector in GCC's generic vector extension, 4-byte aligned
 // so it loads/stores from arbitrary float*. The fast-tier kernels and

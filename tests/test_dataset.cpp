@@ -51,6 +51,13 @@ struct Digest {
   }
 };
 
+// The recorded digests (the per-ISA test below holds every variant to
+// them too).
+constexpr std::uint64_t kSampleDigest = 0xc27b18f86028e404ULL;
+constexpr std::uint64_t kNoiseDigest = 0x7d1361bbbf3ed636ULL;
+constexpr std::uint64_t kNonDefaultLayoutDigest = 0x3ff6bc6fb31defe6ULL;
+constexpr std::uint64_t kOddPixelCountDigest = 0xebea5be338220dbfULL;
+
 /// (subset, index) pairs spread over the default 5 x 10000 layout,
 /// including both ends of every subset.
 std::vector<std::pair<int, int>> spread_coords() {
@@ -67,7 +74,7 @@ TEST(Dataset, SampleBytesMatchRecordedDigest) {
   const SyntheticImageNet data;
   Digest d;
   for (const auto& [s, i] : spread_coords()) d.sample(data.sample(s, i));
-  EXPECT_EQ(d.h, 0xc27b18f86028e404ULL);
+  EXPECT_EQ(d.h, kSampleDigest);
 }
 
 TEST(Dataset, NoiseVariatesMatchRecordedDigest) {
@@ -91,7 +98,62 @@ TEST(Dataset, NoiseVariatesMatchRecordedDigest) {
       for (int b = 0; b < 64; b += 8) d.byte(static_cast<std::uint8_t>(u >> b));
     }
   }
-  EXPECT_EQ(d.h, 0x7d1361bbbf3ed636ULL);
+  EXPECT_EQ(d.h, kNoiseDigest);
+}
+
+TEST(Dataset, EveryIsaVariantMatchesRecordedDigests) {
+  // The generator's factor and pixel passes at every level this host can
+  // run (util/multiversion.h): the noise doubles and the pixels of the
+  // default layout, a 40-pixel one and a 25-pixel one (1875 values per
+  // image, not a multiple of any vector width).
+  using ncsw::util::IsaLevel;
+  DatasetConfig layout40;
+  layout40.image_size = 40;
+  layout40.num_classes = 7;
+  layout40.subsets = 2;
+  layout40.images_per_subset = 64;
+  DatasetConfig odd25;
+  odd25.image_size = 25;
+  odd25.num_classes = 9;
+  odd25.subsets = 2;
+  odd25.images_per_subset = 40;
+  const SyntheticImageNet data, data40(layout40), data25(odd25);
+  auto coords = spread_coords();
+  const std::size_t spread = coords.size();
+  coords.insert(coords.end(), {{0, 1091}, {1, 1351}, {2, 4621}});
+  for (const IsaLevel isa : {IsaLevel::kBase, IsaLevel::kV3, IsaLevel::kV4}) {
+    if (isa > ncsw::util::isa_level()) continue;
+    SCOPED_TRACE(::testing::Message() << "isa " << static_cast<int>(isa));
+    Digest samples, noise, d40, d25;
+    for (std::size_t k = 0; k < coords.size(); ++k) {
+      const auto [s, i] = coords[k];
+      if (k < spread) samples.sample(data.sample(s, i, isa));
+      for (const double x : data.noise_variates(s, i, isa)) {
+        std::uint64_t u;
+        std::memcpy(&u, &x, sizeof(u));
+        for (int b = 0; b < 64; b += 8) {
+          noise.byte(static_cast<std::uint8_t>(u >> b));
+        }
+      }
+    }
+    for (int c = 0; c < layout40.num_classes; ++c) {
+      d40.image(data40.prototype(c));
+    }
+    for (int s = 0; s < layout40.subsets; ++s) {
+      for (int i = 0; i < layout40.images_per_subset; i += 3) {
+        d40.sample(data40.sample(s, i, isa));
+      }
+    }
+    for (int s = 0; s < odd25.subsets; ++s) {
+      for (int i = 0; i < odd25.images_per_subset; ++i) {
+        d25.sample(data25.sample(s, i, isa));
+      }
+    }
+    EXPECT_EQ(samples.h, kSampleDigest);
+    EXPECT_EQ(noise.h, kNoiseDigest);
+    EXPECT_EQ(d40.h, kNonDefaultLayoutDigest);
+    EXPECT_EQ(d25.h, kOddPixelCountDigest);
+  }
 }
 
 TEST(Dataset, NoiseVariatesAreWhatSampleBlends) {
@@ -142,7 +204,7 @@ TEST(Dataset, NonDefaultLayoutMatchesRecordedDigest) {
       d.sample(data.sample(s, i));
     }
   }
-  EXPECT_EQ(d.h, 0x3ff6bc6fb31defe6ULL);
+  EXPECT_EQ(d.h, kNonDefaultLayoutDigest);
 }
 
 TEST(Dataset, OddPixelCountMatchesRecordedDigest) {
@@ -161,7 +223,7 @@ TEST(Dataset, OddPixelCountMatchesRecordedDigest) {
       d.sample(data.sample(s, i));
     }
   }
-  EXPECT_EQ(d.h, 0xebea5be338220dbfULL);
+  EXPECT_EQ(d.h, kOddPixelCountDigest);
 }
 
 TEST(Dataset, ConcurrentSamplesMatchSerial) {

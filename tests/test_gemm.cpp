@@ -533,4 +533,48 @@ TEST(GemmExactIsa, V4EveryTileWidthSpecialValuesUnalignedRows) {
   check_variant(2);
 }
 
+TEST(GemvExactIsa, EachInstantiationMatchesReferenceBitwise) {
+  // Rows around the 8-row block (m % 8 != 0), lengths that are not a
+  // multiple of the vector widths, -0 and zero terms (skipped), an
+  // infinity in x (its zero-weight terms stay skipped) and beta 0 and 1
+  // over a y holding -0.
+  using ncsw::util::IsaLevel;
+  struct Variant {
+    const char* name;
+    void (*fn)(std::int64_t, std::int64_t, const float*, const float*, float,
+               float*) noexcept;
+    IsaLevel level;
+  };
+  const Variant variants[] = {
+      {"base", ncsw::tensor::detail::gemv_f32_base, IsaLevel::kBase},
+      {"v3", ncsw::tensor::detail::gemv_f32_v3, IsaLevel::kV3},
+      {"v4", ncsw::tensor::detail::gemv_f32_v4, IsaLevel::kV4}};
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {50, 88}, {37, 301}, {8, 16}, {17, 9}, {1, 1}, {3, 33}};
+  for (const Variant& v : variants) {
+    if (v.level > ncsw::util::isa_level()) continue;
+    for (const auto& [m, k] : shapes) {
+      auto a = random_matrix_with_zeros(m * k, 600 + m);
+      for (std::size_t i = 0; i < a.size(); i += 7) a[i] = -0.0f;
+      auto x = random_matrix_with_zeros(k, 700 + k);
+      x[static_cast<std::size_t>(k / 2)] =
+          std::numeric_limits<float>::infinity();
+      for (std::int64_t r = 0; r < m; ++r) {
+        a[static_cast<std::size_t>(r * k + k / 2)] = 0.0f;
+      }
+      for (const float beta : {0.0f, 1.0f}) {
+        std::vector<float> y_ref(static_cast<std::size_t>(m), -0.0f);
+        for (std::size_t i = 0; i < y_ref.size(); i += 2) y_ref[i] = 0.25f;
+        auto y = y_ref;
+        v.fn(m, k, a.data(), x.data(), beta, y.data());
+        ncsw::oracle::gemm_f32_ref(m, 1, k, 1.0f, a.data(), x.data(), beta,
+                                   y_ref.data());
+        ASSERT_EQ(0, std::memcmp(y.data(), y_ref.data(),
+                                 y.size() * sizeof(float)))
+            << v.name << " m=" << m << " k=" << k << " beta=" << beta;
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -281,6 +281,36 @@ TEST(ResizeToTensor, MatchesResizeThenConvertBitForBit) {
   }
 }
 
+TEST(ResizeToTensor, EveryIsaVariantMatchesResizeThenConvert) {
+  // The fused resize's blend loops at every level this host can run
+  // (util/multiversion.h), on output rows of 32, 16, 20 and 7 values.
+  using ncsw::util::IsaLevel;
+  struct Case {
+    int src_w, src_h, out_w, out_h;
+  };
+  const ChannelMeans means{123.68f, 116.78f, 103.94f};
+  for (const IsaLevel isa : {IsaLevel::kBase, IsaLevel::kV3, IsaLevel::kV4}) {
+    if (isa > ncsw::util::isa_level()) continue;
+    for (const Case& k : {Case{48, 48, 32, 32}, Case{48, 48, 16, 16},
+                          Case{37, 29, 16, 20}, Case{24, 24, 32, 32},
+                          Case{29, 31, 7, 5}}) {
+      for (const Image& src : resize_sources(k.src_w, k.src_h)) {
+        const auto want =
+            to_tensor_f32(reference_resize(src, k.out_w, k.out_h), means);
+        const auto got = ncsw::imgproc::detail::resize_to_tensor_f32(
+            src, k.out_w, k.out_h, means, isa);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<std::size_t>(want.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "isa " << static_cast<int>(isa) << " " << k.src_w << "x"
+            << k.src_h << " -> " << k.out_w << "x" << k.out_h;
+      }
+    }
+  }
+}
+
 TEST(ResizeToTensor, RejectsBadArguments) {
   const Image img = random_image(4, 4, 1);
   EXPECT_THROW(resize_to_tensor_f32(img, 0, 4), std::invalid_argument);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "oracle/oracle.h"
+#include "util/multiversion.h"
 #include "util/rng.h"
 
 namespace {
@@ -19,6 +20,7 @@ using ncsw::fp16::half;
 using ncsw::tensor::Shape;
 using ncsw::tensor::Tensor;
 using ncsw::tensor::TensorF;
+using ncsw::tensor::TensorH;
 
 TensorF random_tensor(const Shape& s, std::uint64_t seed) {
   ncsw::util::Xoshiro256 rng(seed);
@@ -819,6 +821,283 @@ void fc_bit_identity_case(std::uint64_t seed) {
 TEST(KernelBitIdentity, FullyConnectedAllConfigsBothPrecisions) {
   fc_bit_identity_case<float>(5000);
   fc_bit_identity_case<half>(5000);
+}
+
+// --- Per-ISA variants ------------------------------------------------------
+// The multiversioned loops of the exact kernels (util/multiversion.h) at
+// every level this host can run, each against the oracle bit for bit:
+// TinyGoogLeNet's compile-time shapes and widths that are not a multiple
+// of 8 or 16 lanes, +-0 ties, infinities and NaNs. Where sums are
+// involved, a fixture holds one NaN sign only (two NaNs of different
+// sign meeting in one add keep whichever operand order the compiler
+// picked).
+
+using ncsw::util::IsaLevel;
+
+std::vector<IsaLevel> runnable_isas() {
+  std::vector<IsaLevel> out{IsaLevel::kBase};
+  for (const IsaLevel l : {IsaLevel::kV3, IsaLevel::kV4}) {
+    if (l <= ncsw::util::isa_level()) out.push_back(l);
+  }
+  return out;
+}
+
+const char* isa_name(IsaLevel l) {
+  return l == IsaLevel::kBase ? "base" : l == IsaLevel::kV3 ? "v3" : "v4";
+}
+
+template <typename T>
+void max_pool_isa_case(const Shape& shape, std::uint64_t seed) {
+  const Tensor<T> in =
+      ncsw::tensor::tensor_cast<T>(adversarial_planes(shape, seed));
+  kernels::Workspace ws;
+  for (const auto& [name, pp] : adversarial_pool_configs()) {
+    Tensor<T> ref;
+    ncsw::oracle::max_pool(in, pp, ref);
+    for (const IsaLevel isa : runnable_isas()) {
+      for (const int threads : {1, 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " " << isa_name(isa) << " threads " << threads
+                     << " shape " << shape.to_string());
+        Tensor<T> got;
+        kernels::detail::max_pool(in, pp, got, threaded_ctx(ws, threads), isa);
+        expect_bytes_equal(got, ref, "max_pool");
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, MaxPoolTiesNanAndInfEveryVariant) {
+  // TinyGoogLeNet's maps (16x16, 8x8, 4x4: the compile-time widths) and
+  // odd ones.
+  for (const Shape& shape :
+       {Shape{1, 16, 16, 16}, Shape{2, 5, 8, 8}, Shape{1, 7, 4, 4},
+        Shape{2, 4, 9, 7}, Shape{1, 3, 13, 11}, Shape{1, 3, 17, 17},
+        Shape{1, 2, 5, 5}}) {
+    max_pool_isa_case<float>(shape, 3600);
+    max_pool_isa_case<half>(shape, 3600);
+  }
+}
+
+// A plane of random values with +-0, and, by `nan`, either NaN (one
+// sign) and +inf, or both infinities (whose sum is x86's one default
+// NaN) and no NaN input.
+TensorF special_planes(const Shape& s, std::uint64_t seed, bool nan) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  TensorF t = random_tensor(s, seed);
+  const float specials[] = {0.0f, -0.0f,
+                            nan ? std::numeric_limits<float>::quiet_NaN()
+                                : -inf,
+                            inf};
+  for (std::int64_t i = 0; i < t.numel(); i += 5) {
+    t[i] = specials[static_cast<std::size_t>(i / 5 + i / 7) % 4];
+  }
+  return t;
+}
+
+// The average pool's spec, the scalar window loop it replaced: each
+// output sums its window in double, rows then columns, and divides by
+// the padded window size; the global pool by h*w.
+TensorF avg_pool_scalar(const TensorF& in, const PoolParams& p) {
+  const Shape& is = in.shape();
+  const int k = p.global ? 0 : p.kernel;
+  const std::int64_t oh =
+      p.global ? 1 : pooled_extent(is.h, k, p.stride, p.pad, p.ceil_mode);
+  const std::int64_t ow =
+      p.global ? 1 : pooled_extent(is.w, k, p.stride, p.pad, p.ceil_mode);
+  TensorF out(Shape{is.n, is.c, oh, ow});
+  for (std::int64_t b = 0; b < is.n; ++b) {
+    for (std::int64_t c = 0; c < is.c; ++c) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const std::int64_t y0 = p.global ? 0 : oy * p.stride - p.pad;
+          const std::int64_t x0 = p.global ? 0 : ox * p.stride - p.pad;
+          const std::int64_t y1 = p.global ? is.h : y0 + k;
+          const std::int64_t x1 = p.global ? is.w : x0 + k;
+          const auto divisor = static_cast<double>(
+              (std::min(y1, is.h + p.pad) - y0) *
+              (std::min(x1, is.w + p.pad) - x0));
+          double sum = 0.0;
+          for (std::int64_t y = std::max<std::int64_t>(y0, 0);
+               y < std::min(y1, is.h); ++y) {
+            for (std::int64_t x = std::max<std::int64_t>(x0, 0);
+                 x < std::min(x1, is.w); ++x) {
+              sum += in.at(b, c, y, x);
+            }
+          }
+          out.at(b, c, oy, ox) = static_cast<float>(sum / divisor);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(KernelIsa, AvgPoolEveryVariantMatchesScalarLoop) {
+  PoolParams global;
+  global.global = true;
+  const std::pair<const char*, PoolParams> configs[] = {
+      {"global", global},
+      {"3/s1/p1", PoolParams{3, 1, 1, true, false}},
+      {"3/s2/p1 floor", PoolParams{3, 2, 1, false, false}}};
+  kernels::Workspace ws;
+  // 88 x 4x4 is TinyGoogLeNet's pool5; 13 and 3 channels leave a partial
+  // group of 8 planes in the global pool.
+  for (const Shape& shape :
+       {Shape{1, 88, 4, 4}, Shape{2, 13, 5, 7}, Shape{1, 3, 9, 9}}) {
+    for (const bool nan : {false, true}) {
+      const TensorF in_f = special_planes(shape, 3700, nan);
+      for (const auto& [name, pp] : configs) {
+        const TensorF ref = avg_pool_scalar(in_f, pp);
+        const TensorH in_h = ncsw::tensor::tensor_cast<half>(in_f);
+        const TensorH ref_h =
+            ncsw::tensor::tensor_cast<half>(avg_pool_scalar(
+                ncsw::tensor::tensor_cast<float>(in_h), pp));
+        for (const IsaLevel isa : runnable_isas()) {
+          for (const int threads : {1, 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " " << isa_name(isa) << " threads "
+                         << threads << " nan " << nan << " shape "
+                         << shape.to_string());
+            TensorF got;
+            kernels::detail::avg_pool(in_f, pp, got, threaded_ctx(ws, threads),
+                                      isa);
+            expect_bytes_equal(got, ref, "avg_pool fp32");
+            TensorH got_h;
+            kernels::detail::avg_pool(in_h, pp, got_h,
+                                      threaded_ctx(ws, threads), isa);
+            expect_bytes_equal(got_h, ref_h, "avg_pool fp16");
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void lrn_isa_case(const Shape& shape, bool nan, kernels::Workspace& ws) {
+  const Tensor<T> in =
+      ncsw::tensor::tensor_cast<T>(special_planes(shape, 4100, nan));
+  const LRNParams p{5, 1e-4f, 0.75f, 2.0f};
+  Tensor<T> ref;
+  ncsw::oracle::lrn(in, p, ref);
+  for (const IsaLevel isa : runnable_isas()) {
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << isa_name(isa) << " threads " << threads << " nan "
+                   << nan << " shape " << shape.to_string());
+      Tensor<T> got;
+      kernels::detail::lrn(in, p, got, threaded_ctx(ws, threads), isa);
+      expect_bytes_equal(got, ref, "lrn");
+    }
+  }
+}
+
+TEST(KernelIsa, LrnEveryVariantMatchesOracle) {
+  kernels::Workspace ws;
+  // TinyGoogLeNet's norms (16 and 32 x 8x8) and planes of 15, 16 and 63
+  // values.
+  for (const Shape& shape : {Shape{1, 16, 8, 8}, Shape{1, 32, 8, 8},
+                             Shape{2, 7, 5, 3}, Shape{1, 9, 4, 4},
+                             Shape{1, 6, 7, 9}}) {
+    for (const bool nan : {false, true}) {
+      lrn_isa_case<float>(shape, nan, ws);
+      lrn_isa_case<half>(shape, nan, ws);
+    }
+  }
+}
+
+template <typename T>
+void conv_isa_case(const ConvFixture<T>& f, kernels::Workspace& ws) {
+  Tensor<T> ref, ref_relu;
+  ncsw::oracle::conv2d(f.in, f.p, f.cp, ref);
+  ref_relu = ref;
+  ncsw::oracle::relu(ref_relu);
+  const kernels::LayerWeights lw(f.p);
+  const kernels::ConvOperand op(f.in.shape(), f.cp);
+  for (const IsaLevel isa : runnable_isas()) {
+    for (const int threads : {1, 3}) {
+      for (const bool fuse : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (std::is_same_v<T, float> ? "fp32 " : "fp16 ")
+                     << isa_name(isa) << " threads " << threads << " relu "
+                     << fuse);
+        Tensor<T> got;
+        kernels::detail::conv2d(f.in, lw, op, fuse, got,
+                                threaded_ctx(ws, threads), isa);
+        expect_bytes_equal(got, fuse ? ref_relu : ref, "conv2d");
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, Conv2dEveryVariantMatchesOracle) {
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  // TinyGoogLeNet's stem (7x7/s2/p3 on 32x32: 16-wide stride-2 planes),
+  // its 3x3 and 5x5 towers on 8x8 and 4x4 maps, a 1x1, and odd maps at
+  // strides 1, 2 and 3 (the run-time widths).
+  const ConvCase cases[] = {
+      {3, 32, 32, 6, 7, 2, 3, 1}, {5, 8, 8, 4, 3, 1, 1, 2},
+      {4, 4, 4, 5, 5, 1, 2, 1},   {6, 4, 4, 3, 3, 1, 1, 1},
+      {5, 9, 7, 3, 1, 1, 0, 2},   {3, 9, 7, 5, 3, 1, 1, 1},
+      {3, 11, 9, 4, 3, 2, 1, 2},  {2, 13, 11, 3, 4, 3, 2, 1}};
+  kernels::Workspace ws;
+  std::uint64_t seed = 12000;
+  for (const ConvCase& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.h << "x" << c.w << " k" << c.kernel << " s" << c.stride
+                 << " p" << c.pad << " batch " << c.batch);
+    for (const bool with_inf : {true, false}) {
+      const float nan = with_inf ? -kNaN : kNaN;
+      conv_isa_case(special_conv<float>(c, seed, nan, with_inf), ws);
+      conv_isa_case(special_conv<half>(c, seed, nan, with_inf), ws);
+    }
+    seed += 10;
+  }
+}
+
+template <typename T>
+void fc_isa_case(std::int64_t batch, std::int64_t in_dim, std::int64_t out,
+                 bool nan, std::uint64_t seed) {
+  const Tensor<T> in = ncsw::tensor::tensor_cast<T>(
+      special_planes(Shape{batch, in_dim, 1, 1}, seed, nan));
+  LayerParams<T> p;
+  TensorF w = random_tensor(Shape{out, in_dim, 1, 1}, seed + 1);
+  for (std::int64_t i = 0; i < w.numel(); i += 4) {
+    w[i] = i % 8 == 0 ? 0.0f : -0.0f;  // skipped terms
+  }
+  p.w = ncsw::tensor::tensor_cast<T>(w);
+  p.b = ncsw::tensor::tensor_cast<T>(
+      special_planes(Shape{1, out, 1, 1}, seed + 2, false));
+  const FCParams fp{static_cast<int>(out)};
+  Tensor<T> ref;
+  ncsw::oracle::fully_connected(in, p, fp, ref);
+  const kernels::LayerWeights lw(p);
+  for (const IsaLevel isa : runnable_isas()) {
+    SCOPED_TRACE(::testing::Message()
+                 << (std::is_same_v<T, float> ? "fp32 " : "fp16 ")
+                 << isa_name(isa) << " " << in_dim << " -> " << out
+                 << " nan " << nan);
+    Tensor<T> got;
+    kernels::detail::fully_connected(in, lw, fp, got, kernels::ExecCtx{},
+                                     isa);
+    expect_bytes_equal(got, ref, "fully_connected");
+  }
+}
+
+TEST(KernelIsa, FullyConnectedEveryVariantMatchesOracle) {
+  // TinyGoogLeNet's classifier (88 -> 50) and ragged row blocks and
+  // lengths around the GEMV's 8 rows and the vector widths.
+  const std::pair<std::int64_t, std::int64_t> dims[] = {
+      {88, 50}, {37, 11}, {16, 8}, {9, 17}, {1, 3}};
+  std::uint64_t seed = 5100;
+  for (const auto& [in_dim, out] : dims) {
+    for (const bool nan : {false, true}) {
+      fc_isa_case<float>(2, in_dim, out, nan, seed);
+      fc_isa_case<half>(2, in_dim, out, nan, seed);
+      seed += 10;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 namespace {
 
 using ncsw::fp16::half;
@@ -64,6 +67,26 @@ TEST(Tensor, AtMatchesLinearIndexing) {
   TensorF t(Shape{2, 3, 4, 5});
   t.at(1, 2, 3, 4) = 42.0f;
   EXPECT_EQ(t[119], 42.0f);
+}
+
+// Writing through a const tensor's element does not compile: the const
+// accessors return const T&, not a temporary copy that would take the
+// assignment and drop it.
+static_assert(!std::is_assignable_v<decltype(std::declval<const TensorH&>()[0]),
+                                    half>);
+static_assert(!std::is_assignable_v<
+              decltype(std::declval<const TensorH&>().at(0, 0, 0, 0)),
+              half>);
+static_assert(!std::is_assignable_v<decltype(std::declval<const TensorF&>()[0]),
+                                    float>);
+static_assert(std::is_assignable_v<decltype(std::declval<TensorH&>()[0]),
+                                   half>);
+
+TEST(Tensor, ConstAccessorsReferTheStoredElement) {
+  TensorH t(Shape{1, 1, 2, 2});
+  const TensorH& ct = t;
+  EXPECT_EQ(&ct[3], t.data() + 3);
+  EXPECT_EQ(&ct.at(0, 0, 1, 0), t.data() + 2);
 }
 
 TEST(Tensor, ReshapePreservesData) {
