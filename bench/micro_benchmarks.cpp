@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks of the substrate layers: FP16
 // conversion, GEMM, convolution, max pooling, LRN, the libm spans, USB
 // reservation, the chip model, the dataset generator, functional
-// inference, zoo graph swaps and the cluster's serving loop. These
-// measure *this host's* real performance (unlike the figure harnesses,
-// which report simulated device time).
+// inference, zoo graph swaps and the zoo's and cluster's serving
+// loops. These measure *this host's* real performance (unlike the figure
+// harnesses, which report simulated device time).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "nn/kernels.h"
 #include "mdk/mdk.h"
 #include "serve/arrivals.h"
+#include "serve/zoo_serve.h"
 #include "sim/resource.h"
 #include "sipp/filters.h"
 #include "tensor/gemm.h"
@@ -382,18 +384,59 @@ void BM_TinyGoogLeNetForwardFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_TinyGoogLeNetForwardFp16);
 
+// One USB link's first-fit reservations (sim::IntervalResource), per
+// reservation. hub:0 is one client chaining 10k transfers: 1.5 s of
+// simulated time, so nothing is ever pruned. hub:1 is a zoo hub's shape:
+// three sticks with their own clocks, issuing 100k transfers of 2-20 ms
+// in a fresh order each round, a quarter of them asking for a slot up to
+// 50 ms back. That spans ~1100 s, with a few hundred live intervals, so
+// pruning and compaction run throughout.
 void BM_IntervalReserve(benchmark::State& state) {
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      ncsw::sim::IntervalResource r;
+      double t = 0;
+      for (int i = 0; i < 10000; ++i) {
+        t = r.reserve(t, 1e-4) + 5e-5;
+      }
+      benchmark::DoNotOptimize(t);
+    }
+    state.SetItemsProcessed(state.iterations() * 10000);
+    return;
+  }
+  constexpr int kClients = 3, kReservations = 100'000;
+  struct Ask {
+    int client;
+    double back, duration, gap;
+  };
+  std::vector<Ask> asks(kReservations);
+  ncsw::util::Xoshiro256 rng(3);
+  std::array<int, kClients> order{0, 1, 2};
+  for (int i = 0; i < kReservations; ++i) {
+    if (i % kClients == 0) {
+      for (int k = kClients - 1; k > 0; --k) {
+        std::swap(order[static_cast<std::size_t>(k)],
+                  order[static_cast<std::size_t>(rng.uniform_int(0, k))]);
+      }
+    }
+    Ask& a = asks[static_cast<std::size_t>(i)];
+    a.client = order[static_cast<std::size_t>(i % kClients)];
+    a.back = rng.uniform() < 0.25 ? rng.uniform(0.0, 0.05) : 0.0;
+    a.duration = rng.uniform(0.002, 0.02);
+    a.gap = rng.uniform(0.0, 0.005);
+  }
   for (auto _ : state) {
     ncsw::sim::IntervalResource r;
-    double t = 0;
-    for (int i = 0; i < 10000; ++i) {
-      t = r.reserve(t, 1e-4) + 5e-5;
+    std::array<double, kClients> clock{};
+    for (const Ask& a : asks) {
+      double& t = clock[static_cast<std::size_t>(a.client)];
+      t = r.reserve(t - a.back, a.duration) + a.duration + a.gap;
     }
-    benchmark::DoNotOptimize(t);
+    benchmark::DoNotOptimize(clock.data());
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(state.iterations() * kReservations);
 }
-BENCHMARK(BM_IntervalReserve);
+BENCHMARK(BM_IntervalReserve)->ArgName("hub")->Arg(0)->Arg(1);
 
 void BM_Myriad2ExecuteGoogLeNet(benchmark::State& state) {
   const auto compiled = ncsw::graphc::compile(ncsw::nn::build_googlenet(),
@@ -522,6 +565,74 @@ void BM_ClusterRun(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ClusterRun)->Unit(benchmark::kMillisecond);
+
+// Host cost of the zoo's own loop per request, on perfbench's zoo-ladder
+// shape: 8 tenants (four networks, each twice) on 4 sticks, cost-aware
+// residency, a 3 s queue deadline, and 10k Poisson requests at 0.95x
+// the hot model's 4-stick capacity, tenants drawn zipf(0.5). Only
+// ZooServer::run is timed; each iteration gets a fresh fleet.
+void BM_ZooRun(benchmark::State& state) {
+  constexpr int kSticks = 4;
+  constexpr std::int64_t kRequests = 10000;
+  std::vector<ncsw::core::ZooModel> zoo;
+  for (const char* copy : {"a", "b"}) {
+    for (const char* net : {"googlenet", "squeezenet", "alexnet", "tiny"}) {
+      zoo.push_back({std::string(net) + "-" + copy,
+                     ncsw::core::ModelBundle::zoo_reference(net)});
+    }
+  }
+  ncsw::core::StickFleetConfig fcfg;
+  fcfg.devices = kSticks;
+  double capacity = 0.0;
+  {
+    ncsw::core::StickFleet probe(zoo, fcfg);
+    capacity = kSticks * probe.stick(0).run_timed(64, 1).throughput();
+  }
+
+  const int tenants = static_cast<int>(zoo.size());
+  std::vector<double> cdf(zoo.size());
+  double total = 0.0;
+  for (int k = 0; k < tenants; ++k) {
+    total += 1.0 / std::sqrt(static_cast<double>(k + 1));
+    cdf[static_cast<std::size_t>(k)] = total;
+  }
+  ncsw::serve::PoissonArrivals arrivals(0.95 * capacity, 1);
+  ncsw::util::Xoshiro256 mix(2);
+  std::vector<ncsw::serve::ZooRequest> trace(kRequests);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = static_cast<std::int64_t>(i);
+    trace[i].arrival_s = arrivals.next();
+    const double u = mix.uniform() * total;
+    const auto rank = std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin();
+    trace[i].model = std::min(tenants - 1, static_cast<int>(rank));
+    const double c = mix.uniform();
+    trace[i].slo = c < 0.20   ? ncsw::serve::SloClass::kInteractive
+                   : c < 0.80 ? ncsw::serve::SloClass::kStandard
+                              : ncsw::serve::SloClass::kBatch;
+  }
+
+  ncsw::serve::ZooConfig cfg;
+  cfg.residency.placement = ncsw::serve::Placement::kCostAware;
+  cfg.queue_capacity = 96;
+  cfg.max_batch = 4;
+  cfg.queue_deadline_s = 3.0;
+
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fleet = std::make_unique<ncsw::core::StickFleet>(zoo, fcfg);
+    ncsw::serve::ZooServer server(*fleet, cfg);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(server.run(trace).completed);
+    state.PauseTiming();  // keep the teardown untimed
+    fleet.reset();
+    state.ResumeTiming();
+  }
+  // Seconds per request (printed with an SI prefix, e.g. "2.4us").
+  state.counters["per_req"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kRequests,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ZooRun)->Unit(benchmark::kMillisecond);
 
 // One generated 48 x 48 sample, per variant of its factor and pixel
 // passes (isa, as BM_GemmF32Exact).

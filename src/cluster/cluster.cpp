@@ -149,9 +149,11 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   // The serving verifier (check/serve_check.h) shadows the ledger:
   // first-completion-wins delivery, live-copy counts, and end-of-run
-  // conservation. Every hook is a no-op in kOff mode.
+  // conservation. Every hook is a no-op in kOff mode; the mode is
+  // resolved once per run, not once per hook.
   auto& sv = check::serve_verifier();
   sv.on_cluster_begin();
+  const bool checking = sv.enabled();
 
   auto& reg = util::metrics();
   util::Counter& m_offered = reg.counter("cluster.offered");
@@ -385,7 +387,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       const std::size_t pos = pos_of.at(req.id);
       Ledger& led = ledger[pos];
       --led.live;
-      if (sv.enabled()) sv.on_ledger_live(req.id, led.live, t);
+      if (checking) sv.on_ledger_live(req.id, led.live, t);
       if (!led.completed && !led.terminal) {
         led.evicted_s = t;
         replays.push_back({pos, t});
@@ -404,11 +406,11 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         const serve::Request& req = requests[ev.pos];
         Ledger& led = ledger[ev.pos];
         --led.live;
-        if (sv.enabled()) sv.on_ledger_live(req.id, led.live, t);
+        if (checking) sv.on_ledger_live(req.id, led.live, t);
         switch (ev.outcome) {
           case serve::Outcome::kCompleted:
             if (!led.completed) {
-              if (sv.enabled()) {
+              if (checking) {
                 sv.on_ledger_deliver(req.id, ev.node, ev.at_s);
               }
               led.completed = true;
@@ -757,7 +759,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   rollup.finish(report);
   // Crash replays and hedge duplicates are copies of one ledger entry,
   // so the terminal states must still partition what was admitted.
-  if (sv.enabled()) {
+  if (checking) {
     sv.on_cluster_finish(report.offered, report.completed, report.rejected,
                          report.dropped_deadline, report.requests_lost, now);
   }

@@ -207,11 +207,13 @@ double StickFleet::swap_to(int d, int m, double now_s) {
   }
   if (s.resident_ == m) return std::max(now_s, s.next_free_s_);
 
-  const std::string from =
-      s.resident_ >= 0 ? models_[s.resident_].name : std::string();
-  check::serve_verifier().on_swap_begin(s.short_name(), from,
-                                        models_[m].name, s.inflight(),
-                                        now_s);
+  auto& sv = check::serve_verifier();
+  if (sv.enabled()) {
+    sv.on_swap_begin(s.short_name(),
+                     s.resident_ >= 0 ? models_[s.resident_].name
+                                      : std::string(),
+                     models_[m].name, s.inflight(), now_s);
+  }
   // Drain-then-deallocate: queued device results at a swap are stale
   // (their tickets were retired or cancelled); retrieving them first
   // keeps the NCAPI verifier's undrained-at-dealloc class quiet on

@@ -105,6 +105,11 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   }
   report.first_arrival_s = requests.empty() ? 0.0 : requests[0].arrival_s;
 
+  // The serving verifier's mode is resolved once per run: with it off, a
+  // dispatch builds none of the hook's name strings.
+  auto& sv = check::serve_verifier();
+  const bool checking = sv.enabled();
+
   const auto head_key = [&](int m) {
     HeadKey key;
     for (int c = 0; c < static_cast<int>(kSloClassCount); ++c) {
@@ -182,10 +187,11 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
           --queued_by_class[c];
         }
       }
-      check::serve_verifier().on_zoo_dispatch(
-          fleet_.stick(best_stick).short_name(),
-          fleet_.model_name(fleet_.resident_model(best_stick)),
-          fleet_.model_name(best.model), now);
+      if (checking) {
+        sv.on_zoo_dispatch(fleet_.stick(best_stick).short_name(),
+                           fleet_.model_name(fleet_.resident_model(best_stick)),
+                           fleet_.model_name(best.model), now);
+      }
       auto& stick = fleet_.stick(best_stick);
       f.ticket = stick.submit(static_cast<std::int64_t>(f.recs.size()),
                               /*batch=*/1, now);
@@ -327,9 +333,9 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   metrics.counter("serve.zoo.hits").add(report.hits);
   metrics.counter("serve.zoo.misses").add(report.misses);
 
-  check::serve_verifier().on_zoo_finish(
-      "zoo", report.offered, report.completed, report.rejected,
-      report.dropped, report.installs, report.evicts, report.resident, end_s);
+  sv.on_zoo_finish("zoo", report.offered, report.completed, report.rejected,
+                   report.dropped, report.installs, report.evicts,
+                   report.resident, end_s);
 
   if (tr.enabled()) {
     tr.complete(

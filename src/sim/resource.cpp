@@ -28,9 +28,27 @@ SimTime IntervalResource::reserve(SimTime earliest, SimTime duration) {
     throw std::invalid_argument("IntervalResource::reserve: negative duration");
   }
   if (earliest < floor_) earliest = floor_;
+  // Drop the pruned prefix only when the insert below would otherwise
+  // grow the vector, so the capacity grows exactly when it did while
+  // every prune erased the prefix. A compaction moves the live list once
+  // per (capacity - live) inserts, and never more often than that erase.
+  if (head_ > 0 && intervals_.size() == intervals_.capacity()) {
+    intervals_.erase(intervals_.begin(),
+                     intervals_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   // First-fit: find the earliest gap at/after `earliest` wide enough.
+  // The ends are sorted, so the intervals wholly before `earliest` (the
+  // walk's leading `continue`s) are a prefix of the live list: skip it by
+  // binary search. Pruned intervals all end at or before floor_, so
+  // starting at head_ skips nothing the walk would look at.
   SimTime cursor = earliest;
-  std::size_t pos = 0;
+  const auto first_live =
+      intervals_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto first_after = std::upper_bound(
+      first_live, intervals_.end(), cursor,
+      [](SimTime t, const Interval& iv) { return t < iv.end; });
+  std::size_t pos = static_cast<std::size_t>(first_after - intervals_.begin());
   for (; pos < intervals_.size(); ++pos) {
     const Interval& iv = intervals_[pos];
     if (iv.end <= cursor) continue;          // fully before the cursor
@@ -52,12 +70,11 @@ SimTime IntervalResource::reserve(SimTime earliest, SimTime duration) {
 void IntervalResource::prune() {
   const SimTime cutoff = max_start_ - kPruneWindow;
   if (cutoff <= floor_) return;
-  std::size_t keep = 0;
+  std::size_t keep = head_;
   while (keep < intervals_.size() && intervals_[keep].end < cutoff) ++keep;
-  if (keep == 0) return;
+  if (keep == head_) return;
   floor_ = std::max(floor_, intervals_[keep - 1].end);
-  intervals_.erase(intervals_.begin(),
-                   intervals_.begin() + static_cast<std::ptrdiff_t>(keep));
+  head_ = keep;
 }
 
 }  // namespace ncsw::sim

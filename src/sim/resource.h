@@ -6,6 +6,7 @@
 // a resource's state is just when each of its servers next frees.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,7 +67,10 @@ class IntervalResource {
   };
   void prune();
 
-  std::vector<Interval> intervals_;  // sorted by start, non-overlapping
+  // Sorted by start and non-overlapping, so the ends are sorted too.
+  // [0, head_) is pruned history awaiting compaction.
+  std::vector<Interval> intervals_;
+  std::size_t head_ = 0;
   SimTime busy_ = 0.0;
   std::uint64_t count_ = 0;
   SimTime floor_ = 0.0;      ///< no reservation may start before this

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.h"
@@ -10,6 +16,7 @@ namespace {
 
 using ncsw::sim::IntervalResource;
 using ncsw::sim::Resource;
+using ncsw::sim::SimTime;
 
 TEST(Resource, SingleServerSerialises) {
   Resource r;
@@ -135,6 +142,188 @@ TEST(IntervalResource, ManyReservationsStayFast) {
   }
   EXPECT_EQ(r.reservations(), 100'000u);
   EXPECT_NEAR(r.busy_time(), 10.0, 1e-6);
+}
+
+// The first-fit link as it was before the binary search and the head
+// index: a walk from index 0 and a front erase on every prune. Kept as
+// the spec the production IntervalResource must match bit for bit.
+class LinearIntervalOracle {
+ public:
+  SimTime reserve(SimTime earliest, SimTime duration) {
+    if (duration < 0.0) throw std::invalid_argument("negative duration");
+    if (earliest < floor_) earliest = floor_;
+    SimTime cursor = earliest;
+    std::size_t pos = 0;
+    for (; pos < intervals_.size(); ++pos) {
+      const Interval& iv = intervals_[pos];
+      if (iv.end <= cursor) continue;
+      if (cursor + duration <= iv.start) break;
+      cursor = std::max(cursor, iv.end);
+    }
+    intervals_.insert(intervals_.begin() + static_cast<std::ptrdiff_t>(pos),
+                      Interval{cursor, cursor + duration});
+    busy_ += duration;
+    ++count_;
+    max_start_ = std::max(max_start_, cursor);
+    const SimTime cutoff = max_start_ - IntervalResource::kPruneWindow;
+    if (cutoff > floor_) {
+      std::size_t keep = 0;
+      while (keep < intervals_.size() && intervals_[keep].end < cutoff) ++keep;
+      if (keep > 0) {
+        floor_ = std::max(floor_, intervals_[keep - 1].end);
+        intervals_.erase(
+            intervals_.begin(),
+            intervals_.begin() + static_cast<std::ptrdiff_t>(keep));
+      }
+    }
+    return cursor;
+  }
+  SimTime busy_time() const { return busy_; }
+  std::uint64_t reservations() const { return count_; }
+
+ private:
+  struct Interval {
+    SimTime start;
+    SimTime end;
+  };
+  std::vector<Interval> intervals_;
+  SimTime busy_ = 0.0;
+  std::uint64_t count_ = 0;
+  SimTime floor_ = 0.0;
+  SimTime max_start_ = 0.0;
+};
+
+// One request of a differential pattern: `next(i, last_start)` returns
+// the i-th (earliest, duration), given the start granted to request i-1.
+struct Ask {
+  SimTime earliest;
+  SimTime duration;
+};
+using Pattern = std::function<Ask(int, SimTime)>;
+
+constexpr int kOracleReservations = 100'000;
+
+// Drive the oracle and the production resource with the same requests
+// and require the same bits everywhere. The simulated span must cover
+// many prune windows, so the head index compacts many times over.
+void expect_matches_oracle(const Pattern& next) {
+  LinearIntervalOracle oracle;
+  IntervalResource r;
+  SimTime last = 0.0, horizon = 0.0;
+  for (int i = 0; i < kOracleReservations; ++i) {
+    const Ask a = next(i, last);
+    const SimTime want = oracle.reserve(a.earliest, a.duration);
+    ASSERT_EQ(r.reserve(a.earliest, a.duration), want)
+        << "reservation " << i << " earliest " << a.earliest << " duration "
+        << a.duration;
+    last = want;
+    horizon = std::max(horizon, want);
+  }
+  EXPECT_EQ(r.busy_time(), oracle.busy_time());
+  EXPECT_EQ(r.reservations(), oracle.reservations());
+  EXPECT_GT(horizon, 50 * IntervalResource::kPruneWindow);
+}
+
+TEST(IntervalResourceOracle, MonotoneBackToBack) {
+  ncsw::util::Xoshiro256 rng(11);
+  SimTime dur = 0.0;
+  expect_matches_oracle([&](int, SimTime last) {
+    const Ask a{last + dur, rng.uniform(0.005, 0.05)};
+    dur = a.duration;
+    return a;
+  });
+}
+
+TEST(IntervalResourceOracle, ThreeHubClientsInterleavedOutOfOrder) {
+  // Three sticks on one hub, each with its own clock, issuing in a fresh
+  // random order each round and sometimes asking for a slot up to a
+  // second back: later requests back-fill gaps inside the prune window.
+  ncsw::util::Xoshiro256 rng(12);
+  SimTime clock[3] = {0.0, 0.0, 0.0};
+  int order[3] = {0, 1, 2};
+  int client = 0;
+  SimTime pending = 0.0;
+  expect_matches_oracle([&](int i, SimTime last) {
+    if (i > 0) clock[client] = last + pending + rng.uniform(0.0, 0.02);
+    if (i % 3 == 0) {
+      for (int k = 2; k > 0; --k) {
+        std::swap(order[k], order[rng.uniform_int(0, k)]);
+      }
+    }
+    client = order[i % 3];
+    pending = rng.uniform(0.002, 0.04);
+    const SimTime back = rng.uniform() < 0.25 ? rng.uniform(0.0, 1.0) : 0.0;
+    return Ask{clock[client] - back, pending};
+  });
+}
+
+TEST(IntervalResourceOracle, JumpsPastThePruneWindow) {
+  // A steady client, and every 300th request a jump 5.5-12 s ahead of
+  // it. The steady client's next requests then fall behind the prune
+  // cutoff (clamped to the floor) and back-fill the gap up to the jump.
+  ncsw::util::Xoshiro256 rng(13);
+  SimTime steady = 0.0, dur = 0.0;
+  bool jumped = false;
+  expect_matches_oracle([&](int i, SimTime last) {
+    if (i > 0 && !jumped) steady = last + dur;
+    dur = rng.uniform(0.01, 0.05);
+    jumped = i % 300 == 299;
+    if (jumped) return Ask{steady + rng.uniform(5.5, 12.0), dur};
+    return Ask{steady - rng.uniform(0.0, 0.5), dur};
+  });
+}
+
+TEST(IntervalResourceOracle, ZeroDurations) {
+  // A third of the requests are zero-length; they land on busy
+  // intervals' ends, between back-to-back intervals and on each other.
+  ncsw::util::Xoshiro256 rng(14);
+  SimTime clock[3] = {0.0, 0.0, 0.0};
+  SimTime dur = 0.0;
+  int client = 0;
+  expect_matches_oracle([&](int i, SimTime last) {
+    if (i > 0) clock[client] = last + dur;
+    client = static_cast<int>(rng.uniform_int(0, 2));
+    dur = rng.uniform() < 0.33 ? 0.0 : rng.uniform(0.005, 0.03);
+    return Ask{clock[client], dur};
+  });
+}
+
+TEST(IntervalResourceOracle, EqualEarliest) {
+  // Batches of 2-9 requests share one earliest (every stick starting its
+  // transfer stream at the same t0). Each batch asks from between 0.3 s
+  // before and 0.1 s after the previous batch's last end: a late start
+  // leaves a gap that a later batch's short requests back-fill.
+  ncsw::util::Xoshiro256 rng(15);
+  SimTime t0 = 0.0, batch_end = 0.0, dur = 0.0;
+  int left = 0;
+  expect_matches_oracle([&](int i, SimTime last) {
+    if (i > 0) batch_end = std::max(batch_end, last + dur);
+    if (left == 0) {
+      t0 = batch_end - rng.uniform(-0.1, 0.3);
+      left = static_cast<int>(rng.uniform_int(2, 9));
+    }
+    --left;
+    dur = rng.uniform(0.005, 0.04);
+    return Ask{t0, dur};
+  });
+}
+
+TEST(IntervalResourceOracle, EarliestExactlyOnAnIntervalEnd) {
+  // Every earliest is the exact end of a recent grant, so the binary
+  // search's tie (an interval ending at the cursor) is hit constantly.
+  ncsw::util::Xoshiro256 rng(16);
+  std::deque<SimTime> ends{0.0};
+  SimTime dur = 0.0;
+  expect_matches_oracle([&](int i, SimTime last) {
+    if (i > 0) {
+      ends.push_back(last + dur);
+      if (ends.size() > 64) ends.pop_front();
+    }
+    dur = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.005, 0.04);
+    const std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(ends.size()) - 1));
+    return Ask{ends[pick], dur};
+  });
 }
 
 }  // namespace
