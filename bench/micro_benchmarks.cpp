@@ -185,40 +185,29 @@ void BM_GemmF16(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmF16)->Apply(gemm_shape_args);
 
-void BM_Conv3x3(benchmark::State& state) {
-  using namespace ncsw::nn;
-  ncsw::tensor::TensorF in(ncsw::tensor::Shape{1, 16, 32, 32}, 0.5f);
-  LayerParams<float> p;
-  p.w = ncsw::tensor::TensorF(ncsw::tensor::Shape{32, 16, 3, 3}, 0.01f);
-  p.b = ncsw::tensor::TensorF(ncsw::tensor::Shape{1, 32, 1, 1});
-  ncsw::tensor::TensorF out;
-  for (auto _ : state) {
-    kernels::conv2d(in, p, ConvParams{32, 3, 1, 1}, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Conv3x3);
-
-// The exact conv (shifted planes + row-table GEMM + epilogue, one
-// thread) at TinyGoogLeNet's 8 spatial convs: the 7x7/s2 stem, conv2's
-// 3x3, inception_3a's and 3b's 3x3 and 5x5 towers on the 8x8 map and
-// 4a's on the 4x4 map (a 5x5/p2 window is wider than a 4x4 map; 3a's
+// The conv (shifted planes + row-table GEMM + epilogue, one thread) of
+// either tier at TinyGoogLeNet's 8 spatial convs: the 7x7/s2 stem,
+// conv2's 3x3, inception_3a's and 3b's 3x3 and 5x5 towers on the 8x8 map
+// and 4a's on the 4x4 map (a 5x5/p2 window is wider than a 4x4 map; 3a's
 // and 3b's 5x5 share a shape), plus a padded 1x1, which builds planes
-// where an unpadded one reads its input. Args: input channels, map size,
-// output channels, kernel, stride, pad, FP16 (0/1). GFLOP/s counts the
-// GEMM's multiply-adds.
+// where an unpadded one reads its input; a 3x3 on a 32x32 map; and
+// GoogLeNet-224's stride-1 3x3 towers at the 56, 28, 14 and 7 maps
+// (conv2, inception_3a, 4a and 5a). Args: input channels, map size,
+// output channels, kernel, stride, pad, FP16 (0/1), fast tier (0/1).
+// GFLOP/s counts the GEMM's multiply-adds.
 void conv_shape_args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"C", "H", "M", "k", "s", "p", "fp16"});
-  for (const int fp16 : {0, 1}) {
-    for (const auto& s : {std::array<std::int64_t, 6>{3, 32, 16, 7, 2, 3},
-                          std::array<std::int64_t, 6>{16, 8, 32, 3, 1, 1},
-                          std::array<std::int64_t, 6>{12, 8, 16, 3, 1, 1},
-                          std::array<std::int64_t, 6>{16, 8, 24, 3, 1, 1},
-                          std::array<std::int64_t, 6>{4, 8, 8, 5, 1, 2},
-                          std::array<std::int64_t, 6>{24, 4, 32, 3, 1, 1},
-                          std::array<std::int64_t, 6>{8, 4, 16, 5, 1, 2},
-                          std::array<std::int64_t, 6>{40, 8, 8, 1, 1, 1}}) {
-      b->Args({s[0], s[1], s[2], s[3], s[4], s[5], fp16});
+  b->ArgNames({"C", "H", "M", "k", "s", "p", "fp16", "fast"});
+  const std::array<std::int64_t, 6> shapes[] = {
+      {3, 32, 16, 7, 2, 3},    {16, 8, 32, 3, 1, 1},    {12, 8, 16, 3, 1, 1},
+      {16, 8, 24, 3, 1, 1},    {4, 8, 8, 5, 1, 2},      {24, 4, 32, 3, 1, 1},
+      {8, 4, 16, 5, 1, 2},     {40, 8, 8, 1, 1, 1},     {16, 32, 32, 3, 1, 1},
+      {64, 56, 192, 3, 1, 1},  {96, 28, 128, 3, 1, 1},  {96, 14, 208, 3, 1, 1},
+      {160, 7, 320, 3, 1, 1}};
+  for (const int fast : {0, 1}) {
+    for (const int fp16 : {0, 1}) {
+      for (const auto& s : shapes) {
+        b->Args({s[0], s[1], s[2], s[3], s[4], s[5], fp16, fast});
+      }
     }
   }
 }
@@ -235,7 +224,7 @@ ncsw::tensor::Tensor<T> operand_tensor(const ncsw::tensor::Shape& shape,
 }
 
 template <typename T>
-void run_conv2d_exact(benchmark::State& state) {
+void run_conv2d(benchmark::State& state) {
   using namespace ncsw::nn;
   const auto c = state.range(0), h = state.range(1), m = state.range(2);
   const int k = static_cast<int>(state.range(3));
@@ -253,6 +242,7 @@ void run_conv2d_exact(benchmark::State& state) {
   kernels::Workspace ws;
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
+  ctx.fast = state.range(7) != 0;
   for (auto _ : state) {
     kernels::conv2d(in, lw, op, /*fuse_relu=*/false, out, ctx);
     benchmark::DoNotOptimize(out.data());
@@ -262,14 +252,14 @@ void run_conv2d_exact(benchmark::State& state) {
   set_gemm_counters(state, m, oh * oh, c * k * k);
 }
 
-void BM_Conv2dExact(benchmark::State& state) {
+void BM_Conv2d(benchmark::State& state) {
   if (state.range(6) != 0) {
-    run_conv2d_exact<half>(state);
+    run_conv2d<half>(state);
   } else {
-    run_conv2d_exact<float>(state);
+    run_conv2d<float>(state);
   }
 }
-BENCHMARK(BM_Conv2dExact)->Apply(conv_shape_args);
+BENCHMARK(BM_Conv2d)->Apply(conv_shape_args);
 
 // Max pool (one thread) at TinyGoogLeNet's five pool layers: pool1 and
 // pool3 (3x3/s2, ceil) and the inception pool branches (3x3/s1/p1) on

@@ -2,13 +2,13 @@
 // figure): images/s of the functional TinyGoogLeNet forward pass for
 // FP32 and FP16, on the pre-rewrite scalar kernels (the recorded
 // baseline, timed through the test-only oracle::run_forward), on the
-// cache-tuned kernels at 1 and N threads, and on the
-// opt-in fast tier (single-rounding conv epilogue, FMA GEMM, direct 3x3
-// convolution, affinity-pinned chunking; docs/performance.md). The
-// reference/optimised cells are bit-identical and differ only in time;
-// the fast cells forfeit bit-identity, so the report also records their
-// top-1 agreement and mean confidence delta against the bit-identical
-// path (the paper's fig7 FP16-vs-FP32 methodology).
+// cache-tuned kernels at 1 and N threads, and on the opt-in fast tier
+// (FMA GEMM, single-rounding conv epilogue, sqrt LRN;
+// docs/performance.md). The reference/optimised cells are bit-identical
+// and differ only in time; the fast cells forfeit bit-identity, so the
+// report also records their top-1 agreement and mean confidence delta
+// against the bit-identical path (the paper's fig7 FP16-vs-FP32
+// methodology).
 //
 // The report (BENCH_perf_forward.json) is the one ncsw-bench-v1 report
 // on the *wall* clock: values record img/s per cell, the speedup ratios
@@ -261,12 +261,11 @@ int main(int argc, char** argv) {
   report.config("threads", static_cast<std::int64_t>(threads));
   report.config("hardware_concurrency",
                 static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  // Machine/fast-tier context so perf trajectories across machines stay
-  // interpretable: core count, worker->CPU pinning of the fast pool, and
-  // the ISA level the exact GEMM dispatched to.
+  // Machine context so perf trajectories across machines stay
+  // interpretable: core count and the ISA level the exact GEMM
+  // dispatched to.
   report.config("cores",
                 static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  report.config("pinning", nn::kernels::fast_pool().affinity_layout());
   const util::IsaLevel isa = util::isa_level();
   report.config("isa_level", isa == util::IsaLevel::kV4   ? "v4"
                              : isa == util::IsaLevel::kV3 ? "v3"

@@ -14,6 +14,11 @@ namespace {
 // means "unset, fall through to $NCSW_CHECK".
 std::atomic<int> g_default_mode{static_cast<int>(CheckMode::kDefault)};
 
+// $NCSW_CHECK as parsed on its first read (kOff when unset); kDefault
+// until then and again after each set_default_mode(). Hooks resolve
+// kDefault on every call, so the environment is read once, not per hook.
+std::atomic<int> g_env_mode{static_cast<int>(CheckMode::kDefault)};
+
 }  // namespace
 
 const char* check_mode_name(CheckMode mode) {
@@ -38,6 +43,8 @@ CheckMode parse_check_mode(const std::string& text) {
 
 void set_default_mode(CheckMode mode) {
   g_default_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
+  g_env_mode.store(static_cast<int>(CheckMode::kDefault),
+                   std::memory_order_relaxed);
 }
 
 CheckMode resolve_mode(CheckMode requested) {
@@ -45,10 +52,13 @@ CheckMode resolve_mode(CheckMode requested) {
   const auto def =
       static_cast<CheckMode>(g_default_mode.load(std::memory_order_relaxed));
   if (def != CheckMode::kDefault) return def;
-  if (const char* env = std::getenv("NCSW_CHECK")) {
-    return parse_check_mode(env);
+  auto env = static_cast<CheckMode>(g_env_mode.load(std::memory_order_relaxed));
+  if (env == CheckMode::kDefault) {
+    const char* text = std::getenv("NCSW_CHECK");
+    env = text ? parse_check_mode(text) : CheckMode::kOff;
+    g_env_mode.store(static_cast<int>(env), std::memory_order_relaxed);
   }
-  return CheckMode::kOff;
+  return env;
 }
 
 const char* violation_name(ViolationKind kind) {

@@ -55,10 +55,13 @@ CheckMode parse_check_mode(const std::string& text);
 
 /// Process-wide default used when a HostConfig asks for kDefault. Takes
 /// precedence over $NCSW_CHECK; pass kDefault to fall back to the
-/// environment again (the initial state).
+/// environment again (the initial state). Every call also drops the
+/// cached $NCSW_CHECK value, so the next resolution reads it afresh.
 void set_default_mode(CheckMode mode);
 
-/// Resolve kDefault through set_default_mode() / $NCSW_CHECK.
+/// Resolve kDefault through set_default_mode() / $NCSW_CHECK. The
+/// environment is read on the first resolution after start-up or after a
+/// set_default_mode() call and cached until the next such call.
 CheckMode resolve_mode(CheckMode requested);
 
 /// The contract-violation classes the verifier detects.

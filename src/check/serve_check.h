@@ -31,8 +31,9 @@
 //    is itself a defined exception).
 //  - kStrict: as kLog, then ServeViolationError is thrown.
 //  - kDefault: resolved through set_default_mode() / $NCSW_CHECK per
-//    hook, so `--check` on a bench and CI's NCSW_CHECK=strict arm this
-//    verifier and the NCAPI one together.
+//    hook (the environment read once and cached, check/protocol.h), so
+//    `--check` on a bench and CI's NCSW_CHECK=strict arm this verifier
+//    and the NCAPI one together.
 //
 // The violation catalogue lives in docs/checking.md.
 #pragma once

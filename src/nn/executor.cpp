@@ -126,9 +126,7 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
   ctx.ws = &workspace;
   ctx.threads = resolve_threads(options.threads);
   ctx.fast = fast_;
-  ctx.pool = ctx.threads > 1
-                 ? (ctx.fast ? &kernels::fast_pool() : &kernels::compute_pool())
-                 : nullptr;
+  ctx.pool = ctx.threads > 1 ? &kernels::compute_pool() : nullptr;
 
   // keep_all_activations gives every layer its own tensor in the result
   // and turns off fusion and the in-place layers, so each activation
@@ -172,14 +170,8 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
       case LayerKind::kInput:
         throw std::logic_error("nn::Plan::run: unexpected input layer");
       case LayerKind::kConv:
-        if (fast_) {
-          kernels::conv2d_fast(src, weights_[at(s.weights)],
-                               convs_[at(s.conv)], s.fuse_relu && !keep_all,
-                               dst, ctx);
-        } else {
-          kernels::conv2d(src, weights_[at(s.weights)], convs_[at(s.conv)],
-                          s.fuse_relu && !keep_all, dst, ctx);
-        }
+        kernels::conv2d(src, weights_[at(s.weights)], convs_[at(s.conv)],
+                        s.fuse_relu && !keep_all, dst, ctx);
         break;
       case LayerKind::kReLU:
         if (!in_place) dst = src;

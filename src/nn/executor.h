@@ -35,11 +35,11 @@ struct ExecOptions {
   /// and, when the global tracer is enabled, emit one "host" span per
   /// layer. Off by default so simulated-clock traces stay clean.
   bool profile_layers = false;
-  /// Opt into the fast tier (docs/performance.md): a single-rounding
-  /// conv epilogue, direct 3x3 convolution, FMA GEMM, sqrt-based LRN and
-  /// affinity-pinned chunk placement. Also enabled by $NCSW_FAST=1;
-  /// default off, keeping the bit-identical contract (and every golden
-  /// digest) untouched. Both tiers fuse a conv's sole-consumer ReLU into
+  /// Opt into the fast tier (docs/performance.md): the conv's FMA GEMM
+  /// and single-rounding epilogue, and the sqrt-based LRN. Also enabled
+  /// by $NCSW_FAST=1; default off, keeping the bit-identical contract
+  /// (and every golden digest) untouched. Both tiers fuse a conv's
+  /// sole-consumer ReLU into
   /// its epilogue except under keep_all_activations, so per-layer diffs
   /// keep their meaning. The tier is part of what a Plan compiles:
   /// run_forward reads this field, Plan::run ignores it.

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "nn/direct_conv.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_detail.h"
 #include "util/libm_span.h"
@@ -28,15 +27,7 @@ using ncsw::fp16::half;
 
 int plan_chunks(const ExecCtx& ctx, std::int64_t total) {
   if (!ctx.pool || ctx.threads <= 1 || total <= 1) return 1;
-  std::int64_t limit = ctx.threads;
-  if (ctx.fast) {
-    // Affinity routing addresses chunk t to worker t (submit_to throws
-    // past the pool), so the fast tier never plans more chunks than the
-    // pinned pool has workers.
-    limit = std::min<std::int64_t>(
-        limit, static_cast<std::int64_t>(ctx.pool->size()));
-  }
-  return static_cast<int>(std::min<std::int64_t>(limit, total));
+  return static_cast<int>(std::min<std::int64_t>(ctx.threads, total));
 }
 
 template <typename Fn>
@@ -52,13 +43,8 @@ void run_chunks(const ExecCtx& ctx, int chunks, std::int64_t total,
   for (int t = 0; t < chunks; ++t) {
     const std::int64_t begin = total * t / chunks;
     const std::int64_t end = total * (t + 1) / chunks;
-    auto task = [&fn, t, begin, end] { fn(t, begin, end); };
-    // Fast tier: chunk t always goes to worker t, so a given output
-    // slab is produced on the same (pinned) core every layer and every
-    // pass, instead of whichever worker dequeues first.
-    futs.push_back(ctx.fast
-                       ? ctx.pool->submit_to(static_cast<std::size_t>(t), task)
-                       : ctx.pool->submit(task));
+    futs.push_back(
+        ctx.pool->submit([&fn, t, begin, end] { fn(t, begin, end); }));
   }
   // Wait for every chunk before surfacing the first failure, so no task
   // can outlive the captured locals.
@@ -471,13 +457,6 @@ util::ThreadPool& compute_pool() {
   return pool;
 }
 
-util::ThreadPool& fast_pool() {
-  static util::ThreadPool pool(
-      std::max(1u, std::thread::hardware_concurrency()),
-      /*pin_workers=*/true);
-  return pool;
-}
-
 template <typename T>
 LayerWeights::LayerWeights(const LayerParams<T>& params)
     : shape_(params.w.shape()) {
@@ -623,16 +602,6 @@ void conv_epilogue(util::IsaFn<BiasRelu> bias_relu, float* acc, T* out,
   }
 }
 
-void check_conv_weights(const LayerWeights& weights, const ConvOperand& op,
-                        std::int64_t in_c) {
-  const ConvParams& p = op.params();
-  if (weights.shape() !=
-      tensor::Shape{p.out_channels, in_c, p.kernel, p.kernel}) {
-    throw std::invalid_argument("conv2d: weight shape mismatch: " +
-                                weights.shape().to_string());
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -643,8 +612,13 @@ void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ExecCtx& ctx, IsaLevel isa) {
   const tensor::Shape& is = in.shape();
   op.check_input(is);
-  check_conv_weights(weights, op, is.c);
-  const std::int64_t m = op.params().out_channels;
+  const ConvParams& p = op.params();
+  if (weights.shape() !=
+      tensor::Shape{p.out_channels, is.c, p.kernel, p.kernel}) {
+    throw std::invalid_argument("conv2d: weight shape mismatch: " +
+                                weights.shape().to_string());
+  }
+  const std::int64_t m = p.out_channels;
   const std::int64_t n_dim = op.out_h() * op.out_w();
   const std::int64_t k_dim = op.k_dim();
   out.resize(tensor::Shape{is.n, m, op.out_h(), op.out_w()});
@@ -662,12 +636,25 @@ void conv2d(const Tensor<T>& in, const LayerWeights& weights,
     }
     // out[b] = W[m x k_dim] * B[k_dim x n_dim] and its epilogue, split by
     // column range: each chunk owns a disjoint panel of B and the output.
-    parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
-      tensor::gemm_f32(m, j1 - j0, k_dim, 1.0f, weights.w(), k_dim, bmat + j0,
-                       op.rows(), 0.0f, cf + j0, n_dim);
-      conv_epilogue(bias_relu, cf, dst, weights.b(), m, n_dim, j0, j1,
-                    fuse_relu, false);
-    });
+    // Chunks start on 16-column panel boundaries, so a column lands in
+    // the same vector tile or scalar edge at any chunk count. The fast
+    // GEMM needs that: its tiles and edge need not round alike once
+    // multiply-adds fuse. The exact GEMM rounds alike in both, and keeps
+    // whole tiles instead of a scalar edge at every chunk seam.
+    parallel_chunks(
+        ctx, (n_dim + 15) / 16, [&](int, std::int64_t p0, std::int64_t p1) {
+          const std::int64_t j0 = p0 * 16;
+          const std::int64_t j1 = std::min(p1 * 16, n_dim);
+          if (ctx.fast) {
+            tensor::gemm_f32_fast(m, j1 - j0, k_dim, weights.w(), k_dim,
+                                  bmat + j0, op.rows(), cf + j0, n_dim);
+          } else {
+            tensor::gemm_f32(m, j1 - j0, k_dim, 1.0f, weights.w(), k_dim,
+                             bmat + j0, op.rows(), 0.0f, cf + j0, n_dim);
+          }
+          conv_epilogue(bias_relu, cf, dst, weights.b(), m, n_dim, j0, j1,
+                        fuse_relu, ctx.fast);
+        });
   }
 }
 
@@ -993,119 +980,6 @@ void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx) {
   }
 }
 
-template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
-                 const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
-                 const ExecCtx& ctx) {
-  const tensor::Shape& is = in.shape();
-  op.check_input(is);
-  check_conv_weights(weights, op, is.c);
-  const ConvParams& p = op.params();
-  const std::int64_t oh = op.out_h();
-  const std::int64_t ow = op.out_w();
-  out.resize(tensor::Shape{is.n, p.out_channels, oh, ow});
-
-  const std::int64_t k_dim = op.k_dim();
-  const std::int64_t n_dim = oh * ow;
-  Workspace local;
-  Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const float* wf = weights.w();
-  const float* bf = weights.b();
-  const IsaLevel isa = util::isa_level();
-  const auto bias_relu = isa_variant<BiasRelu>(isa);
-
-  // Direct 3x3 pays off when output rows are wide enough to fill its
-  // 8-column register tiles; on narrow maps (the tiny nets' inception
-  // towers) the planes are small, stay in cache, and the blocked GEMM
-  // wins, so those shapes keep the GEMM path.
-  const std::int64_t x_lo_3 = std::min<std::int64_t>(
-      ow, (static_cast<std::int64_t>(p.pad) + p.stride - 1) / p.stride);
-  const std::int64_t x_hi_3 = std::max(
-      x_lo_3,
-      std::min<std::int64_t>(
-          ow, is.w - 3 + p.pad >= 0 ? (is.w - 3 + p.pad) / p.stride + 1 : 0));
-  // stride == 1 keeps the interior tap loads contiguous (the vector
-  // kernel loads srow[kx..kx+7] directly); strided 3x3 shapes take the
-  // GEMM like everything else.
-  const bool direct_3x3 =
-      p.kernel == 3 && p.stride == 1 && x_hi_3 - x_lo_3 >= 8;
-
-  for (std::int64_t b = 0; b < is.n; ++b) {
-    // FP32 result panel [outC x n_dim]: the output itself for float, a
-    // workspace accumulator rounded once per element for half.
-    float* cf;
-    if constexpr (std::is_same_v<T, float>) {
-      cf = out.batch_ptr(b);
-    } else {
-      cf = ws.out(p.out_channels * n_dim);
-    }
-
-    if (direct_3x3) {
-      const float* src = batch_as_f32(in, b, ws, ctx);
-      // Direct convolution, chunked by 4-channel output blocks. Each
-      // output element is accumulated entirely inside one block with a
-      // fixed (c, ky, kx) order, so results do not depend on the chunk
-      // count. Bias and the fused ReLU are applied at store, so only the
-      // FP16 rounding epilogue remains.
-      const std::int64_t blocks = (p.out_channels + 3) / 4;
-      parallel_chunks(
-          ctx, blocks, [&](int, std::int64_t blk0, std::int64_t blk1) {
-            for (std::int64_t blk = blk0; blk < blk1; ++blk) {
-              const std::int64_t oc0 = blk * 4;
-              const std::int64_t nr =
-                  std::min<std::int64_t>(4, p.out_channels - oc0);
-              float* dst = cf + oc0 * n_dim;
-              if (nr == 4) {
-                detail::direct3x3_rows4(src, is.c, is.h, is.w, p.stride,
-                                        p.pad, oh, ow, wf + oc0 * k_dim,
-                                        bf + oc0, fuse_relu, dst);
-              } else {
-                for (std::int64_t r = 0; r < nr; ++r) {
-                  detail::direct3x3_rows1(
-                      src, is.c, is.h, is.w, p.stride, p.pad, oh, ow,
-                      wf + (oc0 + r) * k_dim, bf + oc0 + r, fuse_relu,
-                      dst + r * n_dim);
-                }
-              }
-            }
-          });
-      if constexpr (!std::is_same_v<T, float>) {
-        parallel_chunks(
-            ctx, p.out_channels,
-            [&](int, std::int64_t oc0, std::int64_t oc1) {
-              ncsw::fp16::float_to_half_span(
-                  cf + oc0 * n_dim, out.batch_ptr(b) + oc0 * n_dim,
-                  static_cast<std::size_t>((oc1 - oc0) * n_dim));
-            });
-      }
-    } else {
-      const float* bmat = conv_operand_b(in, b, op, ws, ctx, isa);
-      // Column chunks start on 16-column panel boundaries, so a column
-      // lands in the same vector tile or scalar edge at any chunk count
-      // (the two need not round alike once contraction is on). Each
-      // chunk finishes its columns in the fused epilogue: bias and ReLU
-      // in FP32, then (FP16 only) one round per element — the conv ->
-      // round -> relu -> round round-trip collapses to one write-back.
-      parallel_chunks(
-          ctx, (n_dim + 15) / 16, [&](int, std::int64_t p0, std::int64_t p1) {
-            const std::int64_t j0 = p0 * 16;
-            const std::int64_t j1 = std::min(p1 * 16, n_dim);
-            tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
-                                  bmat + j0, op.rows(), cf + j0, n_dim);
-            conv_epilogue(bias_relu, cf, out.batch_ptr(b), bf, p.out_channels,
-                          n_dim, j0, j1, fuse_relu, true);
-          });
-    }
-  }
-}
-
-template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
-                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
-                 const ExecCtx& ctx) {
-  conv2d_fast(in, weights, ConvOperand(in.shape(), p), fuse_relu, out, ctx);
-}
-
 // Explicit instantiations for the two supported precisions.
 #define NCSW_INSTANTIATE_KERNELS(T)                                          \
   template LayerWeights::LayerWeights(const LayerParams<T>&);                \
@@ -1126,12 +1000,6 @@ void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
                                    const FCParams&, Tensor<T>&,              \
                                    const ExecCtx&);                          \
   template void softmax<T>(const Tensor<T>&, Tensor<T>&, const ExecCtx&);    \
-  template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
-                               const ConvOperand&, bool, Tensor<T>&,         \
-                               const ExecCtx&);                              \
-  template void conv2d_fast<T>(const Tensor<T>&, const LayerWeights&,        \
-                               const ConvParams&, bool, Tensor<T>&,          \
-                               const ExecCtx&);                              \
   template void detail::conv2d<T>(const Tensor<T>&, const LayerWeights&,     \
                                   const ConvOperand&, bool, Tensor<T>&,      \
                                   const ExecCtx&, IsaLevel);                 \

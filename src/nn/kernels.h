@@ -47,10 +47,7 @@ class Workspace {
 
   /// Base of `count` disjoint per-task slices of `per_task` floats each;
   /// task t uses [base + t*per_task, base + (t+1)*per_task). Call before
-  /// fanning out. With the fast tier's stable chunk->worker mapping,
-  /// slice t is only ever touched by (pinned) worker t, so these act as
-  /// per-thread arenas that stay in the producing core's cache across
-  /// layers.
+  /// fanning out.
   float* slabs(int count, std::int64_t per_task) {
     return grow(slabs_, static_cast<std::int64_t>(count) * per_task);
   }
@@ -126,23 +123,17 @@ struct ExecCtx {
   util::ThreadPool* pool = nullptr;
   /// Number of slabs the parallel kernels split their work into.
   int threads = 1;
-  /// Opt-in fast tier (docs/performance.md): FP32 conv epilogue with a
-  /// single rounding, direct 3x3 convolution, FMA GEMM, sqrt-based LRN
-  /// and affinity-aware chunk placement. Forfeits bit-identity with the
-  /// exact tier (still deterministic across thread counts); validated by
-  /// the digest-tolerance tests. Off by default.
+  /// Opt-in fast tier (docs/performance.md): the conv's FMA GEMM and
+  /// FP32 epilogue with a single rounding, and the sqrt-based LRN.
+  /// Forfeits bit-identity with the exact tier (still deterministic
+  /// across thread counts); validated by the digest-tolerance tests. Off
+  /// by default.
   bool fast = false;
 };
 
-/// The process-wide pool the kernels fan out on, created on first use
-/// with one worker per hardware thread.
+/// The process-wide pool the kernels of both tiers fan out on, created
+/// on first use with one worker per hardware thread.
 util::ThreadPool& compute_pool();
-
-/// The fast tier's pool: pinned workers with per-worker queues, created
-/// on first use. Chunk t of every fan-out is addressed to worker t, so a
-/// given output slab is always produced (and its inputs re-read) on the
-/// same core.
-util::ThreadPool& fast_pool();
 
 /// A conv layer's GEMM operand B without the [C*k*k x oh*ow] column
 /// matrix (docs/performance.md, "The conv operand and epilogue"). Per
@@ -204,8 +195,10 @@ class ConvOperand {
 /// FP16 rounds the accumulator, widens, adds the bias and rounds again,
 /// and with `fuse_relu` a ReLU then clamps the final value (for FP16,
 /// the final half: a sum that rounds to -0 stays -0). Bit-identical to
-/// the oracle's im2col conv (followed by its ReLU). `out` is resized to
-/// the batched output shape.
+/// the oracle's im2col conv (followed by its ReLU). With `ctx.fast` the
+/// GEMM is gemm_f32_fast and FP16 takes the FP32 epilogue and rounds
+/// once: not bit-identical, still deterministic across thread counts.
+/// `out` is resized to the batched output shape.
 template <typename T>
 void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
@@ -287,25 +280,5 @@ void fully_connected(const Tensor<T>& in, const LayerWeights& weights,
                      util::IsaLevel isa);
 
 }  // namespace detail
-
-// --- fast tier -------------------------------------------------------------
-
-/// Fast-tier convolution: a direct 3x3 kernel on maps wide enough for
-/// its register tiles, the fast GEMM over the ConvOperand's planes
-/// otherwise; FP32 accumulation with bias (and, when `fuse_relu`, the
-/// ReLU) applied before the single round to T — no intermediate
-/// activation round-trip. Not bit-identical to conv2d; deterministic
-/// across thread counts. (Fully-connected layers run the exact kernel in
-/// both tiers.)
-template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
-                 const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
-                 const ExecCtx& ctx = {});
-
-/// The same with the operand built for this call.
-template <typename T>
-void conv2d_fast(const Tensor<T>& in, const LayerWeights& weights,
-                 const ConvParams& p, bool fuse_relu, Tensor<T>& out,
-                 const ExecCtx& ctx = {});
 
 }  // namespace ncsw::nn::kernels

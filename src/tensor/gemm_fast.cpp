@@ -89,11 +89,11 @@ NCSW_FAST_INLINE void rows_fast(std::int64_t n, std::int64_t k,
 }
 
 template <bool kWide, typename Rows>
-NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
-                                         std::int64_t k, const float* a,
-                                         std::int64_t lda, const float* b,
-                                         Rows rows, float* c,
-                                         std::int64_t ldc) noexcept {
+NCSW_FAST_INLINE void gemm_f32_fast_panel(std::int64_t m, std::int64_t n,
+                                          std::int64_t k, const float* a,
+                                          std::int64_t lda, const float* b,
+                                          Rows rows, float* c,
+                                          std::int64_t ldc) noexcept {
   std::int64_t i = 0;
   for (; i + 6 <= m; i += 6) {
     rows_fast<6, kWide>(n, k, a + i * lda, lda, b, rows, c + i * ldc, ldc);
@@ -118,6 +118,23 @@ NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
     default:
       rows_fast<5, kWide>(n, k, a, lda, b, rows, c, ldc);
       break;
+  }
+}
+
+// Column panels of kFastBlockN: a panel's k rows of B stay in cache
+// across every row tile of A instead of streaming the whole of B once
+// per 6 rows. A multiple of 32, so every column keeps its tile or edge.
+constexpr std::int64_t kFastBlockN = 256;
+
+template <bool kWide, typename Rows>
+NCSW_FAST_INLINE void gemm_f32_fast_body(std::int64_t m, std::int64_t n,
+                                         std::int64_t k, const float* a,
+                                         std::int64_t lda, const float* b,
+                                         Rows rows, float* c,
+                                         std::int64_t ldc) noexcept {
+  for (std::int64_t j0 = 0; j0 < n; j0 += kFastBlockN) {
+    gemm_f32_fast_panel<kWide>(m, std::min(kFastBlockN, n - j0), k, a, lda,
+                               b + j0, rows, c + j0, ldc);
   }
 }
 

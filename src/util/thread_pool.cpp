@@ -3,72 +3,19 @@
 #include <algorithm>
 #include <atomic>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace ncsw::util {
 
 namespace {
 // Which pool (if any) owns the current thread. Set once per worker; lets
 // parallel_for detect nested calls from its own workers.
 thread_local const ThreadPool* t_current_pool = nullptr;
-
-// CPUs the process is allowed to run on (respects container cpusets and
-// taskset masks, unlike hardware_concurrency). Empty when the platform
-// has no affinity API.
-std::vector<int> allowed_cpus() {
-  std::vector<int> cpus;
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &set)) cpus.push_back(c);
-    }
-  }
-#endif
-  return cpus;
-}
-
-bool pin_to_cpu(std::thread& t, int cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  return pthread_setaffinity_np(t.native_handle(), sizeof(set), &set) == 0;
-#else
-  (void)t;
-  (void)cpu;
-  return false;
-#endif
-}
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, bool pin_workers) {
+ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
-  worker_queues_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-  if (pin_workers) {
-    const std::vector<int> cpus = allowed_cpus();
-    if (!cpus.empty()) {
-      bool all_ok = true;
-      std::vector<int> assigned;
-      assigned.reserve(threads);
-      for (std::size_t i = 0; i < threads; ++i) {
-        const int cpu = cpus[i % cpus.size()];
-        all_ok = pin_to_cpu(workers_[i], cpu) && all_ok;
-        assigned.push_back(cpu);
-      }
-      if (all_ok) {
-        pinned_ = true;
-        worker_cpus_ = std::move(assigned);
-      }
-    }
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -83,42 +30,21 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-std::string ThreadPool::affinity_layout() const {
-  if (!pinned_) return "none";
-  std::string out;
-  for (std::size_t i = 0; i < worker_cpus_.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(worker_cpus_[i]);
-  }
-  return out;
-}
-
 bool ThreadPool::on_worker_thread() const noexcept {
   return t_current_pool == this;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   t_current_pool = this;
-  auto& own = worker_queues_[index];
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this, &own] {
-        return stopping_ || !queue_.empty() || !own.empty();
-      });
-      // Affinity tasks first: they were addressed to this worker, and
-      // nobody else can run them.
-      if (!own.empty()) {
-        task = std::move(own.front());
-        own.pop();
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else {
-        if (stopping_) return;
-        continue;
-      }
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Stopping with an empty queue: every submitted task has run.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
   }

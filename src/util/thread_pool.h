@@ -1,14 +1,6 @@
 // Minimal fixed-size thread pool. NCSw uses one worker per NCS device
 // (the paper used OpenMP threads for the same purpose); the pool is also
 // used to parallelise dataset generation and functional inference.
-//
-// Affinity mode (the fast host tier, docs/performance.md): a pool built
-// with pin_workers = true pins worker i to the i-th CPU the process is
-// allowed to run on and gives every worker its own FIFO queue reachable
-// through submit_to(i, ...). A caller that always routes chunk t to
-// worker t keeps each output slab on the core that produced its inputs
-// in the previous layer, instead of whichever idle worker grabbed the
-// task first.
 #pragma once
 
 #include <condition_variable>
@@ -18,28 +10,24 @@
 #include <mutex>
 #include <queue>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 namespace ncsw::util {
 
 /// Fixed-size pool of worker threads executing enqueued tasks FIFO.
-/// Destruction drains the queues (all submitted tasks complete).
+/// Destruction drains the queue (all submitted tasks complete).
 class ThreadPool {
  public:
-  /// Create `threads` workers (>= 1; 0 is clamped to 1). With
-  /// `pin_workers`, worker i is pinned to the i-th allowed CPU (round
-  /// robin when there are more workers than CPUs); pinning failures
-  /// degrade to an unpinned pool, observable through pinned().
-  explicit ThreadPool(std::size_t threads, bool pin_workers = false);
+  /// Create `threads` workers (>= 1; 0 is clamped to 1).
+  explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task on the shared queue (any worker may run it); returns
-  /// a future for its result.
+  /// Enqueue a task (any worker may run it); returns a future for its
+  /// result.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
@@ -57,47 +45,8 @@ class ThreadPool {
     return fut;
   }
 
-  /// Enqueue a task on worker `worker`'s own queue: it runs on that
-  /// worker (and, when the pool is pinned, on that worker's core), FIFO
-  /// with respect to other tasks submitted to the same worker. Throws
-  /// std::out_of_range when `worker` >= size(): affinity routing is
-  /// explicit addressing, and silently wrapping a bad index onto another
-  /// worker's queue would defeat the placement the caller asked for.
-  template <typename F>
-  auto submit_to(std::size_t worker, F&& f)
-      -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    if (worker >= workers_.size()) {
-      throw std::out_of_range("ThreadPool::submit_to: worker " +
-                              std::to_string(worker) + " out of range (pool " +
-                              std::to_string(workers_.size()) + " workers)");
-    }
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool::submit_to after shutdown");
-      }
-      worker_queues_[worker].emplace([task] { (*task)(); });
-    }
-    // Per-worker wakeup would need one condition variable per worker;
-    // the pools here are small, so a broadcast is cheaper than the
-    // bookkeeping.
-    cv_.notify_all();
-    return fut;
-  }
-
   /// Number of worker threads.
   std::size_t size() const noexcept { return workers_.size(); }
-
-  /// True when every worker was successfully pinned to a CPU.
-  bool pinned() const noexcept { return pinned_; }
-
-  /// Human-readable worker->CPU map: "0,1,2,3" when pinned, "none" when
-  /// the pool is unpinned (pinning off, unsupported, or it failed).
-  std::string affinity_layout() const;
 
   /// True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const noexcept;
@@ -109,16 +58,13 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  std::vector<std::queue<std::function<void()>>> worker_queues_;
-  std::vector<int> worker_cpus_;  // empty when unpinned
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
-  bool pinned_ = false;
 };
 
 }  // namespace ncsw::util

@@ -3,6 +3,7 @@
 // behaviour, the zero-overhead/byte-identical guarantee of kOff, and
 // the lint's invariants over well-formed and hand-broken traces.
 #include "check/protocol.h"
+#include "check/serve_check.h"
 #include "check/tracelint.h"
 
 #include <gtest/gtest.h>
@@ -118,9 +119,35 @@ TEST_F(CheckTest, DefaultModeResolvesThroughSetterThenEnvironment) {
   check::set_default_mode(CheckMode::kDefault);
   EXPECT_EQ(check::resolve_mode(CheckMode::kDefault), CheckMode::kLog);
   ::unsetenv("NCSW_CHECK");
+  check::set_default_mode(CheckMode::kDefault);  // drops the cached "log"
   EXPECT_EQ(check::resolve_mode(CheckMode::kDefault), CheckMode::kOff);
 
   if (saved) ::setenv("NCSW_CHECK", saved_value.c_str(), 1);
+}
+
+TEST_F(CheckTest, EnvironmentIsReadOnceUntilTheDefaultIsReset) {
+  const char* saved = std::getenv("NCSW_CHECK");
+  const std::string saved_value = saved ? saved : "";
+
+  ::setenv("NCSW_CHECK", "log", 1);
+  check::set_default_mode(CheckMode::kDefault);
+  EXPECT_EQ(check::resolve_mode(CheckMode::kDefault), CheckMode::kLog);
+  // Resolved once, the value is cached: later changes to the
+  // environment are not seen by the hooks...
+  ::setenv("NCSW_CHECK", "strict", 1);
+  EXPECT_EQ(check::resolve_mode(CheckMode::kDefault), CheckMode::kLog);
+  check::ServeVerifier serve;
+  EXPECT_EQ(serve.mode(), CheckMode::kLog);
+  // ...until set_default_mode(kDefault) drops the cache.
+  check::set_default_mode(CheckMode::kDefault);
+  EXPECT_EQ(check::resolve_mode(CheckMode::kDefault), CheckMode::kStrict);
+  EXPECT_EQ(serve.mode(), CheckMode::kStrict);
+
+  if (saved) {
+    ::setenv("NCSW_CHECK", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("NCSW_CHECK");
+  }
 }
 
 TEST_F(CheckTest, OffModeRecordsNothing) {

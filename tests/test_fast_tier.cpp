@@ -65,15 +65,16 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
   p.w = random_tensor(Shape{c.out_c, c.in_c, c.kernel, c.kernel}, 102);
   p.b = random_tensor(Shape{1, c.out_c, 1, 1}, 103);
   const ConvParams cp{c.out_c, c.kernel, c.stride, c.pad};
+  const kernels::ConvOperand op(in.shape(), cp);
   kernels::ExecCtx fast_ctx;
   fast_ctx.fast = true;
 
-  // FP32: unfused reference then ReLU vs the fused fast kernel.
+  // FP32: unfused exact conv then ReLU vs the fused fast conv.
   TensorF ref;
   kernels::conv2d(in, p, cp, ref);
   kernels::relu(ref);
   TensorF out;
-  kernels::conv2d_fast(in, p, cp, /*fuse_relu=*/true, out, fast_ctx);
+  kernels::conv2d(in, p, op, /*fuse_relu=*/true, out, fast_ctx);
   ASSERT_EQ(out.shape(), ref.shape()) << c.what;
   EXPECT_LT(max_abs_diff_t(out, ref), 1e-4) << c.what;
 
@@ -86,7 +87,7 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
   kernels::conv2d(hin, hp, cp, href);
   kernels::relu(href);
   Tensor<half> hout;
-  kernels::conv2d_fast(hin, hp, cp, true, hout, fast_ctx);
+  kernels::conv2d(hin, hp, op, true, hout, fast_ctx);
   ASSERT_EQ(hout.shape(), href.shape()) << c.what;
   EXPECT_LT(max_abs_diff_t(hout, href), 0.05) << c.what;
 }
@@ -94,15 +95,18 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, FastConvTest,
     ::testing::Values(
-        // Wide stride-1 3x3 map: the direct (im2col-free) specialisation.
-        FastConvCase{3, 14, 14, 8, 3, 1, 1, "direct 3x3"},
-        // Stride-2 3x3: falls back to im2col + fast GEMM.
+        // Wide stride-1 3x3 map: 196 columns, 12 full 16-column panels
+        // and a 4-column edge.
+        FastConvCase{3, 14, 14, 8, 3, 1, 1, "wide 3x3"},
+        // 576 columns: two of the fast GEMM's 256-column panels and a
+        // third of 64, read through the row table.
+        FastConvCase{3, 24, 24, 8, 3, 1, 1, "3x3 over three panels"},
         FastConvCase{3, 14, 14, 8, 3, 2, 1, "3x3 stride 2"},
-        // Narrow stride-1 3x3 (output width < one vector): GEMM fallback.
+        // Narrow stride-1 3x3: 36 columns.
         FastConvCase{4, 6, 6, 4, 3, 1, 1, "narrow 3x3"},
-        // Pointwise 1x1 direct path.
+        // Pointwise 1x1: B is the input itself.
         FastConvCase{8, 10, 10, 16, 1, 1, 0, "1x1"},
-        // Generic im2col shapes.
+        // Larger kernels and strides.
         FastConvCase{2, 12, 12, 6, 5, 1, 2, "5x5"},
         FastConvCase{3, 23, 23, 8, 7, 2, 3, "7x7 stride 2"}));
 
@@ -112,12 +116,12 @@ void prepared_panel_case(const Graph& g, const Weights<T>& w,
   const Plan<T> plan(g, w, /*fast=*/true);
   const kernels::LayerWeights* lw = plan.layer_weights(1);
   ASSERT_NE(lw, nullptr);
-  const ConvParams cp{8, 3, 1, 1};
+  const kernels::ConvOperand op(in.shape(), ConvParams{8, 3, 1, 1});
   kernels::ExecCtx fast_ctx;
   fast_ctx.fast = true;
   Tensor<T> a, b;
-  kernels::conv2d_fast(in, w.at("conv"), cp, true, a, fast_ctx);
-  kernels::conv2d_fast(in, *lw, cp, true, b, fast_ctx);
+  kernels::conv2d(in, w.at("conv"), op, true, a, fast_ctx);
+  kernels::conv2d(in, *lw, op, true, b, fast_ctx);
   EXPECT_EQ(max_abs_diff_t(a, b), 0.0);
 }
 

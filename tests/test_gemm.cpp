@@ -577,4 +577,32 @@ TEST(GemvExactIsa, EachInstantiationMatchesReferenceBitwise) {
   }
 }
 
+// The fast GEMM may fuse multiply-adds, so its vector tiles and scalar
+// edge need not round alike; a caller that splits C by column range at
+// multiples of 16 (the conv's panel chunks) must still get the unsplit
+// call's bits, whatever column blocking the kernel does inside. n = 600
+// is two of the kernel's 256-column panels, then 88 columns: tiles and
+// an 8-column edge.
+TEST(GemmFast, ColumnSplitsAtMultiplesOf16KeepTheBits) {
+  const std::int64_t m = 13, n = 600, k = 37;
+  const auto a = random_matrix(m * k, 91);
+  const auto b = random_matrix(k * n, 92);
+  std::vector<float> whole(static_cast<std::size_t>(m * n));
+  std::vector<float> split(whole.size());
+  ncsw::tensor::gemm_f32_fast(m, n, k, a.data(), k, b.data(), n,
+                              whole.data(), n);
+  for (std::int64_t j0 = 0; j0 < n; j0 += 16) {
+    ncsw::tensor::gemm_f32_fast(m, std::min<std::int64_t>(16, n - j0), k,
+                                a.data(), k, b.data() + j0, n,
+                                split.data() + j0, n);
+  }
+  ASSERT_EQ(0, std::memcmp(whole.data(), split.data(),
+                           whole.size() * sizeof(float)));
+  std::vector<float> ref(whole.size());
+  gemm_ref(m, n, k, 1.0f, a.data(), b.data(), 0.0f, ref.data());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_NEAR(whole[i], ref[i], 1e-4) << "element " << i;
+  }
+}
+
 }  // namespace

@@ -485,11 +485,14 @@ TEST(KernelBitIdentity, Conv2dPointwiseDirectAndIm2colPaths) {
 // the oracle's im2col conv, byte for byte: kernels 1..5 and 7, strides
 // 1..3 (so 1, 2 or 3 stride phases, and more phases than kernel columns
 // for small kernels), every pad below the kernel, on odd, non-square,
-// narrow (ow < 4) and wide (ow = 19) maps and a 5x5/p2 window on a 4x4
-// map. Each geometry runs unfused and with a fused ReLU, in both
-// precisions, at 1, 3 and 4 threads and batch 1 and 3, all through one
-// workspace, so a plane or padding border left by an earlier geometry
-// would show.
+// narrow (ow < 4) and wide (ow = 19) maps, a 5x5/p2 window on a 4x4
+// map, and GoogLeNet's 7x7 map. Each geometry runs unfused and with a
+// fused ReLU, in both precisions, at 1, 3 and 4 threads and batch 1 and
+// 3, all through one workspace, so a plane or padding border left by an
+// earlier geometry would show. The threaded runs split the columns on
+// 16-column panel boundaries: at stride 1 the 7x7 map's 49 columns are
+// 4 panels, the last a 1-column edge, so 3 threads put the edge in a
+// chunk with a full panel and 4 threads give it a chunk of its own.
 
 // make_conv() plus special values. Input channel 0 holds NaNs, +-inf
 // (`with_inf`) and +-0 at every third position; the even output channels
@@ -554,8 +557,9 @@ TEST(KernelBitIdentity, Conv2dGeometrySweep) {
   struct Map {
     int h, w;
   };
-  // Odd, non-square, narrow and wide maps, and TinyGoogLeNet's 4x4.
-  const Map maps[] = {{9, 7}, {5, 11}, {4, 4}, {3, 2}, {6, 19}};
+  // Odd, non-square, narrow and wide maps, TinyGoogLeNet's 4x4 and
+  // GoogLeNet's 7x7.
+  const Map maps[] = {{9, 7}, {5, 11}, {4, 4}, {3, 2}, {6, 19}, {7, 7}};
   kernels::Workspace ws;
   std::uint64_t seed = 11000;
   int geometries = 0;
@@ -700,14 +704,13 @@ TensorF adversarial_planes(const Shape& s, std::uint64_t seed) {
   return t;
 }
 
-// Both tiers, serial and threaded (the fast tier on its pinned pool).
+// Both tiers, serial and threaded.
 std::vector<kernels::ExecCtx> exact_and_fast_ctxs(kernels::Workspace& ws) {
   std::vector<kernels::ExecCtx> ctxs;
   for (const bool fast : {false, true}) {
     for (const int threads : {1, 3}) {
       kernels::ExecCtx ctx = threaded_ctx(ws, threads);
       ctx.fast = fast;
-      if (fast && threads > 1) ctx.pool = &kernels::fast_pool();
       ctxs.push_back(ctx);
     }
   }

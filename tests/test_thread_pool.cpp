@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -134,72 +132,6 @@ TEST(ThreadPool, TasksRunConcurrentlyAcrossWorkers) {
   for (auto& f : futs) f.get();
   EXPECT_GE(max_in_flight.load(), 1);
   EXPECT_LE(max_in_flight.load(), 2);
-}
-
-// --- affinity mode (the fast host tier) ------------------------------------
-
-TEST(ThreadPool, SubmitToRoutesToTheAddressedWorker) {
-  ThreadPool pool(3);
-  // Every task addressed to worker i must run on one fixed thread per i.
-  std::vector<std::thread::id> first(3);
-  for (std::size_t w = 0; w < 3; ++w) {
-    first[w] =
-        pool.submit_to(w, [] { return std::this_thread::get_id(); }).get();
-  }
-  EXPECT_NE(first[0], first[1]);
-  EXPECT_NE(first[1], first[2]);
-  for (int round = 0; round < 4; ++round) {
-    for (std::size_t w = 0; w < 3; ++w) {
-      EXPECT_EQ(
-          pool.submit_to(w, [] { return std::this_thread::get_id(); }).get(),
-          first[w])
-          << "worker " << w << " round " << round;
-    }
-  }
-}
-
-TEST(ThreadPool, SubmitToIsFifoPerWorker) {
-  ThreadPool pool(2);
-  std::vector<int> order;
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 50; ++i) {
-    // All on worker 0: single consumer, so no lock is needed in the task.
-    futs.push_back(pool.submit_to(0, [&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futs) f.get();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, SubmitToOutOfRangeWorkerThrows) {
-  ThreadPool pool(2);
-  // Affinity routing is explicit addressing: an index past the pool is a
-  // caller bug, not a request to wrap onto some other worker's queue.
-  EXPECT_THROW(pool.submit_to(2, [] { return 1; }), std::out_of_range);
-  EXPECT_THROW(pool.submit_to(1000, [] { return 1; }), std::out_of_range);
-  // In-range submissions still work after the rejected ones.
-  EXPECT_EQ(pool.submit_to(1, [] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, UnpinnedPoolReportsNoLayout) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.pinned());
-  EXPECT_EQ(pool.affinity_layout(), "none");
-}
-
-TEST(ThreadPool, PinnedPoolReportsOneCpuPerWorker) {
-  ThreadPool pool(2, /*pin_workers=*/true);
-  if (!pool.pinned()) {
-    // Pinning can legitimately fail (unsupported platform, restricted
-    // affinity mask); the contract is the graceful degrade.
-    EXPECT_EQ(pool.affinity_layout(), "none");
-    return;
-  }
-  const std::string layout = pool.affinity_layout();
-  EXPECT_EQ(std::count(layout.begin(), layout.end(), ','), 1)
-      << "layout: " << layout;
-  // Workers still execute tasks when pinned.
-  EXPECT_EQ(pool.submit_to(1, [] { return 7; }).get(), 7);
 }
 
 }  // namespace
