@@ -35,8 +35,8 @@ HostTarget::HostTarget(std::shared_ptr<const ModelBundle> bundle,
   }
 }
 
-Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
-                                            double submit_s) {
+TimedRun HostTarget::execute_batch(std::int64_t images, int batch,
+                                   double /*submit_s*/) {
   TimedRun run;
   run.images = images;
   std::int64_t remaining = images;
@@ -60,14 +60,7 @@ Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
     for (std::int64_t i = 0; i < n; ++i) run.per_image_ms.add(ms);
     remaining -= n;
   }
-  // The host engine is one serial queue: this submission starts once the
-  // previous one drains.
-  BatchExec exec;
-  exec.run = std::move(run);
-  exec.start_s = std::max(submit_s, next_free_s_);
-  exec.complete_s = exec.start_s + exec.run.seconds;
-  next_free_s_ = exec.complete_s;
-  return exec;
+  return run;
 }
 
 void HostTarget::set_fast(bool fast) {

@@ -37,11 +37,10 @@ class HostTarget : public Target {
   bool fast() const noexcept { return fast_; }
 
  protected:
-  /// One batch on the host engine. The engine is a single serial queue:
-  /// a submission starts when the previous one finishes (never before
-  /// its own submit time), so in-flight submissions pipeline FIFO.
-  BatchExec execute_batch(std::int64_t images, int batch,
-                          double submit_s) override;
+  /// One batch on the host engine (Target's serial queue pipelines
+  /// in-flight submissions FIFO).
+  TimedRun execute_batch(std::int64_t images, int batch,
+                         double submit_s) override;
 
  private:
   std::shared_ptr<const ModelBundle> bundle_;
@@ -50,7 +49,6 @@ class HostTarget : public Target {
   int max_batch_;
   std::uint64_t jitter_seed_;
   std::uint64_t batches_run_ = 0;  // advances the jitter stream
-  double next_free_s_ = 0.0;      // when the serial engine queue drains
   bool fast_ = false;             // fast host tier enabled
   // Functional bundles only: the default plan (construction) and the
   // fast-tier plan (set_fast, once).

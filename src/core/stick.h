@@ -1,0 +1,102 @@
+// One Neural Compute Stick through the paper's Listing 1 lifecycle (open
+// -> allocate -> LoadTensor/GetResult -> deallocate -> close): the one
+// stick driver under VpuTarget (N sticks of one bundle) and StickFleet (K
+// sticks swapping a zoo), so drain-before-deallocate is written once
+// (docs/architecture.md, "Stick lifecycle").
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/health.h"
+#include "core/target.h"
+#include "mvnc/sim_host.h"
+
+namespace ncsw::core {
+
+/// One opened stick: its device handle, its resident graph and which
+/// bundle that graph runs. Owned by a StickSet; not copyable.
+class Stick {
+ public:
+  Stick() = default;
+  Stick(const Stick&) = delete;
+  Stick& operator=(const Stick&) = delete;
+
+  int id() const noexcept { return id_; }
+  void* device() const noexcept { return device_; }
+  /// Graph handle of the resident bundle, nullptr when none.
+  void* graph() const noexcept { return graph_; }
+  /// The owner's index of the resident bundle, -1 when none.
+  int resident() const noexcept { return resident_; }
+  const ModelBundle* bundle() const noexcept { return bundle_; }
+
+  /// Allocate `bundle`'s blob as the resident graph (owner index `model`),
+  /// chaining the transfer on device epoch `epoch_s` (mvncAllocateGraph
+  /// is epoch 0; a swap passes the outgoing graph's clock). The stick
+  /// must hold no graph. False, and no graph, when the device refuses.
+  bool allocate_graph_at(const ModelBundle& bundle, int model,
+                         double epoch_s);
+
+  /// Retrieve up to `most` queued results (stale ones: their images were
+  /// replayed or their tickets retired); returns how many. Stops at the
+  /// first status that is not MVNC_OK.
+  int drain(int most = std::numeric_limits<int>::max());
+
+  /// Empty the FIFO, then deallocate, clearing graph and resident bundle
+  /// together; returns the results drained (0 without a graph). A stall
+  /// is ridden out without touching the watchdog (watchdog-misuse with
+  /// inferences in flight): the clock steps forward, doubling, per
+  /// MVNC_TIMEOUT.
+  int release();
+
+  /// Classify one FP32 tensor: cast to FP16, LoadTensor / GetResult with
+  /// `policy`'s bounded transient backoff, widen, pick the label. Throws
+  /// std::logic_error without a functional resident bundle.
+  Prediction classify(const tensor::TensorF& input,
+                      const HealthPolicy& policy);
+
+ private:
+  friend class StickSet;
+  /// drain() and release(): `stall_steps` MVNC_TIMEOUTs are stepped over.
+  int retrieve(int most, int stall_steps);
+
+  int id_ = -1;
+  void* device_ = nullptr;
+  void* graph_ = nullptr;
+  int resident_ = -1;
+  const ModelBundle* bundle_ = nullptr;
+};
+
+/// The opener: resets the global mvnc simulation host (any other
+/// holder's handles die), opens every device and records the host
+/// generation. Teardown releases and closes every stick only while that
+/// generation still holds.
+class StickSet {
+ public:
+  /// Throws std::runtime_error ("<owner>: ...") when a device cannot be
+  /// enumerated or opened.
+  StickSet(const mvnc::HostConfig& host, const char* owner);
+  ~StickSet() { close(); }
+
+  int size() const noexcept { return static_cast<int>(sticks_.size()); }
+  Stick& operator[](std::size_t d) { return sticks_[d]; }
+  /// Bounds-checked (std::out_of_range).
+  Stick& at(int d) { return sticks_.at(static_cast<std::size_t>(d)); }
+  const Stick& at(int d) const {
+    return sticks_.at(static_cast<std::size_t>(d));
+  }
+
+  /// Release every stick, then close every device; results a stick still
+  /// held (e.g. one quarantined after watchdog timeouts) count into
+  /// core.health.dev<d>.shutdown_drains. After a later host_reset
+  /// (another owner's open) nothing is fed back into the API, whose new
+  /// host may reuse the handles' addresses. Idempotent.
+  void close();
+
+ private:
+  std::vector<Stick> sticks_;
+  std::uint64_t generation_ = 0;
+};
+
+}  // namespace ncsw::core

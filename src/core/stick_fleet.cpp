@@ -11,148 +11,105 @@
 
 namespace ncsw::core {
 
-using mvnc::mvncStatus;
-
 // ---------------------------------------------------------------- stick
 
 std::string StickTarget::name() const {
-  return "Intel Movidius Myriad 2 VPU stick " + std::to_string(id_) +
+  return "Intel Movidius Myriad 2 VPU stick " + std::to_string(stick_->id()) +
          " (zoo fleet)";
 }
 
 std::string StickTarget::short_name() const {
-  return "stick" + std::to_string(id_);
+  return "stick" + std::to_string(stick_->id());
 }
 
-double StickTarget::tdp_w(int batch) const {
-  (void)batch;
+double StickTarget::tdp_w(int /*batch*/) const {
   return myriad::TdpConstants::kNcsStickW;
 }
 
-Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
-                                             double submit_s) {
-  (void)batch;  // max_batch() == 1
-  if (!graph_ || resident_ < 0) {
-    throw std::logic_error("StickTarget: no resident graph");
-  }
-  const auto input_len = static_cast<unsigned int>(
-      fleet_->model(resident_).bundle->compiled_f16.input_bytes());
-  mvnc::set_inter_op_gap(graph_, fleet_->config().single_gap_s);
+TimedRun StickTarget::execute_batch(std::int64_t images, int /*batch == 1*/,
+                                   double /*submit_s*/) {
+  void* graph = stick_->graph();
+  if (!graph) throw std::logic_error("StickTarget: no resident graph");
+  const std::uint8_t* input = fleet_->input_.data();
+  const auto input_len =
+      static_cast<unsigned int>(stick_->bundle()->compiled_f16.input_bytes());
+  mvnc::set_inter_op_gap(graph, fleet_->config().single_gap_s);
 
   // Device-epoch span: the cursor carries boot + allocation history, so
-  // only the delta is meaningful — the caller-clock mapping below keeps
-  // the epoch out of serving timelines (same idiom as VpuTarget).
-  const double t0 = mvnc::host_time(graph_).value_or(0.0);
+  // only the delta is meaningful (Target's serial queue maps it onto the
+  // caller's clock).
+  const double t0 = mvnc::host_time(graph).value_or(0.0);
   TimedRun run;
   run.images = images;
   double last = t0;
   for (std::int64_t i = 0; i < images; ++i) {
-    if (mvnc::mvncLoadTensor(graph_, input_.data(), input_len, nullptr) !=
+    if (mvnc::mvncLoadTensor(graph, input, input_len, nullptr) !=
         mvnc::MVNC_OK) {
       throw std::runtime_error("StickTarget: mvncLoadTensor failed");
     }
     void* out = nullptr;
     unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(graph_, &out, &out_len, nullptr) !=
+    if (mvnc::mvncGetResult(graph, &out, &out_len, nullptr) !=
         mvnc::MVNC_OK) {
       throw std::runtime_error("StickTarget: mvncGetResult failed");
     }
-    const auto ticket = mvnc::last_ticket(graph_);
+    const auto ticket = mvnc::last_ticket(graph);
     if (!ticket) throw std::runtime_error("StickTarget: missing ticket");
     run.per_image_ms.add((ticket->result_ready - ticket->issue) * 1e3);
     last = std::max(last, ticket->result_ready);
   }
   run.seconds = last - t0;
-
-  BatchExec exec;
-  exec.start_s = std::max(submit_s, next_free_s_);
-  exec.complete_s = exec.start_s + run.seconds;
-  next_free_s_ = exec.complete_s;
-  exec.run = std::move(run);
-  return exec;
+  return run;
 }
 
 std::vector<Prediction> StickTarget::classify(
     const std::vector<tensor::TensorF>& inputs) {
-  if (!graph_ || resident_ < 0) {
-    throw std::logic_error("StickTarget: no resident graph");
-  }
-  if (!fleet_->model(resident_).bundle->functional()) {
-    throw std::logic_error("StickTarget::classify: timing-only bundle");
-  }
-  std::vector<Prediction> results(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto half_input = tensor::tensor_cast<ncsw::fp16::half>(inputs[i]);
-    if (mvnc::mvncLoadTensor(
-            graph_, half_input.data(),
-            static_cast<unsigned int>(half_input.numel() *
-                                      sizeof(ncsw::fp16::half)),
-            nullptr) != mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget::classify: LoadTensor failed");
-    }
-    void* out = nullptr;
-    unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(graph_, &out, &out_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget::classify: GetResult failed");
-    }
-    const auto* halves = static_cast<const ncsw::fp16::half*>(out);
-    const std::size_t n = out_len / sizeof(ncsw::fp16::half);
-    std::vector<float> probs(n);
-    ncsw::fp16::half_to_float_span(halves, probs.data(), n);
-    results[i] = make_prediction(std::move(probs));
+  std::vector<Prediction> results;
+  results.reserve(inputs.size());
+  for (const auto& input : inputs) {
+    results.push_back(stick_->classify(input, HealthPolicy{}));
   }
   return results;
 }
 
 // ---------------------------------------------------------------- fleet
 
-StickFleet::StickFleet(std::vector<ZooModel> models, StickFleetConfig config)
-    : models_(std::move(models)), config_(config) {
-  if (models_.empty()) {
+namespace {
+
+/// Validate the fleet's arguments, then describe its mvnc host.
+mvnc::HostConfig host_config(const std::vector<ZooModel>& models,
+                             const StickFleetConfig& config) {
+  if (models.empty()) {
     throw std::invalid_argument("StickFleet: empty model zoo");
   }
-  for (const auto& m : models_) {
+  for (const auto& m : models) {
     if (!m.bundle) throw std::invalid_argument("StickFleet: null bundle");
   }
-  if (config_.devices < 1) {
+  if (config.devices < 1) {
     throw std::invalid_argument("StickFleet: devices < 1");
   }
-  open_all();
+  mvnc::HostConfig host;
+  host.devices = config.devices;
+  host.topology = config.topology;
+  host.ncs = config.ncs;
+  host.check = config.check;
+  return host;
 }
 
-StickFleet::~StickFleet() { close_all(); }
+}  // namespace
 
-void StickFleet::open_all() {
+StickFleet::StickFleet(std::vector<ZooModel> models, StickFleetConfig config)
+    : models_(std::move(models)),
+      config_(config),
+      hw_(host_config(models_, config_), "StickFleet") {
   std::int64_t max_input_bytes = 0;
   for (const auto& m : models_) {
     max_input_bytes =
         std::max(max_input_bytes, m.bundle->compiled_f16.input_bytes());
   }
-
-  mvnc::HostConfig host;
-  host.devices = config_.devices;
-  host.topology = config_.topology;
-  host.ncs = config_.ncs;
-  host.check = config_.check;
-  mvnc::host_reset(host);
-  host_generation_ = mvnc::host_generation();
-
+  input_.assign(static_cast<std::size_t>(max_input_bytes), 0);
   for (int d = 0; d < config_.devices; ++d) {
-    char name[64];
-    if (mvnc::mvncGetDeviceName(d, name, sizeof(name)) != mvnc::MVNC_OK) {
-      throw std::runtime_error("StickFleet: device enumeration failed");
-    }
-    void* dev = nullptr;
-    if (mvnc::mvncOpenDevice(name, &dev) != mvnc::MVNC_OK) {
-      throw std::runtime_error("StickFleet: mvncOpenDevice failed");
-    }
-    auto stick = std::unique_ptr<StickTarget>(new StickTarget());
-    stick->fleet_ = this;
-    stick->id_ = d;
-    stick->device_ = dev;
-    stick->input_.assign(static_cast<std::size_t>(max_input_bytes), 0);
-    sticks_.push_back(std::move(stick));
+    sticks_.emplace_back(new StickTarget(this, &hw_.at(d)));
   }
 
   calibrate();
@@ -160,99 +117,80 @@ void StickFleet::open_all() {
   // Initial residency: model d % M on stick d (the static baseline's
   // pinning; policies diverge from here through swap_to).
   for (int d = 0; d < config_.devices; ++d) {
-    const int m = d % models();
-    sticks_[d]->graph_ = allocate_on(d, m, 0.0);
-    sticks_[d]->resident_ = m;
+    allocate(hw_.at(d), d % this->models(), 0.0);
     ++installs_;
   }
 }
 
 void StickFleet::calibrate() {
   // Measure each model's deallocate + allocate cost on stick 0's device
-  // clock. Allocations chain on the device's ready cursor, so the delta
-  // between two back-to-back allocations of the same blob is exactly
-  // one dealloc + alloc round trip — the price a swap pays. The first
-  // allocation (which also absorbs the boot wait) is discarded.
+  // clock: allocations chain on the device's ready cursor, so the delta
+  // between two back-to-back allocations of one blob is the price a swap
+  // pays (the first also absorbs the boot wait).
+  Stick& s = hw_.at(0);
   swap_cost_s_.assign(models_.size(), 0.0);
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    void* g1 = allocate_on(0, static_cast<int>(m), 0.0);
-    const double t1 = mvnc::host_time(g1).value_or(0.0);
-    mvnc::mvncDeallocateGraph(g1);
-    void* g2 = allocate_on(0, static_cast<int>(m), 0.0);
-    const double t2 = mvnc::host_time(g2).value_or(0.0);
-    mvnc::mvncDeallocateGraph(g2);
-    swap_cost_s_[m] = t2 - t1;
+  for (int m = 0; m < models(); ++m) {
+    double t[2];
+    for (double& ti : t) {
+      allocate(s, m, 0.0);
+      ti = mvnc::host_time(s.graph()).value_or(0.0);
+      s.release();
+    }
+    const auto mi = static_cast<std::size_t>(m);
+    swap_cost_s_[mi] = t[1] - t[0];
     util::metrics()
-        .gauge("core.zoo.swap_cost_s." + models_[m].name)
-        .set(swap_cost_s_[m]);
+        .gauge("core.zoo.swap_cost_s." + models_[mi].name)
+        .set(swap_cost_s_[mi]);
   }
 }
 
-void* StickFleet::allocate_on(int d, int m, double epoch_s) {
-  void* graph = nullptr;
-  const auto& blob = models_.at(m).bundle->graph_blob;
-  if (mvnc::allocate_graph_at(sticks_.at(d)->device_, &graph, blob.data(),
-                              static_cast<unsigned int>(blob.size()),
-                              epoch_s) != mvnc::MVNC_OK) {
+void StickFleet::allocate(Stick& s, int m, double epoch_s) {
+  const ZooModel& model = models_.at(static_cast<std::size_t>(m));
+  if (!s.allocate_graph_at(*model.bundle, m, epoch_s)) {
     throw std::runtime_error("StickFleet: mvncAllocateGraph failed for " +
-                             models_[m].name);
+                             model.name);
   }
-  return graph;
 }
 
 double StickFleet::swap_to(int d, int m, double now_s) {
-  StickTarget& s = *sticks_.at(d);
+  StickTarget& st = *sticks_.at(d);
   if (m < 0 || m >= models()) {
     throw std::out_of_range("StickFleet::swap_to: bad model index");
   }
-  if (s.resident_ == m) return std::max(now_s, s.next_free_s_);
+  Stick& s = *st.stick_;
+  const int old = s.resident();
+  if (old == m) return std::max(now_s, st.engine_free_s());
 
   auto& sv = check::serve_verifier();
   if (sv.enabled()) {
-    sv.on_swap_begin(s.short_name(),
-                     s.resident_ >= 0 ? models_[s.resident_].name
-                                      : std::string(),
-                     models_[m].name, s.inflight(), now_s);
+    sv.on_swap_begin(st.short_name(),
+                     old >= 0 ? models_[old].name : std::string(),
+                     models_[m].name, st.inflight(), now_s);
   }
-  // Drain-then-deallocate: queued device results at a swap are stale
-  // (their tickets were retired or cancelled); retrieving them first
-  // keeps the NCAPI verifier's undrained-at-dealloc class quiet on
-  // every swap.
-  for (int left = mvnc::pending_results(s.graph_); left > 0; --left) {
-    void* out = nullptr;
-    unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(s.graph_, &out, &out_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      break;
-    }
-  }
-  // Carry the stick's device epoch across the swap: a fresh graph would
-  // otherwise chain on the device's allocation cursor, which lags the
-  // old graph's exec-advanced clock — the swap would time-travel behind
-  // retired work on the device lanes (seq inversions and span overlaps
-  // in the trace lint).
-  const double epoch = mvnc::host_time(s.graph_).value_or(0.0);
-  mvnc::mvncDeallocateGraph(s.graph_);
-  s.graph_ = nullptr;
+  // Queued results at a swap are stale (their tickets were retired or
+  // cancelled). Carry the device epoch, read after draining them, across
+  // the swap: a fresh graph would otherwise chain on the allocation
+  // cursor, which lags the old graph's exec-advanced clock, and the swap
+  // would time-travel behind retired work (trace-lint seq inversions).
+  s.drain();
+  const double epoch = mvnc::host_time(s.graph()).value_or(0.0);
+  s.release();
   ++evicts_;
-
-  s.graph_ = allocate_on(d, m, epoch);
-  const int old = s.resident_;
-  s.resident_ = m;
+  allocate(s, m, epoch);
   ++installs_;
   ++swaps_;
 
   // The swap occupies the stick's serial caller-clock queue for the
   // calibrated cost (the device epoch must not leak into serving time).
-  const double start = std::max(now_s, s.next_free_s_);
-  const double done = start + swap_cost_s_[m];
-  s.next_free_s_ = done;
+  const double cost = swap_cost_s_[static_cast<std::size_t>(m)];
+  const double start = st.occupy(now_s, cost);
+  const double done = st.engine_free_s();
 
   util::metrics().counter("core.zoo.swaps").add(1);
   auto& tr = util::tracer();
   if (tr.enabled()) {
     tr.complete("zoo", "swap",
-                tr.lane("zoo " + s.short_name()), start, done,
+                tr.lane("zoo " + st.short_name()), start, done,
                 {util::TraceArg::str("from", old >= 0 ? models_[old].name
                                                       : std::string("-")),
                  util::TraceArg::str("to", models_[m].name)});
@@ -262,32 +200,8 @@ double StickFleet::swap_to(int d, int m, double now_s) {
 
 std::int64_t StickFleet::resident_count() const {
   std::int64_t n = 0;
-  for (const auto& s : sticks_) {
-    if (s->graph_) ++n;
-  }
+  for (int d = 0; d < config_.devices; ++d) n += hw_.at(d).graph() != nullptr;
   return n;
-}
-
-void StickFleet::close_all() {
-  if (mvnc::host_generation() == host_generation_) {
-    for (auto& s : sticks_) {
-      if (s->graph_) {
-        // Same drain-before-deallocate discipline as VpuTarget teardown.
-        for (int left = mvnc::pending_results(s->graph_); left > 0; --left) {
-          void* out = nullptr;
-          unsigned int out_len = 0;
-          if (mvnc::mvncGetResult(s->graph_, &out, &out_len, nullptr) !=
-              mvnc::MVNC_OK) {
-            break;
-          }
-        }
-        mvnc::mvncDeallocateGraph(s->graph_);
-        ++evicts_;
-      }
-      if (s->device_) mvnc::mvncCloseDevice(s->device_);
-    }
-  }
-  sticks_.clear();
 }
 
 }  // namespace ncsw::core

@@ -4,32 +4,26 @@
 // VpuTarget drives N sticks as one engine running one graph. The zoo
 // problem is the transpose: M compiled model graphs contend for K
 // sticks' LPDDR, and only a resident graph can serve its tenant's
-// requests. StickFleet owns the global mvnc simulation host once (one
-// host_reset; the fleet is the single handle owner, so it coexists with
-// nothing else driving mvnc) and exposes each stick as its own async
-// core::Target, plus the swap primitive the residency policy needs:
+// requests. StickFleet opens K core::Sticks (docs/architecture.md "Stick
+// lifecycle"; one host_reset, so it coexists with nothing else driving
+// mvnc) and exposes each as its own async core::Target, plus the swap
+// primitive the residency policy needs:
 //
 //   swap_to(stick, model, now):
 //     verify no tickets outstanding (swap-while-inflight otherwise)
-//     -> drain queued device results  -> mvncDeallocateGraph(old)
-//     -> mvncAllocateGraph(new blob)  -> stick busy until now + cost
+//     -> Stick::release (drain, mvncDeallocateGraph) -> allocate the new
+//     blob -> stick busy until now + cost
 //
-// which is exactly the drain-then-deallocate lifecycle the protocol
-// verifier's undrained-at-dealloc / replug-without-realloc classes
-// enforce, so every swap runs under the NCAPI checker.
-//
-// Swap-in costs are *measured*, not assumed: at open the fleet runs a
-// calibration pass on stick 0 — deallocate + re-allocate each model's
-// blob back-to-back and read the device-clock delta — so eviction
-// scoring (serve::ResidencyManager) prices alexnet's ~MiBs of FP16
-// weights differently from squeezenet's. Deterministic: allocation
-// chains on the device's ready cursor with no jitter.
-//
-// Every swap pays its full cost on the simulated clock, but little on
-// the host: the mvnc host parses each distinct blob once and each stick
-// simulates each graph once, so a swap back to a model the stick has
-// run before only does the simulated-clock bookkeeping (transfer, parse
-// time, trace span, verifier).
+// so every swap runs the drain-then-deallocate lifecycle under the NCAPI
+// checker. Swap-in costs are *measured* at open: a calibration pass on
+// stick 0 deallocates + re-allocates each model's blob back-to-back and
+// reads the device-clock delta, so eviction scoring
+// (serve::ResidencyManager) prices alexnet's ~MiBs of FP16 weights
+// differently from squeezenet's; allocation chains on the device's ready
+// cursor with no jitter, so the costs are deterministic. On the host a
+// swap is cheap: the mvnc host parses each distinct blob once and each
+// stick simulates each graph once, so a swap back to a model the stick
+// has run before only does the simulated-clock bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/stick.h"
 #include "core/target.h"
 #include "devices/calibration.h"
 #include "mvnc/sim_host.h"
@@ -52,7 +47,8 @@ struct ZooModel {
 };
 
 /// Fleet configuration (fault-free: the zoo layer swaps graphs, the
-/// self-healing runner in VpuTarget owns fault injection).
+/// self-healing runner in VpuTarget owns fault injection; the zoo's
+/// sticks get no fault plan yet).
 struct StickFleetConfig {
   int devices = 2;
   mvnc::HostConfig::Topology topology =
@@ -78,28 +74,17 @@ class StickTarget : public Target {
   std::vector<Prediction> classify(
       const std::vector<tensor::TensorF>& inputs) override;
 
-  /// Resident model index (into the fleet's zoo), -1 when none.
-  int resident() const noexcept { return resident_; }
-
  protected:
-  BatchExec execute_batch(std::int64_t images, int batch,
-                          double submit_s) override;
+  TimedRun execute_batch(std::int64_t images, int batch,
+                         double submit_s) override;
 
  private:
   friend class StickFleet;
-  StickTarget() = default;
+  StickTarget(StickFleet* fleet, Stick* stick)
+      : fleet_(fleet), stick_(stick) {}
 
-  StickFleet* fleet_ = nullptr;
-  int id_ = -1;
-  void* device_ = nullptr;
-  void* graph_ = nullptr;
-  int resident_ = -1;
-  /// Zeroed timing-run input, sized at open for the zoo's largest model;
-  /// each batch passes the resident model's length.
-  std::vector<std::uint8_t> input_;
-  /// Caller-clock instant the engine frees (serial queue; swaps and
-  /// batches both advance it).
-  double next_free_s_ = 0.0;
+  StickFleet* fleet_;
+  Stick* stick_;  ///< owned by the fleet's StickSet
 };
 
 /// The fleet: owns the mvnc host, the K sticks, and the M model blobs.
@@ -108,7 +93,6 @@ class StickTarget : public Target {
 class StickFleet {
  public:
   StickFleet(std::vector<ZooModel> models, StickFleetConfig config = {});
-  ~StickFleet();
   StickFleet(const StickFleet&) = delete;
   StickFleet& operator=(const StickFleet&) = delete;
 
@@ -119,7 +103,8 @@ class StickFleet {
 
   StickTarget& stick(int d) { return *sticks_.at(d); }
   const StickTarget& stick(int d) const { return *sticks_.at(d); }
-  int resident_model(int d) const { return sticks_.at(d)->resident_; }
+  /// Resident model index (into the zoo) of stick `d`, -1 when none.
+  int resident_model(int d) const { return hw_.at(d).resident(); }
 
   /// Calibrated deallocate + allocate cost of bringing model `m` onto a
   /// stick (simulated seconds, device-clock measured at open).
@@ -144,17 +129,19 @@ class StickFleet {
   const StickFleetConfig& config() const noexcept { return config_; }
 
  private:
-  void open_all();
-  void close_all();
+  friend class StickTarget;
   void calibrate();
-  /// Allocate model `m`'s blob on stick `d`'s device, chaining the blob
-  /// transfer on the stick's device epoch `epoch_s` (0 at open, the
-  /// outgoing graph's clock on a swap); returns the graph handle.
-  /// Throws on failure.
-  void* allocate_on(int d, int m, double epoch_s);
+  /// Allocate model `m`'s blob on stick `s`, chaining the blob transfer on
+  /// the stick's device epoch `epoch_s` (0 at open, the outgoing graph's
+  /// clock on a swap). Throws on failure.
+  void allocate(Stick& s, int m, double epoch_s);
 
   std::vector<ZooModel> models_;
   StickFleetConfig config_;
+  StickSet hw_;  ///< the K opened sticks
+  /// Zeroed timing-run input, sized for the zoo's largest model; each
+  /// batch passes the resident model's length.
+  std::vector<std::uint8_t> input_;
   /// unique_ptr: StickTarget has no public constructor and Target is
   /// non-movable (it holds ticket state).
   std::vector<std::unique_ptr<StickTarget>> sticks_;
@@ -162,7 +149,6 @@ class StickFleet {
   std::int64_t installs_ = 0;
   std::int64_t evicts_ = 0;
   std::int64_t swaps_ = 0;
-  std::uint64_t host_generation_ = 0;
 };
 
 }  // namespace ncsw::core

@@ -41,10 +41,9 @@ Ticket Target::submit(std::int64_t images, int batch, double submit_s) {
   // committed here and the ticket merely carries its completion
   // timestamp forward to the caller's poll loop.
   try {
-    BatchExec exec = execute_batch(images, batch, submit_s);
-    rec.info.start_s = exec.start_s;
-    rec.info.complete_s = exec.complete_s;
-    rec.run = std::move(exec.run);
+    rec.run = execute_batch(images, batch, submit_s);
+    rec.info.start_s = occupy(submit_s, rec.run.seconds);
+    rec.info.complete_s = next_free_s_;
   } catch (...) {
     rec.info.state = TicketState::kFailed;
     rec.info.start_s = submit_s;
@@ -161,6 +160,12 @@ void Target::retire(std::uint64_t id, TicketState final_state) {
   tickets_.erase(it);
   retired_.emplace_back(id, info);
   while (retired_.size() > kRetiredKept) retired_.pop_front();
+}
+
+double Target::occupy(double now_s, double seconds) {
+  const double start = std::max(now_s, next_free_s_);
+  next_free_s_ = start + seconds;
+  return start;
 }
 
 TimedRun Target::run_timed(std::int64_t images, int batch) {

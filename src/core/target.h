@@ -168,20 +168,19 @@ class Target {
       const std::vector<tensor::TensorF>& inputs) = 0;
 
  protected:
-  /// What one submission executed to. `start_s` is when the engine
-  /// actually began (>= the submission time when the engine was busy);
-  /// `complete_s` is when the last result landed.
-  struct BatchExec {
-    TimedRun run;
-    double start_s = 0.0;
-    double complete_s = 0.0;
-  };
+  /// Execute one batch submitted at `submit_s`; `seconds` of the returned
+  /// run is its span. submit() maps the span onto the caller's clock
+  /// through the serial engine queue (start = max(submit, engine free),
+  /// complete = start + span). A throw becomes a kFailed ticket (rethrown
+  /// by wait()) and leaves the queue untouched.
+  virtual TimedRun execute_batch(std::int64_t images, int batch,
+                                 double submit_s) = 0;
 
-  /// Execute one batch submitted at `submit_s`; each engine picks the
-  /// batch up as it frees. Implementations may throw; the base class
-  /// converts throws into kFailed tickets (rethrown by wait()).
-  virtual BatchExec execute_batch(std::int64_t images, int batch,
-                                  double submit_s) = 0;
+  /// Occupy the serial engine queue for `seconds` from caller-clock
+  /// `now_s` (or from when the engine frees, if later); returns the start.
+  double occupy(double now_s, double seconds);
+  /// Caller-clock instant the serial engine queue frees.
+  double engine_free_s() const noexcept { return next_free_s_; }
 
  private:
   struct TicketRec {
@@ -199,6 +198,8 @@ class Target {
   int window_ = 1;
   std::uint64_t next_ticket_ = 1;
   double horizon_s_ = 0.0;  ///< latest completion seen (shim submit time)
+  /// When the serial engine queue frees (caller clock).
+  double next_free_s_ = 0.0;
   std::unordered_map<std::uint64_t, TicketRec> tickets_;  ///< outstanding
   std::deque<std::pair<std::uint64_t, TicketInfo>> retired_;
 };

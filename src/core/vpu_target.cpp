@@ -1,11 +1,9 @@
 #include "core/vpu_target.h"
 
 #include <algorithm>
-#include <cstring>
+#include <future>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "mvnc/mvnc.h"
 #include "myriad/myriad.h"
@@ -14,97 +12,39 @@
 
 namespace ncsw::core {
 
-using mvnc::mvncStatus;
+namespace {
+
+/// Validate the target's arguments, then describe its mvnc host.
+mvnc::HostConfig host_config(const ModelBundle* bundle,
+                             const VpuTargetConfig& config) {
+  if (!bundle) throw std::invalid_argument("VpuTarget: null bundle");
+  if (config.devices < 1) throw std::invalid_argument("VpuTarget: devices < 1");
+  mvnc::HostConfig host;
+  host.devices = config.devices;
+  host.topology = config.topology;
+  host.ncs = config.ncs;
+  host.degraded_device = config.degraded_device;
+  host.degraded_factor = config.degraded_factor;
+  host.faults = config.faults;
+  host.check = config.check;
+  return host;
+}
+
+}  // namespace
 
 VpuTarget::VpuTarget(std::shared_ptr<const ModelBundle> bundle,
                      const VpuTargetConfig& config)
-    : bundle_(std::move(bundle)), config_(config) {
-  if (!bundle_) throw std::invalid_argument("VpuTarget: null bundle");
-  if (config_.devices < 1) throw std::invalid_argument("VpuTarget: devices < 1");
-  input_.assign(static_cast<std::size_t>(bundle_->compiled_f16.input_bytes()),
-                0);
-  open_all();
-}
-
-VpuTarget::~VpuTarget() { close_all(); }
-
-void VpuTarget::open_all() {
-  mvnc::HostConfig host;
-  host.devices = config_.devices;
-  host.topology = config_.topology;
-  host.ncs = config_.ncs;
-  host.degraded_device = config_.degraded_device;
-  host.degraded_factor = config_.degraded_factor;
-  host.faults = config_.faults;
-  host.check = config_.check;
-  mvnc::host_reset(host);
-  host_generation_ = mvnc::host_generation();
-
+    : bundle_(std::move(bundle)),
+      config_(config),
+      sticks_(host_config(bundle_.get(), config_), "VpuTarget"),
+      input_(static_cast<std::size_t>(bundle_->compiled_f16.input_bytes())) {
   for (int d = 0; d < config_.devices; ++d) {
-    char name[64];
-    if (mvnc::mvncGetDeviceName(d, name, sizeof(name)) != mvnc::MVNC_OK) {
-      throw std::runtime_error("VpuTarget: device enumeration failed");
-    }
-    void* dev = nullptr;
-    if (mvnc::mvncOpenDevice(name, &dev) != mvnc::MVNC_OK) {
-      throw std::runtime_error("VpuTarget: mvncOpenDevice failed");
-    }
-    device_handles_.push_back(dev);
-
-    void* graph = nullptr;
-    const auto& blob = bundle_->graph_blob;
-    if (mvnc::mvncAllocateGraph(dev, &graph, blob.data(),
-                                static_cast<unsigned int>(blob.size())) !=
-        mvnc::MVNC_OK) {
+    Stick& s = sticks_[static_cast<std::size_t>(d)];
+    if (!s.allocate_graph_at(*bundle_, 0, 0.0)) {
       throw std::runtime_error("VpuTarget: mvncAllocateGraph failed");
     }
-    graph_handles_.push_back(graph);
-    mvnc::set_watchdog(graph, config_.health.watchdog_s);
-    // Functional bundles ship their network + FP16 weights inside the
-    // graph file (graphc::serialize_package), so the stick computes real
-    // outputs with no further setup.
+    mvnc::set_watchdog(s.graph(), config_.health.watchdog_s);
   }
-}
-
-void VpuTarget::close_all() {
-  if (mvnc::host_generation() == host_generation_) {
-    for (std::size_t d = 0; d < graph_handles_.size(); ++d) {
-      void* g = graph_handles_[d];
-      if (!g) continue;
-      // Drain before deallocate on every exit path: a stick quarantined
-      // after watchdog timeouts can still hold queued results here (its
-      // images were replayed elsewhere), and deallocating over them is
-      // the verifier's undrained-at-dealloc class. Lift the watchdog so
-      // the drain itself cannot time out, and consult pending_results —
-      // probing GetResult with nothing outstanding is a violation too.
-      mvnc::set_watchdog(g, std::numeric_limits<double>::infinity());
-      int drained = 0;
-      for (int left = mvnc::pending_results(g); left > 0; --left) {
-        void* out = nullptr;
-        unsigned int out_len = 0;
-        if (mvnc::mvncGetResult(g, &out, &out_len, nullptr) !=
-            mvnc::MVNC_OK) {
-          break;  // detached/unplugged stick: its queue died with it
-        }
-        ++drained;
-      }
-      if (drained > 0) {
-        // Cold path only: fault-free teardowns must not materialise
-        // health instruments (byte-identity guard in test_faults).
-        util::metrics()
-            .counter("core.health.dev" + std::to_string(d) +
-                     ".shutdown_drains")
-            .add(static_cast<std::uint64_t>(drained));
-      }
-      mvnc::mvncDeallocateGraph(g);
-    }
-    for (void* d : device_handles_) mvnc::mvncCloseDevice(d);
-  }
-  // Otherwise a later host_reset (another target's open_all) already
-  // invalidated every handle — feeding the stale pointers back into the
-  // API could hit an address reused by the new host's handles.
-  graph_handles_.clear();
-  device_handles_.clear();
 }
 
 std::string VpuTarget::name() const {
@@ -117,8 +57,8 @@ double VpuTarget::tdp_w(int batch) const {
   return myriad::TdpConstants::kNcsStickW * active;
 }
 
-Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
-                                           double submit_s) {
+TimedRun VpuTarget::execute_batch(std::int64_t images, int batch,
+                                  double submit_s) {
   const int active = batch;  // the paper couples sticks to batch size
   const double gap = active > 1 ? config_.thread_gap_s : config_.single_gap_s;
 
@@ -128,14 +68,14 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   // instant so a ticket never starts before it was submitted.
   double t0 = submit_s;
   for (int d = 0; d < active; ++d) {
-    t0 = std::max(t0, mvnc::host_time(graph_handles_[d]).value_or(0.0));
+    t0 = std::max(t0, mvnc::host_time(sticks_[d].graph()).value_or(0.0));
   }
 
   TimedRun run;
   run.images = images;
   double last_completion = t0;
   for (int d = 0; d < active; ++d) {
-    void* graph = graph_handles_[d];
+    void* graph = sticks_[d].graph();
     mvnc::set_host_time(graph, t0 + (active > 1 ? d * config_.thread_spawn_s
                                                 : 0.0));
     mvnc::set_inter_op_gap(graph, gap);
@@ -168,7 +108,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
     return reg.counter("core.health.dev" + std::to_string(d) + "." + metric);
   };
   auto cursor = [&](std::size_t d) {
-    return mvnc::host_time(graph_handles_[d]).value_or(0.0);
+    return mvnc::host_time(sticks_[d].graph()).value_or(0.0);
   };
   auto fault_instant = [&](std::size_t d, const char* name) {
     if (tr.enabled()) {
@@ -199,7 +139,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
       return false;
     }
     dev_counter(d, "transient_retries").add(1);
-    mvnc::set_host_time(graph_handles_[d], now + delay);
+    mvnc::set_host_time(sticks_[d].graph(), now + delay);
     return true;
   };
   // Probe a quarantined stick at its scheduled probe time. True = the
@@ -208,24 +148,19 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
     StickHealth& h = health[d];
     const double t = h.next_probe_time();
     dev_counter(d, "probes").add(1);
+    Stick& s = sticks_[d];
     if (h.needs_replug()) {
-      const auto ready = mvnc::replug_device(device_handles_[d], t);
+      const auto ready = mvnc::replug_device(s.device(), t);
       bool replugged = false;
       if (ready) {
         // Firmware is back but the old graph handle is stale: re-allocate
         // from the blob (it carries the network + FP16 weights, so the
         // functional payload reattaches with it).
-        mvnc::mvncDeallocateGraph(graph_handles_[d]);
-        graph_handles_[d] = nullptr;
-        void* graph = nullptr;
-        const auto& blob = bundle_->graph_blob;
-        if (mvnc::mvncAllocateGraph(device_handles_[d], &graph, blob.data(),
-                                    static_cast<unsigned int>(blob.size())) ==
-            mvnc::MVNC_OK) {
-          graph_handles_[d] = graph;
-          mvnc::set_host_time(graph, std::max(*ready, t));
-          mvnc::set_inter_op_gap(graph, gap);
-          mvnc::set_watchdog(graph, config_.health.watchdog_s);
+        s.release();
+        if (s.allocate_graph_at(*bundle_, 0, 0.0)) {
+          mvnc::set_host_time(s.graph(), std::max(*ready, t));
+          mvnc::set_inter_op_gap(s.graph(), gap);
+          mvnc::set_watchdog(s.graph(), config_.health.watchdog_s);
           dev_counter(d, "replug_recoveries").add(1);
           replugged = true;
         }
@@ -238,19 +173,11 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
     } else {
       // Transient quarantine: re-admit at the probe time and retire stale
       // queued results left over from before the quarantine (their images
-      // were already replayed elsewhere). Only retrieve what is actually
-      // outstanding — a GetResult with nothing in flight is a protocol
-      // violation.
-      mvnc::set_host_time(graph_handles_[d], t);
-      for (int left = mvnc::pending_results(graph_handles_[d]); left > 0;
-           --left) {
-        void* out = nullptr;
-        unsigned int out_len = 0;
-        if (mvnc::mvncGetResult(graph_handles_[d], &out, &out_len,
-                                nullptr) != mvnc::MVNC_OK) {
-          break;
-        }
-        dev_counter(d, "stale_results_drained").add(1);
+      // were already replayed elsewhere).
+      mvnc::set_host_time(s.graph(), t);
+      if (const int stale = s.drain(); stale > 0) {
+        dev_counter(d, "stale_results_drained")
+            .add(static_cast<std::uint64_t>(stale));
       }
     }
     const double since = h.quarantined_since();
@@ -273,7 +200,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   auto attempt_image = [&](std::size_t d) -> bool {
     for (;;) {  // LoadTensor with bounded retry
       const auto st = mvnc::mvncLoadTensor(
-          graph_handles_[d], input_.data(),
+          sticks_[d].graph(), input_.data(),
           static_cast<unsigned int>(input_.size()), nullptr);
       if (st == mvnc::MVNC_OK) break;
       if (st == mvnc::MVNC_GONE) {
@@ -281,19 +208,12 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
         return false;
       }
       if (st == mvnc::MVNC_BUSY) {
-        // FIFO full (a scripted busy storm, or stale inferences from an
-        // earlier timeout): retire the oldest queued result and retry
-        // the load instead of aborting the batch. When nothing is
-        // outstanding the BUSY came from a scripted storm, not the FIFO
-        // — probing GetResult then would be a protocol violation.
-        if (mvnc::pending_results(graph_handles_[d]) > 0) {
-          void* out = nullptr;
-          unsigned int out_len = 0;
-          if (mvnc::mvncGetResult(graph_handles_[d], &out, &out_len,
-                                  nullptr) == mvnc::MVNC_OK) {
-            dev_counter(d, "busy_drains").add(1);
-            continue;  // slot freed; the drained image was already replayed
-          }
+        // FIFO full of stale inferences from an earlier timeout: retire
+        // the oldest and retry the load. With nothing outstanding the
+        // BUSY came from a scripted storm, and drain() retrieves nothing.
+        if (sticks_[d].drain(1) > 0) {
+          dev_counter(d, "busy_drains").add(1);
+          continue;  // slot freed; the drained image was already replayed
         }
         if (!transient_retry(d, "busy")) return false;
         continue;
@@ -308,9 +228,9 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
       void* out = nullptr;
       unsigned int out_len = 0;
       const auto st =
-          mvnc::mvncGetResult(graph_handles_[d], &out, &out_len, nullptr);
+          mvnc::mvncGetResult(sticks_[d].graph(), &out, &out_len, nullptr);
       if (st == mvnc::MVNC_OK) {
-        const auto ticket = mvnc::last_ticket(graph_handles_[d]);
+        const auto ticket = mvnc::last_ticket(sticks_[d].graph());
         if (!ticket) throw std::runtime_error("run_timed: missing ticket");
         run.per_image_ms.add((ticket->result_ready - ticket->issue) * 1e3);
         last_completion = std::max(last_completion, ticket->result_ready);
@@ -434,17 +354,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
                                          : "round-robin")});
   }
   run.seconds = last_completion - t0;
-  // Map the execution span onto the caller's submission timeline. The
-  // mvnc cursors live on the device-simulation epoch (which includes
-  // device boot and graph allocation), so completion timestamps are
-  // derived from the span, not read off the cursors: the engine is a
-  // serial queue that picks the batch up when it frees.
-  BatchExec exec;
-  exec.start_s = std::max(submit_s, next_free_s_);
-  exec.complete_s = exec.start_s + run.seconds;
-  next_free_s_ = exec.complete_s;
-  exec.run = std::move(run);
-  return exec;
+  return run;
 }
 
 std::vector<Prediction> VpuTarget::classify(
@@ -453,83 +363,26 @@ std::vector<Prediction> VpuTarget::classify(
     throw std::logic_error("VpuTarget::classify: timing-only bundle");
   }
   std::vector<Prediction> results(inputs.size());
-  const int active =
-      static_cast<int>(std::min<std::size_t>(inputs.size(),
-                                             graph_handles_.size()));
-  if (active == 0) return results;
-
+  const int active = static_cast<int>(
+      std::min(inputs.size(), static_cast<std::size_t>(sticks_.size())));
+  // Image i runs on stick i mod active.
   auto worker = [&](int d) {
-    void* graph = graph_handles_[static_cast<std::size_t>(d)];
-    const StickHealth backoffs(d, config_.health);
-    // Bounded transient retry (BUSY / ERROR / TIMEOUT): back off on the
-    // stick's own timeline and reissue; anything else aborts the batch
-    // (the caller surfaces the first worker error, e.g. MVNC_GONE).
-    auto transient = [&](mvncStatus st, int& attempt) -> bool {
-      if (st != mvnc::MVNC_BUSY && st != mvnc::MVNC_ERROR &&
-          st != mvnc::MVNC_TIMEOUT) {
-        return false;
-      }
-      if (attempt >= config_.health.max_retries) return false;
-      const double now = mvnc::host_time(graph).value_or(0.0);
-      mvnc::set_host_time(graph, now + backoffs.backoff(attempt));
-      ++attempt;
-      return true;
-    };
+    Stick& stick = sticks_[static_cast<std::size_t>(d)];
     for (std::size_t i = static_cast<std::size_t>(d); i < inputs.size();
          i += static_cast<std::size_t>(active)) {
-      // Host-side FP32 -> FP16 conversion (the OpenEXR-half step).
-      const auto half_input =
-          tensor::tensor_cast<ncsw::fp16::half>(inputs[i]);
-      mvncStatus st;
-      int attempt = 0;
-      for (;;) {
-        st = mvnc::mvncLoadTensor(
-            graph, half_input.data(),
-            static_cast<unsigned int>(half_input.numel() *
-                                      sizeof(ncsw::fp16::half)),
-            nullptr);
-        if (st == mvnc::MVNC_OK || !transient(st, attempt)) break;
-      }
-      if (st != mvnc::MVNC_OK) {
-        throw std::runtime_error("classify: mvncLoadTensor failed");
-      }
-      void* out = nullptr;
-      unsigned int out_len = 0;
-      attempt = 0;
-      for (;;) {
-        st = mvnc::mvncGetResult(graph, &out, &out_len, nullptr);
-        if (st == mvnc::MVNC_OK || !transient(st, attempt)) break;
-      }
-      if (st != mvnc::MVNC_OK) {
-        throw std::runtime_error("classify: mvncGetResult failed");
-      }
-      const auto* halves = static_cast<const ncsw::fp16::half*>(out);
-      const std::size_t n = out_len / sizeof(ncsw::fp16::half);
-      std::vector<float> probs(n);
-      ncsw::fp16::half_to_float_span(halves, probs.data(), n);
-      results[i] = make_prediction(std::move(probs));
+      results[i] = stick.classify(inputs[i], config_.health);
     }
   };
 
   if (config_.parallel_host_threads && active > 1) {
-    // Worker exceptions must not escape their threads (std::terminate);
-    // capture the first and rethrow on the caller.
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(active));
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
+    // One host thread per stick; get() rethrows a worker's failure on the
+    // caller once every worker has finished (a future joins on
+    // destruction).
+    std::vector<std::future<void>> workers;
     for (int d = 0; d < active; ++d) {
-      threads.emplace_back([&, d] {
-        try {
-          worker(d);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
+      workers.push_back(std::async(std::launch::async, worker, d));
     }
-    for (auto& t : threads) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+    for (auto& w : workers) w.get();
   } else {
     for (int d = 0; d < active; ++d) worker(d);
   }
@@ -539,7 +392,7 @@ std::vector<Prediction> VpuTarget::classify(
 std::vector<float> VpuTarget::layer_times_ms() const {
   std::vector<float> times(bundle_->compiled_f16.layers.size());
   unsigned int len = static_cast<unsigned int>(times.size() * sizeof(float));
-  if (mvnc::mvncGetGraphOption(graph_handles_.at(0), mvnc::MVNC_TIME_TAKEN,
+  if (mvnc::mvncGetGraphOption(sticks_.at(0).graph(), mvnc::MVNC_TIME_TAKEN,
                                times.data(), &len) != mvnc::MVNC_OK) {
     throw std::runtime_error("layer_times_ms: option query failed");
   }

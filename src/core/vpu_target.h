@@ -1,14 +1,16 @@
 // The multi-VPU target — the paper's main contribution (Section III,
-// Fig. 4). One NCAPI graph handle per stick; images are assigned
-// round-robin; each stick's stream of load -> execute -> get overlaps
-// with the other sticks'. In timed runs the number of active sticks is
-// coupled to the batch size, exactly as in the paper's figures.
+// Fig. 4): N sticks (core::Stick, docs/architecture.md "Stick lifecycle")
+// running one bundle. Images are assigned round-robin; each stick's
+// stream of load -> execute -> get overlaps with the other sticks'. In
+// timed runs the number of active sticks is coupled to the batch size,
+// exactly as in the paper's figures.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/health.h"
+#include "core/stick.h"
 #include "core/target.h"
 #include "devices/calibration.h"
 #include "mvnc/sim_host.h"
@@ -63,7 +65,6 @@ class VpuTarget : public Target {
  public:
   VpuTarget(std::shared_ptr<const ModelBundle> bundle,
             const VpuTargetConfig& config = {});
-  ~VpuTarget() override;
 
   VpuTarget(const VpuTarget&) = delete;
   VpuTarget& operator=(const VpuTarget&) = delete;
@@ -86,39 +87,25 @@ class VpuTarget : public Target {
 
   /// The mvnc graph handle of stick `d` (for fault-injection tests and
   /// the failover ablation). Throws std::out_of_range on bad indices.
-  void* graph_handle(int d) const { return graph_handles_.at(d); }
+  void* graph_handle(int d) const { return sticks_.at(d).graph(); }
 
   const VpuTargetConfig& config() const noexcept { return config_; }
 
  protected:
-  /// One batch across `batch` sticks, gated on a common start
-  /// t0 = max(submission instant, stick cursors) staggered by thread
-  /// spawn. Completion timestamps are mapped onto the caller's clock
-  /// through a serial engine queue (start = max(submit, engine free),
-  /// complete = start + span): the mvnc cursors carry the
-  /// device-simulation epoch (boot + graph allocation), which must not
-  /// leak into serving timelines.
-  BatchExec execute_batch(std::int64_t images, int batch,
-                          double submit_s) override;
+  /// One batch across `batch` sticks, gated on a common start t0 =
+  /// max(submission instant, stick cursors) staggered by thread spawn;
+  /// the span is measured on the sticks' device-epoch cursors.
+  TimedRun execute_batch(std::int64_t images, int batch,
+                         double submit_s) override;
 
  private:
-  void open_all();
-  void close_all();
-
   std::shared_ptr<const ModelBundle> bundle_;
   VpuTargetConfig config_;
-  std::vector<void*> device_handles_;
-  std::vector<void*> graph_handles_;
+  StickSet sticks_;
   /// Zeroed input tensor of the timed runs (allocated once).
   std::vector<std::uint8_t> input_;
-  /// Caller-clock instant the engine frees (see execute_batch).
-  double next_free_s_ = 0.0;
   /// End of the last span on each "scheduler" trace lane (device clock).
   std::vector<double> sched_lane_end_;
-  /// mvnc host generation our handles belong to. A later host_reset (for
-  /// example another VpuTarget's open_all) invalidates every handle, so
-  /// close_all must not feed them back into the API.
-  std::uint64_t host_generation_ = 0;
 };
 
 }  // namespace ncsw::core

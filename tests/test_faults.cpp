@@ -609,8 +609,36 @@ TEST(SelfHealing, TeardownDrainsQueuedResultsBeforeDealloc) {
     const auto run = vpu.run_timed(24, 2);
     EXPECT_EQ(run.images, 24);
     EXPECT_EQ(run.images_lost, 0);
-  }  // ~VpuTarget: close_all must drain, then deallocate
+  }  // ~VpuTarget: Stick::release must drain, then deallocate
   EXPECT_EQ(v.count(ncsw::check::ViolationKind::kUndrainedAtDealloc), 0u);
+  // The drain rides out the stall without lifting the watchdog: changing
+  // it with inferences in flight is a violation of its own.
+  EXPECT_EQ(v.count(ncsw::check::ViolationKind::kWatchdogMisuse), 0u);
+  EXPECT_GT(util::metrics().counter("core.health.dev0.shutdown_drains").value(),
+            drains_before);
+  v.configure(ncsw::check::CheckMode::kDefault);
+}
+
+TEST(SelfHealing, StrictTeardownOfAStalledStickGetsThrough) {
+  // The scenario above under strict checking: any violation at teardown
+  // would throw check::ProtocolViolation out of ~VpuTarget, which is
+  // std::terminate. 12 images leave the stalled stick with queued
+  // results; at 24 the runner itself over-issues to its full FIFO.
+  auto& v = ncsw::check::verifier();
+  const auto drains_before =
+      util::metrics().counter("core.health.dev0.shutdown_drains").value();
+  {
+    core::VpuTargetConfig cfg;
+    cfg.devices = 2;
+    cfg.check = ncsw::check::CheckMode::kStrict;
+    cfg.health.watchdog_s = 0.25;
+    cfg.faults.add(0, FaultKind::kGetTimeout, 0.0, 600.0);
+    core::VpuTarget vpu(reference(), cfg);
+    const auto run = vpu.run_timed(12, 2);
+    EXPECT_EQ(run.images, 12);
+    EXPECT_GT(mvnc::pending_results(vpu.graph_handle(0)), 0);
+  }
+  EXPECT_EQ(v.total(), 0u);
   EXPECT_GT(util::metrics().counter("core.health.dev0.shutdown_drains").value(),
             drains_before);
   v.configure(ncsw::check::CheckMode::kDefault);

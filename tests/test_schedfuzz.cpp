@@ -50,22 +50,18 @@ class FakeTarget : public core::Target {
   }
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int,
-                          double submit_s) override {
-    BatchExec exec;
-    exec.run.images = images;
-    exec.run.seconds = per_image_s_ * static_cast<double>(images);
-    exec.start_s = std::max(submit_s, free_s_);
-    exec.complete_s = exec.start_s + exec.run.seconds;
-    free_s_ = exec.complete_s;
-    return exec;
+  core::TimedRun execute_batch(std::int64_t images, int,
+                               double) override {
+    core::TimedRun run;
+    run.images = images;
+    run.seconds = per_image_s_ * static_cast<double>(images);
+    return run;
   }
 
  private:
   std::string label_;
   double per_image_s_;
   int max_batch_;
-  double free_s_ = 0.0;
 };
 
 /// Requests every `gap_s`, ids 0..n-1.

@@ -44,24 +44,19 @@ class FakeTarget : public core::Target {
   int runs = 0;
 
  protected:
-  BatchExec execute_batch(std::int64_t images, int,
-                          double submit_s) override {
+  core::TimedRun execute_batch(std::int64_t images, int,
+                               double) override {
     ++runs;
-    BatchExec exec;
-    exec.run.images = images;
-    exec.run.seconds = per_image_s_ * static_cast<double>(images);
-    // Serial engine: a submission starts when the previous one drains.
-    exec.start_s = std::max(submit_s, free_s_);
-    exec.complete_s = exec.start_s + exec.run.seconds;
-    free_s_ = exec.complete_s;
-    return exec;
+    core::TimedRun run;
+    run.images = images;
+    run.seconds = per_image_s_ * static_cast<double>(images);
+    return run;
   }
 
  private:
   std::string label_;
   double per_image_s_;
   int max_batch_;
-  double free_s_ = 0.0;
 };
 
 std::vector<Request> burst_at(double t, std::int64_t n) {
