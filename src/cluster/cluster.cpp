@@ -514,9 +514,21 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   };
 
   std::size_t next_arrival = 0;
+  // Latest fire time of the hedge timers retired below; `now` ends no
+  // earlier, as if each had been picked.
+  double retired_s = now;
 
   serve::EventPicker picker(kClusterEventOrder);
   for (;;) {
+    // A timer whose request is already completed or terminal (both
+    // final) could only fire as a no-op: retire it without an event.
+    while (!hedges.empty()) {
+      const HedgeTimer& h = hedges.top();
+      const Ledger& led = ledger[h.pos];
+      if (!led.completed && !led.terminal) break;
+      if (h.fire_s < kInf) retired_s = std::max(retired_s, h.fire_s);
+      hedges.pop();
+    }
     picker.clear();
     for (int i = 0; i < n_nodes; ++i) {
       const NodeState& ns = nodes[static_cast<std::size_t>(i)];
@@ -630,10 +642,9 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         hedges.pop();
         const serve::Request& req = requests[h.pos];
         Ledger& led = ledger[h.pos];
-        // Stale timers: the copy completed, moved nodes, or was
-        // evicted — nothing slipped on this node after all.
-        if (led.completed || led.terminal || led.live <= 0 ||
-            led.last_node != h.node) {
+        // Stale timers (final requests were retired above): the copy
+        // moved nodes or was evicted — nothing slipped on this node.
+        if (led.live <= 0 || led.last_node != h.node) {
           break;
         }
         NodeState& slow = nodes[static_cast<std::size_t>(h.node)];
@@ -705,6 +716,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     }
   }
 
+  now = std::max(now, retired_s);
+
   // Whatever is still parked has no replica left to run on.
   for (const auto& item : parked) {
     Ledger& led = ledger[item.pos];
@@ -724,12 +737,16 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     nr.tput_est = ns.tput_est;
     report.nodes.push_back(std::move(nr));
   }
-  // Records come out in id order: one sort of trace positions by id.
+  // Records come out in id order: trace positions sorted by id, unless
+  // the trace's ids already ascend.
   std::vector<std::size_t> by_id(requests.size());
   std::iota(by_id.begin(), by_id.end(), std::size_t{0});
-  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+  const auto id_less = [&](std::size_t a, std::size_t b) {
     return requests[a].id < requests[b].id;
-  });
+  };
+  if (!std::is_sorted(by_id.begin(), by_id.end(), id_less)) {
+    std::sort(by_id.begin(), by_id.end(), id_less);
+  }
   report.records.reserve(requests.size());
   serve::OutcomeRollup rollup;
   for (const std::size_t pos : by_id) {

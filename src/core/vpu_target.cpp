@@ -199,22 +199,33 @@ TimedRun VpuTarget::execute_batch(std::int64_t images, int batch,
   // false = the stick dropped out and the image must be replayed.
   auto attempt_image = [&](std::size_t d) -> bool {
     for (;;) {  // LoadTensor with bounded retry
-      const auto st = mvnc::mvncLoadTensor(
-          sticks_[d].graph(), input_.data(),
-          static_cast<unsigned int>(input_.size()), nullptr);
+      // A load into a FIFO already full of stale inferences (from an
+      // earlier timeout) would be the verifier's over-issue: such a FIFO
+      // takes the BUSY path below without the call, which would have
+      // changed no simulated time.
+      void* graph = sticks_[d].graph();
+      const bool full =
+          mvnc::pending_results(graph) >= config_.ncs.fifo_depth;
+      const auto st =
+          full ? mvnc::MVNC_BUSY
+               : mvnc::mvncLoadTensor(graph, input_.data(),
+                                      static_cast<unsigned int>(input_.size()),
+                                      nullptr);
       if (st == mvnc::MVNC_OK) break;
       if (st == mvnc::MVNC_GONE) {
         on_gone(d);
         return false;
       }
       if (st == mvnc::MVNC_BUSY) {
-        // FIFO full of stale inferences from an earlier timeout: retire
-        // the oldest and retry the load. With nothing outstanding the
-        // BUSY came from a scripted storm, and drain() retrieves nothing.
+        // Retire the oldest queued result and retry the load.
         if (sticks_[d].drain(1) > 0) {
           dev_counter(d, "busy_drains").add(1);
           continue;  // slot freed; the drained image was already replayed
         }
+        // A drain of a full FIFO that retrieved nothing and left it empty
+        // found the stick gone: the load reports MVNC_GONE. Otherwise the
+        // result is stalled, or the BUSY came from a scripted storm.
+        if (full && mvnc::pending_results(graph) == 0) continue;
         if (!transient_retry(d, "busy")) return false;
         continue;
       }

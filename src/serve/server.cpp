@@ -44,10 +44,12 @@ void OutcomeRollup::add(SloClass slo, Outcome outcome, double latency_ms) {
 }
 
 void OutcomeRollup::finish(RunSummary& summary) {
-  std::sort(latencies_.begin(), latencies_.end());
-  summary.p50_ms = util::percentile_sorted(latencies_, 50.0);
-  summary.p95_ms = util::percentile_sorted(latencies_, 95.0);
-  summary.p99_ms = util::percentile_sorted(latencies_, 99.0);
+  constexpr std::array<double, 3> kPs{50.0, 95.0, 99.0};
+  std::array<double, 3> q{};
+  util::percentiles_in_place(latencies_, kPs, q);
+  summary.p50_ms = q[0];
+  summary.p95_ms = q[1];
+  summary.p99_ms = q[2];
   for (std::size_t c = 0; c < kSloClassCount; ++c) {
     summary.classes[c] = classes_[c];
     summary.classes[c].p99_ms =

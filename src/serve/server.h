@@ -218,8 +218,8 @@ class OutcomeRollup {
   /// `latency_ms` is read only for kCompleted outcomes.
   void add(SloClass slo, Outcome outcome, double latency_ms);
   /// Write p50/p95/p99_ms (completed requests) and `classes` into
-  /// `summary`. Call once: it sorts each kept latency vector in place
-  /// and reads every percentile of it from that one sort.
+  /// `summary`. Call once: it reads the percentiles of each kept
+  /// latency vector by selection, reordering it in place.
   void finish(RunSummary& summary);
 
  private:

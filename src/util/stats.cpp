@@ -57,8 +57,38 @@ Summary summarize(const std::vector<double>& xs) noexcept {
 }
 
 double percentile(std::vector<double> xs, double p) noexcept {
-  std::sort(xs.begin(), xs.end());
-  return percentile_sorted(xs, p);
+  double out = 0.0;
+  percentiles_in_place(xs, {&p, 1}, {&out, 1});
+  return out;
+}
+
+void percentiles_in_place(std::span<double> xs, std::span<const double> ps,
+                          std::span<double> out) noexcept {
+  const std::size_t n = xs.size();
+  if (n == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  // xs[0, from) holds no element greater than any in xs[from, n): each
+  // selection at rank lo leaves that true for from = lo + 1.
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const double p = std::clamp(ps[i], 0.0, 100.0);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 < from) from = 0;  // a lower rank than the last: start over
+    if (lo >= from) {
+      std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(from),
+                       xs.begin() + static_cast<std::ptrdiff_t>(lo), xs.end());
+    }
+    from = lo + 1;
+    const double lower = xs[lo];
+    const auto tail = xs.begin() + static_cast<std::ptrdiff_t>(lo + 1);
+    const double upper = lo + 1 < n ? *std::min_element(tail, xs.end()) : lower;
+    // percentile_sorted's expression, on the same two order statistics.
+    out[i] = lower + (upper - lower) * frac;
+  }
 }
 
 double percentile_sorted(const std::vector<double>& sorted, double p) noexcept {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,11 +60,20 @@ struct Summary {
 Summary summarize(const std::vector<double>& xs) noexcept;
 
 /// Exact percentile (linear interpolation between order statistics).
-/// `p` in [0,100]. Returns 0 for an empty sample.
+/// `p` in [0,100]. Returns 0 for an empty sample. Found by selection
+/// (see percentiles_in_place), not by sorting.
 double percentile(std::vector<double> xs, double p) noexcept;
 
-/// percentile() of a sample already sorted ascending: read several
-/// percentiles of one sample with a single sort.
+/// percentile() of `xs` at each of `ps`, written to `out` (same size),
+/// in place and without a copy: `xs` is left reordered. The lower order
+/// statistic of each rank is placed by std::nth_element and the upper
+/// one is the least element after it, so for a sample without NaN the
+/// doubles are those a full sort would give. Ascending `ps` re-select
+/// only the part of `xs` above the previous rank.
+void percentiles_in_place(std::span<double> xs, std::span<const double> ps,
+                          std::span<double> out) noexcept;
+
+/// percentile() of a sample already sorted ascending.
 double percentile_sorted(const std::vector<double>& sorted, double p) noexcept;
 
 /// Format "mean ± stddev" with the given precision, e.g. "77.20 ± 0.31".

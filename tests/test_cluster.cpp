@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -466,6 +467,51 @@ TEST(Cluster, ChaosReportMatchesFrozenDigest) {
   ReportDigest d;
   d.report(r);
   EXPECT_EQ(d.h, 0x9064e039a355d0b3ULL);
+}
+
+// The clock a run ends on. Lost requests finish at the run's last event
+// time, and with hedging on, the last events of this run are the hedge
+// timers of requests that already completed. The loop retires such timers
+// without an event, but their fire times must still reach that clock.
+// Node 0, the sole replica of one of the two models, crashes for good;
+// the requests it held are lost, while node 1 serves the other model to
+// the end of the trace. The finish time and the digest were recorded when
+// every stale timer still fired as an event.
+TEST(Cluster, LostRequestsFinishAfterTheLastHedgeTimer) {
+  ClusterConfig cfg;
+  cfg.replication = 1;
+  cfg.spill = false;
+  cfg.node.batch_timeout_s = 0.01;
+  cfg.node_health.max_probes = 1;  // node 0 is declared dead early
+  cfg.faults.add(0, sim::FaultKind::kNodeCrash, 0.1, 1000.0);
+  ASSERT_GT(cfg.hedge_slack_s, 0.0);
+
+  const HashRing ring(2, cfg.vnodes, cfg.ring_seed);
+  std::array<std::string, 2> tag;  // tag[n]: a model whose replica is n
+  for (int k = 0; tag[0].empty() || tag[1].empty(); ++k) {
+    const std::string t = "t" + std::to_string(k);
+    std::string& slot = tag[static_cast<std::size_t>(
+        ring.preference(HashRing::hash_key(t), 1).front())];
+    if (slot.empty()) slot = t;
+  }
+  auto trace = serve::poisson_trace(300, 600.0, 11);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].tag = tag[i % 2];
+
+  FakeNode n0(0, 0.005), n1(1, 0.005);
+  const auto r = Cluster({n0.targets(), n1.targets()}, cfg).run(trace);
+
+  EXPECT_EQ(r.nodes_dead, 1);
+  EXPECT_EQ(accounted(r), r.offered);
+  ASSERT_GT(r.requests_lost, 0);
+  for (const auto& rec : r.records) {
+    if (rec.state != RequestState::kLost) continue;
+    // Past the last completion: a completed request's timer fired last.
+    EXPECT_GT(rec.finish_s, r.last_complete_s) << "request " << rec.id;
+    EXPECT_EQ(rec.finish_s, 0x1.26808cef700e2p-1) << "request " << rec.id;
+  }
+  ReportDigest d;
+  d.report(r);
+  EXPECT_EQ(d.h, 0x9768efc3eadc255dULL);
 }
 
 // Spill-over routing: when every replica of a model is saturated the

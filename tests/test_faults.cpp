@@ -623,7 +623,7 @@ TEST(SelfHealing, StrictTeardownOfAStalledStickGetsThrough) {
   // The scenario above under strict checking: any violation at teardown
   // would throw check::ProtocolViolation out of ~VpuTarget, which is
   // std::terminate. 12 images leave the stalled stick with queued
-  // results; at 24 the runner itself over-issues to its full FIFO.
+  // results (24 fill its FIFO: see the test below).
   auto& v = ncsw::check::verifier();
   const auto drains_before =
       util::metrics().counter("core.health.dev0.shutdown_drains").value();
@@ -641,6 +641,30 @@ TEST(SelfHealing, StrictTeardownOfAStalledStickGetsThrough) {
   EXPECT_EQ(v.total(), 0u);
   EXPECT_GT(util::metrics().counter("core.health.dev0.shutdown_drains").value(),
             drains_before);
+  v.configure(ncsw::check::CheckMode::kDefault);
+}
+
+TEST(SelfHealing, StrictRunNeverIssuesIntoAStalledStickFullFifo) {
+  // 24 images bring the stalled stick back from quarantine with its FIFO
+  // full of stale inferences. A LoadTensor then would be an over-issue,
+  // which strict checking throws at the call: the runner must drain (or
+  // back off) first, never issue.
+  auto& v = ncsw::check::verifier();
+  {
+    core::VpuTargetConfig cfg;
+    cfg.devices = 2;
+    cfg.check = ncsw::check::CheckMode::kStrict;
+    cfg.health.watchdog_s = 0.25;
+    cfg.faults.add(0, FaultKind::kGetTimeout, 0.0, 600.0);
+    core::VpuTarget vpu(reference(), cfg);
+    core::TimedRun run;
+    EXPECT_NO_THROW(run = vpu.run_timed(24, 2));
+    EXPECT_EQ(run.images, 24);
+    EXPECT_EQ(run.images_lost, 0);
+    EXPECT_EQ(mvnc::pending_results(vpu.graph_handle(0)), 2);
+  }
+  EXPECT_EQ(v.count(ncsw::check::ViolationKind::kOverIssue), 0u);
+  EXPECT_EQ(v.total(), 0u);
   v.configure(ncsw::check::CheckMode::kDefault);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -151,6 +152,78 @@ std::vector<double> tied_sample(ncsw::util::Xoshiro256& rng, std::size_t n) {
   return xs;
 }
 
+/// The sort-then-interpolate percentile that selection replaced, kept
+/// as the bit-for-bit oracle.
+double sort_percentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  return percentile_sorted(xs, p);
+}
+
+/// Negative control: select the lower order statistic, then read the
+/// upper one as whatever lands next to it instead of the tail minimum.
+double mutant_percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(lo),
+                   xs.end());
+  const double upper = xs[std::min(lo + 1, xs.size() - 1)];
+  return xs[lo] + (upper - xs[lo]) * (rank - static_cast<double>(lo));
+}
+
+constexpr double kOracleP[] = {0.0, 0.1, 50.0, 95.0, 99.0, 99.9, 100.0};
+
+/// Samples of every shape the oracle comparison covers: the small sizes
+/// and 10^4 values, each with heavy duplicates and as continuous draws.
+std::vector<std::vector<double>> oracle_samples() {
+  ncsw::util::Xoshiro256 rng(31);
+  std::vector<std::vector<double>> out;
+  for (const std::size_t n : {0, 1, 2, 3, 10000}) {
+    std::vector<double> tied(n), spread(n);
+    for (auto& x : tied) x = 0.25 * static_cast<double>(rng.uniform_int(0, 3));
+    for (auto& x : spread) x = 40.0 + 10.0 * rng.normal();
+    out.push_back(std::move(tied));
+    out.push_back(std::move(spread));
+  }
+  return out;
+}
+
+TEST(Percentile, SelectionMatchesSortOracleBitForBit) {
+  for (const auto& xs : oracle_samples()) {
+    for (const double p : kOracleP) {
+      EXPECT_TRUE(same_bits(percentile(xs, p), sort_percentile(xs, p)))
+          << "n=" << xs.size() << " p=" << p;
+    }
+    // Several ranks of one vector, ascending (each selects only above the
+    // last) and then descending (each starts over).
+    auto in_place = xs;
+    std::array<double, std::size(kOracleP)> up{}, down{};
+    ncsw::util::percentiles_in_place(in_place, kOracleP, up);
+    std::array<double, std::size(kOracleP)> rev_p{};
+    std::reverse_copy(std::begin(kOracleP), std::end(kOracleP), rev_p.begin());
+    ncsw::util::percentiles_in_place(in_place, rev_p, down);
+    for (std::size_t i = 0; i < up.size(); ++i) {
+      const double want = sort_percentile(xs, kOracleP[i]);
+      EXPECT_TRUE(same_bits(up[i], want))
+          << "ascending n=" << xs.size() << " p=" << kOracleP[i];
+      EXPECT_TRUE(same_bits(down[up.size() - 1 - i], want))
+          << "descending n=" << xs.size() << " p=" << kOracleP[i];
+    }
+  }
+}
+
+TEST(Percentile, OracleCatchesAnUpperStatisticNotTakenFromTheTail) {
+  int mismatches = 0;
+  for (const auto& xs : oracle_samples()) {
+    for (const double p : kOracleP) {
+      if (!same_bits(mutant_percentile(xs, p), sort_percentile(xs, p))) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_GT(mismatches, 0);
+}
+
 TEST(Percentile, SortedMatchesUnsortedBitForBit) {
   ncsw::util::Xoshiro256 rng(17);
   for (const std::size_t n : {0, 1, 2, 3, 7, 100, 1001}) {
@@ -168,8 +241,12 @@ TEST(Percentile, OutcomeRollupMatchesPercentileBitForBit) {
   using ncsw::serve::Outcome;
   using ncsw::serve::SloClass;
   ncsw::util::Xoshiro256 rng(23);
-  for (const std::size_t n : {0, 1, 2, 3, 10, 257, 2000}) {
-    const auto lat = tied_sample(rng, n);
+  auto samples = oracle_samples();
+  for (const std::size_t n : {10, 257, 2000}) {
+    samples.push_back(tied_sample(rng, n));
+  }
+  for (const auto& lat : samples) {
+    const std::size_t n = lat.size();
     ncsw::serve::OutcomeRollup rollup;
     std::vector<double> completed;
     std::array<std::vector<double>, ncsw::serve::kSloClassCount> by_class;
@@ -191,12 +268,12 @@ TEST(Percentile, OutcomeRollupMatchesPercentileBitForBit) {
     }
     ncsw::serve::RunSummary sum;
     rollup.finish(sum);
-    EXPECT_TRUE(same_bits(sum.p50_ms, percentile(completed, 50.0))) << n;
-    EXPECT_TRUE(same_bits(sum.p95_ms, percentile(completed, 95.0))) << n;
-    EXPECT_TRUE(same_bits(sum.p99_ms, percentile(completed, 99.0))) << n;
+    EXPECT_TRUE(same_bits(sum.p50_ms, sort_percentile(completed, 50.0))) << n;
+    EXPECT_TRUE(same_bits(sum.p95_ms, sort_percentile(completed, 95.0))) << n;
+    EXPECT_TRUE(same_bits(sum.p99_ms, sort_percentile(completed, 99.0))) << n;
     for (std::size_t c = 0; c < by_class.size(); ++c) {
-      EXPECT_TRUE(
-          same_bits(sum.classes[c].p99_ms, percentile(by_class[c], 99.0)))
+      EXPECT_TRUE(same_bits(sum.classes[c].p99_ms,
+                            sort_percentile(by_class[c], 99.0)))
           << "n=" << n << " class=" << c;
       EXPECT_EQ(sum.classes[c].completed,
                 static_cast<std::int64_t>(by_class[c].size()));
