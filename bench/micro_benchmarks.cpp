@@ -347,32 +347,47 @@ void BM_Lrn(benchmark::State& state) {
 }
 BENCHMARK(BM_Lrn)->Apply(lrn_shape_args);
 
-void BM_TinyGoogLeNetForward(benchmark::State& state) {
+// One exact forward pass through a plan built once: TinyGoogLeNet at 32²
+// (net:0) or BVLC GoogLeNet at 224² (net:1), FP32 or FP16, on 1 thread
+// or one per hardware thread (threads:0). The threaded cells show what
+// the plan's fan-out grain buys: TinyGoogLeNet's layers stay inline,
+// GoogLeNet's 56² and 28² convs split. Wall time (UseRealTime).
+template <typename T>
+void run_forward_pass(benchmark::State& state, const ncsw::nn::Graph& g,
+                      const ncsw::nn::Weights<T>& w, int threads) {
   using namespace ncsw::nn;
-  const Graph g = build_tiny_googlenet({32, 50});
-  const WeightsF w = init_msra(g, 1);
-  ncsw::tensor::TensorF in(ncsw::tensor::Shape{1, 3, 32, 32}, 0.1f);
+  const Plan<T> plan(g, w);
+  const auto shape = g.layer(g.input_id()).out_shape.with_batch(1);
+  const auto in =
+      ncsw::tensor::tensor_cast<T>(ncsw::tensor::TensorF(shape, 0.1f));
+  ExecOptions opts;
+  opts.threads = threads;
+  ExecResult<T> result;
   for (auto _ : state) {
-    auto result = run_forward(g, w, in);
+    plan.run(in, result, opts);
     benchmark::DoNotOptimize(result.output.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TinyGoogLeNetForward);
 
-void BM_TinyGoogLeNetForwardFp16(benchmark::State& state) {
+void BM_Forward(benchmark::State& state) {
   using namespace ncsw::nn;
-  const Graph g = build_tiny_googlenet({32, 50});
-  const WeightsH w = to_fp16(init_msra(g, 1));
-  ncsw::tensor::Tensor<half> in(ncsw::tensor::Shape{1, 3, 32, 32},
-                                half(0.1f));
-  for (auto _ : state) {
-    auto result = run_forward(g, w, in);
-    benchmark::DoNotOptimize(result.output.data());
+  const Graph g = state.range(0) != 0 ? build_googlenet()
+                                      : build_tiny_googlenet({32, 50});
+  const WeightsF w = init_msra(g, 1);
+  const int threads = state.range(2) != 0 ? static_cast<int>(state.range(2))
+                                          : resolve_threads(0);
+  if (state.range(1) != 0) {
+    run_forward_pass(state, g, to_fp16(w), threads);
+  } else {
+    run_forward_pass(state, g, w, threads);
   }
-  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TinyGoogLeNetForwardFp16);
+BENCHMARK(BM_Forward)
+    ->ArgNames({"net", "fp16", "threads"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 0}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // One USB link's first-fit reservations (sim::IntervalResource), per
 // reservation. hub:0 is one client chaining 10k transfers: 1.5 s of

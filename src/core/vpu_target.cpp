@@ -1,12 +1,12 @@
 #include "core/vpu_target.h"
 
 #include <algorithm>
-#include <future>
 #include <limits>
 #include <stdexcept>
 
 #include "mvnc/mvnc.h"
 #include "myriad/myriad.h"
+#include "nn/kernels.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -386,14 +386,10 @@ std::vector<Prediction> VpuTarget::classify(
   };
 
   if (config_.parallel_host_threads && active > 1) {
-    // One host thread per stick; get() rethrows a worker's failure on the
-    // caller once every worker has finished (a future joins on
-    // destruction).
-    std::vector<std::future<void>> workers;
-    for (int d = 0; d < active; ++d) {
-      workers.push_back(std::async(std::launch::async, worker, d));
-    }
-    for (auto& w : workers) w.get();
+    // One pool chunk per stick, stick 0 on the caller (the paper's OpenMP).
+    nn::kernels::compute_pool().fan_out(
+        static_cast<std::size_t>(active),
+        [&](std::size_t d) { worker(static_cast<int>(d)); });
   } else {
     for (int d = 0; d < active; ++d) worker(d);
   }

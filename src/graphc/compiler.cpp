@@ -40,44 +40,6 @@ std::int64_t CompiledGraph::output_bytes() const noexcept {
   return num_outputs * bytes_per_scalar(precision);
 }
 
-namespace {
-
-std::int64_t layer_macs(const nn::Graph& graph, int id) {
-  const nn::Layer& l = graph.layer(id);
-  const tensor::Shape& out = l.out_shape;
-  switch (l.kind) {
-    case nn::LayerKind::kConv: {
-      const tensor::Shape& in = graph.layer(l.inputs[0]).out_shape;
-      return out.numel() * in.c * l.conv.kernel * l.conv.kernel;
-    }
-    case nn::LayerKind::kFC: {
-      const tensor::Shape& in = graph.layer(l.inputs[0]).out_shape;
-      return static_cast<std::int64_t>(l.fc.out_features) * in.chw();
-    }
-    case nn::LayerKind::kMaxPool:
-    case nn::LayerKind::kAvgPool: {
-      if (l.pool.global) {
-        const tensor::Shape& in = graph.layer(l.inputs[0]).out_shape;
-        return in.numel();  // one pass over the input
-      }
-      return out.numel() * l.pool.kernel * l.pool.kernel;
-    }
-    case nn::LayerKind::kLRN:
-      // square + windowed sum + pow + divide, approx local_size + 2 ops/elt
-      return out.numel() * (l.lrn.local_size + 2);
-    case nn::LayerKind::kReLU:
-    case nn::LayerKind::kSoftmax:
-      return out.numel();
-    case nn::LayerKind::kConcat:
-    case nn::LayerKind::kDropout:
-    case nn::LayerKind::kInput:
-      return 0;
-  }
-  return 0;
-}
-
-}  // namespace
-
 CompiledGraph compile(const nn::Graph& graph, Precision precision,
                       const CompileOptions& options) {
   graph.validate();
@@ -102,7 +64,7 @@ CompiledGraph compile(const nn::Graph& graph, Precision precision,
     cost.out_shape = l.out_shape;
     cost.in_shape =
         l.inputs.empty() ? l.out_shape : graph.layer(l.inputs[0]).out_shape;
-    cost.macs = layer_macs(graph, id);
+    cost.macs = nn::layer_macs(graph, id);
 
     std::int64_t in_elems = 0;
     for (int in : l.inputs) in_elems += graph.layer(in).out_shape.numel();

@@ -22,6 +22,12 @@ int resolve_threads(int requested) noexcept {
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
 
+// The least work worth a chunk, in conv multiply-adds (~60 us of the
+// exact GEMM). An empty fan-out on 4 workers takes ~17 us, mostly waking
+// them (x86-64-v4), so every chunk stays several times that cost and
+// every TinyGoogLeNet layer runs inline.
+constexpr std::int64_t kGrain = 1 << 20;
+
 bool resolve_fast(bool requested) noexcept {
   if (requested) return true;
   const char* env = std::getenv("NCSW_FAST");
@@ -61,6 +67,12 @@ Plan<T>::Plan(const Graph& graph, const Weights<T>& weights, bool fast)
       weights_.emplace_back(weights.at(l.name));
     }
     const int src = l.inputs[0];
+    // Per-image work in conv multiply-adds: a pool's taps cost ~4 of the
+    // GEMM's multiply-adds and an LRN's operations ~12 (measured).
+    const bool pool =
+        l.kind == LayerKind::kMaxPool || l.kind == LayerKind::kAvgPool;
+    s.work = layer_macs(graph, id) *
+             (pool ? 4 : l.kind == LayerKind::kLRN ? 12 : 1);
     if (l.kind == LayerKind::kConv) {
       s.conv = static_cast<int>(convs_.size());
       convs_.emplace_back(graph.layer(src).out_shape, l.conv);
@@ -122,11 +134,11 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
   // activation slots grow to the largest pass on first use and are
   // reused by every later pass.
   thread_local kernels::Workspace workspace;
+  const std::int64_t threads = resolve_threads(options.threads);
+  const std::int64_t batch = input.shape().n;
   kernels::ExecCtx ctx;
   ctx.ws = &workspace;
-  ctx.threads = resolve_threads(options.threads);
   ctx.fast = fast_;
-  ctx.pool = ctx.threads > 1 ? &kernels::compute_pool() : nullptr;
 
   // keep_all_activations gives every layer its own tensor in the result
   // and turns off fusion and the in-place layers, so each activation
@@ -165,6 +177,12 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
     const tensor::Tensor<T>& src = src_of(l.inputs[0]);
     tensor::Tensor<T>& dst = act(id);
     const bool in_place = s.take && !keep_all;
+    // A conv or an LRN fans out per image, a pool or a ReLU per batch.
+    const bool per_image =
+        l.kind == LayerKind::kConv || l.kind == LayerKind::kLRN;
+    const std::int64_t work = per_image ? s.work : s.work * batch;
+    ctx.threads = static_cast<int>(
+        std::clamp<std::int64_t>((work + kGrain - 1) / kGrain, 1, threads));
     const Clock::time_point t0 = profile ? Clock::now() : Clock::time_point{};
     switch (l.kind) {
       case LayerKind::kInput:
@@ -213,12 +231,12 @@ void Plan<T>::run(const tensor::Tensor<T>& input, ExecResult<T>& result,
         const double s0 = std::chrono::duration<double>(t0 - pass_start).count();
         tr.complete("host", l.name, tr.lane("host compute"), s0, s0 + dt,
                     {util::TraceArg::str("kind", layer_kind_name(l.kind)),
-                     util::TraceArg::num("threads",
+                     util::TraceArg::num("chunks",
                                          static_cast<std::int64_t>(ctx.threads))});
       }
     }
     // Sanity: computed shape must match the inferred one.
-    const Shape want = l.out_shape.with_batch(input.shape().n);
+    const Shape want = l.out_shape.with_batch(batch);
     if (dst.shape() != want) {
       throw std::logic_error("nn::Plan::run: layer '" + l.name +
                              "' produced " + dst.shape().to_string() +

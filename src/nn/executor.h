@@ -29,7 +29,8 @@ struct ExecOptions {
   bool keep_all_activations = false;
   /// Slab fan-out for the threaded kernels: 0 resolves via
   /// resolve_threads() ($NCSW_THREADS, else hardware concurrency);
-  /// 1 runs serial; n > 1 splits each kernel into n chunks.
+  /// 1 runs serial; n > 1 splits each layer into at most n chunks, as
+  /// many as its work fills (Plan).
   int threads = 0;
   /// Record wall-clock seconds per layer in ExecResult::layer_seconds
   /// and, when the global tracer is enabled, emit one "host" span per
@@ -73,12 +74,13 @@ struct ExecResult {
 /// biases to FP32 (exact), computes each conv's operand geometry and row
 /// table (kernels::ConvOperand), and fixes the consumer counts, the
 /// conv+ReLU fusion (both tiers; off under keep_all_activations), the
-/// in-place ReLU/Dropout decisions and a liveness-planned slot for every
-/// activation.
+/// in-place ReLU/Dropout decisions, a liveness-planned slot for every
+/// activation, and each layer's work, which caps its chunks at
+/// ceil(work / grain): a layer below the grain runs inline on the caller.
 ///
 /// run() is const: the slot tensors live in the calling thread's
-/// kernels::Workspace, so one plan serves concurrent callers. At
-/// threads = 1 a steady-state run into a reused ExecResult makes no heap
+/// kernels::Workspace, so one plan serves concurrent callers. At any
+/// thread count a steady-state run into a reused ExecResult makes no heap
 /// allocation. The graph and (for FP32, whose weights are not copied)
 /// the weights must outlive the plan.
 template <typename T>
@@ -116,6 +118,7 @@ class Plan {
     bool take = false;        // ReLU/Dropout runs in its input's slot
     bool fuse_relu = false;   // the conv applies the next ReLU itself
     bool fused_away = false;  // this ReLU already ran in its producer
+    std::int64_t work = 0;    // per-image work its kernel fans out
   };
 
   const Graph* graph_;

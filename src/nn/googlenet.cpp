@@ -163,21 +163,8 @@ void fit_template_classifier(const Graph& graph, WeightsF& weights,
 std::int64_t graph_macs(const Graph& graph) {
   std::int64_t total = 0;
   for (int id = 0; id < graph.size(); ++id) {
-    const Layer& l = graph.layer(id);
-    const Shape& out = l.out_shape;
-    switch (l.kind) {
-      case LayerKind::kConv: {
-        const Shape& in = graph.layer(l.inputs[0]).out_shape;
-        total += out.numel() * in.c * l.conv.kernel * l.conv.kernel;
-        break;
-      }
-      case LayerKind::kFC: {
-        const Shape& in = graph.layer(l.inputs[0]).out_shape;
-        total += static_cast<std::int64_t>(l.fc.out_features) * in.chw();
-        break;
-      }
-      default:
-        break;
+    if (Graph::has_weights(graph.layer(id).kind)) {
+      total += layer_macs(graph, id);
     }
   }
   return total;

@@ -272,4 +272,38 @@ void Graph::validate() const {
   }
 }
 
+std::int64_t layer_macs(const Graph& graph, int id) {
+  const Layer& l = graph.layer(id);
+  const Shape& out = l.out_shape;
+  switch (l.kind) {
+    case LayerKind::kConv: {
+      const Shape& in = graph.layer(l.inputs[0]).out_shape;
+      return out.numel() * in.c * l.conv.kernel * l.conv.kernel;
+    }
+    case LayerKind::kFC: {
+      const Shape& in = graph.layer(l.inputs[0]).out_shape;
+      return static_cast<std::int64_t>(l.fc.out_features) * in.chw();
+    }
+    case LayerKind::kMaxPool:
+    case LayerKind::kAvgPool: {
+      if (l.pool.global) {
+        const Shape& in = graph.layer(l.inputs[0]).out_shape;
+        return in.numel();  // one pass over the input
+      }
+      return out.numel() * l.pool.kernel * l.pool.kernel;
+    }
+    case LayerKind::kLRN:
+      // square + windowed sum + pow + divide, approx local_size + 2 ops/elt
+      return out.numel() * (l.lrn.local_size + 2);
+    case LayerKind::kReLU:
+    case LayerKind::kSoftmax:
+      return out.numel();
+    case LayerKind::kConcat:
+    case LayerKind::kDropout:
+    case LayerKind::kInput:
+      return 0;
+  }
+  return 0;
+}
+
 }  // namespace ncsw::nn

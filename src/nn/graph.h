@@ -135,6 +135,13 @@ class Graph {
   int input_id_ = -1;
 };
 
+/// Operations of layer `id` for one image: multiply-accumulates for a
+/// conv or an FC, window taps for a pool (one pass over the input for a
+/// global pool), local_size + 2 per output for an LRN, one per output for
+/// a ReLU or a softmax, none for the rest. The graph compiler's cost
+/// model and the host plan's fan-out grain both count in it.
+std::int64_t layer_macs(const Graph& graph, int id);
+
 /// Caffe pooled-size rule: ceil or floor of (in + 2*pad - kernel)/stride + 1,
 /// clamped so the last window starts inside the padded input.
 std::int64_t pooled_extent(std::int64_t in, int kernel, int stride, int pad,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -20,48 +18,33 @@ namespace {
 using ncsw::fp16::half;
 
 // ---------------------------------------------------------------------------
-// Slab fan-out. Work is split into a fixed number of contiguous chunks;
-// every chunk writes a disjoint output region with the same per-element
-// arithmetic as the serial path, so results are bit-identical regardless
-// of the chunk count or which pool worker runs which chunk.
+// Slab fan-out. Work is split into at most ctx.threads contiguous chunks
+// (nn::Plan picks ctx.threads per layer from its work), run by one
+// ThreadPool::fan_out with chunk 0 on the caller. Every chunk writes a
+// disjoint output region with the same per-element arithmetic as the
+// serial path, so results are bit-identical regardless of the chunk
+// count or which thread runs which chunk.
 
 int plan_chunks(const ExecCtx& ctx, std::int64_t total) {
-  if (!ctx.pool || ctx.threads <= 1 || total <= 1) return 1;
+  if (ctx.threads <= 1 || total <= 1) return 1;
   return static_cast<int>(std::min<std::int64_t>(ctx.threads, total));
 }
 
+// fn(t, begin, end) for each chunk t of [0, total), plan_chunks(ctx,
+// total) of them.
 template <typename Fn>
-void run_chunks(const ExecCtx& ctx, int chunks, std::int64_t total,
-                const Fn& fn) {
+void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
   if (total <= 0) return;
+  const int chunks = plan_chunks(ctx, total);
   if (chunks <= 1) {
     fn(0, 0, total);
     return;
   }
-  std::vector<std::future<void>> futs;
-  futs.reserve(static_cast<std::size_t>(chunks));
-  for (int t = 0; t < chunks; ++t) {
-    const std::int64_t begin = total * t / chunks;
-    const std::int64_t end = total * (t + 1) / chunks;
-    futs.push_back(
-        ctx.pool->submit([&fn, t, begin, end] { fn(t, begin, end); }));
-  }
-  // Wait for every chunk before surfacing the first failure, so no task
-  // can outlive the captured locals.
-  std::exception_ptr err;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-template <typename Fn>
-void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
-  run_chunks(ctx, plan_chunks(ctx, total), total, fn);
+  const auto n = static_cast<std::size_t>(chunks);
+  compute_pool().fan_out(n, [&](std::size_t t) {
+    const auto i = static_cast<std::int64_t>(t);
+    fn(static_cast<int>(i), total * i / chunks, total * (i + 1) / chunks);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +535,7 @@ const float* conv_operand_b(const Tensor<T>& in, std::int64_t b,
   const int chunks = plan_chunks(ctx, is.c);
   float* padded = ws.slabs(chunks, padded_len);
   float* wide = std::is_same_v<T, float> ? nullptr : ws.acts(is.chw());
-  run_chunks(ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
+  parallel_chunks(ctx, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
     float* scratch = padded + t * padded_len;
     // The +0 border; each channel overwrites only the inside.
     std::fill(scratch, scratch + padded_len, 0.0f);
@@ -693,7 +676,7 @@ void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
   constexpr bool is_half = !std::is_same_v<T, float>;
   float* in_f = is_half ? ws.acts(planes * is.hw()) : nullptr;
   float* out_f = is_half ? ws.out(planes * out_hw) : nullptr;
-  run_chunks(ctx, chunks, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
+  parallel_chunks(ctx, planes, [&](int t, std::int64_t s0, std::int64_t s1) {
     float* padded = slab + t * slab_len;
     float* hmax = padded + padded_len;
     // The -inf border; the planes of this chunk only write the inside.
@@ -790,23 +773,22 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
     parallel_chunks(ctx, is.chw(), [&](int, std::int64_t e0, std::int64_t e1) {
       square(SpanArgs{squares, inf, e0, e1});
     });
-    run_chunks(
-        ctx, chunks, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
-          float* scale = scratch + t * per_task;
-          float* res = scale;
-          if constexpr (std::is_same_v<T, float>) {
-            res = out.data() + (b * is.c + c0) * hw;
-          }
-          channels(LrnArgs{squares, inf, scale, res, c0, c1, is.c, hw,
-                           p.local_size / 2,
-                           p.k, p.alpha / static_cast<float>(p.local_size),
-                           p.beta, ctx.fast && p.beta == 0.75f});
-          if constexpr (!std::is_same_v<T, float>) {
-            ncsw::fp16::float_to_half_span(
-                res, out.data() + (b * is.c + c0) * hw,
-                static_cast<std::size_t>((c1 - c0) * hw));
-          }
-        });
+    parallel_chunks(ctx, is.c, [&](int t, std::int64_t c0, std::int64_t c1) {
+      float* scale = scratch + t * per_task;
+      float* res = scale;
+      if constexpr (std::is_same_v<T, float>) {
+        res = out.data() + (b * is.c + c0) * hw;
+      }
+      channels(LrnArgs{squares, inf, scale, res, c0, c1, is.c, hw,
+                       p.local_size / 2, p.k,
+                       p.alpha / static_cast<float>(p.local_size), p.beta,
+                       ctx.fast && p.beta == 0.75f});
+      if constexpr (!std::is_same_v<T, float>) {
+        ncsw::fp16::float_to_half_span(
+            res, out.data() + (b * is.c + c0) * hw,
+            static_cast<std::size_t>((c1 - c0) * hw));
+      }
+    });
   }
 }
 

@@ -119,9 +119,8 @@ class LayerWeights {
 struct ExecCtx {
   /// Scratch arenas; nullptr makes each kernel use a call-local one.
   Workspace* ws = nullptr;
-  /// Pool for the slab fan-out; nullptr (or threads <= 1) runs serial.
-  util::ThreadPool* pool = nullptr;
-  /// Number of slabs the parallel kernels split their work into.
+  /// Most chunks a kernel splits its work into on compute_pool(); 1 runs
+  /// it on the caller.
   int threads = 1;
   /// Opt-in fast tier (docs/performance.md): the conv's FMA GEMM and
   /// FP32 epilogue with a single rounding, and the sqrt-based LRN.

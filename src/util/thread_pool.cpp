@@ -1,13 +1,12 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace ncsw::util {
 
 namespace {
 // Which pool (if any) owns the current thread. Set once per worker; lets
-// parallel_for detect nested calls from its own workers.
+// fan_out detect nested calls from its own workers.
 thread_local const ThreadPool* t_current_pool = nullptr;
 }  // namespace
 
@@ -24,57 +23,58 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  work_cv_.notify_all();
+  for (auto& w : workers_) w.join();
 }
 
 bool ThreadPool::on_worker_thread() const noexcept {
   return t_current_pool == this;
 }
 
-void ThreadPool::worker_loop() {
-  t_current_pool = this;
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Stopping with an empty queue: every submitted task has run.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
+void ThreadPool::run_chunk(Job& job, std::size_t t,
+                           std::unique_lock<std::mutex>& lock) noexcept {
+  lock.unlock();
+  std::exception_ptr err;
+  try {
+    job.call(job.fn, t);
+  } catch (...) {
+    err = std::current_exception();
   }
+  lock.lock();
+  if (err && !job.error) job.error = std::move(err);
+  if (--job.pending == 0) done_cv_.notify_all();
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (on_worker_thread()) {
-    // Nested call from one of our own workers: the shard tasks would sit
-    // in the queue behind this caller, which blocks on their futures —
-    // with every worker nesting, nobody is left to run a shard. Run the
-    // whole range inline on this thread instead.
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+void ThreadPool::run(std::size_t chunks, const void* fn, ChunkFn call) {
+  if (chunks <= 1 || on_worker_thread()) {
+    for (std::size_t t = 0; t < chunks; ++t) call(fn, t);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  const std::size_t shards = std::min(n, size());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    futs.push_back(submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    }));
+  Job job{fn, call, chunks, 1, chunks, nullptr, nullptr};
+  std::unique_lock lock(mutex_);
+  (tail_ ? tail_->link : head_) = &job;
+  tail_ = &job;
+  for (std::size_t t = 1; t < chunks; ++t) work_cv_.notify_one();
+  run_chunk(job, 0, lock);
+  done_cv_.wait(lock, [&] { return job.pending == 0; });
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+void ThreadPool::worker_loop() {
+  t_current_pool = this;
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stopping_ || head_ != nullptr; });
+    // Stopping with no chunk left to claim: every fan-out has its chunks.
+    if (!head_) return;
+    Job& job = *head_;
+    const std::size_t t = job.next++;
+    if (job.next == job.chunks) {
+      head_ = job.link;
+      if (!head_) tail_ = nullptr;
+    }
+    run_chunk(job, t, lock);
   }
-  for (auto& f : futs) f.get();
 }
 
 }  // namespace ncsw::util

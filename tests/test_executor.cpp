@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <new>
 #include <thread>
@@ -13,16 +15,16 @@
 #include "oracle/oracle.h"
 #include "util/rng.h"
 
-// Heap allocations made by the calling thread, for the plan's
-// zero-allocation test: every operator new in this binary goes through
-// here. Not inlined, so the compiler never pairs the malloc/free inside
-// with a new/delete expression at a call site.
+// Heap allocations made by any thread of the process, pool workers
+// included, for the plan's zero-allocation test: every operator new in
+// this binary goes through here. Not inlined, so the compiler never pairs
+// the malloc/free inside with a new/delete expression at a call site.
 namespace {
-thread_local std::size_t t_allocations = 0;
+std::atomic<std::size_t> g_allocations{0};
 }  // namespace
 
 __attribute__((noinline)) void* operator new(std::size_t size) {
-  ++t_allocations;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -491,28 +493,188 @@ TEST(Plan, BadWeightShapeThrowsAtBuildWrongInputShapeAtRun) {
   EXPECT_THROW(plan.run(TensorF(Shape{1, 4, 8, 8})), std::invalid_argument);
 }
 
+// A graph whose conv, LRN and pool each hold far more than the fan-out
+// grain per image, so a pass at threads > 1 splits them on the pool.
+Graph wide_graph() {
+  Graph g("wide");
+  const int in = g.add_input("data", 32, 56, 56);
+  const int c1 = g.add_conv("conv1", in, ConvParams{32, 3, 1, 1});
+  const int r1 = g.add_relu("relu1", c1);
+  const int n1 = g.add_lrn("norm1", r1, LRNParams{});
+  const int p1 = g.add_max_pool("pool1", n1, PoolParams{3, 1, 1, true, false});
+  const int c2 = g.add_conv("conv2", p1, ConvParams{16, 1, 1, 0});
+  const int r2 = g.add_relu("relu2", c2);
+  PoolParams gp;
+  gp.global = true;
+  const int gap = g.add_avg_pool("gap", r2, gp);
+  const int fc = g.add_fc("fc", gap, FCParams{10});
+  g.add_softmax("prob", fc);
+  return g;
+}
+
+// Every worker of kernels::compute_pool() held busy until release():
+// while held, no fan-out from another thread can finish, so a pass that
+// finishes made no pool submission.
+class HeldPool {
+ public:
+  HeldPool() {
+    while (held_.load() < kernels::compute_pool().size()) {
+      std::this_thread::yield();
+    }
+  }
+  HeldPool(const HeldPool&) = delete;
+  HeldPool& operator=(const HeldPool&) = delete;
+  ~HeldPool() {
+    release();
+    holder_.join();
+  }
+  void release() {
+    if (!released_.exchange(true)) open_.set_value();
+  }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  std::atomic<std::size_t> held_{0};
+  std::atomic<bool> released_{false};
+  std::thread holder_{[this] {
+    ncsw::util::ThreadPool& pool = kernels::compute_pool();
+    pool.fan_out(pool.size() + 1, [this](std::size_t t) {
+      if (t == 0) return;  // the holder's own chunk
+      held_.fetch_add(1);
+      gate_.wait();
+    });
+  }};
+};
+
+// Whether `pass` finishes within `wait` while every pool worker is held;
+// the pass is then let finish either way.
+template <typename Pass>
+bool finishes_with_pool_held(const Pass& pass, std::chrono::milliseconds wait) {
+  HeldPool held;
+  auto done = std::async(std::launch::async, pass);
+  const bool finished = done.wait_for(wait) == std::future_status::ready;
+  held.release();
+  done.get();
+  return finished;
+}
+
+TEST(Plan, LayersBelowTheGrainMakeNoPoolSubmission) {
+  // Every TinyGoogLeNet layer is below the grain, even at batch 8, so a
+  // pass at 4 threads runs inline on the caller.
+  const Fig7& f = fig7();
+  const Plan<float> plan32(f.bundle->graph, f.bundle->weights_f32);
+  const Plan<half> plan16(f.bundle->graph, f.bundle->weights_f16);
+  const auto in16 = ncsw::tensor::tensor_cast<half>(f.batch);
+  ExecOptions four;
+  four.threads = 4;
+  ExecResult<float> r32;
+  ExecResult<half> r16;
+  EXPECT_TRUE(finishes_with_pool_held(
+      [&] { plan32.run(f.batch, r32, four); }, std::chrono::seconds(20)))
+      << "FP32";
+  EXPECT_TRUE(finishes_with_pool_held(
+      [&] { plan16.run(in16, r16, four); }, std::chrono::seconds(20)))
+      << "FP16";
+  // Negative controls: the same stem conv split 4 ways by the kernel
+  // itself, and a plan whose layers are above the grain, wait for the
+  // held workers.
+  const Graph& g = f.bundle->graph;
+  int conv1 = -1;
+  for (int id = 0; id < g.size() && conv1 < 0; ++id) {
+    if (g.layer(id).kind == LayerKind::kConv) conv1 = id;
+  }
+  ASSERT_GE(conv1, 0);
+  const Layer& stem = g.layer(conv1);
+  const kernels::LayerWeights lw(f.bundle->weights_f32.at(stem.name));
+  kernels::Workspace ws;
+  kernels::ExecCtx split;
+  split.ws = &ws;
+  split.threads = 4;
+  TensorF out;
+  EXPECT_FALSE(finishes_with_pool_held(
+      [&] { kernels::conv2d(f.batch, lw, stem.conv, out, split); },
+      std::chrono::milliseconds(200)));
+  const Graph wide = wide_graph();
+  const WeightsF ww = init_msra(wide, 51);
+  const Plan<float> wide_plan(wide, ww);
+  const TensorF wide_in = random_input(Shape{1, 32, 56, 56}, 52);
+  ExecResult<float> rw;
+  EXPECT_FALSE(finishes_with_pool_held(
+      [&] { wide_plan.run(wide_in, rw, four); },
+      std::chrono::milliseconds(200)));
+}
+
+TEST(Plan, LayersAboveTheGrainMatchOracleAtEveryThreadCount) {
+  const Graph g = wide_graph();
+  const WeightsF w = init_msra(g, 53);
+  const WeightsH wh = to_fp16(w);
+  const TensorF in = random_input(Shape{2, 32, 56, 56}, 54);
+  const Tensor<half> in16 = ncsw::tensor::tensor_cast<half>(in);
+  const auto oracle32 = ncsw::oracle::run_forward(g, w, in);
+  const auto oracle16 = ncsw::oracle::run_forward(g, wh, in16);
+  const Plan<float> plan32(g, w);
+  const Plan<half> plan16(g, wh);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    ExecOptions o;
+    o.threads = threads;
+    const std::string at = "threads " + std::to_string(threads);
+    expect_bytes_equal(plan32.run(in, o).output, oracle32.back(),
+                       "wide fp32 " + at);
+    expect_bytes_equal(plan16.run(in16, o).output, oracle16.back(),
+                       "wide fp16 " + at);
+  }
+}
+
 TEST(Plan, SteadyStateRunMakesNoHeapAllocation) {
   const Fig7& f = fig7();
   const auto in16 = ncsw::tensor::tensor_cast<half>(f.batch);
-  ExecOptions serial;
-  serial.threads = 1;
+  const Graph wide = wide_graph();
+  const WeightsF wide_w = init_msra(wide, 55);
+  const WeightsH wide_wh = to_fp16(wide_w);
+  const TensorF wide_in = random_input(Shape{1, 32, 56, 56}, 56);
+  const auto wide_in16 = ncsw::tensor::tensor_cast<half>(wide_in);
   const Plan<float> plan32(f.bundle->graph, f.bundle->weights_f32);
   const Plan<half> plan16(f.bundle->graph, f.bundle->weights_f16);
+  const Plan<float> wide32(wide, wide_w);
+  const Plan<half> wide16(wide, wide_wh);
   ExecResult<float> r32;
   ExecResult<half> r16;
-  plan32.run(f.batch, r32, serial);  // warm-up grows the workspace
-  plan16.run(in16, r16, serial);
-  std::size_t before = t_allocations;
-  plan32.run(f.batch, r32, serial);
-  EXPECT_EQ(t_allocations - before, 0u) << "FP32";
-  before = t_allocations;
-  plan16.run(in16, r16, serial);
-  EXPECT_EQ(t_allocations - before, 0u) << "FP16";
-  // Negative control: the one-shot wrapper builds a plan (and a result)
-  // per call, and the counter sees it.
-  before = t_allocations;
+  // At 4 threads the wide plan's layers fan out on the pool; the counter
+  // sees the workers' allocations too.
+  for (const int threads : {1, 4}) {
+    ExecOptions opts;
+    opts.threads = threads;
+    const std::string at = " threads " + std::to_string(threads);
+    const auto allocations = [&](const auto& pass) {
+      pass();  // warm-up grows the workspace
+      const std::size_t before = g_allocations.load();
+      pass();
+      return g_allocations.load() - before;
+    };
+    EXPECT_EQ(allocations([&] { plan32.run(f.batch, r32, opts); }), 0u)
+        << "FP32" << at;
+    EXPECT_EQ(allocations([&] { plan16.run(in16, r16, opts); }), 0u)
+        << "FP16" << at;
+    EXPECT_EQ(allocations([&] { wide32.run(wide_in, r32, opts); }), 0u)
+        << "wide FP32" << at;
+    EXPECT_EQ(allocations([&] { wide16.run(wide_in16, r16, opts); }), 0u)
+        << "wide FP16" << at;
+  }
+  // Negative controls: the one-shot wrapper builds a plan (and a result)
+  // per call, and an allocation inside a chunk on a pool worker counts.
+  ExecOptions serial;
+  serial.threads = 1;
+  std::size_t before = g_allocations.load();
   (void)run_forward(f.bundle->graph, f.bundle->weights_f16, in16, serial);
-  EXPECT_GT(t_allocations - before, 0u);
+  EXPECT_GT(g_allocations.load() - before, 0u);
+  static std::atomic<int*> escaped{nullptr};  // keeps the new observable
+  before = g_allocations.load();
+  kernels::compute_pool().fan_out(2, [](std::size_t t) {
+    if (t == 1) escaped = new int(1);
+  });
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  delete escaped.exchange(nullptr);
 }
 
 TEST(Plan, OnePlanServesTwoThreadsAtOnce) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <ostream>
 
 #include "core/host_target.h"
 #include "core/model.h"
@@ -55,6 +56,11 @@ struct FastConvCase {
   int in_c, h, w, out_c, kernel, stride, pad;
   const char* what;
 };
+
+// gtest (and the ctest ids built from its listing) print a case by its
+// description; the default would print the struct's raw bytes, padding
+// and string address included, which change from build to build.
+void PrintTo(const FastConvCase& c, std::ostream* os) { *os << c.what; }
 
 class FastConvTest : public ::testing::TestWithParam<FastConvCase> {};
 

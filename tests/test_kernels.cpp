@@ -362,7 +362,6 @@ kernels::ExecCtx threaded_ctx(kernels::Workspace& ws, int threads) {
   kernels::ExecCtx ctx;
   ctx.ws = &ws;
   ctx.threads = threads;
-  ctx.pool = threads > 1 ? &kernels::compute_pool() : nullptr;
   return ctx;
 }
 
