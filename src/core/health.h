@@ -1,6 +1,6 @@
 // Per-stick health state machine for the self-healing multi-VPU runtime.
 //
-// The runner tracks each stick through
+// Each core::Stick holds one ladder for its lifetime and moves through
 //
 //     kHealthy --transient failure--> kSuspect --retries exhausted or
 //         MVNC_GONE--> kQuarantined --probe succeeds--> kRecovered
@@ -53,7 +53,7 @@ struct HealthPolicy {
   int recovery_successes = 3;
 };
 
-/// Health record of one stick. Pure bookkeeping: the runner performs the
+/// Health record of one stick. Pure bookkeeping: core::Stick performs the
 /// mvnc calls and reports outcomes; this class decides state transitions
 /// and deterministic wait times.
 class StickHealth {
@@ -61,6 +61,7 @@ class StickHealth {
   StickHealth(int device, const HealthPolicy& policy);
 
   int device() const noexcept { return device_; }
+  const HealthPolicy& policy() const noexcept { return policy_; }
   HealthState state() const noexcept { return state_; }
   /// True when the scheduler may assign images to this stick.
   bool schedulable() const noexcept {

@@ -43,15 +43,8 @@ TimedRun StickTarget::execute_batch(std::int64_t images, int /*batch == 1*/,
   run.images = images;
   double last = t0;
   for (std::int64_t i = 0; i < images; ++i) {
-    if (mvnc::mvncLoadTensor(graph, input, input_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget: mvncLoadTensor failed");
-    }
-    void* out = nullptr;
-    unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(graph, &out, &out_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget: mvncGetResult failed");
+    if (!stick_->infer(input, input_len)) {
+      throw std::runtime_error("StickTarget: stick left the schedule");
     }
     const auto ticket = mvnc::last_ticket(graph);
     if (!ticket) throw std::runtime_error("StickTarget: missing ticket");
@@ -66,9 +59,7 @@ std::vector<Prediction> StickTarget::classify(
     const std::vector<tensor::TensorF>& inputs) {
   std::vector<Prediction> results;
   results.reserve(inputs.size());
-  for (const auto& input : inputs) {
-    results.push_back(stick_->classify(input, HealthPolicy{}));
-  }
+  for (const auto& input : inputs) results.push_back(stick_->classify(input));
   return results;
 }
 
@@ -101,7 +92,7 @@ mvnc::HostConfig host_config(const std::vector<ZooModel>& models,
 StickFleet::StickFleet(std::vector<ZooModel> models, StickFleetConfig config)
     : models_(std::move(models)),
       config_(config),
-      hw_(host_config(models_, config_), "StickFleet") {
+      hw_(host_config(models_, config_), HealthPolicy{}, "StickFleet") {
   std::int64_t max_input_bytes = 0;
   for (const auto& m : models_) {
     max_input_bytes =

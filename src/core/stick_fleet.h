@@ -46,9 +46,10 @@ struct ZooModel {
   std::shared_ptr<const ModelBundle> bundle;
 };
 
-/// Fleet configuration (fault-free: the zoo layer swaps graphs, the
-/// self-healing runner in VpuTarget owns fault injection; the zoo's
-/// sticks get no fault plan yet).
+/// Fleet configuration (fault-free: the zoo's sticks get no fault plan
+/// yet). Each core::Stick still runs its inferences on a ladder of the
+/// default HealthPolicy; a stick that leaves the schedule makes its
+/// StickTarget throw, and nothing probes it back.
 struct StickFleetConfig {
   int devices = 2;
   mvnc::HostConfig::Topology topology =

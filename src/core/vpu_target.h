@@ -3,7 +3,10 @@
 // running one bundle. Images are assigned round-robin; each stick's
 // stream of load -> execute -> get overlaps with the other sticks'. In
 // timed runs the number of active sticks is coupled to the batch size,
-// exactly as in the paper's figures.
+// exactly as in the paper's figures. Each inference, its retries and the
+// stick's health ladder live in core::Stick; this target only schedules:
+// which stick runs the next image, when a quarantined stick is probed,
+// and which images are replayed.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,8 @@ struct VpuTargetConfig {
   /// Scripted fault windows forwarded to the host (empty: no injection,
   /// fault-free behaviour is byte-identical to a build without them).
   sim::FaultPlan faults;
-  /// Retry / backoff / quarantine policy of the self-healing runner.
+  /// Retry / backoff / quarantine policy of every stick's ladder (each
+  /// core::Stick holds its ladder for the target's lifetime).
   HealthPolicy health;
   /// When every stick is dead, run_timed normally throws. With
   /// allow_partial the run returns instead, reporting the abandoned
@@ -94,7 +98,8 @@ class VpuTarget : public Target {
  protected:
   /// One batch across `batch` sticks, gated on a common start t0 =
   /// max(submission instant, stick cursors) staggered by thread spawn;
-  /// the span is measured on the sticks' device-epoch cursors.
+  /// the span is measured on the sticks' device-epoch cursors. A stick
+  /// quarantined in an earlier batch stays out until its probe succeeds.
   TimedRun execute_batch(std::int64_t images, int batch,
                          double submit_s) override;
 

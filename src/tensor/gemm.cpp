@@ -373,21 +373,4 @@ void gemv_f32(std::int64_t m, std::int64_t k, const float* a, const float* x,
   }
 }
 
-void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
-              const ncsw::fp16::half* x, float beta, ncsw::fp16::half* y,
-              GemmScratch* scratch) noexcept {
-  GemmScratch local;
-  GemmScratch& s = scratch ? *scratch : local;
-  float* af = panel(s.a, m * k);
-  float* xf = panel(s.b, k);
-  float* yf = panel(s.c, m);
-  ncsw::fp16::half_to_float_span(a, af, static_cast<std::size_t>(m * k));
-  ncsw::fp16::half_to_float_span(x, xf, static_cast<std::size_t>(k));
-  if (beta != 0.0f) {
-    ncsw::fp16::half_to_float_span(y, yf, static_cast<std::size_t>(m));
-  }
-  gemv_f32(m, k, af, xf, beta, yf);
-  ncsw::fp16::float_to_half_span(yf, y, static_cast<std::size_t>(m));
-}
-
 }  // namespace ncsw::tensor

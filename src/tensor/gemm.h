@@ -76,13 +76,6 @@ void gemm_f16(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void gemv_f32(std::int64_t m, std::int64_t k, const float* a, const float* x,
               float beta, float* y) noexcept;
 
-/// FP16 GEMV with FP32 accumulation, rounded to FP16 per element —
-/// bit-identical to gemm_f16 with n = 1. Pass `scratch` to reuse the
-/// FP32 expansion of x across calls.
-void gemv_f16(std::int64_t m, std::int64_t k, const ncsw::fp16::half* a,
-              const ncsw::fp16::half* x, float beta, ncsw::fp16::half* y,
-              GemmScratch* scratch = nullptr) noexcept;
-
 // --- FP32 fast-tier GEMM --------------------------------------------------
 
 /// Fast-tier FP32 GEMM: C = A*B over strided row-major panels

@@ -668,6 +668,42 @@ TEST(SelfHealing, StrictRunNeverIssuesIntoAStalledStickFullFifo) {
   v.configure(ncsw::check::CheckMode::kDefault);
 }
 
+TEST(SelfHealing, QuarantineOutlivesTheBatch) {
+  // Stick 1 goes off the bus in the first batch and stays off into the
+  // second. Its ladder outlives the batch: the second batch must not
+  // issue to it (a second MVNC_GONE) before its probe time, and the
+  // probes bring it back once the window has passed.
+  core::VpuTargetConfig cfg;
+  cfg.devices = 2;
+  cfg.faults.add(1, FaultKind::kDetach, 0.3, 2.7);  // off the bus [0.3, 3)
+  auto& reg = util::metrics();
+  auto& gone = reg.counter("core.health.dev1.gone");
+  auto& probes = reg.counter("core.health.dev1.probes");
+  auto& replugs = reg.counter("core.health.dev1.replug_recoveries");
+  const auto gone0 = gone.value();
+  const auto probes0 = probes.value();
+  const auto replugs0 = replugs.value();
+  core::VpuTarget vpu(reference(), cfg);
+
+  const auto first = vpu.run_timed(8, 2);
+  EXPECT_EQ(first.images, 8);
+  EXPECT_EQ(first.images_lost, 0);
+  EXPECT_EQ(gone.value() - gone0, 1u);
+  EXPECT_EQ(replugs.value() - replugs0, 0u);
+  const auto probes1 = probes.value();
+  EXPECT_GT(probes1, probes0);  // probed, but still inside the window
+
+  const auto second = vpu.run_timed(24, 2);
+  EXPECT_EQ(second.images, 24);
+  EXPECT_EQ(second.images_lost, 0);
+  EXPECT_EQ(second.per_image_ms.count(), 24u);
+  EXPECT_EQ(gone.value() - gone0, 1u);  // a per-batch ladder makes it 2
+  EXPECT_GT(probes.value(), probes1);
+  EXPECT_EQ(replugs.value() - replugs0, 1u);
+  EXPECT_EQ(second.sticks_recovered, 1);
+  EXPECT_EQ(second.images_replayed, 0);
+}
+
 TEST(SelfHealing, TransientStormLosesNoImages) {
   core::VpuTargetConfig cfg;
   cfg.devices = 4;

@@ -273,21 +273,6 @@ TEST(GemvBitIdentity, F32MatchesGemmColumnCaseBitwise) {
                            y_gemv.size() * sizeof(float)));
 }
 
-TEST(GemvBitIdentity, F16MatchesGemmColumnCaseBitwise) {
-  const std::int64_t m = 37, k = 301;
-  const auto ah = to_half(random_matrix_with_zeros(m * k, 9));
-  const auto xh = to_half(random_matrix_with_zeros(k, 10));
-  std::vector<half> y_gemv(static_cast<std::size_t>(m));
-  std::vector<half> y_gemm(static_cast<std::size_t>(m));
-  ncsw::tensor::GemmScratch scratch;
-  ncsw::tensor::gemv_f16(m, k, ah.data(), xh.data(), 0.0f, y_gemv.data(),
-                         &scratch);
-  ncsw::oracle::gemm_f16_ref(m, 1, k, 1.0f, ah.data(), xh.data(), 0.0f,
-                             y_gemm.data());
-  ASSERT_EQ(0, std::memcmp(y_gemv.data(), y_gemm.data(),
-                           y_gemv.size() * sizeof(half)));
-}
-
 TEST(GemmScratchReuse, ResultsUnaffectedAndCapacityMonotonic) {
   // One scratch across heterogeneous shapes: results must match
   // scratch-free calls (no stale-data bleed) and capacity never shrinks.
