@@ -17,6 +17,7 @@
 // the same arrival trace, so the table is an apples-to-apples sweep.
 #include "bench_common.h"
 #include "check/schedfuzz.h"
+#include "check/serve_check.h"
 #include "cluster/cluster.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
@@ -182,6 +183,15 @@ int main(int argc, char** argv) {
             << " stranded requests and loses " << kill.requests_lost
             << "; replay " << (replay_identical ? "is" : "IS NOT")
             << " bit-identical.\n";
+  const auto& sv = check::serve_verifier();
+  if (sv.enabled()) {
+    // The loop's event cache was compared with a fresh read of every
+    // clean node at each pick; zero means the check never ran.
+    std::cout << "event-cache check: " << sv.event_cache_checks()
+              << " cached node entries compared, "
+              << sv.count(check::ServeViolationKind::kStaleEventCache)
+              << " stale\n";
+  }
 
   bench::BenchReport report("cluster_loadgen");
   report.config("requests", requests);

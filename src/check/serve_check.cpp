@@ -32,6 +32,8 @@ const char* serve_violation_name(ServeViolationKind kind) {
       return "wrong-model-dispatch";
     case ServeViolationKind::kResidencyConservation:
       return "residency-conservation";
+    case ServeViolationKind::kStaleEventCache:
+      return "stale-event-cache";
   }
   return "?";
 }
@@ -49,6 +51,7 @@ void ServeVerifier::configure(CheckMode mode) {
   recorded_.clear();
   for (auto& c : counts_) c = 0;
   total_ = 0;
+  event_cache_checks_ = 0;
   mode_.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
 
@@ -295,6 +298,27 @@ std::uint64_t ServeVerifier::total() const {
 std::vector<ServeViolation> ServeVerifier::violations() const {
   std::unique_lock lock(mutex_);
   return recorded_;
+}
+
+void ServeVerifier::on_stale_event_cache(int node, const std::string& cached,
+                                         const std::string& fresh, double t) {
+  if (!enabled()) return;
+  std::unique_lock lock(mutex_);
+  report(lock, ServeViolationKind::kStaleEventCache, "cluster", t,
+         "node " + std::to_string(node) + " cached events " + cached +
+             " but its state schedules " + fresh +
+             "; a mutation missed the node's dirty mark");
+}
+
+void ServeVerifier::on_event_cache_checked(std::uint64_t comparisons) {
+  if (!enabled()) return;
+  std::unique_lock lock(mutex_);
+  event_cache_checks_ += comparisons;
+}
+
+std::uint64_t ServeVerifier::event_cache_checks() const {
+  std::unique_lock lock(mutex_);
+  return event_cache_checks_;
 }
 
 void ServeVerifier::clear_violations() {

@@ -18,6 +18,9 @@
 //    requests — a replayed copy is the same ledger entry), first
 //    completion wins with duplicates counted but never delivered twice,
 //    and the live-copy count never goes negative.
+//  * Event-cache freshness (cluster): each node's cached event
+//    candidates equal a fresh read of its session and health at every
+//    pick.
 //
 // The hooks are wired into core::Target, serve::Session::finish and the
 // cluster event loop, so every bench and test exercises them; modes
@@ -65,9 +68,10 @@ enum class ServeViolationKind : int {
   kSwapWhileInflight,    ///< graph swap started with tickets outstanding
   kWrongModelDispatch,   ///< work dispatched to a stick resident elsewhere
   kResidencyConservation,  ///< zoo installs/evicts/residents do not balance
+  kStaleEventCache,        ///< a cluster node's cached events went stale
 };
 
-constexpr int kServeViolationKindCount = 12;
+constexpr int kServeViolationKindCount = 13;
 
 /// Stable kebab-case name ("window-exceeded", "wait-after-cancel", ...),
 /// used for metrics ("check.violation.<name>") and trace instants.
@@ -174,10 +178,21 @@ class ServeVerifier {
   void on_cluster_finish(std::int64_t offered, std::int64_t completed,
                          std::int64_t rejected, std::int64_t deadline,
                          std::int64_t lost, double t);
+  /// A node's cached event candidates (`cached`) differ from a fresh
+  /// read of its state (`fresh`): kStaleEventCache, a mutation that
+  /// missed the cache's dirty mark.
+  void on_stale_event_cache(int node, const std::string& cached,
+                            const std::string& fresh, double t);
+  /// A cluster run compared `comparisons` cached node entries with a
+  /// fresh read (accumulated into event_cache_checks()).
+  void on_event_cache_checked(std::uint64_t comparisons);
 
   // -- Report access (for tests and tools). --
   std::uint64_t count(ServeViolationKind kind) const;
   std::uint64_t total() const;
+  /// Cached cluster event entries compared since configure(): a strict
+  /// run that reports zero never exercised the cache check.
+  std::uint64_t event_cache_checks() const;
   /// Recorded violations, oldest first (bounded; see kMaxRecorded).
   std::vector<ServeViolation> violations() const;
   /// Drop recorded violations and counts; tracked state survives.
@@ -205,6 +220,7 @@ class ServeVerifier {
   std::vector<ServeViolation> recorded_;
   std::uint64_t counts_[kServeViolationKindCount] = {};
   std::uint64_t total_ = 0;
+  std::uint64_t event_cache_checks_ = 0;
 };
 
 /// The process-wide verifier the serving layers report to.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
@@ -84,6 +84,34 @@ struct ReplayItem {
   double evicted_s = 0.0;
 };
 
+/// One node's scheduled events, in kClusterEventOrder with the
+/// unscheduled ones left out: what the loop offers the picker for it.
+struct NodeEvents {
+  /// complete, drop, fault, probe, ready, flush
+  static constexpr int kMax = 6;
+  std::array<std::pair<Kind, double>, kMax> ev{};
+  int n = 0;
+  bool stale = true;  ///< the node changed since `ev` was read
+
+  /// t = +inf (or NaN) means "not scheduled", as for EventPicker::offer.
+  void add(Kind kind, double t) {
+    if (t < kInf) ev[static_cast<std::size_t>(n++)] = {kind, t};
+  }
+  bool same_events(const NodeEvents& o) const {
+    return n == o.n && std::equal(ev.begin(), ev.begin() + n, o.ev.begin());
+  }
+  std::string describe() const {
+    std::string out = "{";
+    for (int i = 0; i < n; ++i) {
+      const auto& [kind, t] = ev[static_cast<std::size_t>(i)];
+      if (i > 0) out += ", ";
+      out += std::string(serve::loop_event_kind_name(kind)) + "@" +
+             std::to_string(t);
+    }
+    return out + "}";
+  }
+};
+
 }  // namespace
 
 Cluster::Cluster(std::vector<std::vector<core::Target*>> node_targets,
@@ -120,12 +148,31 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   ClusterReport report;
   HashRing ring(n_nodes, config_.vnodes, config_.ring_seed);
 
-  // ---- ingestion: request id -> trace position, model key -> index ----
+  // ---- ingestion: ids in order, model key -> index ----
+  // Requests are carried by trace position: it is each node session's
+  // key for them, and ledgers and events are indexed by it. Records come
+  // out in id order, so the positions are sorted by id here (no sort
+  // when the trace's ids already ascend); equal ids end up adjacent
+  // either way, which is where a duplicate is caught, before any
+  // session exists.
+  std::vector<std::size_t> by_id(requests.size());
+  std::iota(by_id.begin(), by_id.end(), std::size_t{0});
+  const auto id_less = [&](std::size_t a, std::size_t b) {
+    return requests[a].id < requests[b].id;
+  };
+  if (!std::is_sorted(by_id.begin(), by_id.end(), id_less)) {
+    std::sort(by_id.begin(), by_id.end(), id_less);
+  }
+  const auto same_id = [&](std::size_t a, std::size_t b) {
+    return requests[a].id == requests[b].id;
+  };
+  if (std::adjacent_find(by_id.begin(), by_id.end(), same_id) !=
+      by_id.end()) {
+    throw std::invalid_argument("Cluster::run: duplicate request id");
+  }
   // A request's model key is its tag, or "m<id % models>" when the tag
   // is empty; the default catalogue "m0".."m<models-1>" takes indices
   // 0..models-1. Every later lookup is by position and index.
-  std::unordered_map<std::int64_t, std::size_t> pos_of;
-  pos_of.reserve(requests.size());
   std::vector<Ledger> ledger(requests.size());
   std::unordered_map<std::string, int> model_index;
   std::vector<std::uint64_t> model_hash;  // ring key of each model
@@ -139,9 +186,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   const auto models = static_cast<std::int64_t>(config_.models);
   for (std::size_t p = 0; p < requests.size(); ++p) {
     const serve::Request& req = requests[p];
-    if (!pos_of.emplace(req.id, p).second) {
-      throw std::invalid_argument("Cluster::run: duplicate request id");
-    }
     ledger[p].model = intern(
         req.tag.empty() ? "m" + std::to_string(req.id % models) : req.tag);
   }
@@ -192,8 +236,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   /// Per-node runtime state around its serve::Session.
   struct NodeState {
-    std::unique_ptr<serve::Session> session;
-    std::unique_ptr<core::StickHealth> health;
+    std::optional<serve::Session> session;
+    std::optional<core::StickHealth> health;
     sim::FaultTimeline timeline;
     std::vector<sim::FaultEvent> fault_starts;  ///< node windows, sorted
     std::size_t fault_cursor = 0;
@@ -205,7 +249,20 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     int resident_models = 0;
     NodeReport stats;
   };
-  std::vector<NodeState> nodes(static_cast<std::size_t>(n_nodes));
+  // Each node's events are cached in `events` and re-read only when the
+  // node is stale. The rule that keeps the cache exact: every mutable
+  // access to a node (its session, health or event state) goes through
+  // `node_mut`, which marks it stale; everything else reads the const
+  // view `nodes`. The one other writer is the node's observer, which
+  // updates health and the throughput estimate only from inside that
+  // node's own session calls, each made through node_mut.
+  std::vector<NodeState> node_store(static_cast<std::size_t>(n_nodes));
+  const std::vector<NodeState>& nodes = node_store;
+  std::vector<NodeEvents> events(static_cast<std::size_t>(n_nodes));
+  auto node_mut = [&](int n) -> NodeState& {
+    events[static_cast<std::size_t>(n)].stale = true;
+    return node_store[static_cast<std::size_t>(n)];
+  };
 
   struct NodeObserver : serve::Session::Observer {
     int node = -1;
@@ -214,15 +271,13 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     std::priority_queue<HedgeTimer, std::vector<HedgeTimer>,
                         std::greater<HedgeTimer>>* hedges = nullptr;
     std::vector<Ledger>* ledger = nullptr;
-    const std::unordered_map<std::int64_t, std::size_t>* pos_of = nullptr;
     std::int64_t* hedge_seq = nullptr;
     double hedge_slack_s = 0.0;
     int max_hedges = 0;
     double gain = 0.25;
 
-    void on_dispatched(const serve::Request& req, double /*dispatch_s*/,
+    void on_dispatched(std::size_t pos, double /*dispatch_s*/,
                        double promised_complete_s) override {
-      const std::size_t pos = pos_of->at(req.id);
       Ledger& led = (*ledger)[pos];
       led.last_node = node;
       // Arm a hedge against the *promised* completion: if the node
@@ -251,23 +306,22 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       }
       ns->health->on_success();
     }
-    void on_finished(const serve::Request& req, serve::Outcome outcome,
+    void on_finished(std::size_t pos, serve::Outcome outcome,
                      serve::DropReason reason, double at_s) override {
-      fins->push_back({pos_of->at(req.id), outcome, reason, at_s, node});
+      fins->push_back({pos, outcome, reason, at_s, node});
     }
   };
   std::vector<NodeObserver> observers(static_cast<std::size_t>(n_nodes));
 
   for (int i = 0; i < n_nodes; ++i) {
     const auto ui = static_cast<std::size_t>(i);
-    NodeState& ns = nodes[ui];
+    NodeState& ns = node_mut(i);
     NodeObserver& ob = observers[ui];
     ob.node = i;
     ob.ns = &ns;
     ob.fins = &fins;
     ob.hedges = &hedges;
     ob.ledger = &ledger;
-    ob.pos_of = &pos_of;
     ob.hedge_seq = &hedge_seq;
     ob.hedge_slack_s = config_.hedge_slack_s;
     ob.max_hedges = config_.max_hedges;
@@ -280,16 +334,15 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         ns.fault_starts.push_back(ev);
       }
     }
-    ns.health = std::make_unique<core::StickHealth>(i, config_.node_health);
+    ns.health.emplace(i, config_.node_health);
     ns.tput_est = config_.node_prior_tput;
     // Wedge windows slip every completion promised inside them to the
     // window's end — the node accepts work but delivers none meanwhile.
     const sim::FaultTimeline tl = ns.timeline;
-    ns.session = std::make_unique<serve::Session>(
-        node_targets_[ui], config_.node, "n" + std::to_string(i), &ob,
-        [tl](double t) {
-          return tl.clear_of(sim::FaultKind::kNodeWedge, t);
-        });
+    ns.session.emplace(node_targets_[ui], config_.node,
+                       "n" + std::to_string(i), &ob, [tl](double t) {
+                         return tl.clear_of(sim::FaultKind::kNodeWedge, t);
+                       });
   }
   g_up.set(static_cast<double>(n_nodes));
 
@@ -303,9 +356,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     if (prefs.empty()) {
       prefs = ring.preference(model_hash[static_cast<std::size_t>(model)],
                               config_.replication);
-      for (const int n : prefs) {
-        ++nodes[static_cast<std::size_t>(n)].resident_models;
-      }
+      for (const int n : prefs) ++node_mut(n).resident_models;
     }
     return prefs;
   };
@@ -366,7 +417,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
                        static_cast<std::size_t>(model)];
     if (!resident) {
       resident = 1;
-      ++nodes[static_cast<std::size_t>(n)].resident_models;
+      ++node_mut(n).resident_models;
     }
     ++report.requests_spilled;
     m_spills.add(1);
@@ -380,14 +431,13 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // re-offered to a live replica (force = the replica must not bounce
   // it) or parked until a replica rejoins. Zero requests lost.
   auto evict_node = [&](int n, double t) {
-    NodeState& ns = nodes[static_cast<std::size_t>(n)];
-    auto evicted = ns.session->evict_all(t);
+    NodeState& ns = node_mut(n);
+    const auto evicted = ns.session->evict_all(t);
     ns.stats.evicted += static_cast<std::int64_t>(evicted.size());
-    for (const auto& req : evicted) {
-      const std::size_t pos = pos_of.at(req.id);
+    for (const std::size_t pos : evicted) {
       Ledger& led = ledger[pos];
       --led.live;
-      if (checking) sv.on_ledger_live(req.id, led.live, t);
+      if (checking) sv.on_ledger_live(requests[pos].id, led.live, t);
       if (!led.completed && !led.terminal) {
         led.evicted_s = t;
         replays.push_back({pos, t});
@@ -476,8 +526,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         ++report.requests_replayed;
         m_replays.add(1);
         instant("replay", t);
-        nodes[static_cast<std::size_t>(n)].session->offer(req, t,
-                                                          /*force=*/true);
+        node_mut(n).session->offer(req, item.pos, t, /*force=*/true);
       }
     }
   };
@@ -499,7 +548,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // A node's whole session failed (every target dead): permanent loss
   // of the node; strand nothing.
   auto node_failed = [&](int n, double t) {
-    NodeState& ns = nodes[static_cast<std::size_t>(n)];
+    NodeState& ns = node_mut(n);
     ns.up = false;
     ns.rejoin_pending = false;
     ns.ready_s = kInf;
@@ -518,6 +567,25 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // earlier, as if each had been picked.
   double retired_s = now;
 
+  // What a node's state schedules now; the cache holds its last read.
+  auto read_events = [&](const NodeState& ns) {
+    NodeEvents ev;
+    ev.stale = false;
+    ev.add(Kind::kComplete, ns.session->next_complete_s());
+    ev.add(Kind::kDrop, ns.session->next_drop_s());
+    if (ns.fault_cursor < ns.fault_starts.size()) {
+      ev.add(Kind::kFault, ns.fault_starts[ns.fault_cursor].start);
+    }
+    if (ns.health->state() == core::HealthState::kQuarantined) {
+      ev.add(Kind::kProbe, ns.health->next_probe_time());
+    }
+    if (ns.rejoin_pending) ev.add(Kind::kReady, ns.ready_s);
+    ev.add(Kind::kFlush, ns.session->next_flush_s());
+    return ev;
+  };
+  // Strict check of the cache: cached entries compared with a fresh read.
+  std::uint64_t cache_checks = 0;
+
   serve::EventPicker picker(kClusterEventOrder);
   for (;;) {
     // A timer whose request is already completed or terminal (both
@@ -529,19 +597,30 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       if (h.fire_s < kInf) retired_s = std::max(retired_s, h.fire_s);
       hedges.pop();
     }
+    if (checking) {
+      for (int i = 0; i < n_nodes; ++i) {
+        const NodeEvents& cached = events[static_cast<std::size_t>(i)];
+        if (cached.stale) continue;
+        ++cache_checks;
+        const NodeEvents fresh =
+            read_events(nodes[static_cast<std::size_t>(i)]);
+        if (!cached.same_events(fresh)) {
+          sv.on_stale_event_cache(i, cached.describe(), fresh.describe(),
+                                  now);
+        }
+      }
+    }
+    // Every node's candidates, then the hedge top and the next arrival:
+    // the same offers as reading each node afresh, so a tie hook sees
+    // the same tie groups.
     picker.clear();
     for (int i = 0; i < n_nodes; ++i) {
-      const NodeState& ns = nodes[static_cast<std::size_t>(i)];
-      picker.offer(Kind::kComplete, i, ns.session->next_complete_s());
-      picker.offer(Kind::kDrop, i, ns.session->next_drop_s());
-      if (ns.fault_cursor < ns.fault_starts.size()) {
-        picker.offer(Kind::kFault, i, ns.fault_starts[ns.fault_cursor].start);
+      NodeEvents& ev = events[static_cast<std::size_t>(i)];
+      if (ev.stale) ev = read_events(nodes[static_cast<std::size_t>(i)]);
+      for (int k = 0; k < ev.n; ++k) {
+        const auto& [kind, t] = ev.ev[static_cast<std::size_t>(k)];
+        picker.offer(kind, i, t);
       }
-      if (ns.health->state() == core::HealthState::kQuarantined) {
-        picker.offer(Kind::kProbe, i, ns.health->next_probe_time());
-      }
-      if (ns.rejoin_pending) picker.offer(Kind::kReady, i, ns.ready_s);
-      picker.offer(Kind::kFlush, i, ns.session->next_flush_s());
     }
     if (!hedges.empty()) {
       picker.offer(Kind::kHedge, hedges.top().node, hedges.top().fire_s);
@@ -556,7 +635,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
     switch (ev->kind) {
       case Kind::kComplete: {
-        auto& ns = nodes[static_cast<std::size_t>(node)];
+        NodeState& ns = node_mut(node);
         try {
           ns.session->on_complete(now);
         } catch (...) {
@@ -567,11 +646,11 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         break;
       }
       case Kind::kDrop:
-        nodes[static_cast<std::size_t>(node)].session->on_drop(now);
+        node_mut(node).session->on_drop(now);
         drain(now);
         break;
       case Kind::kFault: {
-        NodeState& ns = nodes[static_cast<std::size_t>(node)];
+        NodeState& ns = node_mut(node);
         const sim::FaultEvent fe = ns.fault_starts[ns.fault_cursor++];
         if (fe.kind == sim::FaultKind::kNodeCrash) {
           ns.up = false;
@@ -595,7 +674,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         break;
       }
       case Kind::kProbe: {
-        NodeState& ns = nodes[static_cast<std::size_t>(node)];
+        NodeState& ns = node_mut(node);
         const bool still_faulted =
             ns.timeline.active(sim::FaultKind::kNodeCrash, now) != nullptr ||
             ns.timeline.active(sim::FaultKind::kNodeWedge, now) != nullptr;
@@ -625,7 +704,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         break;
       }
       case Kind::kReady: {
-        NodeState& ns = nodes[static_cast<std::size_t>(node)];
+        NodeState& ns = node_mut(node);
         ns.rejoin_pending = false;
         ns.ready_s = kInf;
         ns.up = true;
@@ -647,8 +726,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         if (led.live <= 0 || led.last_node != h.node) {
           break;
         }
-        NodeState& slow = nodes[static_cast<std::size_t>(h.node)];
-        if (!slow.up || !slow.health->schedulable()) break;
+        if (!eligible(h.node)) break;
+        NodeState& slow = node_mut(h.node);
         // The node promised and did not deliver: that is a transient
         // failure at node granularity. Enough of them quarantine the
         // node through the same ladder a flaky stick descends.
@@ -673,7 +752,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
             ++report.requests_hedged;
             m_hedges.add(1);
             instant("hedge", now);
-            nodes[static_cast<std::size_t>(best)].session->offer(req, now);
+            node_mut(best).session->offer(req, h.pos, now);
           }
         }
         if (quarantined) {
@@ -684,8 +763,9 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         break;
       }
       case Kind::kArrive: {
-        const serve::Request& req = requests[next_arrival];
-        Ledger& led = ledger[next_arrival++];
+        const std::size_t pos = next_arrival++;
+        const serve::Request& req = requests[pos];
+        Ledger& led = ledger[pos];
         ++report.offered;
         m_offered.add(1);
         int n = pick_node(prefs_for(led.model), /*need_capacity=*/true,
@@ -703,14 +783,15 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
           m_rejected.add(1);
         } else {
           led.live = 1;
-          ++nodes[static_cast<std::size_t>(n)].stats.routed;
-          nodes[static_cast<std::size_t>(n)].session->offer(req, now);
+          NodeState& ns = node_mut(n);
+          ++ns.stats.routed;
+          ns.session->offer(req, pos, now);
         }
         drain(now);
         break;
       }
       case Kind::kFlush:
-        nodes[static_cast<std::size_t>(node)].session->on_flush(now);
+        node_mut(node).session->on_flush(now);
         drain(now);
         break;
     }
@@ -729,24 +810,16 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   parked.clear();
 
   // ---- seal the report ----
+  if (checking) sv.on_event_cache_checked(cache_checks);
   report.nodes.reserve(nodes.size());
-  for (auto& ns : nodes) {
+  for (NodeState& ns : node_store) {
     NodeReport nr = std::move(ns.stats);
     nr.serve = ns.session->finish();
     nr.health = core::health_state_name(ns.health->state());
     nr.tput_est = ns.tput_est;
     report.nodes.push_back(std::move(nr));
   }
-  // Records come out in id order: trace positions sorted by id, unless
-  // the trace's ids already ascend.
-  std::vector<std::size_t> by_id(requests.size());
-  std::iota(by_id.begin(), by_id.end(), std::size_t{0});
-  const auto id_less = [&](std::size_t a, std::size_t b) {
-    return requests[a].id < requests[b].id;
-  };
-  if (!std::is_sorted(by_id.begin(), by_id.end(), id_less)) {
-    std::sort(by_id.begin(), by_id.end(), id_less);
-  }
+  // Records come out in id order (`by_id`, from ingestion).
   report.records.reserve(requests.size());
   serve::OutcomeRollup rollup;
   for (const std::size_t pos : by_id) {

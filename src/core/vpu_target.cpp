@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mvnc/mvnc.h"
+#include "mvnc/sim_host.h"
 #include "myriad/myriad.h"
 #include "nn/kernels.h"
 #include "util/metrics.h"
@@ -231,6 +232,14 @@ std::vector<Prediction> VpuTarget::classify(
   };
 
   if (config_.parallel_host_threads && active > 1) {
+    // Trace lanes get their ids first come: open each stick's in stick
+    // order, as a serial run would, before the workers race to them.
+    if (util::tracer().enabled()) {
+      for (int d = 0; d < active; ++d) {
+        mvnc::device_of(sticks_[static_cast<std::size_t>(d)].device())
+            ->open_trace_lanes();
+      }
+    }
     // One pool chunk per stick, stick 0 on the caller (the paper's OpenMP).
     nn::kernels::compute_pool().fan_out(
         static_cast<std::size_t>(active),

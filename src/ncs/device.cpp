@@ -301,6 +301,17 @@ std::optional<InferenceTicket> NcsDevice::load_tensor(sim::SimTime host_time,
   return t;
 }
 
+void NcsDevice::open_trace_lanes() const {
+  auto& tr = util::tracer();
+  if (!tr.enabled()) return;
+  const std::string dev = "dev" + std::to_string(id_);
+  tr.lane(dev + " shave");
+  std::lock_guard lock(mutex_);
+  if (tr.layers_enabled() && profile_ && profile_->total_s > 0.0) {
+    tr.lane(dev + " layers");
+  }
+}
+
 void NcsDevice::trace_inference(const InferenceTicket& t) const {
   auto& tr = util::tracer();
   if (!tr.enabled()) return;

@@ -135,6 +135,13 @@ class NcsDevice {
   void unplug();
   bool unplugged() const;
 
+  /// Register this stick's inference trace lanes ("dev<N> shave", then
+  /// "dev<N> layers" at layer detail) in the order its next traced
+  /// inference would. Lane ids go first come, so a caller that drives
+  /// several sticks from pool threads calls this per stick, in stick
+  /// order, before the fan-out. No-op when tracing is off.
+  void open_trace_lanes() const;
+
   /// Install the scripted fault windows this stick consumes (a slice of
   /// the host's FaultPlan). Call before driving inferences; an empty
   /// timeline (the default) keeps every path byte-identical to a

@@ -223,6 +223,10 @@ util::Counter& Session::images_counter(std::size_t i) {
 void Session::alloc_slot(std::size_t idx) {
   auto& tr = util::tracer();
   if (!tr.enabled() || !config_.trace_requests) return;
+  if (slot_of_.size() <= idx) {
+    slot_of_.resize(idx + 1, -1);
+    slot_claim_s_.resize(idx + 1, 0.0);
+  }
   slot_claim_s_[idx] = now_;
   int slot;
   if (free_slots_.empty()) {
@@ -235,6 +239,7 @@ void Session::alloc_slot(std::size_t idx) {
 }
 
 void Session::emit_request_spans(std::size_t idx, double end_s) {
+  if (idx >= slot_of_.size()) return;
   const int slot = slot_of_[idx];
   if (slot < 0) return;
   auto& tr = util::tracer();
@@ -307,7 +312,7 @@ void Session::drop_head() {
     emit_request_spans(idx, now_);
   }
   if (observer_) {
-    observer_->on_finished(report_.records[idx].request, Outcome::kDropped,
+    observer_->on_finished(key_of_[idx], Outcome::kDropped,
                            DropReason::kDeadline, now_);
   }
 }
@@ -373,10 +378,11 @@ void Session::dispatch(int which, std::size_t n) {
   }
   if (observer_) {
     for (const std::size_t idx : fl.inflight) {
-      observer_->on_dispatched(report_.records[idx].request, now_, promised);
+      observer_->on_dispatched(key_of_[idx], now_, promised);
     }
   }
   ts.flights.push_back(std::move(fl));
+  inflight_ += n;
   ts.stats.max_inflight = std::max(
       ts.stats.max_inflight, static_cast<int>(ts.flights.size()));
   inflight_gauge(static_cast<std::size_t>(which))
@@ -428,8 +434,7 @@ void Session::drop_flight(const Flight& fl, DropReason reason) {
     mark_dropped(idx, reason);
     if (tr.enabled()) emit_request_spans(idx, now_);
     if (observer_) {
-      observer_->on_finished(report_.records[idx].request, Outcome::kDropped,
-                             reason, now_);
+      observer_->on_finished(key_of_[idx], Outcome::kDropped, reason, now_);
     }
   }
 }
@@ -443,6 +448,7 @@ void Session::fail_target(int which, std::exception_ptr err) {
   TargetState& ts = states_[static_cast<std::size_t>(which)];
   for (const Flight& fl : ts.flights) {
     ts.target->cancel(fl.ticket);
+    inflight_ -= fl.inflight.size();
     drop_flight(fl, DropReason::kFailover);
   }
   ts.target->cancel_outstanding();
@@ -461,6 +467,7 @@ void Session::complete_flight(int which, std::size_t fidx) {
   TargetState& ts = states_[static_cast<std::size_t>(which)];
   Flight fl = std::move(ts.flights[fidx]);
   ts.flights.erase(ts.flights.begin() + static_cast<std::ptrdiff_t>(fidx));
+  inflight_ -= fl.inflight.size();
   core::TimedRun run;
   try {
     run = ts.target->wait(fl.ticket);
@@ -494,7 +501,7 @@ void Session::complete_flight(int which, std::size_t fidx) {
     if (tr.enabled()) emit_request_spans(idx, now_);
     if (observer_) {
       observer_->on_finished(
-          rec.request, rec.outcome,
+          key_of_[idx], rec.outcome,
           rec.outcome == Outcome::kCompleted ? DropReason::kNone
                                              : DropReason::kInflightLost,
           now_);
@@ -547,15 +554,15 @@ void Session::complete_flight(int which, std::size_t fidx) {
   }
 }
 
-bool Session::offer(const Request& req, double now, bool force) {
+bool Session::offer(const Request& req, std::size_t key, double now,
+                    bool force) {
   times_stale_ = true;
   now_ = std::max(now_, now);
   const std::size_t idx = report_.records.size();
   RequestRecord rec;
   rec.request = req;
   report_.records.push_back(std::move(rec));
-  slot_of_.push_back(-1);
-  slot_claim_s_.push_back(now_);
+  key_of_.push_back(key);
   ++report_.offered;
   m_offered_->add(1);
   const auto slo = static_cast<int>(req.slo);
@@ -571,8 +578,7 @@ bool Session::offer(const Request& req, double now, bool force) {
       tr.instant("serve", "reject", queue_lane_, now_);
     }
     if (observer_) {
-      observer_->on_finished(r.request, Outcome::kRejected, DropReason::kNone,
-                             now_);
+      observer_->on_finished(key, Outcome::kRejected, DropReason::kNone, now_);
     }
     return false;
   }
@@ -663,18 +669,19 @@ void Session::on_flush(double now) {
   try_dispatch(true);
 }
 
-std::vector<Request> Session::evict_all(double now) {
+std::vector<std::size_t> Session::evict_all(double now) {
   times_stale_ = true;
   now_ = std::max(now_, now);
   auto& tr = util::tracer();
-  std::vector<Request> evicted;
+  std::vector<std::size_t> evicted;
   for (std::size_t i = 0; i < states_.size(); ++i) {
     TargetState& ts = states_[i];
     for (const Flight& fl : ts.flights) {
       ts.target->cancel(fl.ticket);
+      inflight_ -= fl.inflight.size();
       for (const std::size_t idx : fl.inflight) {
         mark_dropped(idx, DropReason::kFailover);
-        evicted.push_back(report_.records[idx].request);
+        evicted.push_back(key_of_[idx]);
         if (tr.enabled()) emit_request_spans(idx, now_);
       }
       if (tr.enabled() && fl.wlane >= 0) ts.free_wlanes.push(fl.wlane);
@@ -689,7 +696,7 @@ std::vector<Request> Session::evict_all(double now) {
     pending_.pop_front();
     --queued_by_class_[static_cast<int>(report_.records[idx].request.slo)];
     mark_dropped(idx, DropReason::kFailover);
-    evicted.push_back(report_.records[idx].request);
+    evicted.push_back(key_of_[idx]);
     if (tr.enabled()) emit_request_spans(idx, now_);
   }
   sample_depth();
@@ -742,14 +749,6 @@ bool Session::has_capacity_for(SloClass slo) const noexcept {
   const auto c = static_cast<int>(slo);
   return pending_.size() < config_.queue_capacity &&
          queued_by_class_[c] < config_.class_quota[c];
-}
-
-std::size_t Session::inflight() const noexcept {
-  std::size_t n = 0;
-  for (const auto& ts : states_) {
-    for (const auto& fl : ts.flights) n += fl.inflight.size();
-  }
-  return n;
 }
 
 bool Session::idle() const noexcept {
@@ -820,7 +819,8 @@ ServeReport Server::run(const std::vector<Request>& requests) {
         session.on_drop(now);
         break;
       case LoopEventKind::kArrive:
-        session.offer(requests[next_arrival++], now);
+        session.offer(requests[next_arrival], next_arrival, now);
+        ++next_arrival;
         break;
       default:  // kFlush
         session.on_flush(now);

@@ -266,16 +266,17 @@ class Session {
   /// Hooks for a routing layer above the session. Callbacks fire from
   /// inside session methods, so an observer must not call back into the
   /// session re-entrantly — defer follow-up work (e.g. failover
-  /// replays) until the session call returns.
+  /// replays) until the session call returns. Requests are named by the
+  /// key the caller gave offer().
   class Observer {
    public:
     virtual ~Observer() = default;
     /// A request's batch left the queue. `promised_complete_s` is the
     /// engine's own completion timestamp, before any completion map —
     /// the basis for deadline-aware hedging.
-    virtual void on_dispatched(const Request& req, double dispatch_s,
+    virtual void on_dispatched(std::size_t key, double dispatch_s,
                                double promised_complete_s) {
-      (void)req; (void)dispatch_s; (void)promised_complete_s;
+      (void)key; (void)dispatch_s; (void)promised_complete_s;
     }
     /// A batch retired: `completed` of its requests finished OK.
     virtual void on_batch_completed(int target, double dispatch_s,
@@ -284,10 +285,10 @@ class Session {
       (void)target; (void)dispatch_s; (void)complete_s; (void)completed;
     }
     /// A request reached a terminal state (not fired for evict_all —
-    /// the evicted requests are the return value there).
-    virtual void on_finished(const Request& req, Outcome outcome,
+    /// the evicted requests' keys are the return value there).
+    virtual void on_finished(std::size_t key, Outcome outcome,
                              DropReason reason, double at_s) {
-      (void)req; (void)outcome; (void)reason; (void)at_s;
+      (void)key; (void)outcome; (void)reason; (void)at_s;
     }
   };
 
@@ -307,10 +308,13 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Admit one request at time `now`. Returns false when bounced at
+  /// Admit one request at time `now` under the caller's `key`, which
+  /// names it in the Observer hooks and evict_all (Server::run and the
+  /// cluster pass its trace position). Returns false when bounced at
   /// admission (queue full); `force` bypasses the capacity check for
   /// failover replays that must not bounce.
-  bool offer(const Request& req, double now, bool force = false);
+  bool offer(const Request& req, std::size_t key, double now,
+             bool force = false);
 
   /// Next event times (+inf when that event class is not scheduled).
   double next_complete_s() const noexcept;
@@ -325,9 +329,9 @@ class Session {
 
   /// Node failover: cancel every in-flight ticket and drain the queue,
   /// marking all affected requests kDropped/kFailover at `now`, and
-  /// return them (in-flight first, then queued, both in order) for
+  /// return their keys (in-flight first, then queued, both in order) for
   /// replay elsewhere. Targets stay usable (rejoin resubmits to them).
-  std::vector<Request> evict_all(double now);
+  std::vector<std::size_t> evict_all(double now);
 
   /// Seal the session: final percentiles, per-target stats, scheduler
   /// span. Call exactly once, after the last event.
@@ -339,7 +343,8 @@ class Session {
   /// exactly has_capacity() — the router's class-aware admission probe.
   bool has_capacity_for(SloClass slo) const noexcept;
   std::size_t queue_depth() const noexcept { return pending_.size(); }
-  std::size_t inflight() const noexcept;  ///< requests inside tickets
+  /// Requests inside tickets.
+  std::size_t inflight() const noexcept { return inflight_; }
   bool idle() const noexcept;             ///< nothing queued or in flight
   bool all_disabled() const noexcept;     ///< every target failed
   const std::string& label() const noexcept { return label_; }
@@ -374,6 +379,10 @@ class Session {
   std::vector<TargetState> states_;
   ServeReport report_;
   std::deque<std::size_t> pending_;
+  /// The caller's key for each record (offer's `key`).
+  std::vector<std::size_t> key_of_;
+  /// Requests inside tickets: the sum of every flight's size.
+  std::size_t inflight_ = 0;
   /// Queued requests per SloClass (class_quota admission bookkeeping).
   std::array<std::size_t, kSloClassCount> queued_by_class_{};
   double now_ = 0.0;
@@ -403,6 +412,9 @@ class Session {
   int sched_lane_ = -1;
   std::priority_queue<int, std::vector<int>, std::greater<>> free_slots_;
   int next_slot_ = 0;
+  /// Slot lane of each record, -1 none. Like slot_claim_s_, sized only
+  /// when request spans are emitted (alloc_slot), so records past its
+  /// end hold no slot.
   std::vector<int> slot_of_;
   /// When each request claimed its slot lane (admission time). Request
   /// spans start here, not at arrival_s: a failover replay keeps its

@@ -129,6 +129,34 @@ std::string Tracer::to_json() const {
                      if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;
                      return a.tid < b.tid;
                    });
+  // Counters all sit on tid 0, so counters of different devices that tie
+  // in time would keep the order their host threads emitted them in.
+  // Within each tied run, put the counters in name order; every other
+  // event keeps its place.
+  for (std::size_t i = 0; i < events.size();) {
+    std::size_t j = i + 1;
+    while (j < events.size() && events[j].ts_us == events[i].ts_us &&
+           events[j].dur_us == events[i].dur_us &&
+           events[j].tid == events[i].tid) {
+      ++j;
+    }
+    std::vector<std::size_t> at;
+    for (std::size_t k = i; k < j && j - i > 1; ++k) {
+      if (events[k].phase == 'C') at.push_back(k);
+    }
+    if (at.size() > 1) {
+      std::vector<Event> counters;
+      for (const std::size_t k : at) counters.push_back(std::move(events[k]));
+      std::stable_sort(counters.begin(), counters.end(),
+                       [](const Event& a, const Event& b) {
+                         return a.name < b.name;
+                       });
+      for (std::size_t c = 0; c < at.size(); ++c) {
+        events[at[c]] = std::move(counters[c]);
+      }
+    }
+    i = j;
+  }
 
   JsonWriter w;
   w.begin_object();

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "check/serve_check.h"
 #include "check/tracelint.h"
 #include "cluster/ring.h"
 #include "serve/arrivals.h"
@@ -134,6 +135,87 @@ TEST(Cluster, ValidatesConfigAndArrivals) {
   dup[2].id = dup[0].id;
   FakeNode n2(2, 0.01);
   EXPECT_THROW(Cluster({n2.targets()}).run(dup), std::invalid_argument);
+
+  // Ids that otherwise ascend (the index needs no sort) and scrambled
+  // ids (the index is sorted) catch a duplicate alike.
+  auto ascending = serve::poisson_trace(6, 100.0, 2);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i].id = 10 * static_cast<std::int64_t>(i);
+  }
+  ascending[3].id = ascending[2].id;
+  FakeNode n3(3, 0.01);
+  EXPECT_THROW(Cluster({n3.targets()}).run(ascending),
+               std::invalid_argument);
+  auto scrambled = serve::poisson_trace(6, 100.0, 2);
+  const std::array<std::int64_t, 6> ids = {50, 7, 31, 7 + 24, 2, 90};
+  for (std::size_t i = 0; i < scrambled.size(); ++i) {
+    scrambled[i].id = ids[i];
+  }
+  FakeNode n4(4, 0.01);
+  EXPECT_THROW(Cluster({n4.targets()}).run(scrambled),
+               std::invalid_argument);
+  // Without the duplicate the same scrambled trace runs.
+  scrambled[3].id = 33;
+  FakeNode n5(5, 0.01);
+  EXPECT_EQ(Cluster({n5.targets()}).run(scrambled).records.size(), 6u);
+}
+
+// The event cache under the strict verifier: through a crash, a wedge,
+// hedges, replays and rejoins, every pick compares each clean node's
+// cached events with a fresh read, and none differs.
+TEST(Cluster, StrictRunFindsEveryCachedNodeEventFresh) {
+  auto& sv = check::serve_verifier();
+  sv.configure(check::CheckMode::kStrict);
+  struct RestoreDefault {
+    ~RestoreDefault() {
+      check::serve_verifier().configure(check::CheckMode::kDefault);
+    }
+  } restore;
+  FakeNode n0(0, 0.004), n1(1, 0.006), n2(2, 0.005);
+  ClusterConfig cfg;
+  cfg.models = 8;
+  cfg.node.batch_timeout_s = 0.01;
+  cfg.node.queue_deadline_s = 0.2;
+  cfg.hedge_slack_s = 0.02;
+  cfg.faults.add(1, sim::FaultKind::kNodeCrash, 0.3, 0.4);
+  cfg.faults.add(2, sim::FaultKind::kNodeWedge, 0.5, 0.9);
+  const auto r = Cluster({n0.targets(), n1.targets(), n2.targets()}, cfg)
+                     .run(serve::poisson_trace(600, 400.0, 11));
+  EXPECT_GT(r.requests_replayed, 0);
+  EXPECT_GT(r.requests_hedged, 0);
+  EXPECT_GT(r.node_rejoins, 0);
+  EXPECT_GT(sv.event_cache_checks(), 1000u);
+  EXPECT_EQ(sv.count(check::ServeViolationKind::kStaleEventCache), 0u);
+  EXPECT_EQ(sv.total(), 0u);
+}
+
+// A failover replay changes the node it lands on, and the loop must see
+// that at once. Node 1 (slow) crashes holding two requests while node 0
+// (fast) sits idle with an empty queue. The replays re-offer requests
+// whose batch timeout passed long ago, so node 0 flushes them at the
+// crash. A loop that kept node 0's old events would leave them queued
+// until node 0's next arrival, seconds later, or for good.
+TEST(Cluster, ReplayOntoAnIdleNodeRunsAtTheCrash) {
+  FakeNode n0(0, 0.001), n1(1, 0.1);
+  ClusterConfig cfg;
+  cfg.models = 1;
+  cfg.replication = 2;
+  cfg.node.batch_timeout_s = 0.01;
+  cfg.faults.add(/*device=*/1, sim::FaultKind::kNodeCrash, 0.2, 1.0);
+  std::vector<Request> trace(5);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = static_cast<std::int64_t>(i);
+    trace[i].arrival_s = i < 4 ? 0.1 : 5.0;
+  }
+  const auto r = Cluster({n0.targets(), n1.targets()}, cfg).run(trace);
+  EXPECT_EQ(r.requests_lost, 0);
+  EXPECT_EQ(r.requests_replayed, 2);
+  for (const auto& rec : r.records) {
+    if (rec.replays == 0) continue;
+    EXPECT_EQ(rec.node, 0) << rec.id;
+    EXPECT_DOUBLE_EQ(rec.evicted_s, 0.2) << rec.id;
+    EXPECT_LT(rec.finish_s, 0.21) << rec.id;
+  }
 }
 
 TEST(Cluster, RoutesAcrossReplicasAndCompletesEverything) {

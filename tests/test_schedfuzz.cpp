@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -16,6 +18,7 @@
 #include "core/model.h"
 #include "core/stick_fleet.h"
 #include "core/target.h"
+#include "serve/arrivals.h"
 #include "serve/event_picker.h"
 #include "serve/server.h"
 #include "serve/zoo_serve.h"
@@ -333,6 +336,102 @@ TEST(SchedFuzz, RealServeCommutingTiesStayInvariant) {
   const SchedFuzzReport report = check::fuzz_schedule(scenario, cfg);
   EXPECT_GT(report.ties_seen, 0);
   EXPECT_TRUE(report.ok()) << report.divergences.front().to_string();
+}
+
+/// Three cluster nodes of two fakes each behind the router, serving
+/// `trace` under `cfg`; fake i takes `per_image_s[i % 3]` per image.
+Scenario cluster_scenario(std::vector<serve::Request> trace,
+                          cluster::ClusterConfig cfg,
+                          std::array<double, 3> per_image_s) {
+  return [=] {
+    std::vector<FakeTarget> fakes;
+    fakes.reserve(6);
+    for (int i = 0; i < 6; ++i) {
+      fakes.emplace_back("n" + std::to_string(i / 2) + "t" +
+                             std::to_string(i % 2),
+                         per_image_s[static_cast<std::size_t>(i % 3)], 8);
+    }
+    std::vector<std::vector<core::Target*>> nodes(3);
+    for (int i = 0; i < 6; ++i) {
+      nodes[static_cast<std::size_t>(i / 2)].push_back(
+          &fakes[static_cast<std::size_t>(i)]);
+    }
+    return check::fingerprint(cluster::Cluster(nodes, cfg).run(trace));
+  };
+}
+
+/// The cluster scenarios' shared policy: small queues, a 2-deep window,
+/// no request spans.
+cluster::ClusterConfig fuzz_cluster_config() {
+  cluster::ClusterConfig cfg;
+  cfg.node.queue_capacity = 16;
+  cfg.node.inflight_window = 2;
+  cfg.trace_requests = false;
+  return cfg;
+}
+
+TEST(SchedFuzz, RealClusterCommutingTiesStayInvariant) {
+  // Each model has one replica and the queues never fill, so a node's
+  // fate depends only on its own arrivals: ties between one node's
+  // completion or flush and another node's arrival commute, and so do
+  // an arrival and a completion on the same node (the serve case).
+  std::vector<serve::Request> trace = paced(90, 0.010);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].arrival_s = 0.020 * static_cast<double>(i / 3 + 1);
+  }
+  cluster::ClusterConfig ccfg = fuzz_cluster_config();
+  ccfg.replication = 1;
+  ccfg.models = 3;
+  SchedFuzzConfig cfg;
+  cfg.seeds = 8;
+  const SchedFuzzReport report =
+      check::fuzz_schedule(
+          cluster_scenario(trace, ccfg, {0.005, 0.006, 0.007}), cfg);
+  EXPECT_EQ(report.seeds_run, 8);
+  EXPECT_GT(report.ties_seen, 0);
+  EXPECT_GT(report.perturbed, 0);
+  EXPECT_TRUE(report.ok()) << report.divergences.front().to_string();
+}
+
+TEST(SchedFuzz, QuantizedClusterTieGroupsMatchTheRecordedCount) {
+  // Poisson arrivals snapped onto a 1/64-s grid, replicated routing, a
+  // crash of node 1 and a wedge of node 2 starting on the grid: in the
+  // unperturbed run, arrivals, completions, flushes, fault starts and
+  // hedge timers meet in tie groups. Order-dependent ties may diverge
+  // here; what must not move is how many groups the loop presents to
+  // the hook and how the perturbed runs go. The counts were recorded
+  // when every node's candidates were re-read on every pick, so a
+  // candidate the loop failed to offer would change them.
+  constexpr double kGrid = 1 / 64.0;
+  auto on_grid = [](double t) { return std::round(t / kGrid) * kGrid; };
+  std::vector<serve::Request> trace = serve::poisson_trace(300, 260.0, 42);
+  double last = 0.0;
+  for (auto& req : trace) {
+    req.arrival_s = std::max(last, on_grid(req.arrival_s));
+    last = req.arrival_s;
+  }
+  const double span_s = trace.back().arrival_s;
+  // Service times, the batch timeout and the hedge slack are multiples
+  // of 2^-8 s, so their sums stay exact and events on the grid tie.
+  cluster::ClusterConfig ccfg = fuzz_cluster_config();
+  ccfg.models = 8;
+  ccfg.node.batch_timeout_s = 3 * kGrid;
+  ccfg.hedge_slack_s = 4 * kGrid;
+  ccfg.faults.add(/*device=*/1, sim::FaultKind::kNodeCrash,
+                  on_grid(0.35 * span_s), on_grid(0.25 * span_s));
+  ccfg.faults.add(/*device=*/2, sim::FaultKind::kNodeWedge,
+                  on_grid(0.7 * span_s), 0.25);
+  SchedFuzzConfig cfg;
+  cfg.seeds = 4;
+  cfg.minimize = false;
+  const SchedFuzzReport report =
+      check::fuzz_schedule(
+          cluster_scenario(trace, ccfg, {1 / 256.0, 2 / 256.0, 3 / 256.0}),
+          cfg);
+  EXPECT_EQ(report.seeds_run, 4);
+  EXPECT_EQ(report.ties_seen, 368);
+  EXPECT_EQ(report.perturbed, 202);
+  EXPECT_EQ(report.divergences.size(), 4u);
 }
 
 /// A 2-stick StickFleet serving four zoo tenants under cost-aware

@@ -259,9 +259,10 @@ TEST(Server, ReplayIsByteDeterministic) {
 }
 
 // The session memoises next_complete_s/next_drop_s/next_flush_s and
-// recomputes them only after a public mutator ran. Step one session
-// through each of the five mutators and check the exact times after
-// every call: a mutator that forgot to invalidate leaves a stale value.
+// recomputes them only after a public mutator ran, and keeps its
+// in-flight count as it goes. Step one session through each of the five
+// mutators and check the exact times and count after every call: a
+// mutator that forgot to invalidate or to count leaves a stale value.
 TEST(Session, NextEventTimesTrackEveryMutation) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   FakeTarget a("A", 0.01, 4), b("B", 0.02, 4);
@@ -280,12 +281,13 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     Request req;
     req.id = id++;
     req.arrival_s = t;
-    return s.offer(req, t);
+    return s.offer(req, static_cast<std::size_t>(req.id), t);
   };
 
   {
     SCOPED_TRACE("fresh");
     expect_times(kInf, kInf, kInf);
+    EXPECT_EQ(s.inflight(), 0u);
   }
   {
     SCOPED_TRACE("offer: one queued request, both engines idle");
@@ -296,6 +298,7 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     SCOPED_TRACE("on_flush: the partial batch goes to A");
     s.on_flush(0.02);
     expect_times(0.02 + 0.01 * 1.0, kInf, kInf);
+    EXPECT_EQ(s.inflight(), 1u);
   }
   {
     SCOPED_TRACE("offer: a full batch fills B's window");
@@ -303,6 +306,7 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     expect_times(0.02 + 0.01 * 1.0, 0.025 + 0.03, 0.025 + 0.02);
     for (int k = 0; k < 3; ++k) ASSERT_TRUE(offer(0.025));
     expect_times(0.02 + 0.01 * 1.0, kInf, kInf);
+    EXPECT_EQ(s.inflight(), 5u);
   }
   {
     SCOPED_TRACE("offer: queued behind two busy engines, no flush");
@@ -313,6 +317,7 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     SCOPED_TRACE("on_complete: A frees up, so the flush reappears");
     s.on_complete(0.03);
     expect_times(0.025 + 0.02 * 4.0, 0.026 + 0.03, 0.026 + 0.02);
+    EXPECT_EQ(s.inflight(), 4u);
   }
   {
     SCOPED_TRACE("offer: a second full batch takes A again");
@@ -320,6 +325,7 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     expect_times(0.031 + 0.01 * 4.0, kInf, kInf);
     ASSERT_TRUE(offer(0.032));
     expect_times(0.031 + 0.01 * 4.0, 0.032 + 0.03, kInf);
+    EXPECT_EQ(s.inflight(), 8u);
   }
   {
     SCOPED_TRACE("on_drop: the stranded head ages out");
@@ -332,6 +338,7 @@ TEST(Session, NextEventTimesTrackEveryMutation) {
     expect_times(0.031 + 0.01 * 4.0, 0.064 + 0.03, kInf);
     EXPECT_EQ(s.evict_all(0.065).size(), 9u);
     expect_times(kInf, kInf, kInf);
+    EXPECT_EQ(s.inflight(), 0u);
   }
   {
     SCOPED_TRACE("offer after eviction: both engines idle again");

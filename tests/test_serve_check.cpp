@@ -108,6 +108,8 @@ TEST(ServeCheckNames, AreStableSlugs) {
   EXPECT_STREQ(
       serve_violation_name(ServeViolationKind::kResidencyConservation),
       "residency-conservation");
+  EXPECT_STREQ(serve_violation_name(ServeViolationKind::kStaleEventCache),
+               "stale-event-cache");
 }
 
 // ---- graph residency -------------------------------------------------------
@@ -210,7 +212,7 @@ TEST_F(ServeCheckStrict, SessionFinishWithInflightWorkTrips) {
   serve::Session session({&t}, {}, "leak");
   serve::Request req;
   req.id = 1;
-  ASSERT_TRUE(session.offer(req, 0.0));
+  ASSERT_TRUE(session.offer(req, 0, 0.0));
   // finish() without draining the event loop: the request is still in
   // flight, so conservation fails.
   EXPECT_THROW(session.finish(), ServeViolationError);
@@ -242,7 +244,7 @@ TEST_F(ServeCheckStrict, CleanSessionRunPasses) {
     serve::Request req;
     req.id = i;
     req.arrival_s = 0.001 * i;
-    (void)session.offer(req, req.arrival_s);
+    (void)session.offer(req, static_cast<std::size_t>(i), req.arrival_s);
   }
   drive(session);
   const serve::ServeReport r = session.finish();
@@ -273,6 +275,24 @@ TEST_F(ServeCheckStrict, NegativeLiveCountTrips) {
   sv.on_ledger_live(7, 0, 2.0);
   EXPECT_THROW(sv.on_ledger_live(7, -1, 3.0), ServeViolationError);
   EXPECT_EQ(sv.count(ServeViolationKind::kNegativeLive), 1u);
+}
+
+TEST_F(ServeCheckStrict, StaleEventCacheTripsAndChecksAreCounted) {
+  auto& sv = serve_verifier();
+  sv.on_event_cache_checked(5);
+  sv.on_event_cache_checked(3);
+  EXPECT_EQ(sv.event_cache_checks(), 8u);
+  EXPECT_EQ(sv.total(), 0u);
+  EXPECT_THROW(sv.on_stale_event_cache(2, "{complete@1.000000}",
+                                       "{complete@0.500000}", 0.25),
+               ServeViolationError);
+  EXPECT_EQ(sv.count(ServeViolationKind::kStaleEventCache), 1u);
+  const auto v = sv.violations();
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].detail.find("node 2"), std::string::npos);
+  // configure() starts the count afresh.
+  sv.configure(CheckMode::kStrict);
+  EXPECT_EQ(sv.event_cache_checks(), 0u);
 }
 
 TEST_F(ServeCheckStrict, LedgerConservationTrips) {
@@ -345,7 +365,7 @@ TEST(RetiredRing, EvictedTicketGetsDefinedErrorNotStaleState) {
 struct SlipObserver : serve::Session::Observer {
   std::vector<double> promised;
   std::vector<double> observed;
-  void on_dispatched(const serve::Request&, double,
+  void on_dispatched(std::size_t, double,
                      double promised_complete_s) override {
     promised.push_back(promised_complete_s);
   }
@@ -368,7 +388,7 @@ TEST(CompletionMapSlip, WedgeSlipIsObservedNotPromised) {
   serve::Session session({&t}, {}, "wedged", &obs, wedge);
   serve::Request req;
   req.id = 1;
-  ASSERT_TRUE(session.offer(req, 0.0));
+  ASSERT_TRUE(session.offer(req, 0, 0.0));
   drive(session);
   const serve::ServeReport r = session.finish();
   ASSERT_EQ(obs.promised.size(), 1u);
@@ -408,12 +428,12 @@ TEST(CompletionMapSlip, HedgeOnHealthySessionBeatsWedgedPromise) {
   serve::Session healthy({&healthy_t}, cfg, "healthy", &healthy_obs);
   serve::Request req;
   req.id = 7;
-  ASSERT_TRUE(wedged.offer(req, 0.0));
+  ASSERT_TRUE(wedged.offer(req, 0, 0.0));
   // Hedge fires once the promise has visibly slipped past promised +
   // slack (the cluster's hedge_slack_s idea).
   ASSERT_EQ(wedged_obs.promised.size(), 1u);
   const double hedge_at = wedged_obs.promised[0] + 0.050;
-  ASSERT_TRUE(healthy.offer(req, hedge_at));
+  ASSERT_TRUE(healthy.offer(req, 0, hedge_at));
   drive(wedged);
   drive(healthy);
   const serve::ServeReport wr = wedged.finish();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -274,6 +275,44 @@ TEST(VpuTarget, ClassifyPropagatesWorkerFailures) {
   std::vector<ncsw::tensor::TensorF> inputs;
   for (int i = 0; i < 6; ++i) inputs.push_back(prep(data.sample(0, i).image));
   EXPECT_THROW(vpu.classify(inputs), std::runtime_error);
+}
+
+TEST(VpuTarget, TracedClassifyThroughTheFanOutMatchesASerialRun) {
+  // The per-stick workers run on pool threads in any order; the trace
+  // must not show it, so every lane id is the one a serial run gives.
+  ncsw::dataset::DatasetConfig dc;
+  dc.num_classes = 6;
+  ncsw::dataset::SyntheticImageNet data(dc);
+  auto bundle = ModelBundle::tiny_functional(data, {32, 6});
+  Preprocessor prep;
+  prep.input_size = 32;
+  prep.means = data.means();
+  std::vector<ncsw::tensor::TensorF> inputs;
+  for (int i = 0; i < 12; ++i) {
+    inputs.push_back(prep(data.sample(0, i).image));
+  }
+  auto traced = [&](bool parallel) {
+    auto& tr = ncsw::util::tracer();
+    tr.reset();
+    tr.set_detail(ncsw::util::TraceDetail::kLayers);
+    tr.set_enabled(true);
+    {
+      VpuTargetConfig cfg;
+      cfg.devices = 4;
+      cfg.parallel_host_threads = parallel;
+      VpuTarget vpu(bundle, cfg);
+      for (int rep = 0; rep < 3; ++rep) (void)vpu.classify(inputs);
+    }
+    std::string json = tr.to_json();
+    tr.set_enabled(false);
+    tr.reset();
+    return json;
+  };
+  const std::string serial = traced(false);
+  EXPECT_NE(serial.find("dev3 shave"), std::string::npos);
+  for (int run = 0; run < 4; ++run) {
+    EXPECT_EQ(traced(true), serial) << "fan-out run " << run;
+  }
 }
 
 TEST(VpuTarget, MidBatchQuarantineAndRecovery) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -128,6 +129,29 @@ TEST_F(TraceTest, OutputIsByteDeterministic) {
   const std::string second = emit_scenario();
   EXPECT_EQ(first, second);
   ASSERT_TRUE(util::json_parse(first).has_value());
+}
+
+// Counters sit on tid 0 whatever emitted them, so counters that tie in
+// time come out in name order, not in the order (possibly several) host
+// threads emitted them; an instant in the same tie keeps its place.
+TEST_F(TraceTest, TiedCountersComeOutInNameOrder) {
+  auto names = [] {
+    std::vector<std::string> out;
+    const auto doc = util::json_parse(util::tracer().to_json());
+    for (const auto& e : doc->find("traceEvents")->array) {
+      if (e.find("ph")->string != "M") out.push_back(e.find("name")->string);
+    }
+    return out;
+  };
+  auto& t = util::tracer();
+  const int lane0 = t.lane("lane zero");
+  t.counter("dev3 temp_c", 1.0, 30.0);
+  t.instant("test", "mark", lane0, 1.0);
+  t.counter("dev0 temp_c", 1.0, 31.0);
+  t.counter("dev1 temp_c", 0.5, 32.0);
+  const std::vector<std::string> want = {"dev1 temp_c", "dev0 temp_c",
+                                         "mark", "dev3 temp_c"};
+  EXPECT_EQ(names(), want);
 }
 
 TEST_F(TraceTest, CapacityDropsAreCountedNotStored) {
