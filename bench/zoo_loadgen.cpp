@@ -25,6 +25,7 @@
 
 #include "bench_common.h"
 #include "check/schedfuzz.h"
+#include "check/serve_check.h"
 #include "core/stick_fleet.h"
 #include "serve/arrivals.h"
 #include "serve/zoo_serve.h"
@@ -203,6 +204,15 @@ int main(int argc, char** argv) {
             << util::Table::num(lru_vs_static, 2) << "x) with "
             << rc.swaps << " swaps vs " << rs.swaps << "; replay "
             << (replay_identical ? "is" : "IS NOT") << " bit-identical.\n";
+  const auto& sv = check::serve_verifier();
+  if (sv.enabled()) {
+    // Each scheduling pass compared every model's cached queue head and
+    // residency copy count with a fresh scan; zero means it never ran.
+    std::cout << "event-cache check: " << sv.event_cache_checks()
+              << " cached model entries compared, "
+              << sv.count(check::ServeViolationKind::kStaleEventCache)
+              << " stale\n";
+  }
 
   bench::BenchReport report("zoo_loadgen");
   report.config("requests", requests);

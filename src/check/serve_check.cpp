@@ -300,14 +300,12 @@ std::vector<ServeViolation> ServeVerifier::violations() const {
   return recorded_;
 }
 
-void ServeVerifier::on_stale_event_cache(int node, const std::string& cached,
-                                         const std::string& fresh, double t) {
+void ServeVerifier::on_stale_event_cache(const std::string& scope,
+                                         const std::string& detail,
+                                         double t) {
   if (!enabled()) return;
   std::unique_lock lock(mutex_);
-  report(lock, ServeViolationKind::kStaleEventCache, "cluster", t,
-         "node " + std::to_string(node) + " cached events " + cached +
-             " but its state schedules " + fresh +
-             "; a mutation missed the node's dirty mark");
+  report(lock, ServeViolationKind::kStaleEventCache, scope, t, detail);
 }
 
 void ServeVerifier::on_event_cache_checked(std::uint64_t comparisons) {

@@ -18,9 +18,10 @@
 //    requests — a replayed copy is the same ledger entry), first
 //    completion wins with duplicates counted but never delivered twice,
 //    and the live-copy count never goes negative.
-//  * Event-cache freshness (cluster): each node's cached event
-//    candidates equal a fresh read of its session and health at every
-//    pick.
+//  * Event-cache freshness (cluster, zoo): each cluster node's cached
+//    event candidates equal a fresh read of its session and health at
+//    every pick; each zoo model's cached queue head and residency copy
+//    count equal a fresh scan at every scheduling pass.
 //
 // The hooks are wired into core::Target, serve::Session::finish and the
 // cluster event loop, so every bench and test exercises them; modes
@@ -68,7 +69,7 @@ enum class ServeViolationKind : int {
   kSwapWhileInflight,    ///< graph swap started with tickets outstanding
   kWrongModelDispatch,   ///< work dispatched to a stick resident elsewhere
   kResidencyConservation,  ///< zoo installs/evicts/residents do not balance
-  kStaleEventCache,        ///< a cluster node's cached events went stale
+  kStaleEventCache,        ///< a loop's cached events/queue heads went stale
 };
 
 constexpr int kServeViolationKindCount = 13;
@@ -178,20 +179,25 @@ class ServeVerifier {
   void on_cluster_finish(std::int64_t offered, std::int64_t completed,
                          std::int64_t rejected, std::int64_t deadline,
                          std::int64_t lost, double t);
-  /// A node's cached event candidates (`cached`) differ from a fresh
-  /// read of its state (`fresh`): kStaleEventCache, a mutation that
-  /// missed the cache's dirty mark.
-  void on_stale_event_cache(int node, const std::string& cached,
-                            const std::string& fresh, double t);
-  /// A cluster run compared `comparisons` cached node entries with a
-  /// fresh read (accumulated into event_cache_checks()).
+  /// A loop's cached entry differs from a fresh read of the state it
+  /// stands for: kStaleEventCache, a mutation that missed the cache's
+  /// refresh. Each loop names itself in `scope` and writes `detail`
+  /// itself: Cluster::run ("cluster") names the node and its cached and
+  /// fresh event candidates; ZooServer::run ("zoo") names the model in
+  /// the node's place and its cached and fresh queue head and residency
+  /// copy count.
+  void on_stale_event_cache(const std::string& scope,
+                            const std::string& detail, double t);
+  /// A run compared `comparisons` cached entries (cluster nodes, zoo
+  /// models) with a fresh read (accumulated into event_cache_checks()).
   void on_event_cache_checked(std::uint64_t comparisons);
 
   // -- Report access (for tests and tools). --
   std::uint64_t count(ServeViolationKind kind) const;
   std::uint64_t total() const;
-  /// Cached cluster event entries compared since configure(): a strict
-  /// run that reports zero never exercised the cache check.
+  /// Cached entries (cluster nodes, zoo models) compared since
+  /// configure(): a strict run that reports zero never exercised the
+  /// cache check.
   std::uint64_t event_cache_checks() const;
   /// Recorded violations, oldest first (bounded; see kMaxRecorded).
   std::vector<ServeViolation> violations() const;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -605,8 +606,12 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
         const NodeEvents fresh =
             read_events(nodes[static_cast<std::size_t>(i)]);
         if (!cached.same_events(fresh)) {
-          sv.on_stale_event_cache(i, cached.describe(), fresh.describe(),
-                                  now);
+          sv.on_stale_event_cache(
+              "cluster",
+              "node " + std::to_string(i) + " cached events " +
+                  cached.describe() + " but its state schedules " +
+                  fresh.describe() + "; a mutation missed the node's dirty mark",
+              now);
         }
       }
     }

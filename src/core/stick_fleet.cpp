@@ -177,7 +177,8 @@ double StickFleet::swap_to(int d, int m, double now_s) {
   const double start = st.occupy(now_s, cost);
   const double done = st.engine_free_s();
 
-  util::metrics().counter("core.zoo.swaps").add(1);
+  static util::Counter& m_swaps = util::metrics().counter("core.zoo.swaps");
+  m_swaps.add(1);
   auto& tr = util::tracer();
   if (tr.enabled()) {
     tr.complete("zoo", "swap",

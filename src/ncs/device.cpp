@@ -137,8 +137,9 @@ sim::SimTime NcsDevice::allocate_graph(
     throw std::logic_error("NcsDevice::allocate_graph: inferences in flight");
   }
   // LPDDR3 capacity check: weights + double-buffered activations + IO.
+  const std::int64_t weight_bytes = graph->total_weight_bytes();
   const std::int64_t footprint =
-      graph->total_weight_bytes() + 2 * graph->total_activation_bytes() +
+      weight_bytes + 2 * graph->total_activation_bytes() +
       graph->input_bytes() + graph->output_bytes();
   const std::int64_t available =
       config_.lpddr_bytes - config_.runtime_reserved_bytes;
@@ -151,8 +152,7 @@ sim::SimTime NcsDevice::allocate_graph(
   // Upload the graph file + weights, then let the RISC runtime parse and
   // place buffers.
   const std::int64_t blob_bytes =
-      graph->total_weight_bytes() +
-      64 * static_cast<std::int64_t>(graph->layers.size());
+      weight_bytes + 64 * static_cast<std::int64_t>(graph->layers.size());
   const auto window =
       channel_.transfer(std::max(host_time, ready_at_), blob_bytes);
   const double parse_s = config_.graph_alloc_per_mb_s *

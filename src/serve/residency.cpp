@@ -35,6 +35,7 @@ ResidencyManager::ResidencyManager(int sticks, int models,
   }
   state_.resize(static_cast<std::size_t>(sticks));
   cost_s_.assign(static_cast<std::size_t>(models), 0.0);
+  copies_.assign(static_cast<std::size_t>(models), 0);
 }
 
 void ResidencyManager::set_swap_cost(int model, double cost_s) {
@@ -46,6 +47,8 @@ void ResidencyManager::install(int stick, int model, double now_s) {
     throw std::out_of_range("ResidencyManager::install: bad model");
   }
   Stick& s = state_.at(stick);
+  if (s.model >= 0) --copies_[static_cast<std::size_t>(s.model)];
+  ++copies_[static_cast<std::size_t>(model)];
   s.model = model;
   s.installed_s = now_s;
   s.last_use_s = now_s;
@@ -54,13 +57,6 @@ void ResidencyManager::install(int stick, int model, double now_s) {
 void ResidencyManager::touch(int stick, double now_s) {
   Stick& s = state_.at(stick);
   if (now_s > s.last_use_s) s.last_use_s = now_s;
-}
-
-bool ResidencyManager::is_resident(int model) const {
-  for (const auto& s : state_) {
-    if (s.model == model) return true;
-  }
-  return false;
 }
 
 std::vector<int> ResidencyManager::sticks_of(int model) const {

@@ -73,7 +73,11 @@ class ResidencyManager {
   void touch(int stick, double now_s);
 
   int resident(int stick) const { return state_.at(stick).model; }
-  bool is_resident(int model) const;
+  /// True when some stick holds `model`; O(1) from the copy count.
+  bool is_resident(int model) const { return copies_.at(model) > 0; }
+  /// Sticks holding `model` as kept by install(). A count, not a flag:
+  /// with more sticks than models one model can sit on two of them.
+  int copies(int model) const { return copies_.at(model); }
   /// Sticks currently holding `model`, ascending.
   std::vector<int> sticks_of(int model) const;
 
@@ -100,6 +104,7 @@ class ResidencyManager {
   int models_ = 0;
   std::vector<Stick> state_;
   std::vector<double> cost_s_;
+  std::vector<int> copies_;  ///< per model: sticks holding it
 };
 
 }  // namespace ncsw::serve

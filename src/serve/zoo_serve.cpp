@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 #include "check/serve_check.h"
 #include "serve/arrivals.h"
@@ -19,6 +21,7 @@ namespace {
 struct Rec {
   ZooRequest req;
   Outcome outcome = Outcome::kCompleted;
+  bool queued = false;  ///< in its (model, class) queue right now
   double dispatch_s = 0.0;
   double complete_s = 0.0;
 };
@@ -38,7 +41,17 @@ struct HeadKey {
     if (arrival_s != o.arrival_s) return arrival_s < o.arrival_s;
     return model < o.model;
   }
+  bool operator==(const HeadKey&) const = default;
 };
+
+/// A model's cached head and residency copy count, for the strict check.
+std::string describe(const HeadKey& key, int copies) {
+  std::string out = "{";
+  out += key.has ? "head class " + std::to_string(key.cls) + " arrival " +
+                       std::to_string(key.arrival_s)
+                 : std::string("no head");
+  return out + ", copies " + std::to_string(copies) + "}";
+}
 
 /// One outstanding ticket on one stick.
 struct Flight {
@@ -88,6 +101,10 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       static_cast<std::size_t>(M));
   std::size_t queued_total = 0;
   std::array<std::size_t, kSloClassCount> queued_by_class{};
+  // The oldest record still queued (every record before it has left its
+  // queue). `recs` is in arrival order, so it heads its queue and has
+  // the earliest deadline of any queued request.
+  std::size_t oldest = 0;
 
   std::vector<Flight> flights(static_cast<std::size_t>(K));
   std::vector<double> busy_until(static_cast<std::size_t>(K), 0.0);
@@ -123,6 +140,31 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
     }
     return key;
   };
+  // heads[m] == head_key(m) at all times: refreshed at the three places
+  // that change queues[m] (admission, dispatch, drop).
+  std::vector<HeadKey> heads(static_cast<std::size_t>(M));
+  const auto refresh_head = [&](int m) { heads[m] = head_key(m); };
+
+  // Strict mode compares each cached head and residency copy count with
+  // a fresh scan at every pass; a stale entry's report names the model
+  // where the cluster's names a node.
+  std::uint64_t cache_checks = 0;
+  const auto check_caches = [&](double now) {
+    for (int m = 0; m < M; ++m) {
+      const HeadKey fresh = head_key(m);
+      const int copies = static_cast<int>(rm.sticks_of(m).size());
+      ++cache_checks;
+      if (heads[m] != fresh || rm.copies(m) != copies) {
+        sv.on_stale_event_cache(
+            "zoo",
+            "model " + std::to_string(m) + " cached " +
+                describe(heads[m], rm.copies(m)) + " but a fresh scan reads " +
+                describe(fresh, copies) +
+                "; a queue or residency change missed its refresh",
+            now);
+      }
+    }
+  };
 
   const auto stick_free = [&](int d, double now) {
     return !flights[d].active && busy_until[d] <= now;
@@ -131,27 +173,32 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   // One scheduling pass at `now`: repeatedly take the best-priority
   // action (dispatch resident work, or swap a missing model in) until
   // no free stick can make progress. Every action consumes a free
-  // stick, so the pass terminates.
+  // stick and needs a queued head, so the pass terminates, and it ends
+  // at once when either is missing.
   const auto pass = [&](double now) {
+    if (checking) check_caches(now);
     for (;;) {
+      if (queued_total == 0) return;
       HeadKey best;
       int best_stick = -1;
       bool best_is_swap = false;
+      bool any_free = false;
       for (int d = 0; d < K; ++d) {
         if (!stick_free(d, now)) continue;
+        any_free = true;
         const int r = fleet_.resident_model(d);
         if (r < 0) continue;
-        const HeadKey key = head_key(r);
+        const HeadKey& key = heads[r];
         if (key.has && key.before(best)) {
           best = key;
           best_stick = d;
           best_is_swap = false;
         }
       }
+      if (!any_free) return;
       for (int m = 0; m < M; ++m) {
-        if (rm.is_resident(m)) continue;
-        const HeadKey key = head_key(m);
-        if (!key.has || !key.before(best)) continue;
+        const HeadKey& key = heads[m];
+        if (!key.has || !key.before(best) || rm.is_resident(m)) continue;
         const SwapPlan plan = rm.plan_swap(m, now);
         if (plan.stick < 0 || !stick_free(plan.stick, now)) continue;
         best = key;
@@ -182,11 +229,13 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
         while (!q.empty() &&
                static_cast<int>(f.recs.size()) < config_.max_batch) {
           f.recs.push_back(q.front());
+          recs[q.front()].queued = false;
           q.pop_front();
           --queued_total;
           --queued_by_class[c];
         }
       }
+      refresh_head(best.model);
       if (checking) {
         sv.on_zoo_dispatch(fleet_.stick(best_stick).short_name(),
                            fleet_.model_name(fleet_.resident_model(best_stick)),
@@ -224,12 +273,38 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       }
     }
     if (queued_total > 0 && deadlines) {
-      for (int m = 0; m < M; ++m) {
-        for (int c = 0; c < kSloClassCount; ++c) {
-          if (queues[m][c].empty()) continue;
-          picker.offer(LoopEventKind::kDrop, m * kSloClassCount + c,
-                       recs[queues[m][c].front()].req.arrival_s +
-                           config_.queue_deadline_s);
+      // The oldest queued record heads its queue and is due first, at
+      // d0. Only heads due at d0 can win or tie, so only they are
+      // offered. They lie in the run of records from `oldest` whose
+      // deadline is d0 (deadline, not arrival: two arrivals can round
+      // to one deadline). A run longer than there are queues (a burst)
+      // reads the queue heads instead, so no event costs more than
+      // offering every head. The head read alone would be exact too;
+      // the walk is kept because it is faster (docs/performance.md,
+      // "Walk or head read").
+      while (!recs[oldest].queued) ++oldest;
+      const auto deadline = [&](std::size_t i) {
+        return recs[i].req.arrival_s + config_.queue_deadline_s;
+      };
+      const double d0 = deadline(oldest);
+      const std::size_t cap = std::min(
+          recs.size(), oldest + static_cast<std::size_t>(M * kSloClassCount));
+      std::size_t end = oldest;
+      while (end < cap && deadline(end) == d0) ++end;
+      if (end == cap && end < recs.size() && deadline(end) == d0) {
+        for (int m = 0; m < M; ++m) {
+          for (int c = 0; c < kSloClassCount; ++c) {
+            const auto& q = queues[m][c];
+            if (q.empty() || deadline(q.front()) != d0) continue;
+            picker.offer(LoopEventKind::kDrop, m * kSloClassCount + c, d0);
+          }
+        }
+      } else {
+        for (std::size_t i = oldest; i < end; ++i) {
+          const int m = recs[i].req.model;
+          const int c = static_cast<int>(recs[i].req.slo);
+          if (!recs[i].queued || queues[m][c].front() != i) continue;
+          picker.offer(LoopEventKind::kDrop, m * kSloClassCount + c, d0);
         }
       }
     }
@@ -274,12 +349,15 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       swap_pending[ev->index] = 0;
       end_s = std::max(end_s, now);
     } else if (ev->kind == LoopEventKind::kDrop) {
+      const int drop_model = ev->index / kSloClassCount;
       const int drop_class = ev->index % kSloClassCount;
-      auto& q = queues[ev->index / kSloClassCount][drop_class];
+      auto& q = queues[drop_model][drop_class];
       const std::size_t i = q.front();
       q.pop_front();
       --queued_total;
       --queued_by_class[drop_class];
+      refresh_head(drop_model);
+      recs[i].queued = false;
       recs[i].outcome = Outcome::kDropped;
       recs[i].complete_s = now;
       report.dropped += 1;
@@ -291,7 +369,7 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
       const int cls = static_cast<int>(req.slo);
       const bool admit = queued_total < config_.queue_capacity &&
                          queued_by_class[cls] < config_.class_quota[cls];
-      recs.push_back(Rec{req, Outcome::kCompleted, 0.0, 0.0});
+      recs.push_back(Rec{req, Outcome::kCompleted, admit, 0.0, 0.0});
       if (!admit) {
         recs.back().outcome = Outcome::kRejected;
         recs.back().complete_s = req.arrival_s;
@@ -308,6 +386,7 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
         queues[req.model][cls].push_back(recs.size() - 1);
         ++queued_total;
         ++queued_by_class[cls];
+        refresh_head(req.model);
       }
       end_s = std::max(end_s, req.arrival_s);
     }
@@ -316,6 +395,7 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   }
 
   // ------------------------------------------------------------ finish
+  if (checking) sv.on_event_cache_checked(cache_checks);
   OutcomeRollup rollup;
   for (const auto& r : recs) {
     const double ms = (r.complete_s - r.req.arrival_s) * 1e3;

@@ -18,6 +18,7 @@
 #include "mvnc/sim_host.h"
 #include "serve/arrivals.h"
 #include "serve/zoo_serve.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace {
@@ -132,6 +133,30 @@ TEST(Residency, ResidencyQueriesReflectInstalls) {
   EXPECT_FALSE(rm.is_resident(3));
   EXPECT_EQ(rm.sticks_of(2), (std::vector<int>{0, 2}));
   EXPECT_EQ(rm.resident(1), 1);
+}
+
+// is_resident reads a per-model copy count that install() keeps. With
+// more sticks than models the initial placement d % M holds a model on
+// two sticks, so replacing one copy must leave the model resident.
+TEST(ResidencyManager, IsResidentMatchesAScanOverRandomInstalls) {
+  constexpr int kSticks = 5;
+  constexpr int kModels = 3;
+  util::Xoshiro256 rng(0x5eedULL);
+  for (int round = 0; round < 20; ++round) {
+    ResidencyManager rm(kSticks, kModels);
+    for (int d = 0; d < kSticks; ++d) rm.install(d, d % kModels, 0.0);
+    for (int step = 0; step < 200; ++step) {
+      for (int m = 0; m < kModels; ++m) {
+        ASSERT_EQ(rm.is_resident(m), !rm.sticks_of(m).empty())
+            << "round " << round << " step " << step << " model " << m;
+        ASSERT_EQ(rm.copies(m), static_cast<int>(rm.sticks_of(m).size()))
+            << "round " << round << " step " << step << " model " << m;
+      }
+      rm.install(static_cast<int>(rng.next() % kSticks),
+                 static_cast<int>(rng.next() % kModels),
+                 static_cast<double>(step));
+    }
+  }
 }
 
 // ---- StickFleet (mvnc-backed swaps) ---------------------------------------

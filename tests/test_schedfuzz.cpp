@@ -479,6 +479,42 @@ TEST(SchedFuzz, RealZooCommutingTiesStayInvariant) {
   EXPECT_TRUE(report.ok()) << report.divergences.front().to_string();
 }
 
+TEST(SchedFuzz, QuantizedZooDropTieGroupsMatchTheRecordedCount) {
+  // Six arrivals on each point of a 1/64-s grid, spread over three
+  // models and all three classes, behind a 8/64-s queue deadline: the
+  // sums stay exact, so the heads of several (model, class) queues
+  // reach their deadlines together and tie with each other and with
+  // arrivals. The counts were recorded when the loop offered every
+  // queue head as a drop candidate on every pick, so a head it failed
+  // to offer at the earliest deadline would change them.
+  constexpr double kGrid = 1 / 64.0;
+  std::vector<double> arrivals;
+  for (int i = 0; i < 120; ++i) arrivals.push_back(kGrid * (i / 6 + 1));
+  SchedFuzzConfig cfg;
+  cfg.seeds = 4;
+  cfg.minimize = false;
+  const SchedFuzzReport report =
+      check::fuzz_schedule(zoo_scenario(32, 8 * kGrid, arrivals), cfg);
+  EXPECT_EQ(report.seeds_run, 4);
+  EXPECT_EQ(report.ties_seen, 383);
+  EXPECT_EQ(report.perturbed, 254);
+  EXPECT_EQ(report.divergences.size(), 4u);
+  // The shape does what it is for: some production-order group holds
+  // drops of two or more queues at once.
+  RecordingHook rec;
+  {
+    serve::ScopedTieBreak scope(rec.hook());
+    zoo_scenario(32, 8 * kGrid, arrivals)();
+  }
+  const auto drops = [](const std::vector<LoopEvent>& group) {
+    return std::count_if(group.begin(), group.end(), [](const LoopEvent& e) {
+      return e.kind == LoopEventKind::kDrop;
+    });
+  };
+  EXPECT_TRUE(std::any_of(rec.groups.begin(), rec.groups.end(),
+                          [&](const auto& g) { return drops(g) >= 2; }));
+}
+
 TEST(SchedFuzz, RealZooDeadlineTieDivergenceIsDetected) {
   // Pairs of arrivals every 10ms, deadlines on the same grid: at
   // t = 0.22 a queue head's deadline ties with an arrival. Drop-first

@@ -283,12 +283,16 @@ TEST_F(ServeCheckStrict, StaleEventCacheTripsAndChecksAreCounted) {
   sv.on_event_cache_checked(3);
   EXPECT_EQ(sv.event_cache_checks(), 8u);
   EXPECT_EQ(sv.total(), 0u);
-  EXPECT_THROW(sv.on_stale_event_cache(2, "{complete@1.000000}",
-                                       "{complete@0.500000}", 0.25),
+  EXPECT_THROW(sv.on_stale_event_cache("cluster",
+                                       "node 2 cached events "
+                                       "{complete@1.000000} but its state "
+                                       "schedules {complete@0.500000}",
+                                       0.25),
                ServeViolationError);
   EXPECT_EQ(sv.count(ServeViolationKind::kStaleEventCache), 1u);
   const auto v = sv.violations();
   ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].scope, "cluster");
   EXPECT_NE(v[0].detail.find("node 2"), std::string::npos);
   // configure() starts the count afresh.
   sv.configure(CheckMode::kStrict);

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "check/serve_check.h"
 #include "core/application.h"
 #include "core/model.h"
 #include "core/stick_fleet.h"
@@ -14,6 +17,9 @@
 #include "myriad/myriad.h"
 #include "nn/executor.h"
 #include "nn/googlenet.h"
+#include "serve/arrivals.h"
+#include "serve/event_picker.h"
+#include "serve/zoo_serve.h"
 #include "util/metrics.h"
 
 namespace {
@@ -238,6 +244,153 @@ TEST(ZooFleet, SwapsSimulateEachFileOncePerStick) {
       ncsw::util::metrics().counter("myriad.executions").value() - before;
   EXPECT_LE(simulations, static_cast<std::uint64_t>(fleet.devices() *
                                                     fleet.models()));
+}
+
+// ---- the zoo serving loop -------------------------------------------------
+
+ncsw::core::StickFleet reference_fleet(std::vector<const char*> names,
+                                       int devices) {
+  std::vector<ncsw::core::ZooModel> zoo;
+  for (const char* name : names) {
+    zoo.push_back({name, ncsw::core::ModelBundle::zoo_reference(name)});
+  }
+  ncsw::core::StickFleetConfig cfg;
+  cfg.devices = devices;
+  cfg.check = ncsw::check::CheckMode::kOff;
+  return ncsw::core::StickFleet(std::move(zoo), cfg);
+}
+
+/// Arms the serving verifier in strict mode for one scope.
+struct StrictServeCheck {
+  StrictServeCheck() {
+    ncsw::check::serve_verifier().configure(ncsw::check::CheckMode::kStrict);
+  }
+  ~StrictServeCheck() {
+    ncsw::check::serve_verifier().configure(ncsw::check::CheckMode::kDefault);
+  }
+};
+
+// Under the strict verifier every scheduling pass compares each model's
+// cached queue head and residency copy count with a fresh scan. The run
+// admits, dispatches, swaps and drops, so every place that changes a
+// queue or the placement runs, and none may leave a cache behind.
+TEST(Zoo, StrictRunFindsEveryCachedHeadAndCopyCountFresh) {
+  using namespace ncsw;
+  const StrictServeCheck strict;
+  auto fleet = reference_fleet({"googlenet", "alexnet", "squeezenet", "tiny"},
+                               /*devices=*/2);
+  serve::ZooConfig cfg;
+  cfg.queue_capacity = 24;
+  cfg.queue_deadline_s = 0.05;
+  std::vector<serve::ZooRequest> trace;
+  serve::PoissonArrivals arrivals(120.0, 9);
+  for (int i = 0; i < 400; ++i) {
+    serve::ZooRequest req;
+    req.id = i;
+    req.arrival_s = arrivals.next();
+    req.model = (i * 7) % 11 < 5 ? 0 : (i * 7) % 11 < 9 ? 2 : i % 4;
+    req.slo = static_cast<serve::SloClass>(i % serve::kSloClassCount);
+    trace.push_back(req);
+  }
+  const auto report = serve::ZooServer(fleet, cfg).run(trace);
+  EXPECT_GT(report.completed, 0);
+  EXPECT_GT(report.dropped, 0);
+  EXPECT_GT(report.swaps, 0);
+  const auto& sv = check::serve_verifier();
+  EXPECT_GT(sv.event_cache_checks(), 1000u);
+  EXPECT_EQ(sv.count(check::ServeViolationKind::kStaleEventCache), 0u);
+  EXPECT_EQ(sv.total(), 0u);
+}
+
+// Two requests for a model no stick may take (the resident graph is
+// inside its hysteresis window), in two class queues, arriving one ulp
+// apart: 1.5 + 1.0 and nextafter(1.5) + 1.0 both round to 2.5, so both
+// heads reach their deadline at once and must meet in one tie group.
+TEST(Zoo, DropsWhoseDeadlinesRoundTogetherTieAcrossQueues) {
+  using namespace ncsw;
+  constexpr double kDeadline = 1.0;
+  const double a = 1.5;
+  const double b = std::nextafter(a, 2.0);
+  ASSERT_NE(a, b);
+  ASSERT_EQ(a + kDeadline, b + kDeadline);
+
+  auto fleet = reference_fleet({"tiny", "squeezenet"}, /*devices=*/1);
+  serve::ZooConfig cfg;
+  cfg.queue_deadline_s = kDeadline;
+  cfg.residency.min_residency_s = 100.0;
+  std::vector<serve::ZooRequest> trace(2);
+  trace[0] = {0, a, 1, serve::SloClass::kInteractive};
+  trace[1] = {1, b, 1, serve::SloClass::kStandard};
+
+  std::vector<std::vector<serve::LoopEvent>> groups;
+  serve::ZooReport report;
+  {
+    const serve::ScopedTieBreak scope(
+        [&](double, const std::vector<serve::LoopEvent>& tied) {
+          groups.push_back(tied);
+          return std::size_t{0};
+        });
+    report = serve::ZooServer(fleet, cfg).run(trace);
+  }
+  EXPECT_EQ(report.dropped, 2);
+  EXPECT_EQ(report.swaps, 0);
+  ASSERT_EQ(groups.size(), 1u);
+  const auto& g = groups[0];
+  ASSERT_EQ(g.size(), 2u);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].kind, serve::LoopEventKind::kDrop) << i;
+    EXPECT_EQ(g[i].index, static_cast<int>(serve::kSloClassCount + i)) << i;
+    EXPECT_EQ(g[i].t, a + kDeadline) << i;
+  }
+}
+
+// A burst: 35 requests at one instant, the first 30 for one (model,
+// class) queue. The run of records due at the earliest deadline is
+// longer than there are queues, so the loop reads the queue heads
+// instead of walking it, and every head due then still ties.
+TEST(Zoo, ABurstLongerThanTheQueueCountStillOffersEveryDueHead) {
+  using namespace ncsw;
+  constexpr double kDeadline = 1e-6;  // far below one inference
+  auto fleet = reference_fleet({"tiny", "squeezenet"}, /*devices=*/1);
+  serve::ZooConfig cfg;
+  cfg.queue_deadline_s = kDeadline;
+  std::vector<serve::ZooRequest> trace;
+  const auto add = [&](int model, serve::SloClass slo) {
+    trace.push_back({static_cast<std::int64_t>(trace.size()), 1.0, model, slo});
+  };
+  for (int i = 0; i < 30; ++i) add(0, serve::SloClass::kInteractive);
+  add(0, serve::SloClass::kStandard);
+  add(0, serve::SloClass::kBatch);
+  add(1, serve::SloClass::kInteractive);
+  add(1, serve::SloClass::kStandard);
+  add(1, serve::SloClass::kBatch);
+
+  std::vector<std::vector<serve::LoopEvent>> groups;
+  serve::ZooReport report;
+  {
+    const serve::ScopedTieBreak scope(
+        [&](double, const std::vector<serve::LoopEvent>& tied) {
+          groups.push_back(tied);
+          return std::size_t{0};
+        });
+    report = serve::ZooServer(fleet, cfg).run(trace);
+  }
+  // The first request runs at once; the stick is busy past every
+  // deadline, so the rest drop.
+  EXPECT_EQ(report.completed, 1);
+  EXPECT_EQ(report.dropped, 34);
+  const auto first_drops = std::find_if(
+      groups.begin(), groups.end(), [](const auto& g) {
+        return g.front().kind == serve::LoopEventKind::kDrop;
+      });
+  ASSERT_NE(first_drops, groups.end());
+  const auto& g = *first_drops;
+  ASSERT_EQ(g.size(), 2u * serve::kSloClassCount);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].kind, serve::LoopEventKind::kDrop) << i;
+    EXPECT_EQ(g[i].index, static_cast<int>(i)) << i;
+    EXPECT_EQ(g[i].t, 1.0 + kDeadline) << i;
+  }
 }
 
 }  // namespace
