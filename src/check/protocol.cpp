@@ -2,10 +2,6 @@
 
 #include <cstdlib>
 
-#include "util/log.h"
-#include "util/metrics.h"
-#include "util/trace.h"
-
 namespace ncsw::check {
 
 namespace {
@@ -99,41 +95,18 @@ void ProtocolVerifier::configure(CheckMode mode) {
   std::unique_lock lock(mutex_);
   devices_.clear();
   graphs_.clear();
-  recorded_.clear();
-  for (auto& c : counts_) c = 0;
-  total_ = 0;
+  log_.clear();
   mode_.store(static_cast<int>(resolved), std::memory_order_relaxed);
 }
 
 void ProtocolVerifier::report(std::unique_lock<std::mutex>& lock,
                               ViolationKind kind, int device, double t,
                               std::string detail) {
-  Violation v;
-  v.kind = kind;
-  v.device = device;
-  v.sim_time = t;
-  v.detail = std::move(detail);
-
-  ++counts_[static_cast<int>(kind)];
-  ++total_;
-  if (recorded_.size() < kMaxRecorded) recorded_.push_back(v);
-  const bool strict = mode() == CheckMode::kStrict;
-  lock.unlock();
-
-  util::metrics()
-      .counter(std::string("check.violation.") + violation_name(kind))
-      .add(1);
-  util::metrics().counter("check.violations").add(1);
-  auto& tr = util::tracer();
-  if (tr.enabled()) {
-    const std::string lane = v.device >= 0
-                                 ? "dev" + std::to_string(v.device) + " check"
-                                 : std::string("check");
-    tr.instant("check", std::string("violation:") + violation_name(kind),
-               tr.lane(lane), t);
-  }
-  NCSW_LOG_WARN << "ncapi protocol violation: " << v.to_string();
-  if (strict) throw ProtocolViolation(std::move(v));
+  const std::string lane =
+      device >= 0 ? "dev" + std::to_string(device) + " check" : "check";
+  log_.report(lock, Violation{kind, device, t, std::move(detail)},
+              violation_name(kind), lane, "ncapi protocol violation: ",
+              mode() == CheckMode::kStrict);
 }
 
 bool ProtocolVerifier::flag_dead_graph(std::unique_lock<std::mutex>& lock,
@@ -343,28 +316,6 @@ void ProtocolVerifier::on_replug(const void* device, double t) {
   // Graphs allocated before this point are stale; driving one is a
   // kReplugWithoutRealloc flagged at the offending call.
   ++it->second.replug_epoch;
-}
-
-std::uint64_t ProtocolVerifier::count(ViolationKind kind) const {
-  std::unique_lock lock(mutex_);
-  return counts_[static_cast<int>(kind)];
-}
-
-std::uint64_t ProtocolVerifier::total() const {
-  std::unique_lock lock(mutex_);
-  return total_;
-}
-
-std::vector<Violation> ProtocolVerifier::violations() const {
-  std::unique_lock lock(mutex_);
-  return recorded_;
-}
-
-void ProtocolVerifier::clear_violations() {
-  std::unique_lock lock(mutex_);
-  recorded_.clear();
-  for (auto& c : counts_) c = 0;
-  total_ = 0;
 }
 
 ProtocolVerifier& verifier() {

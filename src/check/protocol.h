@@ -35,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/violation_log.h"
 #include "mvnc/mvnc.h"
 
 namespace ncsw::check {
@@ -130,15 +131,16 @@ class ProtocolVerifier {
   void on_replug(const void* device, double t);
 
   // -- Report access (for tests and tools). --
-  std::uint64_t count(ViolationKind kind) const;
-  std::uint64_t total() const;
+  using Log = ViolationLog<Violation, ProtocolViolation, kViolationKindCount>;
+  std::uint64_t count(ViolationKind kind) const { return log_.count(kind); }
+  std::uint64_t total() const { return log_.total(); }
   /// Recorded violations, oldest first (bounded; see kMaxRecorded).
-  std::vector<Violation> violations() const;
+  std::vector<Violation> violations() const { return log_.violations(); }
   /// Drop recorded violations and counts; tracked handles survive.
-  void clear_violations();
+  void clear_violations() { log_.clear(); }
 
   /// Recorded-violation list cap; counts keep accumulating past it.
-  static constexpr std::size_t kMaxRecorded = 256;
+  static constexpr std::size_t kMaxRecorded = Log::kMaxRecorded;
 
  private:
   struct DeviceRec {
@@ -156,8 +158,8 @@ class ProtocolVerifier {
     bool device_closed = false;
   };
 
-  /// Record + count + trace the violation; throws in kStrict. Caller
-  /// holds mutex_ (it is released before the throw).
+  /// Log the violation on its device's "dev<N> check" lane (log_.report);
+  /// throws in kStrict. Caller holds mutex_ (it is released first).
   void report(std::unique_lock<std::mutex>& lock, ViolationKind kind,
               int device, double t, std::string detail);
   /// The graph is stale after a replug / deallocated / orphaned by close:
@@ -170,9 +172,7 @@ class ProtocolVerifier {
   mutable std::mutex mutex_;
   std::unordered_map<const void*, DeviceRec> devices_;
   std::unordered_map<const void*, GraphRec> graphs_;
-  std::vector<Violation> recorded_;
-  std::uint64_t counts_[kViolationKindCount] = {};
-  std::uint64_t total_ = 0;
+  Log log_;
 };
 
 /// The process-wide verifier the mvnc entry points report to.

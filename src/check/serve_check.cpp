@@ -1,9 +1,5 @@
 #include "check/serve_check.h"
 
-#include "util/log.h"
-#include "util/metrics.h"
-#include "util/trace.h"
-
 namespace ncsw::check {
 
 const char* serve_violation_name(ServeViolationKind kind) {
@@ -48,9 +44,7 @@ std::string ServeViolation::to_string() const {
 void ServeVerifier::configure(CheckMode mode) {
   std::unique_lock lock(mutex_);
   delivered_.clear();
-  recorded_.clear();
-  for (auto& c : counts_) c = 0;
-  total_ = 0;
+  log_.clear();
   event_cache_checks_ = 0;
   mode_.store(static_cast<int>(mode), std::memory_order_relaxed);
 }
@@ -58,30 +52,10 @@ void ServeVerifier::configure(CheckMode mode) {
 void ServeVerifier::report(std::unique_lock<std::mutex>& lock,
                            ServeViolationKind kind, std::string scope,
                            double t, std::string detail) {
-  ServeViolation v;
-  v.kind = kind;
-  v.scope = std::move(scope);
-  v.sim_time = t;
-  v.detail = std::move(detail);
-
-  ++counts_[static_cast<int>(kind)];
-  ++total_;
-  if (recorded_.size() < kMaxRecorded) recorded_.push_back(v);
-  const bool strict = mode() == CheckMode::kStrict;
-  lock.unlock();
-
-  util::metrics()
-      .counter(std::string("check.violation.") + serve_violation_name(kind))
-      .add(1);
-  util::metrics().counter("check.violations").add(1);
-  auto& tr = util::tracer();
-  if (tr.enabled()) {
-    tr.instant("check",
-               std::string("violation:") + serve_violation_name(kind),
-               tr.lane("serve check"), t);
-  }
-  NCSW_LOG_WARN << "serving contract violation: " << v.to_string();
-  if (strict) throw ServeViolationError(std::move(v));
+  log_.report(lock,
+              ServeViolation{kind, std::move(scope), t, std::move(detail)},
+              serve_violation_name(kind), "serve check",
+              "serving contract violation: ", mode() == CheckMode::kStrict);
 }
 
 void ServeVerifier::on_submit(const void* target, const std::string& name,
@@ -285,21 +259,6 @@ void ServeVerifier::on_cluster_finish(std::int64_t offered,
              std::to_string(lost) + " lost");
 }
 
-std::uint64_t ServeVerifier::count(ServeViolationKind kind) const {
-  std::unique_lock lock(mutex_);
-  return counts_[static_cast<int>(kind)];
-}
-
-std::uint64_t ServeVerifier::total() const {
-  std::unique_lock lock(mutex_);
-  return total_;
-}
-
-std::vector<ServeViolation> ServeVerifier::violations() const {
-  std::unique_lock lock(mutex_);
-  return recorded_;
-}
-
 void ServeVerifier::on_stale_event_cache(const std::string& scope,
                                          const std::string& detail,
                                          double t) {
@@ -317,13 +276,6 @@ void ServeVerifier::on_event_cache_checked(std::uint64_t comparisons) {
 std::uint64_t ServeVerifier::event_cache_checks() const {
   std::unique_lock lock(mutex_);
   return event_cache_checks_;
-}
-
-void ServeVerifier::clear_violations() {
-  std::unique_lock lock(mutex_);
-  recorded_.clear();
-  for (auto& c : counts_) c = 0;
-  total_ = 0;
 }
 
 ServeVerifier& serve_verifier() {

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "check/protocol.h"
+#include "check/violation_log.h"
 
 namespace ncsw::check {
 
@@ -193,23 +194,27 @@ class ServeVerifier {
   void on_event_cache_checked(std::uint64_t comparisons);
 
   // -- Report access (for tests and tools). --
-  std::uint64_t count(ServeViolationKind kind) const;
-  std::uint64_t total() const;
+  using Log = ViolationLog<ServeViolation, ServeViolationError,
+                           kServeViolationKindCount>;
+  std::uint64_t count(ServeViolationKind kind) const {
+    return log_.count(kind);
+  }
+  std::uint64_t total() const { return log_.total(); }
   /// Cached entries (cluster nodes, zoo models) compared since
   /// configure(): a strict run that reports zero never exercised the
   /// cache check.
   std::uint64_t event_cache_checks() const;
   /// Recorded violations, oldest first (bounded; see kMaxRecorded).
-  std::vector<ServeViolation> violations() const;
+  std::vector<ServeViolation> violations() const { return log_.violations(); }
   /// Drop recorded violations and counts; tracked state survives.
-  void clear_violations();
+  void clear_violations() { log_.clear(); }
 
   /// Recorded-violation list cap; counts keep accumulating past it.
-  static constexpr std::size_t kMaxRecorded = 256;
+  static constexpr std::size_t kMaxRecorded = Log::kMaxRecorded;
 
  private:
-  /// Record + count + trace the violation; throws in kStrict. Caller
-  /// holds mutex_ (it is released before the throw).
+  /// Log the violation on the "serve check" lane (log_.report); throws
+  /// in kStrict. Caller holds mutex_ (it is released first).
   void report(std::unique_lock<std::mutex>& lock, ServeViolationKind kind,
               std::string scope, double t, std::string detail);
   void miss(const char* call, ServeViolationKind evicted_kind,
@@ -223,10 +228,8 @@ class ServeVerifier {
 
   mutable std::mutex mutex_;
   std::unordered_set<std::int64_t> delivered_;  ///< per cluster run
-  std::vector<ServeViolation> recorded_;
-  std::uint64_t counts_[kServeViolationKindCount] = {};
-  std::uint64_t total_ = 0;
   std::uint64_t event_cache_checks_ = 0;
+  Log log_;
 };
 
 /// The process-wide verifier the serving layers report to.

@@ -31,6 +31,11 @@ const char* request_state_name(RequestState s) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Assumed req/s for a node with no completed batch yet.
+constexpr double kNodePriorTput = 50.0;
+/// Simulated seconds to re-load one resident model's graph when a
+/// crashed node rejoins (rejoin delay = resident models x this).
+constexpr double kResidencyLoadS = 0.25;
 
 using Kind = serve::LoopEventKind;
 
@@ -126,15 +131,6 @@ Cluster::Cluster(std::vector<std::vector<core::Target*>> node_targets,
   }
   if (config_.max_hedges < 0) {
     throw std::invalid_argument("Cluster: max_hedges must be >= 0");
-  }
-  if (!(config_.residency_load_s >= 0.0)) {
-    throw std::invalid_argument("Cluster: bad residency_load_s");
-  }
-  if (!(config_.node_prior_tput > 0.0)) {
-    throw std::invalid_argument("Cluster: node_prior_tput must be > 0");
-  }
-  if (!(config_.node_gain > 0.0) || config_.node_gain > 1.0) {
-    throw std::invalid_argument("Cluster: node_gain must be in (0, 1]");
   }
   config_.replication = std::max(
       1, std::min(config_.replication,
@@ -245,8 +241,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     bool up = true;
     bool rejoin_pending = false;  ///< probe passed; reloading graphs
     double ready_s = kInf;
-    double tput_est = 0.0;
-    bool observed = false;
+    serve::ClearingRate tput{kNodePriorTput};  ///< req/s
     int resident_models = 0;
     NodeReport stats;
   };
@@ -275,7 +270,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     std::int64_t* hedge_seq = nullptr;
     double hedge_slack_s = 0.0;
     int max_hedges = 0;
-    double gain = 0.25;
 
     void on_dispatched(std::size_t pos, double /*dispatch_s*/,
                        double promised_complete_s) override {
@@ -296,15 +290,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       // dispatcher runs per target, lifted to the node. Dispatch-to-
       // observed-completion, so a wedge slip sinks the estimate.
       const double dur = complete_s - dispatch_s;
-      if (dur > 0.0) {
-        const double obs = static_cast<double>(completed) / dur;
-        if (!ns->observed) {
-          ns->tput_est = obs;
-          ns->observed = true;
-        } else {
-          ns->tput_est = (1.0 - gain) * ns->tput_est + gain * obs;
-        }
-      }
+      if (dur > 0.0) ns->tput.observe(static_cast<double>(completed) / dur);
       ns->health->on_success();
     }
     void on_finished(std::size_t pos, serve::Outcome outcome,
@@ -326,7 +312,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     ob.hedge_seq = &hedge_seq;
     ob.hedge_slack_s = config_.hedge_slack_s;
     ob.max_hedges = config_.max_hedges;
-    ob.gain = config_.node_gain;
 
     ns.timeline = config_.faults.timeline_for(i);
     for (const auto& ev : ns.timeline.events()) {
@@ -336,7 +321,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       }
     }
     ns.health.emplace(i, config_.node_health);
-    ns.tput_est = config_.node_prior_tput;
     // Wedge windows slip every completion promised inside them to the
     // window's end — the node accepts work but delivers none meanwhile.
     const sim::FaultTimeline tl = ns.timeline;
@@ -384,10 +368,10 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       if (n == exclude || !eligible(n)) continue;
       const NodeState& ns = nodes[static_cast<std::size_t>(n)];
       if (need_capacity && !ns.session->has_capacity_for(slo)) continue;
-      const bool unobs = !ns.observed;
+      const bool unobs = !ns.tput.observed;
       const double backlog = static_cast<double>(ns.session->queue_depth() +
                                                  ns.session->inflight());
-      const double wait = backlog / ns.tput_est;
+      const double wait = backlog / ns.tput.est;
       if (best < 0 || (unobs && !best_unobs) ||
           (unobs == best_unobs && wait < best_wait)) {
         best = n;
@@ -696,8 +680,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
             // Crash recovery: the node's resident graphs re-load
             // before it takes traffic again.
             ns.rejoin_pending = true;
-            ns.ready_s = now + static_cast<double>(ns.resident_models) *
-                                   config_.residency_load_s;
+            ns.ready_s =
+                now + static_cast<double>(ns.resident_models) * kResidencyLoadS;
             instant("probe-ok", now);
           } else {
             // Wedge quarantine lift: graphs never left; back in the
@@ -821,7 +805,7 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     NodeReport nr = std::move(ns.stats);
     nr.serve = ns.session->finish();
     nr.health = core::health_state_name(ns.health->state());
-    nr.tput_est = ns.tput_est;
+    nr.tput_est = ns.tput.est;
     report.nodes.push_back(std::move(nr));
   }
   // Records come out in id order (`by_id`, from ingestion).

@@ -64,10 +64,6 @@ struct ClusterConfig {
   /// Virtual nodes per node on the hash ring.
   int vnodes = 64;
   std::uint64_t ring_seed = 0x6e637377636c7573ULL;
-  /// Assumed req/s for a node with no completed batch yet.
-  double node_prior_tput = 50.0;
-  /// EWMA weight of a new per-node clearing-rate observation.
-  double node_gain = 0.25;
   /// A hedge duplicate fires this long after a dispatched request's
   /// promised completion fails to materialise (<= 0 disables hedging).
   double hedge_slack_s = 0.050;
@@ -79,9 +75,6 @@ struct ClusterConfig {
   /// speculative duplicates — batch work has no deadline worth paying
   /// duplicate device time for.
   serve::SloClass hedge_max_class = serve::SloClass::kStandard;
-  /// Simulated seconds to re-load one resident model's graph when a
-  /// crashed node rejoins (rejoin delay = resident models x this).
-  double residency_load_s = 0.25;
   /// Overflow routing: when every replica of a model is saturated (or
   /// down), route to any healthy node with capacity instead of
   /// rejecting/parking. The spilled node becomes resident for the

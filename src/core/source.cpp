@@ -59,64 +59,6 @@ std::optional<SourceItem> DirectorySource::next() {
   return item;
 }
 
-StreamSource::StreamSource(Producer producer, std::size_t queue_capacity)
-    : producer_(std::move(producer)),
-      capacity_(std::max<std::size_t>(1, queue_capacity)) {
-  if (!producer_) throw std::invalid_argument("StreamSource: null producer");
-  thread_ = std::thread([this] { producer_loop(); });
-}
-
-StreamSource::~StreamSource() {
-  close();
-  if (thread_.joinable()) thread_.join();
-}
-
-void StreamSource::close() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-}
-
-void StreamSource::producer_loop() {
-  for (;;) {
-    std::optional<SourceItem> item = producer_();
-    std::unique_lock lock(mutex_);
-    if (!item) {
-      done_ = true;
-      cv_.notify_all();
-      return;
-    }
-    cv_.wait(lock, [this] { return stop_ || queue_.size() < capacity_; });
-    if (stop_) {
-      // Leaving on close() still marks the stream finished, so a consumer
-      // that only watches done_ (or races the close) cannot block forever.
-      done_ = true;
-      cv_.notify_all();
-      return;
-    }
-    queue_.push_back(std::move(*item));
-    cv_.notify_all();
-  }
-}
-
-std::optional<SourceItem> StreamSource::next() {
-  std::unique_lock lock(mutex_);
-  // stop_ must be part of the predicate: close() (and the destructor)
-  // would otherwise never wake a consumer blocked here on an empty queue.
-  cv_.wait(lock, [this] { return stop_ || done_ || !queue_.empty(); });
-  if (stop_ || queue_.empty()) return std::nullopt;
-  SourceItem item = std::move(queue_.front());
-  queue_.pop_front();
-  cv_.notify_all();
-  return item;
-}
-
-void StreamSource::reset() {
-  throw std::logic_error("StreamSource::reset: streams cannot rewind");
-}
-
 MpiStreamSource::MpiStreamSource(std::vector<Producer> producers,
                                  std::size_t queue_capacity)
     : producers_(std::move(producers)),

@@ -1,7 +1,8 @@
 // Source abstraction — the left-hand side of the paper's Fig. 3: where
 // input images come from. ImageFolder plays the role of the paper's
-// OpenCV-decoded dataset directory; StreamSource is the MPI-stream-style
-// input the paper lists as a pluggable future source.
+// OpenCV-decoded dataset directory; MpiStreamSource (and its one-rank
+// form StreamSource) is the MPI-stream-style input the paper lists as a
+// pluggable future source.
 #pragma once
 
 #include <condition_variable>
@@ -13,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dataset/synthetic.h"
@@ -81,58 +83,23 @@ class DirectorySource : public Source {
   std::size_t cursor_ = 0;
 };
 
-/// Bounded-queue streaming source fed by a producer thread — the
-/// MPI-stream-shaped input (Peng et al.) the paper's class diagram
-/// anticipates. The producer function is called until it returns nullopt.
+/// The stream channel — the MPI-stream model of the paper's ref. [32]
+/// (Peng et al., "A data streaming model in MPI"), the input the paper's
+/// class diagram anticipates: one or more producer ranks push items into
+/// one bounded channel; the consumer sees a single merged stream in
+/// arrival order, with backpressure on the producers. Each rank's
+/// producer function is called on its own thread until it returns
+/// nullopt. StreamSource is this channel with one rank.
 ///
 /// Shutdown semantics: close() stops the stream — it wakes a consumer
 /// blocked in next() (which then returns nullopt, discarding anything
-/// still queued) and releases a producer blocked on backpressure. The
-/// destructor calls close() and joins the producer thread; a consumer
-/// blocked in next() when close() is called is guaranteed to return, but
-/// next() must not be entered concurrently with destruction. The
-/// producer function itself must return for the join to complete.
-class StreamSource : public Source {
- public:
-  using Producer = std::function<std::optional<SourceItem>()>;
-
-  /// Starts the producer thread immediately.
-  StreamSource(Producer producer, std::size_t queue_capacity = 16);
-  ~StreamSource() override;
-
-  std::optional<SourceItem> next() override;
-  /// Streams cannot rewind.
-  void reset() override;
-  std::int64_t size() const override { return -1; }
-
-  /// Stop the stream: subsequent (and blocked) next() calls return
-  /// nullopt, the producer exits at its next queue interaction.
-  /// Idempotent; does not join the producer thread (the destructor does).
-  void close();
-
- private:
-  void producer_loop();
-
-  Producer producer_;
-  std::size_t capacity_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<SourceItem> queue_;
-  bool done_ = false;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-/// Multi-producer streaming source — the MPI-stream model of the paper's
-/// ref. [32] (Peng et al., "A data streaming model in MPI"): several
-/// ranks push items into one bounded channel; the consumer sees a single
-/// merged stream in arrival order, with backpressure on the producers.
-///
-/// Shutdown semantics mirror StreamSource: close() wakes a blocked
-/// consumer (next() returns nullopt) and every rank blocked on
-/// backpressure; ranks leaving on close still decrement the live-producer
-/// count, so the consumer predicate always fires. The destructor calls
-/// close() and joins all rank threads.
+/// still queued) and every rank blocked on backpressure; ranks leaving
+/// on close still decrement the live-producer count, so the consumer
+/// predicate always fires. The destructor calls close() and joins all
+/// rank threads; a consumer blocked in next() when close() is called is
+/// guaranteed to return, but next() must not be entered concurrently
+/// with destruction. The producer functions themselves must return for
+/// the join to complete.
 class MpiStreamSource : public Source {
  public:
   using Producer = std::function<std::optional<SourceItem>()>;
@@ -160,7 +127,9 @@ class MpiStreamSource : public Source {
   /// Current flow statistics (thread-safe snapshot).
   Stats stats() const;
 
-  /// Stop the stream: wakes the consumer and every rank; see class docs.
+  /// Stop the stream: subsequent (and blocked) next() calls return
+  /// nullopt, each rank exits at its next queue interaction. Idempotent;
+  /// does not join the rank threads (the destructor does).
   void close();
 
  private:
@@ -175,6 +144,15 @@ class MpiStreamSource : public Source {
   bool stop_ = false;
   Stats stats_;
   std::vector<std::thread> threads_;
+};
+
+/// The stream channel with a single producer rank (a smaller default
+/// queue); same shutdown semantics as MpiStreamSource.
+class StreamSource : public MpiStreamSource {
+ public:
+  /// Starts the producer thread immediately.
+  StreamSource(Producer producer, std::size_t queue_capacity = 16)
+      : MpiStreamSource({std::move(producer)}, queue_capacity) {}
 };
 
 }  // namespace ncsw::core

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "check/serve_check.h"
+#include "devices/calibration.h"
 #include "mvnc/mvnc.h"
 #include "myriad/myriad.h"
 #include "util/metrics.h"
@@ -33,7 +34,7 @@ TimedRun StickTarget::execute_batch(std::int64_t images, int /*batch == 1*/,
   const std::uint8_t* input = fleet_->input_.data();
   const auto input_len =
       static_cast<unsigned int>(stick_->bundle()->compiled_f16.input_bytes());
-  mvnc::set_inter_op_gap(graph, fleet_->config().single_gap_s);
+  mvnc::set_inter_op_gap(graph, devices::calibration::kVpuSingleGapS);
 
   // Device-epoch span: the cursor carries boot + allocation history, so
   // only the delta is meaningful (Target's serial queue maps it onto the

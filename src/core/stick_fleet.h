@@ -33,7 +33,6 @@
 
 #include "core/stick.h"
 #include "core/target.h"
-#include "devices/calibration.h"
 #include "mvnc/sim_host.h"
 
 namespace ncsw::core {
@@ -55,8 +54,6 @@ struct StickFleetConfig {
   mvnc::HostConfig::Topology topology =
       mvnc::HostConfig::Topology::kPaperTestbed;
   ncs::NcsConfig ncs;  ///< stick/chip parameters (calibrated defaults)
-  /// Host gap between inferences on one stick (single-threaded drive).
-  double single_gap_s = devices::calibration::kVpuSingleGapS;
   /// NCAPI protocol verifier mode forwarded to the host.
   check::CheckMode check = check::CheckMode::kDefault;
 };

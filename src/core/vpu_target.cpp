@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "devices/calibration.h"
 #include "mvnc/mvnc.h"
 #include "mvnc/sim_host.h"
 #include "myriad/myriad.h"
@@ -61,7 +62,8 @@ double VpuTarget::tdp_w(int batch) const {
 TimedRun VpuTarget::execute_batch(std::int64_t images, int batch,
                                   double submit_s) {
   const int active = batch;  // the paper couples sticks to batch size
-  const double gap = active > 1 ? config_.thread_gap_s : config_.single_gap_s;
+  namespace cal = devices::calibration;
+  const double gap = active > 1 ? cal::kVpuThreadGapS : cal::kVpuSingleGapS;
 
   // Align all active sticks on a common start, staggered by thread
   // spawn (letting sticks free-run desynchronises their transfers on the
@@ -75,8 +77,7 @@ TimedRun VpuTarget::execute_batch(std::int64_t images, int batch,
   double last_completion = t0;
   for (int d = 0; d < active; ++d) {
     void* graph = sticks_[d].graph();
-    mvnc::set_host_time(graph, t0 + (active > 1 ? d * config_.thread_spawn_s
-                                                : 0.0));
+    mvnc::set_host_time(graph, t0 + d * cal::kVpuThreadSpawnS);
     mvnc::set_inter_op_gap(graph, gap);
   }
   // Deterministic replay of the threaded runner: images are issued across

@@ -15,7 +15,6 @@
 #include "core/health.h"
 #include "core/stick.h"
 #include "core/target.h"
-#include "devices/calibration.h"
 #include "mvnc/sim_host.h"
 
 namespace ncsw::core {
@@ -36,13 +35,6 @@ struct VpuTargetConfig {
   int degraded_device = -1;
   double degraded_factor = 2.0;
   ncs::NcsConfig ncs;  ///< stick/chip parameters (calibrated defaults)
-  /// Host gap between inferences when a single stick is driven from the
-  /// main thread (batch 1).
-  double single_gap_s = devices::calibration::kVpuSingleGapS;
-  /// Host gap per inference in multi-threaded mode (thread management).
-  double thread_gap_s = devices::calibration::kVpuThreadGapS;
-  /// Stagger between worker-thread start-ups at the beginning of a run.
-  double thread_spawn_s = 40e-6;
   /// Use real host threads for functional classification (the OpenMP mode
   /// of the paper's framework). Timing is unaffected.
   bool parallel_host_threads = true;

@@ -28,7 +28,8 @@ inline constexpr double kGpuOverheadMs = 14.171;
 // calibrated so one GoogLeNet FP16 inference executes in ~99.3 ms on-chip;
 // USB transfer + command overhead brings the single-stick end-to-end time
 // to the paper's 100.7 ms. Multi-VPU throughput *emerges* from the NCS
-// simulation; the only host-side constants are the inter-op gaps below.
+// simulation; the only host-side constants are the inter-op gaps and thread
+// stagger below.
 // ---------------------------------------------------------------------------
 /// Host loop cost between inferences, single-threaded driver.
 inline constexpr double kVpuSingleGapS = 0.2e-3;
@@ -36,6 +37,9 @@ inline constexpr double kVpuSingleGapS = 0.2e-3;
 /// driver (paper: "a small penalty ... due to the thread-management
 /// overhead and the data transferring involved").
 inline constexpr double kVpuThreadGapS = 3.2e-3;
+/// Stagger between the multi-VPU driver's worker-thread start-ups at the
+/// beginning of a run.
+inline constexpr double kVpuThreadSpawnS = 40e-6;
 
 // ---------------------------------------------------------------------------
 // Relative run-to-run noise applied to CPU/GPU batch timings (the paper's

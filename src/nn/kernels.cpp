@@ -845,12 +845,6 @@ void conv2d(const Tensor<T>& in, const LayerWeights& weights,
 }
 
 template <typename T>
-void conv2d(const Tensor<T>& in, const LayerWeights& weights,
-            const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx) {
-  conv2d(in, weights, ConvOperand(in.shape(), p), false, out, ctx);
-}
-
-template <typename T>
 void relu(Tensor<T>& x, const ExecCtx& ctx) {
   const std::int64_t n = x.numel();
   if constexpr (std::is_same_v<T, float>) {
@@ -968,8 +962,6 @@ void softmax(const Tensor<T>& in, Tensor<T>& out, const ExecCtx& ctx) {
   template void conv2d<T>(const Tensor<T>&, const LayerWeights&,             \
                           const ConvOperand&, bool, Tensor<T>&,              \
                           const ExecCtx&);                                   \
-  template void conv2d<T>(const Tensor<T>&, const LayerWeights&,             \
-                          const ConvParams&, Tensor<T>&, const ExecCtx&);    \
   template void relu<T>(Tensor<T>&, const ExecCtx&);                         \
   template void max_pool<T>(const Tensor<T>&, const PoolParams&, Tensor<T>&, \
                             const ExecCtx&);                                 \

@@ -143,9 +143,8 @@ util::ThreadPool& compute_pool();
 /// oh*ow span at S[c,kx,ky%s] + (ky/s)*ow, which holds im2col's row
 /// value for value; rows() lists those spans' offsets. A 1x1/s1/p0 conv
 /// builds no planes (direct()): its table points at the input planes,
-/// which already are its B. nn::Plan
-/// builds one per conv layer at graph-load time; the ConvParams
-/// overloads of conv2d build one per call.
+/// which already are its B. nn::Plan builds one per conv layer at
+/// graph-load time.
 class ConvOperand {
  public:
   /// Geometry for inputs of in.c x in.h x in.w (in.n is ignored).
@@ -202,11 +201,6 @@ template <typename T>
 void conv2d(const Tensor<T>& in, const LayerWeights& weights,
             const ConvOperand& op, bool fuse_relu, Tensor<T>& out,
             const ExecCtx& ctx = {});
-
-/// The same, unfused, with the operand built for this call.
-template <typename T>
-void conv2d(const Tensor<T>& in, const LayerWeights& weights,
-            const ConvParams& p, Tensor<T>& out, const ExecCtx& ctx = {});
 
 /// In-place ReLU.
 template <typename T>

@@ -77,14 +77,17 @@ struct Session::Flight {
   std::vector<std::size_t> inflight;  ///< record indices being served
 };
 
+/// Assumed img/s for a target with no completed batch yet (free
+/// unobserved targets are explored first regardless).
+constexpr double kPriorTput = 25.0;
+
 /// Dispatcher-side view of one target.
 struct Session::TargetState {
   core::Target* target = nullptr;
   std::string label;
   int max_batch = 1;
   int window = 1;
-  double tput_est = 0.0;  ///< img/s EWMA
-  bool observed = false;  ///< at least one completed batch
+  ClearingRate tput{kPriorTput};  ///< img/s from completed batches
   bool disabled = false;  ///< a ticket failed; out of rotation
   std::deque<Flight> flights;  ///< dispatch order
   /// Free "w<k>" trace-lane slots: a flight takes the lowest free slot
@@ -123,12 +126,6 @@ ServerConfig validate_config(ServerConfig config) {
   if (!(config.queue_deadline_s > 0.0)) {
     throw std::invalid_argument("Server: bad queue_deadline_s");
   }
-  if (!(config.estimator_gain > 0.0) || config.estimator_gain > 1.0) {
-    throw std::invalid_argument("Server: estimator_gain must be in (0, 1]");
-  }
-  if (!(config.prior_tput > 0.0)) {
-    throw std::invalid_argument("Server: prior_tput must be > 0");
-  }
   if (config.inflight_window < 0) {
     throw std::invalid_argument("Server: inflight_window must be >= 0");
   }
@@ -157,7 +154,6 @@ Session::Session(std::vector<core::Target*> targets, ServerConfig config,
       targets[i]->set_inflight_window(config_.inflight_window);
     }
     ts.window = targets[i]->inflight_window();
-    ts.tput_est = config_.prior_tput;
     ts.stats.label = ts.label;
     ts.stats.window = ts.window;
   }
@@ -335,11 +331,11 @@ int Session::pick_target(bool idle_only) const {
     }
     const TargetState& b = states_[static_cast<std::size_t>(best)];
     const TargetState& c = states_[i];
-    if (!c.observed && b.observed) {
+    if (!c.tput.observed && b.tput.observed) {
       best = ci;
-    } else if (c.observed == b.observed) {
+    } else if (c.tput.observed == b.tput.observed) {
       const bool c_idle = c.flights.empty(), b_idle = b.flights.empty();
-      if (c_idle != b_idle ? c_idle : c.tput_est > b.tput_est) best = ci;
+      if (c_idle != b_idle ? c_idle : c.tput.est > b.tput.est) best = ci;
     }
   }
   return best;
@@ -517,17 +513,11 @@ void Session::complete_flight(int which, std::size_t fidx) {
   // estimate, steering later batches to healthier targets.
   const double observed =
       duration > 0.0 ? static_cast<double>(ok) / duration : 0.0;
-  if (!ts.observed) {
-    ts.tput_est = observed;
-    ts.observed = true;
-  } else {
-    ts.tput_est = (1.0 - config_.estimator_gain) * ts.tput_est +
-                  config_.estimator_gain * observed;
-  }
+  ts.tput.observe(observed);
   ++ts.stats.batches;
   ts.stats.images += ok;
   ts.stats.busy_s += duration;
-  ts.stats.tput_est = ts.tput_est;
+  ts.stats.tput_est = ts.tput.est;
   ts.stats.images_replayed += run.images_replayed;
   ts.stats.images_lost += run.images_lost;
   ts.stats.sticks_recovered += run.sticks_recovered;
@@ -544,7 +534,7 @@ void Session::complete_flight(int which, std::size_t fidx) {
                  util::TraceArg::num("n", issued),
                  util::TraceArg::num("completed", ok),
                  util::TraceArg::num("tput_obs", observed),
-                 util::TraceArg::num("tput_est", ts.tput_est)});
+                 util::TraceArg::num("tput_est", ts.tput.est)});
     ts.free_wlanes.push(fl.wlane);
   }
   inflight_gauge(static_cast<std::size_t>(which))

@@ -120,6 +120,23 @@ struct RequestRecord {
   }
 };
 
+/// Online clearing-rate estimate, per target in the dispatcher and per
+/// node in the cluster router: it holds its prior until the first
+/// observation, takes that one as is, then folds each later one in as an
+/// EWMA of weight kGain.
+struct ClearingRate {
+  /// EWMA weight of a new observation.
+  static constexpr double kGain = 0.25;
+
+  double est;             ///< current estimate (the prior until observed)
+  bool observed = false;  ///< at least one observation folded in
+
+  void observe(double obs) noexcept {
+    est = observed ? (1.0 - kGain) * est + kGain * obs : obs;
+    observed = true;
+  }
+};
+
 /// Frontend policy knobs.
 struct ServerConfig {
   /// Admission bound: requests allowed to wait in the queue; an arrival
@@ -132,11 +149,6 @@ struct ServerConfig {
   double batch_timeout_s = 0.050;
   /// Global batch cap, clamped to each target's max_batch() (>= 1).
   int max_batch = 8;
-  /// EWMA weight of a new completed-batch throughput observation.
-  double estimator_gain = 0.25;
-  /// Assumed img/s for a target with no completed batch yet (free
-  /// unobserved targets are explored first regardless).
-  double prior_tput = 25.0;
   /// Emit per-request slot-lane spans when the tracer is armed (batch
   /// spans and queue instants are always emitted when it is).
   bool trace_requests = true;

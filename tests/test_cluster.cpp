@@ -113,9 +113,6 @@ TEST(Cluster, ValidatesConfigAndArrivals) {
   bad.models = 0;
   EXPECT_THROW(Cluster({n0.targets()}, bad), std::invalid_argument);
   bad = {};
-  bad.node_gain = 1.5;
-  EXPECT_THROW(Cluster({n0.targets()}, bad), std::invalid_argument);
-  bad = {};
   bad.max_hedges = -1;
   EXPECT_THROW(Cluster({n0.targets()}, bad), std::invalid_argument);
 

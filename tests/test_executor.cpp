@@ -11,6 +11,7 @@
 #include <new>
 #include <thread>
 
+#include "conv_unfused.h"
 #include "core/model.h"
 #include "oracle/oracle.h"
 #include "util/rng.h"
@@ -593,7 +594,7 @@ TEST(Plan, LayersBelowTheGrainMakeNoPoolSubmission) {
   split.threads = 4;
   TensorF out;
   EXPECT_FALSE(finishes_with_pool_held(
-      [&] { kernels::conv2d(f.batch, lw, stem.conv, out, split); },
+      [&] { conv2d_unfused(f.batch, lw, stem.conv, out, split); },
       std::chrono::milliseconds(200)));
   const Graph wide = wide_graph();
   const WeightsF ww = init_msra(wide, 51);

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "conv_unfused.h"
 #include "core/host_target.h"
 #include "core/model.h"
 #include "half/half.h"
@@ -77,7 +78,7 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
 
   // FP32: unfused exact conv then ReLU vs the fused fast conv.
   TensorF ref;
-  kernels::conv2d(in, p, cp, ref);
+  conv2d_unfused(in, p, cp, ref);
   kernels::relu(ref);
   TensorF out;
   kernels::conv2d(in, p, op, /*fuse_relu=*/true, out, fast_ctx);
@@ -90,7 +91,7 @@ TEST_P(FastConvTest, FusedMatchesConvPlusReluBothPrecisions) {
   hp.w = to_half(p.w);
   hp.b = to_half(p.b);
   Tensor<half> href;
-  kernels::conv2d(hin, hp, cp, href);
+  conv2d_unfused(hin, hp, cp, href);
   kernels::relu(href);
   Tensor<half> hout;
   kernels::conv2d(hin, hp, op, true, hout, fast_ctx);

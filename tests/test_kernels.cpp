@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "conv_unfused.h"
 #include "oracle/oracle.h"
 #include "util/multiversion.h"
 #include "util/rng.h"
@@ -76,7 +77,7 @@ TEST_P(ConvParamTest, Im2colMatchesDirectConvolution) {
   p.b = random_tensor(Shape{1, c.out_c, 1, 1}, 13);
   const ConvParams cp{c.out_c, c.kernel, c.stride, c.pad};
   TensorF out;
-  kernels::conv2d(in, p, cp, out);
+  conv2d_unfused(in, p, cp, out);
   const TensorF ref = conv_ref(in, p, cp);
   ASSERT_EQ(out.shape(), ref.shape());
   EXPECT_LT(ncsw::tensor::max_abs_diff(out, ref), 1e-4);
@@ -97,7 +98,7 @@ TEST(Conv, RejectsWrongWeightShape) {
   p.w = TensorF(Shape{4, 3, 5, 5});
   p.b = TensorF(Shape{1, 4, 1, 1});
   TensorF out;
-  EXPECT_THROW(kernels::conv2d(in, p, ConvParams{4, 3, 1, 1}, out),
+  EXPECT_THROW(conv2d_unfused(in, p, ConvParams{4, 3, 1, 1}, out),
                std::invalid_argument);
 }
 
@@ -111,9 +112,9 @@ TEST(Conv, Fp16PathCloseToFp32) {
   ph.b = ncsw::tensor::tensor_cast<half>(pf.b);
   const ConvParams cp{4, 3, 1, 1};
   TensorF out_f;
-  kernels::conv2d(in, pf, cp, out_f);
+  conv2d_unfused(in, pf, cp, out_f);
   Tensor<half> out_h;
-  kernels::conv2d(ncsw::tensor::tensor_cast<half>(in), ph, cp, out_h);
+  conv2d_unfused(ncsw::tensor::tensor_cast<half>(in), ph, cp, out_h);
   EXPECT_LT(ncsw::tensor::max_abs_diff(out_f, out_h), 0.02);
 }
 
@@ -413,7 +414,7 @@ void conv_bit_identity_case(const ConvCase& c, std::uint64_t seed,
   expect_all_configs_bitwise_equal<T>(
       [&](Tensor<T>& out) { ncsw::oracle::conv2d(f.in, f.p, f.cp, out); },
       [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
-        kernels::conv2d(f.in, f.p, f.cp, out, ctx);
+        conv2d_unfused(f.in, f.p, f.cp, out, ctx);
       },
       "conv2d");
 }
@@ -462,7 +463,7 @@ void pointwise_sequence_case(int batch, int threads) {
     const ConvFixture<T> f = make_conv<T>(c, seed += 10);
     Tensor<T> ref, got;
     ncsw::oracle::conv2d(f.in, f.p, f.cp, ref);
-    kernels::conv2d(f.in, f.p, f.cp, got, threaded_ctx(ws, threads));
+    conv2d_unfused(f.in, f.p, f.cp, got, threaded_ctx(ws, threads));
     SCOPED_TRACE(::testing::Message()
                  << "k" << c.kernel << " s" << c.stride << " p" << c.pad
                  << " batch " << batch << " threads " << threads);
@@ -594,9 +595,9 @@ TEST(Conv, PointwiseConvSkipsThePlaneArena) {
   const ConvFixture<float> f = make_conv<float>({6, 7, 9, 5, 1, 1, 0, 2}, 9000);
   kernels::Workspace ws;
   TensorF out;
-  kernels::conv2d(f.in, f.p, f.cp, out, threaded_ctx(ws, 1));
+  conv2d_unfused(f.in, f.p, f.cp, out, threaded_ctx(ws, 1));
   EXPECT_EQ(ws.capacity_bytes(), 0u);
-  kernels::conv2d(f.in, f.p, ConvParams{5, 1, 2, 0}, out,
+  conv2d_unfused(f.in, f.p, ConvParams{5, 1, 2, 0}, out,
                   threaded_ctx(ws, 1));
   EXPECT_GT(ws.capacity_bytes(), 0u);
 }

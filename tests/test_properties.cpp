@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "conv_unfused.h"
 #include "graphc/compiler.h"
 #include "nn/executor.h"
 #include "nn/googlenet.h"
@@ -43,11 +44,11 @@ TEST_P(SeedParam, ConvIsLinearInItsInput) {
   const TensorF y = random_tensor(Shape{1, 3, 7, 7}, seed + 2);
   TensorF cx, cy, cxy, csx;
 
-  kernels::conv2d(x, p, cp, cx);
-  kernels::conv2d(y, p, cp, cy);
+  conv2d_unfused(x, p, cp, cx);
+  conv2d_unfused(y, p, cp, cy);
   TensorF xy(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) xy[i] = x[i] + y[i];
-  kernels::conv2d(xy, p, cp, cxy);
+  conv2d_unfused(xy, p, cp, cxy);
   // conv(x + y) == conv(x) + conv(y)
   for (std::int64_t i = 0; i < cxy.numel(); ++i) {
     EXPECT_NEAR(cxy[i], cx[i] + cy[i], 1e-4f);
@@ -55,7 +56,7 @@ TEST_P(SeedParam, ConvIsLinearInItsInput) {
   // conv(a * x) == a * conv(x)
   TensorF sx(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) sx[i] = 2.5f * x[i];
-  kernels::conv2d(sx, p, cp, csx);
+  conv2d_unfused(sx, p, cp, csx);
   for (std::int64_t i = 0; i < csx.numel(); ++i) {
     EXPECT_NEAR(csx[i], 2.5f * cx[i], 1e-4f);
   }

@@ -96,7 +96,7 @@ TEST(Server, RejectsBadConfigAndUnsortedArrivals) {
   EXPECT_THROW(Server({}, {}), std::invalid_argument);
   EXPECT_THROW(Server({nullptr}, {}), std::invalid_argument);
   ServerConfig bad;
-  bad.estimator_gain = 0.0;
+  bad.batch_timeout_s = -1.0;
   EXPECT_THROW(Server({&t}, bad), std::invalid_argument);
 
   Server server({&t});

@@ -334,6 +334,22 @@ TEST(ServeCheckModes, LogRecordsAndPreservesDocumentedErrors) {
   serve_verifier().configure(CheckMode::kDefault);
 }
 
+TEST(ServeCheckModes, RecordedListIsBoundedButCountsAreNot) {
+  serve_verifier().configure(CheckMode::kLog);
+  auto& sv = serve_verifier();
+  const auto n = check::ServeVerifier::kMaxRecorded + 10;
+  for (std::size_t i = 0; i < n; ++i) {
+    sv.on_ledger_live(static_cast<std::int64_t>(i), -1, 0.0);
+  }
+  EXPECT_EQ(sv.count(ServeViolationKind::kNegativeLive), n);
+  EXPECT_EQ(sv.total(), n);
+  const auto recorded = sv.violations();
+  ASSERT_EQ(recorded.size(), check::ServeVerifier::kMaxRecorded);
+  // Oldest first: the list keeps the first kMaxRecorded, not the last.
+  EXPECT_EQ(recorded.front().detail.rfind("request 0 ", 0), 0u);
+  serve_verifier().configure(CheckMode::kDefault);
+}
+
 TEST(ServeCheckModes, OffRecordsNothing) {
   serve_verifier().configure(CheckMode::kOff);
   FakeTarget t("T", 0.01, 8);

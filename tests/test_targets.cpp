@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -277,6 +279,19 @@ TEST(VpuTarget, ClassifyPropagatesWorkerFailures) {
   EXPECT_THROW(vpu.classify(inputs), std::runtime_error);
 }
 
+// Where two trace dumps first differ, with 200 bytes of each around
+// that offset: enough to name the lane or event, short enough to keep in
+// a CI log (the whole dumps are hundreds of kilobytes).
+std::string first_difference(const std::string& got, const std::string& want) {
+  std::size_t at = 0;
+  while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
+  const std::size_t from = at < 100 ? 0 : at - 100;
+  return "first difference at byte " + std::to_string(at) + " of " +
+         std::to_string(got.size()) + " vs " + std::to_string(want.size()) +
+         "\n  got:  " + got.substr(from, 200) + "\n  want: " +
+         want.substr(from, 200);
+}
+
 TEST(VpuTarget, TracedClassifyThroughTheFanOutMatchesASerialRun) {
   // The per-stick workers run on pool threads in any order; the trace
   // must not show it, so every lane id is the one a serial run gives.
@@ -311,7 +326,9 @@ TEST(VpuTarget, TracedClassifyThroughTheFanOutMatchesASerialRun) {
   const std::string serial = traced(false);
   EXPECT_NE(serial.find("dev3 shave"), std::string::npos);
   for (int run = 0; run < 4; ++run) {
-    EXPECT_EQ(traced(true), serial) << "fan-out run " << run;
+    const std::string fanned = traced(true);
+    EXPECT_TRUE(fanned == serial)
+        << "fan-out run " << run << ": " << first_difference(fanned, serial);
   }
 }
 

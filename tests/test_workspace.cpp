@@ -8,6 +8,7 @@
 #include <cstring>
 #include <memory>
 
+#include "conv_unfused.h"
 #include "core/model.h"
 #include "nn/executor.h"
 #include "nn/kernels.h"
@@ -111,10 +112,10 @@ TEST(Workspace, NoStaleDataBleedAcrossLayerShapes) {
   kernels::ExecCtx shared_ctx;
   shared_ctx.ws = &shared;
   TensorF big_out, reused_out, fresh_out;
-  kernels::conv2d(big_in, big_p, ConvParams{8, 5, 1, 2}, big_out, shared_ctx);
-  kernels::conv2d(small_in, small_p, ConvParams{3, 3, 1, 1}, reused_out,
+  conv2d_unfused(big_in, big_p, ConvParams{8, 5, 1, 2}, big_out, shared_ctx);
+  conv2d_unfused(small_in, small_p, ConvParams{3, 3, 1, 1}, reused_out,
                   shared_ctx);
-  kernels::conv2d(small_in, small_p, ConvParams{3, 3, 1, 1}, fresh_out);
+  conv2d_unfused(small_in, small_p, ConvParams{3, 3, 1, 1}, fresh_out);
   expect_bytes_equal(reused_out, fresh_out, "conv2d after big layer");
 
   // Same check in FP16, which additionally exercises acts/out/gemm arenas.
@@ -129,11 +130,11 @@ TEST(Workspace, NoStaleDataBleedAcrossLayerShapes) {
   kernels::ExecCtx shared_h_ctx;
   shared_h_ctx.ws = &shared_h;
   Tensor<half> big_out_h, reused_out_h, fresh_out_h;
-  kernels::conv2d(big_in_h, big_ph, ConvParams{8, 5, 1, 2}, big_out_h,
+  conv2d_unfused(big_in_h, big_ph, ConvParams{8, 5, 1, 2}, big_out_h,
                   shared_h_ctx);
-  kernels::conv2d(small_in_h, small_ph, ConvParams{3, 3, 1, 1}, reused_out_h,
+  conv2d_unfused(small_in_h, small_ph, ConvParams{3, 3, 1, 1}, reused_out_h,
                   shared_h_ctx);
-  kernels::conv2d(small_in_h, small_ph, ConvParams{3, 3, 1, 1}, fresh_out_h);
+  conv2d_unfused(small_in_h, small_ph, ConvParams{3, 3, 1, 1}, fresh_out_h);
   expect_bytes_equal(reused_out_h, fresh_out_h, "fp16 conv2d after big layer");
 }
 
